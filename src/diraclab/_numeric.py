@@ -30,70 +30,63 @@ class FlowConfig:
             raise ValueError("step must be positive")
 
 
+class _MonomialTable:
+    """Values of a fixed list of monomials at a batch of points.
+
+    Each monomial is stored as its list of variable factors (x^2 y as x, x,
+    y), padded with the constant 1, so evaluation gathers from
+    [1, x_1, ..., x_n] and multiplies, one factor position at a time, instead
+    of taking a floating-point pow per exponent.
+    """
+
+    __slots__ = ("dim", "columns")
+
+    def __init__(self, exps, dim: int):
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, dim)
+        self.dim = dim
+        width = max(1, int(exps.sum(axis=1).max(initial=0)))
+        factors = np.zeros((len(exps), width), dtype=np.intp)
+        for row, e in enumerate(exps):
+            idx = np.repeat(np.arange(1, dim + 1), e)
+            factors[row, : len(idx)] = idx
+        # column k holds the k-th factor of every monomial
+        self.columns = tuple(factors[:, k].copy() for k in range(width))
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """(..., n) -> (..., T)."""
+        ext = np.empty(pts.shape[:-1] + (self.dim + 1,))
+        ext[..., 0] = 1.0
+        ext[..., 1:] = pts
+        out = ext.take(self.columns[0], axis=-1)
+        for col in self.columns[1:]:
+            out *= ext.take(col, axis=-1)
+        return out
+
+
 class CompiledScalar:
     """Vectorized evaluator of one polynomial: points (..., n) -> values (...)."""
 
-    __slots__ = ("exps", "coefs", "dim")
+    __slots__ = ("dim", "monomials", "coefs")
 
     def __init__(self, poly):
         self.dim = poly.chart.dim
         items = poly.sorted_terms()
-        if items:
-            self.exps = np.array([e for e, _ in items], dtype=np.int64)
-            self.coefs = np.array([float(c) for _, c in items])
-        else:
-            self.exps = np.zeros((0, self.dim), dtype=np.int64)
-            self.coefs = np.zeros(0)
+        self.monomials = _MonomialTable([e for e, _ in items], self.dim)
+        self.coefs = np.array([float(c) for _, c in items])
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        base_shape = pts.shape[:-1]
-        if self.coefs.size == 0:
-            return np.zeros(base_shape)
-        # (..., T, n) powers -> product over n -> (..., T) @ coefs
-        powers = pts[..., None, :] ** self.exps
-        return powers.prod(axis=-1) @ self.coefs
-
-
-class _PackedPolys:
-    """Several polynomials evaluated in one vectorized pass.
-
-    All terms are stacked into one exponent/coefficient table; a scatter
-    matrix sums each term into its owning slot.
-    """
-
-    __slots__ = ("dim", "nslots", "exps", "coefs", "scatter")
-
-    def __init__(self, polys, dim):
-        self.dim = dim
-        self.nslots = len(polys)
-        exps, coefs, owner = [], [], []
-        for slot, p in enumerate(polys):
-            for e, c in p.terms.items():
-                exps.append(e)
-                coefs.append(float(c))
-                owner.append(slot)
-        if exps:
-            self.exps = np.array(exps, dtype=np.int64)
-            self.coefs = np.array(coefs)
-            S = np.zeros((len(owner), self.nslots))
-            S[np.arange(len(owner)), owner] = 1.0
-            self.scatter = S
-        else:
-            self.exps = None
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.exps is None:
-            return np.zeros(pts.shape[:-1] + (self.nslots,))
-        vals = (pts[..., None, :] ** self.exps).prod(axis=-1) * self.coefs
-        return vals @ self.scatter
+        return self.monomials(np.asarray(pts, dtype=float)) @ self.coefs
 
 
 class CompiledVectorField:
-    """Compiled degree-1 field on R^n: values and coefficient Jacobian."""
+    """Compiled degree-1 field on R^n: values and coefficient Jacobian.
 
-    __slots__ = ("dim", "_val", "_jac")
+    One monomial table holds the terms of the n components and of their n*n
+    partials; one matmul with the coefficient matrix gives the values
+    (columns :n) and the row-major Jacobian (columns n:) together.
+    """
+
+    __slots__ = ("dim", "monomials", "coefs")
 
     def __init__(self, field):
         chart = field.chart
@@ -101,17 +94,29 @@ class CompiledVectorField:
         from .fields import PolyScalar
 
         comps = [field.components.get((i,), PolyScalar.zero(chart)) for i in range(n)]
-        self._val = _PackedPolys(comps, n)
-        self._jac = _PackedPolys(
-            [comps[i].partial(j) for i in range(n) for j in range(n)], n
-        )
+        polys = comps + [comps[i].partial(j) for i in range(n) for j in range(n)]
+        rows: dict = {}
+        for p in polys:
+            for e in p.terms:
+                rows.setdefault(e, len(rows))
+        self.monomials = _MonomialTable(list(rows), n)
+        self.coefs = np.zeros((len(rows), len(polys)))
+        for col, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coefs[rows[e], col] = float(c)
+
+    def value_and_jacobian(self, pts: np.ndarray):
+        """Values (..., n) and Jacobians (..., n, n) from one table evaluation."""
+        pts = np.asarray(pts, dtype=float)
+        n = self.dim
+        out = self.monomials(pts) @ self.coefs
+        return out[..., :n], out[..., n:].reshape(pts.shape[:-1] + (n, n))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return self._val(pts)
+        return self.value_and_jacobian(pts)[0]
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return self._jac(pts).reshape(pts.shape[:-1] + (self.dim, self.dim))
+        return self.value_and_jacobian(pts)[1]
 
 
 def compile_bivector(pi_field):
@@ -195,6 +200,18 @@ def _make_rhs(value_fn, jac_fn, n, with_jacobian, sign):
     return rhs
 
 
+def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
+    """Raise DomainEscapeError if the state is not finite or x left the ball."""
+    # one reduction: a non-finite entry makes the sum non-finite
+    if not np.isfinite(y.sum()) and not np.all(np.isfinite(y)):
+        raise DomainEscapeError("trajectory diverged", None)
+    x = y[:, :n]
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if norms.max() > escape_norm:
+        b = int(norms.argmax())
+        raise DomainEscapeError("trajectory left the admissible region", x[b])
+
+
 def flow_points(field: CompiledVectorField, x0, t: float, config: FlowConfig,
                 with_jacobian: bool = True, record_times=None):
     """Flow map Phi_t of a time-independent field (trajectories dx = -a dx).
@@ -205,18 +222,18 @@ def flow_points(field: CompiledVectorField, x0, t: float, config: FlowConfig,
     """
     n = field.dim
     state = _FlowState(x0, with_jacobian)
-    rhs = _make_rhs(lambda _t, x: field.value(x), lambda _t, x: field.jacobian(x),
-                    n, with_jacobian, -1.0)
     single = np.ndim(x0) == 1
 
-    def check(y):
-        if not np.all(np.isfinite(y)):
-            raise DomainEscapeError("trajectory diverged", None)
-        xs = y[:, :n]
-        norms = np.linalg.norm(xs, axis=1)
-        if norms.max() > config.escape_norm:
-            b = int(norms.argmax())
-            raise DomainEscapeError("trajectory left the admissible region", xs[b])
+    def rhs(_t, y):
+        x = y[:, :n]
+        if not with_jacobian:
+            return -field.value(x)
+        # dx = -a(x), dJ = -Da(x) J, written into one state-shaped buffer
+        v, A = field.value_and_jacobian(x)
+        dy = np.empty_like(y)
+        dy[:, :n] = v
+        np.matmul(A, y[:, n:].reshape(-1, n, n), out=dy[:, n:].reshape(-1, n, n))
+        return np.negative(dy, out=dy)
 
     def snap():
         x, J = state.unpack()
@@ -224,21 +241,15 @@ def flow_points(field: CompiledVectorField, x0, t: float, config: FlowConfig,
             return (x[0].copy(), None if J is None else J[0].copy())
         return (x.copy(), None if J is None else J.copy())
 
-    if record_times is None:
-        for h in _step_schedule(t, config.step):
-            state.y = _rk4_step(rhs, state.y, 0.0, h)
-            check(state.y)
-        return snap()
-
     out = []
     cur = 0.0
-    for target in record_times:
+    for target in ([t] if record_times is None else record_times):
         for h in _step_schedule(target - cur, config.step):
             state.y = _rk4_step(rhs, state.y, 0.0, h)
-            check(state.y)
+            _check_escape(state.y, n, config.escape_norm)
         cur = target
         out.append(snap())
-    return out
+    return out[0] if record_times is None else out
 
 
 def flow_points_td(value_fn, jac_fn, x0, T: float, config: FlowConfig,
@@ -257,13 +268,7 @@ def flow_points_td(value_fn, jac_fn, x0, T: float, config: FlowConfig,
     for h in _step_schedule(T, config.step):
         state.y = _rk4_step(rhs, state.y, s, h)
         s += h
-        if not np.all(np.isfinite(state.y)):
-            raise DomainEscapeError("trajectory diverged", None)
-        norms = np.linalg.norm(state.y[:, :n], axis=1)
-        if norms.max() > config.escape_norm:
-            b = int(norms.argmax())
-            raise DomainEscapeError("trajectory left the admissible region",
-                                    state.y[b, :n])
+        _check_escape(state.y, n, config.escape_norm)
     x, J = state.unpack()
     if single:
         return x[0], None if J is None else J[0]

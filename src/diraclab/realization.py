@@ -19,6 +19,11 @@ anti-Poisson, and the s- and t-fibers are omega-orthogonal.
 
 (Phi_s)_* omega_can is evaluated as the pullback (Phi_{-s})^* omega_can along
 the backward flow; this sign is load-bearing and pinned by a regression test.
+
+All of this lives on one backward trajectory per point: the verifiers make a
+single batched pass of the flow that records the Gauss nodes -s of the
+quadrature and then t = -1, so omega, s, t and their differentials come from
+one integration per sample batch.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._numeric import (
+    CompiledScalar,
     CompiledVectorField,
     FlowConfig,
     flow_points,
@@ -36,7 +42,6 @@ from ._numeric import (
     nullspace_basis,
     span_residual,
 )
-from ._parallel import pmap
 from .errors import ChartMismatchError, PreconditionError, ShapeError
 from .fields import PolyKForm, PolyKVector, PolyScalar, cotangent_chart
 from .poisson import PoissonBivector
@@ -183,22 +188,44 @@ def flow(spray: SprayField, point, t: float, config: RealizationConfig = Realiza
     return x, J
 
 
-def _backward_jacobians(spray: SprayField, points: np.ndarray, config: RealizationConfig):
-    """D Phi_{-s} at the given points for the Gauss nodes s in (0,1).
+def _backward_pass(spray: SprayField, points: np.ndarray, config: RealizationConfig,
+                   through_one: bool = False):
+    """W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds from one batched backward flow.
 
-    One batched backward integration per node interval; returns the list of
-    (positions, Jacobians) in node order, plus the node weights.
+    The flow records D Phi_{-s} at the Gauss nodes s in (0,1), summed in node
+    order, and, when `through_one` is set, then continues to t = -1.  Returns
+    W and the last snapshot (x, J).
     """
+    n = spray.base_dim
     nodes, weights = gauss_legendre_01(config.quad_order)
     order = np.argsort(nodes)
-    snaps = flow_points(
-        spray.compiled(), points, -1.0, config.flow(),
-        record_times=[-float(nodes[i]) for i in order],
-    )
-    out = [None] * len(nodes)
-    for rank, i in enumerate(order):
-        out[i] = snaps[rank]
-    return out, weights
+    times = [-float(nodes[i]) for i in order] + ([-1.0] if through_one else [])
+    snaps = flow_points(spray.compiled(), points, -1.0, config.flow(), record_times=times)
+    rank = np.argsort(order)
+    Wc = canonical_symplectic_matrix(n)
+    W = np.zeros((len(points), 2 * n, 2 * n))
+    for i, w in enumerate(weights):
+        J_s = snaps[rank[i]][1]
+        W += w * np.einsum("bji,jk,bkl->bil", J_s, Wc, J_s)
+    return 0.5 * (W - np.transpose(W, (0, 2, 1))), snaps[-1]
+
+
+def _source_target(points, x1, J1, n: int):
+    """(s, t, ds, dt) from the points and their time -1 flow (x1, J1)."""
+    ds = np.zeros((len(points), n, 2 * n))
+    ds[:, :, :n] = np.eye(n)
+    return points[:, :n], x1[:, :n], ds, J1[:, :n, :]
+
+
+def _realization_batch(spray: SprayField, points, config: RealizationConfig):
+    """(W, s, t, ds, dt) at a batch of points from one backward flow.
+
+    The flow records the Gauss nodes and then t = -1: the node snapshots give
+    the quadrature of omega, the last one gives t and dt.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    W, (x1, J1) = _backward_pass(spray, points, config, through_one=True)
+    return (W,) + _source_target(points, x1, J1, spray.base_dim)
 
 
 def realization_form_batch(
@@ -206,13 +233,7 @@ def realization_form_batch(
 ) -> np.ndarray:
     """The 2-form matrices W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds by quadrature."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = spray.base_dim
-    Wc = canonical_symplectic_matrix(n)
-    snaps, weights = _backward_jacobians(spray, points, config)
-    W = np.zeros((len(points), 2 * n, 2 * n))
-    for (x_s, J_s), w in zip(snaps, weights):
-        W += w * np.einsum("bji,jk,bkl->bil", J_s, Wc, J_s)
-    return 0.5 * (W - np.transpose(W, (0, 2, 1)))
+    return _backward_pass(spray, points, config)[0]
 
 
 def realization_form(spray, point, config: RealizationConfig = RealizationConfig()) -> np.ndarray:
@@ -222,15 +243,8 @@ def realization_form(spray, point, config: RealizationConfig = RealizationConfig
 def source_target_batch(spray, points, config: RealizationConfig = RealizationConfig()):
     """(s, t, ds, dt) at each point: s = tau, t = tau after the time -1 flow."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = spray.base_dim
     x1, J1 = flow_points(spray.compiled(), points, -1.0, config.flow())
-    s_val = points[:, :n]
-    t_val = x1[:, :n]
-    B = len(points)
-    ds = np.zeros((B, n, 2 * n))
-    ds[:, :, :n] = np.eye(n)
-    dt = J1[:, :n, :]
-    return s_val, t_val, ds, dt
+    return _source_target(points, x1, J1, spray.base_dim)
 
 
 def source_target(spray, point, config: RealizationConfig = RealizationConfig()):
@@ -259,8 +273,7 @@ class RealizationSample:
 
 def realization_sample(spray, point, config: RealizationConfig = RealizationConfig()) -> RealizationSample:
     point = np.asarray(point, dtype=float)
-    W = realization_form(spray, point, config)
-    s, t, ds, dt = source_target(spray, point, config)
+    W, s, t, ds, dt = (a[0] for a in _realization_batch(spray, point[None, :], config))
     sv = np.linalg.svd(W, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * sv[0])
     cond = float(sv[0] / sv[-1]) if invertible else float("inf")
@@ -354,28 +367,22 @@ def verify_dual_pair(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     pi_fn = spray.pi.compiled_matrix()
-    W = realization_form_batch(spray, points, config)
-    s_val, t_val, ds, dt = source_target_batch(spray, points, config)
-
-    def per_point(b):
-        Wb = W[b]
-        piP = -np.linalg.inv(Wb)
-        Pt = pi_fn(t_val[b][None, :])[0]
-        Ps = pi_fn(s_val[b][None, :])[0]
-        r1t = np.abs(dt[b] @ piP @ dt[b].T - Pt).max()
-        r1s = np.abs(ds[b] @ piP @ ds[b].T + Ps).max()
+    W, s_val, t_val, ds, dt = _realization_batch(spray, points, config)
+    piP = -np.linalg.inv(W)
+    Pt, Ps = pi_fn(t_val), pi_fn(s_val)
+    r1t = np.abs(dt @ piP @ dt.transpose(0, 2, 1) - Pt).max(axis=(1, 2))
+    r1s = np.abs(ds @ piP @ ds.transpose(0, 2, 1) + Ps).max(axis=(1, 2))
+    n2 = W.shape[1]
+    rows = []
+    for b in range(len(points)):
         kt = nullspace_basis(dt[b])
         ks = nullspace_basis(ds[b])
-        r2 = np.abs(kt.T @ Wb @ ks).max() if kt.size and ks.size else 0.0
-        tgt = _pullback_fiber(dt[b], _graph_fiber(Pt))
-        sgt = _pullback_fiber(ds[b], _graph_fiber(Ps))
-        n2 = Wb.shape[0]
+        r2 = np.abs(kt.T @ W[b] @ ks).max() if kt.size and ks.size else 0.0
+        tgt = _pullback_fiber(dt[b], _graph_fiber(Pt[b]))
+        sgt = _pullback_fiber(ds[b], _graph_fiber(Ps[b]))
         gauged = tgt.copy()
-        gauged[n2:] += Wb.T @ tgt[:n2]
-        r3 = span_residual(gauged, sgt)
-        return max(r1t, r1s), r2, r3
-
-    rows = pmap(per_point, range(len(points)))
+        gauged[n2:] += W[b].T @ tgt[:n2]
+        rows.append((max(r1t[b], r1s[b]), r2, span_residual(gauged, sgt)))
     res = np.array(rows)
 
     def crit(name, col):
@@ -395,10 +402,24 @@ def verify_dual_pair(
 # -- left/right invariant fields -----------------------------------------------
 
 
-def _pullback_covector(alpha_fn, dmap, base_pts):
-    """d map^T (alpha at the mapped base points)."""
-    al = alpha_fn(base_pts)
-    return np.einsum("bij,bi->bj", dmap, al)
+def _covector_field(spray, alpha: PolyKForm):
+    """Compiled evaluator of a base 1-form: base points (B, n) -> (B, n)."""
+    if alpha.degree != 1:
+        raise PreconditionError("invariant fields are built from 1-forms")
+    if alpha.chart != spray.pi.chart:
+        raise ChartMismatchError("1-form must live on the base chart")
+    zero = PolyScalar.zero(alpha.chart)
+    comps = [CompiledScalar(alpha.components.get((i,), zero)) for i in range(spray.base_dim)]
+    return lambda base_pts: np.stack([c(base_pts) for c in comps], axis=-1)
+
+
+def _lr_fields(alpha_at, W, s_val, t_val, ds, dt):
+    """alpha^L = -W^{-1} s^*alpha and alpha^R = -W^{-1} t^*alpha on a batch."""
+    sa = np.einsum("bij,bi->bj", ds, alpha_at(s_val))
+    ta = np.einsum("bij,bi->bj", dt, alpha_at(t_val))
+    aL = -np.linalg.solve(W, sa[..., None])[..., 0]
+    aR = -np.linalg.solve(W, ta[..., None])[..., 0]
+    return aL, aR
 
 
 def lr_field_values(spray, alpha: PolyKForm, points, config: RealizationConfig = RealizationConfig()):
@@ -406,31 +427,9 @@ def lr_field_values(spray, alpha: PolyKForm, points, config: RealizationConfig =
 
     pi_P^#(mu) = W^{-1} mu with our conventions, so alpha^L = -W^{-1} s^*alpha.
     """
-    if alpha.degree != 1:
-        raise PreconditionError("invariant fields are built from 1-forms")
-    if alpha.chart != spray.pi.chart:
-        raise ChartMismatchError("1-form must live on the base chart")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = spray.base_dim
-    from ._numeric import CompiledScalar
-
-    comps = [
-        CompiledScalar(alpha.components.get((i,), PolyScalar.zero(alpha.chart)))
-        for i in range(n)
-    ]
-
-    def alpha_at(base_pts):
-        out = np.empty(base_pts.shape)
-        for i, c in enumerate(comps):
-            out[..., i] = c(base_pts)
-        return out
-
-    W = realization_form_batch(spray, points, config)
-    s_val, t_val, ds, dt = source_target_batch(spray, points, config)
-    sa = _pullback_covector(alpha_at, ds, s_val)
-    ta = _pullback_covector(alpha_at, dt, t_val)
-    aL = -np.linalg.solve(W, sa[..., None])[..., 0]
-    aR = -np.linalg.solve(W, ta[..., None])[..., 0]
+    alpha_at = _covector_field(spray, alpha)
+    W, s_val, t_val, ds, dt = batch = _realization_batch(spray, points, config)
+    aL, aR = _lr_fields(alpha_at, *batch)
     return aL, aR, W, (s_val, t_val, ds, dt)
 
 
@@ -463,30 +462,23 @@ def invariant_vector_fields(
     """
     if beta is None:
         beta = alpha
-    pt = np.asarray(point, dtype=float)[None, :]
+    alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
     pi_fn = spray.pi.compiled_matrix()
-    aL, aR, W, (s_val, t_val, ds, dt) = lr_field_values(spray, alpha, pt, config)
-    bL, bR, _, _ = lr_field_values(spray, beta, pt, config)
-    n = spray.base_dim
-
-    def form_vec(gamma, base):
-        return np.array(
-            [gamma.components.get((i,), PolyScalar.zero(gamma.chart)).evaluate(base)
-             for i in range(n)]
-        )
-
-    Ps = pi_fn(s_val)[0]
-    Pt = pi_fn(t_val)[0]
-    a_s, a_t = form_vec(alpha, s_val[0]), form_vec(alpha, t_val[0])
-    b_s, b_t = form_vec(beta, s_val[0]), form_vec(beta, t_val[0])
+    batch = _realization_batch(spray, np.asarray(point, dtype=float)[None, :], config)
+    aL, aR = (v[0] for v in _lr_fields(alpha_at, *batch))
+    bL, bR = (v[0] for v in _lr_fields(beta_at, *batch))
+    W, s_val, t_val, ds, dt = (a[0] for a in batch)
+    Ps, Pt = pi_fn(s_val), pi_fn(t_val)
+    a_s, a_t = alpha_at(s_val), alpha_at(t_val)
+    b_s, b_t = beta_at(s_val), beta_at(t_val)
     res = {
-        "left_s_related": float(np.abs(ds[0] @ aL[0] - Ps.T @ a_s).max()),
-        "right_t_related": float(np.abs(dt[0] @ aR[0] + Pt.T @ a_t).max()),
-        "omega_LL": float(abs(aL[0] @ W[0] @ bL[0] + a_s @ Ps @ b_s)),
-        "omega_RR": float(abs(aR[0] @ W[0] @ bR[0] - a_t @ Pt @ b_t)),
-        "omega_LR": float(abs(aL[0] @ W[0] @ bR[0])),
+        "left_s_related": float(np.abs(ds @ aL - Ps.T @ a_s).max()),
+        "right_t_related": float(np.abs(dt @ aR + Pt.T @ a_t).max()),
+        "omega_LL": float(abs(aL @ W @ bL + a_s @ Ps @ b_s)),
+        "omega_RR": float(abs(aR @ W @ bR - a_t @ Pt @ b_t)),
+        "omega_LR": float(abs(aL @ W @ bR)),
     }
-    return InvariantFieldReport(aL[0], aR[0], res)
+    return InvariantFieldReport(aL, aR, res)
 
 
 def bracket_relations_residual(
@@ -500,6 +492,8 @@ def bracket_relations_residual(
     """FD residuals of [a^L,b^L] = [a,b]^L, [a^R,b^R] = -[a,b]^R, [a^L,b^R] = 0."""
     from .dirac import one_form_bracket
 
+    alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
+    ab_at = _covector_field(spray, one_form_bracket(spray.pi, alpha, beta))
     pt = np.asarray(point, dtype=float)
     n2 = 2 * spray.base_dim
     stencil = [pt]
@@ -508,9 +502,11 @@ def bracket_relations_residual(
         e[i] = fd_step
         stencil.append(pt + e)
         stencil.append(pt - e)
-    stencil = np.array(stencil)
-    aL, aR, _, _ = lr_field_values(spray, alpha, stencil, config)
-    bL, bR, _, _ = lr_field_values(spray, beta, stencil, config)
+    batch = _realization_batch(spray, np.array(stencil), config)
+    aL, aR = _lr_fields(alpha_at, *batch)
+    bL, bR = _lr_fields(beta_at, *batch)
+    # [alpha, beta]^{L,R} at pt = stencil[0] reuses row 0 of the same flow
+    abL, abR = _lr_fields(ab_at, *(a[:1] for a in batch))
 
     def jac(vals):
         J = np.empty((n2, n2))
@@ -521,8 +517,6 @@ def bracket_relations_residual(
     def lie(u_vals, v_vals):
         return jac(v_vals) @ u_vals[0] - jac(u_vals) @ v_vals[0]
 
-    ab = one_form_bracket(spray.pi, alpha, beta)
-    abL, abR, _, _ = lr_field_values(spray, ab, pt[None, :], config)
     return {
         "LL": float(np.abs(lie(aL, bL) - abL[0]).max()),
         "RR": float(np.abs(lie(aR, bR) + abR[0]).max()),

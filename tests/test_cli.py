@@ -263,20 +263,6 @@ class TestTripleJson:
         assert code == 2
 
 
-class TestThreadEnv:
-    def test_thread_cap_keeps_reports_identical(self, workdir, capsys, monkeypatch):
-        argv = ["realize", "--poisson", workdir["xdxdy.json"], "--samples", "4",
-                "--radius", "0.2", "--step", "5e-3"]
-        run(argv)
-        serial = json.loads(capsys.readouterr().out)
-        monkeypatch.setenv("DIRACLAB_THREADS", "4")
-        run(argv)
-        threaded = json.loads(capsys.readouterr().out)
-        serial.pop("wall_time_s")
-        threaded.pop("wall_time_s")
-        assert serial == threaded
-
-
 class TestTolOverride:
     def test_global_tol_flips_status(self, workdir, capsys):
         # an absurdly tight tolerance turns the numeric pass into a fail

@@ -263,6 +263,38 @@ class TestDomainEscape:
             flow(spray, bad, 8.0, RealizationConfig(step=1e-2, escape_norm=50.0))
         assert e.value.point is not None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_shared_check(self):
+        from diraclab._numeric import _check_escape
+        from diraclab.errors import DomainEscapeError
+
+        y = np.zeros((3, 2 + 4))
+        y[:, 2:] = 1e308  # finite Jacobian entries whose sum overflows
+        _check_escape(y, 2, 10.0)
+        y[1, 3] = np.nan
+        with pytest.raises(DomainEscapeError, match="diverged") as e:
+            _check_escape(y, 2, 10.0)
+        assert e.value.point is None
+        y = np.zeros((3, 6))
+        y[2, :2] = (8.0, 9.0)
+        y[1, :2] = (11.0, 0.0)
+        with pytest.raises(DomainEscapeError, match="admissible region") as e:
+            _check_escape(y, 2, 10.0)
+        assert tuple(e.value.point) == (8.0, 9.0)
+
+    def test_time_dependent_flow_diverges(self):
+        from diraclab._numeric import FlowConfig, flow_points_td
+        from diraclab.errors import DomainEscapeError
+
+        def value(t, x):
+            return np.full_like(x, np.nan)
+
+        def jac(t, x):
+            return np.zeros(x.shape + (x.shape[-1],))
+
+        with pytest.raises(DomainEscapeError, match="diverged"):
+            flow_points_td(value, jac, np.zeros((2, 2)), 0.1, FlowConfig(step=0.05))
+
 
 class TestCriteriaTrackTogether:
     def test_dual_pair_criteria_share_error_order(self):
@@ -296,3 +328,101 @@ class TestSo3Realization:
             RealizationConfig(step=1e-3), beta=coordinate_form(chart, 2),
         )
         assert rep.max_residual < 1e-6, rep.residuals
+
+
+def _realization_cases():
+    so3 = default_spray(lie_poisson(so3_constants(), 3))
+    return [
+        (default_spray(xdxdy()), sample_points(2, 6, 0.2, seed=3)),
+        (so3, sample_points(3, 5, 0.15, seed=6, base_offset=(0.5, 0.5, 0.5))),
+    ]
+
+
+class TestSinglePass:
+    """One backward flow (Gauss nodes, then t = -1) reproduces the two
+    separate integrations of the public entry points."""
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["xdxdy", "so3"])
+    def test_matches_separate_flows(self, case):
+        from diraclab.realization import _realization_batch, source_target_batch
+
+        spray, pts = _realization_cases()[case]
+        config = RealizationConfig(step=1e-3)
+        W, s, t, ds, dt = _realization_batch(spray, pts, config)
+        assert np.array_equal(W, realization_form_batch(spray, pts, config))
+        for got, want in zip((s, t, ds, dt), source_target_batch(spray, pts, config)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-10
+
+
+class TestFusedEvaluator:
+    """value_and_jacobian agrees with value()/jacobian() and with the exact
+    polynomial components and partials."""
+
+    @staticmethod
+    def sprays():
+        pi = xdxdy()
+        gamma = {(0, 1, 0): pi.chart.coordinate(1), (1, 1, 1): PolyScalar.constant(pi.chart, 2)}
+        return [
+            default_spray(lie_poisson(so3_constants(), 3)),
+            SprayField(pi, gamma),
+            default_spray(from_components(Chart(2), {})),
+        ]
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["so3", "gamma", "zero"])
+    def test_value_and_jacobian(self, which):
+        spray = self.sprays()[which]
+        f = spray.compiled()
+        m = spray.chart.dim
+        pts = np.random.default_rng(which).uniform(-1.0, 1.0, size=(7, m))
+        v, A = f.value_and_jacobian(pts)
+        assert v.shape == (7, m) and A.shape == (7, m, m)
+        assert np.abs(v - f.value(pts)).max() < 1e-13
+        assert np.abs(A - f.jacobian(pts)).max() < 1e-13
+        zero = PolyScalar.zero(spray.chart)
+        for b, x in enumerate(pts):
+            for i in range(m):
+                comp = spray.field.components.get((i,), zero)
+                assert abs(v[b, i] - float(comp.evaluate(x))) < 1e-13
+                for j in range(m):
+                    assert abs(A[b, i, j] - float(comp.partial(j).evaluate(x))) < 1e-13
+
+
+class TestOneFlowPerCall:
+    """Each realization verifier integrates its sample batch exactly once."""
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        import diraclab.realization as real_mod
+
+        calls = []
+        original = real_mod.flow_points
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("record_times"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(real_mod, "flow_points", counting)
+        return calls
+
+    def test_verify_dual_pair(self, flows):
+        spray = default_spray(xdxdy())
+        verify_dual_pair(spray, sample_points(2, 4, 0.2, seed=0), FAST)
+        assert len(flows) == 1
+        assert flows[0][-1] == -1.0
+
+    def test_invariant_vector_fields(self, flows):
+        spray = default_spray(xdxdy())
+        chart = spray.pi.chart
+        invariant_vector_fields(spray, coordinate_form(chart, 0),
+                                np.array([1.0, 0.2, 0.1, -0.05]), FAST,
+                                beta=coordinate_form(chart, 1))
+        assert len(flows) == 1
+
+    def test_bracket_relations_residual(self, flows):
+        spray = default_spray(xdxdy())
+        chart = spray.pi.chart
+        beta = PolyKForm(chart, 1, {(1,): chart.coordinate(0)})
+        bracket_relations_residual(spray, coordinate_form(chart, 0), beta,
+                                   np.array([1.0, 0.3, 0.1, -0.05]), FAST)
+        assert len(flows) == 1
