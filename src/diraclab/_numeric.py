@@ -7,6 +7,13 @@ d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_T is the inverse of the
 forward solution map of dx/dt = +a(t, x), which is computed here by
 integrating dz/ds = -a(T-s, z) from s=0 to s=T.  For time-independent fields
 this reduces to dx/dt = -a(x).
+
+Both flows share one RK4 integrator whose right-hand side is a single
+callable returning the field and its Jacobian, (a, Da), from one evaluation;
+with the variational equations dJ = -Da J it writes -a and -Da J into one
+state-shaped buffer.  Polynomial fields, time-polynomial families and
+tensor entries are evaluated by PackedPolys: one monomial table and one
+matmul per call, values and partials together.
 """
 
 from __future__ import annotations
@@ -63,76 +70,99 @@ class _MonomialTable:
         return out
 
 
-class CompiledScalar:
-    """Vectorized evaluator of one polynomial: points (..., n) -> values (...)."""
+class PackedPolys:
+    """Packed evaluator of polynomial columns that may depend on time.
 
-    __slots__ = ("dim", "monomials", "coefs")
-
-    def __init__(self, poly):
-        self.dim = poly.chart.dim
-        items = poly.sorted_terms()
-        self.monomials = _MonomialTable([e for e, _ in items], self.dim)
-        self.coefs = np.array([float(c) for _, c in items])
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.monomials(np.asarray(pts, dtype=float)) @ self.coefs
-
-
-class CompiledVectorField:
-    """Compiled degree-1 field on R^n: values and coefficient Jacobian.
-
-    One monomial table holds the terms of the n components and of their n*n
-    partials; one matmul with the coefficient matrix gives the values
-    (columns :n) and the row-major Jacobian (columns n:) together.
+    Column c is sum_d t^d p_{c,d}(x), given as a mapping {d: PolyScalar}.
+    One monomial table holds every term of the p_{c,d} and, with
+    partials=True, of their partials; the coefficient matrices C_d share its
+    rows.  A call at (x, t) forms C(t) = sum_d t^d C_d, evaluates the table
+    once and does one matmul: values (..., w) and, with partials=True,
+    partials (..., w, n) with [c, k] = d_k column c.
     """
 
-    __slots__ = ("dim", "monomials", "coefs")
+    __slots__ = ("dim", "width", "partials", "monomials", "powers", "coefs")
 
-    def __init__(self, field):
-        chart = field.chart
-        n = self.dim = chart.dim
-        from .fields import PolyScalar
-
-        comps = [field.components.get((i,), PolyScalar.zero(chart)) for i in range(n)]
-        polys = comps + [comps[i].partial(j) for i in range(n) for j in range(n)]
+    def __init__(self, columns, dim: int, partials: bool = False):
+        w = self.width = len(columns)
+        self.dim, self.partials = dim, partials
+        polys = []  # (time power, output column, polynomial)
+        for c, col in enumerate(columns):
+            for d, p in col.items():
+                polys.append((d, c, p))
+                if partials:
+                    polys += [(d, w + c * dim + k, p.partial(k)) for k in range(dim)]
         rows: dict = {}
-        for p in polys:
+        for _, _, p in polys:
             for e in p.terms:
                 rows.setdefault(e, len(rows))
-        self.monomials = _MonomialTable(list(rows), n)
-        self.coefs = np.zeros((len(rows), len(polys)))
-        for col, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.coefs[rows[e], col] = float(c)
+        powers = sorted({d for d, _, _ in polys}) or [0]
+        self.monomials = _MonomialTable(list(rows), dim)
+        self.powers = np.array(powers, dtype=float) if powers != [0] else None
+        coefs = np.zeros((len(powers), len(rows), w * (1 + dim) if partials else w))
+        for d, col, p in polys:
+            for e, v in p.terms.items():
+                coefs[powers.index(d), rows[e], col] = float(v)
+        self.coefs = coefs[0] if self.powers is None else coefs
 
-    def value_and_jacobian(self, pts: np.ndarray):
-        """Values (..., n) and Jacobians (..., n, n) from one table evaluation."""
+    def __call__(self, pts, t: float = 0.0):
         pts = np.asarray(pts, dtype=float)
-        n = self.dim
-        out = self.monomials(pts) @ self.coefs
-        return out[..., :n], out[..., n:].reshape(pts.shape[:-1] + (n, n))
+        if self.powers is None:
+            C = self.coefs
+        else:
+            P = len(self.powers)
+            C = (t**self.powers @ self.coefs.reshape(P, -1)).reshape(self.coefs.shape[1:])
+        out = self.monomials(pts) @ C
+        if not self.partials:
+            return out
+        w = self.width
+        return out[..., :w], out[..., w:].reshape(pts.shape[:-1] + (w, self.dim))
+
+
+def skew_columns(entries, n: int) -> list:
+    """Row-major columns of the antisymmetric n x n matrix whose (i, j) entry
+    (i < j) is the column entries[(i, j)]; absent entries are zero."""
+    cols = [{} for _ in range(n * n)]
+    for (i, j), col in entries.items():
+        cols[i * n + j] = col
+        cols[j * n + i] = {d: -p for d, p in col.items()}
+    return cols
+
+
+class CompiledVectorField(PackedPolys):
+    """Compiled degree-1 field on R^n: its n components with their partials.
+
+    value_and_jacobian is one table evaluation and one matmul; the Jacobian
+    is row-major, [i, k] = d_k a_i.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, field):
+        n = field.chart.dim
+        comps = field.components
+        super().__init__([{0: comps[(i,)]} if (i,) in comps else {} for i in range(n)],
+                         n, partials=True)
+
+    # values (..., n) and Jacobians (..., n, n) from one table evaluation
+    value_and_jacobian = PackedPolys.__call__
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_jacobian(pts)[0]
+        return self(pts)[0]
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_jacobian(pts)[1]
+        return self(pts)[1]
 
 
 def compile_bivector(pi_field):
     """Compiled full antisymmetric component matrix of a bivector field."""
-    chart = pi_field.chart
-    n = chart.dim
-    entries = [(idx, CompiledScalar(p)) for idx, p in pi_field.components.items()]
+    n = pi_field.chart.dim
+    packed = PackedPolys(skew_columns({idx: {0: p} for idx, p in pi_field.components.items()},
+                                      n), n)
 
     def matrices(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1] + (n, n))
-        for (i, j), c in entries:
-            v = c(pts)
-            out[..., i, j] = v
-            out[..., j, i] = -v
-        return out
+        out = packed(pts)
+        return out.reshape(out.shape[:-1] + (n, n))
 
     return matrices
 
@@ -165,41 +195,6 @@ def _step_schedule(duration: float, h: float):
     return steps
 
 
-class _FlowState:
-    """Batched (x, J) state for a flow with variational equations."""
-
-    def __init__(self, x0, with_jacobian):
-        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        self.B, self.n = x0.shape
-        self.with_jac = with_jacobian
-        if with_jacobian:
-            J0 = np.broadcast_to(np.eye(self.n), (self.B, self.n, self.n)).copy()
-            self.y = np.concatenate([x0, J0.reshape(self.B, -1)], axis=1)
-        else:
-            self.y = x0.copy()
-
-    def unpack(self):
-        x = self.y[:, : self.n]
-        if not self.with_jac:
-            return x, None
-        J = self.y[:, self.n :].reshape(self.B, self.n, self.n)
-        return x, J
-
-
-def _make_rhs(value_fn, jac_fn, n, with_jacobian, sign):
-    def rhs(t, y):
-        x = y[:, :n]
-        vx = sign * value_fn(t, x)
-        if not with_jacobian:
-            return vx
-        J = y[:, n:].reshape(y.shape[0], n, n)
-        A = sign * jac_fn(t, x)
-        dJ = np.einsum("bij,bjk->bik", A, J)
-        return np.concatenate([vx, dJ.reshape(y.shape[0], -1)], axis=1)
-
-    return rhs
-
-
 def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
     """Raise DomainEscapeError if the state is not finite or x left the ball."""
     # one reduction: a non-finite entry makes the sum non-finite
@@ -212,6 +207,41 @@ def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
         raise DomainEscapeError("trajectory left the admissible region", x[b])
 
 
+def _integrate(field_fn, x0, targets, config: FlowConfig, with_jacobian: bool):
+    """RK4 for dx/ds = -a(s, x) and, with the Jacobian, dJ/ds = -Da(s, x) J.
+
+    field_fn(s, x) returns (a, Da) on the batch.  Returns one (x, J) snapshot
+    per target time; targets run monotonically away from s = 0.
+    """
+    single = np.ndim(x0) == 1
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    B, n = x0.shape
+    # state rows (x, J) with J row-major, J(0) = I
+    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1))]) if with_jacobian else x0.copy()
+
+    def rhs(s, y):
+        v, A = field_fn(s, y[:, :n])
+        if not with_jacobian:
+            return -v
+        # value and A J written into one state-shaped buffer
+        dy = np.empty_like(y)
+        dy[:, :n] = v
+        np.matmul(A, y[:, n:].reshape(-1, n, n), out=dy[:, n:].reshape(-1, n, n))
+        return np.negative(dy, out=dy)
+
+    out = []
+    s = 0.0
+    for target in targets:
+        for h in _step_schedule(target - s, config.step):
+            y = _rk4_step(rhs, y, s, h)
+            s += h
+            _check_escape(y, n, config.escape_norm)
+        s = target
+        x, J = y[:, :n].copy(), y[:, n:].reshape(B, n, n).copy() if with_jacobian else None
+        out.append((x[0], None if J is None else J[0]) if single else (x, J))
+    return out
+
+
 def flow_points(field: CompiledVectorField, x0, t: float, config: FlowConfig,
                 with_jacobian: bool = True, record_times=None):
     """Flow map Phi_t of a time-independent field (trajectories dx = -a dx).
@@ -220,59 +250,18 @@ def flow_points(field: CompiledVectorField, x0, t: float, config: FlowConfig,
     if record_times is given (monotone ascending in |t| direction), the list of
     (x, J) snapshots at those times.
     """
-    n = field.dim
-    state = _FlowState(x0, with_jacobian)
-    single = np.ndim(x0) == 1
-
-    def rhs(_t, y):
-        x = y[:, :n]
-        if not with_jacobian:
-            return -field.value(x)
-        # dx = -a(x), dJ = -Da(x) J, written into one state-shaped buffer
-        v, A = field.value_and_jacobian(x)
-        dy = np.empty_like(y)
-        dy[:, :n] = v
-        np.matmul(A, y[:, n:].reshape(-1, n, n), out=dy[:, n:].reshape(-1, n, n))
-        return np.negative(dy, out=dy)
-
-    def snap():
-        x, J = state.unpack()
-        if single:
-            return (x[0].copy(), None if J is None else J[0].copy())
-        return (x.copy(), None if J is None else J.copy())
-
-    out = []
-    cur = 0.0
-    for target in ([t] if record_times is None else record_times):
-        for h in _step_schedule(target - cur, config.step):
-            state.y = _rk4_step(rhs, state.y, 0.0, h)
-            _check_escape(state.y, n, config.escape_norm)
-        cur = target
-        out.append(snap())
-    return out[0] if record_times is None else out
+    snaps = _integrate(lambda _s, x: field(x), x0,
+                       [t] if record_times is None else record_times, config, with_jacobian)
+    return snaps[0] if record_times is None else snaps
 
 
-def flow_points_td(value_fn, jac_fn, x0, T: float, config: FlowConfig,
-                   with_jacobian: bool = True):
-    """Flow map Phi_T of a time-dependent field given by value_fn(t, x).
+def flow_points_td(field_fn, x0, T: float, config: FlowConfig, with_jacobian: bool = True):
+    """Flow map Phi_T of a time-dependent field; field_fn(t, x) -> (a, Da).
 
     Integrates dz/ds = -a(T-s, z) from s=0 to s=T, which realizes the inverse
     of the forward solution map of dx/dt = +a(t,x); see the module docstring.
     """
-    n = np.shape(x0)[-1]
-    state = _FlowState(x0, with_jacobian)
-    rhs = _make_rhs(lambda s, x: value_fn(T - s, x), lambda s, x: jac_fn(T - s, x),
-                    n, with_jacobian, -1.0)
-    single = np.ndim(x0) == 1
-    s = 0.0
-    for h in _step_schedule(T, config.step):
-        state.y = _rk4_step(rhs, state.y, s, h)
-        s += h
-        _check_escape(state.y, n, config.escape_norm)
-    x, J = state.unpack()
-    if single:
-        return x[0], None if J is None else J[0]
-    return x, J
+    return _integrate(lambda s, x: field_fn(T - s, x), x0, [T], config, with_jacobian)[0]
 
 
 def orthonormal_basis(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -18,10 +18,17 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _rat
 from .errors import ShapeError
+
+
+def _linalg():
+    """scipy.linalg, imported on first use: the import costs about 0.3 s, and
+    only the numeric group-chart code needs expm and logm."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def _canon_constants(dim: int, C: dict) -> dict:
@@ -262,10 +269,10 @@ class GroupChart:
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Ad_{g(x)} on d."""
-        return scipy.linalg.expm(self._ad_d_generator(x))
+        return _linalg().expm(self._ad_d_generator(x))
 
     def ad_inv(self, x: np.ndarray) -> np.ndarray:
-        return scipy.linalg.expm(-self._ad_d_generator(x))
+        return _linalg().expm(-self._ad_d_generator(x))
 
     def frame(self, x: np.ndarray, terms: int = 20) -> np.ndarray:
         """Left-trivialized coordinate frame Xi(x).
@@ -559,7 +566,7 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
         proj = Q @ Q.T
         for gen in k_generators:
             gen = np.asarray(gen, dtype=float)
-            A = scipy.linalg.expm(alg.ad_num(gen))
+            A = _linalg().expm(alg.ad_num(gen))
             img = A @ L
             worst = max(worst, float(np.abs(img - proj @ img).max()))
         if worst > ad_tol:
@@ -604,10 +611,10 @@ def _so3_chart(triple: ManinTriple) -> GroupChart:
         L[b][k, a] = -1.0
 
     def param(x):
-        return scipy.linalg.expm(np.einsum("i,ijk->jk", np.asarray(x, float), L))
+        return _linalg().expm(np.einsum("i,ijk->jk", np.asarray(x, float), L))
 
     def log_map(R):
-        X = scipy.linalg.logm(R)
+        X = _linalg().logm(R)
         X = np.real(X)
         return np.array([X[2, 1], X[0, 2], X[1, 0]])
 
@@ -663,10 +670,10 @@ def iwasawa_su2() -> tuple:
     u, sigma = _su2_matrices()
 
     def param(x):
-        return scipy.linalg.expm(sum(float(c) * m for c, m in zip(x, u)))
+        return _linalg().expm(sum(float(c) * m for c, m in zip(x, u)))
 
     def log_map(k):
-        X = scipy.linalg.logm(k)
+        X = _linalg().logm(k)
         return np.array([np.real(1j * np.trace(X @ s)) for s in sigma])
 
     chart = GroupChart("su2", triple, param, log_map)

@@ -17,12 +17,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._numeric import (
-    CompiledScalar,
-    CompiledVectorField,
     FlowConfig,
+    PackedPolys,
     compile_bivector,
     flow_points_td,
     orthonormal_basis,
+    skew_columns,
 )
 from .errors import (
     ChartMismatchError,
@@ -543,6 +543,12 @@ def moser_verify(
     The closed family omega_t = -int_0^t d a_s ds deforms pi0 by gauge
     transformations; the flow of X_t = pi_t^#(a_t) must carry pi_T back to
     pi0.  Returns the max pushforward residual over grid x times.
+
+    With A = I + Pi W_t (W_t the matrix of omega_t) and u = A^{-T} a_t, the
+    field is X = Pi^T u.  Its Jacobian is exact: with
+    d_k A = d_k Pi W + Pi d_k W and d_k u = A^{-T}(d_k a - d_k A^T u),
+    d_k X = d_k Pi^T u + Pi^T d_k u.  Pi, W_t, a_t and their partials come
+    from one packed table evaluation per call.
     """
     if not is_poisson(pi0):
         raise PreconditionError("pi0 must be Poisson")
@@ -550,75 +556,78 @@ def moser_verify(
         raise PreconditionError("a_t must be a family of 1-forms")
     if a_t.chart != pi0.chart:
         raise ChartMismatchError("a_t on the wrong chart")
-    n = pi0.chart.dim
-    pi_fn = pi0.compiled_matrix()
-    omega_t = a_t.exterior_derivative().time_integral()  # omega_t = -int d a_s
-    omega_terms = [
-        (d, idx, CompiledScalar(p))
-        for d, a in omega_t.coeffs.items()
-        for idx, p in a.components.items()
-    ]
-    a_terms = [
-        (d, i, CompiledScalar(p))
-        for d, a in a_t.coeffs.items()
-        for (i,), p in a.components.items()
-    ]
-
-    def W_at(t, pts):
-        out = np.zeros(pts.shape[:-1] + (n, n))
-        for d, (i, j), c in omega_terms:
-            v = (t**d) * c(pts)
-            out[..., i, j] += v
-            out[..., j, i] -= v
-        return out
-
-    def alpha_at(t, pts):
-        out = np.zeros(pts.shape)
-        for d, i, c in a_terms:
-            out[..., i] += (t**d) * c(pts)
-        return out
-
-    def pi_t_at(t, pts):
-        P = pi_fn(pts)
-        W = W_at(t, pts)
-        A = np.eye(n) + np.einsum("...ij,...jk->...ik", P, W)
-        dets = np.linalg.det(A)
-        bad = np.abs(dets) < 1e-12
-        if np.any(bad):
-            b = int(np.argmax(bad))
-            raise TransversalityError(
-                f"gauge family degenerate at t={t}", np.atleast_2d(pts)[b]
-            )
-        return np.linalg.solve(A, P)
-
-    def field(t, pts):
-        # X_t = pi_t^#(a_t): components (Pi_t^T a)_j
-        Pt = pi_t_at(t, pts)
-        al = alpha_at(t, pts)
-        return np.einsum("...ij,...i->...j", Pt, al)
-
-    def field_jac(t, pts, h=1e-6):
-        out = np.zeros(pts.shape + (pts.shape[-1],))
-        for j in range(pts.shape[-1]):
-            e = np.zeros(pts.shape[-1])
-            e[j] = h
-            out[..., :, j] = (field(t, pts + e) - field(t, pts - e)) / (2 * h)
-        return out
-
+    gauge, field = _moser_field(pi0, a_t)
     grid_arr = np.array([list(map(float, g)) for g in grid])
     worst = (0.0, grid_arr[0], 0.0)
     for T in times:
         if T == 0.0:
             continue
-        x_end, J = flow_points_td(field, field_jac, grid_arr, float(T), config)
-        piT = pi_t_at(float(T), grid_arr)
+        x_end, J = flow_points_td(field, grid_arr, float(T), config)
+        P, _, _, A, _ = gauge(float(T), grid_arr)
+        piT = np.linalg.solve(A, P)
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
-        target = pi_fn(x_end)
+        target = gauge(0.0, x_end)[0]  # W_0 = 0, so this is pi0 at x_end
         res = np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1)
         b = int(res.argmax())
         if res[b] > worst[0]:
             worst = (float(res[b]), grid_arr[b], float(T))
     return MoserReport(worst[0], tuple(worst[1]), worst[2], len(grid_arr) * len(times))
+
+
+def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
+    """Evaluators of the gauge family and of X_t = pi_t^#(a_t).
+
+    gauge(t, pts) -> (Pi, W_t, a_t, A = I + Pi W_t, partials) from one packed
+    table evaluation, raising TransversalityError where |det A| < 1e-12;
+    field(t, pts) -> (X_t, DX_t) with the exact Jacobian of moser_verify.
+    """
+    n = pi0.chart.dim
+    nn = n * n
+    omega_t = a_t.exterior_derivative().time_integral()  # omega_t = -int d a_s
+    a_cols = _time_columns(a_t)
+    packed = PackedPolys(
+        skew_columns({idx: {0: p} for idx, p in pi0.pi.components.items()}, n)
+        + skew_columns(_time_columns(omega_t), n)
+        + [a_cols.get((i,), {}) for i in range(n)],
+        n, partials=True)
+    eye = np.eye(n)
+
+    def gauge(t, pts):
+        """Pi, W_t, a_t, A = I + Pi W_t and the partials at (t, pts)."""
+        vals, parts = packed(pts, t)
+        P = vals[:, :nn].reshape(-1, n, n)
+        W = vals[:, nn:2 * nn].reshape(-1, n, n)
+        A = eye + P @ W
+        bad = np.abs(np.linalg.det(A)) < 1e-12
+        if np.any(bad):
+            b = int(np.argmax(bad))
+            raise TransversalityError(f"gauge family degenerate at t={t}", pts[b])
+        return P, W, vals[:, 2 * nn:], A, parts
+
+    def field(t, pts):
+        # X_t = pi_t^#(a_t) = Pi^T u with u = A^{-T} a, and its exact Jacobian
+        P, W, a, A, parts = gauge(t, pts)
+        dP = parts[:, :nn].reshape(-1, n, n, n)  # [i, j, k] = d_k Pi^{ij}
+        dW = parts[:, nn:2 * nn].reshape(-1, n, n, n)
+        AT = np.swapaxes(A, 1, 2)
+        u = np.linalg.solve(AT, a[..., None])[..., 0]
+        X = np.einsum("bij,bi->bj", P, u)
+        dPu = np.einsum("bi,bijk->bjk", u, dP)  # [j, k] = (d_k Pi^T u)_j
+        # (d_k A^T u)_j = (W^T d_k Pi^T u)_j + sum_m X_m d_k W_{mj}
+        dATu = np.swapaxes(W, 1, 2) @ dPu + np.einsum("bm,bmjk->bjk", X, dW)
+        du = np.linalg.solve(AT, parts[:, 2 * nn:] - dATu)
+        return X, dPu + np.swapaxes(P, 1, 2) @ du
+
+    return gauge, field
+
+
+def _time_columns(family: TimePolyForm) -> dict:
+    """{component index: {time power: coefficient}} of a time-polynomial form."""
+    out: dict = {}
+    for d, form in family.coeffs.items():
+        for idx, p in form.components.items():
+            out.setdefault(idx, {})[d] = p
+    return out
 
 
 # -- Euler-like linearization ----------------------------------------------------
@@ -658,8 +667,9 @@ def euler_linearize(
         raise DegreeError("euler_linearize needs a vector field")
     chart = X.chart
     n = chart.dim
-    # split X = linear part + Z; demand linear part == Euler field, Z >= quadratic
-    z_comps = {}
+    # split X = linear part + Z; demand linear part == Euler field, Z >= quadratic.
+    # Z_t(x) = Z(tx)/t^2: a monomial of total degree d picks up the factor t^(d-2)
+    columns = []
     for j in range(n):
         p = X.components.get((j,), PolyScalar.zero(chart))
         lin = {e: c for e, c in p.terms.items() if sum(e) <= 1}
@@ -668,42 +678,15 @@ def euler_linearize(
             raise PreconditionError(
                 f"component {j+1}: linear part is not the Euler field"
             )
-        rest = {e: c for e, c in p.terms.items() if sum(e) >= 2}
-        if rest:
-            z_comps[(j,)] = PolyScalar(chart, rest)
-    Z = PolyKVector(chart, 1, z_comps)
-
-    # Z_t: a monomial of total degree d picks up the factor t^(d-2)
-    by_power: dict = {}
-    for (j,), p in Z.components.items():
-        for exp, c in p.terms.items():
-            d = sum(exp) - 2
-            by_power.setdefault(d, {}).setdefault((j,), {})[exp] = c
-    powers = [
-        (d, CompiledVectorField(PolyKVector(chart, 1, {
-            idx: PolyScalar(chart, terms) for idx, terms in comps.items()
-        })))
-        for d, comps in sorted(by_power.items())
-    ]
-
-    def value(t, pts):
-        out = np.zeros(pts.shape)
-        for d, f in powers:
-            out += (t**d) * f.value(pts)
-        return out
-
-    def jac(t, pts):
-        out = np.zeros(pts.shape + (pts.shape[-1],))
-        for d, f in powers:
-            out += (t**d) * f.jacobian(pts)
-        return out
+        by_power: dict = {}
+        for e, c in p.terms.items():
+            if sum(e) >= 2:
+                by_power.setdefault(sum(e) - 2, {})[e] = c
+        columns.append({d: PolyScalar(chart, terms) for d, terms in by_power.items()})
+    Z_t = PackedPolys(columns, n, partials=True)
 
     pts = np.array([list(map(float, p)) for p in sample_points])
-    if powers:
-        images, J = flow_points_td(value, jac, pts, 1.0, config)
-    else:
-        images = pts.copy()
-        J = np.broadcast_to(np.eye(n), (len(pts), n, n)).copy()
+    images, J = flow_points_td(lambda t, x: Z_t(x, t), pts, 1.0, config)
     Xvals = np.array([[X.components.get((j,), PolyScalar.zero(chart)).evaluate(p)
                        for j in range(n)] for p in pts])
     pushed = np.einsum("bij,bj->bi", J, Xvals)

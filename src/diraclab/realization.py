@@ -34,9 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._numeric import (
-    CompiledScalar,
     CompiledVectorField,
     FlowConfig,
+    PackedPolys,
     flow_points,
     gauss_legendre_01,
     nullspace_basis,
@@ -408,9 +408,9 @@ def _covector_field(spray, alpha: PolyKForm):
         raise PreconditionError("invariant fields are built from 1-forms")
     if alpha.chart != spray.pi.chart:
         raise ChartMismatchError("1-form must live on the base chart")
-    zero = PolyScalar.zero(alpha.chart)
-    comps = [CompiledScalar(alpha.components.get((i,), zero)) for i in range(spray.base_dim)]
-    return lambda base_pts: np.stack([c(base_pts) for c in comps], axis=-1)
+    comps = alpha.components
+    return PackedPolys([{0: comps[(i,)]} if (i,) in comps else {}
+                        for i in range(spray.base_dim)], spray.base_dim)
 
 
 def _lr_fields(alpha_at, W, s_val, t_val, ds, dt):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import diraclab
 from diraclab import jsonio
 from diraclab.cli import REPORT_SCHEMA, run
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
@@ -295,3 +299,16 @@ class TestFrameFile:
             ["dirac", "check-integrability", "--frame", str(p), "--point", "0.4,0.7"],
         )
         assert code == 0
+
+
+class TestImportCost:
+    def test_scipy_linalg_is_loaded_on_first_use(self):
+        # only the Manin group charts need scipy.linalg; importing the package
+        # and the CLI must not pay for it
+        src = os.path.dirname(os.path.dirname(diraclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, diraclab, diraclab.cli; "
+                "print('scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"

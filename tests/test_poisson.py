@@ -36,6 +36,7 @@ from diraclab.poisson import (
     standard_symplectic_poisson,
     structure_jacobi_defect,
 )
+from diraclab.poisson import _moser_field
 
 from conftest import random_poly, random_vector
 
@@ -426,6 +427,72 @@ class TestMoserTransversality:
         # at t = 1 the family pi_t = (1-t)^{-1} pi_0 degenerates
         with pytest.raises(TransversalityError):
             moser_verify(pi0, a, [1.0], [(0.2, 0.3)], FlowConfig(step=1e-2))
+
+
+class TestMoserAnalyticField:
+    """The Moser field X_t = ((I + Pi W_t)^{-1} Pi)^T a_t and its exact Jacobian
+    against a pointwise evaluation and a Richardson central difference."""
+
+    @staticmethod
+    def family(name):
+        if name == "r2":
+            chart = Chart(2, ("x", "y"))
+            pi0 = from_components(chart, {(0, 1): PolyScalar.constant(chart, 1)})
+            return pi0, TimePolyForm({0: PolyKForm(chart, 1, {(1,): -chart.coordinate(0)})})
+        if name == "xdxdy":
+            chart = Chart(2, ("x", "y"))
+            x = chart.coordinate(0)
+            pi0 = from_components(chart, {(0, 1): x})
+            one = PolyScalar.constant(chart, 1)
+            return pi0, TimePolyForm({0: PolyKForm(chart, 1, {(1,): -one}),
+                                      1: PolyKForm(chart, 1, {(1,): -x})})
+        pi0 = lie_poisson(so3_constants(), 3)
+        m1, m2, m3 = pi0.chart.coordinates()
+        q = Fraction(1, 4)
+        return pi0, TimePolyForm({
+            0: PolyKForm(pi0.chart, 1, {(0,): q * m2 * m3, (1,): -q * m1, (2,): q * m1 * m2}),
+            1: PolyKForm(pi0.chart, 1, {(0,): q * m3, (1,): q * m1 * m1, (2,): -q * m2}),
+        })
+
+    @staticmethod
+    def pointwise_field(pi0, a_t, t, x):
+        omega_t = a_t.exterior_derivative().time_integral()
+        P = pi0.matrix_at(x)
+        W = sum(t**d * w.evaluate_at(x) for d, w in omega_t.coeffs.items())
+        a = sum(t**d * al.evaluate_at(x) for d, al in a_t.coeffs.items())
+        return np.linalg.solve(np.eye(len(x)) + P @ W, P).T @ a
+
+    @pytest.mark.parametrize("name", ["r2", "xdxdy", "so3"])
+    def test_field_and_jacobian(self, name):
+        pi0, a_t = self.family(name)
+        n = pi0.chart.dim
+        _, field = _moser_field(pi0, a_t)
+        pts = np.random.default_rng(n).uniform(-0.5, 0.5, size=(5, n))
+        h = 1e-3
+
+        def central(t, step):
+            cols = []
+            for k in range(n):
+                e = np.zeros(n)
+                e[k] = step
+                cols.append((field(t, pts + e)[0] - field(t, pts - e)[0]) / (2 * step))
+            return np.stack(cols, axis=-1)
+
+        for t in (0.4, -0.3):
+            X, DX = field(t, pts)
+            assert X.shape == (5, n) and DX.shape == (5, n, n)
+            ref = np.array([self.pointwise_field(pi0, a_t, t, x) for x in pts])
+            assert np.abs(X - ref).max() < 1e-13
+            richardson = (4 * central(t, h / 2) - central(t, h)) / 3
+            assert np.abs(DX - richardson).max() < 1e-7
+
+    def test_degenerate_family_names_time_and_point(self):
+        from diraclab.errors import TransversalityError
+
+        pi0, a_t = self.family("r2")  # pi_t = (1-t)^{-1} pi_0 degenerates at t = 1
+        with pytest.raises(TransversalityError, match=r"gauge family degenerate at t=1\.0") as e:
+            moser_verify(pi0, a_t, [1.0], [(0.2, 0.3), (-0.1, 0.0)], FlowConfig(step=1e-2))
+        assert tuple(e.value.point) == (0.2, 0.3)
 
 
 class TestStructureConstantJSON:

@@ -286,14 +286,11 @@ class TestDomainEscape:
         from diraclab._numeric import FlowConfig, flow_points_td
         from diraclab.errors import DomainEscapeError
 
-        def value(t, x):
-            return np.full_like(x, np.nan)
-
-        def jac(t, x):
-            return np.zeros(x.shape + (x.shape[-1],))
+        def field(t, x):
+            return np.full_like(x, np.nan), np.zeros(x.shape + (x.shape[-1],))
 
         with pytest.raises(DomainEscapeError, match="diverged"):
-            flow_points_td(value, jac, np.zeros((2, 2)), 0.1, FlowConfig(step=0.05))
+            flow_points_td(field, np.zeros((2, 2)), 0.1, FlowConfig(step=0.05))
 
 
 class TestCriteriaTrackTogether:
