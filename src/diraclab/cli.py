@@ -298,12 +298,10 @@ def _rational_matrix_from_json(rows):
     return [[jsonio.rational_from_json(v) for v in row] for row in rows]
 
 
+@jsonio.decoder
 def _triple_from_json(data) -> tuple:
     dim = int(data["dim"])
-    C = {}
-    for entry in data["C"]:
-        a, b, c = int(entry["a"]) - 1, int(entry["b"]) - 1, int(entry["c"]) - 1
-        C[(a, b, c)] = jsonio.rational_from_json(entry["value"])
+    C = jsonio.constants_from_entries(data["C"], ("a", "b", "c"), dim)
     B = _rational_matrix_from_json(data["B"])
     alg = manin_mod.MetrizedLieAlgebra(dim, C, B)
     g_basis = _rational_matrix_from_json(data["g_basis"])

@@ -55,6 +55,28 @@ def sort_index(idx: Sequence[int]):
     return tuple(idx), sign
 
 
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value, removing the key when the sum is zero.
+
+    Values are Fractions or PolyScalars (both are falsy exactly when zero).
+    """
+    cur = acc.get(key)
+    s = value if cur is None else cur + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def accumulate_signed(acc: dict, idx, value) -> None:
+    """Add a value at an antisymmetric index: the index is sorted by
+    `sort_index`, the value takes the permutation sign, and an index with a
+    repeat contributes nothing."""
+    sidx, sign = sort_index(idx)
+    if sidx is not None:
+        accumulate(acc, sidx, value if sign == 1 else -value)
+
+
 class Chart:
     """A coordinate chart on R^n, identified by dimension and coordinate names.
 
@@ -134,19 +156,19 @@ class PolyScalar:
                 exp = tuple(int(e) for e in exp)
                 if len(exp) != chart.dim or any(e < 0 for e in exp):
                     raise ShapeError(f"bad exponent {exp} for chart of dim {chart.dim}")
-                c = _frac(c)
-                if c != 0:
-                    cur = clean.get(exp)
-                    if cur is None:
-                        clean[exp] = c
-                    else:
-                        s = cur + c
-                        if s == 0:
-                            del clean[exp]
-                        else:
-                            clean[exp] = s
+                accumulate(clean, exp, _frac(c))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _canonical(chart: Chart, terms: dict) -> "PolyScalar":
+        """Wrap terms that are already canonical (valid exponents, nonzero
+        Fractions), as every ring and calculus operation produces them;
+        outside input goes through the validating constructor."""
+        p = object.__new__(PolyScalar)
+        object.__setattr__(p, "chart", chart)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("PolyScalar is immutable")
@@ -155,7 +177,7 @@ class PolyScalar:
 
     @staticmethod
     def zero(chart: Chart) -> "PolyScalar":
-        return PolyScalar(chart, {})
+        return PolyScalar._canonical(chart, {})
 
     @staticmethod
     def constant(chart: Chart, c: Rat) -> "PolyScalar":
@@ -177,17 +199,13 @@ class PolyScalar:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return PolyScalar(self.chart, terms)
+            accumulate(terms, exp, c)
+        return PolyScalar._canonical(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar(self.chart, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._canonical(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -202,20 +220,15 @@ class PolyScalar:
             c = _frac(other)
             if c == 0:
                 return PolyScalar.zero(self.chart)
-            return PolyScalar(self.chart, {e: k * c for e, k in self.terms.items()})
+            return PolyScalar._canonical(self.chart, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, PolyScalar):
             return NotImplemented
         self._check(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return PolyScalar(self.chart, terms)
+                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return PolyScalar._canonical(self.chart, terms)
 
     __rmul__ = __mul__
 
@@ -246,6 +259,9 @@ class PolyScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -267,15 +283,9 @@ class PolyScalar:
             if exp[i] == 0:
                 continue
             e = list(exp)
-            k = e[i]
             e[i] -= 1
-            e = tuple(e)
-            s = terms.get(e, Fraction(0)) + c * k
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return PolyScalar(self.chart, terms)
+            accumulate(terms, tuple(e), c * exp[i])
+        return PolyScalar._canonical(self.chart, terms)
 
     def evaluate_exact(self, point: Sequence[Rat]) -> Fraction:
         if len(point) != self.chart.dim:
@@ -366,16 +376,8 @@ class _AlternatingTensor:
                     p = PolyScalar.constant(chart, p)
                 if p.chart != chart:
                     raise ChartMismatchError("component polynomial on wrong chart")
-                sidx, sign = sort_index(idx)
-                if sidx is None or p.is_zero():
-                    continue
-                q = p if sign == 1 else -p
-                cur = clean.get(sidx)
-                s = q if cur is None else cur + q
-                if s.is_zero():
-                    clean.pop(sidx, None)
-                else:
-                    clean[sidx] = s
+                if p:
+                    accumulate_signed(clean, idx, p)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
@@ -405,11 +407,7 @@ class _AlternatingTensor:
             raise DegreeError("cannot add tensors of different degree")
         comp = dict(self.components)
         for idx, p in other.components.items():
-            s = comp.get(idx, PolyScalar.zero(self.chart)) + p
-            if s.is_zero():
-                comp.pop(idx, None)
-            else:
-                comp[idx] = s
+            accumulate(comp, idx, p)
         return type(self)(self.chart, self.degree, comp)
 
     def __neg__(self):
@@ -453,18 +451,8 @@ class _AlternatingTensor:
         comp: dict = {}
         for i1, p1 in self.components.items():
             for i2, p2 in other.components.items():
-                sidx, sign = sort_index(i1 + i2)
-                if sidx is None:
-                    continue
-                q = p1 * p2
-                if sign == -1:
-                    q = -q
-                cur = comp.get(sidx)
-                s = q if cur is None else cur + q
-                if s.is_zero():
-                    comp.pop(sidx, None)
-                else:
-                    comp[sidx] = s
+                if set(i1).isdisjoint(i2):
+                    accumulate_signed(comp, i1 + i2, p1 * p2)
         if k > self.chart.dim:
             return type(self)(self.chart, k, {})
         return type(self)(self.chart, k, comp)
@@ -547,19 +535,8 @@ def exterior_derivative(alpha: PolyKForm) -> PolyKForm:
     comp: dict = {}
     for idx, p in alpha.components.items():
         for j in range(chart.dim):
-            dp = p.partial(j)
-            if dp.is_zero():
-                continue
-            sidx, sign = sort_index((j,) + idx)
-            if sidx is None:
-                continue
-            q = dp if sign == 1 else -dp
-            cur = comp.get(sidx)
-            s = q if cur is None else cur + q
-            if s.is_zero():
-                comp.pop(sidx, None)
-            else:
-                comp[sidx] = s
+            if j not in idx:
+                accumulate_signed(comp, (j,) + idx, p.partial(j))
     if k + 1 > chart.dim:
         return PolyKForm(chart, k + 1, {})
     return PolyKForm(chart, k + 1, comp)
@@ -580,16 +557,8 @@ def interior_product(X: PolyKVector, alpha: PolyKForm) -> PolyKForm:
             xi = X.components.get((i,))
             if xi is None:
                 continue
-            rest = idx[:pos] + idx[pos + 1 :]
             q = xi * p
-            if pos % 2 == 1:
-                q = -q
-            cur = comp.get(rest)
-            s = q if cur is None else cur + q
-            if s.is_zero():
-                comp.pop(rest, None)
-            else:
-                comp[rest] = s
+            accumulate(comp, idx[:pos] + idx[pos + 1 :], -q if pos % 2 else q)
     return PolyKForm(chart, alpha.degree - 1, comp)
 
 
@@ -645,28 +614,14 @@ def lie_derivative(X: PolyKVector, T):
             p = T.components.get((), PolyScalar.zero(chart))
             return PolyKVector(chart, 0, {(): apply_vector(X, p)})
         comp: dict = {}
-
-        def add(idx, p):
-            sidx, sign = sort_index(idx)
-            if sidx is None or p.is_zero():
-                return
-            q = p if sign == 1 else -p
-            cur = comp.get(sidx)
-            s = q if cur is None else cur + q
-            if s.is_zero():
-                comp.pop(sidx, None)
-            else:
-                comp[sidx] = s
-
         for idx, f in T.components.items():
-            add(idx, apply_vector(X, f))
+            accumulate_signed(comp, idx, apply_vector(X, f))
             # [X, d/dx_i] = -sum_j (dX^j/dx_i) d/dx_j, applied in each slot
             for pos, i in enumerate(idx):
                 for (j,), xj in X.components.items():
                     dxj = xj.partial(i)
-                    if dxj.is_zero():
-                        continue
-                    add(idx[:pos] + (j,) + idx[pos + 1 :], -(f * dxj))
+                    if dxj:
+                        accumulate_signed(comp, idx[:pos] + (j,) + idx[pos + 1 :], -(f * dxj))
         return PolyKVector(chart, T.degree, comp)
     raise TypeError(f"cannot take Lie derivative of {type(T).__name__}")
 

@@ -5,14 +5,32 @@ Tensor format (shared by all modules and the CLI); indices are 1-based:
     {"chart": n, "degree": k, "kind": "vector"|"form",
      "components": [{"idx": [i1,...,ik],
                      "poly": [{"exp": [e1,...,en], "num": int, "den": int}]}]}
+
+Every decoder reports malformed input (a missing key, a value of the wrong
+type, a zero denominator) as ShapeError, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import ShapeError
-from .fields import Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar
+from .fields import Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar, accumulate
+from .poisson import normalize_structure_constants
+
+
+def decoder(fn):
+    """Turn the Python errors malformed JSON data raises into ShapeError."""
+
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
+            raise ShapeError(f"malformed input for {fn.__name__}: {type(e).__name__}: {e}") from e
+
+    return wrapped
 
 
 def poly_to_json(p: PolyScalar) -> list:
@@ -22,13 +40,12 @@ def poly_to_json(p: PolyScalar) -> list:
     ]
 
 
+@decoder
 def poly_from_json(chart: Chart, data) -> PolyScalar:
     terms = {}
     for t in data:
         exp = tuple(int(e) for e in t["exp"])
-        num = int(t["num"])
-        den = int(t.get("den", 1))
-        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(num, den)
+        accumulate(terms, exp, Fraction(int(t["num"]), int(t.get("den", 1))))
     return PolyScalar(chart, terms)
 
 
@@ -42,6 +59,7 @@ def tensor_to_json(T) -> dict:
     return {"chart": T.chart.dim, "degree": T.degree, "kind": kind, "components": comps}
 
 
+@decoder
 def tensor_from_json(data, chart: Chart | None = None):
     n = int(data["chart"])
     if chart is None:
@@ -50,6 +68,8 @@ def tensor_from_json(data, chart: Chart | None = None):
         raise ShapeError(f"tensor declares chart dim {n}, expected {chart.dim}")
     k = int(data["degree"])
     kind = data.get("kind", "vector")
+    if kind not in ("vector", "form"):
+        raise ShapeError(f"tensor kind must be 'vector' or 'form', got {kind!r}")
     cls = PolyKVector if kind == "vector" else PolyKForm
     comps = {}
     for c in data.get("components", []):
@@ -66,6 +86,7 @@ def map_to_json(phi: PolyMap) -> dict:
     }
 
 
+@decoder
 def map_from_json(data) -> PolyMap:
     src = Chart(int(data["source"]))
     tgt = Chart(int(data["target"]))
@@ -73,6 +94,7 @@ def map_from_json(data) -> PolyMap:
     return PolyMap(src, tgt, comps)
 
 
+@decoder
 def rational_from_json(v) -> Fraction:
     """Accepts int, [num, den], or {"num":, "den":}."""
     if isinstance(v, bool):
@@ -91,12 +113,28 @@ def rational_to_json(x: Fraction):
     return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
 
 
+@decoder
 def structure_constants_from_json(data) -> tuple[int, dict]:
-    """Format: {"n": k, "c": [{"i":1,"j":2,"k":3, "value": rational}]} (1-based)."""
+    """Format: {"n": k, "c": [{"i":1,"j":2,"k":3, "value": rational}]} (1-based).
+
+    Returns n and the canonical constants (see `constants_from_entries`).
+    """
     n = int(data["n"])
-    c = {}
-    for entry in data["c"]:
-        i, j, k = int(entry["i"]) - 1, int(entry["j"]) - 1, int(entry["k"]) - 1
-        val = rational_from_json(entry.get("value", entry.get("poly_or_rational")))
-        c[(i, j, k)] = c.get((i, j, k), Fraction(0)) + val
-    return n, c
+    return n, constants_from_entries(data["c"], ("i", "j", "k"), n)
+
+
+@decoder
+def constants_from_entries(entries, names, n: int) -> dict:
+    """Canonical constants from 1-based JSON entries {names[0]: i, names[1]: j,
+    names[2]: k, "value": rational}.
+
+    Each constant may be listed once; listing both (i, j, k) and (j, i, k)
+    needs opposite values (`normalize_structure_constants`).
+    """
+    c: dict = {}
+    for entry in entries:
+        key = tuple(int(entry[x]) - 1 for x in names)
+        if key in c:
+            raise ShapeError(f"structure constant {tuple(i + 1 for i in key)} listed twice")
+        c[key] = rational_from_json(entry["value"])
+    return normalize_structure_constants(c, n)

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import _rat
 from .errors import ShapeError
+from .fields import accumulate
+from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
 
 
 def _linalg():
@@ -31,26 +33,6 @@ def _linalg():
     return scipy.linalg
 
 
-def _canon_constants(dim: int, C: dict) -> dict:
-    out: dict = {}
-    for (a, b, c), v in C.items():
-        v = Fraction(v)
-        if v == 0:
-            continue
-        if not all(0 <= i < dim for i in (a, b, c)):
-            raise ShapeError(f"structure constant index {(a, b, c)} out of range")
-        if a == b:
-            raise ShapeError("diagonal structure constants must vanish")
-        key = (a, b, c) if a < b else (b, a, c)
-        s = v if a < b else -v
-        cur = out.get(key, Fraction(0)) + s
-        if cur == 0:
-            out.pop(key, None)
-        else:
-            out[key] = cur
-    return out
-
-
 class MetrizedLieAlgebra:
     """Structure constants plus an invariant metric, all exact rationals."""
 
@@ -58,19 +40,12 @@ class MetrizedLieAlgebra:
 
     def __init__(self, dim: int, C: dict, B):
         self.dim = dim
-        self.C = _canon_constants(dim, C)
+        self.C = normalize_structure_constants(C, dim)
         self.B = _rat.mat(B)
         if len(self.B) != dim or any(len(r) != dim for r in self.B):
             raise ShapeError("metric must be dim x dim")
         self._tensor = None
         self._Bnum = None
-
-    def c(self, a, b, k) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        if a < b:
-            return self.C.get((a, b, k), Fraction(0))
-        return -self.C.get((b, a, k), Fraction(0))
 
     def bracket(self, x, y):
         """Exact bracket of coefficient vectors."""
@@ -117,38 +92,35 @@ class MetrizedLieAlgebra:
 
 
 def check_metrized(algebra: MetrizedLieAlgebra):
-    """Exact Jacobi identity and ad-invariance; returns (ok, witness)."""
+    """Exact Jacobi identity and ad-invariance; returns (ok, witness).
+
+    Both checks visit only nonzero data and report the lexicographically
+    first violated index tuple.
+    """
     d = algebra.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                for l in range(d):
-                    s = sum(
-                        algebra.c(i, j, m) * algebra.c(m, k, l)
-                        + algebra.c(j, k, m) * algebra.c(m, i, l)
-                        + algebra.c(k, i, m) * algebra.c(m, j, l)
-                        for m in range(d)
-                    )
-                    if s != 0:
-                        return False, {"kind": "jacobi", "indices": (i, j, k, l)}
+    B = algebra.B
+    jac = jacobi_violation(algebra.C)
+    if jac is not None:
+        return False, {"kind": "jacobi", "indices": jac}
     # symmetry and nondegeneracy of B
     for i in range(d):
         for j in range(d):
-            if algebra.B[i][j] != algebra.B[j][i]:
+            if B[i][j] != B[j][i]:
                 return False, {"kind": "metric-symmetry", "indices": (i, j)}
-    if _rat.rank(algebra.B) < d:
+    if _rat.rank(B) < d:
         return False, {"kind": "metric-degenerate"}
-    # B([e_a, e_b], e_c) + B(e_b, [e_a, e_c]) = 0
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                s = sum(
-                    algebra.c(a, b, m) * algebra.B[m][c]
-                    + algebra.c(a, c, m) * algebra.B[b][m]
-                    for m in range(d)
-                )
-                if s != 0:
-                    return False, {"kind": "ad-invariance", "indices": (a, b, c)}
+    # S(a, b, c) = B([e_a, e_b], e_c) + B(e_b, [e_a, e_c])
+    #            = sum_m c_{ab}^m B[m][c] + c_{ac}^m B[b][m] must vanish
+    metric_rows = [[(r, w) for r, w in enumerate(row) if w] for row in B]
+    sums: dict = {}
+    for (p, q, m), v in algebra.C.items():
+        for r, w in metric_rows[m]:  # w = B[m][r] = B[r][m]: B is symmetric here
+            accumulate(sums, (p, q, r), v * w)
+            accumulate(sums, (q, p, r), -v * w)
+            accumulate(sums, (p, r, q), v * w)
+            accumulate(sums, (q, r, p), -v * w)
+    if sums:
+        return False, {"kind": "ad-invariance", "indices": min(sums)}
     return True, None
 
 
@@ -580,20 +552,13 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
 
 def semidirect_triple(constants: dict, n: int) -> ManinTriple:
     """(g semidirect g*, g, g*) with the coadjoint action and pairing metric."""
-    C = _canon_constants(n, constants)
+    C = normalize_structure_constants(constants, n)
     d = 2 * n
-    Cd: dict = {}
-    for (a, b, k), v in C.items():
-        Cd[(a, b, k)] = v
-    # [e_a, f^b] = -sum_c C_{ac}^b f^c
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = Fraction(0)
-                if a != c:
-                    v = C.get((a, c, b), Fraction(0)) if a < c else -C.get((c, a, b), Fraction(0))
-                if v != 0:
-                    Cd[(a, n + b, n + c)] = Cd.get((a, n + b, n + c), Fraction(0)) - v
+    Cd = dict(C)
+    # [e_a, f^b] = -sum_c C_{ac}^b f^c, for both orientations of each constant
+    for (a, c, b), v in C.items():
+        Cd[(a, n + b, n + c)] = -v
+        Cd[(c, n + b, n + a)] = v
     B = _rat.zeros(d, d)
     for i in range(n):
         B[i][n + i] = Fraction(1)
@@ -622,8 +587,6 @@ def _so3_chart(triple: ManinTriple) -> GroupChart:
 
 
 def so3_semidirect() -> tuple:
-    from .poisson import so3_constants
-
     triple = semidirect_triple(so3_constants(), 3)
     return triple, _so3_chart(triple)
 

@@ -36,8 +36,11 @@ from .fields import (
     PolyKForm,
     PolyKVector,
     PolyScalar,
+    accumulate,
+    accumulate_signed,
     differential,
     exterior_derivative,
+    sort_index,
 )
 
 
@@ -167,54 +170,57 @@ def is_poisson(pi: PoissonBivector) -> bool:
 
 
 def normalize_structure_constants(c: Mapping, n: int) -> dict:
-    """Canonical store: keys (i,j,k) with i<j.  Rejects symmetric input."""
+    """Canonical antisymmetric structure constants: keys (i, j, k) with i < j.
+
+    Each entry states one constant c_{ij}^k; values are Fractions (anything
+    `Fraction` accepts) or PolyScalars, kept as given, and zeros are dropped.
+    Raises ShapeError on an index outside range(n), a nonzero c_{ii}^k, or
+    both (i, j, k) and (j, i, k) listed with values that are not negatives of
+    each other; a consistent pair states c_{ij}^k once.
+    """
+    vals = {key: v if isinstance(v, PolyScalar) else Fraction(v) for key, v in c.items()}
     out: dict = {}
-    for (i, j, k), v in c.items():
-        v = Fraction(v)
-        if v == 0:
-            continue
+    for (i, j, k), v in vals.items():
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ShapeError(f"structure constant index {(i, j, k)} out of range")
         if i == j:
-            raise ShapeError(f"c[{i},{i}]^{k} must vanish by antisymmetry")
-        key = (i, j, k) if i < j else (j, i, k)
-        sign = 1 if i < j else -1
-        cur = out.get(key, Fraction(0)) + sign * v
-        if cur == 0:
-            out.pop(key, None)
-        else:
-            out[key] = cur
-    # reject input that listed both (i,j,k) and (j,i,k) without antisymmetry
-    for (i, j, k), v in c.items():
-        if (j, i, k) in c and Fraction(c[(j, i, k)]) != -Fraction(v):
-            raise ShapeError(f"constants not antisymmetric at {(i, j, k)}")
+            if v:
+                raise ShapeError(f"c[{i},{i}]^{k} must vanish by antisymmetry")
+        elif (j, i, k) in vals:
+            if vals[(j, i, k)] != -v:
+                raise ShapeError(f"constants not antisymmetric at {(i, j, k)}")
+            if i < j and v:
+                out[(i, j, k)] = v
+        elif v:
+            out[(i, j, k) if i < j else (j, i, k)] = v if i < j else -v
     return out
+
+
+def jacobi_violation(cc: Mapping):
+    """Lexicographically first (i, j, k, l), i < j < k, at which the Jacobi sum
+    sum_m c_{ij}^m c_{mk}^l + c_{jk}^m c_{mi}^l + c_{ki}^m c_{mj}^l of
+    canonical constants is nonzero, or None.
+
+    Only pairs of nonzero constants are visited: each product
+    c_{ab}^m c_{mx}^l (a < b, x not in {a, b}) lands on the sorted triple of
+    (a, b, x) with that permutation's sign.
+    """
+    rows: dict = {}  # m -> [(x, l, c_{mx}^l)]
+    for (p, q, l), w in cc.items():
+        rows.setdefault(p, []).append((q, l, w))
+        rows.setdefault(q, []).append((p, l, -w))
+    sums: dict = {}
+    for (a, b, m), v in cc.items():
+        for x, l, w in rows.get(m, ()):
+            if x != a and x != b:
+                sidx, sign = sort_index((a, b, x))
+                accumulate(sums, sidx + (l,), sign * v * w)
+    return min(sums, default=None)
 
 
 def structure_jacobi_defect(c: Mapping, n: int):
     """First violated Jacobi triple of antisymmetric constants, or None."""
-    cc = normalize_structure_constants(c, n)
-
-    def get(i, j, k):
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return cc.get((i, j, k), Fraction(0))
-        return -cc.get((j, i, k), Fraction(0))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    s = sum(
-                        get(i, j, m) * get(m, k, l)
-                        + get(j, k, m) * get(m, i, l)
-                        + get(k, i, m) * get(m, j, l)
-                        for m in range(n)
-                    )
-                    if s != 0:
-                        return (i, j, k, l)
-    return None
+    return jacobi_violation(normalize_structure_constants(c, n))
 
 
 def lie_poisson(c: Mapping, n: int, chart: Chart | None = None) -> PoissonBivector:
@@ -229,10 +235,7 @@ def lie_poisson(c: Mapping, n: int, chart: Chart | None = None) -> PoissonBivect
         raise ShapeError("chart dimension does not match n")
     comps: dict = {}
     for (i, j, k), v in cc.items():
-        exp = tuple(1 if m == k else 0 for m in range(n))
-        term = PolyScalar(chart, {exp: v})
-        cur = comps.get((i, j))
-        comps[(i, j)] = term if cur is None else cur + term
+        accumulate(comps, (i, j), chart.coordinate(k) * v)
     return from_components(chart, comps)
 
 
@@ -283,32 +286,13 @@ class LieAlgebroidData:
                 raise ShapeError("anchors must be degree-1 fields")
             if a.chart != self.base:
                 raise ChartMismatchError("anchor not on the base chart")
-        clean: dict = {}
-        for (i, j, k), p in self.constants.items():
-            if not (0 <= i < self.rank and 0 <= j < self.rank and 0 <= k < self.rank):
-                raise ShapeError("constant index out of range")
-            if not isinstance(p, PolyScalar):
-                p = PolyScalar.constant(self.base, p)
-            if i == j:
-                if not p.is_zero():
-                    raise ShapeError(f"c[{i},{i}]^{k} must vanish by antisymmetry")
-                continue
-            key = (i, j, k) if i < j else (j, i, k)
-            q = p if i < j else -p
-            cur = clean.get(key)
-            s = q if cur is None else cur + q
-            if s.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = s
-        object.__setattr__(self, "constants", clean)
-
-    def structure_function(self, i, j, k) -> PolyScalar:
-        if i == j:
-            return PolyScalar.zero(self.base)
-        if i < j:
-            return self.constants.get((i, j, k), PolyScalar.zero(self.base))
-        return -self.constants.get((j, i, k), PolyScalar.zero(self.base))
+        constants = {
+            key: p if isinstance(p, PolyScalar) else PolyScalar.constant(self.base, p)
+            for key, p in self.constants.items()
+        }
+        object.__setattr__(
+            self, "constants", normalize_structure_constants(constants, self.rank)
+        )
 
 
 def total_chart(base: Chart, rank: int) -> Chart:
@@ -335,24 +319,13 @@ def algebroid_to_linear_poisson(A: LieAlgebroidData) -> PoissonBivector:
         return PolyScalar(chart, terms)
 
     comps: dict = {}
-
-    def add(i, j, p):
-        sidx = (i, j) if i < j else (j, i)
-        q = p if i < j else -p
-        cur = comps.get(sidx)
-        s = q if cur is None else cur + q
-        if s.is_zero():
-            comps.pop(sidx, None)
-        else:
-            comps[sidx] = s
-
     for (i, j, k), c in A.constants.items():
         fe = tuple(1 if t == k else 0 for t in range(n))
-        add(m + i, m + j, lift(c, fe))
+        accumulate_signed(comps, (m + i, m + j), lift(c, fe))
     for i, a in enumerate(A.anchors):
         for (j,), aj in a.components.items():
             # d/dy_i ^ a_i^j d/dx_j = -a_i^j d/dx_j ^ d/dy_i
-            add(j, m + i, -lift(aj))
+            accumulate_signed(comps, (j, m + i), -lift(aj))
     return from_components(chart, comps)
 
 
@@ -399,9 +372,7 @@ def linear_poisson_to_algebroid(pi: PoissonBivector, base_dim: int) -> LieAlgebr
             a, b = i - m, j - m
             for exp, c in p.terms.items():
                 k = next(t for t in range(n) if exp[m + t] == 1)
-                be = tuple(exp[:m])
-                cur = constants.get((a, b, k), PolyScalar.zero(base))
-                constants[(a, b, k)] = cur + PolyScalar(base, {be: c})
+                accumulate(constants, (a, b, k), PolyScalar(base, {exp[:m]: c}))
     if offending:
         raise DegreeError(f"bivector is not fiberwise linear for split {m}|{n}: {offending}")
     anchors = tuple(

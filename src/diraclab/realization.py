@@ -43,7 +43,7 @@ from ._numeric import (
     span_residual,
 )
 from .errors import ChartMismatchError, PreconditionError, ShapeError
-from .fields import PolyKForm, PolyKVector, PolyScalar, cotangent_chart
+from .fields import PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart
 from .poisson import PoissonBivector
 
 
@@ -82,9 +82,7 @@ class SprayField:
                 g = PolyScalar.constant(pi.chart, g)
             if g.chart != pi.chart:
                 raise ChartMismatchError("gamma coefficients live on the base chart")
-            key = (min(i, j), max(i, j), k)
-            cur = sym.get(key)
-            sym[key] = g if cur is None else cur + g
+            accumulate(sym, (min(i, j), max(i, j), k), g)
 
         def lift(p: PolyScalar, extra_exp) -> PolyScalar:
             terms = {}
@@ -107,16 +105,11 @@ class SprayField:
             if not s.is_zero():
                 comps[(j,)] = s
         for (i, j, k), g in sym.items():
-            if g.is_zero():
-                continue
             pp = [0] * n
             pp[i] += 1
             pp[j] += 1
             weight = Fraction(1) if i != j else Fraction(1, 2)
-            term = lift(g, (0,) * n + tuple(pp)) * weight
-            key = (n + k,)
-            cur = comps.get(key)
-            comps[key] = term if cur is None else cur + term
+            accumulate(comps, (n + k,), lift(g, (0,) * n + tuple(pp)) * weight)
         X = PolyKVector(chart, 1, comps)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "gamma", sym)

@@ -312,3 +312,106 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+
+class TestMalformedInput:
+    """Malformed but well-formed-JSON input exits 2 with a report, no traceback."""
+
+    TERM = {"exp": [1, 0], "num": 1, "den": 1}
+
+    def tensor(self, **override):
+        data = {"chart": 2, "degree": 2, "kind": "vector",
+                "components": [{"idx": [1, 2], "poly": [dict(self.TERM)]}]}
+        data.update(override)
+        return data
+
+    def check_exit_2(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert code == 2
+        assert report["error"]
+        assert "Traceback" not in captured.err
+        return report
+
+    def bivector_file(self, tmp_path, data):
+        p = tmp_path / "pi.json"
+        p.write_text(json.dumps(data))
+        return ["poisson", "check", "--file", str(p)]
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        data = self.tensor()
+        data["components"][0]["poly"][0]["den"] = 0
+        rep = self.check_exit_2(capsys, self.bivector_file(tmp_path, data))
+        assert "ZeroDivisionError" in rep["error"]
+
+    def test_missing_chart(self, capsys, tmp_path):
+        data = self.tensor()
+        del data["chart"]
+        rep = self.check_exit_2(capsys, self.bivector_file(tmp_path, data))
+        assert "KeyError" in rep["error"]
+
+    def test_non_integer_exponent(self, capsys, tmp_path):
+        data = self.tensor()
+        data["components"][0]["poly"][0]["exp"] = ["one", 0]
+        rep = self.check_exit_2(capsys, self.bivector_file(tmp_path, data))
+        assert "ValueError" in rep["error"]
+
+    def test_wrong_container_type(self, capsys, tmp_path):
+        data = self.tensor(components=[{"idx": [1, 2], "poly": [3]}])
+        rep = self.check_exit_2(capsys, self.bivector_file(tmp_path, data))
+        assert "TypeError" in rep["error"]
+
+    def test_unknown_kind(self, workdir, capsys, tmp_path):
+        # a 2-form with a misspelt kind used to be read as a form silently
+        p = tmp_path / "omega.json"
+        p.write_text(json.dumps(self.tensor(kind="2-form")))
+        rep = self.check_exit_2(capsys, ["dirac", "gauge", "--poisson", workdir["xdxdy.json"],
+                                         "--omega", str(p), "--point", "0.1,0.2"])
+        assert "kind" in rep["error"]
+
+    def test_zero_denominator_through_the_entry_point(self, tmp_path):
+        data = self.tensor()
+        data["components"][0]["poly"][0]["den"] = 0
+        argv = self.bivector_file(tmp_path, data)
+        src = os.path.dirname(os.path.dirname(diraclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "diraclab.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "error" in json.loads(out.stdout)
+
+    def triple_file(self, tmp_path, C, dim=2):
+        eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        data = {"dim": dim, "C": C, "B": eye, "g_basis": [eye[0]], "h_basis": [eye[1]]}
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps(data))
+        return ["manin", "check", "--triple", str(p)]
+
+    def test_triple_inconsistent_orientation_pair(self, capsys, tmp_path):
+        C = [{"a": 1, "b": 2, "c": 1, "value": 1}, {"a": 2, "b": 1, "c": 1, "value": 1}]
+        rep = self.check_exit_2(capsys, self.triple_file(tmp_path, C))
+        assert "antisymmetric" in rep["error"]
+
+    def test_triple_repeated_entry(self, capsys, tmp_path):
+        C = [{"a": 1, "b": 2, "c": 1, "value": 1}, {"a": 1, "b": 2, "c": 1, "value": 2}]
+        rep = self.check_exit_2(capsys, self.triple_file(tmp_path, C))
+        assert "listed twice" in rep["error"]
+
+    def test_triple_missing_dim(self, capsys, tmp_path):
+        argv = self.triple_file(tmp_path, [])
+        data = json.loads(open(argv[-1]).read())
+        del data["dim"]
+        open(argv[-1], "w").write(json.dumps(data))
+        rep = self.check_exit_2(capsys, argv)
+        assert "KeyError" in rep["error"]
+
+    def test_triple_consistent_orientation_pair_accepted(self, capsys, tmp_path):
+        # [e1, e2] = e2 listed in both orientations is valid input: the 2-dim
+        # nonabelian algebra, which has no invariant nondegenerate metric
+        C = [{"a": 1, "b": 2, "c": 2, "value": 1}, {"a": 2, "b": 1, "c": 2, "value": -1}]
+        code, rep = run_and_parse(capsys, self.triple_file(tmp_path, C))
+        assert code == 1
+        assert rep["criteria"][0]["witness"]["kind"] == "ad-invariance"

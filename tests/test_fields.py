@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diraclab.errors import ChartMismatchError, DegreeError
+from diraclab.errors import ChartMismatchError, DegreeError, ShapeError
 from diraclab.fields import (
     Chart,
     PolyKForm,
     PolyKVector,
     PolyMap,
     PolyScalar,
+    accumulate,
+    accumulate_signed,
     coordinate_form,
     coordinate_vector,
     differential,
@@ -36,6 +38,27 @@ def s(chart, spec):
     return PolyScalar(chart, spec)
 
 
+class TestAccumulate:
+    def test_sum_and_pop_on_zero(self):
+        acc = {}
+        accumulate(acc, (1, 0), Fraction(1, 2))
+        accumulate(acc, (1, 0), Fraction(1, 2))
+        assert acc == {(1, 0): 1}
+        accumulate(acc, (1, 0), Fraction(-1))
+        accumulate(acc, (0, 1), Fraction(0))
+        assert acc == {}
+
+    def test_signed_index(self):
+        x, y = R2.coordinates()
+        acc = {}
+        accumulate_signed(acc, (2, 0, 1), x)   # even permutation of (0, 1, 2)
+        accumulate_signed(acc, (1, 0, 2), y)   # odd
+        accumulate_signed(acc, (0, 0, 1), x)   # repeated index: no contribution
+        assert acc == {(0, 1, 2): x - y}
+        accumulate_signed(acc, (0, 2, 1), x - y)
+        assert acc == {}
+
+
 class TestPolyScalar:
     def test_ring_ops(self):
         x, y = R2.coordinates()
@@ -51,6 +74,23 @@ class TestPolyScalar:
         # normalizing twice is the same as normalizing once
         r = PolyScalar(R2, (p + q).terms)
         assert r == p + q
+
+    def test_outside_input_is_validated(self):
+        with pytest.raises(ShapeError):
+            PolyScalar(R2, {(1,): 1})
+        with pytest.raises(ShapeError):
+            PolyScalar(R2, {(-1, 0): 1})
+        with pytest.raises(TypeError):
+            PolyScalar(R2, {(1, 0): 0.5})
+
+    def test_operations_return_canonical_terms(self, rng):
+        # results skip re-validation, so they must already be canonical
+        for _ in range(20):
+            p, q = random_poly(rng, R2), random_poly(rng, R2)
+            for r in (p + q, p - q, p * q, -p, p * Fraction(-2, 3), p.partial(0), p * 0):
+                assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+                assert all(len(e) == 2 and min(e) >= 0 for e in r.terms)
+                assert PolyScalar(R2, r.terms).terms == r.terms
 
     def test_partial_and_eval(self):
         x, y = R2.coordinates()

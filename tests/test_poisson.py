@@ -512,6 +512,18 @@ class TestStructureConstantJSON:
         ref = lie_poisson(so3_constants(), 3, chart=pi.chart)
         assert pi.pi == ref.pi
 
+    @pytest.mark.parametrize("entries", [
+        [{"i": 1, "j": 2, "k": 3, "value": 1}, {"i": 1, "j": 2, "k": 3, "value": 1}],
+        [{"i": 1, "j": 2, "k": 3, "value": 1}, {"i": 2, "j": 1, "k": 3, "value": 1}],
+        [{"i": 1, "j": 2, "value": 1}],
+        [{"i": 1, "j": 2, "k": 3, "value": [1, 0]}],
+    ])
+    def test_malformed_entries_rejected(self, entries):
+        from diraclab import jsonio
+
+        with pytest.raises(ShapeError):
+            jsonio.structure_constants_from_json({"n": 3, "c": entries})
+
 
 class TestTimeDependentFlowConvention:
     """Pin the time-dependent flow convention at the observable level.
