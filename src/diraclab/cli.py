@@ -78,15 +78,27 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}")
 
 
-def _parse_point(text: str):
+def _parse_point(text: str, dim: int | None = None):
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        point = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InputError(f"cannot parse point {text!r}")
+    if dim is not None and len(point) != dim:
+        raise InputError(f"point {text!r} has {len(point)} coordinates, expected {dim}")
+    return point
+
+
+def _count(args, name: str) -> int:
+    value = getattr(args, name)
+    if value < 1:
+        raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    return value
 
 
 def _load_bivector(path: str) -> PoissonBivector:
@@ -97,10 +109,11 @@ def _load_bivector(path: str) -> PoissonBivector:
     return PoissonBivector(T)
 
 
+@jsonio.decoder
 def _load_oneform_family(path: str) -> TimePolyForm:
     data = _load_json(path)
-    powers = data.get("powers")
-    if powers is None:
+    powers = data.get("powers") if isinstance(data, dict) else None
+    if not isinstance(powers, dict):
         raise InputError(f"{path}: expected {{'powers': {{degree: tensor}}}}")
     coeffs = {}
     for d, tens in powers.items():
@@ -175,6 +188,7 @@ def _cmd_poisson(args):
     raise InputError(f"unknown poisson subcommand {args.poisson_cmd}")
 
 
+@jsonio.decoder
 def _frame_from_json(data) -> dirac_mod.LagrangianFrame:
     chart = Chart(int(data["chart"]))
     sections = []
@@ -252,7 +266,8 @@ def _cmd_realize(args):
     config = real_mod.RealizationConfig(step=args.step, radius=args.radius)
     tol = args.tol if args.tol is not None else 1e-6
     spray = real_mod.default_spray(pi)
-    pts = real_mod.sample_points(pi.chart.dim, args.samples, args.radius, seed=args.seed)
+    pts = real_mod.sample_points(pi.chart.dim, _count(args, "samples"), args.radius,
+                                 seed=args.seed)
     rep = real_mod.verify_dual_pair(spray, pts, config, tolerance=tol)
     crits = [
         criterion(c.name, c.max_residual, c.tolerance, c.worst_point)
@@ -267,7 +282,7 @@ def _cmd_moser(args):
     tol = args.tol if args.tol is not None else 1e-6
     rng = np.random.default_rng(args.seed)
     grid = [rng.uniform(-args.grid_radius, args.grid_radius, size=pi.chart.dim)
-            for _ in range(args.grid_count)]
+            for _ in range(_count(args, "grid_count"))]
     rep = moser_verify(pi, a_t, [args.time], grid, FlowConfig(step=args.step))
     return (
         [criterion("pushforward-invariance", rep.max_residual, tol, rep.worst_point)],
@@ -282,8 +297,8 @@ def _cmd_linearize(args):
         raise InputError("--field must hold a degree-1 vector field")
     tol = args.tol if args.tol is not None else 1e-5
     rng = np.random.default_rng(args.seed)
-    pts = []
-    while len(pts) < args.samples:
+    samples, pts = _count(args, "samples"), []
+    while len(pts) < samples:
         p = rng.uniform(-args.radius, args.radius, size=X.chart.dim)
         if np.linalg.norm(p) <= args.radius:
             pts.append(p)
@@ -320,6 +335,20 @@ def _triple_from_json(data) -> tuple:
     return triple, chart
 
 
+@jsonio.decoder
+def _homspace_from_json(triple, data) -> tuple:
+    if not isinstance(data, dict):
+        raise InputError("homspace data must be an object with l_basis, k_basis, k_generators")
+    hs = manin_mod.HomogeneousSpaceData(
+        triple,
+        _rational_matrix_from_json(data.get("k_basis", [])),
+        _rational_matrix_from_json(data["l_basis"]),
+    )
+    gens = [[float(jsonio.rational_from_json(v)) for v in g]
+            for g in data.get("k_generators", [])]
+    return hs, gens
+
+
 def _resolve_triple(args):
     if getattr(args, "builtin", None):
         catalog = manin_mod.builtin_triples()
@@ -342,7 +371,7 @@ def _cmd_manin(args):
     if chart is None:
         raise InputError("this subcommand needs a triple with a group chart")
     if args.manin_cmd == "bivector":
-        pt = np.array(_parse_point(args.point))
+        pt = np.array(_parse_point(args.point, chart.dim))
         P = manin_mod.drinfeld_bivector(triple, chart, pt)
         Pc = manin_mod.drinfeld_bivector_chart(triple, chart, pt)
         return (
@@ -350,8 +379,8 @@ def _cmd_manin(args):
             {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()},
         )
     if args.manin_cmd == "dressing":
-        pt = np.array(_parse_point(args.point))
-        zeta = np.array(_parse_point(args.zeta))
+        pt = np.array(_parse_point(args.point, chart.dim))
+        zeta = np.array(_parse_point(args.zeta, triple.algebra.dim))
         out = manin_mod.dressing_action(triple, chart, pt, zeta)
         return [], {"left_trivialized_value": out.tolist()}
     if args.manin_cmd == "multiplicativity":
@@ -359,7 +388,7 @@ def _cmd_manin(args):
         pairs = [
             (args.scale * rng.uniform(-1, 1, chart.dim),
              args.scale * rng.uniform(-1, 1, chart.dim))
-            for _ in range(args.pairs)
+            for _ in range(_count(args, "pairs"))
         ]
         rep = manin_mod.verify_multiplicativity(triple, chart, pairs)
         worst = rep["worst_pair"][0] if rep["worst_pair"] else None
@@ -368,14 +397,7 @@ def _cmd_manin(args):
             {"pairs": args.pairs},
         )
     if args.manin_cmd == "homspace":
-        data = _load_json(args.data)
-        hs = manin_mod.HomogeneousSpaceData(
-            triple,
-            _rational_matrix_from_json(data.get("k_basis", [])),
-            _rational_matrix_from_json(data["l_basis"]),
-        )
-        gens = [[float(jsonio.rational_from_json(v)) for v in g]
-                for g in data.get("k_generators", [])]
+        hs, gens = _homspace_from_json(triple, _load_json(args.data))
         ok, rep = manin_mod.homogeneous_space_check(hs, k_generators=gens)
         return [exact_criterion("homogeneous-space-criteria", ok, rep)], {}
     raise InputError(f"unknown manin subcommand {args.manin_cmd}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -266,11 +266,6 @@ class PolyScalar:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, variables: Iterable[int]) -> int:
-        """Max total degree in the listed variables; -1 for zero."""
-        vs = tuple(variables)
-        return max((sum(e[i] for i in vs) for e in self.terms), default=-1)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -477,14 +472,6 @@ class _AlternatingTensor:
                 out[tuple(idx[a] for a in perm)] = sign * v
         return out
 
-    def evaluate_components_exact(self, point) -> dict:
-        """Exact values of the stored (increasing-index) components."""
-        return {
-            idx: p.evaluate_exact(point)
-            for idx, p in self.components.items()
-            if p.evaluate_exact(point) != 0
-        }
-
     def __repr__(self):
         kind = type(self).__name__
         if not self.components:
@@ -502,14 +489,6 @@ class PolyKVector(_AlternatingTensor):
 
 class PolyKForm(_AlternatingTensor):
     """Differential form with polynomial components."""
-
-
-def zero_vector(chart: Chart, degree: int = 1) -> PolyKVector:
-    return PolyKVector(chart, degree, {})
-
-
-def zero_form(chart: Chart, degree: int = 1) -> PolyKForm:
-    return PolyKForm(chart, degree, {})
 
 
 def coordinate_vector(chart: Chart, i: int) -> PolyKVector:

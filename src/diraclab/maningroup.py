@@ -4,10 +4,11 @@ criteria they induce on group charts.
 Algebraic checks (Jacobi, ad-invariance of the metric, Lagrangian subalgebra
 conditions, l cap g = k) run in exact rational arithmetic.  Group-level data
 (Ad on chart points, frames of left-invariant forms, multiplicativity of the
-induced bivector) is numeric: chart points are exponential coordinates in a
-basis of g, Ad_{exp Z} = expm(ad_Z), and the left-trivialized coordinate
-frame comes from the dexp series (1 - e^{-ad_Z})/ad_Z, summed to machine
-precision.
+induced bivector) is numeric and numpy-only: chart points are exponential
+coordinates in a basis of g, Ad_{exp Z} = expm(ad_Z), and the left-trivialized
+coordinate frame comes from the dexp series (1 - e^{-ad_Z})/ad_Z, summed to
+machine precision.  Every derivative is exact: d_m Ad = Ad ad(theta_m) for the
+frame columns theta_m, and the frame's partials come from the same series.
 """
 
 from __future__ import annotations
@@ -25,12 +26,21 @@ from .fields import accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
 
 
-def _linalg():
-    """scipy.linalg, imported on first use: the import costs about 0.3 s, and
-    only the numeric group-chart code needs expm and logm."""
-    import scipy.linalg
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential: the degree-12 Taylor polynomial of A / 2^s, squared s times.
 
-    return scipy.linalg
+    s brings the 1-norm below 1/4, where the truncation error is below
+    (1/4)^13 / 13! < 3e-18; the matrices here are at most 12 x 12.
+    """
+    s = max(0, math.frexp(float(np.abs(A).sum(axis=0).max()))[1] + 2)
+    X = A * math.ldexp(1.0, -s)
+    eye = np.eye(len(A))
+    out = eye
+    for k in range(12, 0, -1):
+        out = eye + X @ out / k
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 class MetrizedLieAlgebra:
@@ -58,15 +68,6 @@ class MetrizedLieAlgebra:
         return sum(
             x[i] * self.B[i][j] * y[j] for i in range(self.dim) for j in range(self.dim)
         )
-
-    def ad(self, x):
-        """Exact matrix of ad_x."""
-        cols = []
-        for j in range(self.dim):
-            e = [Fraction(0)] * self.dim
-            e[j] = Fraction(1)
-            cols.append(self.bracket(x, e))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # numeric views ---------------------------------------------------------
 
@@ -158,10 +159,11 @@ class ManinTriple:
             pr_g = G @ inv[:n, :]
             pr_h = H @ inv[n:, :]
             Bn = self.algebra.metric_num()
+            # ad_d[m] = ad(g_m) on d; ad_g[m] is its restriction to g, in the g-basis
+            ad_d = np.array([self.algebra.ad_num(G[:, m]) for m in range(n)])
             self._num = {
-                "G": G, "H": H, "pr_g": pr_g, "pr_h": pr_h,
-                "g_coords": inv[:n, :], "h_coords": inv[n:, :],
-                "B": Bn, "P0": H.T @ Bn @ G,
+                "G": G, "H": H, "pr_g": pr_g, "pr_h": pr_h, "g_coords": inv[:n, :],
+                "B": Bn, "P0": H.T @ Bn @ G, "ad_d": ad_d, "ad_g": inv[:n, :] @ ad_d @ G,
             }
         return self._num
 
@@ -234,33 +236,43 @@ class GroupChart:
     def dim(self) -> int:
         return self.triple.half_dim
 
-    def _ad_d_generator(self, x: np.ndarray) -> np.ndarray:
-        num = self.triple._numeric()
-        Z = num["G"] @ np.asarray(x, dtype=float)
-        return self.triple.algebra.ad_num(Z)
-
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Ad_{g(x)} on d."""
-        return _linalg().expm(self._ad_d_generator(x))
+        return _expm(np.tensordot(np.asarray(x, dtype=float), self.triple._numeric()["ad_d"], 1))
 
     def ad_inv(self, x: np.ndarray) -> np.ndarray:
-        return _linalg().expm(-self._ad_d_generator(x))
+        return _expm(-np.tensordot(np.asarray(x, dtype=float), self.triple._numeric()["ad_d"], 1))
 
-    def frame(self, x: np.ndarray, terms: int = 20) -> np.ndarray:
-        """Left-trivialized coordinate frame Xi(x).
+    def frame_jet(self, x: np.ndarray) -> tuple:
+        """Left-trivialized coordinate frame Xi(x) and its partials dXi[m] = d Xi / dx_m.
 
-        Column i holds theta^L(d/dx_i) in the g-basis; Xi solves
-        g^{-1} dg = ((1 - e^{-ad_Z}) / ad_Z) dZ via the dexp series.
+        Column i of Xi holds theta^L(d/dx_i) in the g-basis; Xi solves
+        g^{-1} dg = ((1 - e^{-ad_Z}) / ad_Z) dZ via the dexp series
+        sum_k T_k / (k+1)! with T_{k+1} = T_k M, M = -ad_g(x).  ad_g is linear
+        in x, so d_m T_{k+1} = d_m T_k M - T_k E_m with the constant
+        E_m = ad_g(e_m).  Both series are summed until their terms fall below
+        rounding level.
         """
-        num = self.triple._numeric()
-        Z = num["G"] @ np.asarray(x, dtype=float)
-        ad_g = num["g_coords"] @ self.triple.algebra.ad_num(Z) @ num["G"]
-        out = np.zeros_like(ad_g)
-        term = np.eye(self.dim)
-        for k in range(terms):
-            out += term / math.factorial(k + 1)
-            term = term @ (-ad_g)
-        return out
+        n = self.dim
+        E = self.triple._numeric()["ad_g"]
+        M = -np.tensordot(np.asarray(x, dtype=float), E, 1)
+        # row block R = [T_k | d_1 T_k | ... | d_n T_k] / (k+1)!, advanced by one
+        # product with the block-triangular W = [[M, -E_1 ... -E_n], [0, M], ...]
+        W = np.kron(np.eye(n + 1), M)
+        W[:n, n:] = -E.transpose(1, 0, 2).reshape(n, n * n)
+        R = np.zeros((n, n * (n + 1)))
+        R[:, :n] = np.eye(n)
+        total = R.copy()
+        for k in range(2, 60):
+            R = R @ W / k
+            total += R
+            if np.abs(R).max() <= 1e-18:
+                break
+        return total[:, :n], total[:, n:].reshape(n, n, n).transpose(1, 0, 2)
+
+    def frame(self, x: np.ndarray) -> np.ndarray:
+        """Left-trivialized coordinate frame Xi(x): the value part of `frame_jet`."""
+        return self.frame_jet(x)[0]
 
     def compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.log_map(self.param(x) @ self.param(y))
@@ -293,6 +305,18 @@ class GroupChart:
 # -- the induced bivector ------------------------------------------------------------
 
 
+def _skew(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M - np.swapaxes(M, -1, -2))
+
+
+def _h_bivector(num: dict, U: np.ndarray) -> np.ndarray:
+    """Entry (a, b) = < pr_g U_a, pr_h U_b > for U = Ad_g H, skewness asserted."""
+    P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
+    if np.abs(P + P.T).max() > 1e-12 * max(1.0, np.abs(P).max()):
+        raise AssertionError("induced bivector lost skewness")
+    return _skew(P)
+
+
 def drinfeld_bivector(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
     """Bivector of the triple at the chart point, in the h-basis coframe.
 
@@ -300,134 +324,124 @@ def drinfeld_bivector(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
     to 1e-12 at every evaluation, and the matrix vanishes at the identity.
     """
     num = triple._numeric()
-    A = chart.ad(np.asarray(x, dtype=float))
-    U = A @ num["H"]
-    P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
-    if np.abs(P + P.T).max() > 1e-12 * max(1.0, np.abs(P).max()):
-        raise AssertionError("induced bivector lost skewness")
-    return 0.5 * (P - P.T)
+    return _h_bivector(num, chart.ad(x) @ num["H"])
+
+
+class _PointJet:
+    """Xi and Ad at one chart point with their exact partials dXi[m], dAd[m].
+
+    d_m Ad_{g(x)} = Ad ad(theta_m) for the frame columns theta_m = G Xi e_m,
+    since g^{-1} d_m g = theta_m, and ad(theta_m) = sum_c Xi[c, m] ad(g_c).
+    """
+
+    def __init__(self, triple: ManinTriple, chart: GroupChart, x):
+        self.num = triple._numeric()
+        self.Xi, self.dXi = chart.frame_jet(x)
+        self.Ad = chart.ad(x)
+        self.dAd = self.Ad @ np.tensordot(self.Xi.T, self.num["ad_d"], 1)
+
+    def dressing(self, zeta: np.ndarray) -> tuple:
+        """Chart components v of the dressing field of zeta and J[:, m] = d v / dx_m.
+
+        Ad_g maps g to itself, so Ad_g^{-1} pr_g Ad_g zeta has g-coordinates
+        K^{-1} y with K = Ad|_g and y the g-coordinates of Ad_g zeta; in chart
+        components v = (K Xi)^{-1} y and d_m v = (K Xi)^{-1} (d_m y - d_m(K Xi) v).
+        """
+        gc, G = self.num["g_coords"], self.num["G"]
+        KXi = gc @ self.Ad @ G @ self.Xi
+        dKXi = gc @ self.dAd @ G @ self.Xi + gc @ self.Ad @ G @ self.dXi
+        v = np.linalg.solve(KXi, gc @ (self.Ad @ zeta))
+        return v, np.linalg.solve(KXi, (gc @ self.dAd @ zeta).T - (dKXi @ v).T)
+
+
+def _chart_bivector_jet(triple: ManinTriple, chart: GroupChart, x) -> tuple:
+    """The bivector in chart-coordinate components and its exact partials.
+
+    With A(x) = P0 Xi(x) the matrix of the left-invariant coframe over the
+    coordinate coframe, the components are Pi = A^{-1} P A^{-T}.  Returns
+    (Pi, dPi) with dPi[m] = d Pi / dx_m.
+    """
+    jet = _PointJet(triple, chart, x)
+    num = jet.num
+    U, dU = jet.Ad @ num["H"], jet.dAd @ num["H"]
+    P = _h_bivector(num, U)
+    dP = _skew(np.swapaxes(num["pr_g"] @ dU, 1, 2) @ num["B"] @ (num["pr_h"] @ U))
+    dP = dP + _skew((num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ dU))
+    Ainv = np.linalg.inv(num["P0"] @ jet.Xi)
+    dAinv = -Ainv @ num["P0"] @ jet.dXi @ Ainv
+    dPc = dAinv @ P @ Ainv.T + Ainv @ dP @ Ainv.T + Ainv @ P @ np.swapaxes(dAinv, 1, 2)
+    return _skew(Ainv @ P @ Ainv.T), _skew(dPc)
 
 
 def drinfeld_bivector_chart(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
-    """The same bivector in chart-coordinate components.
-
-    With A(x) the matrix of the left-invariant coframe over the coordinate
-    coframe, the components are A^{-1} P A^{-T}.
-    """
-    num = triple._numeric()
-    P = drinfeld_bivector(triple, chart, x)
-    Amat = num["P0"] @ chart.frame(np.asarray(x, dtype=float))
-    Ainv = np.linalg.inv(Amat)
-    out = Ainv @ P @ Ainv.T
-    return 0.5 * (out - out.T)
+    """The same bivector in chart-coordinate components, A^{-1} P A^{-T}."""
+    return _chart_bivector_jet(triple, chart, x)[0]
 
 
 def dressing_action(triple: ManinTriple, chart: GroupChart, x, zeta) -> np.ndarray:
     """Left-trivialized dressing field: Ad_{g^{-1}} pr_g(Ad_g zeta), in the g-basis."""
     num = triple._numeric()
     zeta = np.asarray(zeta, dtype=float)
-    x = np.asarray(x, dtype=float)
     val = chart.ad_inv(x) @ (num["pr_g"] @ (chart.ad(x) @ zeta))
     return num["g_coords"] @ val
 
 
-def dressing_chart_field(triple: ManinTriple, chart: GroupChart, zeta):
-    """The dressing vector field in chart coordinates, as a callable."""
-
-    def field(x):
-        x = np.asarray(x, dtype=float)
-        w = dressing_action(triple, chart, x, zeta)
-        return np.linalg.solve(chart.frame(x), w)
-
-    return field
-
-
-def e_map_residuals(
-    triple: ManinTriple,
-    chart: GroupChart,
-    points,
-    zeta1,
-    zeta2,
-    fd_step: float = 1e-5,
-) -> dict:
+def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2) -> dict:
     """Residuals of the correspondence d -> sections of TG + T*G.
 
     Checks, at each chart point: (1) the split pairing of the images equals
-    the metric pairing of the inputs; (2) the finite-difference Lie bracket
-    of the dressing fields matches the dressing field of the bracket;
-    (3) the Lie derivative of the left-invariant coframe along the dressing
-    field equals Ad_{g^{-1}} pr_g([Ad_g theta^L, Ad_g zeta]).
+    the metric pairing of the inputs; (2) the Lie bracket of the dressing
+    fields matches the dressing field of the bracket; (3) the Lie derivative
+    of the left-invariant coframe along the dressing field equals
+    Ad_{g^{-1}} pr_g([Ad_g theta^L, Ad_g zeta]).  The Jacobians of the
+    dressing fields and the partials of theta^L are exact.
     """
     alg = triple.algebra
     num = triple._numeric()
+    G, B = num["G"], num["B"]
     z1 = np.asarray(zeta1, dtype=float)
     z2 = np.asarray(zeta2, dtype=float)
-    f1 = dressing_chart_field(triple, chart, z1)
-    f2 = dressing_chart_field(triple, chart, z2)
     z12 = alg.bracket_num(z1, z2)
-    f12 = dressing_chart_field(triple, chart, z12)
-    n = chart.dim
     res = {"metric": 0.0, "bracket": 0.0, "coframe_derivative": 0.0}
-
-    def theta_cols(x):
-        return num["G"] @ chart.frame(x)  # d-coords of theta^L(d/dx_i)
-
     for pt in points:
-        pt = np.asarray(pt, dtype=float)
-        Xi = chart.frame(pt)
-        th = theta_cols(pt)
-        v1, v2 = f1(pt), f2(pt)
-        mu1 = th.T @ num["B"] @ z1
-        mu2 = th.T @ num["B"] @ z2
+        jet = _PointJet(triple, chart, pt)
+        A, Ainv = jet.Ad, chart.ad_inv(pt)
+        th = G @ jet.Xi  # d-coords of theta^L(d/dx_i)
+        (v1, J1), (v2, J2) = jet.dressing(z1), jet.dressing(z2)
+        mu1 = th.T @ B @ z1
+        mu2 = th.T @ B @ z2
         got = mu1 @ v2 + mu2 @ v1
-        res["metric"] = max(res["metric"], abs(got - float(z1 @ num["B"] @ z2)))
+        res["metric"] = max(res["metric"], abs(got - float(z1 @ B @ z2)))
 
-        def jac(f):
-            J = np.empty((n, n))
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = fd_step
-                J[:, i] = (f(pt + e) - f(pt - e)) / (2 * fd_step)
-            return J
+        lie = J2 @ v1 - J1 @ v2
+        res["bracket"] = max(res["bracket"], float(np.abs(lie - jet.dressing(z12)[0]).max()))
 
-        lie = jac(f2) @ v1 - jac(f1) @ v2
-        res["bracket"] = max(res["bracket"], float(np.abs(lie - f12(pt)).max()))
-
-        A = chart.ad(pt)
-        Ainv = chart.ad_inv(pt)
-        Dv1 = jac(f1)
-        dtheta = [
-            (theta_cols(pt + fd_step * _unit(n, m)) - theta_cols(pt - fd_step * _unit(n, m)))
-            / (2 * fd_step)
-            for m in range(n)
-        ]
-        for i in range(n):
-            # (L_X theta)(d/dx_i) = X(theta(d/dx_i)) + sum_j dX^j/dx_i theta(d/dx_j)
-            lhs = sum(v1[m] * dtheta[m][:, i] for m in range(n)) + th @ Dv1[:, i]
-            rhs = Ainv @ (num["pr_g"] @ alg.bracket_num(A @ th[:, i], A @ z1))
-            res["coframe_derivative"] = max(
-                res["coframe_derivative"], float(np.abs(lhs - rhs).max())
-            )
+        # (L_X theta)(d/dx_i) = X(theta(d/dx_i)) + sum_j dX^j/dx_i theta(d/dx_j)
+        lhs = G @ np.tensordot(v1, jet.dXi, 1) + th @ J1
+        rhs = Ainv @ num["pr_g"] @ np.array(
+            [alg.bracket_num(A @ th[:, i], A @ z1) for i in range(chart.dim)]).T
+        res["coframe_derivative"] = max(res["coframe_derivative"],
+                                        float(np.abs(lhs - rhs).max()))
     return res
 
 
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+def _product_differential(chart: GroupChart, x1, x2, z) -> np.ndarray:
+    """D = dz / d(x1, x2) for g(z) = g(x1) g(x2), exactly.
+
+    g(z)^{-1} dg(z) = Ad_{g(x2)}^{-1} g(x1)^{-1} dg(x1) + g(x2)^{-1} dg(x2), so
+    D = Xi(z)^{-1} [Ad_{g(x2)}^{-1}|_g Xi(x1), Xi(x2)].
+    """
+    num = chart.triple._numeric()
+    Ad2_inv = num["g_coords"] @ chart.ad_inv(x2) @ num["G"]
+    return np.linalg.solve(chart.frame(z), np.hstack([Ad2_inv @ chart.frame(x1), chart.frame(x2)]))
 
 
-def verify_multiplicativity(
-    triple: ManinTriple,
-    chart: GroupChart,
-    pairs,
-    fd_step: float = 1e-5,
-) -> dict:
+def verify_multiplicativity(triple: ManinTriple, chart: GroupChart, pairs) -> dict:
     """Pushforward of the product bivector along Mult versus the bivector.
 
     For each chart pair (x1, x2): compute z with g(z) = g(x1) g(x2), the
-    finite-difference differential D of the composition, and the residual
-    | D diag(Pi(x1), Pi(x2)) D^T - Pi(z) |.
+    differential D of the composition (`_product_differential`), and the
+    residual | D diag(Pi(x1), Pi(x2)) D^T - Pi(z) |.
     """
     n = chart.dim
     worst = 0.0
@@ -437,49 +451,28 @@ def verify_multiplicativity(
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         z = chart.compose(x1, x2)
-        D = np.empty((n, 2 * n))
-        for i in range(n):
-            e = _unit(n, i) * fd_step
-            D[:, i] = (chart.compose(x1 + e, x2) - chart.compose(x1 - e, x2)) / (2 * fd_step)
-            D[:, n + i] = (chart.compose(x1, x2 + e) - chart.compose(x1, x2 - e)) / (2 * fd_step)
-        P1 = drinfeld_bivector_chart(triple, chart, x1)
-        P2 = drinfeld_bivector_chart(triple, chart, x2)
-        Pz = drinfeld_bivector_chart(triple, chart, z)
-        block = np.zeros((2 * n, 2 * n))
-        block[:n, :n] = P1
-        block[n:, n:] = P2
-        r = float(np.abs(D @ block @ D.T - Pz).max())
+        D = _product_differential(chart, x1, x2, z)
+        # D diag(Pi(x1), Pi(x2)) D^T, block by block
+        push = sum(Dk @ drinfeld_bivector_chart(triple, chart, xk) @ Dk.T
+                   for Dk, xk in ((D[:, :n], x1), (D[:, n:], x2)))
+        r = float(np.abs(push - drinfeld_bivector_chart(triple, chart, z)).max())
         results.append(r)
         if r > worst:
             worst, worst_pair = r, (tuple(x1), tuple(x2))
     return {"max_residual": worst, "worst_pair": worst_pair, "residuals": results}
 
 
-def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points,
-                           fd_step: float = 1e-5) -> float:
-    """Max FD Jacobiator residual of the chart bivector at the points."""
-    n = chart.dim
+def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points) -> float:
+    """Max Jacobiator residual of the chart bivector at the points.
+
+    The partials of the bivector are exact (`_chart_bivector_jet`); the name
+    is kept from the finite-difference version it replaces.
+    """
     worst = 0.0
     for pt in points:
-        pt = np.asarray(pt, dtype=float)
-        P = drinfeld_bivector_chart(triple, chart, pt)
-        dP = np.empty((n, n, n))
-        for m in range(n):
-            e = _unit(n, m) * fd_step
-            dP[m] = (
-                drinfeld_bivector_chart(triple, chart, pt + e)
-                - drinfeld_bivector_chart(triple, chart, pt - e)
-            ) / (2 * fd_step)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = sum(
-                        P[i, m] * dP[m][j, k]
-                        + P[j, m] * dP[m][k, i]
-                        + P[k, m] * dP[m][i, j]
-                        for m in range(n)
-                    )
-                    worst = max(worst, abs(s))
+        P, dP = _chart_bivector_jet(triple, chart, pt)
+        T = np.einsum("im,mjk->ijk", P, dP)
+        worst = max(worst, float(np.abs(T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)).max()))
     return worst
 
 
@@ -538,7 +531,7 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
         proj = Q @ Q.T
         for gen in k_generators:
             gen = np.asarray(gen, dtype=float)
-            A = _linalg().expm(alg.ad_num(gen))
+            A = _expm(alg.ad_num(gen))
             img = A @ L
             worst = max(worst, float(np.abs(img - proj @ img).max()))
         if worst > ad_tol:
@@ -576,12 +569,13 @@ def _so3_chart(triple: ManinTriple) -> GroupChart:
         L[b][k, a] = -1.0
 
     def param(x):
-        return _linalg().expm(np.einsum("i,ijk->jk", np.asarray(x, float), L))
+        return _expm(np.einsum("i,ijk->jk", np.asarray(x, float), L))
 
     def log_map(R):
-        X = _linalg().logm(R)
-        X = np.real(X)
-        return np.array([X[2, 1], X[0, 2], X[1, 0]])
+        # principal log: R - R^T = 2 sin(angle) [axis]_x, tr R = 1 + 2 cos(angle)
+        v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+        angle = math.atan2(np.linalg.norm(v), 0.5 * (np.trace(R) - 1.0))
+        return v / np.sinc(angle / math.pi)
 
     return GroupChart("so3-rotation", triple, param, log_map)
 
@@ -633,11 +627,13 @@ def iwasawa_su2() -> tuple:
     u, sigma = _su2_matrices()
 
     def param(x):
-        return _linalg().expm(sum(float(c) * m for c, m in zip(x, u)))
+        return _expm(sum(float(c) * m for c, m in zip(x, u)))
 
     def log_map(k):
-        X = _linalg().logm(k)
-        return np.array([np.real(1j * np.trace(X @ s)) for s in sigma])
+        # principal log: k = cos(a) 1 - i sin(a) (axis . sigma) with a = |x| / 2
+        v = np.array([-0.5 * np.imag(np.trace(k @ s)) for s in sigma])
+        half = math.atan2(np.linalg.norm(v), 0.5 * np.real(np.trace(k)))
+        return 2.0 * v / np.sinc(half / math.pi)
 
     chart = GroupChart("su2", triple, param, log_map)
     return triple, chart

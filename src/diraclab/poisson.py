@@ -381,15 +381,6 @@ def linear_poisson_to_algebroid(pi: PoissonBivector, base_dim: int) -> LieAlgebr
     return LieAlgebroidData(base, n, anchors, constants)
 
 
-def fiber_degree_profile(pi: PoissonBivector, base_dim: int) -> bool:
-    """True iff every component has the fiber degree forced by linearity."""
-    try:
-        linear_poisson_to_algebroid(pi, base_dim)
-        return True
-    except DegreeError:
-        return False
-
-
 # -- pointwise leaf data -------------------------------------------------------
 
 
@@ -470,9 +461,6 @@ class TimePolyForm:
     @staticmethod
     def constant(alpha: PolyKForm) -> "TimePolyForm":
         return TimePolyForm({0: alpha})
-
-    def at_time(self, t: float) -> list:
-        return [(float(t) ** d, a) for d, a in self.coeffs.items()]
 
     def exterior_derivative(self) -> "TimePolyForm":
         out = {d: exterior_derivative(a) for d, a in self.coeffs.items()}

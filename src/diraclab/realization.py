@@ -480,19 +480,20 @@ def bracket_relations_residual(
     beta: PolyKForm,
     point,
     config: RealizationConfig = RealizationConfig(),
-    fd_step: float = 1e-5,
 ) -> dict:
-    """FD residuals of [a^L,b^L] = [a,b]^L, [a^R,b^R] = -[a,b]^R, [a^L,b^R] = 0."""
+    """FD residuals of [a^L,b^L] = [a,b]^L, [a^R,b^R] = -[a,b]^R, [a^L,b^R] = 0,
+    with central differences of step 1e-5."""
     from .dirac import one_form_bracket
 
     alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
     ab_at = _covector_field(spray, one_form_bracket(spray.pi, alpha, beta))
     pt = np.asarray(point, dtype=float)
     n2 = 2 * spray.base_dim
+    h = 1e-5
     stencil = [pt]
     for i in range(n2):
         e = np.zeros(n2)
-        e[i] = fd_step
+        e[i] = h
         stencil.append(pt + e)
         stencil.append(pt - e)
     batch = _realization_batch(spray, np.array(stencil), config)
@@ -504,7 +505,7 @@ def bracket_relations_residual(
     def jac(vals):
         J = np.empty((n2, n2))
         for i in range(n2):
-            J[:, i] = (vals[1 + 2 * i] - vals[2 + 2 * i]) / (2 * fd_step)
+            J[:, i] = (vals[1 + 2 * i] - vals[2 + 2 * i]) / (2 * h)
         return J
 
     def lie(u_vals, v_vals):
@@ -517,21 +518,21 @@ def bracket_relations_residual(
     }
 
 
-def closedness_residual(spray, point, config: RealizationConfig = RealizationConfig(),
-                        fd_step: float = 1e-3) -> float:
-    """Max FD residual of d omega = 0 at a point (stencil over neighbors)."""
+def closedness_residual(spray, point, config: RealizationConfig = RealizationConfig()) -> float:
+    """Max FD residual of d omega = 0 at a point (central differences of step 1e-3)."""
     pt = np.asarray(point, dtype=float)
     n2 = 2 * spray.base_dim
+    h = 1e-3
     stencil = []
     for i in range(n2):
         e = np.zeros(n2)
-        e[i] = fd_step
+        e[i] = h
         stencil.append(pt + e)
         stencil.append(pt - e)
     W = realization_form_batch(spray, np.array(stencil), config)
     dW = np.empty((n2, n2, n2))
     for i in range(n2):
-        dW[i] = (W[2 * i] - W[2 * i + 1]) / (2 * fd_step)
+        dW[i] = (W[2 * i] - W[2 * i + 1]) / (2 * h)
     worst = 0.0
     for i in range(n2):
         for j in range(i + 1, n2):

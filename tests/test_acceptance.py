@@ -327,7 +327,8 @@ def test_criterion_8_invariant_field_relations():
 def test_criterion_9_manin_suite():
     """Built-ins pass exactly; semidirect bivector vanishes identically and
     every charted bivector vanishes at the unit (1e-12); the su(2) Iwasawa
-    structure passes skewness/FD-Jacobi/multiplicativity; the correspondence
+    structure passes skewness/Jacobi/multiplicativity, with the Jacobiator
+    built from the exact partials of the chart bivector; the correspondence
     residuals meet their tolerances.  Runtime < 60 s."""
     started = time.perf_counter()
     ok = True

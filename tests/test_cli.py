@@ -302,16 +302,25 @@ class TestFrameFile:
 
 
 class TestImportCost:
-    def test_scipy_linalg_is_loaded_on_first_use(self):
-        # only the Manin group charts need scipy.linalg; importing the package
-        # and the CLI must not pay for it
+    def test_manin_runs_load_no_scipy(self):
+        # the numeric layer is numpy-only: importing the package, a full
+        # `manin multiplicativity` run and the e-map residuals load no scipy
         src = os.path.dirname(os.path.dirname(diraclab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, diraclab, diraclab.cli; "
-                "print('scipy.linalg' in sys.modules)")
+        code = (
+            "import contextlib, io, sys\n"
+            "import numpy as np\n"
+            "from diraclab import cli, maningroup as m\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['manin', 'multiplicativity', '--builtin', 'iwasawa-su2',"
+            " '--pairs', '2']) == 0\n"
+            "t, c = m.iwasawa_su2()\n"
+            "m.e_map_residuals(t, c, [np.full(3, 0.2)], np.ones(6), np.arange(6.0))\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestMalformedInput:
@@ -415,3 +424,53 @@ class TestMalformedInput:
         code, rep = run_and_parse(capsys, self.triple_file(tmp_path, C))
         assert code == 1
         assert rep["criteria"][0]["witness"]["kind"] == "ad-invariance"
+
+    def test_file_is_a_directory(self, capsys, tmp_path):
+        rep = self.check_exit_2(capsys, ["poisson", "check", "--file", str(tmp_path)])
+        assert "cannot read" in rep["error"]
+
+    def test_frame_without_sections(self, capsys, tmp_path):
+        p = tmp_path / "frame.json"
+        p.write_text(json.dumps({"chart": 2}))
+        rep = self.check_exit_2(capsys, ["dirac", "check-integrability", "--frame", str(p)])
+        assert "KeyError" in rep["error"]
+
+    def test_oneform_family_powers_not_an_object(self, capsys, tmp_path):
+        pi = tmp_path / "pi.json"
+        pi.write_text(json.dumps(self.tensor()))
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"powers": [1, 2]}))
+        rep = self.check_exit_2(capsys, ["moser", "--poisson", str(pi), "--a-form", str(a)])
+        assert "powers" in rep["error"]
+
+    def test_homspace_l_basis_not_a_matrix(self, capsys, tmp_path):
+        p = tmp_path / "hs.json"
+        p.write_text(json.dumps({"l_basis": 5}))
+        rep = self.check_exit_2(
+            capsys, ["manin", "homspace", "--builtin", "semidirect-so3", "--data", str(p)])
+        assert "TypeError" in rep["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "1,2"],
+        ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",
+         "--zeta", "1"],
+        ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1",
+         "--zeta", "1,0,0,0,0,0"],
+    ])
+    def test_manin_point_of_wrong_length(self, capsys, argv):
+        rep = self.check_exit_2(capsys, argv)
+        assert "coordinates, expected" in rep["error"]
+
+    @pytest.mark.parametrize("name, argv", [
+        ("realize", ["realize", "--poisson", "PI", "--samples", "0"]),
+        ("linearize", ["linearize", "--field", "FIELD", "--samples", "0"]),
+        ("moser", ["moser", "--poisson", "PI", "--a-form", "AFORM", "--grid-count", "0"]),
+        ("multiplicativity", ["manin", "multiplicativity", "--builtin", "iwasawa-su2",
+                              "--pairs", "0"]),
+    ])
+    def test_empty_sample_counts(self, workdir, capsys, name, argv):
+        # zero pairs used to pass vacuously with residual 0
+        files = {"PI": workdir["xdxdy.json"], "FIELD": workdir["euler_field.json"],
+                 "AFORM": workdir["a_form.json"]}
+        rep = self.check_exit_2(capsys, [files.get(a, a) for a in argv])
+        assert "must be at least 1" in rep["error"], name

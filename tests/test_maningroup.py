@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from diraclab import _rat
 from diraclab.maningroup import (
     GroupChart,
     HomogeneousSpaceData,
+    _chart_bivector_jet,
+    _expm,
+    _PointJet,
+    _product_differential,
     ManinTriple,
     MetrizedLieAlgebra,
     builtin_triples,
@@ -37,6 +42,35 @@ def so3_metrized():
 def sample_chart_points(seed=0, count=5, scale=0.8, dim=3):
     rng = np.random.default_rng(seed)
     return [scale * rng.uniform(-1, 1, size=dim) for _ in range(count)]
+
+
+def abelian_dual_chart():
+    """The dual of the semidirect so(3) triple on g* under addition."""
+    triple, _ = so3_semidirect()
+    dual = dual_triple(triple)
+
+    def param(x):
+        M = np.eye(4)
+        M[:3, 3] = x
+        return M
+
+    return dual, GroupChart("abelian-dual", dual, param, lambda M: M[:3, 3].copy())
+
+
+def jet_charts():
+    catalog = builtin_triples()
+    return {"iwasawa-su2": catalog["iwasawa-su2"], "semidirect-so3": catalog["semidirect-so3"],
+            "abelian-dual": abelian_dual_chart()}
+
+
+def richardson(f, x, m, h=1e-3):
+    """d f / dx_m by central differences at h and h/2, Richardson-extrapolated."""
+    def central(step):
+        e = np.zeros(len(x))
+        e[m] = step
+        return (f(x + e) - f(x - e)) / (2 * step)
+
+    return (4 * central(h / 2) - central(h)) / 3
 
 
 class TestMetrized:
@@ -322,21 +356,9 @@ class TestDualSemidirectIsLiePoisson:
     """
 
     def test_chart_bivector_matches_lie_poisson(self):
-        from diraclab.maningroup import drinfeld_bivector_chart
         from diraclab.poisson import lie_poisson
 
-        triple, _ = so3_semidirect()
-        dual = dual_triple(triple)
-
-        def param(x):
-            M = np.eye(4)
-            M[:3, 3] = x
-            return M
-
-        def log_map(M):
-            return M[:3, 3].copy()
-
-        chart = GroupChart("abelian-dual", dual, param, log_map)
+        dual, chart = abelian_dual_chart()
         pi = lie_poisson(so3_constants(), 3)
         rng = np.random.default_rng(21)
         for _ in range(6):
@@ -347,15 +369,7 @@ class TestDualSemidirectIsLiePoisson:
     def test_dual_multiplicativity_is_additive(self):
         # the abelian group law makes multiplicativity the cocycle identity
         # pi(x + y) = pi(x) + pi(y), which Lie-Poisson linearity satisfies
-        triple, _ = so3_semidirect()
-        dual = dual_triple(triple)
-
-        def param(x):
-            M = np.eye(4)
-            M[:3, 3] = x
-            return M
-
-        chart = GroupChart("abelian-dual", dual, param, lambda M: M[:3, 3].copy())
+        dual, chart = abelian_dual_chart()
         pairs = [(np.array([0.3, 0.1, -0.2]), np.array([0.4, -0.5, 0.2]))]
         rep = verify_multiplicativity(dual, chart, pairs)
         assert rep["max_residual"] < 1e-8, rep
@@ -369,8 +383,6 @@ class TestIwasawaLinearization:
         # where hdual is the basis of h dual to the g-basis.  For su(2) this
         # is the solvable a+n structure; the x3-slice vanishes and the
         # others are unit shears.
-        from diraclab.maningroup import drinfeld_bivector_chart
-
         triple, chart = iwasawa_su2()
         num = triple._numeric()
         G, H, B, P0 = num["G"], num["H"], num["B"], num["P0"]
@@ -393,3 +405,95 @@ class TestIwasawaLinearization:
             assert np.abs(Dk - Ek).max() < 1e-9
             seen_nonzero = seen_nonzero or np.abs(Ek).max() > 0.5
         assert seen_nonzero
+
+
+@pytest.mark.parametrize("name", ["iwasawa-su2", "semidirect-so3", "abelian-dual"])
+class TestExactJets:
+    """Every exact derivative of the group-chart layer against a Richardson
+    central difference of the value it differentiates."""
+
+    TOL = 1e-8
+
+    def points(self):
+        return sample_chart_points(seed=31, count=3, scale=0.7)
+
+    def test_frame_partials(self, name):
+        _, chart = jet_charts()[name]
+        for x in self.points():
+            Xi, dXi = chart.frame_jet(x)
+            assert np.array_equal(Xi, chart.frame(x))
+            for m in range(chart.dim):
+                assert np.abs(dXi[m] - richardson(chart.frame, x, m)).max() < self.TOL
+
+    def test_chart_bivector_partials(self, name):
+        triple, chart = jet_charts()[name]
+        for x in self.points():
+            P, dP = _chart_bivector_jet(triple, chart, x)
+            assert np.array_equal(P, drinfeld_bivector_chart(triple, chart, x))
+            for m in range(chart.dim):
+                fd = richardson(lambda y: drinfeld_bivector_chart(triple, chart, y), x, m)
+                assert np.abs(dP[m] - fd).max() < self.TOL
+
+    def test_dressing_jacobians(self, name):
+        triple, chart = jet_charts()[name]
+        zeta = np.random.default_rng(32).standard_normal(triple.algebra.dim)
+
+        def field(y):
+            return np.linalg.solve(chart.frame(y), dressing_action(triple, chart, y, zeta))
+
+        for x in self.points():
+            v, J = _PointJet(triple, chart, x).dressing(zeta)
+            assert np.abs(v - field(x)).max() < 1e-12
+            for m in range(chart.dim):
+                assert np.abs(J[:, m] - richardson(field, x, m)).max() < self.TOL
+
+    def test_product_differential(self, name):
+        _, chart = jet_charts()[name]
+        n = chart.dim
+        pts = self.points()
+        for x1, x2 in zip(pts, pts[1:]):
+            D = _product_differential(chart, x1, x2, chart.compose(x1, x2))
+            for m in range(n):
+                fd1 = richardson(lambda y: chart.compose(y, x2), x1, m)
+                fd2 = richardson(lambda y: chart.compose(x1, y), x2, m)
+                assert np.abs(D[:, m] - fd1).max() < self.TOL
+                assert np.abs(D[:, n + m] - fd2).max() < self.TOL
+
+
+class TestNumpyExpLog:
+    def test_expm_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(33)
+        for size, dtype in [(2, complex), (3, float), (6, float), (12, float)]:
+            for scale in (0.0, 1e-3, 0.5, 4.0):
+                A = rng.standard_normal((size, size)).astype(dtype)
+                if dtype is complex:
+                    A = A + 1j * rng.standard_normal((size, size))
+                A *= scale / np.abs(A).sum(axis=0).max()  # 1-norm = scale
+                ref = linalg.expm(A)
+                assert np.abs(_expm(A) - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    def rotation_points(self):
+        # rotation angles 0 .. 3.0 about random axes, both charts' principal domain
+        rng = np.random.default_rng(34)
+        axes = rng.standard_normal((8, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        return [a * angle for a, angle in zip(axes, np.linspace(0.0, 3.0, 8))]
+
+    def test_logs_match_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        _, so3 = so3_semidirect()
+        _, su2 = iwasawa_su2()
+        sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                 np.array([[1, 0], [0, -1]])]
+        for x in self.rotation_points():
+            X = np.real(linalg.logm(so3.param(x)))
+            assert np.abs(so3.log_map(so3.param(x)) - [X[2, 1], X[0, 2], X[1, 0]]).max() < 1e-12
+            K = linalg.logm(su2.param(x))
+            ref = [np.real(1j * np.trace(K @ s)) for s in sigma]
+            assert np.abs(su2.log_map(su2.param(x)) - ref).max() < 1e-12
+
+    def test_log_inverts_param(self):
+        for _, chart in (so3_semidirect(), iwasawa_su2()):
+            for x in self.rotation_points():
+                assert np.abs(chart.log_map(chart.param(x)) - x).max() < 1e-12, (chart.name, x)
