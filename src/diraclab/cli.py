@@ -33,7 +33,7 @@ from . import dirac as dirac_mod
 from . import maningroup as manin_mod
 from . import realization as real_mod
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -51,7 +51,7 @@ REPORT_SCHEMA = {
                     "name": {"type": "string"},
                     "status": {"enum": ["pass", "fail"]},
                     "max_residual": {
-                        "anyOf": [{"type": "number"}, {"const": "exact-zero"}]
+                        "anyOf": [{"type": "number"}, {"const": "exact-zero"}, {"type": "null"}]
                     },
                     "worst_point": {
                         "anyOf": [{"type": "array"}, {"type": "null"}]
@@ -91,6 +91,8 @@ def _parse_point(text: str, dim: int | None = None):
         raise InputError(f"cannot parse point {text!r}")
     if dim is not None and len(point) != dim:
         raise InputError(f"point {text!r} has {len(point)} coordinates, expected {dim}")
+    if not np.isfinite(point).all():
+        raise InputError(f"point {text!r} has a non-finite coordinate")
     return point
 
 
@@ -125,8 +127,11 @@ def _load_oneform_family(path: str) -> TimePolyForm:
 
 
 def criterion(name, residual, tolerance, worst_point=None):
+    """A report criterion; a None or non-finite residual is reported as null, failed."""
     if residual == "exact-zero":
         status = "pass"
+    elif residual is None or not np.isfinite(residual):
+        residual, status = None, "fail"
     else:
         residual = float(residual)
         status = "pass" if residual <= (tolerance if isinstance(tolerance, float) else 0.0) else "fail"
@@ -143,7 +148,7 @@ def exact_criterion(name, ok, witness=None):
     out = {
         "name": name,
         "status": "pass" if ok else "fail",
-        "max_residual": "exact-zero" if ok else float("inf"),
+        "max_residual": "exact-zero" if ok else None,
         "worst_point": None,
         "tolerance": "exact",
     }
@@ -234,7 +239,7 @@ def _cmd_dirac(args):
         try:
             P = dirac_mod.gauge_poisson(pi, gauge, pt)
         except TransversalityError as e:
-            return [criterion("gauge-transversality", float("inf"), tol, e.point)], {}
+            return [criterion("gauge-transversality", None, tol, e.point)], {}
         return (
             [criterion("gauge-skewness", float(np.abs(P + P.T).max()), 1e-12, pt)],
             {"gauged_bivector_matrix": P.tolist()},
@@ -534,11 +539,21 @@ def run(argv) -> int:
         report["error"] = str(e)
         code = 2
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    text = json.dumps(report, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # strict JSON cannot carry a non-finite number
+        report = {k: v for k, v in report.items() if k not in ("result", "error_point")}
+        report.setdefault("error", "the result contains a non-finite number")
+        code = max(code, 1)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     print(text)
-    if getattr(args, "report", None) and "error" not in report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+    if getattr(args, "report", None):
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"cannot write report {args.report}: {e.strerror or e}", file=sys.stderr)
+            return 2
     return code
 
 

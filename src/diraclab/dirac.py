@@ -33,6 +33,7 @@ from .fields import (
     exterior_derivative,
     interior_product,
     lie_derivative,
+    sum_of_products,
     vector_bracket,
 )
 from .poisson import PoissonBivector, sharp_apply
@@ -100,14 +101,9 @@ def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> PolyScalar:
     """<X1 + a1, X2 + a2> = a1(X2) + a2(X1)."""
     if s1.chart != s2.chart:
         raise ChartMismatchError("pairing across charts")
-    p = interior_product(s2.X, s1.alpha) if not s1.alpha.is_zero() else None
-    q = interior_product(s1.X, s2.alpha) if not s2.alpha.is_zero() else None
-    out = PolyScalar.zero(s1.chart)
-    if p is not None:
-        out = out + p.components.get((), PolyScalar.zero(s1.chart))
-    if q is not None:
-        out = out + q.components.get((), PolyScalar.zero(s1.chart))
-    return out
+    return sum_of_products(s1.chart, [
+        (1, a, t.X.components[i], None) for s, t in ((s1, s2), (s2, s1))
+        for i, a in s.alpha.components.items() if i in t.X.components])
 
 
 def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection) -> GeneralizedSection:
@@ -323,25 +319,16 @@ def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> Poisso
     for (i, j), p in gauge.omega.components.items():
         Wfull[i][j] = p
         Wfull[j][i] = -p
-    # A = I + P W
-    A = [[PolyScalar.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = PolyScalar.constant(chart, 1) if i == j else PolyScalar.zero(chart)
-            for k in range(n):
-                s = s + P[i][k] * Wfull[k][j]
-            A[i][j] = s
+    A = [[sum_of_products(chart, [(1, P[i][k], Wfull[k][j], None) for k in range(n)])
+          + int(i == j) for j in range(n)] for i in range(n)]  # I + P W
 
     def det(mat):
         m = len(mat)
         if m == 1:
             return mat[0][0]
-        out = PolyScalar.zero(chart)
-        for j in range(m):
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            term = mat[0][j] * det(minor)
-            out = out + (term if j % 2 == 0 else -term)
-        return out
+        minors = [[row[:j] + row[j + 1 :] for row in mat[1:]] for j in range(m)]
+        return sum_of_products(chart, [((-1) ** j, mat[0][j], det(minors[j]), None)
+                                       for j in range(m)])
 
     d = det(A)
     if d.is_zero() or d.total_degree() > 0:
@@ -358,16 +345,8 @@ def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> Poisso
             ]
             m = det(minor) if minor else PolyScalar.constant(chart, 1)
             adj[i][j] = m if (i + j) % 2 == 0 else -m
-    inv_c = 1 / c
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = PolyScalar.zero(chart)
-            for k in range(n):
-                s = s + adj[i][k] * P[k][j]
-            s = s * inv_c
-            if not s.is_zero():
-                comps[(i, j)] = s
+    comps = {(i, j): sum_of_products(chart, [(1, adj[i][k], P[k][j], None) for k in range(n)])
+             * (1 / c) for i in range(n) for j in range(i + 1, n)}
     return PoissonBivector(PolyKVector(chart, 2, comps))
 
 
@@ -472,22 +451,13 @@ def check_poisson_map(
         J = phi.jacobian()
         n, ncols = phi.target.dim, phi.source.dim
         S = pi_source.component_matrix()
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = PolyScalar.zero(phi.source)
-                for a in range(ncols):
-                    for b in range(ncols):
-                        if S[a][b].is_zero():
-                            continue
-                        s = s + J[i][a] * S[a][b] * J[j][b]
-                target = pi_target.pi.component((i, j))
-                s = s - sign * phi.compose_scalar(target)
-                if not s.is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
+
+        def pushed(i, j):  # (J S J^T)_ij
+            return sum_of_products(phi.source, [(1, J[i][a] * S[a][b], J[j][b], None)
+                                                for a in range(ncols) for b in range(ncols)
+                                                if S[a][b]])
+        ok = all(pushed(i, j) == sign * phi.compose_scalar(pi_target.pi.component((i, j)))
+                 for i in range(n) for j in range(i + 1, n))
         return MapCheckReport(exact=ok, max_residual=None, worst_point=None, anti=anti)
 
     if samples is None or jacobian is None:

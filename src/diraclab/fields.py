@@ -1,9 +1,11 @@
 """Exterior calculus with exact polynomial coefficients on coordinate charts.
 
-All coefficients are rational numbers (``fractions.Fraction``), so algebraic
-identities are decided exactly: a bracket or differential either is the zero
-polynomial or it is not.  Floating point enters only through the
-``evaluate_*`` / ``*_at_point`` boundaries.
+Coefficients are exact rationals, so algebraic identities are decided
+exactly: a bracket or differential either is the zero polynomial or it is
+not.  A polynomial stores integer numerators over one positive denominator,
+keyed by packed exponents (see `PolyScalar`); ``PolyScalar.terms`` is the
+``{exponent tuple: fractions.Fraction}`` view of it.  Floating point enters
+only through the ``evaluate_*`` / ``*_at_point`` boundaries.
 
 Conventions used throughout the package:
 
@@ -20,6 +22,8 @@ functions and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
+import struct
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -28,6 +32,30 @@ import numpy as np
 from .errors import ChartMismatchError, DegreeError, ShapeError
 
 Rat = Union[int, Fraction]
+
+# A monomial is one int: the exponent of x_i sits in bits [_W*i, _W*i + _W).
+# The top bit of each field is a guard that no stored exponent sets, so a
+# product (a key sum) that overflows a field sets it instead of carrying into
+# the next field.
+_W = 16
+_FIELD = (1 << _W) - 1
+MAX_EXPONENT = (1 << (_W - 1)) - 1
+
+
+def _pack(exp) -> int:
+    return sum(e << (_W * i) for i, e in enumerate(exp))
+
+
+def _unpack(key: int, dim: int) -> tuple:
+    return struct.unpack(f"<{dim}H", key.to_bytes(2 * dim, "little"))  # "H": _W = 16 bits
+
+
+def _derivative(num: dict, i: int) -> list:
+    """(key, numerator) pairs of d/dx_i of numerators over one denominator:
+    a shift and a subtract per term."""
+    shift = _W * i
+    one = 1 << shift
+    return [(k - one, v * e) for k, v in num.items() if (e := (k >> shift) & _FIELD)]
 
 
 def _frac(x) -> Fraction:
@@ -68,6 +96,20 @@ def accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
+def _collect_signed(buckets: dict, idx, sign: int, a, b, d=None) -> None:
+    """File the `sum_of_products` term (sign, a, b, d) under a sorted antisymmetric
+    index for `_sum_buckets`; an index with a repeat contributes nothing."""
+    sidx, s = sort_index(idx)
+    if sidx is not None:
+        buckets.setdefault(sidx, []).append((sign * s, a, b, d))
+
+
+def _sum_buckets(chart: Chart, buckets: dict) -> dict:
+    """{index: [(sign, a, b, d), ...]} -> {index: nonzero sum_of_products}."""
+    sums = {idx: sum_of_products(chart, products) for idx, products in buckets.items()}
+    return {idx: p for idx, p in sums.items() if p}
+
+
 def accumulate_signed(acc: dict, idx, value) -> None:
     """Add a value at an antisymmetric index: the index is sorted by
     `sort_index`, the value takes the permutation sign, and an index with a
@@ -85,7 +127,7 @@ class Chart:
     the algebroid dictionary.
     """
 
-    __slots__ = ("dim", "names")
+    __slots__ = ("dim", "names", "_guard")
 
     def __init__(self, dim: int, names: Sequence[str] | None = None):
         if dim < 0:
@@ -100,6 +142,7 @@ class Chart:
             raise ShapeError("coordinate names must be unique")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_guard", sum(1 << (_W * i + _W - 1) for i in range(dim)))
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -121,8 +164,7 @@ class Chart:
         """The coordinate function x_i (0-based index)."""
         if not 0 <= i < self.dim:
             raise ShapeError(f"coordinate index {i} out of range for dim {self.dim}")
-        exp = tuple(1 if j == i else 0 for j in range(self.dim))
-        return PolyScalar(self, {exp: Fraction(1)})
+        return PolyScalar._canonical(self, {1 << (_W * i): 1})
 
     def coordinates(self):
         return tuple(self.coordinate(i) for i in range(self.dim))
@@ -144,10 +186,14 @@ def grlex_key(exp):
 class PolyScalar:
     """A polynomial with exact rational coefficients on a chart.
 
-    Canonical form: a map from exponent multi-indices to nonzero Fractions.
+    Canonical form: ``_num`` maps packed exponents (`_pack`) to nonzero int
+    numerators over the one positive denominator ``_den``, and no integer
+    > 1 divides ``_den`` and every numerator.  That form is unique, so
+    structural equality is polynomial equality.  ``terms`` is the read-only
+    ``{exponent tuple: Fraction}`` view, built on demand.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_num", "_den", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Rat] | None = None):
         clean = {}
@@ -156,22 +202,44 @@ class PolyScalar:
                 exp = tuple(int(e) for e in exp)
                 if len(exp) != chart.dim or any(e < 0 for e in exp):
                     raise ShapeError(f"bad exponent {exp} for chart of dim {chart.dim}")
-                accumulate(clean, exp, _frac(c))
+                if any(e > MAX_EXPONENT for e in exp):
+                    raise DegreeError(f"exponent {exp} exceeds {MAX_EXPONENT}")
+                accumulate(clean, _pack(exp), _frac(c))
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", {k: c.numerator * (den // c.denominator)
+                                          for k, c in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     @staticmethod
-    def _canonical(chart: Chart, terms: dict) -> "PolyScalar":
-        """Wrap terms that are already canonical (valid exponents, nonzero
-        Fractions), as every ring and calculus operation produces them;
-        outside input goes through the validating constructor."""
+    def _canonical(chart: Chart, num: dict, den: int = 1) -> "PolyScalar":
+        """Wrap nonzero int numerators on valid packed keys over a positive
+        denominator, as every ring and calculus operation produces them, and
+        divide out their common factor once; outside input goes through the
+        validating constructor."""
+        if den != 1:
+            g = math.gcd(den, *num.values())  # den itself when num is empty
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
         p = object.__new__(PolyScalar)
         object.__setattr__(p, "chart", chart)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_num", num)
+        object.__setattr__(p, "_den", den)
         return p
 
     def __setattr__(self, *a):
         raise AttributeError("PolyScalar is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a read-only ``{exponent tuple: Fraction}`` dict,
+        built on first use."""
+        if not hasattr(self, "_terms"):
+            object.__setattr__(self, "_terms", {_unpack(k, self.chart.dim): Fraction(v, self._den)
+                                                for k, v in self._num.items()})
+        return self._terms
 
     # -- constructors -------------------------------------------------------
 
@@ -181,7 +249,8 @@ class PolyScalar:
 
     @staticmethod
     def constant(chart: Chart, c: Rat) -> "PolyScalar":
-        return PolyScalar(chart, {chart.zero_exp(): _frac(c)})
+        c = _frac(c)
+        return PolyScalar._canonical(chart, {0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def monomial(chart: Chart, exp: Sequence[int], c: Rat = 1) -> "PolyScalar":
@@ -190,22 +259,24 @@ class PolyScalar:
     # -- ring structure ------------------------------------------------------
 
     def _check(self, other):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(f"{self.chart} vs {other.chart}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyScalar.constant(self.chart, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            accumulate(terms, exp, c)
-        return PolyScalar._canonical(self.chart, terms)
+        den = math.lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        num = {k: v * f1 for k, v in self._num.items()}
+        for k, v in other._num.items():
+            num[k] = num.get(k, 0) + v * f2
+        return PolyScalar._canonical(self.chart, {k: v for k, v in num.items() if v}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar._canonical(self.chart, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._canonical(self.chart, {k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,17 +289,12 @@ class PolyScalar:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            if c == 0:
-                return PolyScalar.zero(self.chart)
-            return PolyScalar._canonical(self.chart, {e: k * c for e, k in self.terms.items()})
+            num = {k: v * c.numerator for k, v in self._num.items()} if c else {}
+            return PolyScalar._canonical(self.chart, num, self._den * c.denominator)
         if not isinstance(other, PolyScalar):
             return NotImplemented
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return PolyScalar._canonical(self.chart, terms)
+        return sum_of_products(self.chart, ((1, self, other, None),))
 
     __rmul__ = __mul__
 
@@ -240,8 +306,8 @@ class PolyScalar:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            if k := k >> 1:  # no square past the last bit: it could pass the guard
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -249,22 +315,23 @@ class PolyScalar:
             other = PolyScalar.constant(self.chart, other)
         return (
             isinstance(other, PolyScalar)
+            and self._den == other._den
+            and self._num == other._num
             and self.chart == other.chart
-            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self._den, frozenset(self._num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(_unpack(k, self.chart.dim)) for k in self._num), default=-1)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical listing)."""
@@ -273,35 +340,29 @@ class PolyScalar:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, i: int) -> "PolyScalar":
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            e[i] -= 1
-            accumulate(terms, tuple(e), c * exp[i])
-        return PolyScalar._canonical(self.chart, terms)
+        if not 0 <= i < self.chart.dim:
+            raise ShapeError(f"partial index {i} out of range for dim {self.chart.dim}")
+        return PolyScalar._canonical(self.chart, dict(_derivative(self._num, i)), self._den)
 
     def evaluate_exact(self, point: Sequence[Rat]) -> Fraction:
         if len(point) != self.chart.dim:
             raise ShapeError("point/chart dimension mismatch")
         pt = [_frac(x) for x in point]
         total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
+        for k, v in self._num.items():
+            for x, e in zip(pt, _unpack(k, self.chart.dim)):
                 if e:
                     v *= x**e
             total += v
-        return total
+        return total / self._den
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) != self.chart.dim:
             raise ShapeError("point/chart dimension mismatch")
         total = 0.0
-        for exp, c in self.terms.items():
-            v = float(c)
-            for x, e in zip(point, exp):
+        for k, v in self._num.items():
+            v = v / self._den  # correctly rounded, as float(Fraction(v, den)) is
+            for x, e in zip(point, _unpack(k, self.chart.dim)):
                 if e:
                     v *= float(x) ** e
             total += v
@@ -315,16 +376,16 @@ class PolyScalar:
             raise ShapeError("cannot infer source chart for a dim-0 composition")
         src = polys[0].chart
         out = PolyScalar.zero(src)
-        for exp, c in self.terms.items():
-            term = PolyScalar.constant(src, c)
-            for p, e in zip(polys, exp):
+        for k, v in self._num.items():
+            term = PolyScalar._canonical(src, {0: v}, self._den)
+            for p, e in zip(polys, _unpack(k, self.chart.dim)):
                 if e:
                     term = term * p**e
             out = out + term
         return out
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for exp, c in self.sorted_terms():
@@ -342,6 +403,28 @@ class PolyScalar:
             else:
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def sum_of_products(chart: Chart, products) -> PolyScalar:
+    """The sum of sign * a * b, or of sign * a * db/dx_d where d is not None,
+    over (sign, a, b, d) in `products` (sign +1 or -1, a and b on `chart`): the
+    one product loop of the exact layer.  Every product accumulates into one
+    numerator dict over the lcm of the denominators, normalized once."""
+    products = list(products)
+    den = math.lcm(*(a._den * b._den for _, a, b, _ in products))
+    acc: dict = {}
+    get = acc.get
+    for sign, a, b, d in products:
+        scale = sign * (den // (a._den * b._den))
+        b_terms = b._num.items() if d is None else _derivative(b._num, d)
+        for ka, va in a._num.items():
+            va *= scale
+            for kb, vb in b_terms:
+                k = ka + kb
+                acc[k] = get(k, 0) + va * vb
+    if any(map(chart._guard.__and__, acc)):
+        raise DegreeError(f"a product exponent exceeds {MAX_EXPONENT}")
+    return PolyScalar._canonical(chart, {k: v for k, v in acc.items() if v}, den)
 
 
 class _AlternatingTensor:
@@ -377,6 +460,17 @@ class _AlternatingTensor:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
 
+    @classmethod
+    def _trusted(cls, chart: Chart, degree: int, components: dict):
+        """Wrap canonical components (sorted in-range indices of length `degree`,
+        nonzero PolyScalars on `chart`) as the calculus here builds them;
+        outside input goes through the validating constructor."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "chart", chart)
+        object.__setattr__(t, "degree", degree)
+        object.__setattr__(t, "components", components)
+        return t
+
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -403,23 +497,18 @@ class _AlternatingTensor:
         comp = dict(self.components)
         for idx, p in other.components.items():
             accumulate(comp, idx, p)
-        return type(self)(self.chart, self.degree, comp)
+        return self._trusted(self.chart, self.degree, comp)
 
     def __neg__(self):
-        return type(self)(
-            self.chart, self.degree, {i: -p for i, p in self.components.items()}
-        )
+        return self._trusted(self.chart, self.degree, {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PolyScalar)):
-            return type(self)(
-                self.chart,
-                self.degree,
-                {i: p * other for i, p in self.components.items()},
-            )
+            comp = {i: p * other for i, p in self.components.items()}
+            return self._trusted(self.chart, self.degree, {i: p for i, p in comp.items() if p})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -442,15 +531,12 @@ class _AlternatingTensor:
 
     def wedge(self, other):
         self._check(other)
-        k = self.degree + other.degree
-        comp: dict = {}
+        buckets: dict = {}
         for i1, p1 in self.components.items():
             for i2, p2 in other.components.items():
-                if set(i1).isdisjoint(i2):
-                    accumulate_signed(comp, i1 + i2, p1 * p2)
-        if k > self.chart.dim:
-            return type(self)(self.chart, k, {})
-        return type(self)(self.chart, k, comp)
+                _collect_signed(buckets, i1 + i2, 1, p1, p2)
+        return self._trusted(self.chart, self.degree + other.degree,
+                             _sum_buckets(self.chart, buckets))
 
     def evaluate_at(self, point) -> np.ndarray:
         """Dense fully antisymmetric numeric component array at a point.
@@ -503,22 +589,18 @@ def coordinate_form(chart: Chart, i: int) -> PolyKForm:
 
 def differential(f: PolyScalar) -> PolyKForm:
     """df as a 1-form."""
-    chart = f.chart
-    return PolyKForm(chart, 1, {(i,): f.partial(i) for i in range(chart.dim)})
+    return exterior_derivative(PolyKForm._trusted(f.chart, 0, {(): f} if f else {}))
 
 
 def exterior_derivative(alpha: PolyKForm) -> PolyKForm:
     """Coordinate exterior derivative; satisfies d(d(alpha)) = 0 exactly."""
     chart = alpha.chart
-    k = alpha.degree
-    comp: dict = {}
+    one = PolyScalar.constant(chart, 1)
+    buckets: dict = {}
     for idx, p in alpha.components.items():
         for j in range(chart.dim):
-            if j not in idx:
-                accumulate_signed(comp, (j,) + idx, p.partial(j))
-    if k + 1 > chart.dim:
-        return PolyKForm(chart, k + 1, {})
-    return PolyKForm(chart, k + 1, comp)
+            _collect_signed(buckets, (j,) + idx, 1, one, p, j)
+    return PolyKForm._trusted(chart, alpha.degree + 1, _sum_buckets(chart, buckets))
 
 
 def interior_product(X: PolyKVector, alpha: PolyKForm) -> PolyKForm:
@@ -529,26 +611,23 @@ def interior_product(X: PolyKVector, alpha: PolyKForm) -> PolyKForm:
         raise DegreeError("cannot contract into a 0-form")
     if X.chart != alpha.chart:
         raise ChartMismatchError("interior product across charts")
-    chart = alpha.chart
-    comp: dict = {}
+    buckets: dict = {}
     for idx, p in alpha.components.items():
         for pos, i in enumerate(idx):
             xi = X.components.get((i,))
-            if xi is None:
-                continue
-            q = xi * p
-            accumulate(comp, idx[:pos] + idx[pos + 1 :], -q if pos % 2 else q)
-    return PolyKForm(chart, alpha.degree - 1, comp)
+            if xi is not None:
+                buckets.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
+                    (-1 if pos % 2 else 1, xi, p, None))
+    return PolyKForm._trusted(alpha.chart, alpha.degree - 1, _sum_buckets(alpha.chart, buckets))
 
 
 def apply_vector(X: PolyKVector, f: PolyScalar) -> PolyScalar:
     """X(f) = sum_i X^i df/dx_i."""
     if X.degree != 1:
         raise DegreeError("apply_vector needs a degree-1 field")
-    out = PolyScalar.zero(f.chart)
-    for (i,), xi in X.components.items():
-        out = out + xi * f.partial(i)
-    return out
+    if X.chart != f.chart:
+        raise ChartMismatchError("apply_vector across charts")
+    return sum_of_products(f.chart, [(1, xi, f, i) for (i,), xi in X.components.items()])
 
 
 def vector_bracket(X: PolyKVector, Y: PolyKVector) -> PolyKVector:
@@ -557,15 +636,12 @@ def vector_bracket(X: PolyKVector, Y: PolyKVector) -> PolyKVector:
         raise DegreeError("vector bracket needs degree-1 fields")
     if X.chart != Y.chart:
         raise ChartMismatchError("bracket across charts")
-    chart = X.chart
-    comp = {}
-    for j in range(chart.dim):
-        yj = Y.components.get((j,), PolyScalar.zero(chart))
-        xj = X.components.get((j,), PolyScalar.zero(chart))
-        p = apply_vector(X, yj) - apply_vector(Y, xj)
-        if not p.is_zero():
-            comp[(j,)] = p
-    return PolyKVector(chart, 1, comp)
+    buckets: dict = {}
+    for A, B, sign in ((X, Y, 1), (Y, X, -1)):
+        for idx, bj in B.components.items():
+            for (i,), ai in A.components.items():
+                buckets.setdefault(idx, []).append((sign, ai, bj, i))
+    return PolyKVector._trusted(X.chart, 1, _sum_buckets(X.chart, buckets))
 
 
 def lie_derivative(X: PolyKVector, T):
@@ -580,8 +656,8 @@ def lie_derivative(X: PolyKVector, T):
         return apply_vector(X, T)
     if isinstance(T, PolyKForm):
         if T.degree == 0:
-            p = T.components.get((), PolyScalar.zero(T.chart))
-            return PolyKForm(T.chart, 0, {(): apply_vector(X, p)})
+            p = apply_vector(X, T.components.get((), PolyScalar.zero(T.chart)))
+            return PolyKForm._trusted(T.chart, 0, {(): p} if p else {})
         return exterior_derivative(interior_product(X, T)) + interior_product(
             X, exterior_derivative(T)
         )
@@ -589,19 +665,15 @@ def lie_derivative(X: PolyKVector, T):
         if X.chart != T.chart:
             raise ChartMismatchError("lie_derivative across charts")
         chart = T.chart
-        if T.degree == 0:
-            p = T.components.get((), PolyScalar.zero(chart))
-            return PolyKVector(chart, 0, {(): apply_vector(X, p)})
-        comp: dict = {}
+        buckets: dict = {}
         for idx, f in T.components.items():
-            accumulate_signed(comp, idx, apply_vector(X, f))
+            for (i,), xi in X.components.items():
+                buckets.setdefault(idx, []).append((1, xi, f, i))
             # [X, d/dx_i] = -sum_j (dX^j/dx_i) d/dx_j, applied in each slot
             for pos, i in enumerate(idx):
                 for (j,), xj in X.components.items():
-                    dxj = xj.partial(i)
-                    if dxj:
-                        accumulate_signed(comp, idx[:pos] + (j,) + idx[pos + 1 :], -(f * dxj))
-        return PolyKVector(chart, T.degree, comp)
+                    _collect_signed(buckets, idx[:pos] + (j,) + idx[pos + 1 :], -1, f, xj, i)
+        return PolyKVector._trusted(chart, T.degree, _sum_buckets(chart, buckets))
     raise TypeError(f"cannot take Lie derivative of {type(T).__name__}")
 
 

@@ -10,6 +10,7 @@ Sign conventions (used consistently package-wide):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -41,6 +42,7 @@ from .fields import (
     differential,
     exterior_derivative,
     sort_index,
+    sum_of_products,
 )
 
 
@@ -107,24 +109,17 @@ def sharp_apply(pi: PoissonBivector, alpha: PolyKForm) -> PolyKVector:
         raise ChartMismatchError("form on the wrong chart")
     chart = pi.chart
     M = pi.component_matrix()
-    comps = {}
-    for j in range(chart.dim):
-        s = PolyScalar.zero(chart)
-        for (i,), a in alpha.components.items():
-            s = s + M[i][j] * a
-        if not s.is_zero():
-            comps[(j,)] = s
-    return PolyKVector(chart, 1, comps)
+    return PolyKVector(chart, 1, {(j,): sum_of_products(chart, [
+        (1, M[i][j], a, None) for (i,), a in alpha.components.items()]) for j in range(chart.dim)})
 
 
 def bracket(pi: PoissonBivector, f: PolyScalar, g: PolyScalar) -> PolyScalar:
     """{f, g} = sum_{i<j} Pi^{ij} (d_i f d_j g - d_j f d_i g)."""
     if f.chart != pi.chart or g.chart != pi.chart:
         raise ChartMismatchError("bracket arguments must share the bivector's chart")
-    out = PolyScalar.zero(pi.chart)
-    for (i, j), p in pi.pi.components.items():
-        out = out + p * (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i))
-    return out
+    return sum_of_products(pi.chart, [(s, p * f.partial(a), g, b)
+                                      for (i, j), p in pi.pi.components.items()
+                                      for s, a, b in ((1, i, j), (-1, j, i))])
 
 
 def hamiltonian_vf(pi: PoissonBivector, f: PolyScalar) -> PolyKVector:
@@ -144,17 +139,10 @@ def jacobiator(pi: PoissonBivector) -> PolyKVector:
     chart = pi.chart
     n = chart.dim
     M = pi.component_matrix()
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = PolyScalar.zero(chart)
-                for m in range(n):
-                    s = s + M[i][m] * M[j][k].partial(m)
-                    s = s + M[j][m] * M[k][i].partial(m)
-                    s = s + M[k][m] * M[i][j].partial(m)
-                if not s.is_zero():
-                    comps[(i, j, k)] = s
+    comps = {(i, j, k): sum_of_products(chart, [
+        (1, M[a][m], M[b][c], m)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) for m in range(n)])
+        for i, j, k in itertools.combinations(range(n), 3)}
     out = PolyKVector(chart, 3, comps)
     object.__setattr__(pi, "_jacobiator", out)
     return out

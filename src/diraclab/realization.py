@@ -43,7 +43,8 @@ from ._numeric import (
     span_residual,
 )
 from .errors import ChartMismatchError, PreconditionError, ShapeError
-from .fields import PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart
+from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart,
+                     sum_of_products)
 from .poisson import PoissonBivector
 
 
@@ -93,17 +94,10 @@ class SprayField:
                 out = out * PolyScalar.monomial(chart, extra_exp)
             return out
 
-        M = pi.component_matrix()
-        comps: dict = {}
-        for j in range(n):
-            s = PolyScalar.zero(chart)
-            for i in range(n):
-                if M[i][j].is_zero():
-                    continue
-                p_i = (0,) * n + tuple(1 if t == i else 0 for t in range(n))
-                s = s + lift(M[i][j], p_i)
-            if not s.is_zero():
-                comps[(j,)] = s
+        M, momenta = pi.component_matrix(), chart.coordinates()[n:]
+        comps = {(j,): sum_of_products(chart, [(1, lift(M[i][j], None), momenta[i], None)
+                                               for i in range(n) if M[i][j]])
+                 for j in range(n)}
         for (i, j, k), g in sym.items():
             pp = [0] * n
             pp[i] += 1

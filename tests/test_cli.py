@@ -47,10 +47,17 @@ def workdir(tmp_path):
     return files
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity, which strict JSON does not have."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_and_parse(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
-    report = json.loads(out)
+    report = strict_loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
     return code, report
 
@@ -65,6 +72,9 @@ class TestPoissonCommands:
         code, rep = run_and_parse(capsys, ["poisson", "check", "--file", workdir["nonpoisson3d.json"]])
         assert code == 1
         assert "1+2+3" in rep["result"]["jacobiator_components"]
+        # a failed exact check has no finite residual: null, not Infinity
+        assert rep["criteria"][0]["status"] == "fail"
+        assert rep["criteria"][0]["max_residual"] is None
 
     def test_bracket(self, workdir, capsys):
         code, rep = run_and_parse(
@@ -116,6 +126,22 @@ class TestDiracCommands:
         assert code == 0
         assert rep["result"]["gauged_bivector_matrix"][0][1] == pytest.approx(2.0)
 
+    def test_gauge_transversality_failure_is_strict_json(self, capsys, tmp_path):
+        # omega = dx^dy makes I + Pi W = 0 for Pi = d_x ^ d_y
+        chart = Chart(2, ("x", "y"))
+        one = PolyScalar.constant(chart, 1)
+        om, pi = tmp_path / "omega.json", tmp_path / "pi.json"
+        om.write_text(json.dumps(jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one}))))
+        pi.write_text(json.dumps(jsonio.tensor_to_json(from_components(chart, {(0, 1): one}).pi)))
+        code, rep = run_and_parse(
+            capsys, ["dirac", "gauge", "--poisson", str(pi), "--omega", str(om), "--point", "0,0"]
+        )
+        assert code == 1
+        assert rep["schema_version"] == 2
+        (crit,) = rep["criteria"]
+        assert crit["name"] == "gauge-transversality"
+        assert crit["status"] == "fail" and crit["max_residual"] is None
+
 
 class TestNumericCommands:
     def test_realize(self, workdir, capsys, tmp_path):
@@ -127,7 +153,7 @@ class TestNumericCommands:
         )
         assert code == 0
         assert len(rep["criteria"]) == 3
-        saved = json.loads(out.read_text())
+        saved = strict_loads(out.read_text())
         assert saved["criteria"] == rep["criteria"]
 
     def test_moser_rejects_wrong_degree_family(self, workdir, capsys, tmp_path):
@@ -337,7 +363,7 @@ class TestMalformedInput:
     def check_exit_2(self, capsys, argv):
         code = run(argv)
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
+        report = strict_loads(captured.out)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert code == 2
         assert report["error"]
@@ -460,6 +486,44 @@ class TestMalformedInput:
     def test_manin_point_of_wrong_length(self, capsys, argv):
         rep = self.check_exit_2(capsys, argv)
         assert "coordinates, expected" in rep["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "V,0,0"],
+        ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "V,0,0",
+         "--zeta", "1,0,0,0,0,0"],
+        ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",
+         "--zeta", "1,0,0,V,0,0"],
+    ])
+    def test_non_finite_point_or_zeta(self, capsys, argv, value):
+        # inf used to exit 0 with a NaN result
+        rep = self.check_exit_2(capsys, [a.replace("V", value) for a in argv])
+        assert "non-finite coordinate" in rep["error"]
+
+    def test_non_finite_result_is_an_error_not_nan(self, capsys):
+        # a finite but huge point overflows the group exponential
+        with pytest.warns(RuntimeWarning):
+            code = run(["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "1e300,0,0",
+                        "--zeta", "1,0,0,0,0,0"])
+        report = strict_loads(capsys.readouterr().out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert code == 1
+        assert "non-finite" in report["error"] and "result" not in report
+
+    def test_error_report_is_written(self, workdir, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        rep = self.check_exit_2(
+            capsys, ["realize", "--poisson", workdir["bad.json"], "--report", str(out)])
+        saved = strict_loads(out.read_text())
+        jsonschema.validate(saved, REPORT_SCHEMA)
+        assert saved["error"] == rep["error"]
+
+    def test_unwritable_report_path(self, workdir, capsys, tmp_path):
+        code = run(["realize", "--poisson", workdir["xdxdy.json"], "--samples", "1",
+                    "--report", str(tmp_path / "missing-dir" / "report.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot write report" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("name, argv", [
         ("realize", ["realize", "--poisson", "PI", "--samples", "0"]),

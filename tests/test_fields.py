@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diraclab.errors import ChartMismatchError, DegreeError, ShapeError
+from diraclab.dirac import GeneralizedSection, courant_bracket
 from diraclab.fields import (
+    MAX_EXPONENT,
     Chart,
     PolyKForm,
     PolyKVector,
@@ -22,6 +24,7 @@ from diraclab.fields import (
     lie_derivative,
     pullback_form,
     pushforward_vector_at_point,
+    sum_of_products,
     wedge,
 )
 from diraclab import jsonio
@@ -275,3 +278,130 @@ def test_json_round_trip(rng):
         data = jsonio.tensor_to_json(T)
         back = jsonio.tensor_from_json(data, R3)
         assert type(back) is cls and back.components == T.components
+
+
+# -- the packed integer kernel against a plain {tuple: Fraction} reference ---------
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, k, dim):
+    out = {(0,) * dim: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def ref_compose(a, subs, src_dim):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * src_dim: c}
+        for s, k in zip(subs, e):
+            term = ref_mul(term, ref_pow(s, k, src_dim))
+        out = ref_add(out, term)
+    return out
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def ref_polys(dim, max_exp=3, max_terms=6):
+    exps = st.tuples(*[st.integers(0, max_exp)] * dim)
+    return st.dictionaries(exps, rationals(), max_size=max_terms).map(
+        lambda d: {e: c for e, c in d.items() if c})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(0, 5))
+def test_kernel_matches_fraction_reference(data, dim):
+    chart = Chart(dim)
+    a, b = data.draw(ref_polys(dim)), data.draw(ref_polys(dim))
+    p, q = PolyScalar(chart, a), PolyScalar(chart, b)
+    assert p.terms == a and PolyScalar(chart, p.terms) == p
+    assert (p + q).terms == ref_add(a, b)
+    assert (p - q).terms == ref_add(a, {e: -c for e, c in b.items()})
+    assert (p * q).terms == ref_mul(a, b)
+    c = data.draw(rationals())
+    assert (p * c).terms == (c * p).terms == {e: v * c for e, v in a.items() if v * c}
+    k = data.draw(st.integers(0, 3))
+    assert (p**k).terms == ref_pow(a, k, dim)
+    for i in range(dim):
+        assert p.partial(i).terms == ref_partial(a, i)
+    d = data.draw(st.integers(0, dim - 1)) if dim else None  # p * q - q * dp/dx_d
+    fused = sum_of_products(chart, [(1, p, q, None), (-1, q, p, d)])
+    dp = a if d is None else ref_partial(a, d)
+    assert fused.terms == ref_add(ref_mul(a, b), {e: -v for e, v in ref_mul(b, dp).items()})
+    if dim:
+        src = Chart(data.draw(st.integers(0, 3)))
+        small = data.draw(ref_polys(dim, max_exp=2, max_terms=3))
+        subs = [data.draw(ref_polys(src.dim, max_exp=1, max_terms=3)) for _ in range(dim)]
+        got = PolyScalar(chart, small).compose([PolyScalar(src, s) for s in subs])
+        assert got.chart == src and got.terms == ref_compose(small, subs, src.dim)
+    # equal polynomials are equal structurally, however they were built
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 5))
+def test_exponent_guard_raises_instead_of_carrying(data, dim):
+    chart = Chart(dim)
+    i = data.draw(st.integers(0, dim - 1))
+    e1 = data.draw(st.integers(0, MAX_EXPONENT))
+    e2 = data.draw(st.integers(0, MAX_EXPONENT))
+    other = tuple(int(j != i) for j in range(dim))  # every neighbouring field holds 1
+
+    def mono(e):
+        return PolyScalar(chart, {tuple(e if j == i else other[j] for j in range(dim)): 1})
+
+    if e1 + e2 > MAX_EXPONENT:
+        with pytest.raises(DegreeError):
+            mono(e1) * mono(e2)
+    else:
+        want = tuple(e1 + e2 if j == i else 2 * other[j] for j in range(dim))
+        assert (mono(e1) * mono(e2)).terms == {want: 1}
+    with pytest.raises(DegreeError):
+        PolyScalar(chart, {tuple(MAX_EXPONENT + 1 if j == i else 0 for j in range(dim)): 1})
+    with pytest.raises(DegreeError):
+        chart.coordinate(i) ** (MAX_EXPONENT + 1)
+    assert (chart.coordinate(i) ** MAX_EXPONENT).terms == {
+        tuple(MAX_EXPONENT if j == i else 0 for j in range(dim)): 1}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_built_tensors_equal_their_validated_copies(dim, seed):
+    rng = random.Random(seed)
+    chart = Chart(dim)
+
+    def section():
+        return GeneralizedSection(random_vector(rng, chart), random_form(rng, chart, 1))
+
+    bracket = courant_bracket(section(), section())
+    X = random_vector(rng, chart)
+    built = [bracket.X, bracket.alpha,
+             lie_derivative(X, random_form(rng, chart, min(2, dim))),
+             lie_derivative(X, random_vector(rng, chart, min(2, dim)))]
+    for T in built:
+        again = type(T)(chart, T.degree, T.components)
+        assert T == again and T.components == again.components
+        assert all(p and p.chart == chart for p in T.components.values())
+        assert all(list(idx) == sorted(set(idx)) for idx in T.components)

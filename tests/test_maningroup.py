@@ -180,7 +180,7 @@ class TestDrinfeldBivector:
     def test_su2_fd_jacobi(self):
         triple, chart = iwasawa_su2()
         res = jacobiator_fd_residual(triple, chart, sample_chart_points(seed=5, count=4, scale=0.6))
-        assert res < 1e-5, res
+        assert res < 1e-10, res
 
     def test_dual_bivector_vanishes_at_unit(self):
         triple, chart = iwasawa_su2()
@@ -249,8 +249,8 @@ class TestEMap:
         z1, z2 = rng.standard_normal(6), rng.standard_normal(6)
         res = e_map_residuals(triple, chart, pts, z1, z2)
         assert res["metric"] < 1e-9, res
-        assert res["bracket"] < 1e-4, res
-        assert res["coframe_derivative"] < 1e-4, res
+        assert res["bracket"] < 1e-10, res
+        assert res["coframe_derivative"] < 1e-10, res
 
 
 class TestMultiplicativity:
@@ -274,7 +274,7 @@ class TestMultiplicativity:
             for _ in range(10)
         ]
         rep = verify_multiplicativity(triple, chart, pairs)
-        assert rep["max_residual"] < 1e-5, rep
+        assert rep["max_residual"] < 1e-10, rep
 
 
 class TestHomogeneousSpace:
