@@ -1,19 +1,21 @@
 """Numeric kernels: compiled polynomial evaluation, RK4 flows, quadrature.
 
-Flow convention: a vector field with coefficient functions a(x) generates the
-flow Phi_t whose trajectories solve dx/dt = -a(x).  For a time-dependent
-field the flow is defined through its action on functions,
-d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_T is the inverse of the
-forward solution map of dx/dt = +a(t, x), which is computed here by
-integrating dz/ds = -a(T-s, z) from s=0 to s=T.  For time-independent fields
-this reduces to dx/dt = -a(x).
+One compiler: `compile_tensors` lays out degree-1 and degree-2 tensors and
+time-polynomial families of them as the flat columns of one `PackedPolys`,
+which evaluates every column, and with partials=True every partial, from one
+monomial table and one matmul per call.  `PackedPolys` takes the
+coefficients from `PolyScalar.float_terms`; it never reads exponents itself.
 
-Both flows share one RK4 integrator whose right-hand side is a single
-callable returning the field and its Jacobian, (a, Da), from one evaluation;
-with the variational equations dJ = -Da J it writes -a and -Da J into one
-state-shaped buffer.  Polynomial fields, time-polynomial families and
-tensor entries are evaluated by PackedPolys: one monomial table and one
-matmul per call, values and partials together.
+One flow function: `flow_points(field, x0, t, config)` with
+field(x, tau) -> (a, Da), the `PackedPolys` call order.  A vector field with
+coefficient functions a(x) generates the flow Phi_t whose trajectories solve
+dx/dt = -a(x).  For a time-dependent field the flow is defined through its
+action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_t is
+the inverse of the forward solution map of dx/dtau = +a(tau, x), computed by
+integrating dz/ds = -a(z, t - s) from s = 0 to s = t.  A field that does not
+depend on time ignores tau, and this is dx/dt = -a(x).  The RK4 state carries
+the variational equations dJ/ds = -Da J: each right-hand side is one field
+call that writes -a and -Da J into one state-shaped buffer.
 """
 
 from __future__ import annotations
@@ -92,17 +94,15 @@ class PackedPolys:
                 polys.append((d, c, p))
                 if partials:
                     polys += [(d, w + c * dim + k, p.partial(k)) for k in range(dim)]
-        rows: dict = {}
-        for _, _, p in polys:
-            for e in p.terms:
-                rows.setdefault(e, len(rows))
         powers = sorted({d for d, _, _ in polys}) or [0]
+        rows: dict = {}
+        entries = [(powers.index(d), rows.setdefault(e, len(rows)), col, v)
+                   for d, col, p in polys for e, v in p.float_terms()]
         self.monomials = _MonomialTable(list(rows), dim)
         self.powers = np.array(powers, dtype=float) if powers != [0] else None
         coefs = np.zeros((len(powers), len(rows), w * (1 + dim) if partials else w))
-        for d, col, p in polys:
-            for e, v in p.terms.items():
-                coefs[powers.index(d), rows[e], col] = float(v)
+        for d, r, col, v in entries:
+            coefs[d, r, col] = v
         self.coefs = coefs[0] if self.powers is None else coefs
 
     def __call__(self, pts, t: float = 0.0):
@@ -119,52 +119,28 @@ class PackedPolys:
         return out[..., :w], out[..., w:].reshape(pts.shape[:-1] + (w, self.dim))
 
 
-def skew_columns(entries, n: int) -> list:
-    """Row-major columns of the antisymmetric n x n matrix whose (i, j) entry
-    (i < j) is the column entries[(i, j)]; absent entries are zero."""
-    cols = [{} for _ in range(n * n)]
-    for (i, j), col in entries.items():
-        cols[i * n + j] = col
-        cols[j * n + i] = {d: -p for d, p in col.items()}
-    return cols
+def compile_tensors(tensors, partials: bool = False) -> PackedPolys:
+    """One PackedPolys over the flat columns of each item, in order.
 
-
-class CompiledVectorField(PackedPolys):
-    """Compiled degree-1 field on R^n: its n components with their partials.
-
-    value_and_jacobian is one table evaluation and one matmul; the Jacobian
-    is row-major, [i, k] = d_k a_i.
+    An item is a degree-1 or degree-2 tensor on R^n, or a time family
+    sum_d t^d T_d given by `coeffs` {d: T_d} (such as TimePolyForm).  Degree 1
+    gives n columns; degree 2 gives the n * n row-major entries of the full
+    antisymmetric matrix.  All items share one chart dimension.
     """
-
-    __slots__ = ()
-
-    def __init__(self, field):
-        n = field.chart.dim
-        comps = field.components
-        super().__init__([{0: comps[(i,)]} if (i,) in comps else {} for i in range(n)],
-                         n, partials=True)
-
-    # values (..., n) and Jacobians (..., n, n) from one table evaluation
-    value_and_jacobian = PackedPolys.__call__
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return self(pts)[0]
-
-    def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        return self(pts)[1]
-
-
-def compile_bivector(pi_field):
-    """Compiled full antisymmetric component matrix of a bivector field."""
-    n = pi_field.chart.dim
-    packed = PackedPolys(skew_columns({idx: {0: p} for idx, p in pi_field.components.items()},
-                                      n), n)
-
-    def matrices(pts: np.ndarray) -> np.ndarray:
-        out = packed(pts)
-        return out.reshape(out.shape[:-1] + (n, n))
-
-    return matrices
+    n = tensors[0].chart.dim
+    columns = []
+    for item in tensors:
+        cols = [{} for _ in range(n ** item.degree)]
+        for d, T in (item.coeffs if hasattr(item, "coeffs") else {0: item}).items():
+            for idx, p in T.components.items():
+                if T.degree == 1:
+                    cols[idx[0]][d] = p
+                else:
+                    i, j = idx
+                    cols[i * n + j][d] = p
+                    cols[j * n + i][d] = -p
+        columns += cols
+    return PackedPolys(columns, n, partials)
 
 
 def gauss_legendre_01(order: int):
@@ -207,61 +183,39 @@ def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
         raise DomainEscapeError("trajectory left the admissible region", x[b])
 
 
-def _integrate(field_fn, x0, targets, config: FlowConfig, with_jacobian: bool):
-    """RK4 for dx/ds = -a(s, x) and, with the Jacobian, dJ/ds = -Da(s, x) J.
+def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
+    """Flow map Phi_t of the field with field(x, tau) -> (a, Da).
 
-    field_fn(s, x) returns (a, Da) on the batch.  Returns one (x, J) snapshot
-    per target time; targets run monotonically away from s = 0.
+    RK4 for dx/ds = -a(x, t - s) and dJ/ds = -Da(x, t - s) J from s = 0, J = I
+    (see the module docstring).  x0 may be a single point or a batch (B, n).
+    Returns (x, J) at time t, or, if record_times is given (running
+    monotonically away from 0), the list of (x, J) snapshots at those times.
     """
     single = np.ndim(x0) == 1
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B, n = x0.shape
     # state rows (x, J) with J row-major, J(0) = I
-    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1))]) if with_jacobian else x0.copy()
+    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1))])
 
     def rhs(s, y):
-        v, A = field_fn(s, y[:, :n])
-        if not with_jacobian:
-            return -v
+        v, A = field(y[:, :n], t - s)
         # value and A J written into one state-shaped buffer
         dy = np.empty_like(y)
         dy[:, :n] = v
         np.matmul(A, y[:, n:].reshape(-1, n, n), out=dy[:, n:].reshape(-1, n, n))
         return np.negative(dy, out=dy)
 
-    out = []
+    snaps = []
     s = 0.0
-    for target in targets:
+    for target in [t] if record_times is None else record_times:
         for h in _step_schedule(target - s, config.step):
             y = _rk4_step(rhs, y, s, h)
             s += h
             _check_escape(y, n, config.escape_norm)
         s = target
-        x, J = y[:, :n].copy(), y[:, n:].reshape(B, n, n).copy() if with_jacobian else None
-        out.append((x[0], None if J is None else J[0]) if single else (x, J))
-    return out
-
-
-def flow_points(field: CompiledVectorField, x0, t: float, config: FlowConfig,
-                with_jacobian: bool = True, record_times=None):
-    """Flow map Phi_t of a time-independent field (trajectories dx = -a dx).
-
-    x0 may be a single point or a batch (B, n).  Returns (x, J) at time t, or,
-    if record_times is given (monotone ascending in |t| direction), the list of
-    (x, J) snapshots at those times.
-    """
-    snaps = _integrate(lambda _s, x: field(x), x0,
-                       [t] if record_times is None else record_times, config, with_jacobian)
+        x, J = y[:, :n].copy(), y[:, n:].reshape(B, n, n).copy()
+        snaps.append((x[0], J[0]) if single else (x, J))
     return snaps[0] if record_times is None else snaps
-
-
-def flow_points_td(field_fn, x0, T: float, config: FlowConfig, with_jacobian: bool = True):
-    """Flow map Phi_T of a time-dependent field; field_fn(t, x) -> (a, Da).
-
-    Integrates dz/ds = -a(T-s, z) from s=0 to s=T, which realizes the inverse
-    of the forward solution map of dx/dt = +a(t,x); see the module docstring.
-    """
-    return _integrate(lambda s, x: field_fn(T - s, x), x0, [T], config, with_jacobian)[0]
 
 
 def orthonormal_basis(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:

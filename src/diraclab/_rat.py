@@ -13,30 +13,6 @@ def zeros(m, n):
     return [[Fraction(0)] * n for _ in range(m)]
 
 
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def matmul(a, b):
-    m, k, n = len(a), len(b), len(b[0])
-    out = zeros(m, n)
-    for i in range(m):
-        for l in range(k):
-            if a[i][l] == 0:
-                continue
-            ail = a[i][l]
-            for j in range(n):
-                out[i][j] += ail * b[l][j]
-    return out
-
-
-def matvec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -100,15 +76,6 @@ def solve(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]
     return x
-
-
-def inverse(a):
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 def in_span(columns, v):

@@ -93,10 +93,6 @@ class GeneralizedSection:
         return f"GeneralizedSection(X={self.X!r}, alpha={self.alpha!r})"
 
 
-def anchor(s: GeneralizedSection) -> PolyKVector:
-    return s.X
-
-
 def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> PolyScalar:
     """<X1 + a1, X2 + a2> = a1(X2) + a2(X1)."""
     if s1.chart != s2.chart:
@@ -335,7 +331,7 @@ def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> Poisso
         raise TransversalityError(
             "det(I + Pi W) is not a nonzero constant; symbolic gauge unavailable"
         )
-    c = d.terms[chart.zero_exp()]
+    c = d.evaluate_exact([0] * n)  # d is constant
     # adjugate: adj(A)_{ij} = (-1)^{i+j} det(minor_ji)
     adj = [[PolyScalar.zero(chart) for _ in range(n)] for _ in range(n)]
     for i in range(n):

@@ -3,9 +3,13 @@
 Coefficients are exact rationals, so algebraic identities are decided
 exactly: a bracket or differential either is the zero polynomial or it is
 not.  A polynomial stores integer numerators over one positive denominator,
-keyed by packed exponents (see `PolyScalar`); ``PolyScalar.terms`` is the
-``{exponent tuple: fractions.Fraction}`` view of it.  Floating point enters
-only through the ``evaluate_*`` / ``*_at_point`` boundaries.
+keyed by packed exponents (see `PolyScalar`).  This is the only module that
+reads or writes exponents: other modules move polynomials between charts
+with ``embed``/``restrict``, split them by degree with ``homogeneous_parts``
+and hand them to the numeric layer through ``float_terms``.
+``PolyScalar.terms`` is the read-only ``{exponent tuple: fractions.Fraction}``
+view, kept for readers outside the package.  Floating point enters only
+through ``float_terms`` and the ``evaluate_*`` / ``*_at_point`` boundaries.
 
 Conventions used throughout the package:
 
@@ -168,9 +172,6 @@ class Chart:
 
     def coordinates(self):
         return tuple(self.coordinate(i) for i in range(self.dim))
-
-    def zero_exp(self):
-        return (0,) * self.dim
 
 
 def cotangent_chart(n: int) -> Chart:
@@ -336,6 +337,42 @@ class PolyScalar:
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+
+    def float_terms(self) -> list:
+        """(exponent tuple, coefficient) pairs with each coefficient correctly
+        rounded to a float, as float(Fraction) rounds it."""
+        dim, den = self.chart.dim, self._den
+        return [(_unpack(k, dim), v / den) for k, v in self._num.items()]
+
+    # -- charts and degrees ----------------------------------------------------
+
+    def embed(self, chart: Chart) -> "PolyScalar":
+        """The same polynomial in the first coordinates of a chart of at least
+        this dimension."""
+        if chart.dim < self.chart.dim:
+            raise ShapeError(f"cannot embed dim {self.chart.dim} into dim {chart.dim}")
+        return PolyScalar._canonical(chart, self._num, self._den)
+
+    def restrict(self, chart: Chart) -> "PolyScalar":
+        """The reverse of `embed`: the polynomial on the first chart.dim
+        coordinates; DegreeError if a dropped coordinate occurs."""
+        if chart.dim > self.chart.dim:
+            raise ShapeError(f"cannot restrict dim {self.chart.dim} to dim {chart.dim}")
+        shift = _W * chart.dim
+        if any(k >> shift for k in self._num):
+            raise DegreeError(f"{self!r} depends on a coordinate past the first {chart.dim}")
+        return PolyScalar._canonical(chart, self._num, self._den)
+
+    def homogeneous_parts(self, first: int = 0) -> dict:
+        """{d: the part of degree d in the coordinates first, first + 1, ...};
+        the parts sum to the polynomial, and the zero polynomial has none."""
+        if not 0 <= first <= self.chart.dim:
+            raise ShapeError(f"first coordinate {first} out of range for dim {self.chart.dim}")
+        shift, rest = _W * first, self.chart.dim - first
+        parts: dict = {}
+        for k, v in self._num.items():
+            parts.setdefault(sum(_unpack(k >> shift, rest)), {})[k] = v
+        return {d: PolyScalar._canonical(self.chart, num, self._den) for d, num in parts.items()}
 
     # -- calculus ------------------------------------------------------------
 
@@ -721,8 +758,7 @@ class PolyMap:
         if f.chart != self.target:
             raise ChartMismatchError("scalar not on the target chart")
         if self.target.dim == 0:
-            c = f.terms.get((), Fraction(0))
-            return PolyScalar.constant(self.source, c)
+            return f.embed(self.source)
         return f.compose(self.components)
 
     def jacobian(self):

@@ -46,7 +46,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
 class MetrizedLieAlgebra:
     """Structure constants plus an invariant metric, all exact rationals."""
 
-    __slots__ = ("dim", "C", "B", "_tensor", "_Bnum")
+    __slots__ = ("dim", "C", "B", "_metric_rows", "_tensor", "_Bnum")
 
     def __init__(self, dim: int, C: dict, B):
         self.dim = dim
@@ -54,6 +54,8 @@ class MetrizedLieAlgebra:
         self.B = _rat.mat(B)
         if len(self.B) != dim or any(len(r) != dim for r in self.B):
             raise ShapeError("metric must be dim x dim")
+        # row i lists the nonzero entries (j, B[i][j])
+        self._metric_rows = [[(j, w) for j, w in enumerate(row) if w] for row in self.B]
         self._tensor = None
         self._Bnum = None
 
@@ -65,9 +67,8 @@ class MetrizedLieAlgebra:
         return out
 
     def pair(self, x, y) -> Fraction:
-        return sum(
-            x[i] * self.B[i][j] * y[j] for i in range(self.dim) for j in range(self.dim)
-        )
+        return sum((x[i] * w * y[j] for i, row in enumerate(self._metric_rows) if x[i]
+                    for j, w in row), Fraction(0))
 
     # numeric views ---------------------------------------------------------
 
@@ -112,10 +113,9 @@ def check_metrized(algebra: MetrizedLieAlgebra):
         return False, {"kind": "metric-degenerate"}
     # S(a, b, c) = B([e_a, e_b], e_c) + B(e_b, [e_a, e_c])
     #            = sum_m c_{ab}^m B[m][c] + c_{ac}^m B[b][m] must vanish
-    metric_rows = [[(r, w) for r, w in enumerate(row) if w] for row in B]
     sums: dict = {}
     for (p, q, m), v in algebra.C.items():
-        for r, w in metric_rows[m]:  # w = B[m][r] = B[r][m]: B is symmetric here
+        for r, w in algebra._metric_rows[m]:  # w = B[m][r] = B[r][m]: B is symmetric here
             accumulate(sums, (p, q, r), v * w)
             accumulate(sums, (q, p, r), -v * w)
             accumulate(sums, (p, r, q), v * w)

@@ -17,14 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import (
-    FlowConfig,
-    PackedPolys,
-    compile_bivector,
-    flow_points_td,
-    orthonormal_basis,
-    skew_columns,
-)
+from ._numeric import FlowConfig, compile_tensors, flow_points, orthonormal_basis
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -79,7 +72,15 @@ class PoissonBivector:
         return self.pi.evaluate_at(point)
 
     def compiled_matrix(self):
-        return compile_bivector(self.pi)
+        """Evaluator of the full antisymmetric matrix: points (..., n) -> (..., n, n)."""
+        n = self.chart.dim
+        packed = compile_tensors([self.pi])
+
+        def matrices(pts):
+            out = packed(pts)
+            return out.reshape(out.shape[:-1] + (n, n))
+
+        return matrices
 
     def __eq__(self, other):
         return isinstance(other, PoissonBivector) and self.pi == other.pi
@@ -230,15 +231,14 @@ def lie_poisson(c: Mapping, n: int, chart: Chart | None = None) -> PoissonBivect
 def extract_structure_constants(pi: PoissonBivector) -> dict:
     """Inverse of lie_poisson on fiberwise-linear bivectors (exact)."""
     n = pi.chart.dim
+    units = [[int(t == k) for t in range(n)] for k in range(n)]
     c: dict = {}
     for (i, j), p in pi.pi.components.items():
-        for exp, v in p.terms.items():
-            if sum(exp) != 1:
-                raise DegreeError(
-                    f"component ({i+1},{j+1}) is not linear: exponent {exp}"
-                )
-            k = exp.index(1)
-            c[(i, j, k)] = v
+        if set(p.homogeneous_parts()) != {1}:
+            raise DegreeError(f"component ({i+1},{j+1}) is not linear: {p!r}")
+        for k in range(n):
+            if v := p.evaluate_exact(units[k]):  # a linear p takes c_{ij}^k at e_k
+                c[(i, j, k)] = v
     return c
 
 
@@ -298,22 +298,13 @@ def algebroid_to_linear_poisson(A: LieAlgebroidData) -> PoissonBivector:
     """
     m, n = A.base.dim, A.rank
     chart = total_chart(A.base, n)
-
-    def lift(p: PolyScalar, fiber_exp=None) -> PolyScalar:
-        terms = {}
-        for exp, c in p.terms.items():
-            fe = (0,) * n if fiber_exp is None else fiber_exp
-            terms[tuple(exp) + fe] = c
-        return PolyScalar(chart, terms)
-
     comps: dict = {}
     for (i, j, k), c in A.constants.items():
-        fe = tuple(1 if t == k else 0 for t in range(n))
-        accumulate_signed(comps, (m + i, m + j), lift(c, fe))
+        accumulate_signed(comps, (m + i, m + j), c.embed(chart) * chart.coordinate(m + k))
     for i, a in enumerate(A.anchors):
         for (j,), aj in a.components.items():
             # d/dy_i ^ a_i^j d/dx_j = -a_i^j d/dx_j ^ d/dy_i
-            accumulate_signed(comps, (j, m + i), -lift(aj))
+            accumulate_signed(comps, (j, m + i), -aj.embed(chart))
     return from_components(chart, comps)
 
 
@@ -329,38 +320,28 @@ def linear_poisson_to_algebroid(pi: PoissonBivector, base_dim: int) -> LieAlgebr
     n = pi.chart.dim - m
     if n < 1:
         raise ShapeError("splitting leaves no fiber directions")
-    fiber_vars = tuple(range(m, m + n))
-    base = Chart(m, pi.chart.names[:m]) if m > 0 else Chart(0, ())
-
-    def project_base(p: PolyScalar) -> PolyScalar:
-        terms = {}
-        for exp, c in p.terms.items():
-            terms[tuple(exp[:m])] = c
-        return PolyScalar(base, terms)
-
+    base = Chart(m, pi.chart.names[:m])
     offending = []
     anchors_comp: dict = {}
     constants: dict = {}
-    for (i, j), p in pi.pi.components.items():
-        i_base, j_base = i < m, j < m
-        fdeg_terms = {sum(e[m:]) for e in p.terms}
-        if i_base and j_base:
+    for (i, j), p in pi.pi.components.items():  # i < j
+        fiber_degrees = set(p.homogeneous_parts(m))
+        if j < m:
             offending.append((i + 1, j + 1, "base-base component must vanish"))
-        elif i_base and not j_base:
-            if fdeg_terms - {0}:
+        elif i < m:
+            if fiber_degrees != {0}:
                 offending.append((i + 1, j + 1, "base-fiber component must be fiber-constant"))
                 continue
             # component (x_i, y_a) = -a_a^i
-            a = j - m
-            anchors_comp.setdefault(a, {})[(i,)] = -project_base(p)
+            anchors_comp.setdefault(j - m, {})[(i,)] = -p.restrict(base)
         else:
-            if fdeg_terms - {1}:
+            if fiber_degrees != {1}:
                 offending.append((i + 1, j + 1, "fiber-fiber component must be fiber-linear"))
                 continue
-            a, b = i - m, j - m
-            for exp, c in p.terms.items():
-                k = next(t for t in range(n) if exp[m + t] == 1)
-                accumulate(constants, (a, b, k), PolyScalar(base, {exp[:m]: c}))
+            # a fiber-linear p is sum_k c_k(x) y_k, and d p / d y_k = c_k(x)
+            for k in range(n):
+                if c := p.partial(m + k):
+                    constants[(i - m, j - m, k)] = c.restrict(base)
     if offending:
         raise DegreeError(f"bivector is not fiberwise linear for split {m}|{n}: {offending}")
     anchors = tuple(
@@ -423,7 +404,8 @@ def gauge_matrix_at(pi_mat: np.ndarray, omega_mat: np.ndarray, point=None) -> np
 
 
 class TimePolyForm:
-    """A k-form family polynomial in a time parameter: sum_d t^d alpha_d."""
+    """A family sum_d t^d alpha_d polynomial in a time parameter, of k-forms
+    or (for the Euler flow) of vector fields."""
 
     __slots__ = ("chart", "degree", "coeffs")
 
@@ -509,11 +491,11 @@ def moser_verify(
     for T in times:
         if T == 0.0:
             continue
-        x_end, J = flow_points_td(field, grid_arr, float(T), config)
-        P, _, _, A, _ = gauge(float(T), grid_arr)
+        x_end, J = flow_points(field, grid_arr, float(T), config)
+        P, _, _, A, _ = gauge(grid_arr, float(T))
         piT = np.linalg.solve(A, P)
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
-        target = gauge(0.0, x_end)[0]  # W_0 = 0, so this is pi0 at x_end
+        target = gauge(x_end, 0.0)[0]  # W_0 = 0, so this is pi0 at x_end
         res = np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1)
         b = int(res.argmax())
         if res[b] > worst[0]:
@@ -524,23 +506,18 @@ def moser_verify(
 def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
     """Evaluators of the gauge family and of X_t = pi_t^#(a_t).
 
-    gauge(t, pts) -> (Pi, W_t, a_t, A = I + Pi W_t, partials) from one packed
+    gauge(pts, t) -> (Pi, W_t, a_t, A = I + Pi W_t, partials) from one packed
     table evaluation, raising TransversalityError where |det A| < 1e-12;
-    field(t, pts) -> (X_t, DX_t) with the exact Jacobian of moser_verify.
+    field(pts, t) -> (X_t, DX_t) with the exact Jacobian of moser_verify.
     """
     n = pi0.chart.dim
     nn = n * n
     omega_t = a_t.exterior_derivative().time_integral()  # omega_t = -int d a_s
-    a_cols = _time_columns(a_t)
-    packed = PackedPolys(
-        skew_columns({idx: {0: p} for idx, p in pi0.pi.components.items()}, n)
-        + skew_columns(_time_columns(omega_t), n)
-        + [a_cols.get((i,), {}) for i in range(n)],
-        n, partials=True)
+    packed = compile_tensors([pi0.pi, omega_t, a_t], partials=True)
     eye = np.eye(n)
 
-    def gauge(t, pts):
-        """Pi, W_t, a_t, A = I + Pi W_t and the partials at (t, pts)."""
+    def gauge(pts, t):
+        """Pi, W_t, a_t, A = I + Pi W_t and the partials at (pts, t)."""
         vals, parts = packed(pts, t)
         P = vals[:, :nn].reshape(-1, n, n)
         W = vals[:, nn:2 * nn].reshape(-1, n, n)
@@ -551,9 +528,9 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
             raise TransversalityError(f"gauge family degenerate at t={t}", pts[b])
         return P, W, vals[:, 2 * nn:], A, parts
 
-    def field(t, pts):
+    def field(pts, t):
         # X_t = pi_t^#(a_t) = Pi^T u with u = A^{-T} a, and its exact Jacobian
-        P, W, a, A, parts = gauge(t, pts)
+        P, W, a, A, parts = gauge(pts, t)
         dP = parts[:, :nn].reshape(-1, n, n, n)  # [i, j, k] = d_k Pi^{ij}
         dW = parts[:, nn:2 * nn].reshape(-1, n, n, n)
         AT = np.swapaxes(A, 1, 2)
@@ -566,15 +543,6 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
         return X, dPu + np.swapaxes(P, 1, 2) @ du
 
     return gauge, field
-
-
-def _time_columns(family: TimePolyForm) -> dict:
-    """{component index: {time power: coefficient}} of a time-polynomial form."""
-    out: dict = {}
-    for d, form in family.coeffs.items():
-        for idx, p in form.components.items():
-            out.setdefault(idx, {})[d] = p
-    return out
 
 
 # -- Euler-like linearization ----------------------------------------------------
@@ -615,25 +583,23 @@ def euler_linearize(
     chart = X.chart
     n = chart.dim
     # split X = linear part + Z; demand linear part == Euler field, Z >= quadratic.
-    # Z_t(x) = Z(tx)/t^2: a monomial of total degree d picks up the factor t^(d-2)
-    columns = []
+    # Z_t(x) = Z(tx)/t^2: the part of degree d picks up the factor t^(d-2)
+    by_power: dict = {}
     for j in range(n):
-        p = X.components.get((j,), PolyScalar.zero(chart))
-        lin = {e: c for e, c in p.terms.items() if sum(e) <= 1}
-        want = {tuple(1 if i == j else 0 for i in range(n)): Fraction(1)}
-        if lin != want:
+        parts = X.components.get((j,), PolyScalar.zero(chart)).homogeneous_parts()
+        if 0 in parts or parts.get(1) != chart.coordinate(j):
             raise PreconditionError(
                 f"component {j+1}: linear part is not the Euler field"
             )
-        by_power: dict = {}
-        for e, c in p.terms.items():
-            if sum(e) >= 2:
-                by_power.setdefault(sum(e) - 2, {})[e] = c
-        columns.append({d: PolyScalar(chart, terms) for d, terms in by_power.items()})
-    Z_t = PackedPolys(columns, n, partials=True)
+        for d, q in parts.items():
+            if d >= 2:
+                by_power.setdefault(d - 2, {})[(j,)] = q
+    family = {d: PolyKVector(chart, 1, comps) for d, comps in by_power.items()}
+    Z_t = compile_tensors([TimePolyForm(family or {0: PolyKVector(chart, 1, {})})],
+                          partials=True)
 
     pts = np.array([list(map(float, p)) for p in sample_points])
-    images, J = flow_points_td(lambda t, x: Z_t(x, t), pts, 1.0, config)
+    images, J = flow_points(Z_t, pts, 1.0, config)
     Xvals = np.array([[X.components.get((j,), PolyScalar.zero(chart)).evaluate(p)
                        for j in range(n)] for p in pts])
     pushed = np.einsum("bij,bj->bi", J, Xvals)

@@ -34,9 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._numeric import (
-    CompiledVectorField,
     FlowConfig,
     PackedPolys,
+    compile_tensors,
     flow_points,
     gauss_legendre_01,
     nullspace_basis,
@@ -48,20 +48,20 @@ from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_c
 from .poisson import PoissonBivector
 
 
+QUAD_ORDER = 8  # Gauss-Legendre nodes of the s-integral of omega
+
+
 @dataclass(frozen=True)
 class RealizationConfig:
-    """Integrator step, quadrature order for the s-integral, and p-ball radius."""
+    """Integrator step, p-ball radius and escape norm of the spray flow."""
 
     step: float = 1e-3
-    quad_order: int = 8
     radius: float = 1.0
     escape_norm: float = 1e3
 
     def __post_init__(self):
         if self.step <= 0:
             raise ShapeError("step must be positive")
-        if self.quad_order < 1:
-            raise ShapeError("quadrature order must be >= 1")
 
     def flow(self) -> FlowConfig:
         return FlowConfig(step=self.step, escape_norm=self.escape_norm)
@@ -85,25 +85,13 @@ class SprayField:
                 raise ChartMismatchError("gamma coefficients live on the base chart")
             accumulate(sym, (min(i, j), max(i, j), k), g)
 
-        def lift(p: PolyScalar, extra_exp) -> PolyScalar:
-            terms = {}
-            for exp, c in p.terms.items():
-                terms[tuple(exp) + (0,) * n] = c
-            out = PolyScalar(chart, terms)
-            if extra_exp is not None:
-                out = out * PolyScalar.monomial(chart, extra_exp)
-            return out
-
         M, momenta = pi.component_matrix(), chart.coordinates()[n:]
-        comps = {(j,): sum_of_products(chart, [(1, lift(M[i][j], None), momenta[i], None)
+        comps = {(j,): sum_of_products(chart, [(1, M[i][j].embed(chart), momenta[i], None)
                                                for i in range(n) if M[i][j]])
                  for j in range(n)}
         for (i, j, k), g in sym.items():
-            pp = [0] * n
-            pp[i] += 1
-            pp[j] += 1
             weight = Fraction(1) if i != j else Fraction(1, 2)
-            accumulate(comps, (n + k,), lift(g, (0,) * n + tuple(pp)) * weight)
+            accumulate(comps, (n + k,), g.embed(chart) * momenta[i] * momenta[j] * weight)
         X = PolyKVector(chart, 1, comps)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "gamma", sym)
@@ -118,41 +106,28 @@ class SprayField:
     def base_dim(self) -> int:
         return self.pi.chart.dim
 
-    def compiled(self) -> CompiledVectorField:
+    def compiled(self) -> PackedPolys:
+        """The field's components and their partials: x -> (a, Da)."""
         if self._compiled is None:
-            object.__setattr__(self, "_compiled", CompiledVectorField(self.field))
+            object.__setattr__(self, "_compiled", compile_tensors([self.field], partials=True))
         return self._compiled
 
     def check_homogeneity(self) -> bool:
         """q-components of fiber degree exactly 1, p-components exactly 2."""
         n = self.base_dim
-        fiber = tuple(range(n, 2 * n))
-        for (j,), p in self.field.components.items():
-            want = 1 if j < n else 2
-            degs = {sum(e[n:]) for e in p.terms}
-            if degs - {want}:
-                return False
-        return True
+        return all(set(p.homogeneous_parts(n)) == {1 if j < n else 2}
+                   for (j,), p in self.field.components.items())
 
     def check_projection(self) -> bool:
         """(T tau) X = pi^#(p) as an exact polynomial identity."""
         n = self.base_dim
         M = self.pi.component_matrix()
         chart = self.chart
-        for j in range(n):
-            got = self.field.components.get((j,), PolyScalar.zero(chart))
-            want = PolyScalar.zero(chart)
-            for i in range(n):
-                if M[i][j].is_zero():
-                    continue
-                terms = {}
-                for exp, c in M[i][j].terms.items():
-                    pe = tuple(1 if t == i else 0 for t in range(n))
-                    terms[tuple(exp) + pe] = c
-                want = want + PolyScalar(chart, terms)
-            if got != want:
-                return False
-        return True
+        momenta = chart.coordinates()[n:]
+        zero = PolyScalar.zero(chart)
+        return all(self.field.components.get((j,), zero)
+                   == sum((M[i][j].embed(chart) * momenta[i] for i in range(n)), zero)
+                   for j in range(n))
 
 
 def default_spray(pi: PoissonBivector) -> SprayField:
@@ -184,7 +159,7 @@ def _backward_pass(spray: SprayField, points: np.ndarray, config: RealizationCon
     W and the last snapshot (x, J).
     """
     n = spray.base_dim
-    nodes, weights = gauss_legendre_01(config.quad_order)
+    nodes, weights = gauss_legendre_01(QUAD_ORDER)
     order = np.argsort(nodes)
     times = [-float(nodes[i]) for i in order] + ([-1.0] if through_one else [])
     snaps = flow_points(spray.compiled(), points, -1.0, config.flow(), record_times=times)
@@ -395,9 +370,7 @@ def _covector_field(spray, alpha: PolyKForm):
         raise PreconditionError("invariant fields are built from 1-forms")
     if alpha.chart != spray.pi.chart:
         raise ChartMismatchError("1-form must live on the base chart")
-    comps = alpha.components
-    return PackedPolys([{0: comps[(i,)]} if (i,) in comps else {}
-                        for i in range(spray.base_dim)], spray.base_dim)
+    return compile_tensors([alpha])
 
 
 def _lr_fields(alpha_at, W, s_val, t_val, ds, dt):
@@ -407,17 +380,6 @@ def _lr_fields(alpha_at, W, s_val, t_val, ds, dt):
     aL = -np.linalg.solve(W, sa[..., None])[..., 0]
     aR = -np.linalg.solve(W, ta[..., None])[..., 0]
     return aL, aR
-
-
-def lr_field_values(spray, alpha: PolyKForm, points, config: RealizationConfig = RealizationConfig()):
-    """Values of alpha^L = -pi_P^#(s^* alpha) and alpha^R = -pi_P^#(t^* alpha).
-
-    pi_P^#(mu) = W^{-1} mu with our conventions, so alpha^L = -W^{-1} s^*alpha.
-    """
-    alpha_at = _covector_field(spray, alpha)
-    W, s_val, t_val, ds, dt = batch = _realization_batch(spray, points, config)
-    aL, aR = _lr_fields(alpha_at, *batch)
-    return aL, aR, W, (s_val, t_val, ds, dt)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,46 @@
+"""The package's layering, checked on its source with `ast`.
+
+`fields.py` is the only module that reads the polynomial format: every other
+module goes through `PolyScalar` operations (`embed`, `restrict`,
+`homogeneous_parts`, `float_terms`, `evaluate_exact`).  The numeric layer has
+one tensor compiler (`compile_tensors`) and one flow function (`flow_points`);
+the adapters and the second flow function they replaced stay gone.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diraclab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns"}
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_modules_found():
+    assert {"fields.py", "_numeric.py", "poisson.py"} <= {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "fields.py"],
+                         ids=lambda m: m.name)
+def test_only_fields_reads_terms(path):
+    reads = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert not reads, f"{path.name} reads .terms at lines {reads}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_replaced_names_stay_gone(path):
+    defined = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.alias):
+            defined.add(node.asname or node.name)
+    assert not defined & REPLACED, f"{path.name} defines {sorted(defined & REPLACED)}"

@@ -360,6 +360,43 @@ def test_kernel_matches_fraction_reference(data, dim):
     assert (p + q) - q == p and hash((p + q) - q) == hash(p)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(0, 5))
+def test_chart_moves_match_fraction_reference(data, dim):
+    """embed, restrict, homogeneous_parts and float_terms against plain
+    {exponent tuple: Fraction} dicts."""
+    chart = Chart(dim)
+    a = data.draw(ref_polys(dim))
+    p = PolyScalar(chart, a)
+    extra = data.draw(st.integers(0, 3))
+    big = Chart(dim + extra)
+    up = p.embed(big)
+    assert up.chart == big and up.terms == {e + (0,) * extra: c for e, c in a.items()}
+    assert up.restrict(chart) == p and hash(up.restrict(chart)) == hash(p)
+    first = data.draw(st.integers(0, dim))
+    parts = p.homogeneous_parts(first)
+    want: dict = {}
+    for e, c in a.items():
+        want.setdefault(sum(e[first:]), {})[e] = c
+    assert {d: q.terms for d, q in parts.items()} == want
+    assert sum(parts.values(), PolyScalar.zero(chart)) == p
+    assert all(q.chart == chart for q in parts.values())
+    assert sorted(p.float_terms()) == sorted((e, float(c)) for e, c in a.items())
+    # restrict drops coordinates only where they do not occur
+    keep = data.draw(st.integers(0, dim))
+    small = Chart(keep)
+    if any(any(e[keep:]) for e in a):
+        with pytest.raises(DegreeError):
+            p.restrict(small)
+    else:
+        assert p.restrict(small).terms == {e[:keep]: c for e, c in a.items()}
+    if dim:
+        with pytest.raises(ShapeError):
+            p.embed(Chart(dim - 1))
+    with pytest.raises(ShapeError):
+        p.restrict(big if extra else Chart(dim + 1))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), dim=st.integers(1, 5))
 def test_exponent_guard_raises_instead_of_carrying(data, dim):

@@ -339,11 +339,6 @@ class TestRationalLinearAlgebra:
         inter = _rat.span_intersection(a, b)
         assert _rat.span_equal(inter, [[0, Fraction(1), 0]])
 
-    def test_inverse(self):
-        A = _rat.mat([[2, 1], [1, 1]])
-        Ainv = _rat.inverse(A)
-        assert _rat.matmul(A, Ainv) == _rat.identity(2)
-
 
 class TestDualSemidirectIsLiePoisson:
     """Independent cross-check of the whole group-chart chain.

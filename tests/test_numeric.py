@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diraclab import _numeric
-from diraclab._numeric import FlowConfig, PackedPolys, compile_bivector, skew_columns
+from diraclab._numeric import FlowConfig, PackedPolys, compile_tensors
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.poisson import (
     TimePolyForm,
@@ -16,7 +16,7 @@ from diraclab.poisson import (
     so3_constants,
 )
 
-from conftest import random_poly, random_vector
+from conftest import random_form, random_poly, random_vector
 
 TIMES = (0.0, 0.3, -0.7)
 
@@ -74,25 +74,42 @@ class TestPackedPolys:
             assert np.array_equal(v, np.zeros((5, len(cols))))
             assert np.array_equal(D, np.zeros((5, len(cols), 2)))
 
+
+class TestCompileTensors:
+    @staticmethod
+    def dense(T, x):
+        """Full component array of a 1-form or bivector by PolyScalar.evaluate."""
+        n = T.chart.dim
+        out = np.zeros((n,) * T.degree)
+        for idx, p in T.components.items():
+            out[idx] = p.evaluate(x)
+            if T.degree == 2:
+                out[idx[::-1]] = -out[idx]
+        return out
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_skew_columns_match_entrywise_bivector(self, seed):
+    def test_compile_tensors_match_exact_components(self, seed):
+        # a 1-form, a bivector and a two-power 1-form family, laid out in order
         rng = random.Random(seed)
         chart = Chart(4)
+        alpha = random_form(rng, chart, 1)
         pi = random_vector(rng, chart, degree=2)
+        family = TimePolyForm({0: random_form(rng, chart, 1), 2: random_form(rng, chart, 1)})
+        packed = compile_tensors([alpha, pi, family])
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(6, 4))
-        # reference: one scalar evaluation per entry, scattered into the matrix
-        ref = np.zeros((6, 4, 4))
-        for (i, j), p in pi.components.items():
-            v = np.array([p.evaluate(x) for x in pts])
-            ref[:, i, j] = v
-            ref[:, j, i] = -v
-        got = compile_bivector(pi)(pts)
-        assert got.shape == (6, 4, 4)
-        assert np.array_equal(got, -np.swapaxes(got, 1, 2))
-        assert np.abs(got - ref).max() < 1e-13
-        cols = skew_columns({idx: {0: p} for idx, p in pi.components.items()}, 4)
-        flat = PackedPolys(cols, 4)(pts)
-        assert np.array_equal(flat.reshape(6, 4, 4), got)
+        for t in TIMES:
+            got = packed(pts, t)
+            assert got.shape == (6, 4 + 16 + 4)
+            bivectors = got[:, 4:20].reshape(6, 4, 4)
+            assert np.array_equal(bivectors, -np.swapaxes(bivectors, 1, 2))
+            for b, x in enumerate(pts):
+                a_t = sum(t**d * self.dense(f, x) for d, f in family.coeffs.items())
+                ref = np.concatenate([self.dense(alpha, x), self.dense(pi, x).ravel(), a_t])
+                assert np.abs(got[b] - ref).max() < 1e-13
+        # the bivector alone is what compiled_matrix reshapes
+        matrices = from_components(chart, pi.components).compiled_matrix()(pts)
+        assert np.array_equal(matrices, compile_tensors([pi])(pts).reshape(6, 4, 4))
+        assert np.array_equal(matrices, bivectors)
 
 
 class CountingTable:

@@ -400,11 +400,11 @@ class TestEulerLinearize:
         X = self.euler_plus({(0,): x * x})
         pts = np.array(self.ball_samples(k=6))
         rep = euler_linearize(X, pts, FlowConfig(step=1e-3))
-        from diraclab._numeric import CompiledVectorField, FlowConfig as FC, flow_points
+        from diraclab._numeric import FlowConfig as FC, compile_tensors, flow_points
 
-        cf = CompiledVectorField(X)
+        cf = compile_tensors([X], partials=True)
         t = 0.37
-        moved, _ = flow_points(cf, pts, t, FC(step=1e-3), with_jacobian=False)
+        moved, _ = flow_points(cf, pts, t, FC(step=1e-3))
         rep2 = euler_linearize(X, moved, FlowConfig(step=1e-3))
         assert np.abs(rep2.images - np.exp(-t) * rep.images).max() < 1e-6
 
@@ -475,11 +475,11 @@ class TestMoserAnalyticField:
             for k in range(n):
                 e = np.zeros(n)
                 e[k] = step
-                cols.append((field(t, pts + e)[0] - field(t, pts - e)[0]) / (2 * step))
+                cols.append((field(pts + e, t)[0] - field(pts - e, t)[0]) / (2 * step))
             return np.stack(cols, axis=-1)
 
         for t in (0.4, -0.3):
-            X, DX = field(t, pts)
+            X, DX = field(pts, t)
             assert X.shape == (5, n) and DX.shape == (5, n, n)
             ref = np.array([self.pointwise_field(pi0, a_t, t, x) for x in pts])
             assert np.abs(X - ref).max() < 1e-13
