@@ -14,12 +14,21 @@ action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_t is
 the inverse of the forward solution map of dx/dtau = +a(tau, x), computed by
 integrating dz/ds = -a(z, t - s) from s = 0 to s = t.  A field that does not
 depend on time ignores tau, and this is dx/dt = -a(x).  The RK4 state carries
-the variational equations dJ/ds = -Da J: each right-hand side is one field
-call that writes -a and -Da J into one state-shaped buffer.
+the variational equations dJ/ds = -Da J.  A call allocates once the state, one
+stage input and the (4, B, m + m^2) stage derivatives; each stage is one field
+call that writes a and Da J, unnegated, into its slot.  The sign of dz/ds is
+folded into the stage offsets and weights, and the update is one
+(4,) @ (4, B (m + m^2)) contraction added into the state in place.
+
+The linear-algebra helpers take one matrix or a stack.  A rank mask (singular
+values above tol times the largest) selects directions, so matrices of
+different rank share one LAPACK call: one matrix gives the selected columns,
+a stack keeps every column and zeroes the unselected ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +158,7 @@ def gauss_legendre_01(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _rk4_step(f, y, t, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
 
 def _step_schedule(duration: float, h: float):
@@ -174,13 +178,13 @@ def _step_schedule(duration: float, h: float):
 def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
     """Raise DomainEscapeError if the state is not finite or x left the ball."""
     # one reduction: a non-finite entry makes the sum non-finite
-    if not np.isfinite(y.sum()) and not np.all(np.isfinite(y)):
+    if not math.isfinite(y.sum()) and not np.all(np.isfinite(y)):
         raise DomainEscapeError("trajectory diverged", None)
     x = y[:, :n]
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    if norms.max() > escape_norm:
-        b = int(norms.argmax())
-        raise DomainEscapeError("trajectory left the admissible region", x[b])
+    sq = np.einsum("ij,ij->i", x, x)
+    # sqrt is monotone, so the largest norm is the root of the largest square
+    if math.sqrt(sq.max()) > escape_norm:
+        raise DomainEscapeError("trajectory left the admissible region", x[int(sq.argmax())])
 
 
 def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
@@ -194,57 +198,77 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
     single = np.ndim(x0) == 1
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B, n = x0.shape
-    # state rows (x, J) with J row-major, J(0) = I
+    # state rows (x, J) with J row-major, J(0) = I; the stage input; the
+    # stage derivatives (a, Da J); and the (x, J) views of each
     y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1))])
-
-    def rhs(s, y):
-        v, A = field(y[:, :n], t - s)
-        # value and A J written into one state-shaped buffer
-        dy = np.empty_like(y)
-        dy[:, :n] = v
-        np.matmul(A, y[:, n:].reshape(-1, n, n), out=dy[:, n:].reshape(-1, n, n))
-        return np.negative(dy, out=dy)
+    ys = np.empty_like(y)
+    K = np.empty((4,) + y.shape)
+    (x, J), (xs, Js), *slots = [(b[:, :n], b[:, n:].reshape(B, n, n)) for b in (y, ys, *K)]
+    flat_update, flat_K = ys.reshape(-1), K.reshape(4, -1)
 
     snaps = []
     s = 0.0
     for target in [t] if record_times is None else record_times:
         for h in _step_schedule(target - s, config.step):
-            y = _rk4_step(rhs, y, s, h)
+            for k, (ka, kJ) in enumerate(slots):
+                if k == 0:
+                    xin, Jin, tau = x, J, t - s
+                else:
+                    c = h if k == 3 else 0.5 * h
+                    np.multiply(K[k - 1], -c, out=ys)  # dz/ds = -K
+                    ys += y
+                    xin, Jin, tau = xs, Js, t - (s + c)
+                a, Da = field(xin, tau)
+                ka[...] = a
+                np.matmul(Da, Jin, out=kJ)
+            np.dot(RK4_WEIGHTS * (-h / 6.0), flat_K, out=flat_update)
+            y += ys
             s += h
             _check_escape(y, n, config.escape_norm)
         s = target
-        x, J = y[:, :n].copy(), y[:, n:].reshape(B, n, n).copy()
-        snaps.append((x[0], J[0]) if single else (x, J))
+        snaps.append((x[0].copy(), J[0].copy()) if single else (x.copy(), J.copy()))
     return snaps[0] if record_times is None else snaps
+
+
+def _selected(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Columns of `basis` flagged by `keep`: sliced for one matrix, masked to
+    zero in a stack."""
+    return basis[:, keep] if basis.ndim == 2 else basis * keep[..., None, :]
 
 
 def orthonormal_basis(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span, via SVD with relative threshold."""
     A = np.atleast_2d(np.asarray(columns, dtype=float))
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
     U, S, _ = np.linalg.svd(A, full_matrices=False)
-    if S.size == 0 or S[0] == 0.0:
-        return np.zeros((A.shape[0], 0))
-    r = int(np.sum(S > tol * S[0]))
-    return U[:, :r]
+    # S is sorted, so S_0 = 0 keeps nothing
+    return _selected(U, S > tol * S[..., :1])
 
 
-def span_residual(cols_a: np.ndarray, cols_b: np.ndarray) -> float:
+def span_residual(cols_a: np.ndarray, cols_b: np.ndarray):
     """Operator-norm distance of the orthogonal projectors of two spans."""
-    Qa = orthonormal_basis(cols_a)
-    Qb = orthonormal_basis(cols_b)
-    na = np.zeros((cols_a.shape[0],) * 2)
-    Pa = Qa @ Qa.T if Qa.size else na
-    Pb = Qb @ Qb.T if Qb.size else na
-    return float(np.linalg.norm(Pa - Pb, 2))
+    Qa, Qb = orthonormal_basis(cols_a), orthonormal_basis(cols_b)
+    D = Qa @ np.swapaxes(Qa, -1, -2) - Qb @ np.swapaxes(Qb, -1, -2)
+    r = np.linalg.svd(D, compute_uv=False)[..., 0]
+    return float(r) if r.ndim == 0 else r
 
 
 def nullspace_basis(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the kernel, via full SVD with relative threshold."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, S, Vt = np.linalg.svd(A)
-    if S.size and S[0] > 0:
-        r = int(np.sum(S > tol * S[0]))
-    else:
-        r = 0
-    return Vt[r:].T
+    # the rows of Vt past the rank; S_0 = 0 means rank 0
+    keep = np.ones(Vt.shape[:-1], dtype=bool)
+    keep[..., : S.shape[-1]] = ~(S > tol * S[..., :1])
+    return _selected(np.swapaxes(Vt, -1, -2), keep)
+
+
+def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """Columns spanning {(w, J^T forms c) : J w = vectors c} for a differential J.
+
+    This is the pullback along J of the Lagrangian fiber spanned by the
+    columns of (vectors, forms); it takes one matrix or a stack.
+    """
+    K = nullspace_basis(np.concatenate([J, -vectors], axis=-1))
+    k = J.shape[-1]
+    nu = np.swapaxes(J, -1, -2) @ (forms @ K[..., k:, :])
+    return np.concatenate([K[..., :k, :], nu], axis=-2)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import nullspace_basis, orthonormal_basis
+from ._numeric import orthonormal_basis, pullback_fiber
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -365,13 +365,7 @@ def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarr
             "anchor of the frame plus the map differential do not span the target",
             point,
         )
-    # solve J w = vectors c for (w, c)
-    A = np.column_stack([J, -vectors])
-    K = nullspace_basis(A)
-    w = K[:k, :]
-    c = K[k:, :]
-    nu = J.T @ (forms @ c)
-    basis = orthonormal_basis(np.vstack([w, nu]))
+    basis = orthonormal_basis(pullback_fiber(J, vectors, forms))
     if basis.shape[1] != k:
         raise AssertionError(
             f"pullback fiber has dimension {basis.shape[1]}, expected {k}"

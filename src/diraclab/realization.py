@@ -23,7 +23,9 @@ the backward flow; this sign is load-bearing and pinned by a regression test.
 All of this lives on one backward trajectory per point: the verifiers make a
 single batched pass of the flow that records the Gauss nodes -s of the
 quadrature and then t = -1, so omega, s, t and their differentials come from
-one integration per sample batch.
+one integration per sample batch.  The certification is batched as well:
+verify_dual_pair stacks the kernels, pullback fibers and projector distances
+of all points into a fixed number of SVD calls, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from ._numeric import (
     flow_points,
     gauss_legendre_01,
     nullspace_basis,
+    pullback_fiber,
     span_residual,
 )
 from .errors import ChartMismatchError, PreconditionError, ShapeError
@@ -163,13 +166,10 @@ def _backward_pass(spray: SprayField, points: np.ndarray, config: RealizationCon
     order = np.argsort(nodes)
     times = [-float(nodes[i]) for i in order] + ([-1.0] if through_one else [])
     snaps = flow_points(spray.compiled(), points, -1.0, config.flow(), record_times=times)
-    rank = np.argsort(order)
-    Wc = canonical_symplectic_matrix(n)
-    W = np.zeros((len(points), 2 * n, 2 * n))
-    for i, w in enumerate(weights):
-        J_s = snaps[rank[i]][1]
-        W += w * np.einsum("bji,jk,bkl->bil", J_s, Wc, J_s)
-    return 0.5 * (W - np.transpose(W, (0, 2, 1))), snaps[-1]
+    # J^T W_can J = J_q^T J_p - J_p^T J_q at every node, summed with weights
+    Js = np.stack([snaps[r][1] for r in np.argsort(order)])
+    S = np.tensordot(weights, np.swapaxes(Js[..., :n, :], -1, -2) @ Js[..., n:, :], 1)
+    return S - np.swapaxes(S, 1, 2), snaps[-1]
 
 
 def _source_target(points, x1, J1, n: int):
@@ -296,23 +296,6 @@ class DualPairReport:
         }
 
 
-def _graph_fiber(P_mat: np.ndarray) -> np.ndarray:
-    """Columns spanning {(Pi^T mu, mu)} in R^{2m}."""
-    m = P_mat.shape[0]
-    return np.vstack([P_mat.T, np.eye(m)])
-
-
-def _pullback_fiber(J: np.ndarray, graph: np.ndarray) -> np.ndarray:
-    """{(w, J^T mu): J w = v, (v, mu) in graph} for a submersion differential J."""
-    m, twon = J.shape
-    V, F = graph[:m], graph[m:]
-    A = np.column_stack([J, -V])
-    K = nullspace_basis(A)
-    w = K[:twon, :]
-    mu = F @ K[twon:, :]
-    return np.vstack([w, J.T @ mu])
-
-
 def verify_dual_pair(
     spray: SprayField,
     points,
@@ -335,17 +318,14 @@ def verify_dual_pair(
     r1t = np.abs(dt @ piP @ dt.transpose(0, 2, 1) - Pt).max(axis=(1, 2))
     r1s = np.abs(ds @ piP @ ds.transpose(0, 2, 1) + Ps).max(axis=(1, 2))
     n2 = W.shape[1]
-    rows = []
-    for b in range(len(points)):
-        kt = nullspace_basis(dt[b])
-        ks = nullspace_basis(ds[b])
-        r2 = np.abs(kt.T @ W[b] @ ks).max() if kt.size and ks.size else 0.0
-        tgt = _pullback_fiber(dt[b], _graph_fiber(Pt[b]))
-        sgt = _pullback_fiber(ds[b], _graph_fiber(Ps[b]))
-        gauged = tgt.copy()
-        gauged[n2:] += W[b].T @ tgt[:n2]
-        rows.append((max(r1t[b], r1s[b]), r2, span_residual(gauged, sgt)))
-    res = np.array(rows)
+    kt, ks = nullspace_basis(dt), nullspace_basis(ds)
+    r2 = np.abs(np.swapaxes(kt, 1, 2) @ W @ ks).max(axis=(1, 2))
+    # the fibers of Gr(pi) are {(Pi^T mu, mu)}
+    eye = np.eye(Pt.shape[1])
+    gauged = pullback_fiber(dt, np.swapaxes(Pt, 1, 2), eye)
+    gauged[:, n2:] += np.swapaxes(W, 1, 2) @ gauged[:, :n2]
+    sgt = pullback_fiber(ds, np.swapaxes(Ps, 1, 2), eye)
+    res = np.column_stack([np.maximum(r1t, r1s), r2, span_residual(gauged, sgt)])
 
     def crit(name, col):
         b = int(res[:, col].argmax())

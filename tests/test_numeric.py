@@ -159,3 +159,179 @@ class TestOneTablePerRhs:
         counter = CountingTable(monkeypatch)
         moser_verify(pi0, a, times, grid, FlowConfig(step=0.05))
         assert counter.calls <= sum(4 * rk4_steps(T, 0.05) + 2 for T in times)
+
+
+def textbook_flow(field, x0, t, step, record_times):
+    """Allocating RK4 on the (x, J) state: y + h/6 (k1 + 2 k2 + 2 k3 + k4),
+    with dz/ds = -a(z, t - s), dJ/ds = -Da J, on the integrator's schedule."""
+    B, n = x0.shape
+
+    def rhs(s, y):
+        a, Da = field(y[0], t - s)
+        return -a, -(Da @ y[1])
+
+    def shifted(y, c, k):
+        return tuple(u + c * v for u, v in zip(y, k))
+
+    y, s, snaps = (x0.copy(), np.tile(np.eye(n), (B, 1, 1))), 0.0, []
+    for target in record_times:
+        for h in _numeric._step_schedule(target - s, step):
+            k1 = rhs(s, y)
+            k2 = rhs(s + 0.5 * h, shifted(y, 0.5 * h, k1))
+            k3 = rhs(s + 0.5 * h, shifted(y, 0.5 * h, k2))
+            k4 = rhs(s + h, shifted(y, h, k3))
+            y = tuple(u + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                      for u, a, b, c, d in zip(y, k1, k2, k3, k4))
+            s += h
+        s = target
+        snaps.append(y)
+    return snaps
+
+
+def so3_moser_family():
+    pi0 = lie_poisson(so3_constants(), 3)
+    m1, m2, m3 = pi0.chart.coordinates()
+    q = Fraction(1, 8)
+    return pi0, TimePolyForm({0: PolyKForm(pi0.chart, 1, {(0,): q * m2, (2,): q * m1}),
+                              1: PolyKForm(pi0.chart, 1, {(1,): q * m3 * m3})})
+
+
+def flow_cases():
+    """(field, x0, t, record_times) for a spray, an Euler Z_t and a Moser field."""
+    from diraclab.poisson import _moser_field
+    from diraclab.realization import default_spray, sample_points
+
+    spray = default_spray(lie_poisson(so3_constants(), 3)).compiled()
+    pts = sample_points(3, 5, 0.5, seed=2)
+    pts[1, 3:] = 0.0  # a zero-section point
+    chart = Chart(2, ("x", "y"))
+    x, y = chart.coordinates()
+    Z_t = compile_tensors([TimePolyForm({
+        0: PolyKVector(chart, 1, {(0,): x * x, (1,): x * y}),
+        1: PolyKVector(chart, 1, {(0,): x * y * y})})], partials=True)
+    moser = _moser_field(*so3_moser_family())[1]
+    grid = np.array([(0.1, 0.2, 0.3), (-0.3, 0.0, 0.2), (0.25, -0.1, 0.05)])
+    return {
+        "spray": (spray, pts, -1.0, [-0.1, -0.45, -1.0]),
+        "euler": (Z_t, np.array([(0.1, 0.2), (-0.2, 0.1), (0.3, -0.25)]), 1.0, None),
+        "moser": (moser, grid, -0.6, None),
+    }
+
+
+class TestFlowKernel:
+    """The preallocated RK4 kernel against the textbook formula."""
+
+    @pytest.mark.parametrize("case", ["spray", "euler", "moser"])
+    def test_matches_textbook_rk4(self, case):
+        field, x0, t, record = flow_cases()[case]
+        config = FlowConfig(step=0.03)
+        got = _numeric.flow_points(field, x0, t, config, record_times=record)
+        got = [got] if record is None else got
+        want = textbook_flow(field, x0, t, config.step, [t] if record is None else record)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_zero_section_exactly_fixed(self):
+        field, x0, t, record = flow_cases()["spray"]
+        for x, _ in _numeric.flow_points(field, x0, t, FlowConfig(step=0.01), record):
+            assert np.abs(x[1] - x0[1]).max() == 0.0
+
+    def test_single_point(self):
+        field, x0, t, _ = flow_cases()["euler"]
+        x, J = _numeric.flow_points(field, x0[0], t, FlowConfig(step=0.05))
+        xb, Jb = _numeric.flow_points(field, x0[:1], t, FlowConfig(step=0.05))
+        assert x.shape == (2,) and J.shape == (2, 2)
+        assert np.array_equal(x, xb[0]) and np.array_equal(J, Jb[0])
+
+
+def ragged_stack(rng):
+    """4 x 5 matrices of rank 0 (all zero), 1 and 4 (full)."""
+    u, v = rng.standard_normal(4), rng.standard_normal(5)
+    return np.stack([np.zeros((4, 5)), np.outer(u, v), rng.standard_normal((4, 5))])
+
+
+def reference_rank(S, tol=1e-10):
+    return int(np.sum(S > tol * S[0])) if S.size and S[0] > 0 else 0
+
+
+def reference_orthonormal(A):
+    U, S, _ = np.linalg.svd(A, full_matrices=False)
+    return U[:, :reference_rank(S)]
+
+
+def reference_nullspace(A):
+    _, S, Vt = np.linalg.svd(A)
+    return Vt[reference_rank(S):].T
+
+
+def reference_span_residual(A, B):
+    Qa, Qb = reference_orthonormal(A), reference_orthonormal(B)
+    return float(np.linalg.norm(Qa @ Qa.T - Qb @ Qb.T, 2))
+
+
+class TestStackedHelpers:
+    """Masked stacked helpers against per-matrix SVD references."""
+
+    @pytest.mark.parametrize("helper, reference", [
+        (_numeric.orthonormal_basis, reference_orthonormal),
+        (_numeric.nullspace_basis, reference_nullspace)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bases(self, helper, reference, transpose):
+        stack = ragged_stack(np.random.default_rng(4))
+        if transpose:
+            stack = np.swapaxes(stack, 1, 2).copy()
+        got = helper(stack)
+        for b, A in enumerate(stack):
+            want = reference(A)
+            assert np.array_equal(helper(A), want)  # one matrix: selected columns
+            kept = np.any(got[b] != 0.0, axis=0)   # a stack: the rest are zero
+            assert np.array_equal(got[b][:, kept], want)
+            assert not got[b][:, ~kept].any()
+        assert [reference(A).shape[1] for A in stack] == [int(np.any(g != 0.0, axis=0).sum())
+                                                          for g in got]
+
+    def test_ranks_are_ragged(self):
+        stack = ragged_stack(np.random.default_rng(4))
+        assert [reference_orthonormal(A).shape[1] for A in stack] == [0, 1, 4]
+
+    def test_zero_columns(self):
+        empty = np.zeros((3, 4, 0))
+        assert _numeric.orthonormal_basis(empty).shape == (3, 4, 0)
+        assert _numeric.orthonormal_basis(empty[0]).shape == (4, 0)
+        assert _numeric.nullspace_basis(np.zeros((3, 0, 4))).shape == (3, 4, 4)
+        other = ragged_stack(np.random.default_rng(5))[:, :, :2]
+        got = _numeric.span_residual(empty, other)
+        for b in range(3):
+            assert got[b] == reference_span_residual(empty[b], other[b])
+            assert _numeric.span_residual(empty[b], other[b]) == got[b]
+
+    def test_span_residual(self):
+        rng = np.random.default_rng(6)
+        a, b = ragged_stack(rng), ragged_stack(rng)
+        b[2] = a[2] @ rng.standard_normal((5, 5))  # the same span
+        got = _numeric.span_residual(a, b)
+        assert got.shape == (3,)
+        for i in range(3):
+            want = reference_span_residual(a[i], b[i])
+            assert _numeric.span_residual(a[i], b[i]) == want
+            assert abs(got[i] - want) <= 1e-12
+        assert got[0] == 0.0 and got[2] < 1e-12
+
+    def test_pullback_fiber(self):
+        rng = np.random.default_rng(7)
+        J = rng.standard_normal((4, 3, 5))
+        J[1, 2] = J[1, 0] + J[1, 1]  # not a submersion
+        vectors = rng.standard_normal((4, 3, 3))
+        vectors[2] = 0.0
+        forms = rng.standard_normal((4, 3, 3))
+        got = _numeric.pullback_fiber(J, vectors, forms)
+        for b in range(4):
+            one = _numeric.pullback_fiber(J[b], vectors[b], forms[b])
+            kept = np.any(got[b] != 0.0, axis=0)
+            assert np.abs(got[b][:, kept] - one).max() <= 1e-14
+            w, nu = one[:5], one[5:]
+            c = reference_nullspace(np.column_stack([J[b], -vectors[b]]))[5:]
+            assert np.abs(J[b] @ w - vectors[b] @ c).max() < 1e-12
+            assert np.abs(nu - J[b].T @ forms[b] @ c).max() < 1e-12

@@ -421,3 +421,41 @@ class TestOneFlowPerCall:
         bracket_relations_residual(spray, coordinate_form(chart, 0), beta,
                                    np.array([1.0, 0.3, 0.1, -0.05]), FAST)
         assert len(flows) == 1
+
+
+def _builtin_sprays():
+    return {"xdxdy": (default_spray(xdxdy()), 2),
+            "so3": (default_spray(lie_poisson(so3_constants(), 3)), 3)}
+
+
+class TestBatchedCertification:
+    """verify_dual_pair certifies a batch in stacked SVD calls."""
+
+    @pytest.mark.parametrize("name", ["xdxdy", "so3"])
+    def test_matches_one_point_calls(self, name):
+        spray, n = _builtin_sprays()[name]
+        pts = sample_points(n, 12, 0.3, seed=11)
+        batched = verify_dual_pair(spray, pts, FAST)
+        singles = [verify_dual_pair(spray, p[None, :], FAST) for p in pts]
+        for c, crit in enumerate(batched.criteria):
+            per_point = np.array([rep.criteria[c].max_residual for rep in singles])
+            assert abs(crit.max_residual - per_point.max()) <= 1e-12
+            assert crit.worst_point == tuple(pts[int(per_point.argmax())])
+
+    def test_svd_calls_do_not_grow_with_the_batch(self, monkeypatch):
+        spray, n = _builtin_sprays()["so3"]
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        counts = []
+        for batch in (1, 32):
+            calls.clear()
+            verify_dual_pair(spray, sample_points(n, batch, 0.2, seed=3),
+                             RealizationConfig(step=0.05))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
