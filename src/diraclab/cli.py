@@ -268,7 +268,7 @@ def _cmd_dirac(args):
 
 def _cmd_realize(args):
     pi = _load_bivector(args.poisson)
-    config = real_mod.RealizationConfig(step=args.step, radius=args.radius)
+    config = real_mod.RealizationConfig(step=args.step)
     tol = args.tol if args.tol is not None else 1e-6
     spray = real_mod.default_spray(pi)
     pts = real_mod.sample_points(pi.chart.dim, _count(args, "samples"), args.radius,

@@ -30,13 +30,14 @@ from .fields import (
     PolyMap,
     PolyScalar,
     coordinate_form,
+    coordinate_vector,
     exterior_derivative,
     interior_product,
     lie_derivative,
     sum_of_products,
     vector_bracket,
 )
-from .poisson import PoissonBivector, sharp_apply
+from .poisson import PoissonBivector, gauge_matrix_at, sharp_apply
 
 
 class GeneralizedSection:
@@ -215,7 +216,7 @@ class LagrangianFrame:
         """Rank-n and Gram-zero check of the fiber at a point."""
         V = self.value_at(point)
         n = self.chart.dim
-        gram = V[:n].T @ V[n:] + V[n:].T @ V[:n]
+        gram = pairing_gram(V)
         gram_norm = float(np.abs(gram).max()) if gram.size else 0.0
         r = np.linalg.matrix_rank(V, tol=tol if tol > 0 else None)
         return r == n and gram_norm < max(tol, 1e-10) * max(1.0, abs(V).max() ** 2)
@@ -242,8 +243,6 @@ def graph_of_form(omega: PolyKForm) -> LagrangianFrame:
     if omega.degree != 2:
         raise DegreeError("graph_of_form needs a 2-form")
     chart = omega.chart
-    from .fields import coordinate_vector
-
     sections = []
     for i in range(chart.dim):
         ei = coordinate_vector(chart, i)
@@ -275,13 +274,12 @@ def integrability_tensor(E: LagrangianFrame, point) -> np.ndarray:
 
 def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> LagrangianFrame:
     """Apply R_omega to the fiber of a frame at a point (pairing-preserving)."""
-    V = E.value_at(point).copy()
+    V0 = E.value_at(point)
     n = E.chart.dim
-    W = gauge.matrix_at(point)
     # mu -> mu + i_v omega with (i_v omega)_j = sum_i v_i W_ij
-    V[n:] += W.T @ V[:n]
+    V = np.vstack([V0[:n], V0[n:] + gauge.matrix_at(point).T @ V0[:n]])
     out = LagrangianFrame.pointwise(E.chart, V)
-    if np.abs(pairing_gram(V) - pairing_gram(E.value_at(point))).max() > 1e-12 * max(
+    if np.abs(pairing_gram(V) - pairing_gram(V0)).max() > 1e-12 * max(
         1.0, np.abs(V).max() ** 2
     ):
         raise AssertionError("gauge transform failed to preserve the pairing")
@@ -295,8 +293,6 @@ def gauge_poisson(pi: PoissonBivector, gauge: GaugeTransform, point) -> np.ndarr
     Pi^T (I + W^T Pi^T)^{-1} transposed); raises TransversalityError when the
     sheared graph meets TM.  The range of the sharp map is preserved.
     """
-    from .poisson import gauge_matrix_at
-
     P = pi.matrix_at(point)
     W = gauge.matrix_at(point)
     return gauge_matrix_at(P, W, point)
@@ -405,11 +401,6 @@ class MapCheckReport:
     max_residual: float | None
     worst_point: tuple | None
     anti: bool
-
-    def passed(self, tol: float = 1e-10) -> bool:
-        if self.exact is not None:
-            return self.exact
-        return self.max_residual is not None and self.max_residual <= tol
 
     def as_dict(self):
         return {

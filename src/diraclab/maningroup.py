@@ -2,12 +2,13 @@
 criteria they induce on group charts.
 
 Algebraic checks (Jacobi, ad-invariance of the metric, Lagrangian subalgebra
-conditions, l cap g = k) run in exact rational arithmetic.  Group-level data
-(Ad on chart points, frames of left-invariant forms, multiplicativity of the
-induced bivector) is numeric and numpy-only: chart points are exponential
-coordinates in a basis of g, Ad_{exp Z} = expm(ad_Z), and the left-trivialized
-coordinate frame comes from the dexp series (1 - e^{-ad_Z})/ad_Z, summed to
-machine precision.  Every derivative is exact: d_m Ad = Ad ad(theta_m) for the
+conditions, l cap g = k) run in exact rational arithmetic; every subspace
+axiom among them is a comparison of ranks from one fraction-free `_rank`.
+Group-level data (Ad on chart points, frames of left-invariant forms,
+multiplicativity of the induced bivector) is numeric and numpy-only: chart
+points are exponential coordinates in a basis of g, Ad_{exp Z} = expm(ad_Z),
+and the left-trivialized coordinate frame comes from the dexp series
+(1 - e^{-ad_Z})/ad_Z, summed to machine precision.  Every derivative is exact: d_m Ad = Ad ad(theta_m) for the
 frame columns theta_m, and the frame's partials come from the same series.
 """
 
@@ -20,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _rat
 from .errors import ShapeError
 from .fields import accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
@@ -43,6 +43,36 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank(vectors) -> int:
+    """Rank of a list of rational vectors by fraction-free (Bareiss) elimination.
+
+    Each vector is scaled to integers by the lcm of its denominators; each
+    update divides exactly by the previous pivot, and zero columns are skipped.
+    """
+    rows = []
+    for v in vectors:
+        m = math.lcm(*(x.denominator for x in v))
+        row = [x.numerator * (m // x.denominator) for x in v]
+        if any(row):
+            rows.append(row)
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 class MetrizedLieAlgebra:
     """Structure constants plus an invariant metric, all exact rationals."""
 
@@ -51,7 +81,7 @@ class MetrizedLieAlgebra:
     def __init__(self, dim: int, C: dict, B):
         self.dim = dim
         self.C = normalize_structure_constants(C, dim)
-        self.B = _rat.mat(B)
+        self.B = [[Fraction(x) for x in row] for row in B]
         if len(self.B) != dim or any(len(r) != dim for r in self.B):
             raise ShapeError("metric must be dim x dim")
         # row i lists the nonzero entries (j, B[i][j])
@@ -109,7 +139,7 @@ def check_metrized(algebra: MetrizedLieAlgebra):
         for j in range(d):
             if B[i][j] != B[j][i]:
                 return False, {"kind": "metric-symmetry", "indices": (i, j)}
-    if _rat.rank(B) < d:
+    if _rank(B) < d:
         return False, {"kind": "metric-degenerate"}
     # S(a, b, c) = B([e_a, e_b], e_c) + B(e_b, [e_a, e_c])
     #            = sum_m c_{ab}^m B[m][c] + c_{ac}^m B[b][m] must vanish
@@ -169,11 +199,10 @@ class ManinTriple:
 
 
 def _is_subalgebra(algebra: MetrizedLieAlgebra, basis) -> tuple:
-    cols = [list(v) for v in basis]
+    r = _rank(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            br = algebra.bracket(basis[i], basis[j])
-            if not _rat.in_span(cols, br):
+            if _rank(basis + [algebra.bracket(basis[i], basis[j])]) != r:
                 return False, (i, j)
     return True, None
 
@@ -196,7 +225,7 @@ def check_manin_triple(triple: ManinTriple):
     if d != 2 * n or len(triple.h_basis) != n:
         return False, {"kind": "dimension", "detail": f"dim d = {d}, half bases {n}/{len(triple.h_basis)}"}
     for name, basis in (("g", triple.g_basis), ("h", triple.h_basis)):
-        if _rat.rank(_rat.transpose(basis)) != n:
+        if _rank(basis) != n:
             return False, {"kind": "basis-rank", "subspace": name}
         ok, pair = _is_isotropic(triple.algebra, basis)
         if not ok:
@@ -204,8 +233,7 @@ def check_manin_triple(triple: ManinTriple):
         ok, pair = _is_subalgebra(triple.algebra, basis)
         if not ok:
             return False, {"kind": "subalgebra", "subspace": name, "indices": pair}
-    joint = triple.g_basis + triple.h_basis
-    if _rat.rank(_rat.transpose(joint)) != d:
+    if _rank(triple.g_basis + triple.h_basis) != d:
         return False, {"kind": "transversality"}
     return True, None
 
@@ -239,9 +267,6 @@ class GroupChart:
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Ad_{g(x)} on d."""
         return _expm(np.tensordot(np.asarray(x, dtype=float), self.triple._numeric()["ad_d"], 1))
-
-    def ad_inv(self, x: np.ndarray) -> np.ndarray:
-        return _expm(-np.tensordot(np.asarray(x, dtype=float), self.triple._numeric()["ad_d"], 1))
 
     def frame_jet(self, x: np.ndarray) -> tuple:
         """Left-trivialized coordinate frame Xi(x) and its partials dXi[m] = d Xi / dx_m.
@@ -381,8 +406,8 @@ def drinfeld_bivector_chart(triple: ManinTriple, chart: GroupChart, x) -> np.nda
 def dressing_action(triple: ManinTriple, chart: GroupChart, x, zeta) -> np.ndarray:
     """Left-trivialized dressing field: Ad_{g^{-1}} pr_g(Ad_g zeta), in the g-basis."""
     num = triple._numeric()
-    zeta = np.asarray(zeta, dtype=float)
-    val = chart.ad_inv(x) @ (num["pr_g"] @ (chart.ad(x) @ zeta))
+    x, zeta = np.asarray(x, dtype=float), np.asarray(zeta, dtype=float)
+    val = chart.ad(-x) @ (num["pr_g"] @ (chart.ad(x) @ zeta))
     return num["g_coords"] @ val
 
 
@@ -405,7 +430,7 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
     res = {"metric": 0.0, "bracket": 0.0, "coframe_derivative": 0.0}
     for pt in points:
         jet = _PointJet(triple, chart, pt)
-        A, Ainv = jet.Ad, chart.ad_inv(pt)
+        A, Ainv = jet.Ad, chart.ad(-np.asarray(pt, dtype=float))
         th = G @ jet.Xi  # d-coords of theta^L(d/dx_i)
         (v1, J1), (v2, J2) = jet.dressing(z1), jet.dressing(z2)
         mu1 = th.T @ B @ z1
@@ -432,7 +457,7 @@ def _product_differential(chart: GroupChart, x1, x2, z) -> np.ndarray:
     D = Xi(z)^{-1} [Ad_{g(x2)}^{-1}|_g Xi(x1), Xi(x2)].
     """
     num = chart.triple._numeric()
-    Ad2_inv = num["g_coords"] @ chart.ad_inv(x2) @ num["G"]
+    Ad2_inv = num["g_coords"] @ chart.ad(-np.asarray(x2, dtype=float)) @ num["G"]
     return np.linalg.solve(chart.frame(z), np.hstack([Ad2_inv @ chart.frame(x1), chart.frame(x2)]))
 
 
@@ -491,9 +516,11 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
     """Conditions for induced structures on G/K; returns (ok, report).
 
     Exact checks: k is a subalgebra of g; l is Lagrangian; l is a subalgebra;
-    l cap g = k.  Numeric check: invariance of l under expm(ad) of the
-    supplied k-generators (sufficient for connected K only; disconnected K
-    needs generators of every component, which is flagged in the report).
+    l cap g = k, which for k in g and dim l = n holds iff k lies in l and
+    dim(l cap g) = n + rank(g) - rank(l + g) equals rank(k).  Numeric check:
+    invariance of l under expm(ad) of the supplied k-generators (sufficient
+    for connected K only; disconnected K needs generators of every component,
+    which is flagged in the report).
     """
     triple = data.triple
     alg = triple.algebra
@@ -501,15 +528,17 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
     l_basis = [[Fraction(x) for x in v] for v in data.l_basis]
     report = {"connectedness_caveat": "invariance checked on exp of supplied generators only"}
 
-    for v in k_basis:
-        if not _rat.in_span([list(w) for w in triple.g_basis], list(v)):
-            return False, {**report, "failure": "k not contained in g"}
+    if any(len(v) != alg.dim for v in k_basis + l_basis + list(k_generators or [])):
+        raise ShapeError("k, l and generator vectors must have length dim d")
+    g_rank = _rank(triple.g_basis)
+    if _rank(triple.g_basis + k_basis) != g_rank:
+        return False, {**report, "failure": "k not contained in g"}
     ok, pair = _is_subalgebra(alg, k_basis) if k_basis else (True, None)
     if not ok:
         return False, {**report, "failure": f"k not a subalgebra at {pair}"}
 
     n = triple.half_dim
-    if len(l_basis) != n or _rat.rank(_rat.transpose(l_basis)) != n:
+    if len(l_basis) != n or _rank(l_basis) != n:
         return False, {**report, "failure": "l has wrong dimension"}
     ok, pair = _is_isotropic(alg, l_basis)
     if not ok:
@@ -518,10 +547,8 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
     if not ok:
         return False, {**report, "failure": f"l not a subalgebra at {pair}"}
 
-    inter = _rat.span_intersection(
-        [list(v) for v in l_basis], [list(v) for v in triple.g_basis]
-    )
-    if not _rat.span_equal(inter, [list(v) for v in k_basis]):
+    if (_rank(l_basis + k_basis) != n
+            or n + g_rank - _rank(l_basis + triple.g_basis) != _rank(k_basis)):
         return False, {**report, "failure": "l cap g != k"}
 
     worst = 0.0
@@ -552,10 +579,9 @@ def semidirect_triple(constants: dict, n: int) -> ManinTriple:
     for (a, c, b), v in C.items():
         Cd[(a, n + b, n + c)] = -v
         Cd[(c, n + b, n + a)] = v
-    B = _rat.zeros(d, d)
+    B = [[0] * d for _ in range(d)]
     for i in range(n):
-        B[i][n + i] = Fraction(1)
-        B[n + i][i] = Fraction(1)
+        B[i][n + i] = B[n + i][i] = 1
     alg = MetrizedLieAlgebra(d, Cd, B)
     g_basis = [[Fraction(1) if i == j else Fraction(0) for i in range(d)] for j in range(n)]
     h_basis = [[Fraction(1) if i == n + j else Fraction(0) for i in range(d)] for j in range(n)]
@@ -608,10 +634,9 @@ def iwasawa_su2() -> tuple:
         C[(a, 3 + b, 3 + k)] = Fraction(1)         # [u,v] = v
         C[(3 + a, b, 3 + k)] = Fraction(1)         # [v,u] = v
         C[(3 + a, 3 + b, k)] = Fraction(-1)        # [v,v] = -u
-    B = _rat.zeros(6, 6)
+    B = [[0] * 6 for _ in range(6)]
     for i in range(3):
-        B[i][3 + i] = Fraction(1)
-        B[3 + i][i] = Fraction(1)
+        B[i][3 + i] = B[3 + i][i] = 1
     alg = MetrizedLieAlgebra(6, C, B)
     g_basis = [
         [1, 0, 0, 0, 0, 0],
@@ -647,10 +672,10 @@ def sl2_standard() -> ManinTriple:
     for (a, b, k), v in C1.items():
         Cd[(a, b, k)] = v
         Cd[(3 + a, 3 + b, 3 + k)] = v
-    B = _rat.zeros(6, 6)
+    B = [[0] * 6 for _ in range(6)]
     for (i, j, v) in [(0, 0, 2), (1, 2, 1), (2, 1, 1)]:
-        B[i][j] = Fraction(v)
-        B[3 + i][3 + j] = Fraction(-v)
+        B[i][j] = v
+        B[3 + i][3 + j] = -v
     alg = MetrizedLieAlgebra(6, Cd, B)
     g_basis = [
         [1, 0, 0, 1, 0, 0],
@@ -668,10 +693,10 @@ def sl2_standard() -> ManinTriple:
 def sl2_borel() -> ManinTriple:
     """(sl2 + cartan-bar, b+, b-) with the opposite-Borel embeddings."""
     C = {(0, 1, 1): Fraction(2), (0, 2, 2): Fraction(-2), (1, 2, 0): Fraction(1)}
-    B = _rat.zeros(4, 4)
-    B[0][0] = Fraction(2)
-    B[1][2] = B[2][1] = Fraction(1)
-    B[3][3] = Fraction(-2)
+    B = [[0] * 4 for _ in range(4)]
+    B[0][0] = 2
+    B[1][2] = B[2][1] = 1
+    B[3][3] = -2
     alg = MetrizedLieAlgebra(4, C, B)
     g_basis = [
         [1, 0, 0, 1],             # H + T
@@ -691,7 +716,7 @@ def double_triple(triple: ManinTriple) -> ManinTriple:
     for (a, b, k), v in triple.algebra.C.items():
         Cd[(a, b, k)] = v
         Cd[(d + a, d + b, d + k)] = v
-    B = _rat.zeros(2 * d, 2 * d)
+    B = [[0] * (2 * d) for _ in range(2 * d)]
     for i in range(d):
         for j in range(d):
             B[i][j] = triple.algebra.B[i][j]

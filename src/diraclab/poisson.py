@@ -32,6 +32,7 @@ from .fields import (
     PolyScalar,
     accumulate,
     accumulate_signed,
+    cotangent_chart,
     differential,
     exterior_derivative,
     sort_index,
@@ -95,8 +96,6 @@ def from_components(chart: Chart, comps: Mapping) -> PoissonBivector:
 
 def standard_symplectic_poisson(n: int) -> PoissonBivector:
     """sum_i d/dq_i ^ d/dp_i on the chart (q1..qn, p1..pn)."""
-    from .fields import cotangent_chart
-
     chart = cotangent_chart(n)
     comps = {(i, n + i): PolyScalar.constant(chart, 1) for i in range(n)}
     return from_components(chart, comps)
@@ -451,14 +450,6 @@ class MoserReport:
     worst_time: float
     samples: int
 
-    def as_dict(self):
-        return {
-            "max_residual": self.max_residual,
-            "worst_point": list(self.worst_point),
-            "worst_time": self.worst_time,
-            "samples": self.samples,
-        }
-
 
 def moser_verify(
     pi0: PoissonBivector,
@@ -556,13 +547,6 @@ class EulerReport:
     points: np.ndarray
     images: np.ndarray
     jacobians: np.ndarray
-
-    def as_dict(self):
-        return {
-            "max_residual": self.max_residual,
-            "worst_point": list(self.worst_point),
-            "samples": self.samples,
-        }
 
 
 def euler_linearize(

@@ -20,12 +20,14 @@ anti-Poisson, and the s- and t-fibers are omega-orthogonal.
 (Phi_s)_* omega_can is evaluated as the pullback (Phi_{-s})^* omega_can along
 the backward flow; this sign is load-bearing and pinned by a regression test.
 
-All of this lives on one backward trajectory per point: the verifiers make a
-single batched pass of the flow that records the Gauss nodes -s of the
+All of this lives on one backward trajectory per point: every entry point
+makes a single batched pass of the flow that records the Gauss nodes -s of the
 quadrature and then t = -1, so omega, s, t and their differentials come from
-one integration per sample batch.  The certification is batched as well:
-verify_dual_pair stacks the kernels, pullback fibers and projector distances
-of all points into a fixed number of SVD calls, whatever the batch size.
+one integration per sample batch.  Like the flow itself, `realization_form`
+and `source_target` take a point (2n,) or a batch (B, 2n).  The certification
+is batched as well: verify_dual_pair stacks the kernels, pullback fibers and
+projector distances of all points into a fixed number of SVD calls, whatever
+the batch size.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from ._numeric import (
     pullback_fiber,
     span_residual,
 )
+from .dirac import one_form_bracket
 from .errors import ChartMismatchError, PreconditionError, ShapeError
 from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart,
                      sum_of_products)
@@ -153,65 +156,38 @@ def flow(spray: SprayField, point, t: float, config: RealizationConfig = Realiza
     return x, J
 
 
-def _backward_pass(spray: SprayField, points: np.ndarray, config: RealizationConfig,
-                   through_one: bool = False):
-    """W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds from one batched backward flow.
+def _realization_batch(spray: SprayField, points, config: RealizationConfig):
+    """(W, s, t, ds, dt) at a point (2n,) or a batch (B, 2n) from one backward flow.
 
-    The flow records D Phi_{-s} at the Gauss nodes s in (0,1), summed in node
-    order, and, when `through_one` is set, then continues to t = -1.  Returns
-    W and the last snapshot (x, J).
+    The flow records D Phi_{-s} at the Gauss nodes s in (0,1), in node order,
+    and then continues to t = -1: the node snapshots give the quadrature
+    W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds, the last one gives t and dt.
     """
+    single = np.ndim(points) == 1
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     n = spray.base_dim
     nodes, weights = gauss_legendre_01(QUAD_ORDER)
     order = np.argsort(nodes)
-    times = [-float(nodes[i]) for i in order] + ([-1.0] if through_one else [])
+    times = [-float(nodes[i]) for i in order] + [-1.0]
     snaps = flow_points(spray.compiled(), points, -1.0, config.flow(), record_times=times)
     # J^T W_can J = J_q^T J_p - J_p^T J_q at every node, summed with weights
     Js = np.stack([snaps[r][1] for r in np.argsort(order)])
     S = np.tensordot(weights, np.swapaxes(Js[..., :n, :], -1, -2) @ Js[..., n:, :], 1)
-    return S - np.swapaxes(S, 1, 2), snaps[-1]
-
-
-def _source_target(points, x1, J1, n: int):
-    """(s, t, ds, dt) from the points and their time -1 flow (x1, J1)."""
+    x1, J1 = snaps[-1]
     ds = np.zeros((len(points), n, 2 * n))
     ds[:, :, :n] = np.eye(n)
-    return points[:, :n], x1[:, :n], ds, J1[:, :n, :]
-
-
-def _realization_batch(spray: SprayField, points, config: RealizationConfig):
-    """(W, s, t, ds, dt) at a batch of points from one backward flow.
-
-    The flow records the Gauss nodes and then t = -1: the node snapshots give
-    the quadrature of omega, the last one gives t and dt.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    W, (x1, J1) = _backward_pass(spray, points, config, through_one=True)
-    return (W,) + _source_target(points, x1, J1, spray.base_dim)
-
-
-def realization_form_batch(
-    spray: SprayField, points, config: RealizationConfig = RealizationConfig()
-) -> np.ndarray:
-    """The 2-form matrices W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds by quadrature."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _backward_pass(spray, points, config)[0]
+    out = (S - np.swapaxes(S, 1, 2), points[:, :n], x1[:, :n], ds, J1[:, :n, :])
+    return tuple(a[0] for a in out) if single else out
 
 
 def realization_form(spray, point, config: RealizationConfig = RealizationConfig()) -> np.ndarray:
-    return realization_form_batch(spray, np.asarray(point, dtype=float)[None, :], config)[0]
-
-
-def source_target_batch(spray, points, config: RealizationConfig = RealizationConfig()):
-    """(s, t, ds, dt) at each point: s = tau, t = tau after the time -1 flow."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    x1, J1 = flow_points(spray.compiled(), points, -1.0, config.flow())
-    return _source_target(points, x1, J1, spray.base_dim)
+    """The 2-form matrix W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds by quadrature."""
+    return _realization_batch(spray, point, config)[0]
 
 
 def source_target(spray, point, config: RealizationConfig = RealizationConfig()):
-    s, t, ds, dt = source_target_batch(spray, np.asarray(point, dtype=float)[None, :], config)
-    return s[0], t[0], ds[0], dt[0]
+    """(s, t, ds, dt): s = tau, t = tau after the time -1 flow."""
+    return _realization_batch(spray, point, config)[1:]
 
 
 @dataclass(frozen=True)
@@ -235,7 +211,7 @@ class RealizationSample:
 
 def realization_sample(spray, point, config: RealizationConfig = RealizationConfig()) -> RealizationSample:
     point = np.asarray(point, dtype=float)
-    W, s, t, ds, dt = (a[0] for a in _realization_batch(spray, point[None, :], config))
+    W, s, t, ds, dt = _realization_batch(spray, point, config)
     sv = np.linalg.svd(W, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * sv[0])
     cond = float(sv[0] / sv[-1]) if invertible else float("inf")
@@ -372,9 +348,6 @@ class InvariantFieldReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def as_dict(self):
-        return {k: float(v) for k, v in self.residuals.items()}
-
 
 def invariant_vector_fields(
     spray,
@@ -419,8 +392,6 @@ def bracket_relations_residual(
 ) -> dict:
     """FD residuals of [a^L,b^L] = [a,b]^L, [a^R,b^R] = -[a,b]^R, [a^L,b^R] = 0,
     with central differences of step 1e-5."""
-    from .dirac import one_form_bracket
-
     alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
     ab_at = _covector_field(spray, one_form_bracket(spray.pi, alpha, beta))
     pt = np.asarray(point, dtype=float)
@@ -465,7 +436,7 @@ def closedness_residual(spray, point, config: RealizationConfig = RealizationCon
         e[i] = h
         stencil.append(pt + e)
         stencil.append(pt - e)
-    W = realization_form_batch(spray, np.array(stencil), config)
+    W = realization_form(spray, np.array(stencil), config)
     dW = np.empty((n2, n2, n2))
     for i in range(n2):
         dW[i] = (W[2 * i] - W[2 * i + 1]) / (2 * h)

@@ -43,6 +43,25 @@ def random_vector(rng, chart, degree=1, max_degree=3, terms=2) -> PolyKVector:
     return PolyKVector(chart, degree, comps)
 
 
+def fraction_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination over Fraction: a reference independent
+    of the library's fraction-free elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][c] for x in a[rank]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != rank and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def random_point(rng, dim, numerators=9, denominator=4):
     return tuple(Fraction(rng.randint(-numerators, numerators), denominator) for _ in range(dim))
 

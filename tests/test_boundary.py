@@ -4,7 +4,10 @@
 module goes through `PolyScalar` operations (`embed`, `restrict`,
 `homogeneous_parts`, `float_terms`, `evaluate_exact`).  The numeric layer has
 one tensor compiler (`compile_tensors`) and one flow function (`flow_points`);
-the adapters and the second flow function they replaced stay gone.
+the adapters and the second flow function they replaced stay gone.  The Manin
+layer decides its subspace axioms with one exact `_rank`: the Fraction-matrix
+module `_rat` and its span helpers stay gone, as do the batch-only realization
+entry points.
 """
 
 import ast
@@ -14,7 +17,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diraclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
-REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns"}
+REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
+            "rref", "nullspace", "in_span", "span_equal", "span_intersection",
+            "realization_form_batch", "source_target_batch"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -44,3 +49,20 @@ def test_replaced_names_stay_gone(path):
         elif isinstance(node, ast.alias):
             defined.add(node.asname or node.name)
     assert not defined & REPLACED, f"{path.name} defines {sorted(defined & REPLACED)}"
+
+
+def test_rat_module_stays_gone():
+    assert not (PACKAGE / "_rat.py").exists()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_module_imports_rat(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "_rat" for name in names), \
+            f"{path.name} imports _rat at line {node.lineno}"

@@ -476,6 +476,21 @@ class TestMalformedInput:
             capsys, ["manin", "homspace", "--builtin", "semidirect-so3", "--data", str(p)])
         assert "TypeError" in rep["error"]
 
+    @pytest.mark.parametrize("data", [
+        {"l_basis": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+         "k_basis": [[1, 0]]},
+        {"l_basis": [[0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 0]]},
+        {"l_basis": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]},
+        {"l_basis": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+         "k_generators": [[1, 0]]},
+    ], ids=["short-k", "long-l", "short-l", "short-generator"])
+    def test_homspace_vector_of_wrong_length(self, capsys, tmp_path, data):
+        p = tmp_path / "hs.json"
+        p.write_text(json.dumps(data))
+        rep = self.check_exit_2(
+            capsys, ["manin", "homspace", "--builtin", "semidirect-so3", "--data", str(p)])
+        assert "length" in rep["error"]
+
     @pytest.mark.parametrize("argv", [
         ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "1,2"],
         ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diraclab import _rat
 from diraclab.maningroup import (
     GroupChart,
     HomogeneousSpaceData,
@@ -11,6 +11,7 @@ from diraclab.maningroup import (
     _expm,
     _PointJet,
     _product_differential,
+    _rank,
     ManinTriple,
     MetrizedLieAlgebra,
     builtin_triples,
@@ -32,6 +33,8 @@ from diraclab.maningroup import (
     verify_multiplicativity,
 )
 from diraclab.poisson import so3_constants
+
+from conftest import fraction_rank
 
 
 def so3_metrized():
@@ -325,19 +328,54 @@ class TestHomogeneousSpace:
         assert not ok
 
 
-class TestRationalLinearAlgebra:
-    def test_rank_and_nullspace(self):
-        A = _rat.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert _rat.rank(A) == 2
-        ns = _rat.nullspace(A)
-        assert len(ns) == 1
-        assert all(sum(A[i][j] * ns[0][j] for j in range(3)) == 0 for i in range(3))
+@st.composite
+def rational_matrices(draw):
+    """Up to 7 x 12 rational matrices with mixed denominators: free ones and
+    products of rank at most k, some rows and columns then set to zero."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 12))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6]))
 
-    def test_span_intersection(self):
-        a = [[Fraction(1), 0, 0], [0, Fraction(1), 0]]
-        b = [[0, Fraction(1), 0], [0, 0, Fraction(1)]]
-        inter = _rat.span_intersection(a, b)
-        assert _rat.span_equal(inter, [[0, Fraction(1), 0]])
+    def block(r, c):
+        flat = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+        return [flat[i * c:(i + 1) * c] for i in range(r)]
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        X, Y = block(rows, k), block(k, cols)
+        M = [[sum((X[i][m] * Y[m][j] for m in range(k)), Fraction(0)) for j in range(cols)]
+             for i in range(rows)]
+    else:
+        M = block(rows, cols)
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=3))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(M)]
+
+
+class TestRank:
+    """The fraction-free rank behind every exact subspace axiom, against a
+    Gauss-Jordan reference over Fraction."""
+
+    def test_rank_of_dependent_rows(self):
+        assert _rank([[Fraction(x) for x in row] for row in [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]) == 2
+
+    def test_degenerate_shapes(self):
+        assert _rank([]) == 0
+        assert _rank([[], []]) == 0
+        assert _rank([[Fraction(0)] * 5] * 3) == 0
+        assert _rank([[Fraction(0), Fraction(0), Fraction(3, 7)]]) == 1
+
+    def test_mixed_denominators(self):
+        rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)],
+                [Fraction(1, 6), Fraction(-5, 9)]]
+        assert _rank(rows[:2]) == 1 and _rank(rows) == 2
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rational_matrices())
+    def test_matches_gauss_jordan(self, M):
+        r = fraction_rank(M)
+        assert _rank(M) == r
+        assert _rank([list(col) for col in zip(*M)]) == r
 
 
 class TestDualSemidirectIsLiePoisson:

@@ -1,13 +1,16 @@
 """The exact layer against sympy: jacobiator, Courant bracket and pullback of
-forms recomputed from their textbook coordinate formulas."""
+forms recomputed from their textbook coordinate formulas, and the homogeneous-
+space criteria with l cap g built explicitly from a nullspace."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from diraclab.dirac import GeneralizedSection, courant_bracket
 from diraclab.fields import Chart, PolyKVector, PolyMap, pullback_form
+from diraclab.maningroup import HomogeneousSpaceData, builtin_triples, homogeneous_space_check
 from diraclab.poisson import PoissonBivector, jacobiator
 
 from conftest import random_form, random_poly, random_vector
@@ -91,3 +94,95 @@ def test_pullback_form_is_a_sum_of_jacobian_minors(seed):
                    * D.extract(list(J), list(I)).det()
                    for J in itertools.combinations(range(tgt.dim), degree))
         assert same(got.component(I), want, us)
+
+
+# -- homogeneous spaces: l cap g from a nullspace ---------------------------------
+
+
+def q(x):
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def rows(vectors, d):
+    return sp.Matrix(len(vectors), d, [q(x) for v in vectors for x in v])
+
+
+def reference_homspace_failure(triple, k_basis, l_basis):
+    """The exact verdict of homogeneous_space_check, recomputed in sympy: the
+    bracket from the structure constants, spans by rank, and l cap g as the
+    image under L of the l-part of the nullspace of [L | -G]."""
+    alg, n, d = triple.algebra, triple.half_dim, triple.algebra.dim
+    G, K, L, B = (rows(v, d) for v in (triple.g_basis, k_basis, l_basis, alg.B))
+
+    def bracket(x, y):
+        out = [0] * d
+        for (a, b, c), v in alg.C.items():
+            out[c] += q(v) * (x[a] * y[b] - x[b] * y[a])
+        return sp.Matrix([out])
+
+    def open_pair(M):
+        return next(((i, j) for i, j in itertools.combinations(range(M.rows), 2)
+                     if sp.Matrix.vstack(M, bracket(M.row(i), M.row(j))).rank() != M.rank()),
+                    None)
+
+    if sp.Matrix.vstack(G, K).rank() != G.rank():
+        return "k not contained in g"
+    pair = open_pair(K)
+    if pair:
+        return f"k not a subalgebra at {pair}"
+    if L.rows != n or L.rank() != n:
+        return "l has wrong dimension"
+    pair = next(((i, j) for i in range(n) for j in range(i, n)
+                 if (L.row(i) * B * L.row(j).T)[0] != 0), None)
+    if pair:
+        return f"l not isotropic at {pair}"
+    pair = open_pair(L)
+    if pair:
+        return f"l not a subalgebra at {pair}"
+    inter = [(L.T * v[:n, :]).T for v in sp.Matrix.hstack(L.T, -G.T).nullspace()]
+    I = sp.Matrix.vstack(sp.zeros(0, d), *inter)
+    if not I.rank() == K.rank() == sp.Matrix.vstack(I, K).rank():
+        return "l cap g != k"
+    return None
+
+
+def _combinations(rng, vectors, count):
+    """count random integer combinations of the vectors, rescaled by rationals."""
+    out = []
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in vectors]
+        scale = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        out.append([scale * sum((c * v[i] for c, v in zip(coeffs, vectors)), Fraction(0))
+                    for i in range(len(vectors[0]))])
+    return out
+
+
+def _random_homspace(rng, triple):
+    """l recombined from g or h, picked from the basis vectors of both, or one
+    vector short; k a subset of g, as large as the part of l picked from g when
+    l was picked, now and then with a vector of h added."""
+    g, h, n = triple.g_basis, triple.h_basis, triple.half_dim
+    r = rng.random()
+    if r < 0.3:
+        l = _combinations(rng, rng.choice([g, h]), n)
+    else:
+        l = rng.sample(g + h, n if r < 0.85 else n - 1)
+    sub = rng.sample(g, rng.randint(0, n) if r < 0.3 else sum(v in g for v in l))
+    k = _combinations(rng, sub, len(sub)) if rng.random() < 0.5 else sub
+    if rng.random() < 0.15:
+        k = k + _combinations(rng, h, 1)
+    return k, l
+
+
+def test_homogeneous_space_check_matches_explicit_intersection():
+    kinds = set()
+    for seed, (name, (triple, _)) in enumerate(builtin_triples().items()):
+        rng = random.Random(300 + seed)
+        for _ in range(25):
+            k, l = _random_homspace(rng, triple)
+            ok, report = homogeneous_space_check(HomogeneousSpaceData(triple, k, l))
+            want = reference_homspace_failure(triple, k, l)
+            assert (ok, report.get("failure")) == (want is None, want), (name, k, l)
+            kinds.add(want and want.split(" at ")[0])
+    assert kinds == {None, "k not contained in g", "k not a subalgebra", "l has wrong dimension",
+                     "l not isotropic", "l not a subalgebra", "l cap g != k"}

@@ -18,7 +18,6 @@ from diraclab.realization import (
     flow,
     invariant_vector_fields,
     realization_form,
-    realization_form_batch,
     realization_sample,
     sample_points,
     source_target,
@@ -129,7 +128,7 @@ class TestRealizationForm:
     def test_skew_and_invertible(self):
         spray = default_spray(xdxdy())
         pts = sample_points(2, 6, 0.2, seed=1)
-        W = realization_form_batch(spray, pts, FAST)
+        W = realization_form(spray, pts, FAST)
         assert np.abs(W + np.transpose(W, (0, 2, 1))).max() < 1e-12
         for Wb in W:
             assert abs(np.linalg.det(Wb)) > 1e-3
@@ -336,20 +335,31 @@ def _realization_cases():
 
 
 class TestSinglePass:
-    """One backward flow (Gauss nodes, then t = -1) reproduces the two
-    separate integrations of the public entry points."""
+    """One backward flow (Gauss nodes, then t = -1) gives t and dt as a
+    direct flow to t = -1 does, and a point the same data as its batch row."""
 
     @pytest.mark.parametrize("case", [0, 1], ids=["xdxdy", "so3"])
     def test_matches_separate_flows(self, case):
-        from diraclab.realization import _realization_batch, source_target_batch
-
         spray, pts = _realization_cases()[case]
         config = RealizationConfig(step=1e-3)
-        W, s, t, ds, dt = _realization_batch(spray, pts, config)
-        assert np.array_equal(W, realization_form_batch(spray, pts, config))
-        for got, want in zip((s, t, ds, dt), source_target_batch(spray, pts, config)):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() < 1e-10
+        n = spray.base_dim
+        s, t, ds, dt = source_target(spray, pts, config)
+        x1, J1 = flow(spray, pts, -1.0, config)
+        assert t.shape == (len(pts), n) and dt.shape == (len(pts), n, 2 * n)
+        assert np.abs(t - x1[:, :n]).max() < 1e-10
+        assert np.abs(dt - J1[:, :n, :]).max() < 1e-10
+        assert np.array_equal(s, pts[:, :n])
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["xdxdy", "so3"])
+    def test_point_matches_its_batch_row(self, case):
+        spray, pts = _realization_cases()[case]
+        config = RealizationConfig(step=1e-3)
+        batch = (realization_form(spray, pts, config),) + source_target(spray, pts, config)
+        for b, pt in enumerate(pts):
+            single = (realization_form(spray, pt, config),) + source_target(spray, pt, config)
+            for got, want in zip(single, batch):
+                assert got.shape == want.shape[1:]
+                assert np.abs(got - want[b]).max() < 1e-13
 
 
 class TestFusedEvaluator:

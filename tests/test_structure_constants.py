@@ -18,6 +18,8 @@ from diraclab.poisson import (
     structure_jacobi_defect,
 )
 
+from conftest import fraction_rank
+
 # -- dense references: every index tuple, in lexicographic order --------------
 
 
@@ -46,8 +48,6 @@ def dense_jacobi(C, d):
 
 
 def dense_check_metrized(C, B, d):
-    from diraclab import _rat
-
     jac = dense_jacobi(C, d)
     if jac is not None:
         return False, {"kind": "jacobi", "indices": jac}
@@ -55,7 +55,7 @@ def dense_check_metrized(C, B, d):
         for j in range(d):
             if B[i][j] != B[j][i]:
                 return False, {"kind": "metric-symmetry", "indices": (i, j)}
-    if _rat.rank(B) < d:
+    if fraction_rank(B) < d:
         return False, {"kind": "metric-degenerate"}
     for a in range(d):
         for b in range(d):
