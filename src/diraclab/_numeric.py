@@ -20,6 +20,10 @@ call that writes a and Da J, unnegated, into its slot.  The sign of dz/ds is
 folded into the stage offsets and weights, and the update is one
 (4,) @ (4, B (m + m^2)) contraction added into the state in place.
 
+`worst` is the one residual reducer: every verifier hands it its residuals,
+so a non-finite residual reads as +inf, a fail with its point, and is never
+dropped by a running max.  `CriterionResult` is the one pass rule.
+
 The linear-algebra helpers take one matrix or a stack.  A rank mask (singular
 values above tol times the largest) selects directions, so matrices of
 different rank share one LAPACK call: one matrix gives the selected columns,
@@ -33,19 +37,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError
+from .errors import DomainEscapeError, ShapeError
+
+MAX_FLOW_STEPS = 10**7  # a longer step schedule is refused instead of built
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Fixed-step RK4 configuration."""
+    """Fixed-step RK4 configuration; the step must be finite and positive."""
 
     step: float = 1e-3
     escape_norm: float = 1e6
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ShapeError(f"step must be finite and positive, got {self.step}")
+
+
+def worst(residuals, points=None):
+    """(value, point) of the largest residual, reading a non-finite one as +inf.
+
+    The first index wins ties; `point` is points[index], or None without
+    points.  An empty batch raises ShapeError.
+    """
+    r = np.asarray(residuals, dtype=float).ravel()
+    if r.size == 0:
+        raise ShapeError("no residuals to reduce")
+    r = np.where(np.isfinite(r), r, np.inf)
+    b = int(r.argmax())
+    return float(r[b]), None if points is None else points[b]
+
+
+@dataclass(frozen=True)
+class CriterionResult:
+    """A numeric criterion: it passes iff its residual is finite and within
+    tolerance, and a missing or non-finite residual serializes as null."""
+
+    name: str
+    max_residual: float | None
+    worst_point: tuple | None
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        r = self.max_residual
+        return r is not None and math.isfinite(r) and r <= self.tolerance
+
+    def as_dict(self):
+        r = self.max_residual
+        return {
+            "name": self.name,
+            "status": "pass" if self.passed else "fail",
+            "max_residual": float(r) if r is not None and math.isfinite(r) else None,
+            "worst_point": (None if self.worst_point is None
+                            else [float(x) for x in self.worst_point]),
+            "tolerance": self.tolerance,
+        }
 
 
 class _MonomialTable:
@@ -167,6 +214,9 @@ def _step_schedule(duration: float, h: float):
         return []
     sign = 1.0 if duration > 0 else -1.0
     total = abs(duration)
+    if not total / h <= MAX_FLOW_STEPS:
+        raise ShapeError(f"a flow over {duration:g} at step {h:g} needs more than "
+                         f"{MAX_FLOW_STEPS} steps")
     nfull = int(np.floor(total / h + 1e-12))
     rem = total - nfull * h
     steps = [sign * h] * nfull

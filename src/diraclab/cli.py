@@ -5,19 +5,22 @@ Every invocation prints one JSON report to stdout and exits with
 randomness is seeded (--seed, default 0) and echoed in the report, so
 identical inputs and seed reproduce the report byte for byte (the
 wall_time_s field is the one excluded, timing is not reproducible).
+Every numeric option is checked against its domain in `OPTION_DOMAINS`
+before a command runs, and a usage error is an input error with a report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import jsonio
-from ._numeric import FlowConfig
+from ._numeric import CriterionResult, FlowConfig, worst
 from .errors import DiraclabError, DomainEscapeError, TransversalityError
 from .fields import Chart, PolyKForm, PolyKVector
 from .poisson import (
@@ -34,6 +37,28 @@ from . import maningroup as manin_mod
 from . import realization as real_mod
 
 SCHEMA_VERSION = 2
+
+STEP_FLOOR = 1e-6   # with MAX_FLOW_STEPS = 1e7 this admits flows up to time 10
+COUNT_CAP = 10_000  # samples, pairs and grid points of one run
+# The built-in group charts have domain |x| < pi; --scale bounds each coordinate.
+SCALE_CAP = math.pi
+
+# The domain of each numeric option: a test and the phrase that states it.
+# Chained comparisons are false for NaN, and an infinite bound is exclusive.
+OPTION_DOMAINS = {
+    "seed": (lambda v: 0 <= v, "at least 0"),
+    "tol": (lambda v: 0 <= v < math.inf, "finite and at least 0"),
+    "step": (lambda v: STEP_FLOOR <= v < math.inf, f"finite and at least {STEP_FLOOR:g}"),
+    "radius": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "grid_radius": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "time": (lambda v: -math.inf < v < math.inf, "finite"),
+    "scale": (lambda v: -SCALE_CAP <= v <= SCALE_CAP, "finite and at most pi in magnitude"),
+    **{name: (lambda v: 1 <= v <= COUNT_CAP, f"at least 1 and at most {COUNT_CAP}")
+       for name in ("samples", "pairs", "grid_count")},
+}
+# The tolerance of each command's numeric criteria when --tol is not given.
+TOL_DEFAULTS = {"dirac": 1e-9, "realize": 1e-6, "moser": 1e-6, "linearize": 1e-5,
+                "manin": 1e-5}
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -72,6 +97,23 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as InputError, so that it gets a report too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _check_options(args) -> None:
+    """Fill in the command's --tol default, then check every option's domain."""
+    if args.tol is None:
+        args.tol = TOL_DEFAULTS.get(args.cmd)
+    for name, (inside, phrase) in OPTION_DOMAINS.items():
+        value = getattr(args, name, None)
+        if value is not None and not inside(value):
+            raise InputError(f"--{name.replace('_', '-')} must be {phrase}, got {value}")
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -94,13 +136,6 @@ def _parse_point(text: str, dim: int | None = None):
     if not np.isfinite(point).all():
         raise InputError(f"point {text!r} has a non-finite coordinate")
     return point
-
-
-def _count(args, name: str) -> int:
-    value = getattr(args, name)
-    if value < 1:
-        raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
-    return value
 
 
 def _load_bivector(path: str) -> PoissonBivector:
@@ -127,21 +162,8 @@ def _load_oneform_family(path: str) -> TimePolyForm:
 
 
 def criterion(name, residual, tolerance, worst_point=None):
-    """A report criterion; a None or non-finite residual is reported as null, failed."""
-    if residual == "exact-zero":
-        status = "pass"
-    elif residual is None or not np.isfinite(residual):
-        residual, status = None, "fail"
-    else:
-        residual = float(residual)
-        status = "pass" if residual <= (tolerance if isinstance(tolerance, float) else 0.0) else "fail"
-    return {
-        "name": name,
-        "status": status,
-        "max_residual": residual,
-        "worst_point": None if worst_point is None else [float(x) for x in worst_point],
-        "tolerance": tolerance,
-    }
+    """A numeric report criterion under the pass rule of `CriterionResult`."""
+    return CriterionResult(name, residual, worst_point, tolerance).as_dict()
 
 
 def exact_criterion(name, ok, witness=None):
@@ -204,13 +226,7 @@ def _frame_from_json(data) -> dirac_mod.LagrangianFrame:
     return dirac_mod.LagrangianFrame(chart, sections=sections)
 
 
-def _seeded_points(dim, count, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return [scale * rng.uniform(-1.0, 1.0, size=dim) for _ in range(count)]
-
-
 def _cmd_dirac(args):
-    tol = args.tol if args.tol is not None else 1e-9
     if args.dirac_cmd == "check-integrability":
         if args.poisson:
             pi = _load_bivector(args.poisson)
@@ -219,18 +235,10 @@ def _cmd_dirac(args):
             if not args.frame:
                 raise InputError("need --poisson or --frame")
             E = _frame_from_json(_load_json(args.frame))
-        pts = (
-            [_parse_point(p) for p in args.point]
-            if args.point
-            else _seeded_points(E.chart.dim, 5, args.seed)
-        )
-        worst, worst_pt = 0.0, pts[0]
-        for pt in pts:
-            T = dirac_mod.integrability_tensor(E, pt)
-            r = float(np.abs(T).max())
-            if r > worst:
-                worst, worst_pt = r, pt
-        return [criterion("courant-integrability", worst, tol, worst_pt)], {}
+        pts = ([_parse_point(p) for p in args.point] if args.point
+               else np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=(5, E.chart.dim)))
+        r, pt = worst([np.abs(dirac_mod.integrability_tensor(E, pt)).max() for pt in pts], pts)
+        return [criterion("courant-integrability", r, args.tol, pt)], {}
     if args.dirac_cmd == "gauge":
         pi = _load_bivector(args.poisson)
         omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
@@ -239,7 +247,7 @@ def _cmd_dirac(args):
         try:
             P = dirac_mod.gauge_poisson(pi, gauge, pt)
         except TransversalityError as e:
-            return [criterion("gauge-transversality", None, tol, e.point)], {}
+            return [criterion("gauge-transversality", None, args.tol, e.point)], {}
         return (
             [criterion("gauge-skewness", float(np.abs(P + P.T).max()), 1e-12, pt)],
             {"gauged_bivector_matrix": P.tolist()},
@@ -252,7 +260,7 @@ def _cmd_dirac(args):
         B = dirac_mod.pullback_dirac_at_point(phi, E, pt)
         gram = dirac_mod.pairing_gram(B)
         return (
-            [criterion("pullback-lagrangian", float(np.abs(gram).max()), tol, pt)],
+            [criterion("pullback-lagrangian", float(np.abs(gram).max()), args.tol, pt)],
             {"fiber_basis": B.tolist()},
         )
     if args.dirac_cmd == "poisson-map":
@@ -269,28 +277,21 @@ def _cmd_dirac(args):
 def _cmd_realize(args):
     pi = _load_bivector(args.poisson)
     config = real_mod.RealizationConfig(step=args.step)
-    tol = args.tol if args.tol is not None else 1e-6
     spray = real_mod.default_spray(pi)
-    pts = real_mod.sample_points(pi.chart.dim, _count(args, "samples"), args.radius,
-                                 seed=args.seed)
-    rep = real_mod.verify_dual_pair(spray, pts, config, tolerance=tol)
-    crits = [
-        criterion(c.name, c.max_residual, c.tolerance, c.worst_point)
-        for c in rep.criteria
-    ]
-    return crits, {"samples": rep.samples}
+    pts = real_mod.sample_points(pi.chart.dim, args.samples, args.radius, seed=args.seed)
+    rep = real_mod.verify_dual_pair(spray, pts, config, tolerance=args.tol)
+    return [c.as_dict() for c in rep.criteria], {"samples": rep.samples}
 
 
 def _cmd_moser(args):
     pi = _load_bivector(args.poisson)
     a_t = _load_oneform_family(args.a_form)
-    tol = args.tol if args.tol is not None else 1e-6
     rng = np.random.default_rng(args.seed)
     grid = [rng.uniform(-args.grid_radius, args.grid_radius, size=pi.chart.dim)
-            for _ in range(_count(args, "grid_count"))]
+            for _ in range(args.grid_count)]
     rep = moser_verify(pi, a_t, [args.time], grid, FlowConfig(step=args.step))
     return (
-        [criterion("pushforward-invariance", rep.max_residual, tol, rep.worst_point)],
+        [criterion("pushforward-invariance", rep.max_residual, args.tol, rep.worst_point)],
         {"samples": rep.samples, "time": args.time},
     )
 
@@ -300,16 +301,15 @@ def _cmd_linearize(args):
     X = jsonio.tensor_from_json(data)
     if not isinstance(X, PolyKVector) or X.degree != 1:
         raise InputError("--field must hold a degree-1 vector field")
-    tol = args.tol if args.tol is not None else 1e-5
     rng = np.random.default_rng(args.seed)
-    samples, pts = _count(args, "samples"), []
-    while len(pts) < samples:
+    pts = []
+    while len(pts) < args.samples:
         p = rng.uniform(-args.radius, args.radius, size=X.chart.dim)
-        if np.linalg.norm(p) <= args.radius:
+        if math.hypot(*p) <= args.radius:  # np.linalg.norm overflows for a huge radius
             pts.append(p)
     rep = euler_linearize(X, pts, FlowConfig(step=args.step))
     return (
-        [criterion("conjugation-residual", rep.max_residual, tol, rep.worst_point)],
+        [criterion("conjugation-residual", rep.max_residual, args.tol, rep.worst_point)],
         {"samples": rep.samples},
     )
 
@@ -368,7 +368,6 @@ def _resolve_triple(args):
 
 
 def _cmd_manin(args):
-    tol = args.tol if args.tol is not None else 1e-5
     triple, chart = _resolve_triple(args)
     if args.manin_cmd == "check":
         ok, witness = manin_mod.check_manin_triple(triple)
@@ -393,12 +392,11 @@ def _cmd_manin(args):
         pairs = [
             (args.scale * rng.uniform(-1, 1, chart.dim),
              args.scale * rng.uniform(-1, 1, chart.dim))
-            for _ in range(_count(args, "pairs"))
+            for _ in range(args.pairs)
         ]
         rep = manin_mod.verify_multiplicativity(triple, chart, pairs)
-        worst = rep["worst_pair"][0] if rep["worst_pair"] else None
         return (
-            [criterion("multiplicativity", rep["max_residual"], tol, worst)],
+            [criterion("multiplicativity", rep["max_residual"], args.tol, rep["worst_pair"][0])],
             {"pairs": args.pairs},
         )
     if args.manin_cmd == "homspace":
@@ -412,7 +410,7 @@ def _cmd_manin(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="diraclab",
         description="Exact and numeric certification of Poisson/Dirac constructions",
     )
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=float, default=None, help="override the command tolerance")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -510,18 +508,17 @@ _HANDLERS = {
 
 def run(argv) -> int:
     started = time.perf_counter()
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": list(argv),
-        "seed": args.seed,
+        "seed": 0,
         "criteria": [],
     }
+    args = None
     try:
+        args = build_parser().parse_args(argv)
+        report["seed"] = args.seed
+        _check_options(args)
         criteria, result = _HANDLERS[args.cmd](args)
         report["criteria"] = criteria
         if result:
@@ -538,11 +535,15 @@ def run(argv) -> int:
     except DiraclabError as e:
         report["error"] = str(e)
         code = 2
+    except SystemExit:  # --help printed the usage; every usage error is an InputError
+        return 0
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:  # strict JSON cannot carry a non-finite number
         report = {k: v for k, v in report.items() if k not in ("result", "error_point")}
+        report["criteria"] = [{k: v for k, v in c.items() if k != "witness"}
+                              for c in report["criteria"]]
         report.setdefault("error", "the result contains a non-finite number")
         code = max(code, 1)
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)

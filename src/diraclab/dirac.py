@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import orthonormal_basis, pullback_fiber
+from ._numeric import orthonormal_basis, pullback_fiber, worst
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -445,14 +445,11 @@ def check_poisson_map(
         raise ShapeError("callable maps need sample points and a jacobian callback")
     src_fn = pi_source.compiled_matrix()
     tgt_fn = pi_target.compiled_matrix()
-    worst = (-1.0, None)
+    samples = [np.asarray(pt, dtype=float) for pt in samples]
+    res = []
     for pt in samples:
-        pt = np.asarray(pt, dtype=float)
         J = np.asarray(jacobian(pt), dtype=float)
-        res = J @ src_fn(pt[None, :])[0] @ J.T - sign * tgt_fn(
-            np.asarray(phi(pt), dtype=float)[None, :]
-        )[0]
-        r = float(np.abs(res).max())
-        if r > worst[0]:
-            worst = (r, tuple(float(x) for x in pt))
-    return MapCheckReport(exact=None, max_residual=worst[0], worst_point=worst[1], anti=anti)
+        res.append(np.abs(J @ src_fn(pt[None, :])[0] @ J.T - sign * tgt_fn(
+            np.asarray(phi(pt), dtype=float)[None, :])[0]).max())
+    r, pt = worst(res, samples)
+    return MapCheckReport(exact=None, max_residual=r, worst_point=tuple(map(float, pt)), anti=anti)

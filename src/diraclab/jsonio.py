@@ -7,7 +7,8 @@ Tensor format (shared by all modules and the CLI); indices are 1-based:
                      "poly": [{"exp": [e1,...,en], "num": int, "den": int}]}]}
 
 Every decoder reports malformed input (a missing key, a value of the wrong
-type, a zero denominator) as ShapeError, which the CLI maps to exit code 2.
+type, a zero denominator, an infinite or overflowing number) as ShapeError,
+which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def decoder(fn):
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as e:
             raise ShapeError(f"malformed input for {fn.__name__}: {type(e).__name__}: {e}") from e
 
     return wrapped

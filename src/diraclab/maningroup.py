@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numeric import worst
 from .errors import ShapeError
 from .fields import accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
@@ -313,17 +314,12 @@ class GroupChart:
                 for _ in range(3)
             ]
         res = {"identity": float(np.abs(self.ad(np.zeros(self.dim)) - np.eye(alg.dim)).max())}
-        worst_metric = worst_bracket = 0.0
-        for x in points:
-            A = self.ad(np.asarray(x, dtype=float))
-            worst_metric = max(worst_metric, float(np.abs(A.T @ B @ A - B).max()))
-            for z1, z2 in zeta_pairs:
-                lhs = A @ alg.bracket_num(z1, z2)
-                rhs = alg.bracket_num(A @ z1, A @ z2)
-                worst_bracket = max(worst_bracket, float(np.abs(lhs - rhs).max()))
-        res["metric"] = worst_metric
-        res["bracket"] = worst_bracket
-        res["passed"] = max(res.values()) < tol
+        ads = [self.ad(np.asarray(x, dtype=float)) for x in points]
+        res["metric"] = worst([np.abs(A.T @ B @ A - B).max() for A in ads])[0]
+        res["bracket"] = worst([np.abs(A @ alg.bracket_num(z1, z2)
+                                       - alg.bracket_num(A @ z1, A @ z2)).max()
+                                for A in ads for z1, z2 in zeta_pairs])[0]
+        res["passed"] = worst(list(res.values()))[0] < tol
         return res
 
 
@@ -427,7 +423,7 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
     z1 = np.asarray(zeta1, dtype=float)
     z2 = np.asarray(zeta2, dtype=float)
     z12 = alg.bracket_num(z1, z2)
-    res = {"metric": 0.0, "bracket": 0.0, "coframe_derivative": 0.0}
+    res = {"metric": [], "bracket": [], "coframe_derivative": []}
     for pt in points:
         jet = _PointJet(triple, chart, pt)
         A, Ainv = jet.Ad, chart.ad(-np.asarray(pt, dtype=float))
@@ -436,18 +432,17 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
         mu1 = th.T @ B @ z1
         mu2 = th.T @ B @ z2
         got = mu1 @ v2 + mu2 @ v1
-        res["metric"] = max(res["metric"], abs(got - float(z1 @ B @ z2)))
+        res["metric"].append(abs(got - float(z1 @ B @ z2)))
 
         lie = J2 @ v1 - J1 @ v2
-        res["bracket"] = max(res["bracket"], float(np.abs(lie - jet.dressing(z12)[0]).max()))
+        res["bracket"].append(np.abs(lie - jet.dressing(z12)[0]).max())
 
         # (L_X theta)(d/dx_i) = X(theta(d/dx_i)) + sum_j dX^j/dx_i theta(d/dx_j)
         lhs = G @ np.tensordot(v1, jet.dXi, 1) + th @ J1
         rhs = Ainv @ num["pr_g"] @ np.array(
             [alg.bracket_num(A @ th[:, i], A @ z1) for i in range(chart.dim)]).T
-        res["coframe_derivative"] = max(res["coframe_derivative"],
-                                        float(np.abs(lhs - rhs).max()))
-    return res
+        res["coframe_derivative"].append(np.abs(lhs - rhs).max())
+    return {k: worst(v)[0] for k, v in res.items()}
 
 
 def _product_differential(chart: GroupChart, x1, x2, z) -> np.ndarray:
@@ -469,22 +464,17 @@ def verify_multiplicativity(triple: ManinTriple, chart: GroupChart, pairs) -> di
     residual | D diag(Pi(x1), Pi(x2)) D^T - Pi(z) |.
     """
     n = chart.dim
-    worst = 0.0
-    worst_pair = None
+    pairs = [(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)) for x1, x2 in pairs]
     results = []
     for x1, x2 in pairs:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
         z = chart.compose(x1, x2)
         D = _product_differential(chart, x1, x2, z)
         # D diag(Pi(x1), Pi(x2)) D^T, block by block
         push = sum(Dk @ drinfeld_bivector_chart(triple, chart, xk) @ Dk.T
                    for Dk, xk in ((D[:, :n], x1), (D[:, n:], x2)))
-        r = float(np.abs(push - drinfeld_bivector_chart(triple, chart, z)).max())
-        results.append(r)
-        if r > worst:
-            worst, worst_pair = r, (tuple(x1), tuple(x2))
-    return {"max_residual": worst, "worst_pair": worst_pair, "residuals": results}
+        results.append(float(np.abs(push - drinfeld_bivector_chart(triple, chart, z)).max()))
+    r, (x1, x2) = worst(results, pairs)
+    return {"max_residual": r, "worst_pair": (tuple(x1), tuple(x2)), "residuals": results}
 
 
 def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points) -> float:
@@ -493,12 +483,12 @@ def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points) -> fl
     The partials of the bivector are exact (`_chart_bivector_jet`); the name
     is kept from the finite-difference version it replaces.
     """
-    worst = 0.0
+    res = []
     for pt in points:
         P, dP = _chart_bivector_jet(triple, chart, pt)
         T = np.einsum("im,mjk->ijk", P, dP)
-        worst = max(worst, float(np.abs(T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)).max()))
-    return worst
+        res.append(np.abs(T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)).max())
+    return worst(res)[0]
 
 
 # -- homogeneous spaces ----------------------------------------------------------
@@ -551,19 +541,16 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None,
             or n + g_rank - _rank(l_basis + triple.g_basis) != _rank(k_basis)):
         return False, {**report, "failure": "l cap g != k"}
 
-    worst = 0.0
+    r = 0.0
     if k_generators:
         L = np.array([[float(x) for x in v] for v in l_basis]).T
         Q, _ = np.linalg.qr(L)
         proj = Q @ Q.T
-        for gen in k_generators:
-            gen = np.asarray(gen, dtype=float)
-            A = _expm(alg.ad_num(gen))
-            img = A @ L
-            worst = max(worst, float(np.abs(img - proj @ img).max()))
-        if worst > ad_tol:
-            return False, {**report, "failure": "l not Ad_K-invariant", "residual": worst}
-    report["ad_invariance_residual"] = worst
+        imgs = [_expm(alg.ad_num(np.asarray(gen, dtype=float))) @ L for gen in k_generators]
+        r = worst([np.abs(img - proj @ img).max() for img in imgs])[0]
+        if r > ad_tol:
+            return False, {**report, "failure": "l not Ad_K-invariant", "residual": r}
+    report["ad_invariance_residual"] = r
     return True, report
 
 

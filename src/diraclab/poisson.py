@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import FlowConfig, compile_tensors, flow_points, orthonormal_basis
+from ._numeric import FlowConfig, compile_tensors, flow_points, orthonormal_basis, worst
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -478,20 +478,16 @@ def moser_verify(
         raise ChartMismatchError("a_t on the wrong chart")
     gauge, field = _moser_field(pi0, a_t)
     grid_arr = np.array([list(map(float, g)) for g in grid])
-    worst = (0.0, grid_arr[0], 0.0)
-    for T in times:
-        if T == 0.0:
-            continue
-        x_end, J = flow_points(field, grid_arr, float(T), config)
-        P, _, _, A, _ = gauge(grid_arr, float(T))
+    res = []
+    for T in map(float, times):
+        x_end, J = flow_points(field, grid_arr, T, config)
+        P, _, _, A, _ = gauge(grid_arr, T)
         piT = np.linalg.solve(A, P)
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
         target = gauge(x_end, 0.0)[0]  # W_0 = 0, so this is pi0 at x_end
-        res = np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1)
-        b = int(res.argmax())
-        if res[b] > worst[0]:
-            worst = (float(res[b]), grid_arr[b], float(T))
-    return MoserReport(worst[0], tuple(worst[1]), worst[2], len(grid_arr) * len(times))
+        res.append(np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1))
+    r, (x, T) = worst(res, [(x, T) for T in times for x in grid_arr])
+    return MoserReport(r, tuple(x), float(T), len(grid_arr) * len(times))
 
 
 def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
@@ -587,6 +583,5 @@ def euler_linearize(
     Xvals = np.array([[X.components.get((j,), PolyScalar.zero(chart)).evaluate(p)
                        for j in range(n)] for p in pts])
     pushed = np.einsum("bij,bj->bi", J, Xvals)
-    res = np.abs(pushed - images).max(axis=1)
-    b = int(res.argmax())
-    return EulerReport(float(res[b]), tuple(pts[b]), len(pts), pts, images, J)
+    r, x = worst(np.abs(pushed - images).max(axis=1), pts)
+    return EulerReport(r, tuple(x), len(pts), pts, images, J)

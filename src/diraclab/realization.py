@@ -32,12 +32,14 @@ the batch size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._numeric import (
+    CriterionResult,
     FlowConfig,
     PackedPolys,
     compile_tensors,
@@ -46,9 +48,10 @@ from ._numeric import (
     nullspace_basis,
     pullback_fiber,
     span_residual,
+    worst,
 )
 from .dirac import one_form_bracket
-from .errors import ChartMismatchError, PreconditionError, ShapeError
+from .errors import ChartMismatchError, PreconditionError
 from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart,
                      sum_of_products)
 from .poisson import PoissonBivector
@@ -66,8 +69,7 @@ class RealizationConfig:
     escape_norm: float = 1e3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ShapeError("step must be positive")
+        self.flow()  # FlowConfig validates the step
 
     def flow(self) -> FlowConfig:
         return FlowConfig(step=self.step, escape_norm=self.escape_norm)
@@ -235,27 +237,6 @@ def sample_points(n: int, count: int, radius: float, seed: int = 0,
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    max_residual: float
-    worst_point: tuple | None
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "max_residual": self.max_residual,
-            "worst_point": None if self.worst_point is None else list(self.worst_point),
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass(frozen=True)
 class DualPairReport:
     criteria: tuple
     samples: int
@@ -304,8 +285,8 @@ def verify_dual_pair(
     res = np.column_stack([np.maximum(r1t, r1s), r2, span_residual(gauged, sgt)])
 
     def crit(name, col):
-        b = int(res[:, col].argmax())
-        return CriterionResult(name, float(res[b, col]), tuple(points[b]), tolerance)
+        r, pt = worst(res[:, col], points)
+        return CriterionResult(name, r, tuple(pt), tolerance)
 
     return DualPairReport(
         (
@@ -346,7 +327,7 @@ class InvariantFieldReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return worst(list(self.residuals.values()))[0]
 
 
 def invariant_vector_fields(
@@ -383,6 +364,12 @@ def invariant_vector_fields(
     return InvariantFieldReport(aL, aR, res)
 
 
+def _stencil(pt: np.ndarray, h: float) -> np.ndarray:
+    """The central-difference points pt + h e_i, pt - h e_i for each i, in turn."""
+    E = h * np.eye(len(pt))
+    return np.stack([pt + E, pt - E], axis=1).reshape(-1, len(pt))
+
+
 def bracket_relations_residual(
     spray,
     alpha: PolyKForm,
@@ -395,25 +382,15 @@ def bracket_relations_residual(
     alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
     ab_at = _covector_field(spray, one_form_bracket(spray.pi, alpha, beta))
     pt = np.asarray(point, dtype=float)
-    n2 = 2 * spray.base_dim
     h = 1e-5
-    stencil = [pt]
-    for i in range(n2):
-        e = np.zeros(n2)
-        e[i] = h
-        stencil.append(pt + e)
-        stencil.append(pt - e)
-    batch = _realization_batch(spray, np.array(stencil), config)
+    batch = _realization_batch(spray, np.vstack([pt, _stencil(pt, h)]), config)
     aL, aR = _lr_fields(alpha_at, *batch)
     bL, bR = _lr_fields(beta_at, *batch)
     # [alpha, beta]^{L,R} at pt = stencil[0] reuses row 0 of the same flow
     abL, abR = _lr_fields(ab_at, *(a[:1] for a in batch))
 
-    def jac(vals):
-        J = np.empty((n2, n2))
-        for i in range(n2):
-            J[:, i] = (vals[1 + 2 * i] - vals[2 + 2 * i]) / (2 * h)
-        return J
+    def jac(vals):  # column i is the central difference along e_i, row-major
+        return np.ascontiguousarray(((vals[1::2] - vals[2::2]) / (2 * h)).T)
 
     def lie(u_vals, v_vals):
         return jac(v_vals) @ u_vals[0] - jac(u_vals) @ v_vals[0]
@@ -430,20 +407,10 @@ def closedness_residual(spray, point, config: RealizationConfig = RealizationCon
     pt = np.asarray(point, dtype=float)
     n2 = 2 * spray.base_dim
     h = 1e-3
-    stencil = []
-    for i in range(n2):
-        e = np.zeros(n2)
-        e[i] = h
-        stencil.append(pt + e)
-        stencil.append(pt - e)
-    W = realization_form(spray, np.array(stencil), config)
-    dW = np.empty((n2, n2, n2))
-    for i in range(n2):
-        dW[i] = (W[2 * i] - W[2 * i + 1]) / (2 * h)
-    worst = 0.0
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            for k in range(j + 1, n2):
-                v = dW[i][j, k] + dW[j][k, i] + dW[k][i, j]
-                worst = max(worst, abs(v))
-    return worst
+    W = realization_form(spray, _stencil(pt, h), config)
+    dW = (W[0::2] - W[1::2]) / (2 * h)
+    if n2 < 3:  # a 3-form in dimension 2 vanishes
+        return 0.0
+    # the cyclic sums dW[i][j, k] + dW[j][k, i] + dW[k][i, j] over i < j < k
+    i, j, k = np.array(list(itertools.combinations(range(n2), 3))).T
+    return worst(np.abs(dW[i, j, k] + dW[j, k, i] + dW[k, i, j]))[0]

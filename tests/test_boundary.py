@@ -7,7 +7,9 @@ one tensor compiler (`compile_tensors`) and one flow function (`flow_points`);
 the adapters and the second flow function they replaced stay gone.  The Manin
 layer decides its subspace axioms with one exact `_rank`: the Fraction-matrix
 module `_rat` and its span helpers stay gone, as do the batch-only realization
-entry points.
+entry points.  Every verifier reduces its residuals with `_numeric.worst`: a
+running `worst = max(worst, r)` or `if r > worst` drops a NaN residual, so no
+such reduction may come back.
 """
 
 import ast
@@ -66,3 +68,22 @@ def test_no_module_imports_rat(path):
             continue
         assert not any(name.split(".")[-1] == "_rat" for name in names), \
             f"{path.name} imports _rat at line {node.lineno}"
+
+
+def _is_worst_name(node) -> bool:
+    """A name `worst...` or an item `worst...[i]` of one."""
+    node = node.value if isinstance(node, ast.Subscript) else node
+    return isinstance(node, ast.Name) and node.id.startswith("worst")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_hand_written_worst_case_reduction(path):
+    tree = _tree(path)
+    if path.name == "_numeric.py":  # the one reducer itself
+        tree.body = [n for n in tree.body if getattr(n, "name", None) != "worst"]
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max"
+             and any(map(_is_worst_name, node.args))
+             or isinstance(node, ast.Compare)
+             and any(map(_is_worst_name, [node.left, *node.comparators]))]
+    assert not found, f"{path.name} reduces residuals by hand at lines {found}"

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import diraclab
 from diraclab import jsonio
@@ -553,3 +557,171 @@ class TestMalformedInput:
                  "AFORM": workdir["a_form.json"]}
         rep = self.check_exit_2(capsys, [files.get(a, a) for a in argv])
         assert "must be at least 1" in rep["error"], name
+
+    @pytest.mark.parametrize("argv", [
+        *[["manin", "multiplicativity", "--builtin", "iwasawa-su2", "--scale", v]
+          for v in ("nan", "inf", "1e300")],
+        *[[*cmd, "--step", v] for v in ("nan", "0", "-1") for cmd in (
+            ["realize", "--poisson", "PI"], ["moser", "--poisson", "PI", "--a-form", "AFORM"],
+            ["linearize", "--field", "FIELD"])],
+        ["moser", "--poisson", "PI", "--a-form", "AFORM", "--time", "nan"],
+        ["realize", "--poisson", "PI", "--tol", "nan"],
+        ["realize", "--poisson", "PI", "--tol", "-1"],
+        ["dirac", "check-integrability", "--poisson", "PI", "--tol", "-1"],
+        *[["linearize", "--field", "FIELD", "--radius", v] for v in ("nan", "inf")],
+        ["moser", "--poisson", "PI", "--a-form", "AFORM", "--grid-radius", "nan"],
+        ["realize", "--poisson", "PI", "--seed", "-1"],
+        ["realize", "--poisson", "PI", "--samples", "nan"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_option_outside_its_domain(self, workdir, capsys, argv):
+        # each used to pass falsely, exit 1 or end in a traceback
+        files = {"PI": workdir["xdxdy.json"], "FIELD": workdir["euler_field.json"],
+                 "AFORM": workdir["a_form.json"]}
+        rep = self.check_exit_2(capsys, [files.get(a, a) for a in argv])
+        assert argv[-2] in rep["error"]
+
+
+# -- fuzz: every subcommand, mutated option values and JSON inputs --------------
+
+FUZZ_COMMANDS = {
+    "poisson check": ["poisson", "check", "--file", "PI"],
+    "poisson jacobiator": ["poisson", "jacobiator", "--file", "PI"],
+    "poisson bracket": ["poisson", "bracket", "--file", "PI", "--f", "F", "--g", "F"],
+    "poisson leaf": ["poisson", "leaf", "--file", "PI", "--point", "0.5,0.25"],
+    "dirac check-integrability": ["dirac", "check-integrability", "--poisson", "PI",
+                                  "--point", "0.5,0.25"],
+    "dirac gauge": ["dirac", "gauge", "--poisson", "PI", "--omega", "OMEGA",
+                    "--point", "0.5,0.25"],
+    "dirac pullback": ["dirac", "pullback", "--map", "PHI", "--poisson", "PI", "--point", "0.5"],
+    "dirac poisson-map": ["dirac", "poisson-map", "--map", "ID", "--pi-source", "PI",
+                          "--pi-target", "PI"],
+    "realize": ["realize", "--poisson", "PI", "--samples", "2", "--step", "1e-2"],
+    "moser": ["moser", "--poisson", "PI", "--a-form", "AFORM", "--grid-count", "2",
+              "--step", "1e-2"],
+    "linearize": ["linearize", "--field", "FIELD", "--samples", "2", "--step", "1e-2"],
+    "manin check": ["manin", "check", "--builtin", "iwasawa-su2"],
+    "manin bivector": ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3"],
+    "manin dressing": ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",
+                       "--zeta", "1,0,0,0,0,0"],
+    "manin multiplicativity": ["manin", "multiplicativity", "--builtin", "iwasawa-su2",
+                               "--pairs", "2"],
+    "manin homspace": ["manin", "homspace", "--builtin", "iwasawa-su2", "--data", "HS"],
+}
+FUZZ_OPTIONS = {
+    "realize": ["--samples", "--radius", "--step"],
+    "moser": ["--time", "--grid-radius", "--grid-count", "--step"],
+    "linearize": ["--radius", "--samples", "--step"],
+    "manin multiplicativity": ["--pairs", "--scale"],
+}
+# no tiny positive value: a step of 1e-300 is rejected by the floor, and
+# without it would build a flow of about 1e300 steps
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300"]
+# no huge integer: a chart dimension or exponent of 10**400 would be built
+FUZZ_JUNK = ["x", None, 1.5, True, [], {}, math.nan, math.inf]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    chart = Chart(2, ("x", "y"))
+    x = chart.coordinate(0)
+    one = PolyScalar.constant(chart, 1)
+    data = {
+        "PI": jsonio.tensor_to_json(from_components(chart, {(0, 1): x}).pi),
+        "F": jsonio.poly_to_json(x),
+        "OMEGA": jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one})),
+        "PHI": {"source": 1, "target": 2, "components": [[{"exp": [1], "num": 1, "den": 1}],
+                                                         [{"exp": [2], "num": 1, "den": 1}]]},
+        "ID": {"source": 2, "target": 2, "components": [[{"exp": [1, 0], "num": 1, "den": 1}],
+                                                        [{"exp": [0, 1], "num": 1, "den": 1}]]},
+        "AFORM": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(chart, 1, {(1,): -x}))}},
+        "FIELD": jsonio.tensor_to_json(PolyKVector(chart, 1, {(0,): x + x * x,
+                                                              (1,): chart.coordinate(1)})),
+        "HS": {"k_basis": [[0, 0, 1, 0, 0, 0]],
+               "l_basis": [[0, 0, 1, 0, 0, 0], [0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]],
+               "k_generators": [[0, 0, 1, 0, 0, 0]]},
+    }
+    return d, data
+
+
+def _json_paths(node, path=()):
+    """Every (container path, key) of the JSON tree, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield path, key
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(data, pick: int, how: str, junk):
+    data = json.loads(json.dumps(data))
+    paths = list(_json_paths(data))
+    path, key = paths[pick % len(paths)]
+    parent = data
+    for k in path:
+        parent = parent[k]
+    if how == "delete":
+        del parent[key]
+    elif how == "lengthen" and isinstance(parent[key], list):
+        parent[key].append(parent[key][-1] if parent[key] else 0)
+    elif how == "shorten" and isinstance(parent[key], list) and parent[key]:
+        parent[key].pop()
+    else:
+        parent[key] = junk
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+# the options that used to hang, raise or pass falsely, always tried
+@example(command="moser", target=2, value="1e300", pick=0, how="junk", junk=None,
+         mutate_json=False)
+@example(command="moser", target=3, value="1e300", pick=0, how="junk", junk=None,
+         mutate_json=False)
+@example(command="linearize", target=2, value="1e300", pick=0, how="junk", junk=None,
+         mutate_json=False)
+@example(command="manin multiplicativity", target=3, value="nan", pick=0, how="junk",
+         junk=None, mutate_json=False)
+@example(command="manin homspace", target=0, value="0", pick=34, how="junk", junk=10**400,
+         mutate_json=True)
+@example(command="manin homspace", target=0, value="0", pick=34, how="junk", junk=10**300,
+         mutate_json=True)
+@given(command=st.sampled_from(sorted(FUZZ_COMMANDS)), target=st.integers(0, 8),
+       value=st.sampled_from(FUZZ_VALUES), pick=st.integers(0, 10**6),
+       how=st.sampled_from(["junk", "delete", "lengthen", "shorten"]),
+       junk=st.sampled_from(FUZZ_JUNK), mutate_json=st.booleans())
+def test_cli_fuzz(fuzz_files, command, target, value, pick, how, junk, mutate_json):
+    """Exit 0, 1 or 2, a strict-JSON report, no traceback, and no pass on a
+    non-finite option value or coordinate."""
+    d, data = fuzz_files
+    argv = list(FUZZ_COMMANDS[command])
+    files = [a for a in argv if a in data]
+    non_finite = False
+    if mutate_json and files:
+        name = files[target % len(files)]
+        data = {**data, name: _mutate(data[name], pick, how, junk)}
+        non_finite = how == "junk" and isinstance(junk, float) and not math.isfinite(junk)
+    else:
+        options = ["--seed", "--tol", *FUZZ_OPTIONS.get(command, [])]
+        points = [i + 1 for i, a in enumerate(argv) if a in ("--point", "--zeta")]
+        k = target % (len(options) + len(points))
+        if k < len(options):
+            argv.append(f"{options[k]}={value}")
+        else:
+            coords = argv[points[k - len(options)]].split(",")
+            coords[pick % len(coords)] = value
+            argv[points[k - len(options)]] = ",".join(coords)
+        non_finite = value in ("nan", "inf", "-inf")
+    for name in files:
+        (d / f"{name}.json").write_text(json.dumps(data[name]))
+    argv = [str(d / f"{a}.json") if a in data else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    report = strict_loads(out.getvalue())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or report.get("error") or any(
+        c["status"] == "fail" for c in report["criteria"])
+    if non_finite:
+        assert code != 0 and all(c["status"] == "fail" for c in report["criteria"])

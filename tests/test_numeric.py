@@ -6,6 +6,7 @@ import pytest
 
 from diraclab import _numeric
 from diraclab._numeric import FlowConfig, PackedPolys, compile_tensors
+from diraclab.errors import ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.poisson import (
     TimePolyForm,
@@ -15,6 +16,7 @@ from diraclab.poisson import (
     moser_verify,
     so3_constants,
 )
+from diraclab.realization import RealizationConfig
 
 from conftest import random_form, random_poly, random_vector
 
@@ -335,3 +337,20 @@ class TestStackedHelpers:
             c = reference_nullspace(np.column_stack([J[b], -vectors[b]]))[5:]
             assert np.abs(J[b] @ w - vectors[b] @ c).max() < 1e-12
             assert np.abs(nu - J[b].T @ forms[b] @ c).max() < 1e-12
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_step_that_is_not_finite_and_positive_is_rejected(step):
+    # moser --step 0 and linearize --step -1 used to raise a bare ValueError,
+    # and a NaN step passed `step <= 0` and failed in the step schedule
+    with pytest.raises(ShapeError):
+        FlowConfig(step=step)
+    with pytest.raises(ShapeError):
+        RealizationConfig(step=step)
+
+
+@pytest.mark.parametrize("t", [1e300, float("nan")])
+def test_a_flow_over_the_step_cap_is_refused(t):
+    field = compile_tensors([PolyKVector(Chart(1), 1, {})], partials=True)
+    with pytest.raises(ShapeError, match="steps"):
+        _numeric.flow_points(field, np.zeros(1), t, FlowConfig())
