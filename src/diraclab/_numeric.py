@@ -5,6 +5,9 @@ time-polynomial families of them as the flat columns of one `PackedPolys`,
 which evaluates every column, and with partials=True every partial, from one
 monomial table and one matmul per call.  `PackedPolys` takes the
 coefficients from `PolyScalar.float_terms`; it never reads exponents itself.
+A time-dependent one keeps its last (t, C(t)) as one tuple, which one store
+swaps whole; RK4 repeats stage times, so a flow forms C(t) about twice per
+step instead of four times, bitwise as before.
 
 One flow function: `flow_points(field, x0, t, config)` with
 field(x, tau) -> (a, Da), the `PackedPolys` call order.  A vector field with
@@ -134,12 +137,12 @@ class PackedPolys:
     Column c is sum_d t^d p_{c,d}(x), given as a mapping {d: PolyScalar}.
     One monomial table holds every term of the p_{c,d} and, with
     partials=True, of their partials; the coefficient matrices C_d share its
-    rows.  A call at (x, t) forms C(t) = sum_d t^d C_d, evaluates the table
-    once and does one matmul: values (..., w) and, with partials=True,
-    partials (..., w, n) with [c, k] = d_k column c.
+    rows.  A call at (x, t) forms C(t) = sum_d t^d C_d (or reuses the last),
+    evaluates the table once and does one matmul: values (..., w) and, with
+    partials=True, partials (..., w, n) with [c, k] = d_k column c.
     """
 
-    __slots__ = ("dim", "width", "partials", "monomials", "powers", "coefs")
+    __slots__ = ("dim", "width", "partials", "monomials", "powers", "coefs", "_memo")
 
     def __init__(self, columns, dim: int, partials: bool = False):
         w = self.width = len(columns)
@@ -160,15 +163,15 @@ class PackedPolys:
         for d, r, col, v in entries:
             coefs[d, r, col] = v
         self.coefs = coefs[0] if self.powers is None else coefs
+        self._memo = (None, self.coefs)
 
     def __call__(self, pts, t: float = 0.0):
         pts = np.asarray(pts, dtype=float)
-        if self.powers is None:
+        memo = self._memo  # read once: one store swaps the (t, C(t)) pair
+        if self.powers is not None and memo[0] != t:
             C = self.coefs
-        else:
-            P = len(self.powers)
-            C = (t**self.powers @ self.coefs.reshape(P, -1)).reshape(self.coefs.shape[1:])
-        out = self.monomials(pts) @ C
+            memo = self._memo = (t, (t**self.powers @ C.reshape(len(C), -1)).reshape(C.shape[1:]))
+        out = self.monomials(pts) @ memo[1]
         if not self.partials:
             return out
         w = self.width
@@ -178,14 +181,18 @@ class PackedPolys:
 def compile_tensors(tensors, partials: bool = False) -> PackedPolys:
     """One PackedPolys over the flat columns of each item, in order.
 
-    An item is a degree-1 or degree-2 tensor on R^n, or a time family
-    sum_d t^d T_d given by `coeffs` {d: T_d} (such as TimePolyForm).  Degree 1
-    gives n columns; degree 2 gives the n * n row-major entries of the full
-    antisymmetric matrix.  All items share one chart dimension.
+    An item is a degree-1 or degree-2 tensor on R^n, a time family
+    sum_d t^d T_d given by `coeffs` {d: T_d} (such as TimePolyForm), or a list
+    of columns {d: PolyScalar} taken as they are.  Degree 1 gives n columns;
+    degree 2 gives the n * n row-major entries of the full antisymmetric
+    matrix.  The first item fixes the chart dimension.
     """
     n = tensors[0].chart.dim
     columns = []
     for item in tensors:
+        if isinstance(item, list):
+            columns += item
+            continue
         cols = [{} for _ in range(n ** item.degree)]
         for d, T in (item.coeffs if hasattr(item, "coeffs") else {0: item}).items():
             for idx, p in T.components.items():

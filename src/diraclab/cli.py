@@ -124,6 +124,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise InputError(f"malformed JSON in {path}: {e}")
 
 
 def _parse_point(text: str, dim: int | None = None):
@@ -217,7 +219,7 @@ def _cmd_poisson(args):
 
 @jsonio.decoder
 def _frame_from_json(data) -> dirac_mod.LagrangianFrame:
-    chart = Chart(int(data["chart"]))
+    chart = Chart(jsonio.dimension(data, "chart"))
     sections = []
     for rec in data["sections"]:
         X = jsonio.tensor_from_json(rec["X"], chart)
@@ -320,7 +322,7 @@ def _rational_matrix_from_json(rows):
 
 @jsonio.decoder
 def _triple_from_json(data) -> tuple:
-    dim = int(data["dim"])
+    dim = jsonio.dimension(data, "dim")
     C = jsonio.constants_from_entries(data["C"], ("a", "b", "c"), dim)
     B = _rational_matrix_from_json(data["B"])
     alg = manin_mod.MetrizedLieAlgebra(dim, C, B)
@@ -532,7 +534,7 @@ def run(argv) -> int:
         if e.point is not None:
             report["error_point"] = list(e.point)
         code = 1
-    except DiraclabError as e:
+    except (DiraclabError, OverflowError) as e:  # OverflowError: an input past the float range
         report["error"] = str(e)
         code = 2
     except SystemExit:  # --help printed the usage; every usage error is an InputError

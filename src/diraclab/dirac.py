@@ -37,7 +37,7 @@ from .fields import (
     sum_of_products,
     vector_bracket,
 )
-from .poisson import PoissonBivector, gauge_matrix_at, sharp_apply
+from .poisson import PoissonBivector, gauge_family, gauge_matrix_at, sharp_apply
 
 
 class GeneralizedSection:
@@ -307,36 +307,25 @@ def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> Poisso
     chart = pi.chart
     n = chart.dim
     P = pi.component_matrix()
-    Wfull = [[PolyScalar.zero(chart) for _ in range(n)] for _ in range(n)]
-    for (i, j), p in gauge.omega.components.items():
-        Wfull[i][j] = p
-        Wfull[j][i] = -p
-    A = [[sum_of_products(chart, [(1, P[i][k], Wfull[k][j], None) for k in range(n)])
-          + int(i == j) for j in range(n)] for i in range(n)]  # I + P W
+    A = gauge_family(pi, {0: gauge.omega})[0]  # I + P W
 
     def det(mat):
         m = len(mat)
-        if m == 1:
-            return mat[0][0]
+        if m == 0:
+            return PolyScalar.constant(chart, 1)
         minors = [[row[:j] + row[j + 1 :] for row in mat[1:]] for j in range(m)]
         return sum_of_products(chart, [((-1) ** j, mat[0][j], det(minors[j]), None)
                                        for j in range(m)])
 
     d = det(A)
     if d.is_zero() or d.total_degree() > 0:
-        raise TransversalityError(
-            "det(I + Pi W) is not a nonzero constant; symbolic gauge unavailable"
-        )
+        raise TransversalityError("det(I + Pi W) is not a nonzero constant; "
+                                  "symbolic gauge unavailable")
     c = d.evaluate_exact([0] * n)  # d is constant
     # adjugate: adj(A)_{ij} = (-1)^{i+j} det(minor_ji)
-    adj = [[PolyScalar.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [A[r][s] for s in range(n) if s != i] for r in range(n) if r != j
-            ]
-            m = det(minor) if minor else PolyScalar.constant(chart, 1)
-            adj[i][j] = m if (i + j) % 2 == 0 else -m
+    adj = [[(-1) ** (i + j) * det([[A[r][s] for s in range(n) if s != i]
+                                   for r in range(n) if r != j])
+            for j in range(n)] for i in range(n)]
     comps = {(i, j): sum_of_products(chart, [(1, adj[i][k], P[k][j], None) for k in range(n)])
              * (1 / c) for i in range(n) for j in range(i + 1, n)}
     return PoissonBivector(PolyKVector(chart, 2, comps))

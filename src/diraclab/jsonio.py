@@ -7,8 +7,8 @@ Tensor format (shared by all modules and the CLI); indices are 1-based:
                      "poly": [{"exp": [e1,...,en], "num": int, "den": int}]}]}
 
 Every decoder reports malformed input (a missing key, a value of the wrong
-type, a zero denominator, an infinite or overflowing number) as ShapeError,
-which the CLI maps to exit code 2.
+type, a zero denominator, an infinite or overflowing number, a dimension
+above MAX_DIM) as ShapeError, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from fractions import Fraction
 from .errors import ShapeError
 from .fields import Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar, accumulate
 from .poisson import normalize_structure_constants
+
+MAX_DIM = 64  # the largest dimension an input may declare: a chart builds per-coordinate data
 
 
 def decoder(fn):
@@ -32,6 +34,13 @@ def decoder(fn):
             raise ShapeError(f"malformed input for {fn.__name__}: {type(e).__name__}: {e}") from e
 
     return wrapped
+
+
+def dimension(data, key: str) -> int:
+    """data[key] as a dimension, refused above MAX_DIM before anything is built."""
+    if (n := int(data[key])) > MAX_DIM:
+        raise ShapeError(f"{key} {n} exceeds the dimension cap {MAX_DIM}")
+    return n
 
 
 def poly_to_json(p: PolyScalar) -> list:
@@ -62,7 +71,7 @@ def tensor_to_json(T) -> dict:
 
 @decoder
 def tensor_from_json(data, chart: Chart | None = None):
-    n = int(data["chart"])
+    n = dimension(data, "chart")
     if chart is None:
         chart = Chart(n)
     elif chart.dim != n:
@@ -89,8 +98,8 @@ def map_to_json(phi: PolyMap) -> dict:
 
 @decoder
 def map_from_json(data) -> PolyMap:
-    src = Chart(int(data["source"]))
-    tgt = Chart(int(data["target"]))
+    src = Chart(dimension(data, "source"))
+    tgt = Chart(dimension(data, "target"))
     comps = [poly_from_json(src, c) for c in data["components"]]
     return PolyMap(src, tgt, comps)
 
@@ -120,7 +129,7 @@ def structure_constants_from_json(data) -> tuple[int, dict]:
 
     Returns n and the canonical constants (see `constants_from_entries`).
     """
-    n = int(data["n"])
+    n = dimension(data, "n")
     return n, constants_from_entries(data["c"], ("i", "j", "k"), n)
 
 

@@ -61,13 +61,7 @@ class PoissonBivector:
 
     def component_matrix(self):
         """Full antisymmetric matrix of PolyScalars Pi^{ij}."""
-        n = self.chart.dim
-        zero = PolyScalar.zero(self.chart)
-        M = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j), p in self.pi.components.items():
-            M[i][j] = p
-            M[j][i] = -p
-        return M
+        return _full_matrix(self.pi)
 
     def matrix_at(self, point) -> np.ndarray:
         return self.pi.evaluate_at(point)
@@ -88,6 +82,13 @@ class PoissonBivector:
 
     def __repr__(self):
         return f"PoissonBivector({self.pi!r})"
+
+
+def _full_matrix(T) -> list:
+    """Full antisymmetric n x n matrix of PolyScalars of a degree-2 tensor."""
+    c, zero, n = T.components, PolyScalar.zero(T.chart), T.chart.dim
+    return [[c[i, j] if (i, j) in c else -c[j, i] if (j, i) in c else zero for j in range(n)]
+            for i in range(n)]
 
 
 def from_components(chart: Chart, comps: Mapping) -> PoissonBivector:
@@ -399,6 +400,18 @@ def gauge_matrix_at(pi_mat: np.ndarray, omega_mat: np.ndarray, point=None) -> np
     return 0.5 * (out - out.T)
 
 
+def gauge_family(pi: PoissonBivector, omega: Mapping[int, PolyKForm]) -> dict:
+    """{d: A_d}, n x n PolyScalar matrices of the exact gauge matrix
+    sum_d t^d A_d = I + Pi W_t of omega_t = sum_d t^d omega_d.  A_0 is always
+    present: it carries I, so a zero family still has A = I."""
+    chart, n, P = pi.chart, pi.chart.dim, pi.component_matrix()
+    one = [(1, PolyScalar.constant(chart, 1), PolyScalar.constant(chart, 1), None)]
+    W = {d: _full_matrix(omega.get(d, PolyKForm(chart, 2, {}))) for d in sorted({0, *omega})}
+    return {d: [[sum_of_products(chart, [(1, P[i][k], Wd[k][j], None) for k in range(n)
+                                         if P[i][k] and Wd[k][j]] + one * (d == 0 and i == j))
+                 for j in range(n)] for i in range(n)] for d, Wd in W.items()}
+
+
 # -- Moser verification ---------------------------------------------------------
 
 
@@ -426,10 +439,6 @@ class TimePolyForm:
 
     def __setattr__(self, *a):
         raise AttributeError("TimePolyForm is immutable")
-
-    @staticmethod
-    def constant(alpha: PolyKForm) -> "TimePolyForm":
-        return TimePolyForm({0: alpha})
 
     def exterior_derivative(self) -> "TimePolyForm":
         out = {d: exterior_derivative(a) for d, a in self.coeffs.items()}
@@ -465,10 +474,10 @@ def moser_verify(
     pi0.  Returns the max pushforward residual over grid x times.
 
     With A = I + Pi W_t (W_t the matrix of omega_t) and u = A^{-T} a_t, the
-    field is X = Pi^T u.  Its Jacobian is exact: with
-    d_k A = d_k Pi W + Pi d_k W and d_k u = A^{-T}(d_k a - d_k A^T u),
-    d_k X = d_k Pi^T u + Pi^T d_k u.  Pi, W_t, a_t and their partials come
-    from one packed table evaluation per call.
+    field is X = Pi^T u, with the exact Jacobian
+    d_k X = d_k Pi^T u + Pi^T A^{-T}(d_k a - d_k A^T u).  A_t is formed exactly
+    (`gauge_family`) and compiled with Pi and a_t, so one table evaluation
+    gives every partial, and a call does one det, one inverse and matmuls.
     """
     if not is_poisson(pi0):
         raise PreconditionError("pi0 must be Poisson")
@@ -481,10 +490,10 @@ def moser_verify(
     res = []
     for T in map(float, times):
         x_end, J = flow_points(field, grid_arr, T, config)
-        P, _, _, A, _ = gauge(grid_arr, T)
+        P, A, _, _ = gauge(grid_arr, T)
         piT = np.linalg.solve(A, P)
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
-        target = gauge(x_end, 0.0)[0]  # W_0 = 0, so this is pi0 at x_end
+        target = gauge(x_end, 0.0)[0]  # Pi, which is pi0, at x_end
         res.append(np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1))
     r, (x, T) = worst(res, [(x, T) for T in times for x in grid_arr])
     return MoserReport(r, tuple(x), float(T), len(grid_arr) * len(times))
@@ -493,41 +502,35 @@ def moser_verify(
 def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
     """Evaluators of the gauge family and of X_t = pi_t^#(a_t).
 
-    gauge(pts, t) -> (Pi, W_t, a_t, A = I + Pi W_t, partials) from one packed
-    table evaluation, raising TransversalityError where |det A| < 1e-12;
-    field(pts, t) -> (X_t, DX_t) with the exact Jacobian of moser_verify.
+    gauge(pts, t) -> (Pi, A_t, a_t, partials) from one packed table evaluation,
+    raising TransversalityError where |det A| < 1e-12; field(pts, t) ->
+    (X_t, DX_t) with the exact Jacobian of moser_verify.
     """
-    n = pi0.chart.dim
-    nn = n * n
-    omega_t = a_t.exterior_derivative().time_integral()  # omega_t = -int d a_s
-    packed = compile_tensors([pi0.pi, omega_t, a_t], partials=True)
-    eye = np.eye(n)
+    n, P = pi0.chart.dim, pi0.component_matrix()
+    A_t = gauge_family(pi0, a_t.exterior_derivative().time_integral().coeffs)
+    # a_t, then row by row Pi^{i.} and A_{i.}: the partials of Pi and A read
+    # [i, (0 | 1, j, k)], so one matmul contracts both with u
+    packed = compile_tensors([a_t, [col for i in range(n) for col in (
+        [{0: p} if p else {} for p in P[i]]
+        + [{d: A[i][j] for d, A in A_t.items() if A[i][j]} for j in range(n)])]],
+        partials=True)
 
     def gauge(pts, t):
-        """Pi, W_t, a_t, A = I + Pi W_t and the partials at (pts, t)."""
         vals, parts = packed(pts, t)
-        P = vals[:, :nn].reshape(-1, n, n)
-        W = vals[:, nn:2 * nn].reshape(-1, n, n)
-        A = eye + P @ W
+        P, A = vals[:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
         bad = np.abs(np.linalg.det(A)) < 1e-12
-        if np.any(bad):
-            b = int(np.argmax(bad))
-            raise TransversalityError(f"gauge family degenerate at t={t}", pts[b])
-        return P, W, vals[:, 2 * nn:], A, parts
+        if bad.any():
+            raise TransversalityError(f"gauge family degenerate at t={t}", pts[int(bad.argmax())])
+        return P, A, vals[:, :n], parts
 
     def field(pts, t):
-        # X_t = pi_t^#(a_t) = Pi^T u with u = A^{-T} a, and its exact Jacobian
-        P, W, a, A, parts = gauge(pts, t)
-        dP = parts[:, :nn].reshape(-1, n, n, n)  # [i, j, k] = d_k Pi^{ij}
-        dW = parts[:, nn:2 * nn].reshape(-1, n, n, n)
-        AT = np.swapaxes(A, 1, 2)
-        u = np.linalg.solve(AT, a[..., None])[..., 0]
-        X = np.einsum("bij,bi->bj", P, u)
-        dPu = np.einsum("bi,bijk->bjk", u, dP)  # [j, k] = (d_k Pi^T u)_j
-        # (d_k A^T u)_j = (W^T d_k Pi^T u)_j + sum_m X_m d_k W_{mj}
-        dATu = np.swapaxes(W, 1, 2) @ dPu + np.einsum("bm,bmjk->bjk", X, dW)
-        du = np.linalg.solve(AT, parts[:, 2 * nn:] - dATu)
-        return X, dPu + np.swapaxes(P, 1, 2) @ du
+        P, A, a, parts = gauge(pts, t)
+        PT, AiT = P.swapaxes(1, 2), np.linalg.inv(A).swapaxes(1, 2)
+        u = AiT @ a[..., None]
+        # [b, j, k] = (d_k Pi^T u)_j and (d_k A^T u)_j
+        dPu, dATu = (u.swapaxes(1, 2) @ parts[:, n:].reshape(len(a), n, -1)).reshape(
+            -1, 2, n, n).transpose(1, 0, 2, 3)
+        return (PT @ u)[..., 0], dPu + PT @ AiT @ (parts[:, :n] - dATu)
 
     return gauge, field
 

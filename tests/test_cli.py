@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import diraclab
-from diraclab import jsonio
+from diraclab import cli, jsonio
 from diraclab.cli import REPORT_SCHEMA, run
+from diraclab.errors import ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.poisson import from_components, standard_symplectic_poisson
 
@@ -410,6 +411,61 @@ class TestMalformedInput:
                                          "--omega", str(p), "--point", "0.1,0.2"])
         assert "kind" in rep["error"]
 
+    @pytest.mark.parametrize("n", [jsonio.MAX_DIM + 1, 10**400], ids=["cap+1", "10**400"])
+    @pytest.mark.parametrize("decode", [
+        lambda n: jsonio.tensor_from_json({"chart": n, "degree": 1, "components": []}),
+        lambda n: jsonio.map_from_json({"source": n, "target": 1, "components": []}),
+        lambda n: jsonio.map_from_json({"source": 1, "target": n, "components": [[]]}),
+        lambda n: jsonio.structure_constants_from_json({"n": n, "c": []}),
+        lambda n: cli._frame_from_json({"chart": n, "sections": []}),
+        lambda n: cli._triple_from_json({"dim": n, "C": [], "B": [], "g_basis": [],
+                                         "h_basis": []}),
+    ], ids=["chart", "source", "target", "n", "frame-chart", "triple-dim"])
+    def test_dimension_above_the_cap(self, decode, n):
+        # 10**400 coordinates used to be allocated as chart names and guard bits
+        with pytest.raises(ShapeError, match="dimension cap"):
+            decode(n)
+
+    def test_dimension_at_the_cap(self):
+        T = jsonio.tensor_from_json({"chart": jsonio.MAX_DIM, "degree": 1, "components": []})
+        assert T.chart.dim == jsonio.MAX_DIM
+
+    @pytest.mark.parametrize("key", ["chart", "source", "dim"])
+    def test_huge_dimension_exits_2(self, capsys, tmp_path, key):
+        p = tmp_path / "in.json"
+        if key == "chart":
+            p.write_text(json.dumps(self.tensor(chart=10**400)))
+            argv = ["poisson", "check", "--file", str(p)]
+        elif key == "source":
+            p.write_text(json.dumps({"source": 10**400, "target": 2, "components": []}))
+            argv = ["dirac", "poisson-map", "--map", str(p), "--pi-source", str(p),
+                    "--pi-target", str(p)]
+        else:
+            p.write_text(json.dumps({"dim": 10**400, "C": [], "B": [], "g_basis": [],
+                                     "h_basis": []}))
+            argv = ["manin", "check", "--triple", str(p)]
+        rep = self.check_exit_2(capsys, argv)
+        assert "dimension cap" in rep["error"]
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        p = tmp_path / "pi.json"
+        p.write_text('{"chart": 1' + "0" * 5000 + "}")
+        rep = self.check_exit_2(capsys, ["poisson", "check", "--file", str(p)])
+        assert "digits" in rep["error"]
+
+    @pytest.mark.parametrize("where", ["coefficient", "time power"])
+    def test_number_past_the_float_range_in_a_flow(self, workdir, capsys, tmp_path, where):
+        # the exact layer takes 10**400; the compiled evaluator cannot
+        form = self.tensor(degree=1, kind="form",
+                           components=[{"idx": [2], "poly": [dict(self.TERM)]}])
+        if where == "coefficient":
+            form["components"][0]["poly"][0]["num"] = 10**400
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"powers": {"0" if where == "coefficient" else str(10**400):
+                                            form}}))
+        self.check_exit_2(capsys, ["moser", "--poisson", workdir["xdxdy.json"], "--a-form",
+                                   str(p), "--grid-count", "2", "--step", "1e-2"])
+
     def test_zero_denominator_through_the_entry_point(self, tmp_path):
         data = self.tensor()
         data["components"][0]["poly"][0]["den"] = 0
@@ -616,8 +672,9 @@ FUZZ_OPTIONS = {
 # no tiny positive value: a step of 1e-300 is rejected by the floor, and
 # without it would build a flow of about 1e300 steps
 FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300"]
-# no huge integer: a chart dimension or exponent of 10**400 would be built
-FUZZ_JUNK = ["x", None, 1.5, True, [], {}, math.nan, math.inf]
+# 10**400 as a chart dimension is refused at decode time, as an exponent by
+# the exponent cap
+FUZZ_JUNK = ["x", None, 1.5, True, [], {}, math.nan, math.inf, 10**400]
 
 
 @pytest.fixture(scope="module")

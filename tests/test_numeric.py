@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -161,6 +162,67 @@ class TestOneTablePerRhs:
         counter = CountingTable(monkeypatch)
         moser_verify(pi0, a, times, grid, FlowConfig(step=0.05))
         assert counter.calls <= sum(4 * rk4_steps(T, 0.05) + 2 for T in times)
+
+
+class CountingPowers(np.ndarray):
+    """Time powers that count the formations of C(t) = sum_d t^d C_d: each is
+    one t ** powers (for a Python float t, which defers to __rpow__)."""
+
+    def __rpow__(self, t):
+        self.formations += 1
+        return t ** np.asarray(self)
+
+
+def count_formations(packed: PackedPolys) -> CountingPowers:
+    packed.powers = packed.powers.view(CountingPowers)
+    packed.powers.formations = 0
+    return packed.powers
+
+
+class TestTimeCoefficientMemo:
+    """A time-dependent PackedPolys forms C(t) once per run of equal times,
+    and its values are bitwise those of a fresh instance."""
+
+    def test_repeated_times_are_bitwise_fresh(self):
+        # no power 0: C(-0.0) is C(0.0) only if the sum leaves no negative zero
+        cols = time_columns(random.Random(7), Chart(3), 5, powers=(1, 2))
+        packed = PackedPolys(cols, 3, partials=True)
+        powers = count_formations(packed)
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 3))
+        for t in (0.3, -0.7, 0.3, 0.3, 0.0, -0.0, -0.0):
+            got, want = packed(pts, t), PackedPolys(cols, 3, partials=True)(pts, t)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()  # signed zeros included
+        assert powers.formations == 4
+
+    @staticmethod
+    def moser_field(monkeypatch):
+        import diraclab.poisson as poisson_mod
+
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(_numeric.compile_tensors(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(poisson_mod, "compile_tensors", recording)
+        field = poisson_mod._moser_field(*so3_moser_family())[1]
+        return field, made[0]
+
+    @pytest.mark.parametrize("case", ["euler", "moser"])
+    @pytest.mark.parametrize("record", [None, [0.2, 0.45, 0.6]], ids=["end", "segments"])
+    def test_flow_forms_c_about_twice_per_step(self, monkeypatch, case, record):
+        field, x0, t, _ = flow_cases()[case]
+        packed = field
+        if case == "moser":  # the Moser field is a closure over its PackedPolys
+            field, packed = self.moser_field(monkeypatch)
+        segments = [t] if record is None else [math.copysign(r, t) for r in record]
+        t = segments[-1]
+        powers = count_formations(packed)
+        _numeric.flow_points(field, x0, t, FlowConfig(step=0.03),
+                             record_times=None if record is None else segments)
+        steps = sum(rk4_steps(b - a, 0.03) for a, b in zip([0.0] + segments, segments))
+        assert 0 < powers.formations <= 2 * steps + len(segments)
 
 
 def textbook_flow(field, x0, t, step, record_times):

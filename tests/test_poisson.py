@@ -24,6 +24,7 @@ from diraclab.poisson import (
     euler_linearize,
     extract_structure_constants,
     from_components,
+    gauge_family,
     gauge_matrix_at,
     hamiltonian_vf,
     is_poisson,
@@ -446,6 +447,25 @@ class TestMoserAnalyticField:
             one = PolyScalar.constant(chart, 1)
             return pi0, TimePolyForm({0: PolyKForm(chart, 1, {(1,): -one}),
                                       1: PolyKForm(chart, 1, {(1,): -x})})
+        if name == "dim4":  # the oscillator algebra [e1,e2]=e3, [e4,e1]=e2, [e4,e2]=-e1
+            pi0 = lie_poisson({(0, 1, 2): 1, (3, 0, 1): 1, (3, 1, 0): -1}, 4)
+            m = pi0.chart.coordinates()
+            q = Fraction(1, 8)
+            return pi0, TimePolyForm({
+                0: PolyKForm(pi0.chart, 1, {(0,): q * m[1] * m[3], (2,): q * m[0],
+                                            (3,): -q * m[2]}),
+                1: PolyKForm(pi0.chart, 1, {(1,): q * m[0] * m[0], (3,): q * m[1]}),
+            })
+        if name == "dim6":  # so(3)* + so(3)*
+            c = so3_constants()
+            pi0 = lie_poisson({**c, **{(i + 3, j + 3, k + 3): v for (i, j, k), v in c.items()}}, 6)
+            m = pi0.chart.coordinates()
+            q = Fraction(1, 8)
+            return pi0, TimePolyForm({
+                0: PolyKForm(pi0.chart, 1, {(0,): q * m[4], (2,): q * m[3] * m[1],
+                                            (5,): -q * m[0]}),
+                1: PolyKForm(pi0.chart, 1, {(1,): q * m[2] * m[5], (4,): q * m[0]}),
+            })
         pi0 = lie_poisson(so3_constants(), 3)
         m1, m2, m3 = pi0.chart.coordinates()
         q = Fraction(1, 4)
@@ -462,9 +482,10 @@ class TestMoserAnalyticField:
         a = sum(t**d * al.evaluate_at(x) for d, al in a_t.coeffs.items())
         return np.linalg.solve(np.eye(len(x)) + P @ W, P).T @ a
 
-    @pytest.mark.parametrize("name", ["r2", "xdxdy", "so3"])
+    @pytest.mark.parametrize("name", ["r2", "xdxdy", "so3", "dim4", "dim6"])
     def test_field_and_jacobian(self, name):
         pi0, a_t = self.family(name)
+        assert is_poisson(pi0)
         n = pi0.chart.dim
         _, field = _moser_field(pi0, a_t)
         pts = np.random.default_rng(n).uniform(-0.5, 0.5, size=(5, n))
@@ -485,6 +506,32 @@ class TestMoserAnalyticField:
             assert np.abs(X - ref).max() < 1e-13
             richardson = (4 * central(t, h / 2) - central(t, h)) / 3
             assert np.abs(DX - richardson).max() < 1e-7
+
+    @pytest.mark.parametrize("name", ["r2", "so3", "dim6"])
+    def test_one_det_one_inverse_no_solve_per_call(self, monkeypatch, name):
+        pi0, a_t = self.family(name)
+        _, field = _moser_field(pi0, a_t)
+        pts = np.random.default_rng(1).uniform(-0.5, 0.5, size=(9, pi0.chart.dim))
+        calls = dict.fromkeys(["det", "inv", "solve"], 0)
+        for fn in calls:
+            def counting(*args, _fn=fn, _original=getattr(np.linalg, fn)):
+                calls[_fn] += 1
+                return _original(*args)
+            monkeypatch.setattr(np.linalg, fn, counting)
+        for t in (0.2, 0.2, -0.3):
+            field(pts, t)
+        assert calls == {"det": 3, "inv": 3, "solve": 0}
+
+    def test_gauge_matrix_of_the_zero_family_is_the_identity(self):
+        pi0, a_t = self.family("so3")
+        zero = TimePolyForm({0: PolyKForm(pi0.chart, 1, {})})
+        for omega in ({}, zero.exterior_derivative().time_integral().coeffs):
+            A = gauge_family(pi0, omega)
+            assert list(A) == [0]
+            assert all(A[0][i][j] == int(i == j) for i in range(3) for j in range(3))
+        _, field = _moser_field(pi0, zero)
+        X, DX = field(np.full((2, 3), 0.3), 0.5)
+        assert not X.any() and not DX.any()
 
     def test_degenerate_family_names_time_and_point(self):
         from diraclab.errors import TransversalityError
