@@ -150,76 +150,41 @@ class GaugeTransform:
     def matrix_at(self, point) -> np.ndarray:
         return self.omega.evaluate_at(point)
 
-    def apply(self, s: GeneralizedSection) -> GeneralizedSection:
-        return gauge_section(self.omega, s)
-
 
 class LagrangianFrame:
-    """n spanning sections of a Lagrangian subbundle of TM + T*M.
+    """n spanning sections of a Lagrangian subbundle of TM + T*M."""
 
-    Symbolic mode stores GeneralizedSections; pointwise mode a 2n x n numeric
-    matrix of fiber vectors at one point.
-    """
+    __slots__ = ("chart", "sections")
 
-    __slots__ = ("chart", "sections", "matrix", "mode")
-
-    def __init__(self, chart, sections=None, matrix=None):
-        if (sections is None) == (matrix is None):
-            raise ShapeError("provide exactly one of sections / matrix")
-        mode = "symbolic" if sections is not None else "pointwise"
-        if sections is not None:
-            sections = tuple(sections)
-            if len(sections) != chart.dim:
-                raise ShapeError("need dim-many spanning sections")
-            for s in sections:
-                if s.chart != chart:
-                    raise ChartMismatchError("section on the wrong chart")
-        else:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (2 * chart.dim, chart.dim):
-                raise ShapeError("pointwise frame must be a 2n x n matrix")
+    def __init__(self, chart, sections):
+        sections = tuple(sections)
+        if len(sections) != chart.dim:
+            raise ShapeError("need dim-many spanning sections")
+        if any(s.chart != chart for s in sections):
+            raise ChartMismatchError("section on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, *a):
         raise AttributeError("LagrangianFrame is immutable")
 
-    @staticmethod
-    def symbolic(sections: Sequence[GeneralizedSection]) -> "LagrangianFrame":
-        sections = tuple(sections)
-        if not sections:
-            raise ShapeError("empty frame")
-        return LagrangianFrame(sections[0].chart, sections=sections)
-
-    @staticmethod
-    def pointwise(chart: Chart, matrix) -> "LagrangianFrame":
-        return LagrangianFrame(chart, matrix=matrix)
-
     def value_at(self, point) -> np.ndarray:
         """The 2n x n matrix of fiber values."""
-        if self.mode == "pointwise":
-            return self.matrix
         return np.column_stack([s.value_at(point) for s in self.sections])
 
     def gram_polynomials(self):
-        if self.mode != "symbolic":
-            raise ShapeError("symbolic mode required")
-        n = len(self.sections)
-        return [
-            [pairing(self.sections[a], self.sections[b]) for b in range(n)]
-            for a in range(n)
-        ]
+        return [[pairing(a, b) for b in self.sections] for a in self.sections]
 
     def check_lagrangian(self, point, tol: float = 1e-10):
-        """Rank-n and Gram-zero check of the fiber at a point."""
+        """Rank-n and Gram-zero check of the fiber at a point.
+
+        Both are scale-free: the rank counts singular values above tol times
+        the largest, and the Gram matrix is measured against |V|^2.
+        """
         V = self.value_at(point)
-        n = self.chart.dim
         gram = pairing_gram(V)
-        gram_norm = float(np.abs(gram).max()) if gram.size else 0.0
-        r = np.linalg.matrix_rank(V, tol=tol if tol > 0 else None)
-        return r == n and gram_norm < max(tol, 1e-10) * max(1.0, abs(V).max() ** 2)
+        return (orthonormal_basis(V, tol).shape[1] == self.chart.dim
+                and np.abs(gram).max() < max(tol, 1e-10) * np.abs(V).max() ** 2)
 
 
 def pairing_gram(V: np.ndarray) -> np.ndarray:
@@ -256,8 +221,6 @@ def integrability_tensor(E: LagrangianFrame, point) -> np.ndarray:
     Totally antisymmetric; identically zero on a neighborhood iff the frame
     spans a Dirac structure there.
     """
-    if E.mode != "symbolic":
-        raise ShapeError("integrability tensor needs a symbolic frame")
     if not E.check_lagrangian(point):
         raise PreconditionError("frame is not Lagrangian at the given point")
     n = len(E.sections)
@@ -272,18 +235,18 @@ def integrability_tensor(E: LagrangianFrame, point) -> np.ndarray:
     return out
 
 
-def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> LagrangianFrame:
-    """Apply R_omega to the fiber of a frame at a point (pairing-preserving)."""
+def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> np.ndarray:
+    """Apply R_omega to the fiber of a frame at a point (pairing-preserving);
+    returns the 2n x n fiber matrix."""
     V0 = E.value_at(point)
     n = E.chart.dim
     # mu -> mu + i_v omega with (i_v omega)_j = sum_i v_i W_ij
     V = np.vstack([V0[:n], V0[n:] + gauge.matrix_at(point).T @ V0[:n]])
-    out = LagrangianFrame.pointwise(E.chart, V)
     if np.abs(pairing_gram(V) - pairing_gram(V0)).max() > 1e-12 * max(
         1.0, np.abs(V).max() ** 2
     ):
         raise AssertionError("gauge transform failed to preserve the pairing")
-    return out
+    return V
 
 
 def gauge_poisson(pi: PoissonBivector, gauge: GaugeTransform, point) -> np.ndarray:
@@ -345,7 +308,7 @@ def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarr
     V = E.value_at(target_pt)
     vectors, forms = V[:m], V[m:]
     J = phi.jacobian_at(point)
-    if np.linalg.matrix_rank(np.column_stack([vectors, J]), tol=1e-10) < m:
+    if orthonormal_basis(np.column_stack([vectors, J])).shape[1] < m:
         raise TransversalityError(
             "anchor of the frame plus the map differential do not span the target",
             point,
@@ -370,17 +333,15 @@ def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points):
     vanishing = sorted(set(int(i) for i in vanishing))
     if any(not 0 <= i < n for i in vanishing):
         raise ShapeError("vanishing coordinate out of range")
-    tangent_idx = [i for i in range(n) if i not in vanishing]
     fibers = []
     for pt in points:
         P = pi.matrix_at(pt)
-        # sharp(dx_i) = Pi^T e_i = the i-th row of Pi
-        sharp_cols = np.column_stack([P[i, :] for i in vanishing]) if vanishing else np.zeros((n, 0))
-        TN = np.eye(n)[:, tangent_idx]
-        full = np.column_stack([TN, sharp_cols])
-        if np.linalg.matrix_rank(full, tol=1e-10) < n:
+        # sharp(dx_i) = Pi^T e_i is the i-th row of Pi.  TN spans the tangent
+        # coordinates, so TN + sharp(ann TN) = TM iff Pvv is nonsingular.
+        Pvv = P[np.ix_(vanishing, vanishing)]
+        if vanishing and orthonormal_basis(Pvv).shape[1] < len(vanishing):
             return False, {"witness_point": tuple(float(x) for x in pt)}
-        fibers.append(sharp_cols)
+        fibers.append(P[vanishing, :].T)
     return True, {"fibers": fibers, "points": [tuple(float(x) for x in p) for p in points]}
 
 

@@ -4,12 +4,12 @@ criteria they induce on group charts.
 Algebraic checks (Jacobi, ad-invariance of the metric, Lagrangian subalgebra
 conditions, l cap g = k) run in exact rational arithmetic; every subspace
 axiom among them is a comparison of ranks from one fraction-free `_rank`.
-Group-level data (Ad on chart points, frames of left-invariant forms,
-multiplicativity of the induced bivector) is numeric and numpy-only: chart
-points are exponential coordinates in a basis of g, Ad_{exp Z} = expm(ad_Z),
-and the left-trivialized coordinate frame comes from the dexp series
-(1 - e^{-ad_Z})/ad_Z, summed to machine precision.  Every derivative is exact: d_m Ad = Ad ad(theta_m) for the
-frame columns theta_m, and the frame's partials come from the same series.
+Group-level data is numeric and numpy-only.  Chart points are exponential
+coordinates in a basis of g.  One `_PointJet` per point forms, from
+`chart.triple`, Ad = expm(ad_Z), the left-trivialized frame Xi and its
+partials from one dexp series (1 - e^{-ad_Z})/ad_Z, the exact
+d_m Ad = Ad ad(theta_m), and K = Ad|_g; g is a subalgebra, so
+Ad^{-1}|_g = K^{-1}, a solve.  Every chart certificate reads these jets.
 """
 
 from __future__ import annotations
@@ -338,73 +338,81 @@ def _h_bivector(num: dict, U: np.ndarray) -> np.ndarray:
     return _skew(P)
 
 
+def _chart_numeric(triple: ManinTriple, chart: GroupChart) -> dict:
+    """The numeric data of `chart.triple`; any other `triple` is refused, not mixed in."""
+    if triple is not chart.triple:
+        raise ShapeError(f"the chart {chart.name!r} belongs to another triple; pass chart.triple")
+    return triple._numeric()
+
+
 def drinfeld_bivector(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
     """Bivector of the triple at the chart point, in the h-basis coframe.
 
     Entry (a, b) is < pr_g(Ad_g h_a), pr_h(Ad_g h_b) >; skewness is asserted
     to 1e-12 at every evaluation, and the matrix vanishes at the identity.
     """
-    num = triple._numeric()
+    num = _chart_numeric(triple, chart)
     return _h_bivector(num, chart.ad(x) @ num["H"])
 
 
 class _PointJet:
-    """Xi and Ad at one chart point with their exact partials dXi[m], dAd[m].
+    """Xi, Ad and K = Ad|_g (g-basis) at one chart point, with exact dXi[m], dAd[m].
 
     d_m Ad_{g(x)} = Ad ad(theta_m) for the frame columns theta_m = G Xi e_m,
     since g^{-1} d_m g = theta_m, and ad(theta_m) = sum_c Xi[c, m] ad(g_c).
+    Ad G = G K, since g is a subalgebra, so Ad^{-1} on g is a solve against K.
     """
 
-    def __init__(self, triple: ManinTriple, chart: GroupChart, x):
-        self.num = triple._numeric()
+    def __init__(self, chart: GroupChart, x):
+        self.num = num = chart.triple._numeric()
         self.Xi, self.dXi = chart.frame_jet(x)
         self.Ad = chart.ad(x)
-        self.dAd = self.Ad @ np.tensordot(self.Xi.T, self.num["ad_d"], 1)
+        self.dAd = self.Ad @ np.tensordot(self.Xi.T, num["ad_d"], 1)
+        self.K = num["g_coords"] @ self.Ad @ num["G"]
 
     def dressing(self, zeta: np.ndarray) -> tuple:
         """Chart components v of the dressing field of zeta and J[:, m] = d v / dx_m.
 
-        Ad_g maps g to itself, so Ad_g^{-1} pr_g Ad_g zeta has g-coordinates
-        K^{-1} y with K = Ad|_g and y the g-coordinates of Ad_g zeta; in chart
-        components v = (K Xi)^{-1} y and d_m v = (K Xi)^{-1} (d_m y - d_m(K Xi) v).
+        Ad_g^{-1} pr_g Ad_g zeta has g-coordinates K^{-1} y with y the
+        g-coordinates of Ad_g zeta; in chart components v = (K Xi)^{-1} y and
+        d_m v = (K Xi)^{-1} (d_m y - d_m(K Xi) v).
         """
         gc, G = self.num["g_coords"], self.num["G"]
-        KXi = gc @ self.Ad @ G @ self.Xi
-        dKXi = gc @ self.dAd @ G @ self.Xi + gc @ self.Ad @ G @ self.dXi
+        KXi = self.K @ self.Xi
+        dKXi = gc @ self.dAd @ G @ self.Xi + self.K @ self.dXi
         v = np.linalg.solve(KXi, gc @ (self.Ad @ zeta))
         return v, np.linalg.solve(KXi, (gc @ self.dAd @ zeta).T - (dKXi @ v).T)
 
-
-def _chart_bivector_jet(triple: ManinTriple, chart: GroupChart, x) -> tuple:
-    """The bivector in chart-coordinate components and its exact partials.
-
-    With A(x) = P0 Xi(x) the matrix of the left-invariant coframe over the
-    coordinate coframe, the components are Pi = A^{-1} P A^{-T}.  Returns
-    (Pi, dPi) with dPi[m] = d Pi / dx_m.
-    """
-    jet = _PointJet(triple, chart, x)
-    num = jet.num
-    U, dU = jet.Ad @ num["H"], jet.dAd @ num["H"]
-    P = _h_bivector(num, U)
-    dP = _skew(np.swapaxes(num["pr_g"] @ dU, 1, 2) @ num["B"] @ (num["pr_h"] @ U))
-    dP = dP + _skew((num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ dU))
-    Ainv = np.linalg.inv(num["P0"] @ jet.Xi)
-    dAinv = -Ainv @ num["P0"] @ jet.dXi @ Ainv
-    dPc = dAinv @ P @ Ainv.T + Ainv @ dP @ Ainv.T + Ainv @ P @ np.swapaxes(dAinv, 1, 2)
-    return _skew(Ainv @ P @ Ainv.T), _skew(dPc)
+    def bivector(self, partials: bool = False):
+        """Pi = A^{-1} P A^{-T}, the bivector in chart-coordinate components, with
+        A = P0 Xi the matrix of the left-invariant coframe over the coordinate
+        coframe; with partials=True, (Pi, dPi) with dPi[m] = d Pi / dx_m."""
+        num = self.num
+        U = self.Ad @ num["H"]
+        P = _h_bivector(num, U)
+        Ainv = np.linalg.inv(num["P0"] @ self.Xi)
+        Pi = _skew(Ainv @ P @ Ainv.T)
+        if not partials:
+            return Pi
+        dU = self.dAd @ num["H"]
+        dP = _skew(np.swapaxes(num["pr_g"] @ dU, 1, 2) @ num["B"] @ (num["pr_h"] @ U))
+        dP = dP + _skew((num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ dU))
+        dAinv = -Ainv @ num["P0"] @ self.dXi @ Ainv
+        dPc = dAinv @ P @ Ainv.T + Ainv @ dP @ Ainv.T + Ainv @ P @ np.swapaxes(dAinv, 1, 2)
+        return Pi, _skew(dPc)
 
 
 def drinfeld_bivector_chart(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
     """The same bivector in chart-coordinate components, A^{-1} P A^{-T}."""
-    return _chart_bivector_jet(triple, chart, x)[0]
+    _chart_numeric(triple, chart)
+    return _PointJet(chart, x).bivector()
 
 
 def dressing_action(triple: ManinTriple, chart: GroupChart, x, zeta) -> np.ndarray:
     """Left-trivialized dressing field: Ad_{g^{-1}} pr_g(Ad_g zeta), in the g-basis."""
-    num = triple._numeric()
+    num = _chart_numeric(triple, chart)
     x, zeta = np.asarray(x, dtype=float), np.asarray(zeta, dtype=float)
-    val = chart.ad(-x) @ (num["pr_g"] @ (chart.ad(x) @ zeta))
-    return num["g_coords"] @ val
+    return num["g_coords"] @ (chart.ad(-x) @ (num["pr_g"] @ (chart.ad(x) @ zeta)))
 
 
 def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2) -> dict:
@@ -417,62 +425,52 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
     Ad_{g^{-1}} pr_g([Ad_g theta^L, Ad_g zeta]).  The Jacobians of the
     dressing fields and the partials of theta^L are exact.
     """
-    alg = triple.algebra
-    num = triple._numeric()
-    G, B = num["G"], num["B"]
-    z1 = np.asarray(zeta1, dtype=float)
-    z2 = np.asarray(zeta2, dtype=float)
+    alg, num = triple.algebra, _chart_numeric(triple, chart)
+    G, B, gc = num["G"], num["B"], num["g_coords"]
+    z1, z2 = np.asarray(zeta1, dtype=float), np.asarray(zeta2, dtype=float)
     z12 = alg.bracket_num(z1, z2)
     res = {"metric": [], "bracket": [], "coframe_derivative": []}
     for pt in points:
-        jet = _PointJet(triple, chart, pt)
-        A, Ainv = jet.Ad, chart.ad(-np.asarray(pt, dtype=float))
+        jet = _PointJet(chart, pt)
         th = G @ jet.Xi  # d-coords of theta^L(d/dx_i)
         (v1, J1), (v2, J2) = jet.dressing(z1), jet.dressing(z2)
-        mu1 = th.T @ B @ z1
-        mu2 = th.T @ B @ z2
-        got = mu1 @ v2 + mu2 @ v1
-        res["metric"].append(abs(got - float(z1 @ B @ z2)))
-
-        lie = J2 @ v1 - J1 @ v2
-        res["bracket"].append(np.abs(lie - jet.dressing(z12)[0]).max())
-
+        res["metric"].append(abs((th.T @ B @ z1) @ v2 + (th.T @ B @ z2) @ v1
+                                 - float(z1 @ B @ z2)))
+        res["bracket"].append(np.abs(J2 @ v1 - J1 @ v2 - jet.dressing(z12)[0]).max())
         # (L_X theta)(d/dx_i) = X(theta(d/dx_i)) + sum_j dX^j/dx_i theta(d/dx_j)
         lhs = G @ np.tensordot(v1, jet.dXi, 1) + th @ J1
-        rhs = Ainv @ num["pr_g"] @ np.array(
-            [alg.bracket_num(A @ th[:, i], A @ z1) for i in range(chart.dim)]).T
+        rhs = G @ np.linalg.solve(jet.K, gc @ np.array(
+            [alg.bracket_num(jet.Ad @ th[:, i], jet.Ad @ z1) for i in range(chart.dim)]).T)
         res["coframe_derivative"].append(np.abs(lhs - rhs).max())
     return {k: worst(v)[0] for k, v in res.items()}
 
 
-def _product_differential(chart: GroupChart, x1, x2, z) -> np.ndarray:
-    """D = dz / d(x1, x2) for g(z) = g(x1) g(x2), exactly.
+def _product_differential(j1: _PointJet, j2: _PointJet, jz: _PointJet) -> np.ndarray:
+    """D = dz / d(x1, x2) for g(z) = g(x1) g(x2), exactly, from the three jets.
 
     g(z)^{-1} dg(z) = Ad_{g(x2)}^{-1} g(x1)^{-1} dg(x1) + g(x2)^{-1} dg(x2), so
-    D = Xi(z)^{-1} [Ad_{g(x2)}^{-1}|_g Xi(x1), Xi(x2)].
+    D = Xi(z)^{-1} [K(x2)^{-1} Xi(x1), Xi(x2)].
     """
-    num = chart.triple._numeric()
-    Ad2_inv = num["g_coords"] @ chart.ad(-np.asarray(x2, dtype=float)) @ num["G"]
-    return np.linalg.solve(chart.frame(z), np.hstack([Ad2_inv @ chart.frame(x1), chart.frame(x2)]))
+    return np.linalg.solve(jz.Xi, np.hstack([np.linalg.solve(j2.K, j1.Xi), j2.Xi]))
 
 
 def verify_multiplicativity(triple: ManinTriple, chart: GroupChart, pairs) -> dict:
     """Pushforward of the product bivector along Mult versus the bivector.
 
-    For each chart pair (x1, x2): compute z with g(z) = g(x1) g(x2), the
-    differential D of the composition (`_product_differential`), and the
+    For each chart pair (x1, x2): compute z with g(z) = g(x1) g(x2), the jets
+    at x1, x2 and z, the differential D of the composition from them, and the
     residual | D diag(Pi(x1), Pi(x2)) D^T - Pi(z) |.
     """
+    _chart_numeric(triple, chart)
     n = chart.dim
     pairs = [(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)) for x1, x2 in pairs]
     results = []
     for x1, x2 in pairs:
-        z = chart.compose(x1, x2)
-        D = _product_differential(chart, x1, x2, z)
+        j1, j2, jz = (_PointJet(chart, y) for y in (x1, x2, chart.compose(x1, x2)))
+        D = _product_differential(j1, j2, jz)
         # D diag(Pi(x1), Pi(x2)) D^T, block by block
-        push = sum(Dk @ drinfeld_bivector_chart(triple, chart, xk) @ Dk.T
-                   for Dk, xk in ((D[:, :n], x1), (D[:, n:], x2)))
-        results.append(float(np.abs(push - drinfeld_bivector_chart(triple, chart, z)).max()))
+        push = sum(Dk @ jk.bivector() @ Dk.T for Dk, jk in ((D[:, :n], j1), (D[:, n:], j2)))
+        results.append(float(np.abs(push - jz.bivector()).max()))
     r, (x1, x2) = worst(results, pairs)
     return {"max_residual": r, "worst_pair": (tuple(x1), tuple(x2)), "residuals": results}
 
@@ -480,12 +478,13 @@ def verify_multiplicativity(triple: ManinTriple, chart: GroupChart, pairs) -> di
 def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points) -> float:
     """Max Jacobiator residual of the chart bivector at the points.
 
-    The partials of the bivector are exact (`_chart_bivector_jet`); the name
+    The partials of the bivector are exact (`_PointJet.bivector`); the name
     is kept from the finite-difference version it replaces.
     """
+    _chart_numeric(triple, chart)
     res = []
     for pt in points:
-        P, dP = _chart_bivector_jet(triple, chart, pt)
+        P, dP = _PointJet(chart, pt).bivector(partials=True)
         T = np.einsum("im,mjk->ijk", P, dP)
         res.append(np.abs(T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)).max())
     return worst(res)[0]

@@ -9,7 +9,10 @@ layer decides its subspace axioms with one exact `_rank`: the Fraction-matrix
 module `_rat` and its span helpers stay gone, as do the batch-only realization
 entry points.  Every verifier reduces its residuals with `_numeric.worst`: a
 running `worst = max(worst, r)` or `if r > worst` drops a NaN residual, so no
-such reduction may come back.
+such reduction may come back.  Numeric ranks use the one relative rule of
+`_numeric` (singular values against the largest); `numpy.linalg.matrix_rank`
+with an absolute threshold makes a verdict depend on units, so no module
+calls it.
 """
 
 import ast
@@ -21,7 +24,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diraclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
-            "realization_form_batch", "source_target_batch"}
+            "realization_form_batch", "source_target_batch", "_chart_bivector_jet"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -87,3 +90,10 @@ def test_no_hand_written_worst_case_reduction(path):
              or isinstance(node, ast.Compare)
              and any(map(_is_worst_name, [node.left, *node.comparators]))]
     assert not found, f"{path.name} reduces residuals by hand at lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_module_calls_matrix_rank(path):
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matrix_rank"]
+    assert not calls, f"{path.name} calls matrix_rank at lines {calls}"

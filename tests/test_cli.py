@@ -331,6 +331,23 @@ class TestFrameFile:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("scale", [(1, 10**11), (1, 1), (10**11, 1)], ids=str)
+    def test_tangent_frame_passes_at_every_scale(self, capsys, tmp_path, scale):
+        # sections (num/den) d/dx_i span TM at any nonzero scale
+        from fractions import Fraction
+
+        from diraclab.fields import coordinate_vector
+
+        chart = Chart(2)
+        zero = jsonio.tensor_to_json(PolyKForm(chart, 1, {}))
+        data = {"chart": 2, "sections": [
+            {"X": jsonio.tensor_to_json(coordinate_vector(chart, i) * Fraction(*scale)),
+             "alpha": zero} for i in range(2)]}
+        p = tmp_path / "frame.json"
+        p.write_text(json.dumps(data))
+        code, rep = run_and_parse(capsys, ["dirac", "check-integrability", "--frame", str(p)])
+        assert code == 0, rep
+
 
 class TestImportCost:
     def test_manin_runs_load_no_scipy(self):

@@ -292,8 +292,9 @@ class TestGauge:
         )
         E = graph_of_poisson(pi)
         pt = (0.5, 0.5, 0.5)
-        out = gauge_transform_fiber(E, g, pt)
-        assert np.abs(pairing_gram(out.matrix)).max() < 1e-12
+        V = gauge_transform_fiber(E, g, pt)
+        assert V.shape == (6, 3)
+        assert np.abs(pairing_gram(V)).max() < 1e-12
 
     def test_section_gauge_bracket_preservation_iff_closed(self, rng):
         closed = PolyKForm(R3, 2, {(0, 1): PolyScalar.constant(R3, 1)})
@@ -449,6 +450,37 @@ class TestFrameValidation:
         ]
         E = LagrangianFrame(R2, sections=sections)
         assert not E.check_lagrangian((0.3, 0.4))
+
+
+class TestScaleFreeRank:
+    """Fiber ranks count singular values against the largest, and the Gram
+    matrix is measured against |V|^2, so a verdict does not depend on the
+    units of the frame or of the bivector."""
+
+    SCALES = (Fraction(1, 10**11), Fraction(1, 10**6), 1, 10**11)
+
+    @pytest.mark.parametrize("c", SCALES, ids=str)
+    def test_tangent_frame_is_lagrangian(self, c):
+        E = LagrangianFrame(R2, sections=[
+            GeneralizedSection.from_vector(coordinate_vector(R2, i) * c) for i in range(2)])
+        assert E.check_lagrangian((0.3, 0.4))
+        assert np.abs(integrability_tensor(E, (0.3, 0.4))).max() == 0.0
+
+    @pytest.mark.parametrize("c", SCALES, ids=str)
+    def test_non_isotropic_frame_is_not(self, c):
+        # <(c d/dx, 0), (c d/dy, c dx)> = c^2
+        E = LagrangianFrame(R2, sections=[
+            GeneralizedSection.from_vector(coordinate_vector(R2, 0) * c),
+            GeneralizedSection(coordinate_vector(R2, 1) * c, coordinate_form(R2, 0) * c)])
+        assert not E.check_lagrangian((0.3, 0.4))
+
+    @pytest.mark.parametrize("c", SCALES, ids=str)
+    def test_cosymplectic_point(self, c):
+        pi = from_components(R2, {(0, 1): PolyScalar.constant(R2, c)})
+        ok, cert = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
+        assert ok
+        assert np.array_equal(cert["fibers"][0], pi.matrix_at((0.0, 0.0)).T)
+        assert not cosymplectic_check(pi, (0,), [(0.0, 0.0)])[0]
 
 
 class TestGaugeAdditivity:

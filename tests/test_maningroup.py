@@ -1,13 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diraclab import maningroup
+from diraclab.errors import ShapeError
 from diraclab.maningroup import (
     GroupChart,
     HomogeneousSpaceData,
-    _chart_bivector_jet,
     _expm,
     _PointJet,
     _product_differential,
@@ -461,7 +463,7 @@ class TestExactJets:
     def test_chart_bivector_partials(self, name):
         triple, chart = jet_charts()[name]
         for x in self.points():
-            P, dP = _chart_bivector_jet(triple, chart, x)
+            P, dP = _PointJet(chart, x).bivector(partials=True)
             assert np.array_equal(P, drinfeld_bivector_chart(triple, chart, x))
             for m in range(chart.dim):
                 fd = richardson(lambda y: drinfeld_bivector_chart(triple, chart, y), x, m)
@@ -475,7 +477,7 @@ class TestExactJets:
             return np.linalg.solve(chart.frame(y), dressing_action(triple, chart, y, zeta))
 
         for x in self.points():
-            v, J = _PointJet(triple, chart, x).dressing(zeta)
+            v, J = _PointJet(chart, x).dressing(zeta)
             assert np.abs(v - field(x)).max() < 1e-12
             for m in range(chart.dim):
                 assert np.abs(J[:, m] - richardson(field, x, m)).max() < self.TOL
@@ -485,12 +487,78 @@ class TestExactJets:
         n = chart.dim
         pts = self.points()
         for x1, x2 in zip(pts, pts[1:]):
-            D = _product_differential(chart, x1, x2, chart.compose(x1, x2))
+            jets = [_PointJet(chart, y) for y in (x1, x2, chart.compose(x1, x2))]
+            D = _product_differential(*jets)
             for m in range(n):
                 fd1 = richardson(lambda y: chart.compose(y, x2), x1, m)
                 fd2 = richardson(lambda y: chart.compose(x1, y), x2, m)
                 assert np.abs(D[:, m] - fd1).max() < self.TOL
                 assert np.abs(D[:, n + m] - fd2).max() < self.TOL
+
+
+class TestChartTriple:
+    """Group data are read from `chart.triple`, so every chart certificate
+    refuses any other triple, even an equal copy, instead of mixing two."""
+
+    CALLS = {
+        "drinfeld_bivector": lambda t, c, x, z: drinfeld_bivector(t, c, x),
+        "drinfeld_bivector_chart": lambda t, c, x, z: drinfeld_bivector_chart(t, c, x),
+        "dressing_action": lambda t, c, x, z: dressing_action(t, c, x, z),
+        "e_map_residuals": lambda t, c, x, z: e_map_residuals(t, c, [x], z, -z),
+        "verify_multiplicativity": lambda t, c, x, z: verify_multiplicativity(t, c, [(x, -x)]),
+        "jacobiator_fd_residual": lambda t, c, x, z: jacobiator_fd_residual(t, c, [x]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_other_triple_refused(self, name):
+        triple, chart = iwasawa_su2()
+        x, zeta = np.array([0.3, -0.2, 0.4]), np.arange(6.0)
+        call = self.CALLS[name]
+        call(chart.triple, chart, x, zeta)
+        for other in (dual_triple(triple), iwasawa_su2()[0]):
+            with pytest.raises(ShapeError):
+                call(other, chart, x, zeta)
+
+
+class TestWorkCounts:
+    """One jet per chart point: a multiplicativity pair forms one frame series
+    per jet (3) and one exponential per jet plus the two inside `compose` (5);
+    an e-map point forms one of each."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        expm, frame_jet = maningroup._expm, GroupChart.frame_jet
+
+        def counted_expm(A):
+            calls["expm"] += 1
+            return expm(A)
+
+        def counted_frame_jet(chart, x):
+            calls["frame_jet"] += 1
+            return frame_jet(chart, x)
+
+        monkeypatch.setattr(maningroup, "_expm", counted_expm)
+        monkeypatch.setattr(GroupChart, "frame_jet", counted_frame_jet)
+        return calls
+
+    @pytest.mark.parametrize("name", ["iwasawa-su2", "semidirect-so3"])
+    def test_multiplicativity_pair(self, name, calls):
+        triple, chart = builtin_triples()[name]
+        pts = sample_chart_points(seed=35, count=8, scale=0.5)
+        pairs = list(zip(pts[::2], pts[1::2]))
+        rep = verify_multiplicativity(triple, chart, pairs)
+        assert rep["max_residual"] < 1e-10
+        assert calls == {"frame_jet": 3 * len(pairs), "expm": 5 * len(pairs)}
+
+    @pytest.mark.parametrize("name", ["iwasawa-su2", "semidirect-so3"])
+    def test_e_map_point(self, name, calls):
+        triple, chart = builtin_triples()[name]
+        pts = sample_chart_points(seed=36, count=3, scale=0.7)
+        z1, z2 = np.random.default_rng(37).standard_normal((2, 6))
+        res = e_map_residuals(triple, chart, pts, z1, z2)
+        assert max(res.values()) < 1e-10
+        assert calls == {"frame_jet": len(pts), "expm": len(pts)}
 
 
 class TestNumpyExpLog:
