@@ -1,10 +1,10 @@
 """Numeric kernels: compiled polynomial evaluation, RK4 flows, quadrature.
 
-One compiler: `compile_tensors` lays out degree-1 and degree-2 tensors and
-time-polynomial families of them as the flat columns of one `PackedPolys`,
-which evaluates every column, and with partials=True every partial, from one
-monomial table and one matmul per call.  `PackedPolys` takes the
-coefficients from `PolyScalar.float_terms`; it never reads exponents itself.
+`PackedPolys` is the one place where an exact polynomial becomes a float, the
+one reader of `PolyScalar.float_terms`: every float value of the exact layer
+is one call into a table compiled once per object or call, which evaluates
+every column, and with partials=True every partial, from one monomial table
+and one matmul.  `compile_tensors` lays out tensors as its columns.
 A time-dependent one keeps its last (t, C(t)) as one tuple, which one store
 swaps whole; RK4 repeats stage times, so a flow forms C(t) about twice per
 step instead of four times, bitwise as before.
@@ -110,7 +110,7 @@ class _MonomialTable:
     __slots__ = ("dim", "columns")
 
     def __init__(self, exps, dim: int):
-        exps = np.asarray(exps, dtype=np.int64).reshape(-1, dim)
+        exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), dim)
         self.dim = dim
         width = max(1, int(exps.sum(axis=1).max(initial=0)))
         factors = np.zeros((len(exps), width), dtype=np.intp)
@@ -167,6 +167,8 @@ class PackedPolys:
 
     def __call__(self, pts, t: float = 0.0):
         pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1:] != (self.dim,):
+            raise ShapeError(f"points of shape {pts.shape} on a chart of dim {self.dim}")
         memo = self._memo  # read once: one store swaps the (t, C(t)) pair
         if self.powers is not None and memo[0] != t:
             C = self.coefs
@@ -319,13 +321,24 @@ def nullspace_basis(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return _selected(np.swapaxes(Vt, -1, -2), keep)
 
 
+def block_scale(A: np.ndarray) -> np.ndarray:
+    """The power of two nearest the largest |entry| of each matrix, shaped to
+    divide it (1 for a zero matrix): dividing by it is exact, and a matrix of
+    entries near 1 is left as it is."""
+    m = np.abs(A).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    return np.exp2(np.round(np.log2(np.where(m > 0, m, 1.0))))
+
+
 def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Columns spanning {(w, J^T forms c) : J w = vectors c} for a differential J.
 
     This is the pullback along J of the Lagrangian fiber spanned by the
-    columns of (vectors, forms); it takes one matrix or a stack.
+    columns of (vectors, forms); it takes one matrix or a stack.  The null
+    space is that of [J/j, -vectors/a] for the `block_scale`s j and a, so its
+    rank does not depend on their ratio, and c = (j/a) c' for its c'.
     """
-    K = nullspace_basis(np.concatenate([J, -vectors], axis=-1))
+    j, a = block_scale(J), block_scale(vectors)
+    K = nullspace_basis(np.concatenate([J / j, -vectors / a], axis=-1))
     k = J.shape[-1]
-    nu = np.swapaxes(J, -1, -2) @ (forms @ K[..., k:, :])
+    nu = np.swapaxes(J, -1, -2) @ (forms @ K[..., k:, :]) * (j / a)
     return np.concatenate([K[..., :k, :], nu], axis=-2)

@@ -12,6 +12,7 @@ before a command runs, and a usage error is an input error with a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -237,9 +238,10 @@ def _cmd_dirac(args):
             if not args.frame:
                 raise InputError("need --poisson or --frame")
             E = _frame_from_json(_load_json(args.frame))
-        pts = ([_parse_point(p) for p in args.point] if args.point
+        pts = (np.array([_parse_point(p, E.chart.dim) for p in args.point]) if args.point
                else np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=(5, E.chart.dim)))
-        r, pt = worst([np.abs(dirac_mod.integrability_tensor(E, pt)).max() for pt in pts], pts)
+        T = dirac_mod.integrability_tensor(E, pts)
+        r, pt = worst(np.abs(T).reshape(len(pts), -1).max(axis=1), pts)
         return [criterion("courant-integrability", r, args.tol, pt)], {}
     if args.dirac_cmd == "gauge":
         pi = _load_bivector(args.poisson)
@@ -376,6 +378,10 @@ def _cmd_manin(args):
         return [exact_criterion("manin-triple-axioms", ok, witness)], {}
     if chart is None:
         raise InputError("this subcommand needs a triple with a group chart")
+    if not args.builtin:  # a user triple is decided before its chart is used
+        ok, witness = manin_mod.check_manin_triple(triple)
+        if not ok:
+            return [exact_criterion("manin-triple-axioms", ok, witness)], {}
     if args.manin_cmd == "bivector":
         pt = np.array(_parse_point(args.point, chart.dim))
         P = manin_mod.drinfeld_bivector(triple, chart, pt)
@@ -411,6 +417,7 @@ def _cmd_manin(args):
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache  # parse_args returns a fresh namespace, so one parser serves every run
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="diraclab",

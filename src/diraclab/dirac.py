@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import orthonormal_basis, pullback_fiber, worst
+from ._numeric import PackedPolys, orthonormal_basis, pullback_fiber, worst
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -31,6 +31,7 @@ from .fields import (
     PolyScalar,
     coordinate_form,
     coordinate_vector,
+    evaluate_at,
     exterior_derivative,
     interior_product,
     lie_derivative,
@@ -85,10 +86,6 @@ class GeneralizedSection:
             and self.X == other.X
             and self.alpha == other.alpha
         )
-
-    def value_at(self, point) -> np.ndarray:
-        """Fiber value stacked as (v, mu) in R^{2n}."""
-        return np.concatenate([self.X.evaluate_at(point), self.alpha.evaluate_at(point)])
 
     def __repr__(self):
         return f"GeneralizedSection(X={self.X!r}, alpha={self.alpha!r})"
@@ -148,13 +145,13 @@ class GaugeTransform:
             raise PreconditionError("gauge 2-form must be closed (d omega = 0 exactly)")
 
     def matrix_at(self, point) -> np.ndarray:
-        return self.omega.evaluate_at(point)
+        return evaluate_at(self.omega, point)
 
 
 class LagrangianFrame:
     """n spanning sections of a Lagrangian subbundle of TM + T*M."""
 
-    __slots__ = ("chart", "sections")
+    __slots__ = ("chart", "sections", "_compiled")
 
     def __init__(self, chart, sections):
         sections = tuple(sections)
@@ -164,13 +161,23 @@ class LagrangianFrame:
             raise ChartMismatchError("section on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LagrangianFrame is immutable")
 
-    def value_at(self, point) -> np.ndarray:
-        """The 2n x n matrix of fiber values."""
-        return np.column_stack([s.value_at(point) for s in self.sections])
+    def value_at(self, points) -> np.ndarray:
+        """The 2n x n matrix of fiber values, column a = (v, mu) of section a,
+        at a point (n,) or a batch (..., n), from one table compiled on first
+        use."""
+        n = self.chart.dim
+        if self._compiled is None:
+            rows = [[s.X.components.get((i,)) for s in self.sections] for i in range(n)]
+            rows += [[s.alpha.components.get((i,)) for s in self.sections] for i in range(n)]
+            object.__setattr__(self, "_compiled", PackedPolys(
+                [{} if p is None else {0: p} for row in rows for p in row], n))
+        out = self._compiled(points)
+        return out.reshape(out.shape[:-1] + (2 * n, n))
 
     def gram_polynomials(self):
         return [[pairing(a, b) for b in self.sections] for a in self.sections]
@@ -215,24 +222,28 @@ def graph_of_form(omega: PolyKForm) -> LagrangianFrame:
     return LagrangianFrame(chart, sections=sections)
 
 
-def integrability_tensor(E: LagrangianFrame, point) -> np.ndarray:
-    """Frame components of <s_a, [[s_b, s_c]]> at a point.
+def integrability_tensor(E: LagrangianFrame, points) -> np.ndarray:
+    """Frame components of <s_a, [[s_b, s_c]]> at a point (n, n, n) or a
+    batch of points (B, n, n, n).
 
     Totally antisymmetric; identically zero on a neighborhood iff the frame
-    spans a Dirac structure there.
+    spans a Dirac structure there.  The n(n-1)/2 brackets and their pairings
+    are formed exactly once per call and compiled into one table.
     """
-    if not E.check_lagrangian(point):
+    points = np.asarray(points, dtype=float)
+    if not all(E.check_lagrangian(pt) for pt in np.atleast_2d(points)):
         raise PreconditionError("frame is not Lagrangian at the given point")
     n = len(E.sections)
-    out = np.zeros((n, n, n))
+    columns = [{} for _ in range(n**3)]  # [a, b, c] row-major
     for b in range(n):
         for c in range(b + 1, n):
             br = courant_bracket(E.sections[b], E.sections[c])
             for a in range(n):
-                v = pairing(E.sections[a], br).evaluate(point)
-                out[a, b, c] = v
-                out[a, c, b] = -v
-    return out
+                p = pairing(E.sections[a], br)
+                if p:
+                    columns[(a * n + b) * n + c], columns[(a * n + c) * n + b] = {0: p}, {0: -p}
+    out = PackedPolys(columns, n)(points)
+    return out.reshape(out.shape[:-1] + (n, n, n))
 
 
 def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> np.ndarray:
@@ -299,26 +310,21 @@ def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarr
 
     Elements (w, nu) with d phi(w) = v and nu = d phi^T mu for some
     (v, mu) in the fiber of E at phi(point).  Requires the anchor image of E
-    plus ran(d phi) to fill the target tangent space.  Returns an orthonormal
-    2k x k basis.
+    plus ran(d phi) to fill the target tangent space, decided by the scale-free
+    rank of `pullback_fiber`.  Returns an orthonormal 2k x k basis.
     """
-    k = phi.source.dim
     m = phi.target.dim
-    target_pt = phi(point)
+    target_pt, J = phi.compiled()(point)
     V = E.value_at(target_pt)
-    vectors, forms = V[:m], V[m:]
-    J = phi.jacobian_at(point)
-    if orthonormal_basis(np.column_stack([vectors, J])).shape[1] < m:
+    fiber = pullback_fiber(J, V[:m], V[m:])
+    # the fiber has k + m - rank [J | vectors] columns: k iff the spans fill R^m
+    if fiber.shape[1] > phi.source.dim:
         raise TransversalityError(
             "anchor of the frame plus the map differential do not span the target",
             point,
         )
-    basis = orthonormal_basis(pullback_fiber(J, vectors, forms))
-    if basis.shape[1] != k:
-        raise AssertionError(
-            f"pullback fiber has dimension {basis.shape[1]}, expected {k}"
-        )
-    return basis
+    # then its k columns are independent: none is dropped for being small
+    return orthonormal_basis(fiber, tol=0.0)
 
 
 def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points):
@@ -334,8 +340,7 @@ def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points):
     if any(not 0 <= i < n for i in vanishing):
         raise ShapeError("vanishing coordinate out of range")
     fibers = []
-    for pt in points:
-        P = pi.matrix_at(pt)
+    for pt, P in zip(points, pi.matrix_at(np.reshape(points, (len(points), n)))):
         # sharp(dx_i) = Pi^T e_i is the i-th row of Pi.  TN spans the tangent
         # coordinates, so TN + sharp(ann TN) = TM iff Pvv is nonsingular.
         Pvv = P[np.ix_(vanishing, vanishing)]
@@ -393,13 +398,9 @@ def check_poisson_map(
 
     if samples is None or jacobian is None:
         raise ShapeError("callable maps need sample points and a jacobian callback")
-    src_fn = pi_source.compiled_matrix()
-    tgt_fn = pi_target.compiled_matrix()
     samples = [np.asarray(pt, dtype=float) for pt in samples]
-    res = []
-    for pt in samples:
-        J = np.asarray(jacobian(pt), dtype=float)
-        res.append(np.abs(J @ src_fn(pt[None, :])[0] @ J.T - sign * tgt_fn(
-            np.asarray(phi(pt), dtype=float)[None, :])[0]).max())
-    r, pt = worst(res, samples)
+    J = np.array([np.asarray(jacobian(pt), dtype=float) for pt in samples])
+    pushed = J @ pi_source.matrix_at(np.array(samples)) @ np.swapaxes(J, 1, 2)
+    target = pi_target.matrix_at(np.array([np.asarray(phi(pt), dtype=float) for pt in samples]))
+    r, pt = worst(np.abs(pushed - sign * target).reshape(len(samples), -1).max(axis=1), samples)
     return MapCheckReport(exact=None, max_residual=r, worst_point=tuple(map(float, pt)), anti=anti)

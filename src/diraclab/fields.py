@@ -9,7 +9,9 @@ with ``embed``/``restrict``, split them by degree with ``homogeneous_parts``
 and hand them to the numeric layer through ``float_terms``.
 ``PolyScalar.terms`` is the read-only ``{exponent tuple: fractions.Fraction}``
 view, kept for readers outside the package.  Floating point enters only
-through ``float_terms`` and the ``evaluate_*`` / ``*_at_point`` boundaries.
+through ``float_terms``, which `_numeric.PackedPolys` alone reads: every float
+value of a polynomial (``evaluate_at``, ``PolyMap.__call__``,
+``PolyMap.jacobian_at``) is one call into a compiled table.
 
 Conventions used throughout the package:
 
@@ -25,7 +27,6 @@ functions and safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from fractions import Fraction
@@ -33,6 +34,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from ._numeric import PackedPolys, compile_tensors
 from .errors import ChartMismatchError, DegreeError, ShapeError
 
 Rat = Union[int, Fraction]
@@ -393,18 +395,6 @@ class PolyScalar:
             total += v
         return total / self._den
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.chart.dim:
-            raise ShapeError("point/chart dimension mismatch")
-        total = 0.0
-        for k, v in self._num.items():
-            v = v / self._den  # correctly rounded, as float(Fraction(v, den)) is
-            for x, e in zip(point, _unpack(k, self.chart.dim)):
-                if e:
-                    v *= float(x) ** e
-            total += v
-        return total
-
     def compose(self, polys: Sequence["PolyScalar"]) -> "PolyScalar":
         """Substitute polys[i] (all on one source chart) for the i-th coordinate."""
         if len(polys) != self.chart.dim:
@@ -575,26 +565,6 @@ class _AlternatingTensor:
         return self._trusted(self.chart, self.degree + other.degree,
                              _sum_buckets(self.chart, buckets))
 
-    def evaluate_at(self, point) -> np.ndarray:
-        """Dense fully antisymmetric numeric component array at a point.
-
-        Degree 0 returns a scalar, degree 1 a vector, degree k the full
-        (n,)*k array with all index permutations filled in.
-        """
-        n = self.chart.dim
-        if self.degree == 0:
-            p = self.components.get((), None)
-            return float(p.evaluate(point)) if p is not None else 0.0
-        out = np.zeros((n,) * self.degree)
-        for idx, p in self.components.items():
-            v = p.evaluate(point)
-            if v == 0.0:
-                continue
-            for perm in itertools.permutations(range(self.degree)):
-                _, sign = sort_index(perm)
-                out[tuple(idx[a] for a in perm)] = sign * v
-        return out
-
     def __repr__(self):
         kind = type(self).__name__
         if not self.components:
@@ -719,15 +689,20 @@ def wedge(a, b):
     return a.wedge(b)
 
 
-def evaluate_at(T, point):
-    """Dense numeric component array of a tensor at a point."""
-    return T.evaluate_at(point)
+def evaluate_at(T, points) -> np.ndarray:
+    """Dense components of a degree-1 or degree-2 tensor at a point (n,) or a
+    batch (..., n): the vector (..., n) or the full antisymmetric matrix
+    (..., n, n), from one compiled table."""
+    if T.degree not in (1, 2):
+        raise DegreeError(f"float components are laid out for degrees 1 and 2, not {T.degree}")
+    out = compile_tensors([T])(points)
+    return out.reshape(out.shape[:-1] + (T.chart.dim,) * T.degree)
 
 
 class PolyMap:
     """A polynomial map between charts, given by target-component polynomials."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "_compiled")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence[PolyScalar]):
         components = tuple(components)
@@ -739,16 +714,25 @@ class PolyMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMap is immutable")
+
+    def compiled(self) -> PackedPolys:
+        """The components and their partials: points (..., k) -> (phi, d phi)
+        of shapes (..., m) and (..., m, k), compiled on first use."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", PackedPolys(
+                [{0: p} for p in self.components], self.source.dim, partials=True))
+        return self._compiled
 
     @staticmethod
     def identity(chart: Chart) -> "PolyMap":
         return PolyMap(chart, chart, chart.coordinates())
 
-    def __call__(self, point):
-        return np.array([p.evaluate(point) for p in self.components])
+    def __call__(self, point) -> np.ndarray:
+        return self.compiled()(point)[0]
 
     def evaluate_exact(self, point):
         return tuple(p.evaluate_exact(point) for p in self.components)
@@ -768,11 +752,7 @@ class PolyMap:
         ]
 
     def jacobian_at(self, point) -> np.ndarray:
-        J = np.zeros((self.target.dim, self.source.dim))
-        for i, p in enumerate(self.components):
-            for j in range(self.source.dim):
-                J[i, j] = p.partial(j).evaluate(point)
-        return J
+        return self.compiled()(point)[1]
 
 
 def pullback_form(phi: PolyMap, alpha: PolyKForm) -> PolyKForm:

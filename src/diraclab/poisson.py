@@ -43,7 +43,7 @@ from .fields import (
 class PoissonBivector:
     """A bivector field; `is_poisson` is decided exactly and cached."""
 
-    __slots__ = ("pi", "_jacobiator", "_poisson")
+    __slots__ = ("pi", "_jacobiator", "_poisson", "_compiled")
 
     def __init__(self, pi: PolyKVector):
         if pi.degree != 2:
@@ -51,6 +51,7 @@ class PoissonBivector:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_jacobiator", None)
         object.__setattr__(self, "_poisson", None)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PoissonBivector is immutable")
@@ -63,19 +64,13 @@ class PoissonBivector:
         """Full antisymmetric matrix of PolyScalars Pi^{ij}."""
         return _full_matrix(self.pi)
 
-    def matrix_at(self, point) -> np.ndarray:
-        return self.pi.evaluate_at(point)
-
-    def compiled_matrix(self):
-        """Evaluator of the full antisymmetric matrix: points (..., n) -> (..., n, n)."""
-        n = self.chart.dim
-        packed = compile_tensors([self.pi])
-
-        def matrices(pts):
-            out = packed(pts)
-            return out.reshape(out.shape[:-1] + (n, n))
-
-        return matrices
+    def matrix_at(self, points) -> np.ndarray:
+        """The full antisymmetric matrix Pi at a point (n,) or a batch (..., n):
+        (..., n, n), from one table compiled on first use."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", compile_tensors([self.pi]))
+        out = self._compiled(points)
+        return out.reshape(out.shape[:-1] + (self.chart.dim,) * 2)
 
     def __eq__(self, other):
         return isinstance(other, PoissonBivector) and self.pi == other.pi
@@ -583,8 +578,7 @@ def euler_linearize(
 
     pts = np.array([list(map(float, p)) for p in sample_points])
     images, J = flow_points(Z_t, pts, 1.0, config)
-    Xvals = np.array([[X.components.get((j,), PolyScalar.zero(chart)).evaluate(p)
-                       for j in range(n)] for p in pts])
+    Xvals = pts + Z_t(pts, 1.0)[0]  # X = E + Z and Z_1 = Z
     pushed = np.einsum("bij,bj->bi", J, Xvals)
     r, x = worst(np.abs(pushed - images).max(axis=1), pts)
     return EulerReport(r, tuple(x), len(pts), pts, images, J)

@@ -268,10 +268,9 @@ def verify_dual_pair(
           s-pullback of Gr(pi) (span distance of the two Lagrangian fibers).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    pi_fn = spray.pi.compiled_matrix()
     W, s_val, t_val, ds, dt = _realization_batch(spray, points, config)
     piP = -np.linalg.inv(W)
-    Pt, Ps = pi_fn(t_val), pi_fn(s_val)
+    Pt, Ps = spray.pi.matrix_at(t_val), spray.pi.matrix_at(s_val)
     r1t = np.abs(dt @ piP @ dt.transpose(0, 2, 1) - Pt).max(axis=(1, 2))
     r1s = np.abs(ds @ piP @ ds.transpose(0, 2, 1) + Ps).max(axis=(1, 2))
     n2 = W.shape[1]
@@ -346,12 +345,11 @@ def invariant_vector_fields(
     if beta is None:
         beta = alpha
     alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
-    pi_fn = spray.pi.compiled_matrix()
     batch = _realization_batch(spray, np.asarray(point, dtype=float)[None, :], config)
     aL, aR = (v[0] for v in _lr_fields(alpha_at, *batch))
     bL, bR = (v[0] for v in _lr_fields(beta_at, *batch))
     W, s_val, t_val, ds, dt = (a[0] for a in batch)
-    Ps, Pt = pi_fn(s_val), pi_fn(t_val)
+    Ps, Pt = spray.pi.matrix_at(s_val), spray.pi.matrix_at(t_val)
     a_s, a_t = alpha_at(s_val), alpha_at(t_val)
     b_s, b_t = beta_at(s_val), beta_at(t_val)
     res = {

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
+from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar, sort_index
 
 
 def random_poly(rng: random.Random, chart: Chart, max_degree=3, terms=3) -> PolyScalar:
@@ -60,6 +62,22 @@ def fraction_rank(rows) -> int:
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def exact_at(p: PolyScalar, x) -> float:
+    """p at a float point, evaluated exactly and rounded once."""
+    return float(p.evaluate_exact([Fraction(float(v)) for v in x]))
+
+
+def dense_exact(T, x) -> np.ndarray:
+    """The full antisymmetric component array of a tensor at a float point,
+    each entry evaluated exactly and rounded once."""
+    out = np.zeros((T.chart.dim,) * T.degree)
+    for idx, p in T.components.items():
+        v = exact_at(p, x)
+        for perm in itertools.permutations(range(T.degree)):
+            out[tuple(idx[a] for a in perm)] = sort_index(perm)[1] * v
+    return out
 
 
 def random_point(rng, dim, numerators=9, denominator=4):

@@ -3,8 +3,10 @@
 `fields.py` is the only module that reads the polynomial format: every other
 module goes through `PolyScalar` operations (`embed`, `restrict`,
 `homogeneous_parts`, `float_terms`, `evaluate_exact`).  The numeric layer has
-one tensor compiler (`compile_tensors`) and one flow function (`flow_points`);
-the adapters and the second flow function they replaced stay gone.  The Manin
+one tensor compiler (`compile_tensors`), one float evaluator (`PackedPolys`,
+the only caller of `float_terms`) and one flow function (`flow_points`); the
+adapters, the interpreted float evaluators and the second flow function they
+replaced stay gone.  The Manin
 layer decides its subspace axioms with one exact `_rank`: the Fraction-matrix
 module `_rat` and its span helpers stay gone, as do the batch-only realization
 entry points.  Every verifier reduces its residuals with `_numeric.worst`: a
@@ -24,7 +26,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diraclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
-            "realization_form_batch", "source_target_batch", "_chart_bivector_jet"}
+            "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
+            "evaluate", "compiled_matrix"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -41,6 +44,14 @@ def test_only_fields_reads_terms(path):
     reads = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Attribute) and node.attr == "terms"]
     assert not reads, f"{path.name} reads .terms at lines {reads}"
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "_numeric.py"],
+                         ids=lambda m: m.name)
+def test_only_numeric_turns_polynomials_into_floats(path):
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "float_terms"]
+    assert not calls, f"{path.name} calls float_terms at lines {calls}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)

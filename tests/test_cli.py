@@ -287,6 +287,25 @@ class TestTripleJson:
         assert code == 0
         assert max(abs(v) for row in rep["result"]["bivector_h_basis"] for v in row) < 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ["bivector", "--point", "0.3,0.2,0.1"],
+        ["multiplicativity"],
+        ["dressing", "--point", "0.3,0.2,0.1", "--zeta", "1,0,0,0,0,0"],
+    ], ids=lambda a: a[0])
+    def test_chart_commands_decide_a_user_triple_first(self, capsys, tmp_path, argv):
+        # h_0 + h_1 and h_1 + g_0 in place of h_0 and h_1: h is no longer a
+        # Lagrangian subalgebra, and the chart of the built-in does not apply
+        data = self.triple_json()
+        g, h = data["g_basis"], data["h_basis"]
+        add = lambda u, v: [[a[0] * b[1] + b[0] * a[1], a[1] * b[1]] for a, b in zip(u, v)]
+        h[0], h[1] = add(h[0], h[1]), add(h[1], g[0])
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps(data))
+        code, rep = run_and_parse(capsys, ["manin", argv[0], "--triple", str(p), *argv[1:]])
+        assert code == 1
+        assert [c["name"] for c in rep["criteria"]] == ["manin-triple-axioms"]
+        assert rep["criteria"][0]["status"] == "fail" and rep["criteria"][0]["witness"]
+
     def test_missing_chart_rejected(self, capsys, tmp_path):
         data = self.triple_json()
         data["builtin_ad"] = None
@@ -296,6 +315,19 @@ class TestTripleJson:
             capsys, ["manin", "bivector", "--triple", str(p), "--point", "0,0,0"]
         )
         assert code == 2
+
+
+def test_consecutive_runs_share_no_option_values(workdir, capsys):
+    # one parser serves every run in a process
+    argv = ["poisson", "check", "--file", workdir["constant.json"]]
+    assert cli.build_parser() is cli.build_parser()
+    _, rep = run_and_parse(capsys, ["--seed", "7", "--tol", "0.5", *argv])
+    assert rep["seed"] == 7
+    args = cli.build_parser().parse_args(["dirac", "check-integrability", "--point", "1,2"])
+    assert (args.seed, args.tol, args.point) == (0, None, ["1,2"])
+    _, rep = run_and_parse(capsys, argv)
+    assert rep["seed"] == 0
+    assert cli.build_parser().parse_args(["dirac", "check-integrability"]).point is None
 
 
 class TestTolOverride:

@@ -25,6 +25,8 @@ from diraclab.poisson import (
     so3_constants,
     standard_symplectic_poisson,
 )
+from diraclab import dirac as dirac_mod
+from diraclab._numeric import span_residual
 from diraclab.dirac import (
     GaugeTransform,
     GeneralizedSection,
@@ -45,7 +47,7 @@ from diraclab.dirac import (
     pullback_dirac_at_point,
 )
 
-from conftest import random_form, random_poly, random_vector
+from conftest import dense_exact, random_form, random_poly, random_vector
 
 
 R2 = Chart(2, ("x", "y"))
@@ -193,9 +195,29 @@ class TestIntegrabilityTensor:
         E = graph_of_poisson(pi)
         pt = (0.3, 0.5, -1.2)
         T = integrability_tensor(E, pt)
-        J = jacobiator(pi).evaluate_at(pt)
+        J = dense_exact(jacobiator(pi), pt)
         assert np.abs(T - J).max() < 1e-12
         assert T[0, 1, 2] == pytest.approx(1.2)
+
+    @pytest.mark.parametrize("frame", ["so3", "nonpoisson", "form"])
+    def test_batch_matches_points_with_one_set_of_brackets(self, monkeypatch, frame):
+        E = {"so3": lambda: graph_of_poisson(lie_poisson(so3_constants(), 3)),
+             "nonpoisson": lambda: graph_of_poisson(nonpoisson_r3()),
+             "form": lambda: graph_of_form(random_form(random.Random(4), R3, 2))}[frame]()
+        brackets = []
+
+        def counted(s1, s2):
+            brackets.append(1)
+            return courant_bracket(s1, s2)
+
+        monkeypatch.setattr(dirac_mod, "courant_bracket", counted)
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 3))
+        T = integrability_tensor(E, pts)
+        assert T.shape == (6, 3, 3, 3) and len(brackets) == 3  # n(n-1)/2, for any batch
+        for x, Tx in zip(pts, T):
+            assert np.array_equal(integrability_tensor(E, x), Tx)
+            assert np.abs(Tx - dense_exact(integrability_reference(E), x)).max() < 1e-12
+        assert len(brackets) == 3 * 7
 
     def test_total_antisymmetry(self):
         pi = nonpoisson_r3()
@@ -432,6 +454,15 @@ class TestPoissonMap:
         assert rep.exact is False
 
 
+def integrability_reference(E):
+    """<s_a, [[s_b, s_c]]> for a < b < c as an exact 3-vector: the components
+    of a totally antisymmetric tensor."""
+    s = E.sections
+    return PolyKVector(E.chart, 3, {
+        (a, b, c): pairing(s[a], courant_bracket(s[b], s[c]))
+        for a in range(3) for b in range(a + 1, 3) for c in range(b + 1, 3)})
+
+
 class TestFrameValidation:
     def test_non_lagrangian_frame_rejected(self):
         # sections (d/dx, d/dx + dx) have a nonzero pairing: not isotropic
@@ -481,6 +512,23 @@ class TestScaleFreeRank:
         assert ok
         assert np.array_equal(cert["fibers"][0], pi.matrix_at((0.0, 0.0)).T)
         assert not cosymplectic_check(pi, (0,), [(0.0, 0.0)])[0]
+
+
+    @pytest.mark.parametrize("c", SCALES, ids=str)
+    def test_pullback_transversality(self, c):
+        # Gr(c pi_so3) along u -> (0, 0, u) at u = 1: the anchor spans the
+        # (x, y) plane and d phi the z axis, so the pullback is transverse for
+        # every c != 0, and its fiber is spanned by (0, du)
+        pi = PoissonBivector(lie_poisson(so3_constants(), 3).pi * c)
+        u = Chart(1, ("u",)).coordinate(0)
+        line = PolyMap(u.chart, pi.chart, [0 * u, 0 * u, u])
+        B = pullback_dirac_at_point(line, graph_of_poisson(pi), (1.0,))
+        assert span_residual(B, np.array([[0.0], [1.0]])) <= 1e-12
+        # along the identity the pullback is Gr(c pi) itself: three directions,
+        # the Casimir's (0, dC) among them
+        B = pullback_dirac_at_point(PolyMap.identity(pi.chart), graph_of_poisson(pi),
+                                    (0.3, -0.2, 0.5))
+        assert B.shape == (6, 3)
 
 
 class TestGaugeAdditivity:

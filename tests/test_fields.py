@@ -19,6 +19,7 @@ from diraclab.fields import (
     coordinate_form,
     coordinate_vector,
     differential,
+    evaluate_at,
     exterior_derivative,
     interior_product,
     lie_derivative,
@@ -29,7 +30,7 @@ from diraclab.fields import (
 )
 from diraclab import jsonio
 
-from conftest import random_form, random_point, random_poly, random_vector
+from conftest import exact_at, random_form, random_point, random_poly, random_vector
 
 
 R2 = Chart(2, ("x", "y"))
@@ -101,7 +102,7 @@ class TestPolyScalar:
         assert p.partial(0) == 2 * x * y
         assert p.partial(1) == x * x + 3
         assert p.evaluate_exact((Fraction(2), Fraction(1, 2))) == Fraction(7, 2)
-        assert p.evaluate((2.0, 0.5)) == pytest.approx(3.5)
+        assert exact_at(p, (2.0, 0.5)) == 3.5
 
     def test_chart_mismatch(self):
         with pytest.raises(ChartMismatchError):
@@ -135,8 +136,15 @@ class TestAlternatingStructure:
     def test_evaluate_at_dense(self):
         x = R2.coordinate(0)
         T = PolyKVector(R2, 2, {(0, 1): x})
-        M = T.evaluate_at((2.0, 5.0))
+        M = evaluate_at(T, (2.0, 5.0))
         assert M[0, 1] == 2.0 and M[1, 0] == -2.0
+        pts = np.array([(2.0, 5.0), (-1.5, 0.0), (0.25, 3.0)])
+        assert np.array_equal(evaluate_at(T, pts), [evaluate_at(T, x) for x in pts])
+        assert evaluate_at(differential(x * x), (3.0, 1.0)).tolist() == [6.0, 0.0]
+        with pytest.raises(DegreeError):
+            evaluate_at(PolyKVector(R2, 0, {(): x}), (2.0, 5.0))
+        with pytest.raises(ShapeError):  # a point does not broadcast across the chart
+            evaluate_at(T, (2.0,))
 
 
 class TestExteriorDerivative:

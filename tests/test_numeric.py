@@ -19,7 +19,7 @@ from diraclab.poisson import (
 )
 from diraclab.realization import RealizationConfig
 
-from conftest import random_form, random_poly, random_vector
+from conftest import dense_exact, exact_at, random_form, random_poly, random_vector
 
 TIMES = (0.0, 0.3, -0.7)
 
@@ -34,8 +34,8 @@ def time_columns(rng, chart, width, powers=(0, 1, 2)):
 
 
 def exact_column(col, t, x, k=None):
-    """sum_d t^d p_d(x), or its partial in x_k, evaluated exactly term by term."""
-    return sum(t**d * (p if k is None else p.partial(k)).evaluate(x) for d, p in col.items())
+    """sum_d t^d p_d(x), or its partial in x_k, each term evaluated exactly."""
+    return sum(t**d * exact_at(p if k is None else p.partial(k), x) for d, p in col.items())
 
 
 class TestPackedPolys:
@@ -79,17 +79,6 @@ class TestPackedPolys:
 
 
 class TestCompileTensors:
-    @staticmethod
-    def dense(T, x):
-        """Full component array of a 1-form or bivector by PolyScalar.evaluate."""
-        n = T.chart.dim
-        out = np.zeros((n,) * T.degree)
-        for idx, p in T.components.items():
-            out[idx] = p.evaluate(x)
-            if T.degree == 2:
-                out[idx[::-1]] = -out[idx]
-        return out
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compile_tensors_match_exact_components(self, seed):
         # a 1-form, a bivector and a two-power 1-form family, laid out in order
@@ -106,11 +95,11 @@ class TestCompileTensors:
             bivectors = got[:, 4:20].reshape(6, 4, 4)
             assert np.array_equal(bivectors, -np.swapaxes(bivectors, 1, 2))
             for b, x in enumerate(pts):
-                a_t = sum(t**d * self.dense(f, x) for d, f in family.coeffs.items())
-                ref = np.concatenate([self.dense(alpha, x), self.dense(pi, x).ravel(), a_t])
+                a_t = sum(t**d * dense_exact(f, x) for d, f in family.coeffs.items())
+                ref = np.concatenate([dense_exact(alpha, x), dense_exact(pi, x).ravel(), a_t])
                 assert np.abs(got[b] - ref).max() < 1e-13
-        # the bivector alone is what compiled_matrix reshapes
-        matrices = from_components(chart, pi.components).compiled_matrix()(pts)
+        # the bivector alone is what matrix_at reshapes
+        matrices = from_components(chart, pi.components).matrix_at(pts)
         assert np.array_equal(matrices, compile_tensors([pi])(pts).reshape(6, 4, 4))
         assert np.array_equal(matrices, bivectors)
 
@@ -142,7 +131,8 @@ class TestOneTablePerRhs:
         X = PolyKVector(chart, 1, {(0,): x + x * x + x * y * y, (1,): y + x * y})
         counter = CountingTable(monkeypatch)
         euler_linearize(X, [(0.1, 0.2), (-0.2, 0.1)], FlowConfig(step=0.05))
-        assert counter.calls == 4 * rk4_steps(1.0, 0.05)
+        # one table per RK4 stage, and one for the values X = E + Z_1
+        assert counter.calls == 4 * rk4_steps(1.0, 0.05) + 1
 
     @pytest.mark.parametrize("family", ["r2", "so3"])
     def test_moser(self, monkeypatch, family):
@@ -396,7 +386,9 @@ class TestStackedHelpers:
             kept = np.any(got[b] != 0.0, axis=0)
             assert np.abs(got[b][:, kept] - one).max() <= 1e-14
             w, nu = one[:5], one[5:]
-            c = reference_nullspace(np.column_stack([J[b], -vectors[b]]))[5:]
+            # the null space is taken of the blocks over their scales j and a
+            j, a = _numeric.block_scale(J[b]), _numeric.block_scale(vectors[b])
+            c = j / a * reference_nullspace(np.column_stack([J[b] / j, -vectors[b] / a]))[5:]
             assert np.abs(J[b] @ w - vectors[b] @ c).max() < 1e-12
             assert np.abs(nu - J[b].T @ forms[b] @ c).max() < 1e-12
 

@@ -39,7 +39,7 @@ from diraclab.poisson import (
 )
 from diraclab.poisson import _moser_field
 
-from conftest import random_poly, random_vector
+from conftest import dense_exact, random_poly, random_vector
 
 
 def jac_oracle(pi, f, g, h):
@@ -478,8 +478,8 @@ class TestMoserAnalyticField:
     def pointwise_field(pi0, a_t, t, x):
         omega_t = a_t.exterior_derivative().time_integral()
         P = pi0.matrix_at(x)
-        W = sum(t**d * w.evaluate_at(x) for d, w in omega_t.coeffs.items())
-        a = sum(t**d * al.evaluate_at(x) for d, al in a_t.coeffs.items())
+        W = sum(t**d * dense_exact(w, x) for d, w in omega_t.coeffs.items())
+        a = sum(t**d * dense_exact(al, x) for d, al in a_t.coeffs.items())
         return np.linalg.solve(np.eye(len(x)) + P @ W, P).T @ a
 
     @pytest.mark.parametrize("name", ["r2", "xdxdy", "so3", "dim4", "dim6"])
