@@ -1,27 +1,38 @@
-"""Numeric kernels: compiled polynomial evaluation, RK4 flows, quadrature.
+"""Numeric kernels: compiled polynomial evaluation, RK4 flows, linear algebra.
 
 `PackedPolys` is the one place where an exact polynomial becomes a float, the
 one reader of `PolyScalar.float_terms`: every float value of the exact layer
 is one call into a table compiled once per object or call, which evaluates
-every column, and with partials=True every partial, from one monomial table
-and one matmul.  `compile_tensors` lays out tensors as its columns.
+every column, and with partials=True every partial in a variable the column
+contains, from one monomial table and one matmul.  `compile_tensors` lays out
+tensors as its columns.  The table gathers from any array whose first n
+columns are x and whose last column is 1: `__call__` checks its points and
+builds [x, 1], and `at_state` reads a flow state as it is.
 A time-dependent one keeps its last (t, C(t)) as one tuple, which one store
 swaps whole; RK4 repeats stage times, so a flow forms C(t) about twice per
 step instead of four times, bitwise as before.
 
-One flow function: `flow_points(field, x0, t, config)` with
-field(x, tau) -> (a, Da), the `PackedPolys` call order.  A vector field with
-coefficient functions a(x) generates the flow Phi_t whose trajectories solve
-dx/dt = -a(x).  For a time-dependent field the flow is defined through its
-action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_t is
-the inverse of the forward solution map of dx/dtau = +a(tau, x), computed by
-integrating dz/ds = -a(z, t - s) from s = 0 to s = t.  A field that does not
-depend on time ignores tau, and this is dx/dt = -a(x).  The RK4 state carries
-the variational equations dJ/ds = -Da J.  A call allocates once the state, one
-stage input and the (4, B, m + m^2) stage derivatives; each stage is one field
-call that writes a and Da J, unnegated, into its slot.  The sign of dz/ds is
-folded into the stage offsets and weights, and the update is one
-(4,) @ (4, B (m + m^2)) contraction added into the state in place.
+One flow function, `flow_points(field, x0, t, config)`, with one field
+protocol: field(state, tau) -> (a, Da) reads x from the first n columns of
+the stage state.  `PackedPolys.at_state` serves it directly, and a closure
+(the Moser field) reads x as state[:, :n] and calls the same entry.  A vector
+field with coefficient functions a(x) generates the flow Phi_t whose
+trajectories solve dx/dt = -a(x).  For a time-dependent field the flow is
+defined through its action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t};
+concretely Phi_t is the inverse of the forward solution map of
+dx/dtau = +a(tau, x), computed by integrating dz/ds = -a(z, t - s) from
+s = 0 to s = t.  A field that does not depend on time ignores tau, and this
+is dx/dt = -a(x).  The RK4 state, with the variational equations
+dJ/ds = -Da J, is one contiguous (B, n + n^2 + 1) array of rows [x | J | 1].
+A call allocates once the state, one stage input and the stage derivatives K,
+(4, B, n + n^2 + 1) with rows [a | Da J | 0]: each stage is one field call
+that writes a and Da J, unnegated, into its slot.  As the last column of K
+is 0, every stage input y - c K and every update keeps the state's last
+column at exactly 1.0, so the field reads the stage buffer itself, and all
+stage arithmetic runs on whole contiguous arrays.  The sign of dz/ds is
+folded into the stage offsets and weights (formed once per distinct step),
+and the update is one (4,) @ (4, B (n + n^2 + 1)) contraction added into the
+state in place.
 
 `worst` is the one residual reducer: every verifier hands it its residuals,
 so a non-finite residual reads as +inf, a fail with its point, and is never
@@ -102,29 +113,26 @@ class _MonomialTable:
     """Values of a fixed list of monomials at a batch of points.
 
     Each monomial is stored as its list of variable factors (x^2 y as x, x,
-    y), padded with the constant 1, so evaluation gathers from
-    [1, x_1, ..., x_n] and multiplies, one factor position at a time, instead
-    of taking a floating-point pow per exponent.
+    y), padded with index -1, so evaluation gathers from any array whose
+    first n columns are x and whose last column is 1, and multiplies, one
+    factor position at a time, instead of taking a floating-point pow per
+    exponent.
     """
 
-    __slots__ = ("dim", "columns")
+    __slots__ = ("columns",)
 
     def __init__(self, exps, dim: int):
         exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), dim)
-        self.dim = dim
         width = max(1, int(exps.sum(axis=1).max(initial=0)))
-        factors = np.zeros((len(exps), width), dtype=np.intp)
+        factors = np.full((len(exps), width), -1, dtype=np.intp)
         for row, e in enumerate(exps):
-            idx = np.repeat(np.arange(1, dim + 1), e)
+            idx = np.repeat(np.arange(dim), e)
             factors[row, : len(idx)] = idx
         # column k holds the k-th factor of every monomial
         self.columns = tuple(factors[:, k].copy() for k in range(width))
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        """(..., n) -> (..., T)."""
-        ext = np.empty(pts.shape[:-1] + (self.dim + 1,))
-        ext[..., 0] = 1.0
-        ext[..., 1:] = pts
+    def __call__(self, ext: np.ndarray) -> np.ndarray:
+        """(..., m) -> (..., T) for ext[..., :n] = x and ext[..., -1] = 1."""
         out = ext.take(self.columns[0], axis=-1)
         for col in self.columns[1:]:
             out *= ext.take(col, axis=-1)
@@ -152,7 +160,7 @@ class PackedPolys:
             for d, p in col.items():
                 polys.append((d, c, p))
                 if partials:
-                    polys += [(d, w + c * dim + k, p.partial(k)) for k in range(dim)]
+                    polys += [(d, w + c * dim + k, p.partial(k)) for k in p.variables()]
         powers = sorted({d for d, _, _ in polys}) or [0]
         rows: dict = {}
         entries = [(powers.index(d), rows.setdefault(e, len(rows)), col, v)
@@ -169,15 +177,24 @@ class PackedPolys:
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1:] != (self.dim,):
             raise ShapeError(f"points of shape {pts.shape} on a chart of dim {self.dim}")
+        ext = np.empty(pts.shape[:-1] + (self.dim + 1,))
+        ext[..., :-1] = pts
+        ext[..., -1] = 1.0
+        return self.at_state(ext, t)
+
+    def at_state(self, state: np.ndarray, t: float = 0.0):
+        """Values at the x = state[..., :dim] of an array whose last column is
+        1, such as a flow state [x | J | 1]; its shape is not checked.  This is
+        the field protocol of `flow_points`."""
         memo = self._memo  # read once: one store swaps the (t, C(t)) pair
         if self.powers is not None and memo[0] != t:
             C = self.coefs
             memo = self._memo = (t, (t**self.powers @ C.reshape(len(C), -1)).reshape(C.shape[1:]))
-        out = self.monomials(pts) @ memo[1]
+        out = self.monomials(state) @ memo[1]
         if not self.partials:
             return out
         w = self.width
-        return out[..., :w], out[..., w:].reshape(pts.shape[:-1] + (w, self.dim))
+        return out[..., :w], out[..., w:].reshape(state.shape[:-1] + (w, self.dim))
 
 
 def compile_tensors(tensors, partials: bool = False) -> PackedPolys:
@@ -206,12 +223,6 @@ def compile_tensors(tensors, partials: bool = False) -> PackedPolys:
                     cols[j * n + i][d] = -p
         columns += cols
     return PackedPolys(columns, n, partials)
-
-
-def gauss_legendre_01(order: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
@@ -247,7 +258,7 @@ def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
 
 
 def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
-    """Flow map Phi_t of the field with field(x, tau) -> (a, Da).
+    """Flow map Phi_t of the field with field(state, tau) -> (a, Da).
 
     RK4 for dx/ds = -a(x, t - s) and dJ/ds = -Da(x, t - s) J from s = 0, J = I
     (see the module docstring).  x0 may be a single point or a batch (B, n).
@@ -257,30 +268,35 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
     single = np.ndim(x0) == 1
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B, n = x0.shape
-    # state rows (x, J) with J row-major, J(0) = I; the stage input; the
-    # stage derivatives (a, Da J); and the (x, J) views of each
-    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1))])
+    m = n + n * n
+    # state rows [x | J | 1] with J row-major, J(0) = I; the stage input; the
+    # stage derivatives, whose last column stays 0; and the (x, J) views
+    y = np.empty((B, m + 1))
+    y[:, :n], y[:, n:m], y[:, m] = x0, np.eye(n).ravel(), 1.0
     ys = np.empty_like(y)
-    K = np.empty((4,) + y.shape)
-    (x, J), (xs, Js), *slots = [(b[:, :n], b[:, n:].reshape(B, n, n)) for b in (y, ys, *K)]
+    K = np.zeros((4,) + y.shape)
+    (x, J), (_, Js), *slots = [(b[:, :n], b[:, n:m].reshape(B, n, n)) for b in (y, ys, *K)]
     flat_update, flat_K = ys.reshape(-1), K.reshape(4, -1)
 
+    weights = {}  # the update weights of each distinct step
     snaps = []
     s = 0.0
     for target in [t] if record_times is None else record_times:
         for h in _step_schedule(target - s, config.step):
             for k, (ka, kJ) in enumerate(slots):
                 if k == 0:
-                    xin, Jin, tau = x, J, t - s
+                    yin, Jin, tau = y, J, t - s
                 else:
                     c = h if k == 3 else 0.5 * h
                     np.multiply(K[k - 1], -c, out=ys)  # dz/ds = -K
                     ys += y
-                    xin, Jin, tau = xs, Js, t - (s + c)
-                a, Da = field(xin, tau)
+                    yin, Jin, tau = ys, Js, t - (s + c)
+                a, Da = field(yin, tau)
                 ka[...] = a
                 np.matmul(Da, Jin, out=kJ)
-            np.dot(RK4_WEIGHTS * (-h / 6.0), flat_K, out=flat_update)
+            if h not in weights:
+                weights[h] = RK4_WEIGHTS * (-h / 6.0)
+            np.dot(weights[h], flat_K, out=flat_update)
             y += ys
             s += h
             _check_escape(y, n, config.escape_norm)

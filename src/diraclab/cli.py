@@ -265,7 +265,7 @@ def _cmd_dirac(args):
         gram = dirac_mod.pairing_gram(B)
         return (
             [criterion("pullback-lagrangian", float(np.abs(gram).max()), args.tol, pt)],
-            {"fiber_basis": B.tolist()},
+            {"fiber_basis": B.tolist(), "basis_dependent": True},
         )
     if args.dirac_cmd == "poisson-map":
         phi = jsonio.map_from_json(_load_json(args.map))

@@ -378,6 +378,14 @@ class PolyScalar:
 
     # -- calculus ------------------------------------------------------------
 
+    def variables(self) -> list:
+        """Indices of the coordinates that occur in some term, increasing: the
+        partials in any other coordinate are zero."""
+        occurs = 0
+        for k in self._num:
+            occurs |= k
+        return [i for i in range(self.chart.dim) if (occurs >> (_W * i)) & _FIELD]
+
     def partial(self, i: int) -> "PolyScalar":
         if not 0 <= i < self.chart.dim:
             raise ShapeError(f"partial index {i} out of range for dim {self.chart.dim}")

@@ -480,7 +480,7 @@ def moser_verify(
         raise PreconditionError("a_t must be a family of 1-forms")
     if a_t.chart != pi0.chart:
         raise ChartMismatchError("a_t on the wrong chart")
-    gauge, field = _moser_field(pi0, a_t)
+    gauge, _, field = _moser_field(pi0, a_t)
     grid_arr = np.array([list(map(float, g)) for g in grid])
     res = []
     for T in map(float, times):
@@ -498,8 +498,10 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
     """Evaluators of the gauge family and of X_t = pi_t^#(a_t).
 
     gauge(pts, t) -> (Pi, A_t, a_t, partials) from one packed table evaluation,
-    raising TransversalityError where |det A| < 1e-12; field(pts, t) ->
-    (X_t, DX_t) with the exact Jacobian of moser_verify.
+    raising TransversalityError where |det A| < 1e-12; velocity(Pi, A_t, a_t,
+    partials) -> (X_t, DX_t) with the exact Jacobian of moser_verify; and
+    field(state, t), the `flow_points` field, which reads x = state[:, :n] and
+    the same table from the flow state.
     """
     n, P = pi0.chart.dim, pi0.component_matrix()
     A_t = gauge_family(pi0, a_t.exterior_derivative().time_integral().coeffs)
@@ -510,16 +512,17 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
         + [{d: A[i][j] for d, A in A_t.items() if A[i][j]} for j in range(n)])]],
         partials=True)
 
-    def gauge(pts, t):
-        vals, parts = packed(pts, t)
+    def split(x, t, vals, parts):
         P, A = vals[:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
         bad = np.abs(np.linalg.det(A)) < 1e-12
         if bad.any():
-            raise TransversalityError(f"gauge family degenerate at t={t}", pts[int(bad.argmax())])
+            raise TransversalityError(f"gauge family degenerate at t={t}", x[int(bad.argmax())])
         return P, A, vals[:, :n], parts
 
-    def field(pts, t):
-        P, A, a, parts = gauge(pts, t)
+    def gauge(pts, t):
+        return split(pts, t, *packed(pts, t))
+
+    def velocity(P, A, a, parts):
         PT, AiT = P.swapaxes(1, 2), np.linalg.inv(A).swapaxes(1, 2)
         u = AiT @ a[..., None]
         # [b, j, k] = (d_k Pi^T u)_j and (d_k A^T u)_j
@@ -527,7 +530,10 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
             -1, 2, n, n).transpose(1, 0, 2, 3)
         return (PT @ u)[..., 0], dPu + PT @ AiT @ (parts[:, :n] - dATu)
 
-    return gauge, field
+    def field(state, t):
+        return velocity(*split(state[:, :n], t, *packed.at_state(state, t)))
+
+    return gauge, velocity, field
 
 
 # -- Euler-like linearization ----------------------------------------------------
@@ -577,7 +583,7 @@ def euler_linearize(
                           partials=True)
 
     pts = np.array([list(map(float, p)) for p in sample_points])
-    images, J = flow_points(Z_t, pts, 1.0, config)
+    images, J = flow_points(Z_t.at_state, pts, 1.0, config)
     Xvals = pts + Z_t(pts, 1.0)[0]  # X = E + Z and Z_1 = Z
     pushed = np.einsum("bij,bj->bi", J, Xvals)
     r, x = worst(np.abs(pushed - images).max(axis=1), pts)

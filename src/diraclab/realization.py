@@ -44,7 +44,6 @@ from ._numeric import (
     PackedPolys,
     compile_tensors,
     flow_points,
-    gauss_legendre_01,
     nullspace_basis,
     pullback_fiber,
     span_residual,
@@ -58,6 +57,17 @@ from .poisson import PoissonBivector
 
 
 QUAD_ORDER = 8  # Gauss-Legendre nodes of the s-integral of omega
+# The rule on [0, 1], tabulated as numpy's leggauss(QUAD_ORDER) gives it mapped
+# there, so no call solves its eigenproblem (or imports numpy.polynomial):
+# the nodes s, increasing, and their weights.  A realization flow records
+# D Phi_{-s} at each node, then at -1.
+QUAD_NODES = (0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+              0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+              0.8983332387068134, 0.9801449282487681)
+QUAD_WEIGHTS = (0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+                0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+                0.11119051722668721, 0.05061426814518853)
+_RECORD_TIMES = tuple(-s for s in QUAD_NODES) + (-1.0,)
 
 
 @dataclass(frozen=True)
@@ -154,27 +164,25 @@ def canonical_symplectic_matrix(n: int) -> np.ndarray:
 
 def flow(spray: SprayField, point, t: float, config: RealizationConfig = RealizationConfig()):
     """Endpoint and Jacobian of the spray flow Phi_t from a point of T*M."""
-    x, J = flow_points(spray.compiled(), np.asarray(point, dtype=float), t, config.flow())
-    return x, J
+    return flow_points(spray.compiled().at_state, np.asarray(point, dtype=float), t,
+                       config.flow())
 
 
 def _realization_batch(spray: SprayField, points, config: RealizationConfig):
     """(W, s, t, ds, dt) at a point (2n,) or a batch (B, 2n) from one backward flow.
 
-    The flow records D Phi_{-s} at the Gauss nodes s in (0,1), in node order,
+    The flow records D Phi_{-s} at the Gauss nodes s in (0,1), in increasing order,
     and then continues to t = -1: the node snapshots give the quadrature
     W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds, the last one gives t and dt.
     """
     single = np.ndim(points) == 1
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = spray.base_dim
-    nodes, weights = gauss_legendre_01(QUAD_ORDER)
-    order = np.argsort(nodes)
-    times = [-float(nodes[i]) for i in order] + [-1.0]
-    snaps = flow_points(spray.compiled(), points, -1.0, config.flow(), record_times=times)
+    snaps = flow_points(spray.compiled().at_state, points, -1.0, config.flow(),
+                        record_times=_RECORD_TIMES)
     # J^T W_can J = J_q^T J_p - J_p^T J_q at every node, summed with weights
-    Js = np.stack([snaps[r][1] for r in np.argsort(order)])
-    S = np.tensordot(weights, np.swapaxes(Js[..., :n, :], -1, -2) @ Js[..., n:, :], 1)
+    Js = np.stack([J for _, J in snaps[:-1]])
+    S = np.tensordot(QUAD_WEIGHTS, np.swapaxes(Js[..., :n, :], -1, -2) @ Js[..., n:, :], 1)
     x1, J1 = snaps[-1]
     ds = np.zeros((len(points), n, 2 * n))
     ds[:, :, :n] = np.eye(n)

@@ -14,7 +14,9 @@ running `worst = max(worst, r)` or `if r > worst` drops a NaN residual, so no
 such reduction may come back.  Numeric ranks use the one relative rule of
 `_numeric` (singular values against the largest); `numpy.linalg.matrix_rank`
 with an absolute threshold makes a verdict depend on units, so no module
-calls it.
+calls it.  `flow_points` has one field protocol, field(state, tau), so it
+branches on no type; and the Gauss-Legendre rule is tabulated once, in
+`realization`, so no flow (or import) solves its eigenproblem.
 """
 
 import ast
@@ -27,7 +29,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
-            "evaluate", "compiled_matrix"}
+            "evaluate", "compiled_matrix", "gauss_legendre_01"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -108,3 +110,18 @@ def test_no_module_calls_matrix_rank(path):
     calls = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matrix_rank"]
     assert not calls, f"{path.name} calls matrix_rank at lines {calls}"
+
+
+def test_flow_points_has_one_field_protocol():
+    flow = next(node for node in _tree(PACKAGE / "_numeric.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "flow_points")
+    calls = [node.lineno for node in ast.walk(flow)
+             if isinstance(node, ast.Name) and node.id == "isinstance"]
+    assert not calls, f"flow_points branches on a type at lines {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_module_forms_gauss_legendre_nodes(path):
+    calls = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             and "leggauss" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not calls, f"{path.name} forms Gauss-Legendre nodes at lines {calls}"

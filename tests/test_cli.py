@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -15,7 +16,8 @@ from diraclab import cli, jsonio
 from diraclab.cli import REPORT_SCHEMA, run
 from diraclab.errors import ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
-from diraclab.poisson import from_components, standard_symplectic_poisson
+from diraclab.poisson import (from_components, lie_poisson, so3_constants,
+                              standard_symplectic_poisson)
 
 
 @pytest.fixture
@@ -103,6 +105,22 @@ class TestPoissonCommands:
 
 
 class TestDiracCommands:
+    def test_pullback_marks_its_basis(self, workdir, capsys, tmp_path):
+        # u -> (u, 2v, uv/3 + 1) into so(3)*: a fiber of dimension 2, whose
+        # orthonormal basis is one choice among many
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"source": 2, "target": 3, "components": [
+            [{"exp": [1, 0], "num": 1, "den": 1}],
+            [{"exp": [0, 1], "num": 2, "den": 1}],
+            [{"exp": [1, 1], "num": 1, "den": 3}, {"exp": [0, 0], "num": 1, "den": 1}]]}))
+        pi = tmp_path / "so3.json"
+        pi.write_text(json.dumps(jsonio.tensor_to_json(lie_poisson(so3_constants(), 3).pi)))
+        code, rep = run_and_parse(capsys, ["dirac", "pullback", "--map", str(phi),
+                                           "--poisson", str(pi), "--point", "0.5,0.2"])
+        assert code == 0
+        assert rep["result"]["basis_dependent"] is True
+        assert np.array(rep["result"]["fiber_basis"]).shape == (4, 2)
+
     def test_integrability_of_poisson_graph(self, workdir, capsys):
         code, rep = run_and_parse(
             capsys, ["dirac", "check-integrability", "--poisson", workdir["xdxdy.json"]]

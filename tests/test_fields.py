@@ -104,6 +104,17 @@ class TestPolyScalar:
         assert p.evaluate_exact((Fraction(2), Fraction(1, 2))) == Fraction(7, 2)
         assert exact_at(p, (2.0, 0.5)) == 3.5
 
+    def test_variables_are_the_coordinates_with_a_nonzero_partial(self):
+        x, y, z = R3.coordinates()
+        assert PolyScalar.zero(R3).variables() == []
+        assert PolyScalar.constant(R3, 5).variables() == []
+        assert (x * z**3 + 2 * z).variables() == [0, 2]
+        assert (y**7 - x * y).variables() == [0, 1]
+        rng = random.Random(4)
+        for _ in range(20):
+            p = random_poly(rng, R3, max_degree=4, terms=3)
+            assert p.variables() == [k for k in range(3) if p.partial(k)]
+
     def test_chart_mismatch(self):
         with pytest.raises(ChartMismatchError):
             R2.coordinate(0) + R3.coordinate(0)

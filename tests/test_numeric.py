@@ -78,6 +78,43 @@ class TestPackedPolys:
             assert np.array_equal(D, np.zeros((5, len(cols), 2)))
 
 
+class TestCompiledPartials:
+    """Only the partials in variables a polynomial contains are compiled; the
+    table is the one that compiling every partial gives."""
+
+    @pytest.mark.parametrize("case", ["random", "moser"])
+    def test_rows_and_coefficients_equal_compiling_every_partial(self, monkeypatch, case):
+        from diraclab.fields import PolyScalar as Poly
+
+        if case == "random":
+            cols, dim = time_columns(random.Random(11), Chart(4), 6), 4
+        else:  # the columns that compile_tensors lays out for the so(3)* Moser field
+            from diraclab.poisson import _moser_field
+
+            made = []
+            with monkeypatch.context() as m:
+                m.setattr(_numeric, "PackedPolys", lambda columns, dim, partials:
+                          made.append((columns, dim)))
+                _moser_field(*so3_moser_family())
+            (cols, dim), = made
+        calls, partial = [], Poly.partial
+        monkeypatch.setattr(Poly, "partial", lambda p, k: calls.append(k) or partial(p, k))
+        sparse = PackedPolys(cols, dim, partials=True)
+        assert len(calls) == sum(len(p.variables()) for col in cols for p in col.values())
+        assert len(calls) < dim * sum(len(col) for col in cols)
+        # every variable, as if each could occur
+        monkeypatch.setattr(Poly, "variables", lambda p: list(range(p.chart.dim)))
+        dense = PackedPolys(cols, dim, partials=True)
+        assert len(sparse.monomials.columns) == len(dense.monomials.columns)
+        for a, b in zip(sparse.monomials.columns, dense.monomials.columns):
+            assert np.array_equal(a, b)
+        assert sparse.coefs.shape == dense.coefs.shape
+        assert sparse.coefs.tobytes() == dense.coefs.tobytes()
+        assert (sparse.powers is None) == (dense.powers is None)
+        if sparse.powers is not None:
+            assert np.array_equal(sparse.powers, dense.powers)
+
+
 class TestCompileTensors:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compile_tensors_match_exact_components(self, seed):
@@ -196,16 +233,17 @@ class TestTimeCoefficientMemo:
             return made[-1]
 
         monkeypatch.setattr(poisson_mod, "compile_tensors", recording)
-        field = poisson_mod._moser_field(*so3_moser_family())[1]
+        field = poisson_mod._moser_field(*so3_moser_family())[2]
         return field, made[0]
 
     @pytest.mark.parametrize("case", ["euler", "moser"])
     @pytest.mark.parametrize("record", [None, [0.2, 0.45, 0.6]], ids=["end", "segments"])
     def test_flow_forms_c_about_twice_per_step(self, monkeypatch, case, record):
-        field, x0, t, _ = flow_cases()[case]
-        packed = field
+        field, _, x0, t, _ = flow_cases()[case]
         if case == "moser":  # the Moser field is a closure over its PackedPolys
             field, packed = self.moser_field(monkeypatch)
+        else:  # PackedPolys.at_state, bound to its table
+            packed = field.__self__
         segments = [t] if record is None else [math.copysign(r, t) for r in record]
         t = segments[-1]
         powers = count_formations(packed)
@@ -215,13 +253,13 @@ class TestTimeCoefficientMemo:
         assert 0 < powers.formations <= 2 * steps + len(segments)
 
 
-def textbook_flow(field, x0, t, step, record_times):
+def textbook_flow(rhs, x0, t, step, record_times):
     """Allocating RK4 on the (x, J) state: y + h/6 (k1 + 2 k2 + 2 k3 + k4),
     with dz/ds = -a(z, t - s), dJ/ds = -Da J, on the integrator's schedule."""
     B, n = x0.shape
 
-    def rhs(s, y):
-        a, Da = field(y[0], t - s)
+    def f(s, y):
+        a, Da = rhs(y[0], t - s)
         return -a, -(Da @ y[1])
 
     def shifted(y, c, k):
@@ -230,15 +268,44 @@ def textbook_flow(field, x0, t, step, record_times):
     y, s, snaps = (x0.copy(), np.tile(np.eye(n), (B, 1, 1))), 0.0, []
     for target in record_times:
         for h in _numeric._step_schedule(target - s, step):
-            k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, shifted(y, 0.5 * h, k1))
-            k3 = rhs(s + 0.5 * h, shifted(y, 0.5 * h, k2))
-            k4 = rhs(s + h, shifted(y, h, k3))
+            k1 = f(s, y)
+            k2 = f(s + 0.5 * h, shifted(y, 0.5 * h, k1))
+            k3 = f(s + 0.5 * h, shifted(y, 0.5 * h, k2))
+            k4 = f(s + h, shifted(y, h, k3))
             y = tuple(u + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                       for u, a, b, c, d in zip(y, k1, k2, k3, k4))
             s += h
         s = target
         snaps.append(y)
+    return snaps
+
+
+def reference_flow(rhs, x0, t, step, record_times):
+    """RK4 through rhs(x, tau) -> (a, Da) at points, with the arithmetic of
+    flow_points: rows [x | J | 1] and stage rows [a | Da J | 0], stage inputs
+    y - c K, and the update w . K for w = RK4_WEIGHTS * (-h / 6), contracted
+    over the same (4, B (n + n^2 + 1)) layout (BLAS may round the last
+    entries of a contraction differently for another length)."""
+    B, n = x0.shape
+    m = n + n * n
+    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1)), np.ones((B, 1))])
+    s, snaps = 0.0, []
+    for target in record_times:
+        for h in _numeric._step_schedule(target - s, step):
+            K = np.zeros((4, B, m + 1))
+            yin, tau = y, t - s
+            for k in range(4):
+                if k:
+                    c = h if k == 3 else 0.5 * h
+                    yin, tau = K[k - 1] * -c + y, t - (s + c)
+                a, Da = rhs(yin[:, :n], tau)
+                K[k, :, :n] = a
+                K[k, :, n:m] = (Da @ yin[:, n:m].reshape(B, n, n)).reshape(B, m - n)
+            w = _numeric.RK4_WEIGHTS * (-h / 6.0)
+            y = y + np.dot(w, K.reshape(4, -1)).reshape(B, m + 1)
+            s += h
+        s = target
+        snaps.append((y[:, :n], y[:, n:m].reshape(B, n, n)))
     return snaps
 
 
@@ -250,25 +317,42 @@ def so3_moser_family():
                               1: PolyKForm(pi0.chart, 1, {(1,): q * m3 * m3})})
 
 
-def flow_cases():
-    """(field, x0, t, record_times) for a spray, an Euler Z_t and a Moser field."""
+def flow_fields():
+    """name -> (field, rhs): the flow_points field on the flow state, and the
+    same field at points through the public PackedPolys.__call__."""
     from diraclab.poisson import _moser_field
-    from diraclab.realization import default_spray, sample_points
+    from diraclab.realization import default_spray
 
-    spray = default_spray(lie_poisson(so3_constants(), 3)).compiled()
-    pts = sample_points(3, 5, 0.5, seed=2)
-    pts[1, 3:] = 0.0  # a zero-section point
     chart = Chart(2, ("x", "y"))
     x, y = chart.coordinates()
+    sprays = {"so3-spray": lie_poisson(so3_constants(), 3),
+              "xdxdy-spray": from_components(chart, {(0, 1): x})}
+    out = {}
+    for name, pi in sprays.items():
+        packed = default_spray(pi).compiled()
+        out[name] = (packed.at_state, packed)
     Z_t = compile_tensors([TimePolyForm({
         0: PolyKVector(chart, 1, {(0,): x * x, (1,): x * y}),
         1: PolyKVector(chart, 1, {(0,): x * y * y})})], partials=True)
-    moser = _moser_field(*so3_moser_family())[1]
+    out["euler"] = (Z_t.at_state, Z_t)
+    gauge, velocity, field = _moser_field(*so3_moser_family())
+    out["moser"] = (field, lambda pts, t: velocity(*gauge(pts, t)))
+    return out
+
+
+def flow_cases():
+    """(field, rhs, x0, t, record_times) for a spray, an Euler Z_t and a Moser field."""
+    from diraclab.realization import sample_points
+
+    fields = flow_fields()
+    pts = sample_points(3, 5, 0.5, seed=2)
+    pts[1, 3:] = 0.0  # a zero-section point
     grid = np.array([(0.1, 0.2, 0.3), (-0.3, 0.0, 0.2), (0.25, -0.1, 0.05)])
     return {
-        "spray": (spray, pts, -1.0, [-0.1, -0.45, -1.0]),
-        "euler": (Z_t, np.array([(0.1, 0.2), (-0.2, 0.1), (0.3, -0.25)]), 1.0, None),
-        "moser": (moser, grid, -0.6, None),
+        "spray": (*fields["so3-spray"], pts, -1.0, [-0.1, -0.45, -1.0]),
+        "euler": (*fields["euler"], np.array([(0.1, 0.2), (-0.2, 0.1), (0.3, -0.25)]), 1.0,
+                  None),
+        "moser": (*fields["moser"], grid, -0.6, None),
     }
 
 
@@ -277,27 +361,83 @@ class TestFlowKernel:
 
     @pytest.mark.parametrize("case", ["spray", "euler", "moser"])
     def test_matches_textbook_rk4(self, case):
-        field, x0, t, record = flow_cases()[case]
+        field, rhs, x0, t, record = flow_cases()[case]
         config = FlowConfig(step=0.03)
         got = _numeric.flow_points(field, x0, t, config, record_times=record)
         got = [got] if record is None else got
-        want = textbook_flow(field, x0, t, config.step, [t] if record is None else record)
+        want = textbook_flow(rhs, x0, t, config.step, [t] if record is None else record)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             for a, b in zip(g, w):
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
     def test_zero_section_exactly_fixed(self):
-        field, x0, t, record = flow_cases()["spray"]
+        field, _, x0, t, record = flow_cases()["spray"]
         for x, _ in _numeric.flow_points(field, x0, t, FlowConfig(step=0.01), record):
             assert np.abs(x[1] - x0[1]).max() == 0.0
 
     def test_single_point(self):
-        field, x0, t, _ = flow_cases()["euler"]
+        field, _, x0, t, _ = flow_cases()["euler"]
         x, J = _numeric.flow_points(field, x0[0], t, FlowConfig(step=0.05))
         xb, Jb = _numeric.flow_points(field, x0[:1], t, FlowConfig(step=0.05))
         assert x.shape == (2,) and J.shape == (2, 2)
         assert np.array_equal(x, xb[0]) and np.array_equal(J, Jb[0])
+
+
+# name -> (start points drawn uniformly from [-r, r]^n, t, record times)
+REFERENCE_FLOWS = {
+    "xdxdy-spray": (4, 0.5, -1.0, [-0.1, -0.45, -1.0]),
+    "so3-spray": (6, 0.5, -1.0, [-0.1, -0.45, -1.0]),
+    "euler": (2, 0.3, 1.0, [0.35, 1.0]),
+    "moser": (3, 0.3, -0.6, [-0.25, -0.6]),
+}
+
+
+class TestFlowStateLayout:
+    """flow_points reads its fields from the [x | J | 1] state, bitwise as a
+    reference RK4 that evaluates them at points."""
+
+    @pytest.mark.parametrize("record", [False, True], ids=["end", "segments"])
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    @pytest.mark.parametrize("name", list(REFERENCE_FLOWS))
+    def test_bitwise_equal_to_the_point_reference(self, name, batch, record):
+        field, rhs = flow_fields()[name]
+        dim, r, t, times = REFERENCE_FLOWS[name]
+        x0 = np.random.default_rng(batch).uniform(-r, r, size=(batch, dim))
+        config = FlowConfig(step=0.04)
+        got = _numeric.flow_points(field, x0, t, config, record_times=times if record else None)
+        got = got if record else [got]
+        want = reference_flow(rhs, x0, t, config.step, times if record else [t])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("record", [None, [0.75, 1.5, 3.0]], ids=["end", "segments"])
+    def test_a_constant_field_flows_exactly(self, record):
+        # a = d/dx: dx/ds = -1, and at h = 0.75 each RK4 update is exactly -h
+        chart = Chart(2)
+        field = compile_tensors([PolyKVector(chart, 1, {(0,): PolyScalar.constant(chart, 1)})],
+                                partials=True)
+        x0 = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 0.0]])
+        got = _numeric.flow_points(field.at_state, x0, 3.0, FlowConfig(step=0.75),
+                                   record_times=record)
+        for T, (x, J) in zip(record or [3.0], [got] if record is None else got):
+            # each snapshot is its own (B, n) and (B, n, n), without the state's 1
+            assert x.shape == (3, 2) and J.shape == (3, 2, 2)
+            assert x.base is None and J.flags.owndata
+            assert np.array_equal(x, x0 - [T, 0.0])
+            assert np.array_equal(J, np.tile(np.eye(2), (3, 1, 1)))
+
+    def test_state_and_point_evaluations_agree_bitwise(self):
+        rng = random.Random(3)
+        packed = PackedPolys(time_columns(rng, Chart(3), 4), 3, partials=True)
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 3))
+        # a flow state [x | J | 1] for n = 3
+        state = np.hstack([pts, np.random.default_rng(4).standard_normal((6, 9)), np.ones((6, 1))])
+        for t in TIMES:
+            for a, b in zip(packed.at_state(state, t), packed(pts, t)):
+                assert a.tobytes() == b.tobytes()
 
 
 def ragged_stack(rng):
@@ -407,4 +547,4 @@ def test_a_step_that_is_not_finite_and_positive_is_rejected(step):
 def test_a_flow_over_the_step_cap_is_refused(t):
     field = compile_tensors([PolyKVector(Chart(1), 1, {})], partials=True)
     with pytest.raises(ShapeError, match="steps"):
-        _numeric.flow_points(field, np.zeros(1), t, FlowConfig())
+        _numeric.flow_points(field.at_state, np.zeros(1), t, FlowConfig())

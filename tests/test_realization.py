@@ -113,6 +113,14 @@ class TestFlow:
 
 
 class TestRealizationForm:
+    def test_tabulated_rule_is_leggauss_on_the_unit_interval(self):
+        import diraclab.realization as real_mod
+
+        x, w = np.polynomial.legendre.leggauss(real_mod.QUAD_ORDER)
+        assert np.array(real_mod.QUAD_NODES).tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert np.array(real_mod.QUAD_WEIGHTS).tobytes() == (0.5 * w).tobytes()
+        assert np.all(np.diff(real_mod.QUAD_NODES) > 0)
+
     def test_zero_spray_gives_canonical(self):
         spray = default_spray(from_components(Chart(2), {}))
         W = realization_form(spray, np.array([0.3, 0.1, 0.2, -0.5]), FAST)
@@ -287,8 +295,9 @@ class TestDomainEscape:
         from diraclab._numeric import FlowConfig, flow_points
         from diraclab.errors import DomainEscapeError
 
-        def field(x, t):
-            return np.full_like(x, np.nan), np.zeros(x.shape + (x.shape[-1],))
+        def field(state, t):
+            x = state[:, :2]
+            return np.full_like(x, np.nan), np.zeros(x.shape + (2,))
 
         with pytest.raises(DomainEscapeError, match="diverged"):
             flow_points(field, np.zeros((2, 2)), 0.1, FlowConfig(step=0.05))
