@@ -29,12 +29,13 @@ from .fields import (
     PolyKVector,
     PolyMap,
     PolyScalar,
+    _lie_terms,
+    _sum_buckets,
     coordinate_form,
     coordinate_vector,
     evaluate_at,
     exterior_derivative,
     interior_product,
-    lie_derivative,
     sum_of_products,
     vector_bracket,
 )
@@ -101,24 +102,29 @@ def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> PolyScalar:
 
 
 def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection) -> GeneralizedSection:
-    """[[s1, s2]] = [X1, X2] + L_{X1} a2 - i_{X2} d a1 (non-skew convention)."""
+    """[[s1, s2]] = [X1, X2] + L_{X1} a2 - i_{X2} d a1 (non-skew convention); the form
+    part is one bucket pass: `_lie_terms` of L_{X1} a2, -X2^j d_j a1_i + X2^j d_i a1_j."""
     if s1.chart != s2.chart:
         raise ChartMismatchError("bracket across charts")
-    Xout = vector_bracket(s1.X, s2.X)
-    form = lie_derivative(s1.X, s2.alpha)
-    da1 = exterior_derivative(s1.alpha)
-    form = form - interior_product(s2.X, da1)
-    return GeneralizedSection(Xout, form)
+    chart, a1 = s1.chart, s1.alpha.components
+    buckets: dict = {}
+    _lie_terms(buckets, s1.X, s2.alpha)
+    for (j,), x2j in s2.X.components.items():
+        for (i,), a1i in a1.items():
+            buckets.setdefault((i,), []).append((-1, x2j, a1i, j))
+        if (j,) in a1:
+            for i in a1[(j,)].variables():
+                buckets.setdefault((i,), []).append((1, x2j, a1[(j,)], i))
+    return GeneralizedSection(vector_bracket(s1.X, s2.X),
+                              PolyKForm._trusted(chart, 1, _sum_buckets(chart, buckets)))
 
 
 def one_form_bracket(pi: PoissonBivector, a: PolyKForm, b: PolyKForm) -> PolyKForm:
-    """The cotangent-algebroid bracket [a, b] = L_{pi#a} b - i_{pi#b} da.
-
-    For a Poisson bivector it satisfies [df, dg] = d{f, g}.
-    """
-    Xa = sharp_apply(pi, a)
-    Xb = sharp_apply(pi, b)
-    return lie_derivative(Xa, b) - interior_product(Xb, exterior_derivative(a))
+    """The cotangent-algebroid bracket [a, b] = L_{pi#a} b - i_{pi#b} da, the form part
+    of the Courant bracket of the sections pi#a + a and pi#b + b of Gr(pi); for a
+    Poisson bivector it satisfies [df, dg] = d{f, g}."""
+    return courant_bracket(GeneralizedSection(sharp_apply(pi, a), a),
+                           GeneralizedSection(sharp_apply(pi, b), b)).alpha
 
 
 def gauge_section(omega: PolyKForm, s: GeneralizedSection) -> GeneralizedSection:

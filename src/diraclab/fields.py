@@ -645,51 +645,43 @@ def apply_vector(X: PolyKVector, f: PolyScalar) -> PolyScalar:
     return sum_of_products(f.chart, [(1, xi, f, i) for (i,), xi in X.components.items()])
 
 
+def _lie_terms(buckets: dict, X: PolyKVector, T) -> None:
+    """The one coordinate Lie-derivative pass: file the `sum_of_products` terms of L_X T,
+    T a form or multivector of any degree: X^j d_j T_I at I, and from each slot pos of I,
+    k = I[pos], T_I d_i X^k at I[pos->i] (form) or -T_I d_k X^j at I[pos->j] (multivector)."""
+    form = isinstance(T, PolyKForm)
+    for idx, t in T.components.items():
+        for (j,), xj in X.components.items():
+            buckets.setdefault(idx, []).append((1, xj, t, j))
+            for pos, k in enumerate(idx):
+                if not form:
+                    _collect_signed(buckets, idx[:pos] + (j,) + idx[pos + 1:], -1, t, xj, k)
+                elif k == j:
+                    for i in xj.variables():
+                        _collect_signed(buckets, idx[:pos] + (i,) + idx[pos + 1:], 1, t, xj, i)
+
+
 def vector_bracket(X: PolyKVector, Y: PolyKVector) -> PolyKVector:
-    """Lie bracket [X, Y] of vector fields."""
+    """Lie bracket [X, Y] = L_X Y of vector fields."""
     if X.degree != 1 or Y.degree != 1:
         raise DegreeError("vector bracket needs degree-1 fields")
-    if X.chart != Y.chart:
-        raise ChartMismatchError("bracket across charts")
-    buckets: dict = {}
-    for A, B, sign in ((X, Y, 1), (Y, X, -1)):
-        for idx, bj in B.components.items():
-            for (i,), ai in A.components.items():
-                buckets.setdefault(idx, []).append((sign, ai, bj, i))
-    return PolyKVector._trusted(X.chart, 1, _sum_buckets(X.chart, buckets))
+    return lie_derivative(X, Y)
 
 
 def lie_derivative(X: PolyKVector, T):
-    """Lie derivative along a vector field.
-
-    Forms use the Cartan formula L_X = d(i_X .) + i_X d(.); scalars are just
-    X(f); multivectors use the derivation extension of [X, .] over wedges.
-    """
+    """Lie derivative along a vector field: X(f) for a scalar, and one
+    `_lie_terms` pass for a form or a multivector of any degree."""
     if X.degree != 1:
         raise DegreeError("lie_derivative needs a degree-1 field")
     if isinstance(T, PolyScalar):
         return apply_vector(X, T)
-    if isinstance(T, PolyKForm):
-        if T.degree == 0:
-            p = apply_vector(X, T.components.get((), PolyScalar.zero(T.chart)))
-            return PolyKForm._trusted(T.chart, 0, {(): p} if p else {})
-        return exterior_derivative(interior_product(X, T)) + interior_product(
-            X, exterior_derivative(T)
-        )
-    if isinstance(T, PolyKVector):
-        if X.chart != T.chart:
-            raise ChartMismatchError("lie_derivative across charts")
-        chart = T.chart
-        buckets: dict = {}
-        for idx, f in T.components.items():
-            for (i,), xi in X.components.items():
-                buckets.setdefault(idx, []).append((1, xi, f, i))
-            # [X, d/dx_i] = -sum_j (dX^j/dx_i) d/dx_j, applied in each slot
-            for pos, i in enumerate(idx):
-                for (j,), xj in X.components.items():
-                    _collect_signed(buckets, idx[:pos] + (j,) + idx[pos + 1 :], -1, f, xj, i)
-        return PolyKVector._trusted(chart, T.degree, _sum_buckets(chart, buckets))
-    raise TypeError(f"cannot take Lie derivative of {type(T).__name__}")
+    if not isinstance(T, (PolyKForm, PolyKVector)):
+        raise TypeError(f"cannot take Lie derivative of {type(T).__name__}")
+    if X.chart != T.chart:
+        raise ChartMismatchError("lie_derivative across charts")
+    buckets: dict = {}
+    _lie_terms(buckets, X, T)
+    return T._trusted(T.chart, T.degree, _sum_buckets(T.chart, buckets))
 
 
 def wedge(a, b):

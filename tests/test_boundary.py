@@ -16,7 +16,11 @@ such reduction may come back.  Numeric ranks use the one relative rule of
 with an absolute threshold makes a verdict depend on units, so no module
 calls it.  `flow_points` has one field protocol, field(state, tau), so it
 branches on no type; and the Gauss-Legendre rule is tabulated once, in
-`realization`, so no flow (or import) solves its eigenproblem.
+`realization`, so no flow (or import) solves its eigenproblem.  The exact
+calculus has one Lie-derivative pass, `fields._lie_terms`, behind
+`lie_derivative`, `vector_bracket`, the Courant bracket's form part and the
+cotangent bracket: no function composes `exterior_derivative` with
+`interior_product`, so Cartan's formula lives only in the tests.
 """
 
 import ast
@@ -125,3 +129,24 @@ def test_no_module_forms_gauss_legendre_nodes(path):
     calls = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
              and "leggauss" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert not calls, f"{path.name} forms Gauss-Legendre nodes at lines {calls}"
+
+
+CARTAN = {"exterior_derivative", "interior_product"}
+
+
+def _callee(node) -> str | None:
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_function_composes_d_and_interior_product(path):
+    functions = [node for node in ast.walk(_tree(path))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn in functions:
+        outer = [node for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and _callee(node) in CARTAN]
+        nested = [node.lineno for node in outer for arg in ast.walk(node)
+                  if arg is not node and isinstance(arg, ast.Call) and _callee(arg) in CARTAN]
+        assert not nested, f"{path.name}:{fn.name} nests d and i_X at lines {nested}"
+        assert {_callee(node) for node in outer} != CARTAN, \
+            f"{path.name}:{fn.name} calls both d and i_X: Cartan's formula belongs to the tests"

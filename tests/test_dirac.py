@@ -15,6 +15,7 @@ from diraclab.fields import (
     coordinate_vector,
     differential,
     exterior_derivative,
+    interior_product,
 )
 from diraclab.poisson import (
     PoissonBivector,
@@ -22,6 +23,7 @@ from diraclab.poisson import (
     from_components,
     jacobiator,
     lie_poisson,
+    sharp_apply,
     so3_constants,
     standard_symplectic_poisson,
 )
@@ -251,6 +253,24 @@ class TestOneFormBracket:
             g = random_poly(rng, pi.chart, 2)
             lhs = one_form_bracket(pi, differential(f), differential(g))
             assert lhs == differential(bracket(pi, f, g))
+
+    def test_matches_the_cartan_composition(self, rng):
+        # L_{pi#a} b - i_{pi#b} da with L_X = d i_X + i_X d, on forms that are not
+        # closed and on bivectors that need not satisfy Jacobi
+        x, y, z = R3.coordinates()
+        fixed = PoissonBivector(PolyKVector(R3, 2, {(0, 1): z * z, (0, 2): x, (1, 2): x * y}))
+        assert not jacobiator(fixed).is_zero()
+        contractions = 0
+        for k in range(12):
+            pi = fixed if k % 2 else PoissonBivector(random_vector(rng, R3, 2, max_degree=2))
+            a, b = random_form(rng, R3, 1), random_form(rng, R3, 1)
+            Xa, Xb = sharp_apply(pi, a), sharp_apply(pi, b)
+            i_Xb_da = interior_product(Xb, exterior_derivative(a))
+            L_Xa_b = exterior_derivative(interior_product(Xa, b)) + interior_product(
+                Xa, exterior_derivative(b))
+            assert one_form_bracket(pi, a, b) == L_Xa_b - i_Xb_da
+            contractions += not i_Xb_da.is_zero()
+        assert contractions >= 6
 
 
 class TestGauge:

@@ -26,6 +26,7 @@ from diraclab.fields import (
     pullback_form,
     pushforward_vector_at_point,
     sum_of_products,
+    vector_bracket,
     wedge,
 )
 from diraclab import jsonio
@@ -257,17 +258,27 @@ def test_dd_zero(dim, degree, seed):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(dim=st.integers(2, 4), degree=st.integers(1, 3), seed=st.integers(0, 10**6))
+@given(dim=st.integers(2, 4), degree=st.integers(0, 3), seed=st.integers(0, 10**6))
 def test_cartan_formula(dim, degree, seed):
+    # the library's L_X is the coordinate pass; Cartan's d i_X + i_X d is the oracle
     rng = random.Random(seed)
     chart = Chart(dim)
     X = random_vector(rng, chart)
     a = random_form(rng, chart, min(degree, dim))
-    lhs = lie_derivative(X, a)
-    rhs = exterior_derivative(interior_product(X, a)) + interior_product(
-        X, exterior_derivative(a)
-    )
-    assert lhs == rhs
+    d_i_X = exterior_derivative(interior_product(X, a)) if a.degree else PolyKForm(chart, 0, {})
+    assert lie_derivative(X, a) == d_i_X + interior_product(X, exterior_derivative(a))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 4), degree=st.integers(0, 2), seed=st.integers(0, 10**6))
+def test_lie_derivative_is_a_derivation_of_the_wedge(dim, degree, seed):
+    # L_X(Y ^ Z) = [X, Y] ^ Z + Y ^ L_X Z on multivectors
+    rng = random.Random(seed)
+    chart = Chart(dim)
+    X, Y = random_vector(rng, chart), random_vector(rng, chart)
+    Z = random_vector(rng, chart, min(degree, dim - 1))
+    assert lie_derivative(X, Y.wedge(Z)) == (
+        vector_bracket(X, Y).wedge(Z) + Y.wedge(lie_derivative(X, Z)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
-"""The exact layer against sympy: jacobiator, Courant bracket and pullback of
-forms recomputed from their textbook coordinate formulas, and the homogeneous-
-space criteria with l cap g built explicitly from a nullspace."""
+"""The exact layer against sympy: jacobiator, Courant bracket, Lie derivative
+and pullback of forms recomputed from their textbook coordinate formulas, and
+the homogeneous-space criteria with l cap g built explicitly from a
+nullspace."""
 
 import itertools
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from diraclab.dirac import GeneralizedSection, courant_bracket
-from diraclab.fields import Chart, PolyKVector, PolyMap, pullback_form
+from diraclab.fields import Chart, PolyKVector, PolyMap, lie_derivative, pullback_form
 from diraclab.maningroup import HomogeneousSpaceData, builtin_triples, homogeneous_space_check
 from diraclab.poisson import PoissonBivector, jacobiator
 
@@ -75,6 +76,30 @@ def test_courant_bracket_in_coordinates(seed):
                    for i in range(n))
         assert same(out.X.component((j,)), vec, xs)
         assert same(out.alpha.component((j,)), form, xs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["form", "multivector"])
+def test_lie_derivative_in_coordinates(kind, seed):
+    # (L_X a)_I = X^j d_j a_I + sum_p a_{I[p->j]} d_{i_p} X^j for a form,
+    # (L_X T)^I = X^j d_j T^I - sum_p T^{I[p->j]} d_j X^{i_p} for a multivector
+    rng = random.Random(300 + seed)
+    chart = Chart(3 + seed % 2)
+    n = chart.dim
+    xs = sp.symbols(f"x0:{n}")
+    X = random_vector(rng, chart, max_degree=2)
+    Xs = [comp(X, (j,), xs) for j in range(n)]
+    for degree in range(4):
+        T = (random_form if kind == "form" else random_vector)(rng, chart, degree, max_degree=2)
+        got = lie_derivative(X, T)
+        for I in itertools.combinations(range(n), degree):
+            want = sum(Xs[j] * sp.diff(comp(T, I, xs), xs[j]) for j in range(n))
+            for p, i in enumerate(I):
+                for j in range(n):
+                    moved = comp(T, I[:p] + (j,) + I[p + 1:], xs)
+                    want += (moved * sp.diff(Xs[j], xs[i]) if kind == "form"
+                             else -moved * sp.diff(Xs[i], xs[j]))
+            assert same(got.component(I), want, xs)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

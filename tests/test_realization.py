@@ -257,6 +257,16 @@ class TestInvariantFields:
         res = bracket_relations_residual(spray, alpha, beta, pt, RealizationConfig(step=2e-3))
         assert max(res.values()) < 1e-4, res
 
+    def test_bracket_relations_with_a_non_closed_first_form(self):
+        # [b, a] with db != 0: the i_{pi#a} db term of the cotangent bracket is live
+        spray = default_spray(lie_poisson(so3_constants(), 3))
+        chart = spray.pi.chart
+        alpha = coordinate_form(chart, 0)
+        beta = PolyKForm(chart, 1, {(2,): chart.coordinate(1)})
+        pt = np.array([1.0, 0.5, 0.5, 0.1, -0.1, 0.05])
+        res = bracket_relations_residual(spray, beta, alpha, pt, RealizationConfig(step=1e-3))
+        assert max(res.values()) < 1e-6, res
+
 
 class TestDomainEscape:
     def test_escape_raises_with_point(self):
