@@ -54,6 +54,7 @@ import numpy as np
 from .errors import DomainEscapeError, ShapeError
 
 MAX_FLOW_STEPS = 10**7  # a longer step schedule is refused instead of built
+RANK_TOL = 1e-10  # a singular value counts toward a rank above RANK_TOL times the largest
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ def _selected(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return basis[:, keep] if basis.ndim == 2 else basis * keep[..., None, :]
 
 
-def orthonormal_basis(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def orthonormal_basis(columns: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column span, via SVD with relative threshold."""
     A = np.atleast_2d(np.asarray(columns, dtype=float))
     U, S, _ = np.linalg.svd(A, full_matrices=False)
@@ -327,13 +328,13 @@ def span_residual(cols_a: np.ndarray, cols_b: np.ndarray):
     return float(r) if r.ndim == 0 else r
 
 
-def nullspace_basis(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the kernel, via full SVD with relative threshold."""
+def nullspace_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel, via full SVD with relative threshold RANK_TOL."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, S, Vt = np.linalg.svd(A)
     # the rows of Vt past the rank; S_0 = 0 means rank 0
     keep = np.ones(Vt.shape[:-1], dtype=bool)
-    keep[..., : S.shape[-1]] = ~(S > tol * S[..., :1])
+    keep[..., : S.shape[-1]] = ~(S > RANK_TOL * S[..., :1])
     return _selected(np.swapaxes(Vt, -1, -2), keep)
 
 

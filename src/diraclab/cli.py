@@ -206,16 +206,14 @@ def _cmd_poisson(args):
         f = jsonio.poly_from_json(pi.chart, _load_json(args.f))
         g = jsonio.poly_from_json(pi.chart, _load_json(args.g))
         return [], {"bracket": jsonio.poly_to_json(poisson_bracket(pi, f, g))}
-    if args.poisson_cmd == "leaf":
-        pt = _parse_point(args.point)
-        leaf = leaf_data_at_point(pi, pt)
-        return [], {
-            "rank": leaf.rank,
-            "basis": leaf.basis.tolist(),
-            "leaf_symplectic_matrix": leaf.omega.tolist(),
-            "basis_dependent": True,
-        }
-    raise InputError(f"unknown poisson subcommand {args.poisson_cmd}")
+    # leaf: the parser admits no other subcommand
+    leaf = leaf_data_at_point(pi, _parse_point(args.point))
+    return [], {
+        "rank": leaf.rank,
+        "basis": leaf.basis.tolist(),
+        "leaf_symplectic_matrix": leaf.omega.tolist(),
+        "basis_dependent": True,
+    }
 
 
 @jsonio.decoder
@@ -267,15 +265,12 @@ def _cmd_dirac(args):
             [criterion("pullback-lagrangian", float(np.abs(gram).max()), args.tol, pt)],
             {"fiber_basis": B.tolist(), "basis_dependent": True},
         )
-    if args.dirac_cmd == "poisson-map":
-        phi = jsonio.map_from_json(_load_json(args.map))
-        pi_src = _load_bivector(args.pi_source)
-        pi_tgt = PoissonBivector(
-            jsonio.tensor_from_json(_load_json(args.pi_target), phi.target)
-        )
-        rep = dirac_mod.check_poisson_map(phi, pi_src, pi_tgt, anti=args.anti)
-        return [exact_criterion("poisson-map-identity", rep.exact)], rep.as_dict()
-    raise InputError(f"unknown dirac subcommand {args.dirac_cmd}")
+    # poisson-map: the parser admits no other subcommand
+    phi = jsonio.map_from_json(_load_json(args.map))
+    pi_src = _load_bivector(args.pi_source)
+    pi_tgt = PoissonBivector(jsonio.tensor_from_json(_load_json(args.pi_target), phi.target))
+    rep = dirac_mod.check_poisson_map(phi, pi_src, pi_tgt, anti=args.anti)
+    return [exact_criterion("poisson-map-identity", rep.exact)], rep.as_dict()
 
 
 def _cmd_realize(args):
@@ -407,11 +402,10 @@ def _cmd_manin(args):
             [criterion("multiplicativity", rep["max_residual"], args.tol, rep["worst_pair"][0])],
             {"pairs": args.pairs},
         )
-    if args.manin_cmd == "homspace":
-        hs, gens = _homspace_from_json(triple, _load_json(args.data))
-        ok, rep = manin_mod.homogeneous_space_check(hs, k_generators=gens)
-        return [exact_criterion("homogeneous-space-criteria", ok, rep)], {}
-    raise InputError(f"unknown manin subcommand {args.manin_cmd}")
+    # homspace: the parser admits no other subcommand
+    hs, gens = _homspace_from_json(triple, _load_json(args.data))
+    ok, rep = manin_mod.homogeneous_space_check(hs, k_generators=gens)
+    return [exact_criterion("homogeneous-space-criteria", ok, rep)], {}
 
 
 # -- parser -------------------------------------------------------------------

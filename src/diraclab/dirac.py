@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import PackedPolys, orthonormal_basis, pullback_fiber, worst
+from ._numeric import RANK_TOL, PackedPolys, orthonormal_basis, pullback_fiber, worst
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -188,16 +188,17 @@ class LagrangianFrame:
     def gram_polynomials(self):
         return [[pairing(a, b) for b in self.sections] for a in self.sections]
 
-    def check_lagrangian(self, point, tol: float = 1e-10):
+    def check_lagrangian(self, point):
         """Rank-n and Gram-zero check of the fiber at a point.
 
-        Both are scale-free: the rank counts singular values above tol times
-        the largest, and the Gram matrix is measured against |V|^2.
+        Both are scale-free: the rank counts singular values above RANK_TOL
+        times the largest, and the Gram matrix is measured against
+        RANK_TOL |V|^2.
         """
         V = self.value_at(point)
         gram = pairing_gram(V)
-        return (orthonormal_basis(V, tol).shape[1] == self.chart.dim
-                and np.abs(gram).max() < max(tol, 1e-10) * np.abs(V).max() ** 2)
+        return (orthonormal_basis(V).shape[1] == self.chart.dim
+                and np.abs(gram).max() < RANK_TOL * np.abs(V).max() ** 2)
 
 
 def pairing_gram(V: np.ndarray) -> np.ndarray:

@@ -363,9 +363,9 @@ class LeafData:
     omega: np.ndarray
 
 
-def leaf_data_at_point(pi: PoissonBivector, point, rank_tol: float = 1e-10) -> LeafData:
+def leaf_data_at_point(pi: PoissonBivector, point) -> LeafData:
     P = pi.matrix_at(point)
-    B = orthonormal_basis(P, tol=rank_tol)
+    B = orthonormal_basis(P)
     r = B.shape[1]
     if r == 0:
         return LeafData(tuple(float(x) for x in point), 0, B, np.zeros((0, 0)))

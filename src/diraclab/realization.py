@@ -231,10 +231,11 @@ def realization_sample(spray, point, config: RealizationConfig = RealizationConf
 
 
 def sample_points(n: int, count: int, radius: float, seed: int = 0,
-                  base_box: float = 1.0, base_offset=None) -> np.ndarray:
-    """Seeded (q, p) samples with |p| <= radius; deterministic for the CLI."""
+                  base_offset=None) -> np.ndarray:
+    """Seeded (q, p) samples with q in base_offset + [-1, 1]^n and |p| <= radius;
+    deterministic for the CLI."""
     rng = np.random.default_rng(seed)
-    q = rng.uniform(-base_box, base_box, size=(count, n))
+    q = rng.uniform(-1.0, 1.0, size=(count, n))
     if base_offset is not None:
         q = q + np.asarray(base_offset, dtype=float)
     p = rng.uniform(-1.0, 1.0, size=(count, n))

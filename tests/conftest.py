@@ -99,3 +99,33 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def frame_oracle(chart, x):
+    """scipy reference for `GroupChart.frame_jet`: Xi = phi(M), M = -ad_g(x),
+    phi(W) = sum_k W^k / (k+1)!, is the upper-right block of
+    exp([[M, I], [0, 0]]) (Van Loan); d_m Xi is the same block of the Frechet
+    derivative of exp there in the direction [[-E_m, 0], [0, 0]]."""
+    linalg = pytest.importorskip("scipy.linalg")
+    n = chart.dim
+    E = chart.triple._numeric()["ad_g"]
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, :n] = -np.tensordot(np.asarray(x, dtype=float), E, 1)
+    A[:n, n:] = np.eye(n)
+    dXi = []
+    for Em in E:
+        dA = np.zeros_like(A)
+        dA[:n, :n] = -Em
+        dXi.append(linalg.expm_frechet(A, dA, compute_expm=False)[:n, n:])
+    return linalg.expm(A)[:n, n:], np.array(dXi)
+
+
+def chart_bivector_oracle(chart, x):
+    """scipy reference for the chart bivector A^{-1} P A^{-T}: Ad = exp(ad_x) on
+    d, P[a, b] = < pr_g Ad h_a, pr_h Ad h_b >, A = P0 Xi with the oracle frame."""
+    linalg = pytest.importorskip("scipy.linalg")
+    num = chart.triple._numeric()
+    U = linalg.expm(np.tensordot(np.asarray(x, dtype=float), num["ad_d"], 1)) @ num["H"]
+    P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
+    Ainv = np.linalg.inv(num["P0"] @ frame_oracle(chart, x)[0])
+    return Ainv @ P @ Ainv.T

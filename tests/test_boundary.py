@@ -20,7 +20,11 @@ branches on no type; and the Gauss-Legendre rule is tabulated once, in
 calculus has one Lie-derivative pass, `fields._lie_terms`, behind
 `lie_derivative`, `vector_bracket`, the Courant bracket's form part and the
 cotangent bracket: no function composes `exterior_derivative` with
-`interior_product`, so Cartan's formula lives only in the tests.
+`interior_product`, so Cartan's formula lives only in the tests.  The Manin
+layer sums one exponential-type series, the Taylor polynomial in `_expm`: no
+other function of `maningroup.py` has a `for` loop that divides by its loop
+variable, the shape of a hand-summed series such as a dexp loop cut after a
+fixed number of terms.
 """
 
 import ast
@@ -150,3 +154,36 @@ def test_no_function_composes_d_and_interior_product(path):
         assert not nested, f"{path.name}:{fn.name} nests d and i_X at lines {nested}"
         assert {_callee(node) for node in outer} != CARTAN, \
             f"{path.name}:{fn.name} calls both d and i_X: Cartan's formula belongs to the tests"
+
+
+def _divisor(node):
+    """The right operand of a `/` or a `/=`, else None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return node.right if isinstance(node, ast.BinOp) else node.value
+    return None
+
+
+def _series_loops(tree) -> list:
+    """(function, line) of each `for` loop whose body divides by its loop variable."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.For):
+                continue
+            names = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+            if any(isinstance(d := _divisor(node), ast.Name) and d.id in names
+                   for stmt in loop.body for node in ast.walk(stmt)):
+                found.append((fn.name, loop.lineno))
+    return found
+
+
+def test_series_guard_sees_a_dexp_loop():
+    loop = "def f(R, W, total):\n    for k in range(2, 60):\n        R = R @ W / k\n"
+    assert _series_loops(ast.parse(loop)) == [("f", 2)]
+
+
+def test_manin_layer_sums_one_series():
+    found = {name for name, _ in _series_loops(_tree(PACKAGE / "maningroup.py"))}
+    assert found == {"_expm"}, f"maningroup.py sums a series outside _expm: {sorted(found)}"

@@ -18,6 +18,9 @@ from diraclab.errors import ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.poisson import (from_components, lie_poisson, so3_constants,
                               standard_symplectic_poisson)
+from diraclab.maningroup import iwasawa_su2
+
+from conftest import chart_bivector_oracle
 
 
 @pytest.fixture
@@ -230,6 +233,16 @@ class TestManinCommands:
         P = rep["result"]["bivector_h_basis"]
         assert abs(P[0][1] + P[1][0]) < 1e-12
 
+    def test_bivector_far_from_the_identity(self, capsys):
+        # --point is not capped: the chart bivector must hold to rounding there too
+        code, rep = run_and_parse(
+            capsys, ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "30,9,-6"])
+        assert code == 0
+        _, chart = iwasawa_su2()
+        ref = chart_bivector_oracle(chart, [30.0, 9.0, -6.0])
+        got = np.array(rep["result"]["bivector_chart"])
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
     def test_dressing(self, capsys):
         code, rep = run_and_parse(
             capsys,
@@ -441,6 +454,12 @@ class TestMalformedInput:
         assert report["error"]
         assert "Traceback" not in captured.err
         return report
+
+    @pytest.mark.parametrize("group", ["poisson", "dirac", "manin"])
+    def test_unknown_subcommand(self, capsys, group):
+        # argparse refuses it, so no handler needs an unknown-subcommand branch
+        rep = self.check_exit_2(capsys, [group, "foo"])
+        assert "foo" in rep["error"]
 
     def bivector_file(self, tmp_path, data):
         p = tmp_path / "pi.json"

@@ -36,7 +36,7 @@ from diraclab.maningroup import (
 )
 from diraclab.poisson import so3_constants
 
-from conftest import fraction_rank
+from conftest import fraction_rank, frame_oracle
 
 
 def so3_metrized():
@@ -158,7 +158,7 @@ class TestCharts:
 
     def test_frame_at_identity(self):
         triple, chart = so3_semidirect()
-        assert np.abs(chart.frame(np.zeros(3)) - np.eye(3)).max() < 1e-14
+        assert np.abs(chart.frame_jet(np.zeros(3))[0] - np.eye(3)).max() < 1e-14
 
 
 class TestDrinfeldBivector:
@@ -456,9 +456,9 @@ class TestExactJets:
         _, chart = jet_charts()[name]
         for x in self.points():
             Xi, dXi = chart.frame_jet(x)
-            assert np.array_equal(Xi, chart.frame(x))
             for m in range(chart.dim):
-                assert np.abs(dXi[m] - richardson(chart.frame, x, m)).max() < self.TOL
+                fd = richardson(lambda y: chart.frame_jet(y)[0], x, m)
+                assert np.abs(dXi[m] - fd).max() < self.TOL
 
     def test_chart_bivector_partials(self, name):
         triple, chart = jet_charts()[name]
@@ -474,7 +474,7 @@ class TestExactJets:
         zeta = np.random.default_rng(32).standard_normal(triple.algebra.dim)
 
         def field(y):
-            return np.linalg.solve(chart.frame(y), dressing_action(triple, chart, y, zeta))
+            return np.linalg.solve(chart.frame_jet(y)[0], dressing_action(triple, chart, y, zeta))
 
         for x in self.points():
             v, J = _PointJet(chart, x).dressing(zeta)
@@ -494,6 +494,43 @@ class TestExactJets:
                 fd2 = richardson(lambda y: chart.compose(x1, y), x2, m)
                 assert np.abs(D[:, m] - fd1).max() < self.TOL
                 assert np.abs(D[:, n + m] - fd2).max() < self.TOL
+
+
+@pytest.mark.parametrize("name", ["iwasawa-su2", "semidirect-so3"])
+@pytest.mark.parametrize("radius", [20.0, 30.0])
+def test_frame_jet_far_from_the_identity(name, radius):
+    """The frame and its partials hold to rounding at any |x|: a series cut
+    after a fixed number of terms is off by 6e-6 at |x| = 20 and by 1e5 at 30."""
+    _, chart = builtin_triples()[name]
+    rng = np.random.default_rng(43)
+    for d in rng.standard_normal((4, 3)):
+        x = radius * d / np.linalg.norm(d)
+        for got, ref in zip(chart.frame_jet(x), frame_oracle(chart, x)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (x, got, ref)
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_frame_negative_control(wrong, monkeypatch):
+    """A frame wrong by 1e-6, with consistent partials (Xi + eps x_0 I and
+    d_0 Xi + eps I), fails every residual that reads the frame against 1e-10."""
+    frame_jet, eps = GroupChart.frame_jet, 1e-6
+
+    def perturbed(chart, x):
+        Xi, dXi = frame_jet(chart, x)
+        eye = np.eye(chart.dim)
+        dXi = dXi.copy()
+        dXi[0] += eps * eye
+        return Xi + eps * float(x[0]) * eye, dXi
+
+    if wrong:
+        monkeypatch.setattr(GroupChart, "frame_jet", perturbed)
+    triple, chart = iwasawa_su2()
+    pts = sample_chart_points(seed=41, count=3, scale=0.7)
+    z1, z2 = np.random.default_rng(42).standard_normal((2, 6))
+    res = e_map_residuals(triple, chart, pts, z1, z2)
+    res["jacobiator"] = jacobiator_fd_residual(triple, chart, pts)
+    del res["metric"]  # Xi cancels from the pairing, as from multiplicativity
+    assert all((r > 1e-10) is wrong for r in res.values()), res
 
 
 class TestChartTriple:
@@ -521,9 +558,10 @@ class TestChartTriple:
 
 
 class TestWorkCounts:
-    """One jet per chart point: a multiplicativity pair forms one frame series
-    per jet (3) and one exponential per jet plus the two inside `compose` (5);
-    an e-map point forms one of each."""
+    """One jet per chart point: a multiplicativity pair forms one frame jet per
+    chart point (3) and two exponentials per jet, Ad and the frame's block,
+    plus the two inside `compose` (8); an e-map point forms one jet, so 1 and
+    2; a dressing call forms Ad alone."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -549,7 +587,7 @@ class TestWorkCounts:
         pairs = list(zip(pts[::2], pts[1::2]))
         rep = verify_multiplicativity(triple, chart, pairs)
         assert rep["max_residual"] < 1e-10
-        assert calls == {"frame_jet": 3 * len(pairs), "expm": 5 * len(pairs)}
+        assert calls == {"frame_jet": 3 * len(pairs), "expm": 8 * len(pairs)}
 
     @pytest.mark.parametrize("name", ["iwasawa-su2", "semidirect-so3"])
     def test_e_map_point(self, name, calls):
@@ -558,14 +596,22 @@ class TestWorkCounts:
         z1, z2 = np.random.default_rng(37).standard_normal((2, 6))
         res = e_map_residuals(triple, chart, pts, z1, z2)
         assert max(res.values()) < 1e-10
-        assert calls == {"frame_jet": len(pts), "expm": len(pts)}
+        assert calls == {"frame_jet": len(pts), "expm": 2 * len(pts)}
+
+    @pytest.mark.parametrize("name", ["iwasawa-su2", "semidirect-so3"])
+    def test_dressing_call(self, name, calls):
+        triple, chart = builtin_triples()[name]
+        zeta = np.random.default_rng(38).standard_normal(6)
+        for x in sample_chart_points(seed=39, count=3):
+            dressing_action(triple, chart, x, zeta)
+        assert calls == {"expm": 3}
 
 
 class TestNumpyExpLog:
     def test_expm_matches_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(33)
-        for size, dtype in [(2, complex), (3, float), (6, float), (12, float)]:
+        for size, dtype in [(2, complex), (3, float), (6, float), (12, float), (24, float)]:
             for scale in (0.0, 1e-3, 0.5, 4.0):
                 A = rng.standard_normal((size, size)).astype(dtype)
                 if dtype is complex:

@@ -1,0 +1,96 @@
+"""Wrong inputs that each residual must reject.
+
+A residual that always reads 0 passes every test on true inputs, so each
+residual here is also fed an input that violates its identity, and must
+exceed the tolerance it is certified against.  The spray wrappers change
+the compiled field of the so(3)* spray, leaving its Poisson structure alone:
+
+- a wrong field with its exact Jacobian (a_0 += 0.01 p_0^2) breaks the
+  invariant-field and bracket relations but not closedness, which every
+  flow Jacobian satisfies;
+- a Jacobian scaled by 1 + 1e-3 is no longer the derivative of the flow,
+  which closedness sees.
+"""
+
+import numpy as np
+import pytest
+
+from diraclab import realization as real_mod
+from diraclab._numeric import FlowConfig
+from diraclab.fields import Chart, PolyKVector, coordinate_form
+from diraclab.poisson import euler_linearize, lie_poisson, so3_constants
+
+POINT = np.array([0.3, -0.2, 0.5, 0.4, 0.1, -0.3])
+CONFIG = real_mod.RealizationConfig(step=1e-2)
+TOL = 1e-6  # the tier-1 bound of every realization residual below
+
+
+class WrappedSpray:
+    """A spray whose compiled field is edited by edit(state, a, Da) -> (a, Da)."""
+
+    def __init__(self, spray, edit):
+        self.pi, self.base_dim = spray.pi, spray.base_dim
+        self._at_state, self._edit = spray.compiled().at_state, edit
+
+    def compiled(self):
+        return self
+
+    def at_state(self, state, t=0.0):
+        return self._edit(state, *self._at_state(state, t))
+
+
+def wrong_field(state, a, Da):
+    n = Da.shape[-1] // 2
+    p0 = state[..., n]
+    a, Da = a.copy(), Da.copy()
+    a[..., 0] += 0.01 * p0**2
+    Da[..., 0, n] += 0.02 * p0
+    return a, Da
+
+
+def wrong_jacobian(state, a, Da):
+    return a, Da * (1.0 + 1e-3)
+
+
+SPRAYS = {"true": None, "wrong-field": wrong_field, "wrong-jacobian": wrong_jacobian}
+
+
+def spray(name):
+    s = real_mod.default_spray(lie_poisson(so3_constants(), 3))
+    return s if SPRAYS[name] is None else WrappedSpray(s, SPRAYS[name])
+
+
+def forms(s):
+    chart = s.pi.chart
+    return coordinate_form(chart, 0), coordinate_form(chart, 2)
+
+
+@pytest.mark.parametrize("name, fails", [("true", False), ("wrong-field", True)])
+def test_mixed_bracket_relation(name, fails):
+    s = spray(name)
+    res = real_mod.bracket_relations_residual(s, *forms(s), POINT, CONFIG)
+    assert (res["LR"] > TOL) is fails, res
+
+
+@pytest.mark.parametrize("name, fails", [("true", False), ("wrong-field", True)])
+def test_omega_LL_relation(name, fails):
+    s = spray(name)
+    alpha, beta = forms(s)
+    res = real_mod.invariant_vector_fields(s, alpha, POINT, CONFIG, beta=beta).residuals
+    assert (res["omega_LL"] > TOL) is fails, res
+
+
+@pytest.mark.parametrize("name, fails", [("true", False), ("wrong-field", False),
+                                         ("wrong-jacobian", True)])
+def test_closedness(name, fails):
+    assert (real_mod.closedness_residual(spray(name), POINT, CONFIG) > TOL) is fails
+
+
+@pytest.mark.parametrize("step, fails", [(1e-2, False), (1.0, True)])
+def test_euler_linearize_coarse_step(step, fails):
+    chart = Chart(2)
+    x, y = chart.coordinates()
+    X = PolyKVector(chart, 1, {(0,): x + x * y, (1,): y + x * x})
+    pts = np.random.default_rng(0).uniform(-0.3, 0.3, size=(10, 2))
+    r = euler_linearize(X, pts, FlowConfig(step=step)).max_residual
+    assert (r > 1e-5) is fails, r
