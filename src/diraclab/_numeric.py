@@ -42,6 +42,10 @@ The linear-algebra helpers take one matrix or a stack.  A rank mask (singular
 values above tol times the largest) selects directions, so matrices of
 different rank share one LAPACK call: one matrix gives the selected columns,
 a stack keeps every column and zeroes the unselected ones.
+
+Every numeric gauge shears fibers in `gauge_fiber` and forms (I + Pi W)^{-1}
+in `gauge_inverse`, which bounds its entries: A = I + Pi W is dimensionless,
+so s I passes in every dimension, where a bound on det A would depend on n.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError, ShapeError
+from .errors import DomainEscapeError, ShapeError, TransversalityError
 
 MAX_FLOW_STEPS = 10**7  # a longer step schedule is refused instead of built
 RANK_TOL = 1e-10  # a singular value counts toward a rank above RANK_TOL times the largest
@@ -359,3 +363,29 @@ def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.
     k = J.shape[-1]
     nu = np.swapaxes(J, -1, -2) @ (forms @ K[..., k:, :]) * (j / a)
     return np.concatenate([K[..., :k, :], nu], axis=-2)
+
+
+def gauge_inverse(A: np.ndarray, points, message: str) -> np.ndarray:
+    """(I + Pi W)^{-1} of one gauge matrix A or a stack, refused by
+    TransversalityError(message, point) at the first point where A is exactly
+    singular or A^{-1} has an entry above 1 / RANK_TOL.  A non-finite A gives
+    no verdict: the NaN entries of its inverse pass on to the residual."""
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # exactly singular: the first failing matrix raises
+        if A.ndim == 2:
+            raise TransversalityError(message, points) from None
+        return np.stack([gauge_inverse(a, x, message) for a, x in zip(A, points)])
+    big = np.abs(inv) > 1 / RANK_TOL
+    if big.any():
+        raise TransversalityError(message, points if A.ndim == 2
+                                  else points[int(big.any(axis=(1, 2)).argmax())])
+    return inv
+
+
+def gauge_fiber(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The gauge (v; mu) -> (v; mu + W^T v) = (v; mu + i_v omega) of the fiber
+    columns V (2n x k, or a stack) by the 2-form matrix W (n x n, or a stack)."""
+    n = W.shape[-1]
+    v = V[..., :n, :]
+    return np.concatenate([v, V[..., n:, :] + np.swapaxes(W, -1, -2) @ v], axis=-2)

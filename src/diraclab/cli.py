@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import jsonio
-from ._numeric import CriterionResult, FlowConfig, worst
+from ._numeric import CriterionResult, FlowConfig, gauge_fiber, span_residual, worst
 from .errors import DiraclabError, DomainEscapeError, TransversalityError
 from .fields import Chart, PolyKForm, PolyKVector
 from .poisson import (
@@ -250,10 +250,11 @@ def _cmd_dirac(args):
             P = dirac_mod.gauge_poisson(pi, gauge, pt)
         except TransversalityError as e:
             return [criterion("gauge-transversality", None, args.tol, e.point)], {}
-        return (
-            [criterion("gauge-skewness", float(np.abs(P + P.T).max()), 1e-12, pt)],
-            {"gauged_bivector_matrix": P.tolist()},
-        )
+        # Gr(pi_omega) against the sheared Gr(pi), as columns (Pi^T mu; mu)
+        graph, graph0 = (np.vstack([M.T, np.eye(len(P))]) for M in (P, pi.matrix_at(pt)))
+        sheared = gauge_fiber(graph0, gauge.matrix_at(pt))
+        r = span_residual(graph, sheared) if np.isfinite([graph, sheared]).all() else math.nan
+        return [criterion("gauge-graph", r, args.tol, pt)], {"gauged_bivector_matrix": P.tolist()}
     if args.dirac_cmd == "pullback":
         phi = jsonio.map_from_json(_load_json(args.map))
         pi = _load_bivector(args.poisson)
@@ -371,7 +372,7 @@ def _cmd_manin(args):
     if args.manin_cmd == "check":
         ok, witness = manin_mod.check_manin_triple(triple)
         return [exact_criterion("manin-triple-axioms", ok, witness)], {}
-    if chart is None:
+    if chart is None and args.manin_cmd != "homspace":
         raise InputError("this subcommand needs a triple with a group chart")
     if not args.builtin:  # a user triple is decided before its chart is used
         ok, witness = manin_mod.check_manin_triple(triple)
@@ -382,7 +383,8 @@ def _cmd_manin(args):
         P = manin_mod.drinfeld_bivector(triple, chart, pt)
         Pc = manin_mod.drinfeld_bivector_chart(triple, chart, pt)
         return (
-            [criterion("bivector-skewness", float(np.abs(P + P.T).max()), 1e-12, pt)],
+            [criterion("bivector-jacobi", manin_mod.jacobiator_fd_residual(triple, chart, [pt]),
+                       args.tol, pt)],
             {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()},
         )
     if args.manin_cmd == "dressing":

@@ -11,11 +11,13 @@ and a gauge transformation by a closed 2-form omega acts as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import RANK_TOL, PackedPolys, orthonormal_basis, pullback_fiber, worst
+from ._numeric import (RANK_TOL, PackedPolys, gauge_fiber, gauge_inverse, orthonormal_basis,
+                       pullback_fiber, worst)
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -39,7 +41,7 @@ from .fields import (
     sum_of_products,
     vector_bracket,
 )
-from .poisson import PoissonBivector, gauge_family, gauge_matrix_at, sharp_apply
+from .poisson import PoissonBivector, gauge_family, sharp_apply
 
 
 class GeneralizedSection:
@@ -257,58 +259,45 @@ def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> n
     """Apply R_omega to the fiber of a frame at a point (pairing-preserving);
     returns the 2n x n fiber matrix."""
     V0 = E.value_at(point)
-    n = E.chart.dim
-    # mu -> mu + i_v omega with (i_v omega)_j = sum_i v_i W_ij
-    V = np.vstack([V0[:n], V0[n:] + gauge.matrix_at(point).T @ V0[:n]])
-    if np.abs(pairing_gram(V) - pairing_gram(V0)).max() > 1e-12 * max(
-        1.0, np.abs(V).max() ** 2
-    ):
+    V = gauge_fiber(V0, gauge.matrix_at(point))
+    if np.abs(pairing_gram(V) - pairing_gram(V0)).max() > 1e-12 * max(1.0, np.abs(V).max() ** 2):
         raise AssertionError("gauge transform failed to preserve the pairing")
     return V
 
 
 def gauge_poisson(pi: PoissonBivector, gauge: GaugeTransform, point) -> np.ndarray:
-    """Pointwise component matrix of the gauged bivector.
-
-    Returns (I + Pi W)^{-1} Pi at the point (equivalently the sharp map
-    Pi^T (I + W^T Pi^T)^{-1} transposed); raises TransversalityError when the
-    sheared graph meets TM.  The range of the sharp map is preserved.
-    """
+    """Pointwise component matrix of the gauged bivector, (I + Pi W)^{-1} Pi
+    skew-symmetrized; raises TransversalityError where the sheared graph meets
+    TM (`gauge_inverse`).  The range of the sharp map is preserved."""
     P = pi.matrix_at(point)
-    W = gauge.matrix_at(point)
-    return gauge_matrix_at(P, W, point)
+    A = np.eye(len(P)) + P @ gauge.matrix_at(point)
+    out = gauge_inverse(A, point, "gauge transform not transverse to the tangent bundle") @ P
+    return 0.5 * (out - out.T)
 
 
 def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> PoissonBivector:
-    """Symbolic gauge transform, available when det(I + Pi W) is constant.
-
-    Polynomial matrix inverses leave the polynomial class in general; when the
-    determinant is a nonzero constant the adjugate formula stays polynomial.
+    """Symbolic gauge transform, available when det(I + Pi W) is a nonzero
+    constant, so that the inverse stays polynomial.  One Faddeev-LeVerrier loop
+    over A = I + Pi W gives both: from M_0 = 0 and c = 1, M_k = A M_{k-1} + c I
+    and c = -tr(A M_k) / k; after n steps c = (-1)^n det A and A^{-1} = -M_n / c.
     """
-    chart = pi.chart
-    n = chart.dim
+    chart, n = pi.chart, pi.chart.dim
     P = pi.component_matrix()
     A = gauge_family(pi, {0: gauge.omega})[0]  # I + P W
-
-    def det(mat):
-        m = len(mat)
-        if m == 0:
-            return PolyScalar.constant(chart, 1)
-        minors = [[row[:j] + row[j + 1 :] for row in mat[1:]] for j in range(m)]
-        return sum_of_products(chart, [((-1) ** j, mat[0][j], det(minors[j]), None)
-                                       for j in range(m)])
-
-    d = det(A)
-    if d.is_zero() or d.total_degree() > 0:
+    one = PolyScalar.constant(chart, 1)
+    M, c = [[0] * n] * n, one  # M_0 = 0
+    for k in range(1, n + 1):
+        M = [[sum_of_products(chart, [(1, A[i][l], M[l][j], None) for l in range(n)
+                                      if A[i][l] and M[l][j]] + [(1, c, one, None)] * (i == j))
+              for j in range(n)] for i in range(n)]
+        c = sum_of_products(chart, [(1, A[i][l], M[l][i], None) for i in range(n)
+                                    for l in range(n) if A[i][l] and M[l][i]]) * Fraction(-1, k)
+    if c.is_zero() or c.total_degree() > 0:
         raise TransversalityError("det(I + Pi W) is not a nonzero constant; "
                                   "symbolic gauge unavailable")
-    c = d.evaluate_exact([0] * n)  # d is constant
-    # adjugate: adj(A)_{ij} = (-1)^{i+j} det(minor_ji)
-    adj = [[(-1) ** (i + j) * det([[A[r][s] for s in range(n) if s != i]
-                                   for r in range(n) if r != j])
-            for j in range(n)] for i in range(n)]
-    comps = {(i, j): sum_of_products(chart, [(1, adj[i][k], P[k][j], None) for k in range(n)])
-             * (1 / c) for i in range(n) for j in range(i + 1, n)}
+    scale = -1 / c.evaluate_exact([0] * n)  # c is constant
+    comps = {(i, j): sum_of_products(chart, [(1, M[i][k], P[k][j], None) for k in range(n)])
+             * scale for i in range(n) for j in range(i + 1, n)}
     return PoissonBivector(PolyKVector(chart, 2, comps))
 
 

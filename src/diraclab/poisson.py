@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import FlowConfig, compile_tensors, flow_points, orthonormal_basis, worst
+from ._numeric import (FlowConfig, compile_tensors, flow_points, gauge_inverse,
+                       orthonormal_basis, worst)
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -375,38 +376,6 @@ def leaf_data_at_point(pi: PoissonBivector, point) -> LeafData:
     return LeafData(tuple(float(x) for x in point), r, B, omega)
 
 
-# -- gauge transformations (pointwise) ----------------------------------------
-
-
-def gauge_matrix_at(pi_mat: np.ndarray, omega_mat: np.ndarray, point=None) -> np.ndarray:
-    """Pointwise gauge of a bivector matrix by a 2-form matrix.
-
-    Returns (I + Pi W)^{-1} Pi, the component matrix of the transformed
-    bivector; raises if the graph loses transversality to the tangent space.
-    """
-    n = pi_mat.shape[0]
-    A = np.eye(n) + pi_mat @ omega_mat
-    det = np.linalg.det(A)
-    if abs(det) < 1e-12:
-        raise TransversalityError(
-            "gauge transform not transverse to the tangent bundle", point
-        )
-    out = np.linalg.solve(A, pi_mat)
-    return 0.5 * (out - out.T)
-
-
-def gauge_family(pi: PoissonBivector, omega: Mapping[int, PolyKForm]) -> dict:
-    """{d: A_d}, n x n PolyScalar matrices of the exact gauge matrix
-    sum_d t^d A_d = I + Pi W_t of omega_t = sum_d t^d omega_d.  A_0 is always
-    present: it carries I, so a zero family still has A = I."""
-    chart, n, P = pi.chart, pi.chart.dim, pi.component_matrix()
-    one = [(1, PolyScalar.constant(chart, 1), PolyScalar.constant(chart, 1), None)]
-    W = {d: _full_matrix(omega.get(d, PolyKForm(chart, 2, {}))) for d in sorted({0, *omega})}
-    return {d: [[sum_of_products(chart, [(1, P[i][k], Wd[k][j], None) for k in range(n)
-                                         if P[i][k] and Wd[k][j]] + one * (d == 0 and i == j))
-                 for j in range(n)] for i in range(n)] for d, Wd in W.items()}
-
-
 # -- Moser verification ---------------------------------------------------------
 
 
@@ -447,6 +416,18 @@ class TimePolyForm:
         return TimePolyForm(out)
 
 
+def gauge_family(pi: PoissonBivector, omega: Mapping[int, PolyKForm]) -> dict:
+    """{d: A_d}, n x n PolyScalar matrices of the exact gauge matrix
+    sum_d t^d A_d = I + Pi W_t of omega_t = sum_d t^d omega_d.  A_0 is always
+    present: it carries I, so a zero family still has A = I."""
+    chart, n, P = pi.chart, pi.chart.dim, pi.component_matrix()
+    one = [(1, PolyScalar.constant(chart, 1), PolyScalar.constant(chart, 1), None)]
+    W = {d: _full_matrix(omega.get(d, PolyKForm(chart, 2, {}))) for d in sorted({0, *omega})}
+    return {d: [[sum_of_products(chart, [(1, P[i][k], Wd[k][j], None) for k in range(n)
+                                         if P[i][k] and Wd[k][j]] + one * (d == 0 and i == j))
+                 for j in range(n)] for i in range(n)] for d, Wd in W.items()}
+
+
 @dataclass(frozen=True)
 class MoserReport:
     max_residual: float
@@ -472,7 +453,7 @@ def moser_verify(
     field is X = Pi^T u, with the exact Jacobian
     d_k X = d_k Pi^T u + Pi^T A^{-T}(d_k a - d_k A^T u).  A_t is formed exactly
     (`gauge_family`) and compiled with Pi and a_t, so one table evaluation
-    gives every partial, and a call does one det, one inverse and matmuls.
+    gives every partial, and a call does one inverse (`gauge_inverse`) and matmuls.
     """
     if not is_poisson(pi0):
         raise PreconditionError("pi0 must be Poisson")
@@ -485,8 +466,8 @@ def moser_verify(
     res = []
     for T in map(float, times):
         x_end, J = flow_points(field, grid_arr, T, config)
-        P, A, _, _ = gauge(grid_arr, T)
-        piT = np.linalg.solve(A, P)
+        P, Ainv, _, _ = gauge(grid_arr, T)
+        piT = Ainv @ P
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
         target = gauge(x_end, 0.0)[0]  # Pi, which is pi0, at x_end
         res.append(np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1))
@@ -497,9 +478,9 @@ def moser_verify(
 def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
     """Evaluators of the gauge family and of X_t = pi_t^#(a_t).
 
-    gauge(pts, t) -> (Pi, A_t, a_t, partials) from one packed table evaluation,
-    raising TransversalityError where |det A| < 1e-12; velocity(Pi, A_t, a_t,
-    partials) -> (X_t, DX_t) with the exact Jacobian of moser_verify; and
+    gauge(pts, t) -> (Pi, A_t^{-1}, a_t, partials) from one packed table
+    evaluation and `gauge_inverse`; velocity(Pi, A_t^{-1}, a_t, partials) ->
+    (X_t, DX_t) with the exact Jacobian of moser_verify; and
     field(state, t), the `flow_points` field, which reads x = state[:, :n] and
     the same table from the flow state.
     """
@@ -514,16 +495,13 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
 
     def split(x, t, vals, parts):
         P, A = vals[:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
-        bad = np.abs(np.linalg.det(A)) < 1e-12
-        if bad.any():
-            raise TransversalityError(f"gauge family degenerate at t={t}", x[int(bad.argmax())])
-        return P, A, vals[:, :n], parts
+        return P, gauge_inverse(A, x, f"gauge family degenerate at t={t}"), vals[:, :n], parts
 
     def gauge(pts, t):
         return split(pts, t, *packed(pts, t))
 
-    def velocity(P, A, a, parts):
-        PT, AiT = P.swapaxes(1, 2), np.linalg.inv(A).swapaxes(1, 2)
+    def velocity(P, Ainv, a, parts):
+        PT, AiT = P.swapaxes(1, 2), Ainv.swapaxes(1, 2)
         u = AiT @ a[..., None]
         # [b, j, k] = (d_k Pi^T u)_j and (d_k A^T u)_j
         dPu, dATu = (u.swapaxes(1, 2) @ parts[:, n:].reshape(len(a), n, -1)).reshape(

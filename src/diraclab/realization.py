@@ -44,6 +44,7 @@ from ._numeric import (
     PackedPolys,
     compile_tensors,
     flow_points,
+    gauge_fiber,
     nullspace_basis,
     pullback_fiber,
     span_residual,
@@ -282,13 +283,11 @@ def verify_dual_pair(
     Pt, Ps = spray.pi.matrix_at(t_val), spray.pi.matrix_at(s_val)
     r1t = np.abs(dt @ piP @ dt.transpose(0, 2, 1) - Pt).max(axis=(1, 2))
     r1s = np.abs(ds @ piP @ ds.transpose(0, 2, 1) + Ps).max(axis=(1, 2))
-    n2 = W.shape[1]
     kt, ks = nullspace_basis(dt), nullspace_basis(ds)
     r2 = np.abs(np.swapaxes(kt, 1, 2) @ W @ ks).max(axis=(1, 2))
     # the fibers of Gr(pi) are {(Pi^T mu, mu)}
     eye = np.eye(Pt.shape[1])
-    gauged = pullback_fiber(dt, np.swapaxes(Pt, 1, 2), eye)
-    gauged[:, n2:] += np.swapaxes(W, 1, 2) @ gauged[:, :n2]
+    gauged = gauge_fiber(pullback_fiber(dt, np.swapaxes(Pt, 1, 2), eye), W)
     sgt = pullback_fiber(ds, np.swapaxes(Ps, 1, 2), eye)
     res = np.column_stack([np.maximum(r1t, r1s), r2, span_residual(gauged, sgt)])
 

@@ -14,7 +14,11 @@ running `worst = max(worst, r)` or `if r > worst` drops a NaN residual, so no
 such reduction may come back.  Numeric ranks use the one relative rule of
 `_numeric` (singular values against the largest); `numpy.linalg.matrix_rank`
 with an absolute threshold makes a verdict depend on units, so no module
-calls it.  `flow_points` has one field protocol, field(state, tau), so it
+calls it.  Nor does any module call `numpy.linalg.det`: a determinant is a
+product of n singular values, so a threshold on it makes a transversality
+verdict depend on the dimension (0.005 I passes in dimension 2 and fails
+below 1e-12 in dimension 6); every numeric gauge goes through
+`_numeric.gauge_inverse`, which bounds the entries of the inverse instead.  `flow_points` has one field protocol, field(state, tau), so it
 branches on no type; and the Gauss-Legendre rule is tabulated once, in
 `realization`, so no flow (or import) solves its eigenproblem.  The exact
 calculus has one Lie-derivative pass, `fields._lie_terms`, behind
@@ -37,7 +41,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
-            "evaluate", "compiled_matrix", "gauss_legendre_01"}
+            "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -118,6 +122,15 @@ def test_no_module_calls_matrix_rank(path):
     calls = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matrix_rank"]
     assert not calls, f"{path.name} calls matrix_rank at lines {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_module_calls_det(path):
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "det"
+             and "linalg" in (getattr(node.func.value, "attr", None),
+                              getattr(node.func.value, "id", None))]
+    assert not calls, f"{path.name} calls linalg.det at lines {calls}"
 
 
 def test_flow_points_has_one_field_protocol():

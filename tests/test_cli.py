@@ -18,7 +18,7 @@ from diraclab.errors import ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.poisson import (from_components, lie_poisson, so3_constants,
                               standard_symplectic_poisson)
-from diraclab.maningroup import iwasawa_su2
+from diraclab.maningroup import builtin_triples, iwasawa_su2
 
 from conftest import chart_bivector_oracle
 
@@ -151,6 +151,10 @@ class TestDiracCommands:
         )
         assert code == 0
         assert rep["result"]["gauged_bivector_matrix"][0][1] == pytest.approx(2.0)
+        # Gr(pi_omega) against the sheared Gr(pi), judged at --tol
+        (crit,) = rep["criteria"]
+        assert crit["name"] == "gauge-graph" and crit["tolerance"] == 1e-9
+        assert crit["max_residual"] < 1e-15
 
     def test_gauge_transversality_failure_is_strict_json(self, capsys, tmp_path):
         # omega = dx^dy makes I + Pi W = 0 for Pi = d_x ^ d_y
@@ -232,6 +236,10 @@ class TestManinCommands:
         assert code == 0
         P = rep["result"]["bivector_h_basis"]
         assert abs(P[0][1] + P[1][0]) < 1e-12
+        # the Jacobiator of the chart bivector at the point, judged at --tol
+        (crit,) = rep["criteria"]
+        assert crit["name"] == "bivector-jacobi" and crit["tolerance"] == 1e-5
+        assert crit["max_residual"] < 1e-14
 
     def test_bivector_far_from_the_identity(self, capsys):
         # --point is not capped: the chart bivector must hold to rounding there too
@@ -258,6 +266,22 @@ class TestManinCommands:
             ["manin", "multiplicativity", "--builtin", "iwasawa-su2", "--pairs", "3"],
         )
         assert code == 0
+
+    @pytest.mark.parametrize("name", ["standard-sl2", "borel-sl2", "dual-iwasawa-su2"])
+    def test_homspace_needs_no_chart(self, capsys, tmp_path, name):
+        # l = h, k = 0 on a built-in without a group chart; a chart command
+        # on the same built-in is still refused
+        triple, chart = builtin_triples()[name]
+        assert chart is None
+        p = tmp_path / "hs.json"
+        p.write_text(json.dumps({"l_basis": [[[x.numerator, x.denominator] for x in v]
+                                             for v in triple.h_basis]}))
+        code, rep = run_and_parse(capsys, ["manin", "homspace", "--builtin", name,
+                                           "--data", str(p)])
+        assert code == 0, rep
+        assert rep["criteria"][0]["name"] == "homogeneous-space-criteria"
+        code, rep = run_and_parse(capsys, ["manin", "multiplicativity", "--builtin", name])
+        assert code == 2 and "group chart" in rep["error"]
 
     def test_unknown_builtin(self, capsys):
         code, rep = run_and_parse(capsys, ["manin", "check", "--builtin", "nope"])

@@ -299,6 +299,18 @@ class TestGauge:
         with pytest.raises(TransversalityError):
             gauge_poisson(pi, g, (0.0, 0.0))
 
+    def test_near_critical_value_in_dimension_6(self):
+        # omega = 0.995 sum dq_i ^ dp_i gives I + Pi W = 0.005 I: condition
+        # number 1, although det = 1.6e-14; both gauges return 200 Pi
+        pi = standard_symplectic_poisson(3)
+        c = Fraction(199, 200)
+        g = GaugeTransform(PolyKForm(pi.chart, 2, {(i, 3 + i): PolyScalar.constant(pi.chart, c)
+                                                   for i in range(3)}))
+        pt = (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)
+        P = gauge_poisson(pi, g, pt)
+        assert np.abs(P - 200 * pi.matrix_at(pt)).max() <= 1e-12 * 200
+        assert gauge_poisson_symbolic(pi, g).pi == (pi.pi * 200)
+
     def test_symbolic_when_det_constant(self):
         pi = from_components(R2, {(0, 1): PolyScalar.constant(R2, 1)})
         g = GaugeTransform(

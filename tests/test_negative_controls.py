@@ -10,14 +10,20 @@ the compiled field of the so(3)* spray, leaving its Poisson structure alone:
   flow Jacobian satisfies;
 - a Jacobian scaled by 1 + 1e-3 is no longer the derivative of the flow,
   which closedness sees.
+
+The `dirac gauge` report is fed the sign-flipped gauge (I - Pi W)^{-1} Pi,
+whose graph is not the sheared graph of pi.
 """
+
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from diraclab import realization as real_mod
 from diraclab._numeric import FlowConfig
-from diraclab.fields import Chart, PolyKVector, coordinate_form
+from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar, coordinate_form
 from diraclab.poisson import euler_linearize, lie_poisson, so3_constants
 
 POINT = np.array([0.3, -0.2, 0.5, 0.4, 0.1, -0.3])
@@ -94,3 +100,36 @@ def test_euler_linearize_coarse_step(step, fails):
     pts = np.random.default_rng(0).uniform(-0.3, 0.3, size=(10, 2))
     r = euler_linearize(X, pts, FlowConfig(step=step)).max_residual
     assert (r > 1e-5) is fails, r
+
+
+def _run_cli(capsys, argv):
+    from diraclab.cli import run
+
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name, fails", [("true", False), ("sign-flipped", True)])
+def test_dirac_gauge_graph(monkeypatch, capsys, tmp_path, name, fails):
+    # (I - Pi W)^{-1} Pi in place of (I + Pi W)^{-1} Pi: a skew matrix of the
+    # right rank whose graph is not the sheared Gr(pi)
+    from diraclab import dirac, jsonio
+
+    pi = lie_poisson(so3_constants(), 3)
+    m = pi.chart
+    one = PolyScalar.constant(m, 1)
+    omega = PolyKForm(m, 2, {(0, 1): one * Fraction(1, 3), (1, 2): one * Fraction(-1, 2)})
+    if name == "sign-flipped":
+        gauge_poisson = dirac.gauge_poisson
+        monkeypatch.setattr(dirac, "gauge_poisson", lambda pi, g, pt: gauge_poisson(
+            pi, dirac.GaugeTransform(-g.omega), pt))
+    files = {}
+    for key, tensor in (("pi", pi.pi), ("omega", omega)):
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(jsonio.tensor_to_json(tensor)))
+    code, rep = _run_cli(capsys, ["dirac", "gauge", "--poisson", str(files["pi"]),
+                                  "--omega", str(files["omega"]), "--point", "0.3,-0.2,0.5"])
+    (crit,) = rep["criteria"]
+    assert crit["name"] == "gauge-graph" and crit["tolerance"] == 1e-9
+    assert (code, crit["status"]) == ((1, "fail") if fails else (0, "pass")), crit
+    assert (crit["max_residual"] > 1e-3) is fails, crit

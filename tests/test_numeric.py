@@ -548,3 +548,43 @@ def test_a_flow_over_the_step_cap_is_refused(t):
     field = compile_tensors([PolyKVector(Chart(1), 1, {})], partials=True)
     with pytest.raises(ShapeError, match="steps"):
         _numeric.flow_points(field.at_state, np.zeros(1), t, FlowConfig())
+
+
+class TestGaugeInverse:
+    """(I + Pi W)^{-1} and its transversality verdict: an entry bound on the
+    inverse, so a multiple of I passes in every dimension."""
+
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("s", [1e-8, 5e-3, 1.0, 1e3])
+    def test_multiples_of_the_identity_pass(self, n, s):
+        inv = _numeric.gauge_inverse(s * np.eye(n), (0.0,) * n, "m")
+        assert np.abs(inv * s - np.eye(n)).max() < 1e-15
+        stack = _numeric.gauge_inverse(np.stack([s * np.eye(n)] * 3), np.zeros((3, n)), "m")
+        assert np.array_equal(stack, np.stack([inv] * 3))
+
+    @pytest.mark.parametrize("A", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   1e-11 * np.eye(2)], ids=["zero", "rank-1", "tiny"])
+    def test_first_refused_point_is_named(self, A):
+        from diraclab.errors import TransversalityError
+
+        pts = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(TransversalityError, match="not transverse") as e:
+            _numeric.gauge_inverse(np.stack([np.eye(2), A, np.eye(2), A]), pts, "not transverse")
+        assert e.value.point == (2.0, 3.0)
+        with pytest.raises(TransversalityError) as e:
+            _numeric.gauge_inverse(A, (0.5, 0.25), "m")
+        assert e.value.point == (0.5, 0.25)
+
+    def test_a_non_finite_matrix_gives_no_verdict(self):
+        A = np.stack([np.eye(2), np.full((2, 2), np.nan)])
+        inv = _numeric.gauge_inverse(A, np.zeros((2, 2)), "m")
+        assert np.array_equal(inv[0], np.eye(2)) and np.isnan(inv[1]).all()
+
+    def test_gauge_fiber_shears_the_form_part(self):
+        rng = np.random.default_rng(0)
+        V, W = rng.normal(size=(3, 6, 2)), rng.normal(size=(3, 3, 3))
+        out = _numeric.gauge_fiber(V, W)
+        for b in range(3):
+            assert np.array_equal(_numeric.gauge_fiber(V[b], W[b]), out[b])
+            assert np.array_equal(out[b, :3], V[b, :3])
+            assert np.abs(out[b, 3:] - V[b, 3:] - W[b].T @ V[b, :3]).max() < 1e-15

@@ -1,7 +1,7 @@
 """The exact layer against sympy: jacobiator, Courant bracket, Lie derivative
-and pullback of forms recomputed from their textbook coordinate formulas, and
-the homogeneous-space criteria with l cap g built explicitly from a
-nullspace."""
+and pullback of forms recomputed from their textbook coordinate formulas, the
+exact gauge (I + Pi W)^{-1} Pi from sympy's matrix inverse, and the
+homogeneous-space criteria with l cap g built explicitly from a nullspace."""
 
 import itertools
 import random
@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from diraclab.dirac import GeneralizedSection, courant_bracket
-from diraclab.fields import Chart, PolyKVector, PolyMap, lie_derivative, pullback_form
+from diraclab.dirac import (GaugeTransform, GeneralizedSection, courant_bracket,
+                            gauge_poisson_symbolic)
+from diraclab.errors import TransversalityError
+from diraclab.fields import (Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar, lie_derivative,
+                             pullback_form)
 from diraclab.maningroup import HomogeneousSpaceData, builtin_triples, homogeneous_space_check
-from diraclab.poisson import PoissonBivector, jacobiator
+from diraclab.poisson import PoissonBivector, jacobiator, standard_symplectic_poisson
 
 from conftest import random_form, random_poly, random_vector
 
@@ -119,6 +122,60 @@ def test_pullback_form_is_a_sum_of_jacobian_minors(seed):
                    * D.extract(list(J), list(I)).det()
                    for J in itertools.combinations(range(tgt.dim), degree))
         assert same(got.component(I), want, us)
+
+
+# -- the exact gauge: (I + Pi W)^{-1} Pi by sympy's inverse ------------------------
+
+
+def _gauge_cases(seed):
+    """(pi, omega) pairs with det(I + Pi W) constant: a constant omega on the
+    standard R^2, R^4 and R^6, and on R^4 with pi = d_0 ^ d_1 + x_0 d_2 ^ d_3 a
+    constant omega whose w_23 (w_01 - 1) = w_02 w_13 - w_03 w_12, which makes
+    det = (1 - w_01)^2; then that pi with w_23 drawn freely, whose det
+    (x_0 (w_01 w_23 - w_02 w_13 + w_03 w_12 - w_23) + 1 - w_01)^2 is not constant."""
+    rng = random.Random(400 + seed)
+
+    def rat():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def form(chart, w):
+        return PolyKForm(chart, 2, {ij: PolyScalar.constant(chart, c) for ij, c in w.items()})
+
+    for k in (1, 2, 3):
+        pi = standard_symplectic_poisson(k)
+        yield pi, form(pi.chart, {ij: rat() for ij in itertools.combinations(range(2 * k), 2)})
+    chart = Chart(4)
+    one, x0 = PolyScalar.constant(chart, 1), chart.coordinate(0)
+    pi = PoissonBivector(PolyKVector(chart, 2, {(0, 1): one, (2, 3): x0}))
+    w = {ij: rat() for ij in itertools.combinations(range(4), 2)}
+    w[(0, 1)] = Fraction(1, 2) if w[(0, 1)] == 1 else w[(0, 1)]
+    free = dict(w)
+    w[(2, 3)] = (w[(0, 2)] * w[(1, 3)] - w[(0, 3)] * w[(1, 2)]) / (w[(0, 1)] - 1)
+    yield pi, form(chart, w)
+    if free[(2, 3)] != w[(2, 3)]:
+        yield pi, form(chart, free)
+
+
+def test_symbolic_gauge_is_the_inverse_times_pi():
+    constant = 0
+    for seed in range(6):
+        for pi, omega in _gauge_cases(seed):
+            n = pi.chart.dim
+            xs = sp.symbols(f"x0:{n}")
+            P = sp.Matrix(n, n, lambda i, j: comp(pi.pi, (i, j), xs))
+            W = sp.Matrix(n, n, lambda i, j: comp(omega, (i, j), xs))
+            A = sp.eye(n) + P * W
+            det = sp.expand(A.det())
+            if det == 0 or not det.is_constant():
+                with pytest.raises(TransversalityError, match="not a nonzero constant"):
+                    gauge_poisson_symbolic(pi, GaugeTransform(omega))
+                continue
+            constant += 1
+            want = A.inv() * P
+            got = gauge_poisson_symbolic(pi, GaugeTransform(omega)).pi
+            for i, j in itertools.combinations(range(n), 2):
+                assert same(got.component((i, j)), want[i, j], xs), (seed, n, i, j)
+    assert constant >= 20
 
 
 # -- homogeneous spaces: l cap g from a nullspace ---------------------------------

@@ -25,7 +25,6 @@ from diraclab.poisson import (
     extract_structure_constants,
     from_components,
     gauge_family,
-    gauge_matrix_at,
     hamiltonian_vf,
     is_poisson,
     jacobiator,
@@ -300,23 +299,34 @@ class TestLeafData:
 
 
 class TestGaugePointwise:
+    """The constant gauge of d_x ^ d_y, through the one numeric gauge path."""
+
+    @staticmethod
+    def gauge(c):
+        from diraclab.dirac import GaugeTransform
+
+        chart = Chart(2, ("x", "y"))
+        pi = from_components(chart, {(0, 1): PolyScalar.constant(chart, 1)})
+        omega = PolyKForm(chart, 2, {(0, 1): PolyScalar.constant(chart, Fraction(c))})
+        return pi, GaugeTransform(omega)
+
     def test_constant_closed_form(self):
-        pi = from_components(
-            Chart(2, ("x", "y")), {(0, 1): PolyScalar.constant(Chart(2, ("x", "y")), 1)}
-        )
-        P = pi.matrix_at((0.0, 0.0))
+        from diraclab.dirac import gauge_poisson
+
         for c in (0.25, -1.0, 0.9):
-            W = np.array([[0.0, c], [-c, 0.0]])
-            got = gauge_matrix_at(P, W)
+            pi, g = self.gauge(c)
+            P = pi.matrix_at((0.0, 0.0))
+            got = gauge_poisson(pi, g, (0.0, 0.0))
             assert np.abs(got - P / (1 - c)).max() < 1e-12
 
     def test_degenerate_raises(self):
+        from diraclab.dirac import gauge_poisson
         from diraclab.errors import TransversalityError
 
-        P = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        W = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(TransversalityError):
-            gauge_matrix_at(P, W, point=(0.0, 0.0))
+        pi, g = self.gauge(1)
+        with pytest.raises(TransversalityError) as e:
+            gauge_poisson(pi, g, (0.0, 0.0))
+        assert e.value.point == (0.0, 0.0)
 
 
 class TestMoser:
@@ -526,7 +536,7 @@ class TestMoserAnalyticField:
             monkeypatch.setattr(np.linalg, fn, counting)
         for t in (0.2, 0.2, -0.3):
             field(pts, t)
-        assert calls == {"det": 3, "inv": 3, "solve": 0}
+        assert calls == {"det": 0, "inv": 3, "solve": 0}
 
     def test_gauge_matrix_of_the_zero_family_is_the_identity(self):
         pi0, a_t = self.family("so3")
@@ -538,6 +548,16 @@ class TestMoserAnalyticField:
         field = self.point_field(pi0, zero)
         X, DX = field(np.full((2, 3), 0.3), 0.5)
         assert not X.any() and not DX.any()
+
+    def test_near_degenerate_family_in_dimension_6(self):
+        # a_t = -sum q_i dp_i gives pi_t = (1 - t)^{-1} pi_0 on the standard R^6:
+        # at T = 0.995, A = 0.005 I is well conditioned although det A = 1.6e-14
+        pi0 = standard_symplectic_poisson(3)
+        q = pi0.chart.coordinates()
+        a_t = TimePolyForm({0: PolyKForm(pi0.chart, 1, {(3 + i,): -q[i] for i in range(3)})})
+        grid = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 6))
+        rep = moser_verify(pi0, a_t, [0.995], grid, FlowConfig(step=1e-2))
+        assert rep.max_residual <= 1e-12
 
     def test_degenerate_family_names_time_and_point(self):
         from diraclab.errors import TransversalityError

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,10 @@ class TestSprayConstruction:
         # 1/2 G^{ij}_k p_i p_j with G symmetric: G^{01}=G^{10}=1 gives p1 p2
         assert spray.field.components[(2,)] == PolyScalar(chart, {(0, 0, 1, 1): 1})
         assert spray.check_homogeneity() and spray.check_projection()
+        # a diagonal key G^{11}_1 = 1 gives 1/2 p2^2
+        spray = SprayField(pi, {(0, 1, 0): one, (1, 1, 1): one})
+        assert spray.field.components[(2,)] == PolyScalar(chart, {(0, 0, 1, 1): 1})
+        assert spray.field.components[(3,)] == PolyScalar(chart, {(0, 0, 0, 2): Fraction(1, 2)})
 
 
 class TestFlow:
