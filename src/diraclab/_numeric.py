@@ -32,7 +32,9 @@ column at exactly 1.0, so the field reads the stage buffer itself, and all
 stage arithmetic runs on whole contiguous arrays.  The sign of dz/ds is
 folded into the stage offsets and weights (formed once per distinct step),
 and the update is one (4,) @ (4, B (n + n^2 + 1)) contraction added into the
-state in place.
+state in place.  The escape check then takes one dot d of the state with
+itself, which bounds every row's |x|^2: a finite d within escape_norm^2
+passes, and only otherwise do the finiteness and row-norm checks run.
 
 `worst` is the one residual reducer: every verifier hands it its residuals,
 so a non-finite residual reads as +inf, a fail with its point, and is never
@@ -41,11 +43,13 @@ dropped by a running max.  `CriterionResult` is the one pass rule.
 The linear-algebra helpers take one matrix or a stack.  A rank mask (singular
 values above tol times the largest) selects directions, so matrices of
 different rank share one LAPACK call: one matrix gives the selected columns,
-a stack keeps every column and zeroes the unselected ones.
+a stack keeps every column and zeroes the unselected ones.  An SVD that does
+not converge (on a non-finite matrix) raises OverflowError.
 
 Every numeric gauge shears fibers in `gauge_fiber` and forms (I + Pi W)^{-1}
 in `gauge_inverse`, which bounds its entries: A = I + Pi W is dimensionless,
 so s I passes in every dimension, where a bound on det A would depend on n.
+The largest entry decides first; a per-matrix mask names the refused point.
 """
 
 from __future__ import annotations
@@ -252,6 +256,11 @@ def _step_schedule(duration: float, h: float):
 
 def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
     """Raise DomainEscapeError if the state is not finite or x left the ball."""
+    # each row's |x|^2 is at most the state's sum of squares d; a non-finite entry,
+    # an overflow or a negative escape_norm fails this test, and the full check decides
+    d = np.vdot(y, y)
+    if d <= escape_norm * abs(escape_norm) and d < math.inf:
+        return
     # one reduction: a non-finite entry makes the sum non-finite
     if not math.isfinite(y.sum()) and not np.all(np.isfinite(y)):
         raise DomainEscapeError("trajectory diverged", None)
@@ -280,28 +289,30 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
     y[:, :n], y[:, n:m], y[:, m] = x0, np.eye(n).ravel(), 1.0
     ys = np.empty_like(y)
     K = np.zeros((4,) + y.shape)
-    (x, J), (_, Js), *slots = [(b[:, :n], b[:, n:m].reshape(B, n, n)) for b in (y, ys, *K)]
+    (x, J), (_, Js), (ka0, kJ0), *slots = [(b[:, :n], b[:, n:m].reshape(B, n, n))
+                                           for b in (y, ys, *K)]
     flat_update, flat_K = ys.reshape(-1), K.reshape(4, -1)
-
+    # stages 1-3 take their input from the previous stage's K at offset c = f h
+    stages = tuple(zip(slots, K[:3], (0.5, 0.5, 1.0)))
     weights = {}  # the update weights of each distinct step
     snaps = []
     s = 0.0
     for target in [t] if record_times is None else record_times:
         for h in _step_schedule(target - s, config.step):
-            for k, (ka, kJ) in enumerate(slots):
-                if k == 0:
-                    yin, Jin, tau = y, J, t - s
-                else:
-                    c = h if k == 3 else 0.5 * h
-                    np.multiply(K[k - 1], -c, out=ys)  # dz/ds = -K
-                    ys += y
-                    yin, Jin, tau = ys, Js, t - (s + c)
-                a, Da = field(yin, tau)
+            w = weights.get(h)
+            if w is None:
+                w = weights[h] = RK4_WEIGHTS * (-h / 6.0)
+            a, Da = field(y, t - s)
+            ka0[...] = a
+            np.matmul(Da, J, out=kJ0)
+            for (ka, kJ), Kprev, f in stages:
+                c = f * h
+                np.multiply(Kprev, -c, out=ys)  # dz/ds = -K
+                ys += y
+                a, Da = field(ys, t - (s + c))
                 ka[...] = a
-                np.matmul(Da, Jin, out=kJ)
-            if h not in weights:
-                weights[h] = RK4_WEIGHTS * (-h / 6.0)
-            np.dot(weights[h], flat_K, out=flat_update)
+                np.matmul(Da, Js, out=kJ)
+            np.dot(w, flat_K, out=flat_update)
             y += ys
             s += h
             _check_escape(y, n, config.escape_norm)
@@ -316,10 +327,18 @@ def _selected(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return basis[:, keep] if basis.ndim == 2 else basis * keep[..., None, :]
 
 
+def _svd(A: np.ndarray, **kwargs):
+    """np.linalg.svd; LAPACK does not converge on a matrix past the float range."""
+    try:
+        return np.linalg.svd(A, **kwargs)
+    except np.linalg.LinAlgError:
+        raise OverflowError("SVD did not converge: a matrix past the float range") from None
+
+
 def orthonormal_basis(columns: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column span, via SVD with relative threshold."""
     A = np.atleast_2d(np.asarray(columns, dtype=float))
-    U, S, _ = np.linalg.svd(A, full_matrices=False)
+    U, S, _ = _svd(A, full_matrices=False)
     # S is sorted, so S_0 = 0 keeps nothing
     return _selected(U, S > tol * S[..., :1])
 
@@ -328,14 +347,14 @@ def span_residual(cols_a: np.ndarray, cols_b: np.ndarray):
     """Operator-norm distance of the orthogonal projectors of two spans."""
     Qa, Qb = orthonormal_basis(cols_a), orthonormal_basis(cols_b)
     D = Qa @ np.swapaxes(Qa, -1, -2) - Qb @ np.swapaxes(Qb, -1, -2)
-    r = np.linalg.svd(D, compute_uv=False)[..., 0]
+    r = _svd(D, compute_uv=False)[..., 0]
     return float(r) if r.ndim == 0 else r
 
 
 def nullspace_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, via full SVD with relative threshold RANK_TOL."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    _, S, Vt = np.linalg.svd(A)
+    _, S, Vt = _svd(A)
     # the rows of Vt past the rank; S_0 = 0 means rank 0
     keep = np.ones(Vt.shape[:-1], dtype=bool)
     keep[..., : S.shape[-1]] = ~(S > RANK_TOL * S[..., :1])
@@ -365,20 +384,23 @@ def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.
     return np.concatenate([K[..., :k, :], nu], axis=-2)
 
 
-def gauge_inverse(A: np.ndarray, points, message: str) -> np.ndarray:
+def gauge_inverse(A: np.ndarray, points, message: str, *args) -> np.ndarray:
     """(I + Pi W)^{-1} of one gauge matrix A or a stack, refused by
-    TransversalityError(message, point) at the first point where A is exactly
-    singular or A^{-1} has an entry above 1 / RANK_TOL.  A non-finite A gives
-    no verdict: the NaN entries of its inverse pass on to the residual."""
+    TransversalityError(message.format(*args), point) at the first point where
+    A is exactly singular or A^{-1} has an entry above 1 / RANK_TOL.  A
+    non-finite A gives no verdict: its inverse's NaN entries reach the residual."""
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:  # exactly singular: the first failing matrix raises
         if A.ndim == 2:
-            raise TransversalityError(message, points) from None
-        return np.stack([gauge_inverse(a, x, message) for a, x in zip(A, points)])
-    big = np.abs(inv) > 1 / RANK_TOL
+            raise TransversalityError(message.format(*args), points) from None
+        return np.stack([gauge_inverse(a, x, message, *args) for a, x in zip(A, points)])
+    mag = np.abs(inv)
+    if mag.max(initial=0.0) <= 1 / RANK_TOL:  # false for a NaN entry: the mask decides
+        return inv
+    big = mag > 1 / RANK_TOL
     if big.any():
-        raise TransversalityError(message, points if A.ndim == 2
+        raise TransversalityError(message.format(*args), points if A.ndim == 2
                                   else points[int(big.any(axis=(1, 2)).argmax())])
     return inv
 

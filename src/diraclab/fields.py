@@ -74,6 +74,8 @@ def _frac(x) -> Fraction:
 
 def sort_index(idx: Sequence[int]):
     """Sort an index tuple, returning (sorted tuple, sign) or (None, 0) on repeats."""
+    if len(idx) < 2:  # already sorted, with no repeat
+        return tuple(idx), 1
     idx = list(idx)
     sign = 1
     # insertion sort; counts transpositions

@@ -495,7 +495,7 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
 
     def split(x, t, vals, parts):
         P, A = vals[:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
-        return P, gauge_inverse(A, x, f"gauge family degenerate at t={t}"), vals[:, :n], parts
+        return P, gauge_inverse(A, x, "gauge family degenerate at t={}", t), vals[:, :n], parts
 
     def gauge(pts, t):
         return split(pts, t, *packed(pts, t))

@@ -1,10 +1,13 @@
-"""The benchmark's `exact` tasks replayed in tier-1.
+"""The benchmark's tasks replayed in tier-1.
 
 For two seeds every task of the `exact` workload runs once, and its check and
 output digest are compared with `perfbench/expected_digests.json` by the
 harness's own `worker.check_pass`, so a change of any exact output fails here
-and not only at the benchmark's correctness gate.  The harness is only read:
-the digests are recorded by `perfbench/record_digests.py`, never by a test.
+and not only at the benchmark's correctness gate.  One task of each kind of
+the numeric workloads (`realize`, `gauge-group`; the harness's smoke list)
+runs through the same checks, which bound their residuals.  The harness is
+only read: the digests are recorded by `perfbench/record_digests.py`, never
+by a test.
 """
 
 import json
@@ -35,3 +38,12 @@ def test_exact_tasks_match_the_recorded_digests(harness, seed, tmp_path):
     assert len(tasks) == len(expected)
     results = [(task.run(), None) for task in tasks]
     assert worker.check_pass(tasks, results, expected) == []
+
+
+@pytest.mark.parametrize("workload", ["realize", "gauge-group"])
+def test_numeric_smoke_tasks_pass_their_checks(harness, workload, tmp_path):
+    worker, workloads = harness
+    tasks = workloads.make_tasks(workload, 1, str(tmp_path), smoke=True)
+    assert tasks
+    results = [(task.run(), None) for task in tasks]
+    assert worker.check_pass(tasks, results, None) == []

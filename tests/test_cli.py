@@ -576,6 +576,25 @@ class TestMalformedInput:
         self.check_exit_2(capsys, ["moser", "--poisson", workdir["xdxdy.json"], "--a-form",
                                    str(p), "--grid-count", "2", "--step", "1e-2"])
 
+    def test_a_matrix_past_the_float_range_in_an_svd(self, capsys, tmp_path):
+        # u -> (1e300 u, 2v, uv/3) at u = 1e10: the differential overflows, and
+        # the pullback's SVD used to end in an uncaught LinAlgError
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"source": 2, "target": 3, "components": [
+            [{"exp": [1, 0], "num": 10**300, "den": 1}],
+            [{"exp": [0, 1], "num": 2, "den": 1}],
+            [{"exp": [1, 1], "num": 1, "den": 3}]]}))
+        pi = tmp_path / "so3.json"
+        pi.write_text(json.dumps(jsonio.tensor_to_json(lie_poisson(so3_constants(), 3).pi)))
+        with pytest.warns(RuntimeWarning):
+            code = run(["dirac", "pullback", "--map", str(phi), "--poisson", str(pi),
+                        "--point", "1e10,0.2"])
+        captured = capsys.readouterr()
+        report = strict_loads(captured.out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert code == 2 and "float range" in report["error"]
+        assert captured.err == ""
+
     def test_zero_denominator_through_the_entry_point(self, tmp_path):
         data = self.tensor()
         data["components"][0]["poly"][0]["den"] = 0

@@ -7,7 +7,7 @@ import pytest
 
 from diraclab import _numeric
 from diraclab._numeric import FlowConfig, PackedPolys, compile_tensors
-from diraclab.errors import ShapeError
+from diraclab.errors import DomainEscapeError, ShapeError, TransversalityError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.poisson import (
     TimePolyForm,
@@ -533,6 +533,88 @@ class TestStackedHelpers:
             assert np.abs(nu - J[b].T @ forms[b] @ c).max() < 1e-12
 
 
+def reference_check_escape(y, n, escape_norm):
+    """The escape check as it was before its one-dot test: every state runs
+    the finiteness sum, the row norms and their largest."""
+    if not math.isfinite(y.sum()) and not np.all(np.isfinite(y)):
+        raise DomainEscapeError("trajectory diverged", None)
+    x = y[:, :n]
+    sq = np.einsum("ij,ij->i", x, x)
+    if math.sqrt(sq.max()) > escape_norm:
+        raise DomainEscapeError("trajectory left the admissible region", x[int(sq.argmax())])
+
+
+def escape_verdict(check, y, n, escape_norm):
+    """None, or the (type, message, point) that check raises."""
+    try:
+        check(y, n, escape_norm)
+    except DomainEscapeError as e:
+        return type(e), str(e), e.point
+    return None
+
+
+def escape_state(n=3, B=4, x_scale=0.5):
+    """A flow state [x | J | 1] with J near I."""
+    rng = np.random.default_rng(7)
+    J = np.eye(n).ravel() + 0.1 * rng.standard_normal((B, n * n))
+    return np.hstack([x_scale * rng.standard_normal((B, n)), J, np.ones((B, 1))])
+
+
+# name -> {(row, column): value} written into escape_state(); x is columns 0-2
+ESCAPE_EDITS = {
+    "in bounds": {},
+    "NaN only in J": {(1, 5): math.nan},
+    "inf in x": {(2, 0): math.inf},
+    "-inf in J": {(0, 4): -math.inf},
+    "squares overflow in x": {(3, 1): 1e200, (0, 2): -1e200},
+    "squares overflow in J": {(3, 7): 1e200},
+    "the sum overflows": {(1, 3): 1.5e308, (1, 4): 1.5e308},
+}
+
+
+class TestEscapeCheck:
+    """The one-dot escape test gives every verdict, message and point of the
+    full check, and the full check runs only when the dot does not decide."""
+
+    @pytest.mark.parametrize("escape_norm", [1e6, 2.0, 0.5, math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("state", list(ESCAPE_EDITS))
+    def test_same_verdict_as_the_full_check(self, state, escape_norm):
+        y = escape_state()
+        for cell, value in ESCAPE_EDITS[state].items():
+            y[cell] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = escape_verdict(_numeric._check_escape, y, 3, escape_norm)
+            assert got == escape_verdict(reference_check_escape, y, 3, escape_norm)
+
+    @pytest.mark.parametrize("escape_norm", [1e6, 50.0, 1.0, 1e150])
+    @pytest.mark.parametrize("side", [-2, -1, 0, 1, 2])
+    def test_one_row_at_the_ball_boundary(self, escape_norm, side):
+        # row 2 has |x| = escape_norm moved by `side` ulps; the other rows are small
+        r = escape_norm
+        for _ in range(abs(side)):
+            r = np.nextafter(r, math.inf if side > 0 else 0.0)
+        y = escape_state(x_scale=1e-3)
+        y[2, :3] = (0.0, r, 0.0)
+        want = escape_verdict(reference_check_escape, y, 3, escape_norm)
+        assert (want is None) == (side <= 0)
+        assert escape_verdict(_numeric._check_escape, y, 3, escape_norm) == want
+
+    def test_the_full_check_never_runs_on_an_in_bounds_flow(self, monkeypatch):
+        from diraclab.realization import default_spray, flow
+
+        # the row norms of the full check are the only einsum in a spray flow
+        full = []
+        real_einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: full.append(1) or real_einsum(*a, **k))
+        spray = default_spray(lie_poisson(so3_constants(), 3))
+        x0 = np.random.default_rng(1).uniform(-0.5, 0.5, size=(64, 6))
+        x, _ = flow(spray, x0, 1.0, RealizationConfig(step=0.01))
+        assert np.isfinite(x).all() and full == []
+        with pytest.raises(DomainEscapeError, match="left the admissible region"):
+            flow(spray, x0, 1.0, RealizationConfig(step=0.01, escape_norm=0.5))
+        assert full == [1]
+
+
 @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
 def test_a_step_that_is_not_finite_and_positive_is_rejected(step):
     # moser --step 0 and linearize --step -1 used to raise a bare ValueError,
@@ -565,8 +647,6 @@ class TestGaugeInverse:
     @pytest.mark.parametrize("A", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
                                    1e-11 * np.eye(2)], ids=["zero", "rank-1", "tiny"])
     def test_first_refused_point_is_named(self, A):
-        from diraclab.errors import TransversalityError
-
         pts = np.arange(8.0).reshape(4, 2)
         with pytest.raises(TransversalityError, match="not transverse") as e:
             _numeric.gauge_inverse(np.stack([np.eye(2), A, np.eye(2), A]), pts, "not transverse")
@@ -579,6 +659,31 @@ class TestGaugeInverse:
         A = np.stack([np.eye(2), np.full((2, 2), np.nan)])
         inv = _numeric.gauge_inverse(A, np.zeros((2, 2)), "m")
         assert np.array_equal(inv[0], np.eye(2)) and np.isnan(inv[1]).all()
+
+    def test_a_non_finite_matrix_beside_a_refused_one(self):
+        # the NaN entries fail the one-bound test, and the mask names the tiny A
+        A = np.stack([np.full((2, 2), np.nan), 1e-11 * np.eye(2)])
+        with pytest.raises(TransversalityError) as e:
+            _numeric.gauge_inverse(A, np.arange(4.0).reshape(2, 2), "m")
+        assert e.value.point == (2.0, 3.0)
+
+    @pytest.mark.parametrize("A, formats", [(np.eye(2), 0), (np.zeros((2, 2)), 1),
+                                            (1e-11 * np.eye(2), 1)],
+                             ids=["passed", "singular", "tiny"])
+    def test_the_message_is_formatted_only_to_refuse(self, A, formats):
+        class Message(str):
+            formats = 0
+
+            def format(self, *args):
+                Message.formats += 1
+                return super().format(*args)
+
+        msg = Message("gauge family degenerate at t={}")
+        try:
+            _numeric.gauge_inverse(np.stack([A, A]), np.zeros((2, 2)), msg, 0.25)
+        except TransversalityError as e:
+            assert str(e) == "gauge family degenerate at t=0.25"
+        assert Message.formats == formats
 
     def test_gauge_fiber_shears_the_form_part(self):
         rng = np.random.default_rng(0)
