@@ -7,15 +7,16 @@ every column, and with partials=True every partial in a variable the column
 contains, from one monomial table and one matmul.  `compile_tensors` lays out
 tensors as its columns.  The table gathers from any array whose first n
 columns are x and whose last column is 1: `__call__` checks its points and
-builds [x, 1], and `at_state` reads a flow state as it is.
-A time-dependent one keeps its last (t, C(t)) as one tuple, which one store
-swaps whole; RK4 repeats stage times, so a flow forms C(t) about twice per
-step instead of four times, bitwise as before.
+builds [x, 1], `at_state` reads a flow state as it is, and `bind` serves a
+flow.  A time-dependent one keeps its last (t, C(t)) as one tuple, which one
+store swaps whole; RK4 repeats stage times, so a flow forms C(t) about twice
+per step instead of four times, bitwise as before.
 
 One flow function, `flow_points(field, x0, t, config)`, with one field
-protocol: field(state, tau) -> (a, Da) reads x from the first n columns of
-the stage state.  `PackedPolys.at_state` serves it directly, and a closure
-(the Moser field) reads x as state[:, :n] and calls the same entry.  A vector
+protocol: a binder field(state, row) -> write, whose write(tau) fills row
+with [a | Da J] at the bound state.  `PackedPolys.bind` (one gather, one
+matmul into its own [a | Da], one copy of a, one matmul into the Da J slot)
+and the Moser binder take their views from `_stage_slots`.  A vector
 field with coefficient functions a(x) generates the flow Phi_t whose
 trajectories solve dx/dt = -a(x).  For a time-dependent field the flow is
 defined through its action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t};
@@ -25,8 +26,8 @@ s = 0 to s = t.  A field that does not depend on time ignores tau, and this
 is dx/dt = -a(x).  The RK4 state, with the variational equations
 dJ/ds = -Da J, is one contiguous (B, n + n^2 + 1) array of rows [x | J | 1].
 A call allocates once the state, one stage input and the stage derivatives K,
-(4, B, n + n^2 + 1) with rows [a | Da J | 0]: each stage is one field call
-that writes a and Da J, unnegated, into its slot.  As the last column of K
+(4, B, n + n^2 + 1) with rows [a | Da J | 0], and binds each stage once:
+stage k writes a and Da J, unnegated, into K[k].  As the last column of K
 is 0, every stage input y - c K and every update keeps the state's last
 column at exactly 1.0, so the field reads the stage buffer itself, and all
 stage arithmetic runs on whole contiguous arrays.  The sign of dz/ds is
@@ -191,19 +192,40 @@ class PackedPolys:
         ext[..., -1] = 1.0
         return self.at_state(ext, t)
 
-    def at_state(self, state: np.ndarray, t: float = 0.0):
-        """Values at the x = state[..., :dim] of an array whose last column is
-        1, such as a flow state [x | J | 1]; its shape is not checked.  This is
-        the field protocol of `flow_points`."""
+    def _coefs_at(self, t: float) -> np.ndarray:
+        """C(t), formed only when t differs from the last time."""
         memo = self._memo  # read once: one store swaps the (t, C(t)) pair
         if self.powers is not None and memo[0] != t:
             C = self.coefs
             memo = self._memo = (t, (t**self.powers @ C.reshape(len(C), -1)).reshape(C.shape[1:]))
-        out = self.monomials(state) @ memo[1]
+        return memo[1]
+
+    def at_state(self, state: np.ndarray, t: float = 0.0):
+        """Values at the x = state[..., :dim] of an array whose last column is
+        1, such as a flow state [x | J | 1]; its shape is not checked."""
+        out = self.monomials(state) @ self._coefs_at(t)
         if not self.partials:
             return out
         w = self.width
         return out[..., :w], out[..., w:].reshape(state.shape[:-1] + (w, self.dim))
+
+    def bind(self, state: np.ndarray, row: np.ndarray):
+        """The `flow_points` field of a vector field's table (partials, width
+        dim): write(tau) fills row with [a | Da J] at the bound state."""
+        n = self.dim
+        if not self.partials or self.width != n:
+            raise ShapeError(f"a flow field needs {n} columns with partials, not {self.width} "
+                             f"{'with' if self.partials else 'without'} partials")
+        ka, kJ, J = _stage_slots(state, row, n)
+        out = np.empty((len(state), n + n * n))  # [a | Da], Da row-major
+        a, Da = out[:, :n], out[:, n:].reshape(-1, n, n)
+
+        def write(t):
+            np.matmul(self.monomials(state), self._coefs_at(t), out=out)
+            ka[...] = a
+            np.matmul(Da, J, out=kJ)
+
+        return write
 
 
 def compile_tensors(tensors, partials: bool = False) -> PackedPolys:
@@ -271,11 +293,18 @@ def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
         raise DomainEscapeError("trajectory left the admissible region", x[int(sq.argmax())])
 
 
+def _stage_slots(state: np.ndarray, row: np.ndarray, n: int):
+    """A stage writer's views: row's a and Da J slots and the state's J."""
+    m, B = n + n * n, len(state)
+    return row[:, :n], row[:, n:m].reshape(B, n, n), state[:, n:m].reshape(B, n, n)
+
+
 def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
-    """Flow map Phi_t of the field with field(state, tau) -> (a, Da).
+    """Flow map Phi_t of the field with binder field(state, row) -> write.
 
     RK4 for dx/ds = -a(x, t - s) and dJ/ds = -Da(x, t - s) J from s = 0, J = I
-    (see the module docstring).  x0 may be a single point or a batch (B, n).
+    (see the module docstring); write(tau) fills row[:, :n + n^2] with
+    [a | Da J] at the bound state.  x0 may be a single point or a batch (B, n).
     Returns (x, J) at time t, or, if record_times is given (running
     monotonically away from 0), the list of (x, J) snapshots at those times.
     """
@@ -289,11 +318,11 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
     y[:, :n], y[:, n:m], y[:, m] = x0, np.eye(n).ravel(), 1.0
     ys = np.empty_like(y)
     K = np.zeros((4,) + y.shape)
-    (x, J), (_, Js), (ka0, kJ0), *slots = [(b[:, :n], b[:, n:m].reshape(B, n, n))
-                                           for b in (y, ys, *K)]
+    x, J = y[:, :n], y[:, n:m].reshape(B, n, n)
     flat_update, flat_K = ys.reshape(-1), K.reshape(4, -1)
-    # stages 1-3 take their input from the previous stage's K at offset c = f h
-    stages = tuple(zip(slots, K[:3], (0.5, 0.5, 1.0)))
+    # stage 0 reads y; stages 1-3 read ys = y - c K_prev at offset c = f h
+    write0 = field(y, K[0])
+    stages = tuple(zip([field(ys, row) for row in K[1:]], K[:3], (0.5, 0.5, 1.0)))
     weights = {}  # the update weights of each distinct step
     snaps = []
     s = 0.0
@@ -302,16 +331,12 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
             w = weights.get(h)
             if w is None:
                 w = weights[h] = RK4_WEIGHTS * (-h / 6.0)
-            a, Da = field(y, t - s)
-            ka0[...] = a
-            np.matmul(Da, J, out=kJ0)
-            for (ka, kJ), Kprev, f in stages:
+            write0(t - s)
+            for write, Kprev, f in stages:
                 c = f * h
                 np.multiply(Kprev, -c, out=ys)  # dz/ds = -K
                 ys += y
-                a, Da = field(ys, t - (s + c))
-                ka[...] = a
-                np.matmul(Da, Js, out=kJ)
+                write(t - (s + c))
             np.dot(w, flat_K, out=flat_update)
             y += ys
             s += h

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -512,55 +513,58 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    started = time.perf_counter()
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": list(argv),
-        "seed": 0,
-        "criteria": [],
-    }
-    args = None
-    try:
-        args = build_parser().parse_args(argv)
-        report["seed"] = args.seed
-        _check_options(args)
-        criteria, result = _HANDLERS[args.cmd](args)
-        report["criteria"] = criteria
-        if result:
-            report["result"] = result
-        code = 0 if all(c["status"] == "pass" for c in criteria) else 1
-    except InputError as e:
-        report["error"] = str(e)
-        code = 2
-    except (DomainEscapeError, TransversalityError) as e:
-        report["error"] = str(e)
-        if e.point is not None:
-            report["error_point"] = list(e.point)
-        code = 1
-    except (DiraclabError, OverflowError) as e:  # OverflowError: an input past the float range
-        report["error"] = str(e)
-        code = 2
-    except SystemExit:  # --help printed the usage; every usage error is an InputError
-        return 0
-    report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # strict JSON cannot carry a non-finite number
-        report = {k: v for k, v in report.items() if k not in ("result", "error_point")}
-        report["criteria"] = [{k: v for k, v in c.items() if k != "witness"}
-                              for c in report["criteria"]]
-        report.setdefault("error", "the result contains a non-finite number")
-        code = max(code, 1)
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    print(text)
-    if getattr(args, "report", None):
+    # an overflow or NaN is reported in the JSON, so numpy's warnings stay off stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        started = time.perf_counter()
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": list(argv),
+            "seed": 0,
+            "criteria": [],
+        }
+        args = None
         try:
-            with open(args.report, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as e:
-            print(f"cannot write report {args.report}: {e.strerror or e}", file=sys.stderr)
-            return 2
-    return code
+            args = build_parser().parse_args(argv)
+            report["seed"] = args.seed
+            _check_options(args)
+            criteria, result = _HANDLERS[args.cmd](args)
+            report["criteria"] = criteria
+            if result:
+                report["result"] = result
+            code = 0 if all(c["status"] == "pass" for c in criteria) else 1
+        except InputError as e:
+            report["error"] = str(e)
+            code = 2
+        except (DomainEscapeError, TransversalityError) as e:
+            report["error"] = str(e)
+            if e.point is not None:
+                report["error_point"] = list(e.point)
+            code = 1
+        except (DiraclabError, OverflowError) as e:  # OverflowError: an input past the float range
+            report["error"] = str(e)
+            code = 2
+        except SystemExit:  # --help printed the usage; every usage error is an InputError
+            return 0
+        report["wall_time_s"] = round(time.perf_counter() - started, 6)
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:  # strict JSON cannot carry a non-finite number
+            report = {k: v for k, v in report.items() if k not in ("result", "error_point")}
+            report["criteria"] = [{k: v for k, v in c.items() if k != "witness"}
+                                  for c in report["criteria"]]
+            report.setdefault("error", "the result contains a non-finite number")
+            code = max(code, 1)
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        print(text)
+        if getattr(args, "report", None):
+            try:
+                with open(args.report, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as e:
+                print(f"cannot write report {args.report}: {e.strerror or e}", file=sys.stderr)
+                return 2
+        return code
 
 
 def main() -> None:

@@ -418,7 +418,9 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
     fields matches the dressing field of the bracket; (3) the Lie derivative
     of the left-invariant coframe along the dressing field equals
     Ad_{g^{-1}} pr_g([Ad_g theta^L, Ad_g zeta]).  The Jacobians of the
-    dressing fields and the partials of theta^L are exact.
+    dressing fields and the partials of theta^L are exact.  A chart-frame
+    error cancels from (1) (theta^L = G Xi meets v = (K Xi)^{-1} y); (2),
+    (3) and the Jacobiator (`jacobiator_fd_residual`) certify the frame.
     """
     alg, num = triple.algebra, _chart_numeric(triple, chart)
     G, B, gc = num["G"], num["B"], num["g_coords"]
@@ -454,7 +456,10 @@ def verify_multiplicativity(triple: ManinTriple, chart: GroupChart, pairs) -> di
 
     For each chart pair (x1, x2): compute z with g(z) = g(x1) g(x2), the jets
     at x1, x2 and z, the differential D of the composition from them, and the
-    residual | D diag(Pi(x1), Pi(x2)) D^T - Pi(z) |.
+    residual | D diag(Pi(x1), Pi(x2)) D^T - Pi(z) |.  A chart-frame error
+    cancels from it (Xi(x1), Xi(x2) against the A = P0 Xi in each Pi; Xi(z)
+    conjugates both sides): the e-map bracket and coframe derivative
+    (`e_map_residuals`) and the Jacobiator certify the frame.
     """
     _chart_numeric(triple, chart)
     n = chart.dim

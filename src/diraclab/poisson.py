@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import (FlowConfig, compile_tensors, flow_points, gauge_inverse,
+from ._numeric import (FlowConfig, _stage_slots, compile_tensors, flow_points, gauge_inverse,
                        orthonormal_basis, worst)
 from .errors import (
     ChartMismatchError,
@@ -481,8 +481,8 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
     gauge(pts, t) -> (Pi, A_t^{-1}, a_t, partials) from one packed table
     evaluation and `gauge_inverse`; velocity(Pi, A_t^{-1}, a_t, partials) ->
     (X_t, DX_t) with the exact Jacobian of moser_verify; and
-    field(state, t), the `flow_points` field, which reads x = state[:, :n] and
-    the same table from the flow state.
+    field(state, row), the `flow_points` field, whose writer reads x =
+    state[:, :n] and the same table from the flow state.
     """
     n, P = pi0.chart.dim, pi0.component_matrix()
     A_t = gauge_family(pi0, a_t.exterior_derivative().time_integral().coeffs)
@@ -508,8 +508,16 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
             -1, 2, n, n).transpose(1, 0, 2, 3)
         return (PT @ u)[..., 0], dPu + PT @ AiT @ (parts[:, :n] - dATu)
 
-    def field(state, t):
-        return velocity(*split(state[:, :n], t, *packed.at_state(state, t)))
+    def field(state, row):
+        ka, kJ, J = _stage_slots(state, row, n)
+        x = state[:, :n]
+
+        def write(t):
+            X, DX = velocity(*split(x, t, *packed.at_state(state, t)))
+            ka[...] = X
+            np.matmul(DX, J, out=kJ)
+
+        return write
 
     return gauge, velocity, field
 
@@ -561,7 +569,7 @@ def euler_linearize(
                           partials=True)
 
     pts = np.array([list(map(float, p)) for p in sample_points])
-    images, J = flow_points(Z_t.at_state, pts, 1.0, config)
+    images, J = flow_points(Z_t.bind, pts, 1.0, config)
     Xvals = pts + Z_t(pts, 1.0)[0]  # X = E + Z and Z_1 = Z
     pushed = np.einsum("bij,bj->bi", J, Xvals)
     r, x = worst(np.abs(pushed - images).max(axis=1), pts)

@@ -165,7 +165,7 @@ def canonical_symplectic_matrix(n: int) -> np.ndarray:
 
 def flow(spray: SprayField, point, t: float, config: RealizationConfig = RealizationConfig()):
     """Endpoint and Jacobian of the spray flow Phi_t from a point of T*M."""
-    return flow_points(spray.compiled().at_state, np.asarray(point, dtype=float), t,
+    return flow_points(spray.compiled().bind, np.asarray(point, dtype=float), t,
                        config.flow())
 
 
@@ -179,7 +179,7 @@ def _realization_batch(spray: SprayField, points, config: RealizationConfig):
     single = np.ndim(points) == 1
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = spray.base_dim
-    snaps = flow_points(spray.compiled().at_state, points, -1.0, config.flow(),
+    snaps = flow_points(spray.compiled().bind, points, -1.0, config.flow(),
                         record_times=_RECORD_TIMES)
     # J^T W_can J = J_q^T J_p - J_p^T J_q at every node, summed with weights
     Js = np.stack([J for _, J in snaps[:-1]])

@@ -80,6 +80,23 @@ def dense_exact(T, x) -> np.ndarray:
     return out
 
 
+def stage_field(f):
+    """A `flow_points` field from f(state, tau) -> (a, Da): the writer bound to
+    (state, row) fills row with [a | Da J] at the state, J its (B, n, n) part."""
+
+    def bind(state, row):
+        def write(tau):
+            a, Da = f(state, tau)
+            B, n = a.shape
+            J = state[:, n:n + n * n].reshape(B, n, n)
+            row[:, :n] = a
+            row[:, n:n + n * n] = (Da @ J).reshape(B, n * n)
+
+        return write
+
+    return bind
+
+
 def random_point(rng, dim, numerators=9, denominator=4):
     return tuple(Fraction(rng.randint(-numerators, numerators), denominator) for _ in range(dim))
 

@@ -18,7 +18,7 @@ calls it.  Nor does any module call `numpy.linalg.det`: a determinant is a
 product of n singular values, so a threshold on it makes a transversality
 verdict depend on the dimension (0.005 I passes in dimension 2 and fails
 below 1e-12 in dimension 6); every numeric gauge goes through
-`_numeric.gauge_inverse`, which bounds the entries of the inverse instead.  `flow_points` has one field protocol, field(state, tau), so it
+`_numeric.gauge_inverse`, which bounds the entries of the inverse instead.  `flow_points` has one field protocol, field(state, row) -> write, so it
 branches on no type; and the Gauss-Legendre rule is tabulated once, in
 `realization`, so no flow (or import) solves its eigenproblem.  The exact
 calculus has one Lie-derivative pass, `fields._lie_terms`, behind

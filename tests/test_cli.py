@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -576,24 +577,59 @@ class TestMalformedInput:
         self.check_exit_2(capsys, ["moser", "--poisson", workdir["xdxdy.json"], "--a-form",
                                    str(p), "--grid-count", "2", "--step", "1e-2"])
 
-    def test_a_matrix_past_the_float_range_in_an_svd(self, capsys, tmp_path):
-        # u -> (1e300 u, 2v, uv/3) at u = 1e10: the differential overflows, and
-        # the pullback's SVD used to end in an uncaught LinAlgError
-        phi = tmp_path / "phi.json"
-        phi.write_text(json.dumps({"source": 2, "target": 3, "components": [
+    @staticmethod
+    def float_range_files(tmp_path):
+        """so3: the so(3)* bivector; phi: u -> (1e300 u, 2v, uv/3), whose
+        differential overflows at u = 1e10."""
+        files = {"phi": tmp_path / "phi.json", "so3": tmp_path / "so3.json"}
+        files["phi"].write_text(json.dumps({"source": 2, "target": 3, "components": [
             [{"exp": [1, 0], "num": 10**300, "den": 1}],
             [{"exp": [0, 1], "num": 2, "den": 1}],
             [{"exp": [1, 1], "num": 1, "den": 3}]]}))
-        pi = tmp_path / "so3.json"
-        pi.write_text(json.dumps(jsonio.tensor_to_json(lie_poisson(so3_constants(), 3).pi)))
-        with pytest.warns(RuntimeWarning):
-            code = run(["dirac", "pullback", "--map", str(phi), "--poisson", str(pi),
+        files["so3"].write_text(json.dumps(jsonio.tensor_to_json(
+            lie_poisson(so3_constants(), 3).pi)))
+        return {k: str(v) for k, v in files.items()}
+
+    def test_a_matrix_past_the_float_range_in_an_svd(self, capsys, tmp_path):
+        # the pullback's SVD used to end in an uncaught LinAlgError
+        files = self.float_range_files(tmp_path)
+        with warnings.catch_warnings():  # numpy's overflow warnings stay inside run
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["dirac", "pullback", "--map", files["phi"], "--poisson", files["so3"],
                         "--point", "1e10,0.2"])
         captured = capsys.readouterr()
         report = strict_loads(captured.out)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert code == 2 and "float range" in report["error"]
         assert captured.err == ""
+
+    # name -> (argv, exit code, error): each overflows or turns NaN inside numpy
+    FLOAT_RANGE = {
+        "realize": (["realize", "--poisson", "{so3}", "--samples", "4", "--radius", "1e200",
+                     "--step", "0.05"], 1, "trajectory diverged"),
+        "linearize": (["linearize", "--field", "{euler}", "--radius", "1e200", "--step", "0.05"],
+                      1, "trajectory diverged"),
+        "manin-bivector": (["manin", "bivector", "--builtin", "iwasawa-su2", "--point",
+                            "1e300,0,0"], 1, "non-finite number"),
+        "manin-dressing": (["manin", "dressing", "--builtin", "iwasawa-su2", "--point",
+                            "1e300,0,0", "--zeta", "1,0,0,0,0,0"], 1, "non-finite number"),
+        "dirac-pullback": (["dirac", "pullback", "--map", "{phi}", "--poisson", "{so3}",
+                            "--point", "1e10,0.2"], 2, "float range"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_RANGE))
+    def test_float_range_reports_leave_stderr_empty(self, workdir, tmp_path, case):
+        argv, code, error = self.FLOAT_RANGE[case]
+        files = dict(self.float_range_files(tmp_path), euler=workdir["euler_field.json"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(diraclab.__file__)))
+        out = subprocess.run([sys.executable, "-m", "diraclab.cli",
+                              *[a.format(**files) for a in argv]],
+                             env=env, capture_output=True, text=True, timeout=60)
+        report = strict_loads(out.stdout)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert (out.returncode, out.stderr) == (code, "")
+        assert error in report["error"]
+        assert all(c["status"] == "fail" for c in report["criteria"])
 
     def test_zero_denominator_through_the_entry_point(self, tmp_path):
         data = self.tensor()
@@ -705,8 +741,10 @@ class TestMalformedInput:
         assert "non-finite coordinate" in rep["error"]
 
     def test_non_finite_result_is_an_error_not_nan(self, capsys):
-        # a finite but huge point overflows the group exponential
-        with pytest.warns(RuntimeWarning):
+        # a finite but huge point overflows the group exponential; its warnings
+        # stay inside run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = run(["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "1e300,0,0",
                         "--zeta", "1,0,0,0,0,0"])
         report = strict_loads(capsys.readouterr().out)

@@ -26,6 +26,8 @@ from diraclab._numeric import FlowConfig
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar, coordinate_form
 from diraclab.poisson import euler_linearize, lie_poisson, so3_constants
 
+from conftest import stage_field
+
 POINT = np.array([0.3, -0.2, 0.5, 0.4, 0.1, -0.3])
 CONFIG = real_mod.RealizationConfig(step=1e-2)
 TOL = 1e-6  # the tier-1 bound of every realization residual below
@@ -36,13 +38,11 @@ class WrappedSpray:
 
     def __init__(self, spray, edit):
         self.pi, self.base_dim = spray.pi, spray.base_dim
-        self._at_state, self._edit = spray.compiled().at_state, edit
+        at_state = spray.compiled().at_state
+        self.bind = stage_field(lambda state, t: edit(state, *at_state(state, t)))
 
     def compiled(self):
         return self
-
-    def at_state(self, state, t=0.0):
-        return self._edit(state, *self._at_state(state, t))
 
 
 def wrong_field(state, a, Da):

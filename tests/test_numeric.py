@@ -242,7 +242,7 @@ class TestTimeCoefficientMemo:
         field, _, x0, t, _ = flow_cases()[case]
         if case == "moser":  # the Moser field is a closure over its PackedPolys
             field, packed = self.moser_field(monkeypatch)
-        else:  # PackedPolys.at_state, bound to its table
+        else:  # PackedPolys.bind, bound to its table
             packed = field.__self__
         segments = [t] if record is None else [math.copysign(r, t) for r in record]
         t = segments[-1]
@@ -330,11 +330,11 @@ def flow_fields():
     out = {}
     for name, pi in sprays.items():
         packed = default_spray(pi).compiled()
-        out[name] = (packed.at_state, packed)
+        out[name] = (packed.bind, packed)
     Z_t = compile_tensors([TimePolyForm({
         0: PolyKVector(chart, 1, {(0,): x * x, (1,): x * y}),
         1: PolyKVector(chart, 1, {(0,): x * y * y})})], partials=True)
-    out["euler"] = (Z_t.at_state, Z_t)
+    out["euler"] = (Z_t.bind, Z_t)
     gauge, velocity, field = _moser_field(*so3_moser_family())
     out["moser"] = (field, lambda pts, t: velocity(*gauge(pts, t)))
     return out
@@ -384,6 +384,48 @@ class TestFlowKernel:
         assert np.array_equal(x, xb[0]) and np.array_equal(J, Jb[0])
 
 
+class TestStageBinding:
+    """flow_points binds its field once per stage and call: stage 0 to the
+    state, stages 1-3 to the one stage input, each to its own row of K; then
+    it calls the writers once per stage and step."""
+
+    @pytest.mark.parametrize("t, record", [(0.0, None), (0.02, None), (-1.0, None),
+                                           (-1.0, [-0.1, -0.45, -1.0])])
+    def test_four_binds_per_flow(self, t, record):
+        field, _, x0, _, _ = flow_cases()["spray"]
+        binds, writes = [], []
+
+        def counting(state, row):
+            binds.append((state, row))
+            write = field(state, row)
+            return lambda tau: writes.append(tau) or write(tau)
+
+        _numeric.flow_points(counting, x0, t, FlowConfig(step=0.03), record_times=record)
+        segments = [t] if record is None else record
+        steps = sum(rk4_steps(b - a, 0.03) for a, b in zip([0.0] + segments, segments))
+        assert len(binds) == 4 and len(writes) == 4 * steps
+        (y, _), *inputs = binds
+        assert all(state is inputs[0][0] and state is not y for state, _ in inputs)
+        rows = [row for _, row in binds]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1:])
+
+    @pytest.mark.parametrize("case", ["values-only", "one-column", "bivector"])
+    def test_a_table_that_is_not_a_vector_field_is_refused_at_bind_time(self, case):
+        chart = Chart(2)
+        x, y = chart.coordinates()
+        packed = {
+            "values-only": lambda: compile_tensors([PolyKVector(chart, 1, {(0,): x * y})]),
+            "one-column": lambda: PackedPolys([{0: x * y}], 2, partials=True),
+            "bivector": lambda: compile_tensors([from_components(chart, {(0, 1): x}).pi],
+                                                partials=True),
+        }[case]()
+        with pytest.raises(ShapeError, match="flow field"):
+            packed.bind(np.ones((1, 7)), np.zeros((1, 7)))
+        # refused before any step: a flow over t = 0 takes none
+        with pytest.raises(ShapeError, match="flow field"):
+            _numeric.flow_points(packed.bind, np.zeros(2), 0.0, FlowConfig())
+
+
 # name -> (start points drawn uniformly from [-r, r]^n, t, record times)
 REFERENCE_FLOWS = {
     "xdxdy-spray": (4, 0.5, -1.0, [-0.1, -0.45, -1.0]),
@@ -420,7 +462,7 @@ class TestFlowStateLayout:
         field = compile_tensors([PolyKVector(chart, 1, {(0,): PolyScalar.constant(chart, 1)})],
                                 partials=True)
         x0 = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 0.0]])
-        got = _numeric.flow_points(field.at_state, x0, 3.0, FlowConfig(step=0.75),
+        got = _numeric.flow_points(field.bind, x0, 3.0, FlowConfig(step=0.75),
                                    record_times=record)
         for T, (x, J) in zip(record or [3.0], [got] if record is None else got):
             # each snapshot is its own (B, n) and (B, n, n), without the state's 1
@@ -629,7 +671,7 @@ def test_a_step_that_is_not_finite_and_positive_is_rejected(step):
 def test_a_flow_over_the_step_cap_is_refused(t):
     field = compile_tensors([PolyKVector(Chart(1), 1, {})], partials=True)
     with pytest.raises(ShapeError, match="steps"):
-        _numeric.flow_points(field.at_state, np.zeros(1), t, FlowConfig())
+        _numeric.flow_points(field.bind, np.zeros(1), t, FlowConfig())
 
 
 class TestGaugeInverse:

@@ -415,7 +415,7 @@ class TestEulerLinearize:
 
         cf = compile_tensors([X], partials=True)
         t = 0.37
-        moved, _ = flow_points(cf.at_state, pts, t, FC(step=1e-3))
+        moved, _ = flow_points(cf.bind, pts, t, FC(step=1e-3))
         rep2 = euler_linearize(X, moved, FlowConfig(step=1e-3))
         assert np.abs(rep2.images - np.exp(-t) * rep.images).max() < 1e-6
 

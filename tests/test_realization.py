@@ -26,7 +26,7 @@ from diraclab.realization import (
     verify_dual_pair,
 )
 
-from conftest import exact_at
+from conftest import exact_at, stage_field
 
 
 def xdxdy():
@@ -316,7 +316,7 @@ class TestDomainEscape:
             return np.full_like(x, np.nan), np.zeros(x.shape + (2,))
 
         with pytest.raises(DomainEscapeError, match="diverged"):
-            flow_points(field, np.zeros((2, 2)), 0.1, FlowConfig(step=0.05))
+            flow_points(stage_field(field), np.zeros((2, 2)), 0.1, FlowConfig(step=0.05))
 
 
 class TestCriteriaTrackTogether:
