@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import jsonio
-from ._numeric import CriterionResult, FlowConfig, gauge_fiber, span_residual, worst
+from ._numeric import CriterionResult, FlowConfig, gauge_fiber, span_residual
 from .errors import DiraclabError, DomainEscapeError, TransversalityError
 from .fields import Chart, PolyKForm, PolyKVector
 from .poisson import (
@@ -183,6 +183,12 @@ def exact_criterion(name, ok, witness=None):
     return out
 
 
+def _components_json(components):
+    """Nonzero exact components keyed "a+b+c" by their 1-based index."""
+    return {"+".join(str(i + 1) for i in idx): jsonio.poly_to_json(p)
+            for idx, p in components.items()}
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -192,14 +198,7 @@ def _cmd_poisson(args):
         J = jacobiator(pi)
         ok = J.is_zero()
         crit = exact_criterion("jacobi-identity", ok)
-        result = {}
-        if not ok:
-            witness = {
-                "+".join(str(i + 1) for i in idx): jsonio.poly_to_json(p)
-                for idx, p in J.components.items()
-            }
-            result["jacobiator_components"] = witness
-        return [crit], result
+        return [crit], {} if ok else {"jacobiator_components": _components_json(J.components)}
     if args.poisson_cmd == "jacobiator":
         J = jacobiator(pi)
         return [], {"jacobiator": jsonio.tensor_to_json(J), "is_zero": J.is_zero()}
@@ -237,11 +236,10 @@ def _cmd_dirac(args):
             if not args.frame:
                 raise InputError("need --poisson or --frame")
             E = _frame_from_json(_load_json(args.frame))
-        pts = (np.array([_parse_point(p, E.chart.dim) for p in args.point]) if args.point
-               else np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=(5, E.chart.dim)))
-        T = dirac_mod.integrability_tensor(E, pts)
-        r, pt = worst(np.abs(T).reshape(len(pts), -1).max(axis=1), pts)
-        return [criterion("courant-integrability", r, args.tol, pt)], {}
+        # the seeded point where the frame's rank is taken
+        pt = np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=E.chart.dim)
+        T = dirac_mod.integrability_tensor(E, pt)
+        return [exact_criterion("courant-integrability", not T, _components_json(T) or None)], {}
     if args.dirac_cmd == "gauge":
         pi = _load_bivector(args.poisson)
         omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
@@ -447,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = ds.add_parser("check-integrability", parents=[common])
     q.add_argument("--poisson")
     q.add_argument("--frame")
-    q.add_argument("--point", action="append")
     q = ds.add_parser("gauge", parents=[common])
     q.add_argument("--poisson", required=True)
     q.add_argument("--omega", required=True)

@@ -1,6 +1,10 @@
 """The generalized tangent bundle TM + T*M: pairing, Courant bracket,
 Lagrangian frames, integrability, gauge transformations and pullbacks.
 
+A frame's Lagrangian condition and its integrability are decided exactly:
+the Gram matrix and the Courant tensor <s_a, [[s_b, s_c]]> either are zero
+polynomials or are not, and the rank is taken at one rational point.
+
 Fiber vectors are written (v, mu) and stacked as 2n-vectors with the tangent
 part first.  The split-signature pairing is
     <v1 + mu1, v2 + mu2> = <mu1, v2> + <mu2, v1>,
@@ -16,11 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import (RANK_TOL, PackedPolys, gauge_fiber, gauge_inverse, orthonormal_basis,
+from ._numeric import (PackedPolys, gauge_fiber, gauge_inverse, orthonormal_basis,
                        pullback_fiber, worst)
 from .errors import (
     ChartMismatchError,
     DegreeError,
+    DomainEscapeError,
     PreconditionError,
     ShapeError,
     TransversalityError,
@@ -32,6 +37,7 @@ from .fields import (
     PolyMap,
     PolyScalar,
     _lie_terms,
+    _rank,
     _sum_buckets,
     coordinate_form,
     coordinate_vector,
@@ -191,16 +197,16 @@ class LagrangianFrame:
         return [[pairing(a, b) for b in self.sections] for a in self.sections]
 
     def check_lagrangian(self, point):
-        """Rank-n and Gram-zero check of the fiber at a point.
-
-        Both are scale-free: the rank counts singular values above RANK_TOL
-        times the largest, and the Gram matrix is measured against
-        RANK_TOL |V|^2.
-        """
-        V = self.value_at(point)
-        gram = pairing_gram(V)
-        return (orthonormal_basis(V).shape[1] == self.chart.dim
-                and np.abs(gram).max() < RANK_TOL * np.abs(V).max() ** 2)
+        """Exact Lagrangian check: every entry of `gram_polynomials` is the
+        zero polynomial, and the n sections have rank n at the point, taken
+        as the exact rational value of each float coordinate."""
+        if not all(p.is_zero() for row in self.gram_polynomials() for p in row):
+            return False
+        pt = [Fraction(float(x)) for x in point]
+        n = self.chart.dim
+        columns = [[p.evaluate_exact(pt) if (p := part.components.get((i,))) else 0
+                    for part in (s.X, s.alpha) for i in range(n)] for s in self.sections]
+        return _rank(columns) == n
 
 
 def pairing_gram(V: np.ndarray) -> np.ndarray:
@@ -231,28 +237,27 @@ def graph_of_form(omega: PolyKForm) -> LagrangianFrame:
     return LagrangianFrame(chart, sections=sections)
 
 
-def integrability_tensor(E: LagrangianFrame, points) -> np.ndarray:
-    """Frame components of <s_a, [[s_b, s_c]]> at a point (n, n, n) or a
-    batch of points (B, n, n, n).
+def integrability_tensor(E: LagrangianFrame, point) -> dict:
+    """The nonzero exact components {(a, b, c): <s_a, [[s_b, s_c]]>} over
+    a < b < c.
 
-    Totally antisymmetric; identically zero on a neighborhood iff the frame
-    spans a Dirac structure there.  The n(n-1)/2 brackets and their pairings
-    are formed exactly once per call and compiled into one table.
+    On a Lagrangian frame the tensor is totally antisymmetric, so these
+    components decide it: the frame spans a Dirac structure wherever it is
+    Lagrangian iff the dict is empty.  For Gr(pi) they are the components of
+    `jacobiator(pi)`.  The point is where `check_lagrangian` takes the rank;
+    one bracket is formed per pair b < c that some a < b pairs with.
     """
-    points = np.asarray(points, dtype=float)
-    if not all(E.check_lagrangian(pt) for pt in np.atleast_2d(points)):
+    if not E.check_lagrangian(point):
         raise PreconditionError("frame is not Lagrangian at the given point")
-    n = len(E.sections)
-    columns = [{} for _ in range(n**3)]  # [a, b, c] row-major
-    for b in range(n):
-        for c in range(b + 1, n):
-            br = courant_bracket(E.sections[b], E.sections[c])
-            for a in range(n):
-                p = pairing(E.sections[a], br)
+    s, out = E.sections, {}
+    for b in range(1, len(s)):
+        for c in range(b + 1, len(s)):
+            br = courant_bracket(s[b], s[c])
+            for a in range(b):
+                p = pairing(s[a], br)
                 if p:
-                    columns[(a * n + b) * n + c], columns[(a * n + c) * n + b] = {0: p}, {0: -p}
-    out = PackedPolys(columns, n)(points)
-    return out.reshape(out.shape[:-1] + (n, n, n))
+                    out[(a, b, c)] = p
+    return out
 
 
 def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> np.ndarray:
@@ -261,7 +266,7 @@ def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> n
     V0 = E.value_at(point)
     V = gauge_fiber(V0, gauge.matrix_at(point))
     if np.abs(pairing_gram(V) - pairing_gram(V0)).max() > 1e-12 * max(1.0, np.abs(V).max() ** 2):
-        raise AssertionError("gauge transform failed to preserve the pairing")
+        raise DomainEscapeError("gauge transform failed to preserve the pairing", point)
     return V
 
 

@@ -29,7 +29,9 @@ class TransversalityError(DiraclabError):
 
 
 class DomainEscapeError(DiraclabError):
-    """A trajectory left the declared admissible neighborhood."""
+    """A computation left the region where it stays accurate: a trajectory
+    left its admissible neighborhood, or a structure that holds exactly was
+    lost to rounding."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -127,6 +127,36 @@ def accumulate_signed(acc: dict, idx, value) -> None:
         accumulate(acc, sidx, value if sign == 1 else -value)
 
 
+def _rank(vectors) -> int:
+    """Rank of a list of rational vectors by fraction-free (Bareiss) elimination.
+
+    Each vector is scaled to integers by the lcm of its denominators; each
+    update divides exactly by the previous pivot, and zero columns are skipped.
+    """
+    rows = []
+    for v in vectors:
+        m = math.lcm(*(x.denominator for x in v))
+        row = [x.numerator * (m // x.denominator) for x in v]
+        if any(row):
+            rows.append(row)
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 class Chart:
     """A coordinate chart on R^n, identified by dimension and coordinate names.
 

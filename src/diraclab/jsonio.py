@@ -88,14 +88,6 @@ def tensor_from_json(data, chart: Chart | None = None):
     return cls(chart, k, comps)
 
 
-def map_to_json(phi: PolyMap) -> dict:
-    return {
-        "source": phi.source.dim,
-        "target": phi.target.dim,
-        "components": [poly_to_json(p) for p in phi.components],
-    }
-
-
 @decoder
 def map_from_json(data) -> PolyMap:
     src = Chart(dimension(data, "source"))

@@ -3,7 +3,8 @@ criteria they induce on group charts.
 
 Algebraic checks (Jacobi, ad-invariance of the metric, Lagrangian subalgebra
 conditions, l cap g = k) run in exact rational arithmetic; every subspace
-axiom among them is a comparison of ranks from one fraction-free `_rank`.
+axiom among them is a comparison of ranks from one fraction-free
+`fields._rank`.
 Group-level data is numeric and numpy-only.  Chart points are exponential
 coordinates in a basis of g.  One matrix exponential, `_expm`, serves
 every group quantity.  One `_PointJet` per point forms, from `chart.triple`,
@@ -23,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from ._numeric import worst
-from .errors import ShapeError
-from .fields import accumulate
+from .errors import DomainEscapeError, ShapeError
+from .fields import _rank, accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
 
 GROUP_TOL = 1e-9  # pass bound of the numeric chart validation and Ad_K-invariance checks
@@ -46,36 +47,6 @@ def _expm(A: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
-
-
-def _rank(vectors) -> int:
-    """Rank of a list of rational vectors by fraction-free (Bareiss) elimination.
-
-    Each vector is scaled to integers by the lcm of its denominators; each
-    update divides exactly by the previous pivot, and zero columns are skipped.
-    """
-    rows = []
-    for v in vectors:
-        m = math.lcm(*(x.denominator for x in v))
-        row = [x.numerator * (m // x.denominator) for x in v]
-        if any(row):
-            rows.append(row)
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        p = top[c]
-        for i in range(rank + 1, len(rows)):
-            a = rows[i][c]
-            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 class MetrizedLieAlgebra:
@@ -325,7 +296,7 @@ def _h_bivector(num: dict, U: np.ndarray) -> np.ndarray:
     """Entry (a, b) = < pr_g U_a, pr_h U_b > for U = Ad_g H, skewness asserted."""
     P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
     if np.abs(P + P.T).max() > 1e-12 * max(1.0, np.abs(P).max()):
-        raise AssertionError("induced bivector lost skewness")
+        raise DomainEscapeError("induced bivector lost skewness")
     return _skew(P)
 
 

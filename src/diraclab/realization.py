@@ -51,7 +51,7 @@ from ._numeric import (
     worst,
 )
 from .dirac import one_form_bracket
-from .errors import ChartMismatchError, PreconditionError
+from .errors import ChartMismatchError, DomainEscapeError, PreconditionError
 from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart,
                      sum_of_products)
 from .poisson import PoissonBivector
@@ -227,7 +227,7 @@ def realization_sample(spray, point, config: RealizationConfig = RealizationConf
     invertible = bool(sv[-1] > 1e-12 * sv[0])
     cond = float(sv[0] / sv[-1]) if invertible else float("inf")
     if np.abs(W + W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
-        raise AssertionError("realization form lost skewness")
+        raise DomainEscapeError("realization form lost skewness", point)
     return RealizationSample(tuple(point), W, s, t, ds, dt, invertible, cond)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -146,3 +147,12 @@ def chart_bivector_oracle(chart, x):
     P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
     Ainv = np.linalg.inv(num["P0"] @ frame_oracle(chart, x)[0])
     return Ainv @ P @ Ainv.T
+
+
+def frame_file(path, sections) -> str:
+    """Write sections (X, alpha) as a `dirac check-integrability --frame` file."""
+    from diraclab import jsonio
+
+    path.write_text(json.dumps({"chart": sections[0][0].chart.dim, "sections": [
+        {"X": jsonio.tensor_to_json(X), "alpha": jsonio.tensor_to_json(a)} for X, a in sections]}))
+    return str(path)

@@ -28,7 +28,8 @@ cotangent bracket: no function composes `exterior_derivative` with
 layer sums one exponential-type series, the Taylor polynomial in `_expm`: no
 other function of `maningroup.py` has a `for` loop that divides by its loop
 variable, the shape of a hand-summed series such as a dexp loop cut after a
-fixed number of terms.
+fixed number of terms.  No module raises `AssertionError`: a lost
+invariant is a `DomainEscapeError`, which the CLI reports as a failed check.
 """
 
 import ast
@@ -200,3 +201,12 @@ def test_series_guard_sees_a_dexp_loop():
 def test_manin_layer_sums_one_series():
     found = {name for name, _ in _series_loops(_tree(PACKAGE / "maningroup.py"))}
     assert found == {"_expm"}, f"maningroup.py sums a series outside _expm: {sorted(found)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_no_module_raises_assertion_error(path):
+    # a report names every failure; an AssertionError would end in a traceback
+    raises = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Raise)
+              and node.exc is not None and "AssertionError" in {
+                  getattr(n, "id", None) for n in ast.walk(node.exc)}]
+    assert not raises, f"{path.name} raises AssertionError at lines {raises}"

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -17,11 +18,12 @@ from diraclab import cli, jsonio
 from diraclab.cli import REPORT_SCHEMA, run
 from diraclab.errors import ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
-from diraclab.poisson import (from_components, lie_poisson, so3_constants,
-                              standard_symplectic_poisson)
+from diraclab.dirac import graph_of_poisson, integrability_tensor
+from diraclab.poisson import (PoissonBivector, from_components, jacobiator, lie_poisson,
+                              so3_constants, standard_symplectic_poisson)
 from diraclab.maningroup import builtin_triples, iwasawa_su2
 
-from conftest import chart_bivector_oracle
+from conftest import chart_bivector_oracle, frame_file, random_poly, random_vector
 
 
 @pytest.fixture
@@ -134,8 +136,7 @@ class TestDiracCommands:
     def test_integrability_failure(self, workdir, capsys):
         code, rep = run_and_parse(
             capsys,
-            ["dirac", "check-integrability", "--poisson", workdir["nonpoisson3d.json"],
-             "--point", "0.3,0.5,1.0"],
+            ["dirac", "check-integrability", "--poisson", workdir["nonpoisson3d.json"]],
         )
         assert code == 1
 
@@ -379,11 +380,10 @@ def test_consecutive_runs_share_no_option_values(workdir, capsys):
     assert cli.build_parser() is cli.build_parser()
     _, rep = run_and_parse(capsys, ["--seed", "7", "--tol", "0.5", *argv])
     assert rep["seed"] == 7
-    args = cli.build_parser().parse_args(["dirac", "check-integrability", "--point", "1,2"])
-    assert (args.seed, args.tol, args.point) == (0, None, ["1,2"])
+    args = cli.build_parser().parse_args(["dirac", "check-integrability"])
+    assert (args.seed, args.tol) == (0, None)
     _, rep = run_and_parse(capsys, argv)
     assert rep["seed"] == 0
-    assert cli.build_parser().parse_args(["dirac", "check-integrability"]).point is None
 
 
 class TestTolOverride:
@@ -403,20 +403,9 @@ class TestFrameFile:
 
         chart = Chart(2, ("x", "y"))
         pi = from_components(chart, {(0, 1): chart.coordinate(0)})
-        E = graph_of_poisson(pi)
-        data = {
-            "chart": 2,
-            "sections": [
-                {"X": jsonio.tensor_to_json(s.X), "alpha": jsonio.tensor_to_json(s.alpha)}
-                for s in E.sections
-            ],
-        }
-        p = tmp_path / "frame.json"
-        p.write_text(json.dumps(data))
-        code, rep = run_and_parse(
-            capsys,
-            ["dirac", "check-integrability", "--frame", str(p), "--point", "0.4,0.7"],
-        )
+        p = frame_file(tmp_path / "frame.json",
+                       [(s.X, s.alpha) for s in graph_of_poisson(pi).sections])
+        code, rep = run_and_parse(capsys, ["dirac", "check-integrability", "--frame", p])
         assert code == 0
 
     @pytest.mark.parametrize("scale", [(1, 10**11), (1, 1), (10**11, 1)], ids=str)
@@ -435,6 +424,83 @@ class TestFrameFile:
         p.write_text(json.dumps(data))
         code, rep = run_and_parse(capsys, ["dirac", "check-integrability", "--frame", str(p)])
         assert code == 0, rep
+
+
+class TestExactIntegrability:
+    """`dirac check-integrability` decides the Courant tensor as polynomials:
+    it evaluates no float table, and it takes no point."""
+
+    @pytest.mark.parametrize("source", ["--poisson", "--frame"])
+    def test_no_float_evaluation(self, workdir, capsys, monkeypatch, tmp_path, source):
+        from diraclab import _numeric, dirac
+
+        calls = []
+        for cls, name in ((_numeric.PackedPolys, "__init__"), (_numeric.PackedPolys, "__call__"),
+                          (dirac.LagrangianFrame, "value_at")):
+            def counted(*args, _orig=getattr(cls, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        path = workdir["nonpoisson3d.json"]
+        if source == "--frame":
+            pi = cli._load_bivector(path)
+            path = frame_file(tmp_path / "frame.json",
+                              [(s.X, s.alpha) for s in dirac.graph_of_poisson(pi).sections])
+        code, rep = run_and_parse(capsys, ["dirac", "check-integrability", source, path])
+        assert code == 1 and calls == []
+        (crit,) = rep["criteria"]
+        assert (crit["tolerance"], crit["max_residual"]) == ("exact", None)
+
+    def test_witness_is_the_jacobiator(self, workdir, capsys):
+        path = workdir["nonpoisson3d.json"]
+        _, poisson = run_and_parse(capsys, ["poisson", "check", "--file", path])
+        _, dirac = run_and_parse(capsys, ["dirac", "check-integrability", "--poisson", path])
+        witness = dirac["criteria"][0]["witness"]
+        assert witness == poisson["result"]["jacobiator_components"]
+        assert list(witness) == ["1+2+3"]
+
+    def test_point_option_is_gone(self, workdir, capsys):
+        code, rep = run_and_parse(capsys, ["dirac", "check-integrability", "--poisson",
+                                           workdir["xdxdy.json"], "--point", "1,2,3"])
+        assert code == 2 and "--point" in rep["error"]
+
+
+def _poisson_draw(rng, n, kind):
+    chart = Chart(n)
+    x = chart.coordinates()
+    if kind == "vector":  # generically not Poisson
+        return random_vector(rng, chart, degree=2, max_degree=2)
+    if kind == "lie-poisson":  # Poisson iff the random constants satisfy Jacobi
+        c = {(*sorted(rng.sample(range(n), 2)), rng.randrange(n)): rng.randint(-2, 2)
+             for _ in range(rng.randint(1, 3))}
+        return lie_poisson(c, n, chart).pi
+    if kind == "so3-casimir":  # so(3)* times a polynomial in its Casimirs: Poisson
+        g = PolyScalar.constant(chart, rng.randint(1, 3))
+        for c in (x[0] * x[0] + x[1] * x[1] + x[2] * x[2], *x[3:]):
+            g = g + c * rng.randint(-2, 2)
+        return PolyKVector(chart, 2, {(0, 1): x[2] * g, (1, 2): x[0] * g, (0, 2): -x[1] * g})
+    # rank two, f d_i ^ d_j: Poisson for any f
+    i, j = sorted(rng.sample(range(n), 2))
+    return PolyKVector(chart, 2, {(i, j): random_poly(rng, chart, max_degree=2)})
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(3, 5),
+       kind=st.sampled_from(["vector", "lie-poisson", "so3-casimir", "rank-two"]),
+       seed=st.integers(0, 2**32))
+def test_poisson_check_and_dirac_integrability_agree(tmp_path_factory, n, kind, seed):
+    # Gr(pi) is Dirac iff [pi, pi] = 0 (Courant 1990): one verdict, one tensor
+    pi = PoissonBivector(_poisson_draw(random.Random(seed), n, kind))
+    J = jacobiator(pi).components
+    path = tmp_path_factory.mktemp("agree") / "pi.json"
+    path.write_text(json.dumps(jsonio.tensor_to_json(pi.pi)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [run(["poisson", "check", "--file", str(path)]),
+                 run(["dirac", "check-integrability", "--poisson", str(path)])]
+    assert codes[0] == codes[1] == (1 if J else 0)
+    pt = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+    assert integrability_tensor(graph_of_poisson(pi), pt) == J
 
 
 class TestImportCost:
@@ -631,6 +697,18 @@ class TestMalformedInput:
         assert error in report["error"]
         assert all(c["status"] == "fail" for c in report["criteria"])
 
+    @pytest.mark.parametrize("point", ["1e5,1e5,1e5", "1e4,0,0"])
+    def test_lost_skewness_is_a_report(self, point):
+        # far out on the chart rounding breaks the induced bivector's skewness
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(diraclab.__file__)))
+        out = subprocess.run([sys.executable, "-m", "diraclab.cli", "manin", "bivector",
+                              "--builtin", "iwasawa-su2", "--point", point],
+                             env=env, capture_output=True, text=True, timeout=60)
+        report = strict_loads(out.stdout)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert (out.returncode, out.stderr) == (1, "")
+        assert "lost skewness" in report["error"]
+
     def test_zero_denominator_through_the_entry_point(self, tmp_path):
         data = self.tensor()
         data["components"][0]["poly"][0]["den"] = 0
@@ -811,8 +889,7 @@ FUZZ_COMMANDS = {
     "poisson jacobiator": ["poisson", "jacobiator", "--file", "PI"],
     "poisson bracket": ["poisson", "bracket", "--file", "PI", "--f", "F", "--g", "F"],
     "poisson leaf": ["poisson", "leaf", "--file", "PI", "--point", "0.5,0.25"],
-    "dirac check-integrability": ["dirac", "check-integrability", "--poisson", "PI",
-                                  "--point", "0.5,0.25"],
+    "dirac check-integrability": ["dirac", "check-integrability", "--poisson", "PI"],
     "dirac gauge": ["dirac", "gauge", "--poisson", "PI", "--omega", "OMEGA",
                     "--point", "0.5,0.25"],
     "dirac pullback": ["dirac", "pullback", "--map", "PHI", "--poisson", "PI", "--point", "0.5"],

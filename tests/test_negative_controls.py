@@ -12,7 +12,10 @@ the compiled field of the so(3)* spray, leaving its Poisson structure alone:
   which closedness sees.
 
 The `dirac gauge` report is fed the sign-flipped gauge (I - Pi W)^{-1} Pi,
-whose graph is not the sheared graph of pi.
+whose graph is not the sheared graph of pi.  `dirac check-integrability` is
+fed defects far below any float tolerance, a 1e-10 Jacobiator and a 1e-12
+d omega, which it must fail, and tangent frames whose sections differ in
+scale by up to 1e12, which it must pass.
 """
 
 import json
@@ -23,10 +26,11 @@ import pytest
 
 from diraclab import realization as real_mod
 from diraclab._numeric import FlowConfig
-from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar, coordinate_form
+from diraclab.fields import (Chart, PolyKForm, PolyKVector, PolyScalar, coordinate_form,
+                             coordinate_vector)
 from diraclab.poisson import euler_linearize, lie_poisson, so3_constants
 
-from conftest import stage_field
+from conftest import frame_file, stage_field
 
 POINT = np.array([0.3, -0.2, 0.5, 0.4, 0.1, -0.3])
 CONFIG = real_mod.RealizationConfig(step=1e-2)
@@ -133,3 +137,43 @@ def test_dirac_gauge_graph(monkeypatch, capsys, tmp_path, name, fails):
     assert crit["name"] == "gauge-graph" and crit["tolerance"] == 1e-9
     assert (code, crit["status"]) == ((1, "fail") if fails else (0, "pass")), crit
     assert (crit["max_residual"] > 1e-3) is fails, crit
+
+
+def test_dirac_integrability_of_a_nearly_poisson_graph(capsys, tmp_path):
+    # so(3)* with pi^{12} = x3 + 1e-10 x1^2: its Jacobiator is 2e-10 x1 x2, which
+    # five sampled points once read as 1.3e-10, below the old 1e-9 tolerance
+    from diraclab import jsonio
+
+    chart = Chart(3)
+    x1, x2, x3 = chart.coordinates()
+    pi = PolyKVector(chart, 2, {(0, 1): x3 + x1 * x1 * Fraction(1, 10**10), (1, 2): x1,
+                                (0, 2): -x2})
+    p = tmp_path / "pi.json"
+    p.write_text(json.dumps(jsonio.tensor_to_json(pi)))
+    assert _run_cli(capsys, ["poisson", "check", "--file", str(p)])[0] == 1
+    code, rep = _run_cli(capsys, ["dirac", "check-integrability", "--poisson", str(p)])
+    assert (code, rep["criteria"][0]["status"]) == (1, "fail"), rep
+
+
+def test_dirac_integrability_of_a_non_closed_form_graph(capsys, tmp_path):
+    # Gr(omega) is Dirac iff d omega = 0; d(1e-12 x1 dx2 ^ dx3) = 1e-12 dx1 ^ dx2 ^ dx3
+    from diraclab.dirac import graph_of_form
+
+    chart = Chart(3)
+    omega = PolyKForm(chart, 2, {(1, 2): chart.coordinate(0) * Fraction(1, 10**12)})
+    frame = frame_file(tmp_path / "frame.json",
+                       [(s.X, s.alpha) for s in graph_of_form(omega).sections])
+    code, rep = _run_cli(capsys, ["dirac", "check-integrability", "--frame", frame])
+    assert (code, rep["criteria"][0]["status"]) == (1, "fail"), rep
+
+
+@pytest.mark.parametrize("scales", [(1, Fraction(1, 10**11)), (10**6, Fraction(1, 10**6))],
+                         ids=str)
+def test_dirac_integrability_of_an_unevenly_scaled_tangent_frame(capsys, tmp_path, scales):
+    # (a d/dx1, b d/dx2) spans TM for any nonzero a and b: Lagrangian and Dirac
+    chart = Chart(2)
+    zero = PolyKForm(chart, 1, {})
+    frame = frame_file(tmp_path / "frame.json",
+                       [(coordinate_vector(chart, i) * c, zero) for i, c in enumerate(scales)])
+    code, rep = _run_cli(capsys, ["dirac", "check-integrability", "--frame", frame])
+    assert (code, rep["criteria"][0]["status"]) == (0, "pass"), rep
