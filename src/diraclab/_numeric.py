@@ -39,7 +39,9 @@ passes, and only otherwise do the finiteness and row-norm checks run.
 
 `worst` is the one residual reducer: every verifier hands it its residuals,
 so a non-finite residual reads as +inf, a fail with its point, and is never
-dropped by a running max.  `CriterionResult` is the one pass rule.
+dropped by a running max.  `CriterionResult` is the one criterion record,
+exact or numeric, from verifier to report: the one pass rule and the one
+writer of a criterion's report fields.
 
 The linear-algebra helpers take one matrix or a stack.  A rank mask (singular
 values above tol times the largest) selects directions, so matrices of
@@ -94,29 +96,45 @@ def worst(residuals, points=None):
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """A numeric criterion: it passes iff its residual is finite and within
-    tolerance, and a missing or non-finite residual serializes as null."""
+    """One criterion of a report, exact or numeric.
+
+    A numeric criterion passes iff its residual is finite and within
+    tolerance; a missing or non-finite residual serializes as null.  An exact
+    criterion has tolerance "exact" and passes iff its residual is 0 (for
+    example the number of nonzero components of an identity), which
+    serializes as "exact-zero".  A witness, if any, is serialized as given.
+    """
 
     name: str
     max_residual: float | None
     worst_point: tuple | None
-    tolerance: float
+    tolerance: float | str
+    witness: object = None
 
     @property
     def passed(self) -> bool:
         r = self.max_residual
+        if self.tolerance == "exact":
+            return r == 0
         return r is not None and math.isfinite(r) and r <= self.tolerance
 
     def as_dict(self):
         r = self.max_residual
-        return {
+        if self.tolerance == "exact":
+            shown = "exact-zero" if self.passed else None
+        else:
+            shown = float(r) if r is not None and math.isfinite(r) else None
+        out = {
             "name": self.name,
             "status": "pass" if self.passed else "fail",
-            "max_residual": float(r) if r is not None and math.isfinite(r) else None,
+            "max_residual": shown,
             "worst_point": (None if self.worst_point is None
                             else [float(x) for x in self.worst_point]),
             "tolerance": self.tolerance,
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 class _MonomialTable:

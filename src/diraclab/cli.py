@@ -58,9 +58,10 @@ OPTION_DOMAINS = {
     **{name: (lambda v: 1 <= v <= COUNT_CAP, f"at least 1 and at most {COUNT_CAP}")
        for name in ("samples", "pairs", "grid_count")},
 }
-# The tolerance of each command's numeric criteria when --tol is not given.
-TOL_DEFAULTS = {"dirac": 1e-9, "realize": 1e-6, "moser": 1e-6, "linearize": 1e-5,
-                "manin": 1e-5}
+# The tolerance of each command's numeric criteria when --tol is not given;
+# a command not listed has none, and --tol on it is an input error.
+TOL_DEFAULTS = {"dirac gauge": 1e-9, "dirac pullback": 1e-9, "realize": 1e-6, "moser": 1e-6,
+                "linearize": 1e-5, "manin bivector": 1e-5, "manin multiplicativity": 1e-5}
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -107,13 +108,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_options(args) -> None:
-    """Fill in the command's --tol default, then check every option's domain."""
-    if args.tol is None:
-        args.tol = TOL_DEFAULTS.get(args.cmd)
+    """Check each option's domain, then fill in --tol, or refuse it where nothing reads it."""
     for name, (inside, phrase) in OPTION_DOMAINS.items():
         value = getattr(args, name, None)
         if value is not None and not inside(value):
             raise InputError(f"--{name.replace('_', '-')} must be {phrase}, got {value}")
+    command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
+    if command not in TOL_DEFAULTS:
+        if args.tol is not None:
+            raise InputError(f"--tol: {command} has no numeric criterion")
+    elif args.tol is None:
+        args.tol = TOL_DEFAULTS[command]
 
 
 def _load_json(path: str):
@@ -165,24 +170,6 @@ def _load_oneform_family(path: str) -> TimePolyForm:
     return TimePolyForm(coeffs)
 
 
-def criterion(name, residual, tolerance, worst_point=None):
-    """A numeric report criterion under the pass rule of `CriterionResult`."""
-    return CriterionResult(name, residual, worst_point, tolerance).as_dict()
-
-
-def exact_criterion(name, ok, witness=None):
-    out = {
-        "name": name,
-        "status": "pass" if ok else "fail",
-        "max_residual": "exact-zero" if ok else None,
-        "worst_point": None,
-        "tolerance": "exact",
-    }
-    if witness is not None:
-        out["witness"] = witness
-    return out
-
-
 def _components_json(components):
     """Nonzero exact components keyed "a+b+c" by their 1-based index."""
     return {"+".join(str(i + 1) for i in idx): jsonio.poly_to_json(p)
@@ -195,10 +182,9 @@ def _components_json(components):
 def _cmd_poisson(args):
     pi = _load_bivector(args.file)
     if args.poisson_cmd == "check":
-        J = jacobiator(pi)
-        ok = J.is_zero()
-        crit = exact_criterion("jacobi-identity", ok)
-        return [crit], {} if ok else {"jacobiator_components": _components_json(J.components)}
+        J = jacobiator(pi).components
+        crit = CriterionResult("jacobi-identity", len(J), None, "exact")
+        return [crit], {"jacobiator_components": _components_json(J)} if J else {}
     if args.poisson_cmd == "jacobiator":
         J = jacobiator(pi)
         return [], {"jacobiator": jsonio.tensor_to_json(J), "is_zero": J.is_zero()}
@@ -239,7 +225,8 @@ def _cmd_dirac(args):
         # the seeded point where the frame's rank is taken
         pt = np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=E.chart.dim)
         T = dirac_mod.integrability_tensor(E, pt)
-        return [exact_criterion("courant-integrability", not T, _components_json(T) or None)], {}
+        return [CriterionResult("courant-integrability", len(T), None, "exact",
+                                _components_json(T) or None)], {}
     if args.dirac_cmd == "gauge":
         pi = _load_bivector(args.poisson)
         omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
@@ -248,12 +235,13 @@ def _cmd_dirac(args):
         try:
             P = dirac_mod.gauge_poisson(pi, gauge, pt)
         except TransversalityError as e:
-            return [criterion("gauge-transversality", None, args.tol, e.point)], {}
+            return [CriterionResult("gauge-transversality", None, e.point, args.tol)], {}
         # Gr(pi_omega) against the sheared Gr(pi), as columns (Pi^T mu; mu)
         graph, graph0 = (np.vstack([M.T, np.eye(len(P))]) for M in (P, pi.matrix_at(pt)))
         sheared = gauge_fiber(graph0, gauge.matrix_at(pt))
         r = span_residual(graph, sheared) if np.isfinite([graph, sheared]).all() else math.nan
-        return [criterion("gauge-graph", r, args.tol, pt)], {"gauged_bivector_matrix": P.tolist()}
+        return ([CriterionResult("gauge-graph", r, pt, args.tol)],
+                {"gauged_bivector_matrix": P.tolist()})
     if args.dirac_cmd == "pullback":
         phi = jsonio.map_from_json(_load_json(args.map))
         pi = _load_bivector(args.poisson)
@@ -262,7 +250,7 @@ def _cmd_dirac(args):
         B = dirac_mod.pullback_dirac_at_point(phi, E, pt)
         gram = dirac_mod.pairing_gram(B)
         return (
-            [criterion("pullback-lagrangian", float(np.abs(gram).max()), args.tol, pt)],
+            [CriterionResult("pullback-lagrangian", float(np.abs(gram).max()), pt, args.tol)],
             {"fiber_basis": B.tolist(), "basis_dependent": True},
         )
     # poisson-map: the parser admits no other subcommand
@@ -270,7 +258,8 @@ def _cmd_dirac(args):
     pi_src = _load_bivector(args.pi_source)
     pi_tgt = PoissonBivector(jsonio.tensor_from_json(_load_json(args.pi_target), phi.target))
     rep = dirac_mod.check_poisson_map(phi, pi_src, pi_tgt, anti=args.anti)
-    return [exact_criterion("poisson-map-identity", rep.exact)], rep.as_dict()
+    crit = CriterionResult("poisson-map-identity", 0 if rep.exact else None, None, "exact")
+    return [crit], rep.as_dict()
 
 
 def _cmd_realize(args):
@@ -279,7 +268,7 @@ def _cmd_realize(args):
     spray = real_mod.default_spray(pi)
     pts = real_mod.sample_points(pi.chart.dim, args.samples, args.radius, seed=args.seed)
     rep = real_mod.verify_dual_pair(spray, pts, config, tolerance=args.tol)
-    return [c.as_dict() for c in rep.criteria], {"samples": rep.samples}
+    return list(rep.criteria), {"samples": rep.samples}
 
 
 def _cmd_moser(args):
@@ -288,11 +277,8 @@ def _cmd_moser(args):
     rng = np.random.default_rng(args.seed)
     grid = [rng.uniform(-args.grid_radius, args.grid_radius, size=pi.chart.dim)
             for _ in range(args.grid_count)]
-    rep = moser_verify(pi, a_t, [args.time], grid, FlowConfig(step=args.step))
-    return (
-        [criterion("pushforward-invariance", rep.max_residual, args.tol, rep.worst_point)],
-        {"samples": rep.samples, "time": args.time},
-    )
+    crit = moser_verify(pi, a_t, [args.time], grid, FlowConfig(step=args.step), args.tol)
+    return [crit], {"samples": len(grid), "time": args.time}
 
 
 def _cmd_linearize(args):
@@ -307,10 +293,8 @@ def _cmd_linearize(args):
         if math.hypot(*p) <= args.radius:  # np.linalg.norm overflows for a huge radius
             pts.append(p)
     rep = euler_linearize(X, pts, FlowConfig(step=args.step))
-    return (
-        [criterion("conjugation-residual", rep.max_residual, args.tol, rep.worst_point)],
-        {"samples": rep.samples},
-    )
+    return ([CriterionResult("conjugation-residual", rep.max_residual, rep.worst_point, args.tol)],
+            {"samples": rep.samples})
 
 
 def _rational_matrix_from_json(rows):
@@ -366,26 +350,28 @@ def _resolve_triple(args):
     raise InputError("need --builtin or --triple")
 
 
+def _triple_axioms(triple) -> CriterionResult:
+    ok, witness = manin_mod.check_manin_triple(triple)
+    return CriterionResult("manin-triple-axioms", 0 if ok else None, None, "exact", witness)
+
+
 def _cmd_manin(args):
     triple, chart = _resolve_triple(args)
     if args.manin_cmd == "check":
-        ok, witness = manin_mod.check_manin_triple(triple)
-        return [exact_criterion("manin-triple-axioms", ok, witness)], {}
+        return [_triple_axioms(triple)], {}
     if chart is None and args.manin_cmd != "homspace":
         raise InputError("this subcommand needs a triple with a group chart")
     if not args.builtin:  # a user triple is decided before its chart is used
-        ok, witness = manin_mod.check_manin_triple(triple)
-        if not ok:
-            return [exact_criterion("manin-triple-axioms", ok, witness)], {}
+        crit = _triple_axioms(triple)
+        if not crit.passed:
+            return [crit], {}
     if args.manin_cmd == "bivector":
         pt = np.array(_parse_point(args.point, chart.dim))
         P = manin_mod.drinfeld_bivector(triple, chart, pt)
         Pc = manin_mod.drinfeld_bivector_chart(triple, chart, pt)
-        return (
-            [criterion("bivector-jacobi", manin_mod.jacobiator_fd_residual(triple, chart, [pt]),
-                       args.tol, pt)],
-            {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()},
-        )
+        r = manin_mod.jacobiator_fd_residual(triple, chart, [pt])
+        return ([CriterionResult("bivector-jacobi", r, pt, args.tol)],
+                {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()})
     if args.manin_cmd == "dressing":
         pt = np.array(_parse_point(args.point, chart.dim))
         zeta = np.array(_parse_point(args.zeta, triple.algebra.dim))
@@ -399,14 +385,12 @@ def _cmd_manin(args):
             for _ in range(args.pairs)
         ]
         rep = manin_mod.verify_multiplicativity(triple, chart, pairs)
-        return (
-            [criterion("multiplicativity", rep["max_residual"], args.tol, rep["worst_pair"][0])],
-            {"pairs": args.pairs},
-        )
+        crit = CriterionResult("multiplicativity", rep["max_residual"], rep["worst_pair"][0],
+                               args.tol)
+        return [crit], {"pairs": args.pairs}
     # homspace: the parser admits no other subcommand
     hs, gens = _homspace_from_json(triple, _load_json(args.data))
-    ok, rep = manin_mod.homogeneous_space_check(hs, k_generators=gens)
-    return [exact_criterion("homogeneous-space-criteria", ok, rep)], {}
+    return [manin_mod.homogeneous_space_check(hs, k_generators=gens)], {}
 
 
 # -- parser -------------------------------------------------------------------
@@ -526,10 +510,10 @@ def run(argv) -> int:
             report["seed"] = args.seed
             _check_options(args)
             criteria, result = _HANDLERS[args.cmd](args)
-            report["criteria"] = criteria
+            report["criteria"] = [c.as_dict() for c in criteria]
             if result:
                 report["result"] = result
-            code = 0 if all(c["status"] == "pass" for c in criteria) else 1
+            code = 0 if all(c.passed for c in criteria) else 1
         except InputError as e:
             report["error"] = str(e)
             code = 2

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import (PackedPolys, gauge_fiber, gauge_inverse, orthonormal_basis,
-                       pullback_fiber, worst)
+from ._numeric import (CriterionResult, PackedPolys, gauge_fiber, gauge_inverse,
+                       orthonormal_basis, pullback_fiber, worst)
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -328,27 +328,31 @@ def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarr
     return orthonormal_basis(fiber, tol=0.0)
 
 
-def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points):
-    """Check TM = TN + pi^#(ann TN) at each point of a coordinate subspace.
+def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points) -> CriterionResult:
+    """Check TM = TN + pi^#(ann TN) at each point of a coordinate subspace,
+    as the exact criterion "cosymplectic".
 
     The submanifold is cut out by the listed vanishing coordinates (0-based).
-    Returns (ok, certificate): on success the certificate carries, per point,
-    the fiber basis of pi^#(ann TN); on failure the first witness point.
+    sharp(dx_i) = Pi^T e_i is the i-th row of Pi and TN spans the tangent
+    coordinates, so the condition holds iff the block Pvv is nonsingular: its
+    exact rank is taken at each point, read as the exact rational value of
+    each float coordinate.  On success the witness carries, per point, the
+    fiber basis of pi^#(ann TN); on failure the worst point is the first
+    point where the condition fails.
     """
-    chart = pi.chart
-    n = chart.dim
+    n = pi.chart.dim
     vanishing = sorted(set(int(i) for i in vanishing))
     if any(not 0 <= i < n for i in vanishing):
         raise ShapeError("vanishing coordinate out of range")
-    fibers = []
-    for pt, P in zip(points, pi.matrix_at(np.reshape(points, (len(points), n)))):
-        # sharp(dx_i) = Pi^T e_i is the i-th row of Pi.  TN spans the tangent
-        # coordinates, so TN + sharp(ann TN) = TM iff Pvv is nonsingular.
-        Pvv = P[np.ix_(vanishing, vanishing)]
-        if vanishing and orthonormal_basis(Pvv).shape[1] < len(vanishing):
-            return False, {"witness_point": tuple(float(x) for x in pt)}
-        fibers.append(P[vanishing, :].T)
-    return True, {"fibers": fibers, "points": [tuple(float(x) for x in p) for p in points]}
+    M = pi.component_matrix()
+    for pt in points:
+        x = [Fraction(float(v)) for v in pt]
+        if _rank([[M[i][j].evaluate_exact(x) for j in vanishing]
+                  for i in vanishing]) < len(vanishing):
+            return CriterionResult("cosymplectic", None, tuple(pt), "exact")
+    fibers = [P[vanishing, :].T for P in pi.matrix_at(np.reshape(points, (len(points), n)))]
+    return CriterionResult("cosymplectic", 0, None, "exact",
+                           {"fibers": fibers, "points": [tuple(map(float, p)) for p in points]})
 
 
 @dataclass(frozen=True)

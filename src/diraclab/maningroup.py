@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numeric import worst
+from ._numeric import CriterionResult, worst
 from .errors import DomainEscapeError, ShapeError
 from .fields import _rank, accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
@@ -174,21 +174,23 @@ class ManinTriple:
         return self._num
 
 
-def _is_subalgebra(algebra: MetrizedLieAlgebra, basis) -> tuple:
+def _bracket_escape(algebra: MetrizedLieAlgebra, basis) -> tuple | None:
+    """The first (i, j) whose bracket leaves the span of basis; None for a subalgebra."""
     r = _rank(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if _rank(basis + [algebra.bracket(basis[i], basis[j])]) != r:
-                return False, (i, j)
-    return True, None
+                return i, j
+    return None
 
 
-def _is_isotropic(algebra: MetrizedLieAlgebra, basis) -> tuple:
+def _nonzero_pairing(algebra: MetrizedLieAlgebra, basis) -> tuple | None:
+    """The first (i, j) with a nonzero pairing; None for an isotropic span."""
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             if algebra.pair(basis[i], basis[j]) != 0:
-                return False, (i, j)
-    return True, None
+                return i, j
+    return None
 
 
 def check_manin_triple(triple: ManinTriple):
@@ -203,11 +205,9 @@ def check_manin_triple(triple: ManinTriple):
     for name, basis in (("g", triple.g_basis), ("h", triple.h_basis)):
         if _rank(basis) != n:
             return False, {"kind": "basis-rank", "subspace": name}
-        ok, pair = _is_isotropic(triple.algebra, basis)
-        if not ok:
+        if pair := _nonzero_pairing(triple.algebra, basis):
             return False, {"kind": "isotropy", "subspace": name, "indices": pair}
-        ok, pair = _is_subalgebra(triple.algebra, basis)
-        if not ok:
+        if pair := _bracket_escape(triple.algebra, basis):
             return False, {"kind": "subalgebra", "subspace": name, "indices": pair}
     if _rank(triple.g_basis + triple.h_basis) != d:
         return False, {"kind": "transversality"}
@@ -269,9 +269,10 @@ class GroupChart:
     def compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.log_map(self.param(x) @ self.param(y))
 
-    def validate(self, points) -> dict:
-        """Ad at the identity, metric preservation and bracket preservation,
-        the last on three seeded pairs of d-vectors; passes below GROUP_TOL."""
+    def validate(self, points) -> CriterionResult:
+        """The criterion "group-chart": Ad at the identity, metric preservation
+        and bracket preservation, the last on three seeded pairs of d-vectors,
+        each residual in the witness, the largest within GROUP_TOL."""
         alg = self.triple.algebra
         B = alg.metric_num()
         zeta_pairs = np.random.default_rng(0).standard_normal((3, 2, alg.dim))
@@ -281,8 +282,7 @@ class GroupChart:
         res["bracket"] = worst([np.abs(A @ alg.bracket_num(z1, z2)
                                        - alg.bracket_num(A @ z1, A @ z2)).max()
                                 for A in ads for z1, z2 in zeta_pairs])[0]
-        res["passed"] = worst(list(res.values()))[0] < GROUP_TOL
-        return res
+        return CriterionResult("group-chart", worst(list(res.values()))[0], None, GROUP_TOL, res)
 
 
 # -- the induced bivector ------------------------------------------------------------
@@ -292,11 +292,12 @@ def _skew(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M - np.swapaxes(M, -1, -2))
 
 
-def _h_bivector(num: dict, U: np.ndarray) -> np.ndarray:
-    """Entry (a, b) = < pr_g U_a, pr_h U_b > for U = Ad_g H, skewness asserted."""
+def _h_bivector(num: dict, U: np.ndarray, x) -> np.ndarray:
+    """Entry (a, b) = < pr_g U_a, pr_h U_b > for U = Ad_g H at the chart point
+    x, skewness asserted."""
     P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
     if np.abs(P + P.T).max() > 1e-12 * max(1.0, np.abs(P).max()):
-        raise DomainEscapeError("induced bivector lost skewness")
+        raise DomainEscapeError("induced bivector lost skewness", x)
     return _skew(P)
 
 
@@ -314,7 +315,7 @@ def drinfeld_bivector(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
     to 1e-12 at every evaluation, and the matrix vanishes at the identity.
     """
     num = _chart_numeric(triple, chart)
-    return _h_bivector(num, chart.ad(x) @ num["H"])
+    return _h_bivector(num, chart.ad(x) @ num["H"], x)
 
 
 class _PointJet:
@@ -326,6 +327,7 @@ class _PointJet:
     """
 
     def __init__(self, chart: GroupChart, x):
+        self.x = x
         self.num = num = chart.triple._numeric()
         self.Xi, self.dXi = chart.frame_jet(x)
         self.Ad = chart.ad(x)
@@ -351,7 +353,7 @@ class _PointJet:
         coframe; with partials=True, (Pi, dPi) with dPi[m] = d Pi / dx_m."""
         num = self.num
         U = self.Ad @ num["H"]
-        P = _h_bivector(num, U)
+        P = _h_bivector(num, U, self.x)
         Ainv = np.linalg.inv(num["P0"] @ self.Xi)
         Pi = _skew(Ainv @ P @ Ainv.T)
         if not partials:
@@ -471,8 +473,10 @@ class HomogeneousSpaceData:
     l_basis: list
 
 
-def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None):
-    """Conditions for induced structures on G/K; returns (ok, report).
+def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None) -> CriterionResult:
+    """Conditions for induced structures on G/K, as the exact criterion
+    "homogeneous-space-criteria"; its witness is the report, which names the
+    first failed condition.
 
     Exact checks: k is a subalgebra of g; l is Lagrangian; l is a subalgebra;
     l cap g = k, which for k in g and dim l = n holds iff k lies in l and
@@ -487,28 +491,29 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None):
     l_basis = [[Fraction(x) for x in v] for v in data.l_basis]
     report = {"connectedness_caveat": "invariance checked on exp of supplied generators only"}
 
+    def failed(reason, **extra):
+        witness = {**report, "failure": reason, **extra}
+        return CriterionResult("homogeneous-space-criteria", None, None, "exact", witness)
+
     if any(len(v) != alg.dim for v in k_basis + l_basis + list(k_generators or [])):
         raise ShapeError("k, l and generator vectors must have length dim d")
     g_rank = _rank(triple.g_basis)
     if _rank(triple.g_basis + k_basis) != g_rank:
-        return False, {**report, "failure": "k not contained in g"}
-    ok, pair = _is_subalgebra(alg, k_basis) if k_basis else (True, None)
-    if not ok:
-        return False, {**report, "failure": f"k not a subalgebra at {pair}"}
+        return failed("k not contained in g")
+    if k_basis and (pair := _bracket_escape(alg, k_basis)):
+        return failed(f"k not a subalgebra at {pair}")
 
     n = triple.half_dim
     if len(l_basis) != n or _rank(l_basis) != n:
-        return False, {**report, "failure": "l has wrong dimension"}
-    ok, pair = _is_isotropic(alg, l_basis)
-    if not ok:
-        return False, {**report, "failure": f"l not isotropic at {pair}"}
-    ok, pair = _is_subalgebra(alg, l_basis)
-    if not ok:
-        return False, {**report, "failure": f"l not a subalgebra at {pair}"}
+        return failed("l has wrong dimension")
+    if pair := _nonzero_pairing(alg, l_basis):
+        return failed(f"l not isotropic at {pair}")
+    if pair := _bracket_escape(alg, l_basis):
+        return failed(f"l not a subalgebra at {pair}")
 
     if (_rank(l_basis + k_basis) != n
             or n + g_rank - _rank(l_basis + triple.g_basis) != _rank(k_basis)):
-        return False, {**report, "failure": "l cap g != k"}
+        return failed("l cap g != k")
 
     r = 0.0
     if k_generators:
@@ -518,9 +523,9 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None):
         imgs = [_expm(alg.ad_num(np.asarray(gen, dtype=float))) @ L for gen in k_generators]
         r = worst([np.abs(img - proj @ img).max() for img in imgs])[0]
         if r > GROUP_TOL:
-            return False, {**report, "failure": "l not Ad_K-invariant", "residual": r}
+            return failed("l not Ad_K-invariant", residual=r)
     report["ad_invariance_residual"] = r
-    return True, report
+    return CriterionResult("homogeneous-space-criteria", 0, None, "exact", report)
 
 
 # -- built-in triples --------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import (FlowConfig, _stage_slots, compile_tensors, flow_points, gauge_inverse,
-                       orthonormal_basis, worst)
+from ._numeric import (CriterionResult, FlowConfig, _stage_slots, compile_tensors, flow_points,
+                       gauge_inverse, orthonormal_basis, worst)
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -428,26 +428,20 @@ def gauge_family(pi: PoissonBivector, omega: Mapping[int, PolyKForm]) -> dict:
                  for j in range(n)] for i in range(n)] for d, Wd in W.items()}
 
 
-@dataclass(frozen=True)
-class MoserReport:
-    max_residual: float
-    worst_point: tuple
-    worst_time: float
-    samples: int
-
-
 def moser_verify(
     pi0: PoissonBivector,
     a_t: TimePolyForm,
     times: Sequence[float],
     grid: Sequence[Sequence[float]],
     config: FlowConfig = FlowConfig(),
-) -> MoserReport:
+    tolerance: float = 1e-6,
+) -> CriterionResult:
     """Certify the gauge-flow invariance (Phi_T)_* pi_T = pi0 on a grid.
 
     The closed family omega_t = -int_0^t d a_s ds deforms pi0 by gauge
     transformations; the flow of X_t = pi_t^#(a_t) must carry pi_T back to
-    pi0.  Returns the max pushforward residual over grid x times.
+    pi0.  Returns the criterion "pushforward-invariance": the max pushforward
+    residual over grid x times, at its grid point, against `tolerance`.
 
     With A = I + Pi W_t (W_t the matrix of omega_t) and u = A^{-T} a_t, the
     field is X = Pi^T u, with the exact Jacobian
@@ -471,8 +465,8 @@ def moser_verify(
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
         target = gauge(x_end, 0.0)[0]  # Pi, which is pi0, at x_end
         res.append(np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1))
-    r, (x, T) = worst(res, [(x, T) for T in times for x in grid_arr])
-    return MoserReport(r, tuple(x), float(T), len(grid_arr) * len(times))
+    r, x = worst(res, [x for _ in times for x in grid_arr])
+    return CriterionResult("pushforward-invariance", r, tuple(x), tolerance)
 
 
 def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):

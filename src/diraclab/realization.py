@@ -131,23 +131,6 @@ class SprayField:
             object.__setattr__(self, "_compiled", compile_tensors([self.field], partials=True))
         return self._compiled
 
-    def check_homogeneity(self) -> bool:
-        """q-components of fiber degree exactly 1, p-components exactly 2."""
-        n = self.base_dim
-        return all(set(p.homogeneous_parts(n)) == {1 if j < n else 2}
-                   for (j,), p in self.field.components.items())
-
-    def check_projection(self) -> bool:
-        """(T tau) X = pi^#(p) as an exact polynomial identity."""
-        n = self.base_dim
-        M = self.pi.component_matrix()
-        chart = self.chart
-        momenta = chart.coordinates()[n:]
-        zero = PolyScalar.zero(chart)
-        return all(self.field.components.get((j,), zero)
-                   == sum((M[i][j].embed(chart) * momenta[i] for i in range(n)), zero)
-                   for j in range(n))
-
 
 def default_spray(pi: PoissonBivector) -> SprayField:
     """The spray with vanishing p-quadratic part: X = sum Pi^{ij}(q) p_i d/dq_j."""
@@ -254,13 +237,6 @@ class DualPairReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.criteria)
-
-    def as_dict(self):
-        return {
-            "criteria": [c.as_dict() for c in self.criteria],
-            "samples": self.samples,
-            "status": "pass" if self.passed else "fail",
-        }
 
 
 def verify_dual_pair(

@@ -156,3 +156,67 @@ def frame_file(path, sections) -> str:
     path.write_text(json.dumps({"chart": sections[0][0].chart.dim, "sections": [
         {"X": jsonio.tensor_to_json(X), "alpha": jsonio.tensor_to_json(a)} for X, a in sections]}))
     return str(path)
+
+
+# Every CLI subcommand on small valid inputs; an upper-case word names a file
+# of `fuzz_inputs`.
+FUZZ_COMMANDS = {
+    "poisson check": ["poisson", "check", "--file", "PI"],
+    "poisson jacobiator": ["poisson", "jacobiator", "--file", "PI"],
+    "poisson bracket": ["poisson", "bracket", "--file", "PI", "--f", "F", "--g", "F"],
+    "poisson leaf": ["poisson", "leaf", "--file", "PI", "--point", "0.5,0.25"],
+    "dirac check-integrability": ["dirac", "check-integrability", "--poisson", "PI"],
+    "dirac gauge": ["dirac", "gauge", "--poisson", "PI", "--omega", "OMEGA",
+                    "--point", "0.5,0.25"],
+    "dirac pullback": ["dirac", "pullback", "--map", "PHI", "--poisson", "PI", "--point", "0.5"],
+    "dirac poisson-map": ["dirac", "poisson-map", "--map", "ID", "--pi-source", "PI",
+                          "--pi-target", "PI"],
+    "realize": ["realize", "--poisson", "PI", "--samples", "2", "--step", "1e-2"],
+    "moser": ["moser", "--poisson", "PI", "--a-form", "AFORM", "--grid-count", "2",
+              "--step", "1e-2"],
+    "linearize": ["linearize", "--field", "FIELD", "--samples", "2", "--step", "1e-2"],
+    "manin check": ["manin", "check", "--builtin", "iwasawa-su2"],
+    "manin bivector": ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3"],
+    "manin dressing": ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",
+                       "--zeta", "1,0,0,0,0,0"],
+    "manin multiplicativity": ["manin", "multiplicativity", "--builtin", "iwasawa-su2",
+                               "--pairs", "2"],
+    "manin homspace": ["manin", "homspace", "--builtin", "iwasawa-su2", "--data", "HS"],
+}
+
+
+def fuzz_inputs() -> dict:
+    """The JSON data of the files that `FUZZ_COMMANDS` names."""
+    from diraclab import jsonio
+    from diraclab.poisson import from_components
+
+    chart = Chart(2, ("x", "y"))
+    x = chart.coordinate(0)
+    one = PolyScalar.constant(chart, 1)
+    return {
+        "PI": jsonio.tensor_to_json(from_components(chart, {(0, 1): x}).pi),
+        "F": jsonio.poly_to_json(x),
+        "OMEGA": jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one})),
+        "PHI": {"source": 1, "target": 2, "components": [[{"exp": [1], "num": 1, "den": 1}],
+                                                         [{"exp": [2], "num": 1, "den": 1}]]},
+        "ID": {"source": 2, "target": 2, "components": [[{"exp": [1, 0], "num": 1, "den": 1}],
+                                                        [{"exp": [0, 1], "num": 1, "den": 1}]]},
+        "AFORM": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(chart, 1, {(1,): -x}))}},
+        "FIELD": jsonio.tensor_to_json(PolyKVector(chart, 1, {(0,): x + x * x,
+                                                              (1,): chart.coordinate(1)})),
+        "HS": {"k_basis": [[0, 0, 1, 0, 0, 0]],
+               "l_basis": [[0, 0, 1, 0, 0, 0], [0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]],
+               "k_generators": [[0, 0, 1, 0, 0, 0]]},
+    }
+
+
+def fuzz_argv(directory, command) -> list:
+    """The argv of `FUZZ_COMMANDS[command]`, its files written to directory."""
+    data = fuzz_inputs()
+    argv = []
+    for a in FUZZ_COMMANDS[command]:
+        if a in data:
+            (directory / f"{a}.json").write_text(json.dumps(data[a]))
+            a = str(directory / f"{a}.json")
+        argv.append(a)
+    return argv

@@ -30,6 +30,8 @@ other function of `maningroup.py` has a `for` loop that divides by its loop
 variable, the shape of a hand-summed series such as a dexp loop cut after a
 fixed number of terms.  No module raises `AssertionError`: a lost
 invariant is a `DomainEscapeError`, which the CLI reports as a failed check.
+`_numeric.CriterionResult` is the one criterion record: no other module
+writes a "status" key, and every CLI handler returns its criteria as records.
 """
 
 import ast
@@ -210,3 +212,56 @@ def test_no_module_raises_assertion_error(path):
               and node.exc is not None and "AssertionError" in {
                   getattr(n, "id", None) for n in ast.walk(node.exc)}]
     assert not raises, f"{path.name} raises AssertionError at lines {raises}"
+
+
+def _status_writers(tree) -> list:
+    """Lines that write a "status" key: a dict display, an item store or dict(status=...)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = [ast.Constant(k.arg) for k in node.keywords]
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == "status" for k in keys):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_status_guard_sees_a_hand_built_criterion():
+    src = 'c = {"name": n, "status": "pass"}\nc["status"] = "fail"\nd = dict(status=1)\n'
+    assert _status_writers(ast.parse(src)) == [1, 2, 3]
+    assert _status_writers(_tree(PACKAGE / "_numeric.py"))  # the record's own as_dict
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "_numeric.py"],
+                         ids=lambda m: m.name)
+def test_only_the_criterion_record_writes_a_status(path):
+    tree = _tree(path)
+    # a JSON schema names the key but writes no criterion
+    tree.body = [n for n in tree.body if not isinstance(n, ast.Assign)
+                 or not any(getattr(t, "id", "").endswith("_SCHEMA") for t in n.targets)]
+    found = _status_writers(tree)
+    assert not found, f"{path.name} writes a criterion status by hand at lines {found}"
+
+
+def test_cli_handlers_return_criterion_records(tmp_path, monkeypatch, capsys):
+    from conftest import FUZZ_COMMANDS, fuzz_argv
+    from diraclab import cli
+    from diraclab._numeric import CriterionResult
+
+    seen = []
+    for name, handler in cli._HANDLERS.items():
+        def recorded(args, _handler=handler):
+            criteria, result = _handler(args)
+            seen.extend(criteria)
+            return criteria, result
+        monkeypatch.setitem(cli._HANDLERS, name, recorded)
+    for command in FUZZ_COMMANDS:
+        cli.run(fuzz_argv(tmp_path, command))
+    capsys.readouterr()
+    assert {type(c) for c in seen} == {CriterionResult}
+    assert {c.tolerance == "exact" for c in seen} == {True, False}

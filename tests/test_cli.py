@@ -23,7 +23,8 @@ from diraclab.poisson import (PoissonBivector, from_components, jacobiator, lie_
                               so3_constants, standard_symplectic_poisson)
 from diraclab.maningroup import builtin_triples, iwasawa_su2
 
-from conftest import chart_bivector_oracle, frame_file, random_poly, random_vector
+from conftest import (FUZZ_COMMANDS, chart_bivector_oracle, frame_file, fuzz_argv,
+                      fuzz_inputs, random_poly, random_vector)
 
 
 @pytest.fixture
@@ -376,14 +377,20 @@ class TestTripleJson:
 
 def test_consecutive_runs_share_no_option_values(workdir, capsys):
     # one parser serves every run in a process
-    argv = ["poisson", "check", "--file", workdir["constant.json"]]
+    argv = ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3"]
     assert cli.build_parser() is cli.build_parser()
     _, rep = run_and_parse(capsys, ["--seed", "7", "--tol", "0.5", *argv])
-    assert rep["seed"] == 7
+    assert (rep["seed"], rep["criteria"][0]["tolerance"]) == (7, 0.5)
     args = cli.build_parser().parse_args(["dirac", "check-integrability"])
     assert (args.seed, args.tol) == (0, None)
     _, rep = run_and_parse(capsys, argv)
-    assert rep["seed"] == 0
+    assert (rep["seed"], rep["criteria"][0]["tolerance"]) == (0, 1e-5)
+
+
+# the commands whose criteria, if any, are exact: --tol has nothing to set
+NO_NUMERIC_CRITERION = ["poisson check", "poisson jacobiator", "poisson bracket", "poisson leaf",
+                        "dirac check-integrability", "dirac poisson-map", "manin check",
+                        "manin dressing", "manin homspace"]
 
 
 class TestTolOverride:
@@ -393,6 +400,21 @@ class TestTolOverride:
                 "--radius", "0.2", "--step", "5e-3", "--tol", "1e-30"]
         code, rep = run_and_parse(capsys, argv)
         assert code == 1
+
+    def test_tol_defaults_name_the_numeric_commands(self):
+        assert set(cli.TOL_DEFAULTS) == set(FUZZ_COMMANDS) - set(NO_NUMERIC_CRITERION)
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("command", NO_NUMERIC_CRITERION)
+    def test_tol_without_a_numeric_criterion_is_an_input_error(self, capsys, tmp_path,
+                                                               command, before):
+        argv = fuzz_argv(tmp_path, command)
+        argv = ["--tol", "0.5", *argv] if before else [*argv, "--tol", "0.5"]
+        code, rep = run_and_parse(capsys, argv)
+        assert code == 2 and rep["criteria"] == []
+        assert rep["error"] == f"--tol: {command} has no numeric criterion"
+        code, _ = run_and_parse(capsys, fuzz_argv(tmp_path, command))
+        assert code == 0
 
 
 class TestFrameFile:
@@ -708,6 +730,7 @@ class TestMalformedInput:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert (out.returncode, out.stderr) == (1, "")
         assert "lost skewness" in report["error"]
+        assert report["error_point"] == [float(x) for x in point.split(",")]
 
     def test_zero_denominator_through_the_entry_point(self, tmp_path):
         data = self.tensor()
@@ -884,29 +907,6 @@ class TestMalformedInput:
 
 # -- fuzz: every subcommand, mutated option values and JSON inputs --------------
 
-FUZZ_COMMANDS = {
-    "poisson check": ["poisson", "check", "--file", "PI"],
-    "poisson jacobiator": ["poisson", "jacobiator", "--file", "PI"],
-    "poisson bracket": ["poisson", "bracket", "--file", "PI", "--f", "F", "--g", "F"],
-    "poisson leaf": ["poisson", "leaf", "--file", "PI", "--point", "0.5,0.25"],
-    "dirac check-integrability": ["dirac", "check-integrability", "--poisson", "PI"],
-    "dirac gauge": ["dirac", "gauge", "--poisson", "PI", "--omega", "OMEGA",
-                    "--point", "0.5,0.25"],
-    "dirac pullback": ["dirac", "pullback", "--map", "PHI", "--poisson", "PI", "--point", "0.5"],
-    "dirac poisson-map": ["dirac", "poisson-map", "--map", "ID", "--pi-source", "PI",
-                          "--pi-target", "PI"],
-    "realize": ["realize", "--poisson", "PI", "--samples", "2", "--step", "1e-2"],
-    "moser": ["moser", "--poisson", "PI", "--a-form", "AFORM", "--grid-count", "2",
-              "--step", "1e-2"],
-    "linearize": ["linearize", "--field", "FIELD", "--samples", "2", "--step", "1e-2"],
-    "manin check": ["manin", "check", "--builtin", "iwasawa-su2"],
-    "manin bivector": ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3"],
-    "manin dressing": ["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",
-                       "--zeta", "1,0,0,0,0,0"],
-    "manin multiplicativity": ["manin", "multiplicativity", "--builtin", "iwasawa-su2",
-                               "--pairs", "2"],
-    "manin homspace": ["manin", "homspace", "--builtin", "iwasawa-su2", "--data", "HS"],
-}
 FUZZ_OPTIONS = {
     "realize": ["--samples", "--radius", "--step"],
     "moser": ["--time", "--grid-radius", "--grid-count", "--step"],
@@ -923,26 +923,7 @@ FUZZ_JUNK = ["x", None, 1.5, True, [], {}, math.nan, math.inf, 10**400]
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fuzz")
-    chart = Chart(2, ("x", "y"))
-    x = chart.coordinate(0)
-    one = PolyScalar.constant(chart, 1)
-    data = {
-        "PI": jsonio.tensor_to_json(from_components(chart, {(0, 1): x}).pi),
-        "F": jsonio.poly_to_json(x),
-        "OMEGA": jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one})),
-        "PHI": {"source": 1, "target": 2, "components": [[{"exp": [1], "num": 1, "den": 1}],
-                                                         [{"exp": [2], "num": 1, "den": 1}]]},
-        "ID": {"source": 2, "target": 2, "components": [[{"exp": [1, 0], "num": 1, "den": 1}],
-                                                        [{"exp": [0, 1], "num": 1, "den": 1}]]},
-        "AFORM": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(chart, 1, {(1,): -x}))}},
-        "FIELD": jsonio.tensor_to_json(PolyKVector(chart, 1, {(0,): x + x * x,
-                                                              (1,): chart.coordinate(1)})),
-        "HS": {"k_basis": [[0, 0, 1, 0, 0, 0]],
-               "l_basis": [[0, 0, 1, 0, 0, 0], [0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]],
-               "k_generators": [[0, 0, 1, 0, 0, 0]]},
-    }
-    return d, data
+    return tmp_path_factory.mktemp("fuzz"), fuzz_inputs()
 
 
 def _json_paths(node, path=()):

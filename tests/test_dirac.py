@@ -419,19 +419,18 @@ class TestPullback:
 class TestCosymplectic:
     def test_point_in_symplectic(self):
         pi = standard_symplectic_poisson(1)
-        ok, cert = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
-        assert ok
-        assert np.linalg.matrix_rank(cert["fibers"][0]) == 2
+        rep = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
+        assert rep.passed
+        assert np.linalg.matrix_rank(rep.witness["fibers"][0]) == 2
 
     def test_so3_axis(self):
         pi = lie_poisson(so3_constants(), 3)
-        ok, cert = cosymplectic_check(pi, (0, 1), [(0.0, 0.0, 1.0)])
-        assert ok
+        assert cosymplectic_check(pi, (0, 1), [(0.0, 0.0, 1.0)]).passed
 
     def test_zero_poisson_fails(self):
         pi = from_components(R2, {})
-        ok, cert = cosymplectic_check(pi, (0,), [(0.0, 0.5)])
-        assert not ok and cert["witness_point"] == (0.0, 0.5)
+        rep = cosymplectic_check(pi, (0,), [(0.0, 0.5)])
+        assert not rep.passed and rep.worst_point == (0.0, 0.5)
 
 
 class TestPoissonMap:
@@ -538,10 +537,10 @@ class TestScaleFreeRank:
     @pytest.mark.parametrize("c", SCALES, ids=str)
     def test_cosymplectic_point(self, c):
         pi = from_components(R2, {(0, 1): PolyScalar.constant(R2, c)})
-        ok, cert = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
-        assert ok
-        assert np.array_equal(cert["fibers"][0], pi.matrix_at((0.0, 0.0)).T)
-        assert not cosymplectic_check(pi, (0,), [(0.0, 0.0)])[0]
+        rep = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
+        assert rep.passed
+        assert np.array_equal(rep.witness["fibers"][0], pi.matrix_at((0.0, 0.0)).T)
+        assert not cosymplectic_check(pi, (0,), [(0.0, 0.0)]).passed
 
 
     @pytest.mark.parametrize("c", SCALES, ids=str)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diraclab import maningroup
-from diraclab.errors import ShapeError
+from diraclab.errors import DomainEscapeError, ShapeError
 from diraclab.maningroup import (
     GroupChart,
     HomogeneousSpaceData,
@@ -142,12 +142,12 @@ class TestCharts:
     def test_so3_chart_valid(self):
         triple, chart = so3_semidirect()
         rep = chart.validate(sample_chart_points())
-        assert rep["passed"], rep
+        assert rep.passed, rep
 
     def test_su2_chart_valid(self):
         triple, chart = iwasawa_su2()
         rep = chart.validate(sample_chart_points(seed=1))
-        assert rep["passed"], rep
+        assert rep.passed, rep
 
     def test_compose_consistent_with_ad(self):
         triple, chart = iwasawa_su2()
@@ -194,6 +194,18 @@ class TestDrinfeldBivector:
         dual_chart = GroupChart("an", dual, chart.param, chart.log_map)
         P = drinfeld_bivector(dual, dual_chart, np.zeros(3))
         assert np.abs(P).max() < 1e-12
+
+    @pytest.mark.parametrize("verifier", ["bivector", "jacobiator", "multiplicativity"])
+    def test_lost_skewness_names_its_point(self, verifier):
+        # far out on the chart rounding breaks skewness; the error names the point
+        triple, chart = iwasawa_su2()
+        far, near = np.full(3, 1e5), np.array([0.1, 0.2, 0.3])
+        call = {"bivector": lambda: drinfeld_bivector(triple, chart, far),
+                "jacobiator": lambda: jacobiator_fd_residual(triple, chart, [near, far]),
+                "multiplicativity": lambda: verify_multiplicativity(triple, chart, [(near, far)])}
+        with pytest.raises(DomainEscapeError, match="lost skewness") as e:
+            call[verifier]()
+        assert e.value.point == (1e5, 1e5, 1e5)
 
 
 class TestDressing:
@@ -286,16 +298,16 @@ class TestHomogeneousSpace:
     def test_l_equals_h_full_group(self):
         triple, _ = so3_semidirect()
         data = HomogeneousSpaceData(triple, [], triple.h_basis)
-        ok, rep = homogeneous_space_check(data)
-        assert ok, rep
+        rep = homogeneous_space_check(data)
+        assert rep.passed, rep
 
     def test_l_equals_g_point(self):
         triple, _ = so3_semidirect()
         data = HomogeneousSpaceData(triple, triple.g_basis, triple.g_basis)
-        ok, rep = homogeneous_space_check(
+        rep = homogeneous_space_check(
             data, k_generators=[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
         )
-        assert ok, rep
+        assert rep.passed, rep
 
     def test_su2_torus_sphere(self):
         # k = torus direction u3; l = k + (k-orthogonal part of h)
@@ -307,14 +319,14 @@ class TestHomogeneousSpace:
             [1, 0, 0, 0, 1, 0],    # u1 + v2
         ]
         data = HomogeneousSpaceData(triple, k_basis, l_basis)
-        ok, rep = homogeneous_space_check(data, k_generators=[[0, 0, 1, 0, 0, 0]])
-        assert ok, rep
+        rep = homogeneous_space_check(data, k_generators=[[0, 0, 1, 0, 0, 0]])
+        assert rep.passed, rep
 
     def test_wrong_intersection_detected(self):
         triple, _ = iwasawa_su2()
         data = HomogeneousSpaceData(triple, [[0, 0, 1, 0, 0, 0]], triple.h_basis)
-        ok, rep = homogeneous_space_check(data)
-        assert not ok and "cap" in rep["failure"]
+        rep = homogeneous_space_check(data)
+        assert not rep.passed and "cap" in rep.witness["failure"]
 
     def test_non_invariant_l_detected(self):
         # l = u3, v3, v1 - u2 is isotropic and a subalgebra candidate check:
@@ -326,8 +338,8 @@ class TestHomogeneousSpace:
             [0, -1, 0, 1, 0, 0],
         ]
         data = HomogeneousSpaceData(triple, [[0, 0, 1, 0, 0, 0]], l_basis)
-        ok, rep = homogeneous_space_check(data)
-        assert not ok
+        rep = homogeneous_space_check(data)
+        assert not rep.passed
 
 
 @st.composite

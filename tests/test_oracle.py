@@ -262,9 +262,9 @@ def test_homogeneous_space_check_matches_explicit_intersection():
         rng = random.Random(300 + seed)
         for _ in range(25):
             k, l = _random_homspace(rng, triple)
-            ok, report = homogeneous_space_check(HomogeneousSpaceData(triple, k, l))
+            rep = homogeneous_space_check(HomogeneousSpaceData(triple, k, l))
             want = reference_homspace_failure(triple, k, l)
-            assert (ok, report.get("failure")) == (want is None, want), (name, k, l)
+            assert (rep.passed, rep.witness.get("failure")) == (want is None, want), (name, k, l)
             kinds.add(want and want.split(" at ")[0])
     assert kinds == {None, "k not contained in g", "k not a subalgebra", "l has wrong dimension",
                      "l not isotropic", "l not a subalgebra", "l cap g != k"}

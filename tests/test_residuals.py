@@ -47,6 +47,19 @@ def test_criterion_pass_rule(residual, passed, shown):
     d = c.as_dict()
     assert d["status"] == ("pass" if passed else "fail") and d["max_residual"] == shown
     assert d["worst_point"] == [0.5, 0.25]
+    assert "witness" not in d
+
+
+@pytest.mark.parametrize("residual, passed, shown", [
+    (0, True, "exact-zero"), (3, False, None), (None, False, None), (NAN, False, None),
+])
+def test_exact_criterion_pass_rule(residual, passed, shown):
+    # an exact criterion passes iff its residual (a count of nonzero terms) is 0
+    c = CriterionResult("c", residual, None, "exact", {"1+2+3": []})
+    assert c.passed is passed
+    assert c.as_dict() == {"name": "c", "status": "pass" if passed else "fail",
+                           "max_residual": shown, "worst_point": None, "tolerance": "exact",
+                           "witness": {"1+2+3": []}}
 
 
 def _xdxdy():
@@ -69,7 +82,7 @@ def _poisson_map(pt):
 def _validate(pt):
     _, chart = manin_mod.iwasawa_su2()
     rep = chart.validate([[0.1, 0.2, 0.3], pt])
-    return rep["metric"], rep["passed"]
+    return rep.witness["metric"], rep.passed
 
 
 def _e_map(pt):
@@ -95,9 +108,9 @@ def _homogeneous_space(pt):
     triple, _ = manin_mod.iwasawa_su2()
     l_basis = [[0, 0, 1, 0, 0, 0], [0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]]
     data = manin_mod.HomogeneousSpaceData(triple, [[0, 0, 1, 0, 0, 0]], l_basis)
-    ok, rep = manin_mod.homogeneous_space_check(
+    rep = manin_mod.homogeneous_space_check(
         data, k_generators=[[0, 0, 1, 0, 0, 0], [0, 0, pt[0], 0, 0, 0]])
-    return rep.get("residual", rep.get("ad_invariance_residual")), ok
+    return rep.witness.get("residual", rep.witness.get("ad_invariance_residual")), rep.passed
 
 
 def _invariant_field_report(pt):
