@@ -5,37 +5,37 @@ one reader of `PolyScalar.float_terms`: every float value of the exact layer
 is one call into a table compiled once per object or call, which evaluates
 every column, and with partials=True every partial in a variable the column
 contains, from one monomial table and one matmul.  `compile_tensors` lays out
-tensors as its columns.  The table gathers from any array whose first n
-columns are x and whose last column is 1: `__call__` checks its points and
-builds [x, 1], `at_state` reads a flow state as it is, and `bind` serves a
-flow.  A time-dependent one keeps its last (t, C(t)) as one tuple, which one
-store swaps whole; RK4 repeats stage times, so a flow forms C(t) about twice
-per step instead of four times, bitwise as before.
+tensors as its columns.  Time is a table variable like x: a column
+sum_d t^d p_d(x) has one row per term t^d x^e.  The table gathers from any
+array whose first n columns are x and whose last two columns are t and 1:
+`__call__` checks its points and builds [x | t | 1], `at_state` reads a flow
+state as it is, and `bind` serves a flow.
 
 One flow function, `flow_points(field, x0, t, config)`, with one field
-protocol: a binder field(state, row) -> write, whose write(tau) fills row
-with [a | Da J] at the bound state.  `PackedPolys.bind` (one gather, one
-matmul into its own [a | Da], one copy of a, one matmul into the Da J slot)
-and the Moser binder take their views from `_stage_slots`.  A vector
-field with coefficient functions a(x) generates the flow Phi_t whose
-trajectories solve dx/dt = -a(x).  For a time-dependent field the flow is
-defined through its action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t};
-concretely Phi_t is the inverse of the forward solution map of
-dx/dtau = +a(tau, x), computed by integrating dz/ds = -a(z, t - s) from
-s = 0 to s = t.  A field that does not depend on time ignores tau, and this
-is dx/dt = -a(x).  The RK4 state, with the variational equations
-dJ/ds = -Da J, is one contiguous (B, n + n^2 + 1) array of rows [x | J | 1].
-A call allocates once the state, one stage input and the stage derivatives K,
-(4, B, n + n^2 + 1) with rows [a | Da J | 0], and binds each stage once:
-stage k writes a and Da J, unnegated, into K[k].  As the last column of K
-is 0, every stage input y - c K and every update keeps the state's last
-column at exactly 1.0, so the field reads the stage buffer itself, and all
-stage arithmetic runs on whole contiguous arrays.  The sign of dz/ds is
-folded into the stage offsets and weights (formed once per distinct step),
-and the update is one (4,) @ (4, B (n + n^2 + 1)) contraction added into the
-state in place.  The escape check then takes one dot d of the state with
-itself, which bounds every row's |x|^2: a finite d within escape_norm^2
-passes, and only otherwise do the finiteness and row-norm checks run.
+protocol: a binder field(state, row) -> write, whose write() fills row with
+[a | Da J] at the bound state.  `PackedPolys.bind` (one gather, one matmul
+into its own [a | Da], one copy of a, one matmul into the Da J slot) and the
+Moser binder take their views from `_stage_slots`.  A vector field with
+coefficient functions a(x) generates the flow Phi_t whose trajectories solve
+dx/dt = -a(x).  For a time-dependent field the flow is defined through its
+action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_t is
+the inverse of the forward solution map of dx/dtau = +a(tau, x), computed by
+integrating dz/ds = -a(z, t - s) from s = 0 to s = t.  A field that does not
+depend on time ignores tau, and this is dx/dt = -a(x).  The RK4 state, with
+the variational equations dJ/ds = -Da J, is one contiguous array of rows
+[x | J | tau | 1], tau = t - s.  A call allocates once the state, one stage
+input and the stage derivatives K, with rows [a | Da J | 1 | 0], and binds
+each stage once: stage k writes a and Da J, unnegated, into K[k].  So every
+stage input y - c K carries tau - c, and every update tau - h (to within
+rounding: tau is reset to t - s at each recorded time), while the last
+column stays exactly 1.0; the field reads x, J and tau from the stage buffer
+itself, and all stage arithmetic runs on whole contiguous arrays.  The sign
+of dz/ds is folded into the stage offsets and weights (formed once per
+distinct step), and the update is one (4,) @ (4, B (n + n^2 + 2))
+contraction added into the state in place.  The escape check then takes one
+dot d of the state with itself, which bounds every row's |x|^2: a finite d
+within escape_norm^2 passes, and only otherwise do the finiteness and
+row-norm checks run.
 
 `worst` is the one residual reducer: every verifier hands it its residuals,
 so a non-finite residual reads as +inf, a fail with its point, and is never
@@ -138,11 +138,11 @@ class CriterionResult:
 
 
 class _MonomialTable:
-    """Values of a fixed list of monomials at a batch of points.
+    """Values of a fixed list of monomials in x and t at a batch of points.
 
-    Each monomial is stored as its list of variable factors (x^2 y as x, x,
-    y), padded with index -1, so evaluation gathers from any array whose
-    first n columns are x and whose last column is 1, and multiplies, one
+    Each monomial is stored as its list of factors (x^2 y t as x, x, y, t),
+    padded with index -1, so evaluation gathers from any array whose first n
+    columns are x and whose last two columns are t and 1, and multiplies, one
     factor position at a time, instead of taking a floating-point pow per
     exponent.
     """
@@ -150,17 +150,19 @@ class _MonomialTable:
     __slots__ = ("columns",)
 
     def __init__(self, exps, dim: int):
-        exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), dim)
+        """exps: one (x-exponents..., time power) tuple per monomial."""
+        exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), dim + 1)
         width = max(1, int(exps.sum(axis=1).max(initial=0)))
         factors = np.full((len(exps), width), -1, dtype=np.intp)
+        variables = np.append(np.arange(dim), -2)  # t is read from column -2
         for row, e in enumerate(exps):
-            idx = np.repeat(np.arange(dim), e)
+            idx = np.repeat(variables, e)
             factors[row, : len(idx)] = idx
         # column k holds the k-th factor of every monomial
         self.columns = tuple(factors[:, k].copy() for k in range(width))
 
     def __call__(self, ext: np.ndarray) -> np.ndarray:
-        """(..., m) -> (..., T) for ext[..., :n] = x and ext[..., -1] = 1."""
+        """(..., m) -> (..., T) for ext[..., :n] = x, ext[..., -2] = t, ext[..., -1] = 1."""
         out = ext.take(self.columns[0], axis=-1)
         for col in self.columns[1:]:
             out *= ext.take(col, axis=-1)
@@ -171,14 +173,14 @@ class PackedPolys:
     """Packed evaluator of polynomial columns that may depend on time.
 
     Column c is sum_d t^d p_{c,d}(x), given as a mapping {d: PolyScalar}.
-    One monomial table holds every term of the p_{c,d} and, with
-    partials=True, of their partials; the coefficient matrices C_d share its
-    rows.  A call at (x, t) forms C(t) = sum_d t^d C_d (or reuses the last),
-    evaluates the table once and does one matmul: values (..., w) and, with
-    partials=True, partials (..., w, n) with [c, k] = d_k column c.
+    One monomial table in (x, t) holds every term t^d x^e of the p_{c,d} and,
+    with partials=True, of their partials, and one coefficient matrix shares
+    its rows.  A call evaluates the table once and does one matmul: values
+    (..., w) and, with partials=True, partials (..., w, n) with
+    [c, k] = d_k column c.
     """
 
-    __slots__ = ("dim", "width", "partials", "monomials", "powers", "coefs", "_memo")
+    __slots__ = ("dim", "width", "partials", "monomials", "coefs")
 
     def __init__(self, columns, dim: int, partials: bool = False):
         w = self.width = len(columns)
@@ -189,39 +191,27 @@ class PackedPolys:
                 polys.append((d, c, p))
                 if partials:
                     polys += [(d, w + c * dim + k, p.partial(k)) for k in p.variables()]
-        powers = sorted({d for d, _, _ in polys}) or [0]
-        rows: dict = {}
-        entries = [(powers.index(d), rows.setdefault(e, len(rows)), col, v)
+        rows: dict = {}  # (x-exponents..., time power) -> row
+        entries = [(rows.setdefault(e + (d,), len(rows)), col, v)
                    for d, col, p in polys for e, v in p.float_terms()]
         self.monomials = _MonomialTable(list(rows), dim)
-        self.powers = np.array(powers, dtype=float) if powers != [0] else None
-        coefs = np.zeros((len(powers), len(rows), w * (1 + dim) if partials else w))
-        for d, r, col, v in entries:
-            coefs[d, r, col] = v
-        self.coefs = coefs[0] if self.powers is None else coefs
-        self._memo = (None, self.coefs)
+        self.coefs = np.zeros((len(rows), w * (1 + dim) if partials else w))
+        for r, col, v in entries:
+            self.coefs[r, col] = v
 
     def __call__(self, pts, t: float = 0.0):
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1:] != (self.dim,):
             raise ShapeError(f"points of shape {pts.shape} on a chart of dim {self.dim}")
-        ext = np.empty(pts.shape[:-1] + (self.dim + 1,))
-        ext[..., :-1] = pts
-        ext[..., -1] = 1.0
-        return self.at_state(ext, t)
+        ext = np.empty(pts.shape[:-1] + (self.dim + 2,))
+        ext[..., :-2], ext[..., -2], ext[..., -1] = pts, t, 1.0
+        return self.at_state(ext)
 
-    def _coefs_at(self, t: float) -> np.ndarray:
-        """C(t), formed only when t differs from the last time."""
-        memo = self._memo  # read once: one store swaps the (t, C(t)) pair
-        if self.powers is not None and memo[0] != t:
-            C = self.coefs
-            memo = self._memo = (t, (t**self.powers @ C.reshape(len(C), -1)).reshape(C.shape[1:]))
-        return memo[1]
-
-    def at_state(self, state: np.ndarray, t: float = 0.0):
-        """Values at the x = state[..., :dim] of an array whose last column is
-        1, such as a flow state [x | J | 1]; its shape is not checked."""
-        out = self.monomials(state) @ self._coefs_at(t)
+    def at_state(self, state: np.ndarray):
+        """Values at x = state[..., :dim] and t = state[..., -2] of an array
+        whose last column is 1, such as a flow state [x | J | t | 1]; its
+        shape is not checked."""
+        out = self.monomials(state) @ self.coefs
         if not self.partials:
             return out
         w = self.width
@@ -229,7 +219,7 @@ class PackedPolys:
 
     def bind(self, state: np.ndarray, row: np.ndarray):
         """The `flow_points` field of a vector field's table (partials, width
-        dim): write(tau) fills row with [a | Da J] at the bound state."""
+        dim): write() fills row with [a | Da J] at the bound state."""
         n = self.dim
         if not self.partials or self.width != n:
             raise ShapeError(f"a flow field needs {n} columns with partials, not {self.width} "
@@ -238,8 +228,8 @@ class PackedPolys:
         out = np.empty((len(state), n + n * n))  # [a | Da], Da row-major
         a, Da = out[:, :n], out[:, n:].reshape(-1, n, n)
 
-        def write(t):
-            np.matmul(self.monomials(state), self._coefs_at(t), out=out)
+        def write():
+            np.matmul(self.monomials(state), self.coefs, out=out)
             ka[...] = a
             np.matmul(Da, J, out=kJ)
 
@@ -321,21 +311,23 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
     """Flow map Phi_t of the field with binder field(state, row) -> write.
 
     RK4 for dx/ds = -a(x, t - s) and dJ/ds = -Da(x, t - s) J from s = 0, J = I
-    (see the module docstring); write(tau) fills row[:, :n + n^2] with
-    [a | Da J] at the bound state.  x0 may be a single point or a batch (B, n).
-    Returns (x, J) at time t, or, if record_times is given (running
-    monotonically away from 0), the list of (x, J) snapshots at those times.
+    (see the module docstring); write() fills row[:, :n + n^2] with
+    [a | Da J] at the bound state [x | J | tau | 1].  x0 may be a single point
+    or a batch (B, n).  Returns (x, J) at time t, or, if record_times is given
+    (running monotonically away from 0), the list of (x, J) snapshots at those
+    times.
     """
     single = np.ndim(x0) == 1
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     B, n = x0.shape
     m = n + n * n
-    # state rows [x | J | 1] with J row-major, J(0) = I; the stage input; the
-    # stage derivatives, whose last column stays 0; and the (x, J) views
-    y = np.empty((B, m + 1))
-    y[:, :n], y[:, n:m], y[:, m] = x0, np.eye(n).ravel(), 1.0
+    # state rows [x | J | tau | 1] with J row-major, J(0) = I and tau = t - s;
+    # the stage input; the stage derivatives [a | Da J | 1 | 0]; and the (x, J) views
+    y = np.empty((B, m + 2))
+    y[:, :n], y[:, n:m], y[:, m], y[:, m + 1] = x0, np.eye(n).ravel(), t, 1.0
     ys = np.empty_like(y)
     K = np.zeros((4,) + y.shape)
+    K[:, :, m] = 1.0
     x, J = y[:, :n], y[:, n:m].reshape(B, n, n)
     flat_update, flat_K = ys.reshape(-1), K.reshape(4, -1)
     # stage 0 reads y; stages 1-3 read ys = y - c K_prev at offset c = f h
@@ -349,17 +341,16 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
             w = weights.get(h)
             if w is None:
                 w = weights[h] = RK4_WEIGHTS * (-h / 6.0)
-            write0(t - s)
+            write0()
             for write, Kprev, f in stages:
-                c = f * h
-                np.multiply(Kprev, -c, out=ys)  # dz/ds = -K
+                np.multiply(Kprev, -f * h, out=ys)  # dz/ds = -K, and tau - c
                 ys += y
-                write(t - (s + c))
+                write()
             np.dot(w, flat_K, out=flat_update)
             y += ys
-            s += h
             _check_escape(y, n, config.escape_norm)
         s = target
+        y[:, m] = t - s  # the updates carry tau to within rounding
         snaps.append((x[0].copy(), J[0].copy()) if single else (x.copy(), J.copy()))
     return snaps[0] if record_times is None else snaps
 

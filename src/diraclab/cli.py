@@ -7,6 +7,7 @@ identical inputs and seed reproduce the report byte for byte (the
 wall_time_s field is the one excluded, timing is not reproducible).
 Every numeric option is checked against its domain in `OPTION_DOMAINS`
 before a command runs, and a usage error is an input error with a report.
+--tol and --seed are input errors on a command that reads neither.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ OPTION_DOMAINS = {
 # a command not listed has none, and --tol on it is an input error.
 TOL_DEFAULTS = {"dirac gauge": 1e-9, "dirac pullback": 1e-9, "realize": 1e-6, "moser": 1e-6,
                 "linearize": 1e-5, "manin bivector": 1e-5, "manin multiplicativity": 1e-5}
+# The seed of each command that draws points at random when --seed is not
+# given; --seed on a command not listed is an input error.
+SEED_DEFAULTS = dict.fromkeys(("dirac check-integrability", "realize", "moser", "linearize",
+                               "manin multiplicativity"), 0)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -108,17 +113,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_options(args) -> None:
-    """Check each option's domain, then fill in --tol, or refuse it where nothing reads it."""
+    """Check each option's domain, then fill in --tol and --seed, or refuse
+    each where nothing reads it."""
     for name, (inside, phrase) in OPTION_DOMAINS.items():
         value = getattr(args, name, None)
         if value is not None and not inside(value):
             raise InputError(f"--{name.replace('_', '-')} must be {phrase}, got {value}")
     command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
-    if command not in TOL_DEFAULTS:
-        if args.tol is not None:
-            raise InputError(f"--tol: {command} has no numeric criterion")
-    elif args.tol is None:
-        args.tol = TOL_DEFAULTS[command]
+    for name, defaults, unread in (("tol", TOL_DEFAULTS, "has no numeric criterion"),
+                                   ("seed", SEED_DEFAULTS, "draws nothing at random")):
+        if command not in defaults:
+            if getattr(args, name) is not None:
+                raise InputError(f"--{name}: {command} {unread}")
+        elif getattr(args, name) is None:
+            setattr(args, name, defaults[command])
 
 
 def _load_json(path: str):
@@ -258,8 +266,7 @@ def _cmd_dirac(args):
     pi_src = _load_bivector(args.pi_source)
     pi_tgt = PoissonBivector(jsonio.tensor_from_json(_load_json(args.pi_target), phi.target))
     rep = dirac_mod.check_poisson_map(phi, pi_src, pi_tgt, anti=args.anti)
-    crit = CriterionResult("poisson-map-identity", 0 if rep.exact else None, None, "exact")
-    return [crit], rep.as_dict()
+    return [CriterionResult("poisson-map-identity", 0 if rep.exact else None, None, "exact")], {}
 
 
 def _cmd_realize(args):
@@ -355,6 +362,15 @@ def _triple_axioms(triple) -> CriterionResult:
     return CriterionResult("manin-triple-axioms", 0 if ok else None, None, "exact", witness)
 
 
+def _check_borrowed_chart(triple, chart) -> None:
+    """Refuse a `builtin_ad` chart unless its built-in's g has the triple's
+    ad_g: its param and log_map multiply in the built-in's group."""
+    ref = manin_mod.builtin_triples()[chart.name][0]._numeric()["ad_g"]
+    own = triple._numeric()["ad_g"]
+    if own.shape != ref.shape or np.abs(own - ref).max() > 1e-12:
+        raise InputError(f"builtin_ad {chart.name!r}: the chart's g is not this triple's g")
+
+
 def _cmd_manin(args):
     triple, chart = _resolve_triple(args)
     if args.manin_cmd == "check":
@@ -365,6 +381,8 @@ def _cmd_manin(args):
         crit = _triple_axioms(triple)
         if not crit.passed:
             return [crit], {}
+        if chart is not None:
+            _check_borrowed_chart(triple, chart)
     if args.manin_cmd == "bivector":
         pt = np.array(_parse_point(args.point, chart.dim))
         P = manin_mod.drinfeld_bivector(triple, chart, pt)
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diraclab",
         description="Exact and numeric certification of Poisson/Dirac constructions",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for all sampled points")
+    ap.add_argument("--seed", type=int, default=None, help="seed for all sampled points")
     ap.add_argument("--tol", type=float, default=None, help="override the command tolerance")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it
@@ -507,7 +525,8 @@ def run(argv) -> int:
         args = None
         try:
             args = build_parser().parse_args(argv)
-            report["seed"] = args.seed
+            if args.seed is not None:
+                report["seed"] = args.seed
             _check_options(args)
             criteria, result = _HANDLERS[args.cmd](args)
             report["criteria"] = [c.as_dict() for c in criteria]

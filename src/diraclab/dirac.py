@@ -360,15 +360,6 @@ class MapCheckReport:
     exact: bool | None
     max_residual: float | None
     worst_point: tuple | None
-    anti: bool
-
-    def as_dict(self):
-        return {
-            "exact": self.exact,
-            "max_residual": "exact-zero" if self.exact else self.max_residual,
-            "worst_point": None if self.worst_point is None else list(self.worst_point),
-            "anti": self.anti,
-        }
 
 
 def check_poisson_map(
@@ -399,7 +390,7 @@ def check_poisson_map(
                                                 if S[a][b]])
         ok = all(pushed(i, j) == sign * phi.compose_scalar(pi_target.pi.component((i, j)))
                  for i in range(n) for j in range(i + 1, n))
-        return MapCheckReport(exact=ok, max_residual=None, worst_point=None, anti=anti)
+        return MapCheckReport(exact=ok, max_residual=None, worst_point=None)
 
     if samples is None or jacobian is None:
         raise ShapeError("callable maps need sample points and a jacobian callback")
@@ -408,4 +399,4 @@ def check_poisson_map(
     pushed = J @ pi_source.matrix_at(np.array(samples)) @ np.swapaxes(J, 1, 2)
     target = pi_target.matrix_at(np.array([np.asarray(phi(pt), dtype=float) for pt in samples]))
     r, pt = worst(np.abs(pushed - sign * target).reshape(len(samples), -1).max(axis=1), samples)
-    return MapCheckReport(exact=None, max_residual=r, worst_point=tuple(map(float, pt)), anti=anti)
+    return MapCheckReport(exact=None, max_residual=r, worst_point=tuple(map(float, pt)))

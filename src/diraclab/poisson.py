@@ -475,8 +475,8 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
     gauge(pts, t) -> (Pi, A_t^{-1}, a_t, partials) from one packed table
     evaluation and `gauge_inverse`; velocity(Pi, A_t^{-1}, a_t, partials) ->
     (X_t, DX_t) with the exact Jacobian of moser_verify; and
-    field(state, row), the `flow_points` field, whose writer reads x =
-    state[:, :n] and the same table from the flow state.
+    field(state, row), the `flow_points` field, whose writer reads x and t
+    and the same table from the flow state [x | J | t | 1].
     """
     n, P = pi0.chart.dim, pi0.component_matrix()
     A_t = gauge_family(pi0, a_t.exterior_derivative().time_integral().coeffs)
@@ -504,10 +504,10 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
 
     def field(state, row):
         ka, kJ, J = _stage_slots(state, row, n)
-        x = state[:, :n]
+        x, tau = state[:, :n], state[:, -2]
 
-        def write(t):
-            X, DX = velocity(*split(x, t, *packed.at_state(state, t)))
+        def write():
+            X, DX = velocity(*split(x, tau[0], *packed.at_state(state)))
             ka[...] = X
             np.matmul(DX, J, out=kJ)
 

@@ -51,7 +51,7 @@ from ._numeric import (
     worst,
 )
 from .dirac import one_form_bracket
-from .errors import ChartMismatchError, DomainEscapeError, PreconditionError
+from .errors import ChartMismatchError, PreconditionError
 from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart,
                      sum_of_products)
 from .poisson import PoissonBivector
@@ -209,8 +209,6 @@ def realization_sample(spray, point, config: RealizationConfig = RealizationConf
     sv = np.linalg.svd(W, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * sv[0])
     cond = float(sv[0] / sv[-1]) if invertible else float("inf")
-    if np.abs(W + W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
-        raise DomainEscapeError("realization form lost skewness", point)
     return RealizationSample(tuple(point), W, s, t, ds, dt, invertible, cond)
 
 

@@ -83,11 +83,12 @@ def dense_exact(T, x) -> np.ndarray:
 
 def stage_field(f):
     """A `flow_points` field from f(state, tau) -> (a, Da): the writer bound to
-    (state, row) fills row with [a | Da J] at the state, J its (B, n, n) part."""
+    (state, row) reads tau from state[:, -2] and fills row with [a | Da J] at
+    the state [x | J | tau | 1], J its (B, n, n) part."""
 
     def bind(state, row):
-        def write(tau):
-            a, Da = f(state, tau)
+        def write():
+            a, Da = f(state, state[:, -2])
             B, n = a.shape
             J = state[:, n:n + n * n].reshape(B, n, n)
             row[:, :n] = a

@@ -44,7 +44,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
-            "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at"}
+            "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at",
+            "_coefs_at"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -142,6 +143,10 @@ def test_flow_points_has_one_field_protocol():
     calls = [node.lineno for node in ast.walk(flow)
              if isinstance(node, ast.Name) and node.id == "isinstance"]
     assert not calls, f"flow_points branches on a type at lines {calls}"
+    # a writer reads its time from the flow state, like x
+    writes = [node for node in ast.walk(flow) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", "").startswith("write")]
+    assert writes and not any(call.args or call.keywords for call in writes)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)

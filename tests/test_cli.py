@@ -306,28 +306,27 @@ class TestDeterminism:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_seed_echoed(self, workdir, capsys):
-        code, rep = run_and_parse(
-            capsys, ["--seed", "5", "poisson", "check", "--file", workdir["constant.json"]]
-        )
-        assert rep["seed"] == 5
+        argv = ["realize", "--poisson", workdir["xdxdy.json"], "--samples", "2", "--step", "1e-2"]
+        code, rep = run_and_parse(capsys, ["--seed", "5", *argv])
+        assert code == 0 and rep["seed"] == 5
+        code, rep = run_and_parse(capsys, argv)
+        assert code == 0 and rep["seed"] == 0
 
 
 class TestTripleJson:
-    def triple_json(self):
-        # so(3) semidirect triple in the user file format (1-based indices)
-        from diraclab.maningroup import so3_semidirect
-
-        triple, _ = so3_semidirect()
+    def triple_json(self, builtin="semidirect-so3", scale=1):
+        # a built-in triple, its structure constants times scale, in the user
+        # file format (1-based indices), borrowing the built-in's chart
+        triple, _ = builtin_triples()[builtin]
         C = [
             {"a": a + 1, "b": b + 1, "c": c + 1,
-             "value": [v.numerator, v.denominator]}
+             "value": [(scale * v).numerator, (scale * v).denominator]}
             for (a, b, c), v in triple.algebra.C.items()
         ]
         B = [[[x.numerator, x.denominator] for x in row] for row in triple.algebra.B]
         g = [[[x.numerator, x.denominator] for x in v] for v in triple.g_basis]
         h = [[[x.numerator, x.denominator] for x in v] for v in triple.h_basis]
-        return {"dim": 6, "C": C, "B": B, "g_basis": g, "h_basis": h,
-                "builtin_ad": "semidirect-so3"}
+        return {"dim": 6, "C": C, "B": B, "g_basis": g, "h_basis": h, "builtin_ad": builtin}
 
     def test_user_triple_check(self, capsys, tmp_path):
         p = tmp_path / "triple.json"
@@ -364,6 +363,23 @@ class TestTripleJson:
         assert [c["name"] for c in rep["criteria"]] == ["manin-triple-axioms"]
         assert rep["criteria"][0]["status"] == "fail" and rep["criteria"][0]["witness"]
 
+    @pytest.mark.parametrize("scale, want", [(1, 0), (2, 2)], ids=["same-g", "doubled"])
+    def test_a_borrowed_chart_must_represent_g(self, capsys, tmp_path, scale, want):
+        # doubling every structure constant keeps a Manin triple, but the
+        # iwasawa-su2 chart multiplies in another group: multiplicativity
+        # used to fail at 0.2 instead of refusing the chart
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps(self.triple_json("iwasawa-su2", scale)))
+        code, _ = run_and_parse(capsys, ["manin", "check", "--triple", str(p)])
+        assert code == 0
+        code, rep = run_and_parse(capsys, ["manin", "multiplicativity", "--triple", str(p),
+                                           "--pairs", "5"])
+        assert code == want
+        if want:
+            assert rep["error"] == "builtin_ad 'iwasawa-su2': the chart's g is not this triple's g"
+        else:
+            assert rep["criteria"][0]["max_residual"] < 1e-12
+
     def test_missing_chart_rejected(self, capsys, tmp_path):
         data = self.triple_json()
         data["builtin_ad"] = None
@@ -377,12 +393,12 @@ class TestTripleJson:
 
 def test_consecutive_runs_share_no_option_values(workdir, capsys):
     # one parser serves every run in a process
-    argv = ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3"]
+    argv = ["manin", "multiplicativity", "--builtin", "iwasawa-su2", "--pairs", "2"]
     assert cli.build_parser() is cli.build_parser()
     _, rep = run_and_parse(capsys, ["--seed", "7", "--tol", "0.5", *argv])
     assert (rep["seed"], rep["criteria"][0]["tolerance"]) == (7, 0.5)
-    args = cli.build_parser().parse_args(["dirac", "check-integrability"])
-    assert (args.seed, args.tol) == (0, None)
+    args = cli.build_parser().parse_args(argv)
+    assert (args.seed, args.tol) == (None, None)
     _, rep = run_and_parse(capsys, argv)
     assert (rep["seed"], rep["criteria"][0]["tolerance"]) == (0, 1e-5)
 
@@ -415,6 +431,29 @@ class TestTolOverride:
         assert rep["error"] == f"--tol: {command} has no numeric criterion"
         code, _ = run_and_parse(capsys, fuzz_argv(tmp_path, command))
         assert code == 0
+
+
+# the commands that draw nothing at random: --seed has nothing to set
+NOT_SEEDED = ["poisson check", "poisson jacobiator", "poisson bracket", "poisson leaf",
+              "dirac gauge", "dirac pullback", "dirac poisson-map", "manin check",
+              "manin bivector", "manin dressing", "manin homspace"]
+
+
+class TestSeedOverride:
+    def test_seed_defaults_name_the_seeded_commands(self):
+        assert set(cli.SEED_DEFAULTS) == set(FUZZ_COMMANDS) - set(NOT_SEEDED)
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("command", NOT_SEEDED)
+    def test_seed_where_nothing_is_drawn_is_an_input_error(self, capsys, tmp_path,
+                                                           command, before):
+        argv = fuzz_argv(tmp_path, command)
+        argv = ["--seed", "5", *argv] if before else [*argv, "--seed", "5"]
+        code, rep = run_and_parse(capsys, argv)
+        assert code == 2 and rep["criteria"] == []
+        assert rep["error"] == f"--seed: {command} draws nothing at random"
+        code, rep = run_and_parse(capsys, fuzz_argv(tmp_path, command))
+        assert code == 0 and rep["seed"] == 0
 
 
 class TestFrameFile:

@@ -24,7 +24,7 @@ import pytest
 
 from diraclab import cli, jsonio
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar, coordinate_vector
-from diraclab.maningroup import so3_semidirect
+from diraclab.maningroup import builtin_triples
 from diraclab.poisson import from_components, lie_poisson, so3_constants
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -34,18 +34,26 @@ EXACT = {"poisson check", "poisson jacobiator", "poisson bracket",
          "dirac check-integrability", "dirac poisson-map", "manin check"}
 
 
+def _triple_json(name: str, scale=1):
+    """The built-in triple `name` in the user format, its structure constants
+    times scale, borrowing the built-in's chart."""
+    triple, _ = builtin_triples()[name]
+    pair = lambda v: [[x.numerator, x.denominator] for x in v]
+    C = [{"a": a + 1, "b": b + 1, "c": c + 1, "value": pair([scale * v])[0]}
+         for (a, b, c), v in triple.algebra.C.items()]
+    return {"dim": 6, "C": C, "B": [pair(row) for row in triple.algebra.B],
+            "g_basis": [pair(v) for v in triple.g_basis],
+            "h_basis": [pair(v) for v in triple.h_basis], "builtin_ad": name}
+
+
 def _broken_triple_json():
     """The so(3) semidirect triple in the user format with h_0, h_1 replaced by
     h_0 + h_1 and h_1 + g_0, so h is no longer a Lagrangian subalgebra."""
-    triple, _ = so3_semidirect()
-    pair = lambda v: [[x.numerator, x.denominator] for x in v]
-    g, h = [pair(v) for v in triple.g_basis], [pair(v) for v in triple.h_basis]
+    data = _triple_json("semidirect-so3")
+    g, h = data["g_basis"], data["h_basis"]
     add = lambda u, v: [[a[0] * b[1] + b[0] * a[1], a[1] * b[1]] for a, b in zip(u, v)]
     h[0], h[1] = add(h[0], h[1]), add(h[1], g[0])
-    C = [{"a": a + 1, "b": b + 1, "c": c + 1, "value": [v.numerator, v.denominator]}
-         for (a, b, c), v in triple.algebra.C.items()]
-    return {"dim": 6, "C": C, "B": [pair(row) for row in triple.algebra.B],
-            "g_basis": g, "h_basis": h, "builtin_ad": "semidirect-so3"}
+    return data
 
 
 def _inputs():
@@ -84,6 +92,8 @@ def _inputs():
         "HS_BAD": {"k_basis": [], "l_basis": hs_l[:2]},
         "HS_LIST": [1, 2],
         "TRIPLE_BAD": _broken_triple_json(),
+        # a Manin triple, but the iwasawa-su2 chart multiplies in another group
+        "TRIPLE_DOUBLED": _triple_json("iwasawa-su2", scale=2),
         "BAD": "{not json",
     }
 
@@ -94,6 +104,7 @@ CASES = {
     "poisson check/error": ["poisson", "check", "--file", "{BAD}"],
     "poisson check/tol-before": ["--tol", "0.5", "poisson", "check", "--file", "{PI}"],
     "poisson check/tol-after": ["poisson", "check", "--file", "{PI}", "--tol", "0.5"],
+    "poisson check/seed": ["--seed", "5", "poisson", "check", "--file", "{PI}"],
     "poisson jacobiator/pass": ["poisson", "jacobiator", "--file", "{SO3}"],
     "poisson jacobiator/nonzero": ["poisson", "jacobiator", "--file", "{NONPOISSON}"],
     "poisson jacobiator/error": ["poisson", "jacobiator", "--file", "{DIR}/missing.json"],
@@ -175,6 +186,8 @@ CASES = {
     "manin multiplicativity/fail": ["manin", "multiplicativity", "--builtin", "iwasawa-su2",
                                     "--pairs", "2", "--tol", "0"],
     "manin multiplicativity/error": ["manin", "multiplicativity", "--builtin", "standard-sl2"],
+    "manin multiplicativity/foreign-chart": ["manin", "multiplicativity", "--triple",
+                                             "{TRIPLE_DOUBLED}", "--pairs", "5"],
     "manin homspace/pass": ["manin", "homspace", "--builtin", "iwasawa-su2", "--data", "{HS}"],
     "manin homspace/fail": ["manin", "homspace", "--builtin", "iwasawa-su2",
                             "--data", "{HS_BAD}"],

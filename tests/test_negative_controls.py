@@ -43,7 +43,7 @@ class WrappedSpray:
     def __init__(self, spray, edit):
         self.pi, self.base_dim = spray.pi, spray.base_dim
         at_state = spray.compiled().at_state
-        self.bind = stage_field(lambda state, t: edit(state, *at_state(state, t)))
+        self.bind = stage_field(lambda state, tau: edit(state, *at_state(state)))
 
     def compiled(self):
         return self

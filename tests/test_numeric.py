@@ -108,11 +108,8 @@ class TestCompiledPartials:
         assert len(sparse.monomials.columns) == len(dense.monomials.columns)
         for a, b in zip(sparse.monomials.columns, dense.monomials.columns):
             assert np.array_equal(a, b)
-        assert sparse.coefs.shape == dense.coefs.shape
+        assert sparse.coefs.ndim == 2 and sparse.coefs.shape == dense.coefs.shape
         assert sparse.coefs.tobytes() == dense.coefs.tobytes()
-        assert (sparse.powers is None) == (dense.powers is None)
-        if sparse.powers is not None:
-            assert np.array_equal(sparse.powers, dense.powers)
 
 
 class TestCompileTensors:
@@ -125,6 +122,7 @@ class TestCompileTensors:
         pi = random_vector(rng, chart, degree=2)
         family = TimePolyForm({0: random_form(rng, chart, 1), 2: random_form(rng, chart, 1)})
         packed = compile_tensors([alpha, pi, family])
+        assert packed.coefs.ndim == 2  # one row per term t^d x^e
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(6, 4))
         for t in TIMES:
             got = packed(pts, t)
@@ -191,68 +189,6 @@ class TestOneTablePerRhs:
         assert counter.calls <= sum(4 * rk4_steps(T, 0.05) + 2 for T in times)
 
 
-class CountingPowers(np.ndarray):
-    """Time powers that count the formations of C(t) = sum_d t^d C_d: each is
-    one t ** powers (for a Python float t, which defers to __rpow__)."""
-
-    def __rpow__(self, t):
-        self.formations += 1
-        return t ** np.asarray(self)
-
-
-def count_formations(packed: PackedPolys) -> CountingPowers:
-    packed.powers = packed.powers.view(CountingPowers)
-    packed.powers.formations = 0
-    return packed.powers
-
-
-class TestTimeCoefficientMemo:
-    """A time-dependent PackedPolys forms C(t) once per run of equal times,
-    and its values are bitwise those of a fresh instance."""
-
-    def test_repeated_times_are_bitwise_fresh(self):
-        # no power 0: C(-0.0) is C(0.0) only if the sum leaves no negative zero
-        cols = time_columns(random.Random(7), Chart(3), 5, powers=(1, 2))
-        packed = PackedPolys(cols, 3, partials=True)
-        powers = count_formations(packed)
-        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 3))
-        for t in (0.3, -0.7, 0.3, 0.3, 0.0, -0.0, -0.0):
-            got, want = packed(pts, t), PackedPolys(cols, 3, partials=True)(pts, t)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()  # signed zeros included
-        assert powers.formations == 4
-
-    @staticmethod
-    def moser_field(monkeypatch):
-        import diraclab.poisson as poisson_mod
-
-        made = []
-
-        def recording(*args, **kwargs):
-            made.append(_numeric.compile_tensors(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(poisson_mod, "compile_tensors", recording)
-        field = poisson_mod._moser_field(*so3_moser_family())[2]
-        return field, made[0]
-
-    @pytest.mark.parametrize("case", ["euler", "moser"])
-    @pytest.mark.parametrize("record", [None, [0.2, 0.45, 0.6]], ids=["end", "segments"])
-    def test_flow_forms_c_about_twice_per_step(self, monkeypatch, case, record):
-        field, _, x0, t, _ = flow_cases()[case]
-        if case == "moser":  # the Moser field is a closure over its PackedPolys
-            field, packed = self.moser_field(monkeypatch)
-        else:  # PackedPolys.bind, bound to its table
-            packed = field.__self__
-        segments = [t] if record is None else [math.copysign(r, t) for r in record]
-        t = segments[-1]
-        powers = count_formations(packed)
-        _numeric.flow_points(field, x0, t, FlowConfig(step=0.03),
-                             record_times=None if record is None else segments)
-        steps = sum(rk4_steps(b - a, 0.03) for a, b in zip([0.0] + segments, segments))
-        assert 0 < powers.formations <= 2 * steps + len(segments)
-
-
 def textbook_flow(rhs, x0, t, step, record_times):
     """Allocating RK4 on the (x, J) state: y + h/6 (k1 + 2 k2 + 2 k3 + k4),
     with dz/ds = -a(z, t - s), dJ/ds = -Da J, on the integrator's schedule."""
@@ -282,29 +218,31 @@ def textbook_flow(rhs, x0, t, step, record_times):
 
 def reference_flow(rhs, x0, t, step, record_times):
     """RK4 through rhs(x, tau) -> (a, Da) at points, with the arithmetic of
-    flow_points: rows [x | J | 1] and stage rows [a | Da J | 0], stage inputs
-    y - c K, and the update w . K for w = RK4_WEIGHTS * (-h / 6), contracted
-    over the same (4, B (n + n^2 + 1)) layout (BLAS may round the last
-    entries of a contraction differently for another length)."""
+    flow_points: rows [x | J | tau | 1] and stage rows [a | Da J | 1 | 0],
+    stage inputs y - c K, which carry tau - c, and the update w . K for
+    w = RK4_WEIGHTS * (-h / 6), contracted over the same (4, B (n + n^2 + 2))
+    layout (BLAS may round the last entries of a contraction differently for
+    another length); tau is reset to t - s at each recorded time."""
     B, n = x0.shape
     m = n + n * n
-    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1)), np.ones((B, 1))])
+    y = np.hstack([x0, np.tile(np.eye(n).ravel(), (B, 1)), np.full((B, 1), t), np.ones((B, 1))])
     s, snaps = 0.0, []
     for target in record_times:
         for h in _numeric._step_schedule(target - s, step):
-            K = np.zeros((4, B, m + 1))
-            yin, tau = y, t - s
+            K = np.zeros((4, B, m + 2))
+            K[:, :, m] = 1.0
+            yin = y
             for k in range(4):
                 if k:
                     c = h if k == 3 else 0.5 * h
-                    yin, tau = K[k - 1] * -c + y, t - (s + c)
-                a, Da = rhs(yin[:, :n], tau)
+                    yin = K[k - 1] * -c + y
+                a, Da = rhs(yin[:, :n], yin[0, m])
                 K[k, :, :n] = a
                 K[k, :, n:m] = (Da @ yin[:, n:m].reshape(B, n, n)).reshape(B, m - n)
             w = _numeric.RK4_WEIGHTS * (-h / 6.0)
-            y = y + np.dot(w, K.reshape(4, -1)).reshape(B, m + 1)
-            s += h
+            y = y + np.dot(w, K.reshape(4, -1)).reshape(B, m + 2)
         s = target
+        y[:, m] = t - s
         snaps.append((y[:, :n], y[:, n:m].reshape(B, n, n)))
     return snaps
 
@@ -398,12 +336,17 @@ class TestStageBinding:
         def counting(state, row):
             binds.append((state, row))
             write = field(state, row)
-            return lambda tau: writes.append(tau) or write(tau)
+            return lambda: writes.append(state[0, -2]) or write()
 
         _numeric.flow_points(counting, x0, t, FlowConfig(step=0.03), record_times=record)
         segments = [t] if record is None else record
-        steps = sum(rk4_steps(b - a, 0.03) for a, b in zip([0.0] + segments, segments))
+        counts = [rk4_steps(b - a, 0.03) for a, b in zip([0.0] + segments, segments)]
+        steps = sum(counts)
         assert len(binds) == 4 and len(writes) == 4 * steps
+        # tau = t - s is exact as each segment starts, at s = 0 and each recorded time
+        firsts = np.cumsum([0] + counts[:-1]) if steps else []
+        for start, first in zip([0.0] + segments, firsts):
+            assert writes[4 * first] == t - start
         (y, _), *inputs = binds
         assert all(state is inputs[0][0] and state is not y for state, _ in inputs)
         rows = [row for _, row in binds]
@@ -436,8 +379,8 @@ REFERENCE_FLOWS = {
 
 
 class TestFlowStateLayout:
-    """flow_points reads its fields from the [x | J | 1] state, bitwise as a
-    reference RK4 that evaluates them at points."""
+    """flow_points reads its fields from the [x | J | tau | 1] state, bitwise as
+    a reference RK4 that evaluates them at points."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["end", "segments"])
     @pytest.mark.parametrize("batch", [1, 5, 64])
@@ -475,10 +418,12 @@ class TestFlowStateLayout:
         rng = random.Random(3)
         packed = PackedPolys(time_columns(rng, Chart(3), 4), 3, partials=True)
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 3))
-        # a flow state [x | J | 1] for n = 3
-        state = np.hstack([pts, np.random.default_rng(4).standard_normal((6, 9)), np.ones((6, 1))])
+        # a flow state [x | J | t | 1] for n = 3
+        state = np.hstack([pts, np.random.default_rng(4).standard_normal((6, 9)),
+                           np.zeros((6, 1)), np.ones((6, 1))])
         for t in TIMES:
-            for a, b in zip(packed.at_state(state, t), packed(pts, t)):
+            state[:, -2] = t
+            for a, b in zip(packed.at_state(state), packed(pts, t)):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -596,10 +541,11 @@ def escape_verdict(check, y, n, escape_norm):
 
 
 def escape_state(n=3, B=4, x_scale=0.5):
-    """A flow state [x | J | 1] with J near I."""
+    """A flow state [x | J | tau | 1] with J near I."""
     rng = np.random.default_rng(7)
     J = np.eye(n).ravel() + 0.1 * rng.standard_normal((B, n * n))
-    return np.hstack([x_scale * rng.standard_normal((B, n)), J, np.ones((B, 1))])
+    return np.hstack([x_scale * rng.standard_normal((B, n)), J, np.full((B, 1), 0.5),
+                      np.ones((B, 1))])
 
 
 # name -> {(row, column): value} written into escape_state(); x is columns 0-2

@@ -164,7 +164,8 @@ class TestRealizationForm:
         spray = default_spray(xdxdy())
         pts = sample_points(2, 6, 0.2, seed=1)
         W = realization_form(spray, pts, FAST)
-        assert np.abs(W + np.transpose(W, (0, 2, 1))).max() < 1e-12
+        # W = S - S^T is skew exactly, since fl(a - b) = -fl(b - a)
+        assert np.array_equal(W, -np.transpose(W, (0, 2, 1)))
         for Wb in W:
             assert abs(np.linalg.det(Wb)) > 1e-3
 
