@@ -419,7 +419,8 @@ def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.
 
 
 def gauge_inverse(A: np.ndarray, points, message: str, *args) -> np.ndarray:
-    """(I + Pi W)^{-1} of one gauge matrix A or a stack, refused by
+    """A^{-1} of one matrix A or a stack (a gauge matrix I + Pi W, a chart
+    coframe P0 Xi), refused by
     TransversalityError(message.format(*args), point) at the first point where
     A is exactly singular or A^{-1} has an entry above 1 / RANK_TOL.  A
     non-finite A gives no verdict: its inverse's NaN entries reach the residual."""

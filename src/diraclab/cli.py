@@ -25,7 +25,7 @@ import numpy as np
 from . import jsonio
 from ._numeric import CriterionResult, FlowConfig, gauge_fiber, span_residual
 from .errors import DiraclabError, DomainEscapeError, TransversalityError
-from .fields import Chart, PolyKForm, PolyKVector
+from .fields import Chart, PolyKForm, PolyKVector, _rank
 from .poisson import (
     PoissonBivector,
     TimePolyForm,
@@ -331,17 +331,13 @@ def _triple_from_json(data) -> tuple:
 
 
 @jsonio.decoder
-def _homspace_from_json(triple, data) -> tuple:
+def _homspace_from_json(data) -> tuple:
+    """(k_basis, l_basis, k_generators), exact rationals."""
     if not isinstance(data, dict):
         raise InputError("homspace data must be an object with l_basis, k_basis, k_generators")
-    hs = manin_mod.HomogeneousSpaceData(
-        triple,
-        _rational_matrix_from_json(data.get("k_basis", [])),
-        _rational_matrix_from_json(data["l_basis"]),
-    )
-    gens = [[float(jsonio.rational_from_json(v)) for v in g]
-            for g in data.get("k_generators", [])]
-    return hs, gens
+    return (_rational_matrix_from_json(data.get("k_basis", [])),
+            _rational_matrix_from_json(data["l_basis"]),
+            _rational_matrix_from_json(data.get("k_generators", [])))
 
 
 def _resolve_triple(args):
@@ -363,11 +359,17 @@ def _triple_axioms(triple) -> CriterionResult:
 
 
 def _check_borrowed_chart(triple, chart) -> None:
-    """Refuse a `builtin_ad` chart unless its built-in's g has the triple's
-    ad_g: its param and log_map multiply in the built-in's group."""
-    ref = manin_mod.builtin_triples()[chart.name][0]._numeric()["ad_g"]
-    own = triple._numeric()["ad_g"]
-    if own.shape != ref.shape or np.abs(own - ref).max() > 1e-12:
+    """Refuse a `builtin_ad` chart unless g has the same structure constants in
+    the triple's g-basis as in its built-in's: the chart's param and log_map
+    multiply in the built-in's group.  Exactly, each paired bracket
+    ([g_i, g_j] | [g_i, g_j]') lies in the span of the paired basis (g_c | g_c')."""
+    ref = manin_mod.builtin_triples()[chart.name][0]
+    g, g_ref, n = triple.g_basis, ref.g_basis, triple.half_dim
+    paired = [u + v for u, v in zip(g, g_ref)]
+    if ref.half_dim != n or any(
+            _rank(paired + [triple.algebra.bracket(g[i], g[j])
+                            + ref.algebra.bracket(g_ref[i], g_ref[j])]) != n
+            for i in range(n) for j in range(i + 1, n)):
         raise InputError(f"builtin_ad {chart.name!r}: the chart's g is not this triple's g")
 
 
@@ -407,8 +409,8 @@ def _cmd_manin(args):
                                args.tol)
         return [crit], {"pairs": args.pairs}
     # homspace: the parser admits no other subcommand
-    hs, gens = _homspace_from_json(triple, _load_json(args.data))
-    return [manin_mod.homogeneous_space_check(hs, k_generators=gens)], {}
+    k_basis, l_basis, gens = _homspace_from_json(_load_json(args.data))
+    return [manin_mod.homogeneous_space_check(triple, k_basis, l_basis, gens)], {}
 
 
 # -- parser -------------------------------------------------------------------

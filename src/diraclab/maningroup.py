@@ -1,10 +1,11 @@
 """Manin triples and the bivectors, dressing actions and homogeneous-space
 criteria they induce on group charts.
 
-Algebraic checks (Jacobi, ad-invariance of the metric, Lagrangian subalgebra
-conditions, l cap g = k) run in exact rational arithmetic; every subspace
-axiom among them is a comparison of ranks from one fraction-free
-`fields._rank`.
+Algebraic checks (Jacobi, ad-invariance of the metric, the Lagrangian
+subalgebras g, h and l, l cap g = k, Ad_K-invariance of l) run in exact
+rational arithmetic with no tolerance; every subspace axiom among them is a
+comparison of ranks from one fraction-free `fields._rank`, Ad_K-invariance
+included: a rational X has Ad_{exp X} l = l iff [X, l] lies in l.
 Group-level data is numeric and numpy-only.  Chart points are exponential
 coordinates in a basis of g.  One matrix exponential, `_expm`, serves
 every group quantity.  One `_PointJet` per point forms, from `chart.triple`,
@@ -23,12 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._numeric import CriterionResult, worst
+from ._numeric import CriterionResult, gauge_inverse, worst
 from .errors import DomainEscapeError, ShapeError
 from .fields import _rank, accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
-
-GROUP_TOL = 1e-9  # pass bound of the numeric chart validation and Ad_K-invariance checks
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -174,12 +173,14 @@ class ManinTriple:
         return self._num
 
 
-def _bracket_escape(algebra: MetrizedLieAlgebra, basis) -> tuple | None:
-    """The first (i, j) whose bracket leaves the span of basis; None for a subalgebra."""
+def _bracket_escape(algebra: MetrizedLieAlgebra, basis, acting=None) -> tuple | None:
+    """The first (i, j) with [acting_i, basis_j] outside the span of basis, None
+    if there is none; acting defaults to basis itself over i < j, so None
+    means a subalgebra."""
     r = _rank(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if _rank(basis + [algebra.bracket(basis[i], basis[j])]) != r:
+    for i, x in enumerate(basis if acting is None else acting):
+        for j in range(i + 1 if acting is None else 0, len(basis)):
+            if _rank(basis + [algebra.bracket(x, basis[j])]) != r:
                 return i, j
     return None
 
@@ -193,6 +194,18 @@ def _nonzero_pairing(algebra: MetrizedLieAlgebra, basis) -> tuple | None:
     return None
 
 
+def _lagrangian_failure(algebra: MetrizedLieAlgebra, basis, n: int) -> tuple | None:
+    """The first failed axiom of a Lagrangian subalgebra of the 2n-dimensional
+    d: ("basis-rank", None), ("isotropy", (i, j)) or ("subalgebra", (i, j))."""
+    if len(basis) != n or _rank(basis) != n:
+        return "basis-rank", None
+    if pair := _nonzero_pairing(algebra, basis):
+        return "isotropy", pair
+    if pair := _bracket_escape(algebra, basis):
+        return "subalgebra", pair
+    return None
+
+
 def check_manin_triple(triple: ManinTriple):
     """All triple axioms, exactly; returns (ok, witness)."""
     ok, witness = check_metrized(triple.algebra)
@@ -203,12 +216,10 @@ def check_manin_triple(triple: ManinTriple):
     if d != 2 * n or len(triple.h_basis) != n:
         return False, {"kind": "dimension", "detail": f"dim d = {d}, half bases {n}/{len(triple.h_basis)}"}
     for name, basis in (("g", triple.g_basis), ("h", triple.h_basis)):
-        if _rank(basis) != n:
-            return False, {"kind": "basis-rank", "subspace": name}
-        if pair := _nonzero_pairing(triple.algebra, basis):
-            return False, {"kind": "isotropy", "subspace": name, "indices": pair}
-        if pair := _bracket_escape(triple.algebra, basis):
-            return False, {"kind": "subalgebra", "subspace": name, "indices": pair}
+        if failure := _lagrangian_failure(triple.algebra, basis, n):
+            kind, pair = failure
+            witness = {"kind": kind, "subspace": name}
+            return False, witness | {"indices": pair} if pair else witness
     if _rank(triple.g_basis + triple.h_basis) != d:
         return False, {"kind": "transversality"}
     return True, None
@@ -268,21 +279,6 @@ class GroupChart:
 
     def compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.log_map(self.param(x) @ self.param(y))
-
-    def validate(self, points) -> CriterionResult:
-        """The criterion "group-chart": Ad at the identity, metric preservation
-        and bracket preservation, the last on three seeded pairs of d-vectors,
-        each residual in the witness, the largest within GROUP_TOL."""
-        alg = self.triple.algebra
-        B = alg.metric_num()
-        zeta_pairs = np.random.default_rng(0).standard_normal((3, 2, alg.dim))
-        res = {"identity": float(np.abs(self.ad(np.zeros(self.dim)) - np.eye(alg.dim)).max())}
-        ads = [self.ad(np.asarray(x, dtype=float)) for x in points]
-        res["metric"] = worst([np.abs(A.T @ B @ A - B).max() for A in ads])[0]
-        res["bracket"] = worst([np.abs(A @ alg.bracket_num(z1, z2)
-                                       - alg.bracket_num(A @ z1, A @ z2)).max()
-                                for A in ads for z1, z2 in zeta_pairs])[0]
-        return CriterionResult("group-chart", worst(list(res.values()))[0], None, GROUP_TOL, res)
 
 
 # -- the induced bivector ------------------------------------------------------------
@@ -354,7 +350,7 @@ class _PointJet:
         num = self.num
         U = self.Ad @ num["H"]
         P = _h_bivector(num, U, self.x)
-        Ainv = np.linalg.inv(num["P0"] @ self.Xi)
+        Ainv = gauge_inverse(num["P0"] @ self.Xi, self.x, "chart frame singular: d exp degenerate")
         Pi = _skew(Ainv @ P @ Ainv.T)
         if not partials:
             return Pi
@@ -466,36 +462,31 @@ def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points) -> fl
 # -- homogeneous spaces ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomogeneousSpaceData:
-    triple: ManinTriple
-    k_basis: list
-    l_basis: list
+def homogeneous_space_check(triple: ManinTriple, k_basis, l_basis,
+                            k_generators=()) -> CriterionResult:
+    """Conditions for induced structures on G/K (Drinfeld 1993), as the exact
+    criterion "homogeneous-space-criteria"; its witness is the report, which
+    names the first failed condition.
 
-
-def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None) -> CriterionResult:
-    """Conditions for induced structures on G/K, as the exact criterion
-    "homogeneous-space-criteria"; its witness is the report, which names the
-    first failed condition.
-
-    Exact checks: k is a subalgebra of g; l is Lagrangian; l is a subalgebra;
-    l cap g = k, which for k in g and dim l = n holds iff k lies in l and
-    dim(l cap g) = n + rank(g) - rank(l + g) equals rank(k).  Numeric check:
-    invariance of l, to GROUP_TOL, under expm(ad) of the supplied k-generators
-    (sufficient for connected K only; disconnected K needs generators of every
-    component, which is flagged in the report).
+    k is a subalgebra of g; l is a Lagrangian subalgebra; l cap g = k, which
+    for k in g and dim l = n holds iff k lies in l and dim(l cap g) =
+    n + rank(g) - rank(l + g) equals rank(k); and l is Ad-invariant under
+    exp X for each rational generator X, which holds iff [X, l] lies in l:
+    the eigenvalues of ad X are algebraic, so exp is injective on them and
+    ad X is a polynomial in exp(ad X).  X in k always passes (k in l, [l, l]
+    in l), so a connected K needs no generators.
     """
-    triple = data.triple
     alg = triple.algebra
-    k_basis = [[Fraction(x) for x in v] for v in data.k_basis]
-    l_basis = [[Fraction(x) for x in v] for v in data.l_basis]
-    report = {"connectedness_caveat": "invariance checked on exp of supplied generators only"}
+    k_basis, l_basis, gens = ([[Fraction(x) for x in v] for v in vs]
+                              for vs in (k_basis, l_basis, k_generators))
+    report = {"connectedness_caveat":
+              "Ad-invariance decided on exp of the supplied generators; a connected K needs none"}
 
-    def failed(reason, **extra):
-        witness = {**report, "failure": reason, **extra}
+    def failed(reason):
+        witness = {**report, "failure": reason}
         return CriterionResult("homogeneous-space-criteria", None, None, "exact", witness)
 
-    if any(len(v) != alg.dim for v in k_basis + l_basis + list(k_generators or [])):
+    if any(len(v) != alg.dim for v in k_basis + l_basis + gens):
         raise ShapeError("k, l and generator vectors must have length dim d")
     g_rank = _rank(triple.g_basis)
     if _rank(triple.g_basis + k_basis) != g_rank:
@@ -504,27 +495,17 @@ def homogeneous_space_check(data: HomogeneousSpaceData, k_generators=None) -> Cr
         return failed(f"k not a subalgebra at {pair}")
 
     n = triple.half_dim
-    if len(l_basis) != n or _rank(l_basis) != n:
-        return failed("l has wrong dimension")
-    if pair := _nonzero_pairing(alg, l_basis):
-        return failed(f"l not isotropic at {pair}")
-    if pair := _bracket_escape(alg, l_basis):
-        return failed(f"l not a subalgebra at {pair}")
+    if failure := _lagrangian_failure(alg, l_basis, n):
+        kind, pair = failure
+        return failed({"basis-rank": "l has wrong dimension",
+                       "isotropy": f"l not isotropic at {pair}",
+                       "subalgebra": f"l not a subalgebra at {pair}"}[kind])
 
     if (_rank(l_basis + k_basis) != n
             or n + g_rank - _rank(l_basis + triple.g_basis) != _rank(k_basis)):
         return failed("l cap g != k")
-
-    r = 0.0
-    if k_generators:
-        L = np.array([[float(x) for x in v] for v in l_basis]).T
-        Q, _ = np.linalg.qr(L)
-        proj = Q @ Q.T
-        imgs = [_expm(alg.ad_num(np.asarray(gen, dtype=float))) @ L for gen in k_generators]
-        r = worst([np.abs(img - proj @ img).max() for img in imgs])[0]
-        if r > GROUP_TOL:
-            return failed("l not Ad_K-invariant", residual=r)
-    report["ad_invariance_residual"] = r
+    if pair := _bracket_escape(alg, l_basis, gens):
+        return failed("l not Ad_K-invariant: [generator {}, l vector {}] leaves l".format(*pair))
     return CriterionResult("homogeneous-space-criteria", 0, None, "exact", report)
 
 

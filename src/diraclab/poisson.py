@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import (CriterionResult, FlowConfig, _stage_slots, compile_tensors, flow_points,
-                       gauge_inverse, orthonormal_basis, worst)
+from ._numeric import (CriterionResult, FlowConfig, _stage_slots, _svd, compile_tensors,
+                       flow_points, gauge_inverse, worst)
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -31,6 +31,7 @@ from .fields import (
     PolyKForm,
     PolyKVector,
     PolyScalar,
+    _rank,
     accumulate,
     accumulate_signed,
     cotangent_chart,
@@ -353,8 +354,10 @@ def linear_poisson_to_algebroid(pi: PoissonBivector, base_dim: int) -> LieAlgebr
 class LeafData:
     """Rank, tangent basis and induced symplectic matrix at one point.
 
-    The basis is an (n x 2k) orthonormal matrix spanning ran(pi^#); it is an
-    arbitrary SVD choice, so any basis-dependent output must be read as such.
+    The rank 2k is exact, that of Pi at the point read as rationals.  The
+    basis is an (n x 2k) orthonormal matrix, the first 2k left singular
+    vectors of Pi, spanning ran(pi^#); it is an arbitrary SVD choice, so any
+    basis-dependent output must be read as such.
     omega is minus the inverse of the restricted bivector: omega (-pi_S) = I.
     """
 
@@ -366,12 +369,13 @@ class LeafData:
 
 def leaf_data_at_point(pi: PoissonBivector, point) -> LeafData:
     P = pi.matrix_at(point)
-    B = orthonormal_basis(P)
-    r = B.shape[1]
-    if r == 0:
-        return LeafData(tuple(float(x) for x in point), 0, B, np.zeros((0, 0)))
-    piS = B.T @ P @ B
-    omega = -np.linalg.inv(piS)
+    exact = [Fraction(float(v)) for v in point]
+    r = _rank([[p.evaluate_exact(exact) for p in row] for row in pi.component_matrix()])
+    B = _svd(P)[0][:, :r]
+    try:
+        omega = -np.linalg.inv(B.T @ P @ B)
+    except np.linalg.LinAlgError:  # Pi is nonzero at the point but underflows to 0.0
+        raise OverflowError("the leaf form is past the float range") from None
     omega = 0.5 * (omega - omega.T)
     return LeafData(tuple(float(x) for x in point), r, B, omega)
 

@@ -184,34 +184,6 @@ def source_target(spray, point, config: RealizationConfig = RealizationConfig())
     return _realization_batch(spray, point, config)[1:]
 
 
-@dataclass(frozen=True)
-class RealizationSample:
-    """Realization data at one point of T*M."""
-
-    point: tuple
-    omega: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-    ds: np.ndarray
-    dt: np.ndarray
-    omega_invertible: bool
-    condition: float
-
-    @property
-    def pi_P(self) -> np.ndarray:
-        """Component matrix of the symplectic bivector: -omega^{-1}."""
-        return -np.linalg.inv(self.omega)
-
-
-def realization_sample(spray, point, config: RealizationConfig = RealizationConfig()) -> RealizationSample:
-    point = np.asarray(point, dtype=float)
-    W, s, t, ds, dt = _realization_batch(spray, point, config)
-    sv = np.linalg.svd(W, compute_uv=False)
-    invertible = bool(sv[-1] > 1e-12 * sv[0])
-    cond = float(sv[0] / sv[-1]) if invertible else float("inf")
-    return RealizationSample(tuple(point), W, s, t, ds, dt, invertible, cond)
-
-
 def sample_points(n: int, count: int, radius: float, seed: int = 0,
                   base_offset=None) -> np.ndarray:
     """Seeded (q, p) samples with q in base_offset + [-1, 1]^n and |p| <= radius;

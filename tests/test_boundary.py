@@ -32,6 +32,11 @@ fixed number of terms.  No module raises `AssertionError`: a lost
 invariant is a `DomainEscapeError`, which the CLI reports as a failed check.
 `_numeric.CriterionResult` is the one criterion record: no other module
 writes a "status" key, and every CLI handler returns its criteria as records.
+The Manin axioms are decided over Q with no tolerance: the metrized-algebra
+and triple checks, the homogeneous-space criteria (Ad_K-invariance included)
+and the CLI's borrowed-chart check read no `np` name and no `_numeric()`
+view, and the float paths they replaced (`GROUP_TOL`, `GroupChart.validate`,
+`HomogeneousSpaceData`) stay gone, as does the unused `realization_sample`.
 """
 
 import ast
@@ -45,7 +50,8 @@ REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_c
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
             "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at",
-            "_coefs_at"}
+            "_coefs_at", "GROUP_TOL", "HomogeneousSpaceData", "RealizationSample",
+            "realization_sample", "validate"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -270,3 +276,30 @@ def test_cli_handlers_return_criterion_records(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert {type(c) for c in seen} == {CriterionResult}
     assert {c.tolerance == "exact" for c in seen} == {True, False}
+
+
+EXACT_DECISIONS = {"maningroup.py": ["check_metrized", "check_manin_triple", "_bracket_escape",
+                                    "_nonzero_pairing", "_lagrangian_failure",
+                                    "homogeneous_space_check"],
+                   "cli.py": ["_check_borrowed_chart"]}
+
+
+def _float_reads(fn) -> list:
+    """Lines of a function that name `np` or read a `_numeric` view."""
+    return sorted(node.lineno for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and node.id == "np"
+                  or isinstance(node, ast.Attribute) and node.attr == "_numeric")
+
+
+def test_float_guard_sees_a_float_comparison():
+    src = "def f(t, u):\n    return np.abs(t._numeric()['ad_g'] - u).max() < 1e-12\n"
+    assert _float_reads(ast.parse(src).body[0]) == [2, 2]
+
+
+@pytest.mark.parametrize("module, name", [(m, f) for m, fs in EXACT_DECISIONS.items()
+                                          for f in fs])
+def test_manin_axioms_are_decided_without_floats(module, name):
+    fn = next(node for node in ast.walk(_tree(PACKAGE / module))
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    found = _float_reads(fn)
+    assert not found, f"{module}:{name} reads floats at lines {found}"

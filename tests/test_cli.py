@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -104,6 +105,18 @@ class TestPoissonCommands:
             capsys, ["poisson", "leaf", "--file", workdir["xdxdy.json"], "--point", "0,0"]
         )
         assert code == 0 and rep["result"]["rank"] == 0
+
+    def test_leaf_rank_is_exact(self, tmp_path, capsys):
+        # d1^d2 + 1e-11 d3^d4 is symplectic; an SVD threshold read rank 2
+        chart = Chart(4)
+        pi = from_components(chart, {(0, 1): PolyScalar.constant(chart, 1),
+                                     (2, 3): PolyScalar.constant(chart, Fraction(1, 10**11))})
+        p = tmp_path / "pi.json"
+        p.write_text(json.dumps(jsonio.tensor_to_json(pi.pi)))
+        code, rep = run_and_parse(capsys, ["poisson", "leaf", "--file", str(p),
+                                           "--point", "0,0,0,0"])
+        assert code == 0 and rep["result"]["rank"] == 4
+        assert np.abs(rep["result"]["leaf_symplectic_matrix"]).max() == pytest.approx(1e11)
 
     def test_malformed_json_exit_2(self, workdir, capsys):
         code, rep = run_and_parse(capsys, ["poisson", "check", "--file", workdir["bad.json"]])
@@ -254,6 +267,17 @@ class TestManinCommands:
         got = np.array(rep["result"]["bivector_chart"])
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("point", ["6.283185307179586,0,0",
+                                       ",".join(["3.6275987284684357"] * 3)],
+                             ids=["axis", "diagonal"])
+    def test_bivector_at_a_singular_frame_is_an_error(self, capsys, point):
+        # |x| = 2 pi: d exp is singular, and the Jacobiator used to read 41 and 1.3e29
+        code, rep = run_and_parse(capsys, ["manin", "bivector", "--builtin", "iwasawa-su2",
+                                           "--point", point])
+        assert code == 1 and rep["criteria"] == [] and "result" not in rep
+        assert "chart frame singular" in rep["error"]
+        assert rep["error_point"] == [float(v) for v in point.split(",")]
+
     def test_dressing(self, capsys):
         code, rep = run_and_parse(
             capsys,
@@ -363,11 +387,13 @@ class TestTripleJson:
         assert [c["name"] for c in rep["criteria"]] == ["manin-triple-axioms"]
         assert rep["criteria"][0]["status"] == "fail" and rep["criteria"][0]["witness"]
 
-    @pytest.mark.parametrize("scale, want", [(1, 0), (2, 2)], ids=["same-g", "doubled"])
+    @pytest.mark.parametrize("scale, want", [(1, 0), (2, 2), (1 + Fraction(1, 10**13), 2)],
+                             ids=["same-g", "doubled", "off-by-1e-13"])
     def test_a_borrowed_chart_must_represent_g(self, capsys, tmp_path, scale, want):
-        # doubling every structure constant keeps a Manin triple, but the
-        # iwasawa-su2 chart multiplies in another group: multiplicativity
-        # used to fail at 0.2 instead of refusing the chart
+        # scaling every structure constant keeps a Manin triple, but the
+        # iwasawa-su2 chart multiplies in another group: doubled, multiplicativity
+        # used to fail at 0.2; scaled by 1 + 1e-13, a float comparison of ad_g
+        # at 1e-12 let the chart through
         p = tmp_path / "triple.json"
         p.write_text(json.dumps(self.triple_json("iwasawa-su2", scale)))
         code, _ = run_and_parse(capsys, ["manin", "check", "--triple", str(p)])

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diraclab import maningroup
-from diraclab.errors import DomainEscapeError, ShapeError
+from diraclab.errors import DomainEscapeError, ShapeError, TransversalityError
 from diraclab.maningroup import (
     GroupChart,
-    HomogeneousSpaceData,
     _expm,
     _PointJet,
     _product_differential,
@@ -138,16 +137,37 @@ class TestManinTriples:
         assert ok, witness
 
 
+def ad_residuals(chart, points) -> list:
+    """Ad(0) = I, then at each point Ad^T B Ad = B and Ad [z1, z2] = [Ad z1, Ad z2]
+    on three seeded pairs of d-vectors."""
+    alg = chart.triple.algebra
+    B = alg.metric_num()
+    zeta_pairs = np.random.default_rng(0).standard_normal((3, 2, alg.dim))
+    res = [np.abs(chart.ad(np.zeros(chart.dim)) - np.eye(alg.dim)).max()]
+    for x in points:
+        A = chart.ad(x)
+        res.append(np.abs(A.T @ B @ A - B).max())
+        res += [np.abs(A @ alg.bracket_num(z1, z2) - alg.bracket_num(A @ z1, A @ z2)).max()
+                for z1, z2 in zeta_pairs]
+    return res
+
+
 class TestCharts:
     def test_so3_chart_valid(self):
         triple, chart = so3_semidirect()
-        rep = chart.validate(sample_chart_points())
-        assert rep.passed, rep
+        assert max(ad_residuals(chart, sample_chart_points())) < 1e-9
 
     def test_su2_chart_valid(self):
         triple, chart = iwasawa_su2()
-        rep = chart.validate(sample_chart_points(seed=1))
-        assert rep.passed, rep
+        assert max(ad_residuals(chart, sample_chart_points(seed=1))) < 1e-9
+
+    @pytest.mark.parametrize("x", [[2 * np.pi, 0, 0], [2 * np.pi / 3**0.5] * 3])
+    def test_singular_frame_is_refused(self, x):
+        # |x| = 2 pi: d exp is singular and (P0 Xi)^{-1} has entries near 1e16
+        triple, chart = iwasawa_su2()
+        with pytest.raises(TransversalityError, match="chart frame singular") as err:
+            drinfeld_bivector_chart(triple, chart, x)
+        assert list(err.value.point) == x
 
     def test_compose_consistent_with_ad(self):
         triple, chart = iwasawa_su2()
@@ -297,35 +317,57 @@ class TestMultiplicativity:
 class TestHomogeneousSpace:
     def test_l_equals_h_full_group(self):
         triple, _ = so3_semidirect()
-        data = HomogeneousSpaceData(triple, [], triple.h_basis)
-        rep = homogeneous_space_check(data)
+        rep = homogeneous_space_check(triple, [], triple.h_basis)
         assert rep.passed, rep
 
     def test_l_equals_g_point(self):
         triple, _ = so3_semidirect()
-        data = HomogeneousSpaceData(triple, triple.g_basis, triple.g_basis)
-        rep = homogeneous_space_check(
-            data, k_generators=[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
-        )
+        rep = homogeneous_space_check(triple, triple.g_basis, triple.g_basis,
+                                      k_generators=[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
         assert rep.passed, rep
 
-    def test_su2_torus_sphere(self):
-        # k = torus direction u3; l = k + (k-orthogonal part of h)
+    # k = torus direction u3; l = k + (k-orthogonal part of h)
+    TORUS_K = [[0, 0, 1, 0, 0, 0]]
+    TORUS_L = [
+        [0, 0, 1, 0, 0, 0],    # u3
+        [0, -1, 0, 1, 0, 0],   # v1 - u2
+        [1, 0, 0, 0, 1, 0],    # u1 + v2
+    ]
+
+    @pytest.mark.parametrize("generator", [[0, 0, 1, 0, 0, 0], [0, 0, Fraction(-1, 3), 0, 0, 0]],
+                             ids=["u3", "-u3/3"])
+    def test_su2_torus_sphere(self, generator):
         triple, _ = iwasawa_su2()
-        k_basis = [[0, 0, 1, 0, 0, 0]]
-        l_basis = [
-            [0, 0, 1, 0, 0, 0],    # u3
-            [0, -1, 0, 1, 0, 0],   # v1 - u2
-            [1, 0, 0, 0, 1, 0],    # u1 + v2
-        ]
-        data = HomogeneousSpaceData(triple, k_basis, l_basis)
-        rep = homogeneous_space_check(data, k_generators=[[0, 0, 1, 0, 0, 0]])
+        rep = homogeneous_space_check(triple, self.TORUS_K, self.TORUS_L, [generator])
         assert rep.passed, rep
+        # exact verdict, exact witness: no float is left in it
+        assert rep.max_residual == 0 and list(rep.witness) == ["connectedness_caveat"]
+
+    def test_generator_leaving_l_is_named(self):
+        # [u1, u3] = -u2 is not in l: u1 does not normalize l, so Ad_{exp u1} moves l
+        triple, _ = iwasawa_su2()
+        rep = homogeneous_space_check(triple, self.TORUS_K, self.TORUS_L,
+                                      [[0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
+        assert not rep.passed
+        assert rep.witness["failure"] == "l not Ad_K-invariant: [generator 1, l vector 0] leaves l"
+
+    def test_generator_off_by_a_tiny_rational_fails(self):
+        # a float test at 1e-9 passed u3 + 1e-12 u1; the exact test does not
+        triple, _ = iwasawa_su2()
+        rep = homogeneous_space_check(triple, self.TORUS_K, self.TORUS_L,
+                                      [[Fraction(1, 10**12), 0, 1, 0, 0, 0]])
+        assert not rep.passed and "Ad_K-invariant" in rep.witness["failure"]
+
+    def test_generators_in_k_always_pass(self):
+        # k in l and [l, l] in l: each X in k normalizes l, for every built-in
+        for name, (triple, _) in builtin_triples().items():
+            rep = homogeneous_space_check(triple, triple.g_basis, triple.g_basis,
+                                          k_generators=triple.g_basis)
+            assert rep.passed, (name, rep)
 
     def test_wrong_intersection_detected(self):
         triple, _ = iwasawa_su2()
-        data = HomogeneousSpaceData(triple, [[0, 0, 1, 0, 0, 0]], triple.h_basis)
-        rep = homogeneous_space_check(data)
+        rep = homogeneous_space_check(triple, [[0, 0, 1, 0, 0, 0]], triple.h_basis)
         assert not rep.passed and "cap" in rep.witness["failure"]
 
     def test_non_invariant_l_detected(self):
@@ -337,8 +379,7 @@ class TestHomogeneousSpace:
             [0, 0, 0, 0, 0, 1],
             [0, -1, 0, 1, 0, 0],
         ]
-        data = HomogeneousSpaceData(triple, [[0, 0, 1, 0, 0, 0]], l_basis)
-        rep = homogeneous_space_check(data)
+        rep = homogeneous_space_check(triple, [[0, 0, 1, 0, 0, 0]], l_basis)
         assert not rep.passed
 
 

@@ -1,12 +1,16 @@
 """The exact layer against sympy: jacobiator, Courant bracket, Lie derivative
 and pullback of forms recomputed from their textbook coordinate formulas, the
 exact gauge (I + Pi W)^{-1} Pi from sympy's matrix inverse, and the
-homogeneous-space criteria with l cap g built explicitly from a nullspace."""
+homogeneous-space criteria with l cap g built explicitly from a nullspace.
+The numeric layer against a closed form: the spray flow of a linear bivector,
+whose q-part is one matrix exponential and whose p-Jacobian is its Frechet
+derivative (scipy)."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from diraclab.dirac import (GaugeTransform, GeneralizedSection, courant_bracket,
@@ -14,8 +18,11 @@ from diraclab.dirac import (GaugeTransform, GeneralizedSection, courant_bracket,
 from diraclab.errors import TransversalityError
 from diraclab.fields import (Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar, lie_derivative,
                              pullback_form)
-from diraclab.maningroup import HomogeneousSpaceData, builtin_triples, homogeneous_space_check
-from diraclab.poisson import PoissonBivector, jacobiator, standard_symplectic_poisson
+from diraclab.maningroup import builtin_triples, homogeneous_space_check
+from diraclab.poisson import (PoissonBivector, jacobiator, lie_poisson, so3_constants,
+                              standard_symplectic_poisson)
+from diraclab.realization import (RealizationConfig, default_spray, flow, sample_points,
+                                  source_target, verify_dual_pair)
 
 from conftest import random_form, random_poly, random_vector
 
@@ -262,9 +269,72 @@ def test_homogeneous_space_check_matches_explicit_intersection():
         rng = random.Random(300 + seed)
         for _ in range(25):
             k, l = _random_homspace(rng, triple)
-            rep = homogeneous_space_check(HomogeneousSpaceData(triple, k, l))
+            rep = homogeneous_space_check(triple, k, l)
             want = reference_homspace_failure(triple, k, l)
             assert (rep.passed, rep.witness.get("failure")) == (want is None, want), (name, k, l)
             kinds.add(want and want.split(" at ")[0])
     assert kinds == {None, "k not contained in g", "k not a subalgebra", "l has wrong dimension",
                      "l not isotropic", "l not a subalgebra", "l cap g != k"}
+
+
+# -- the spray flow of a linear bivector in closed form -----------------------------
+
+
+def linear_spray_flow(c, n, point):
+    """Phi_{-1}(q, p) = (expm(M(p)) q, p) and its Jacobian, for Pi^{ij}(q) =
+    sum_k c_ij^k q_k and the spray with no p-quadratic part: p is constant and
+    dq/ds = M(p) q with M(p)_{jk} = sum_i c_ij^k p_i, over both orders of each
+    constant.  Column m of the p-Jacobian is L(M(p), M(e_m)) q, with L the
+    Frechet derivative of expm.  No library flow is called."""
+    linalg = pytest.importorskip("scipy.linalg")
+    q, p = point[:n], point[n:]
+
+    def M(p):
+        A = np.zeros((n, n))
+        for (i, j, k), v in c.items():
+            A[j, k] += float(v) * p[i]
+            A[i, k] -= float(v) * p[j]
+        return A
+
+    J = np.eye(2 * n)
+    J[:n, :n] = linalg.expm(M(p))
+    for m in range(n):
+        J[:n, n + m] = linalg.expm_frechet(M(p), M(np.eye(n)[m]))[1] @ q
+    return np.concatenate([J[:n, :n] @ q, p]), J
+
+
+def _linear_cases():
+    """so(3)* and random constants in dimensions 3 and 4, which need not
+    satisfy Jacobi: the flow does not read it."""
+    yield "so3", so3_constants(), 3
+    rng = random.Random(7)
+    for n in (3, 4):
+        yield f"random{n}", {(i, j, k): Fraction(rng.randint(-2, 2), 2)
+                             for i, j in itertools.combinations(range(n), 2)
+                             for k in range(n)}, n
+
+
+def _oracle_errors(c, n, step):
+    """Largest deviation of flow(Phi_{-1}) and of source_target's t, dt from
+    the closed form, over ten seeded points with |p| <= 0.2."""
+    spray, config = default_spray(lie_poisson(c, n)), RealizationConfig(step=step)
+    pts = sample_points(n, 10, 0.2, seed=3)
+    want, J = (np.array(a) for a in zip(*(linear_spray_flow(c, n, pt) for pt in pts)))
+    x1, J1 = flow(spray, pts, -1.0, config)
+    _, t, _, dt = source_target(spray, pts, config)
+    return max(np.abs(x1 - want).max(), np.abs(J1 - J).max(),
+               np.abs(t - want[:, :n]).max(), np.abs(dt - J[:, :n]).max())
+
+
+@pytest.mark.parametrize("name, c, n", list(_linear_cases()), ids=["so3", "random3", "random4"])
+def test_linear_spray_flow_matches_the_closed_form(name, c, n):
+    assert _oracle_errors(c, n, 1e-3) < 1e-13
+
+
+def test_coarse_step_error_is_visible_to_the_oracle_only():
+    # at step 0.5 RK4 is off by about 1e-7, and the dual-pair criteria still pass
+    c = so3_constants()
+    assert _oracle_errors(c, 3, 0.5) > 1e-12
+    spray = default_spray(lie_poisson(c, 3))
+    assert verify_dual_pair(spray, sample_points(3, 10, 0.2, seed=3),
+                            RealizationConfig(step=0.5)).passed

@@ -297,6 +297,28 @@ class TestLeafData:
         piS = leaf.basis.T @ pi.matrix_at((0.0, 0.0, 1.0)) @ leaf.basis
         assert np.abs(leaf.omega @ (-piS) - np.eye(2)).max() < 1e-10
 
+    def test_so3_generic_point_rank_two(self):
+        pi = lie_poisson(so3_constants(), 3)
+        leaf = leaf_data_at_point(pi, (0.3, -0.2, 0.5))
+        assert leaf.rank == 2 and leaf.omega.shape == (2, 2)
+
+    def test_rank_is_exact_at_a_tiny_block(self):
+        # d1^d2 + 1e-11 d3^d4 is symplectic: a relative SVD threshold of 1e-10
+        # used to report rank 2 and drop the small block
+        chart = Chart(4)
+        pi = from_components(chart, {(0, 1): PolyScalar.constant(chart, 1),
+                                     (2, 3): PolyScalar.constant(chart, Fraction(1, 10**11))})
+        leaf = leaf_data_at_point(pi, (0.0, 0.0, 0.0, 0.0))
+        assert leaf.rank == 4
+        assert sorted(np.abs(leaf.omega).max(axis=1)) == pytest.approx([1, 1, 1e11, 1e11])
+
+    def test_rank_past_the_float_range_is_an_overflow(self):
+        # x^2 at 1e-200 is a nonzero rational but 0.0 as a float: rank 2, no float form
+        chart = Chart(2)
+        pi = from_components(chart, {(0, 1): chart.coordinate(0) ** 2})
+        with pytest.raises(OverflowError, match="leaf form"):
+            leaf_data_at_point(pi, (1e-200, 0.0))
+
 
 class TestGaugePointwise:
     """The constant gauge of d_x ^ d_y, through the one numeric gauge path."""
