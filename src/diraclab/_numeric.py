@@ -1,15 +1,15 @@
 """Numeric kernels: compiled polynomial evaluation, RK4 flows, linear algebra.
 
 `PackedPolys` is the one place where an exact polynomial becomes a float, the
-one reader of `PolyScalar.float_terms`: every float value of the exact layer
-is one call into a table compiled once per object or call, which evaluates
-every column, and with partials=True every partial in a variable the column
-contains, from one monomial table and one matmul.  `compile_tensors` lays out
-tensors as its columns.  Time is a table variable like x: a column
-sum_d t^d p_d(x) has one row per term t^d x^e.  The table gathers from any
-array whose first n columns are x and whose last two columns are t and 1:
-`__call__` checks its points and builds [x | t | 1], `at_state` reads a flow
-state as it is, and `bind` serves a flow.
+one reader of `PolyScalar.float_terms`: every float evaluation of the exact
+layer (an exact value rounded once aside) is one call into a table compiled
+once per object or call, which evaluates every column, and with partials=True
+every partial in a variable the column contains, from one monomial table and
+one matmul.  `compile_tensors` lays out tensors as its columns.  Time is a
+table variable like x: a column sum_d t^d p_d(x) has one row per term
+t^d x^e.  The table gathers from any array whose first n columns are x and
+whose last two columns are t and 1: `__call__` checks its points and builds
+[x | t | 1], `at_state` reads a flow state as it is, and `bind` serves a flow.
 
 One flow function, `flow_points(field, x0, t, config)`, with one field
 protocol: a binder field(state, row) -> write, whose write() fills row with
@@ -43,16 +43,17 @@ dropped by a running max.  `CriterionResult` is the one criterion record,
 exact or numeric, from verifier to report: the one pass rule and the one
 writer of a criterion's report fields.
 
-The linear-algebra helpers take one matrix or a stack.  A rank mask (singular
+The linear-algebra helpers take stacks of matrices.  A rank mask (singular
 values above tol times the largest) selects directions, so matrices of
-different rank share one LAPACK call: one matrix gives the selected columns,
-a stack keeps every column and zeroes the unselected ones.  An SVD that does
-not converge (on a non-finite matrix) raises OverflowError.
+different rank share one LAPACK call: every column is kept and the
+unselected ones are zeroed.  An SVD that does not converge (on a non-finite
+matrix) raises OverflowError.
 
-Every numeric gauge shears fibers in `gauge_fiber` and forms (I + Pi W)^{-1}
-in `gauge_inverse`, which bounds its entries: A = I + Pi W is dimensionless,
-so s I passes in every dimension, where a bound on det A would depend on n.
-The largest entry decides first; a per-matrix mask names the refused point.
+The flows' gauge families and the Manin chart frame (not the pointwise gauge,
+decided over Q) form their inverses in `gauge_inverse`, which bounds its
+entries: A = I + Pi W is dimensionless, so s I passes in every dimension,
+where a bound on det A would depend on n.  The largest entry decides first;
+a per-matrix mask names the refused point.
 """
 
 from __future__ import annotations
@@ -355,12 +356,6 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
     return snaps[0] if record_times is None else snaps
 
 
-def _selected(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Columns of `basis` flagged by `keep`: sliced for one matrix, masked to
-    zero in a stack."""
-    return basis[:, keep] if basis.ndim == 2 else basis * keep[..., None, :]
-
-
 def _svd(A: np.ndarray, **kwargs):
     """np.linalg.svd; LAPACK does not converge on a matrix past the float range."""
     try:
@@ -370,29 +365,26 @@ def _svd(A: np.ndarray, **kwargs):
 
 
 def orthonormal_basis(columns: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span, via SVD with relative threshold."""
-    A = np.atleast_2d(np.asarray(columns, dtype=float))
-    U, S, _ = _svd(A, full_matrices=False)
+    """Orthonormal bases of a stack's column spans, via SVD with relative threshold."""
+    U, S, _ = _svd(columns, full_matrices=False)
     # S is sorted, so S_0 = 0 keeps nothing
-    return _selected(U, S > tol * S[..., :1])
+    return U * (S > tol * S[..., :1])[..., None, :]
 
 
-def span_residual(cols_a: np.ndarray, cols_b: np.ndarray):
-    """Operator-norm distance of the orthogonal projectors of two spans."""
+def span_residual(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
+    """Operator-norm distances of the orthogonal projectors of two stacks of spans."""
     Qa, Qb = orthonormal_basis(cols_a), orthonormal_basis(cols_b)
     D = Qa @ np.swapaxes(Qa, -1, -2) - Qb @ np.swapaxes(Qb, -1, -2)
-    r = _svd(D, compute_uv=False)[..., 0]
-    return float(r) if r.ndim == 0 else r
+    return _svd(D, compute_uv=False)[..., 0]
 
 
 def nullspace_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel, via full SVD with relative threshold RANK_TOL."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    """Orthonormal bases of a stack's kernels, via full SVD with relative threshold RANK_TOL."""
     _, S, Vt = _svd(A)
     # the rows of Vt past the rank; S_0 = 0 means rank 0
     keep = np.ones(Vt.shape[:-1], dtype=bool)
     keep[..., : S.shape[-1]] = ~(S > RANK_TOL * S[..., :1])
-    return _selected(np.swapaxes(Vt, -1, -2), keep)
+    return np.swapaxes(Vt, -1, -2) * keep[..., None, :]
 
 
 def block_scale(A: np.ndarray) -> np.ndarray:
@@ -407,9 +399,9 @@ def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.
     """Columns spanning {(w, J^T forms c) : J w = vectors c} for a differential J.
 
     This is the pullback along J of the Lagrangian fiber spanned by the
-    columns of (vectors, forms); it takes one matrix or a stack.  The null
-    space is that of [J/j, -vectors/a] for the `block_scale`s j and a, so its
-    rank does not depend on their ratio, and c = (j/a) c' for its c'.
+    columns of (vectors, forms), per matrix of a stack.  The null space is
+    that of [J/j, -vectors/a] for the `block_scale`s j and a, so its rank
+    does not depend on their ratio, and c = (j/a) c' for its c'.
     """
     j, a = block_scale(J), block_scale(vectors)
     K = nullspace_basis(np.concatenate([J / j, -vectors / a], axis=-1))

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -23,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import jsonio
-from ._numeric import CriterionResult, FlowConfig, gauge_fiber, span_residual
+from ._numeric import CriterionResult, FlowConfig
 from .errors import DiraclabError, DomainEscapeError, TransversalityError
 from .fields import Chart, PolyKForm, PolyKVector, _rank
 from .poisson import (
@@ -61,8 +62,8 @@ OPTION_DOMAINS = {
 }
 # The tolerance of each command's numeric criteria when --tol is not given;
 # a command not listed has none, and --tol on it is an input error.
-TOL_DEFAULTS = {"dirac gauge": 1e-9, "dirac pullback": 1e-9, "realize": 1e-6, "moser": 1e-6,
-                "linearize": 1e-5, "manin bivector": 1e-5, "manin multiplicativity": 1e-5}
+TOL_DEFAULTS = {"realize": 1e-6, "moser": 1e-6, "linearize": 1e-5, "manin bivector": 1e-5,
+                "manin multiplicativity": 1e-5}
 # The seed of each command that draws points at random when --seed is not
 # given; --seed on a command not listed is an input error.
 SEED_DEFAULTS = dict.fromkeys(("dirac check-integrability", "realize", "moser", "linearize",
@@ -235,32 +236,23 @@ def _cmd_dirac(args):
         T = dirac_mod.integrability_tensor(E, pt)
         return [CriterionResult("courant-integrability", len(T), None, "exact",
                                 _components_json(T) or None)], {}
-    if args.dirac_cmd == "gauge":
-        pi = _load_bivector(args.poisson)
-        omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
-        gauge = dirac_mod.GaugeTransform(omega)
-        pt = _parse_point(args.point)
+    if args.dirac_cmd in ("gauge", "pullback"):  # exact transversality at the point
+        name = f"{args.dirac_cmd}-transversality"
         try:
-            P = dirac_mod.gauge_poisson(pi, gauge, pt)
+            if args.dirac_cmd == "gauge":
+                pi = _load_bivector(args.poisson)
+                omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
+                P = dirac_mod.gauge_poisson(pi, dirac_mod.GaugeTransform(omega),
+                                            _parse_point(args.point))
+                result = {"gauged_bivector_matrix": P.tolist()}
+            else:
+                phi = jsonio.map_from_json(_load_json(args.map))
+                E = dirac_mod.graph_of_poisson(_load_bivector(args.poisson))
+                B = dirac_mod.pullback_dirac_at_point(phi, E, _parse_point(args.point))
+                result = {"fiber_basis": B.tolist(), "basis_dependent": True}
         except TransversalityError as e:
-            return [CriterionResult("gauge-transversality", None, e.point, args.tol)], {}
-        # Gr(pi_omega) against the sheared Gr(pi), as columns (Pi^T mu; mu)
-        graph, graph0 = (np.vstack([M.T, np.eye(len(P))]) for M in (P, pi.matrix_at(pt)))
-        sheared = gauge_fiber(graph0, gauge.matrix_at(pt))
-        r = span_residual(graph, sheared) if np.isfinite([graph, sheared]).all() else math.nan
-        return ([CriterionResult("gauge-graph", r, pt, args.tol)],
-                {"gauged_bivector_matrix": P.tolist()})
-    if args.dirac_cmd == "pullback":
-        phi = jsonio.map_from_json(_load_json(args.map))
-        pi = _load_bivector(args.poisson)
-        E = dirac_mod.graph_of_poisson(pi)
-        pt = _parse_point(args.point)
-        B = dirac_mod.pullback_dirac_at_point(phi, E, pt)
-        gram = dirac_mod.pairing_gram(B)
-        return (
-            [CriterionResult("pullback-lagrangian", float(np.abs(gram).max()), pt, args.tol)],
-            {"fiber_basis": B.tolist(), "basis_dependent": True},
-        )
+            return [CriterionResult(name, None, e.point, "exact")], {}
+        return [CriterionResult(name, 0, None, "exact")], result
     # poisson-map: the parser admits no other subcommand
     phi = jsonio.map_from_json(_load_json(args.map))
     pi_src = _load_bivector(args.pi_source)
@@ -558,7 +550,10 @@ def run(argv) -> int:
             report.setdefault("error", "the result contains a non-finite number")
             code = max(code, 1)
             text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-        print(text)
+        try:
+            print(text)
+        except BrokenPipeError:  # the reader closed stdout early; the exit code still tells
+            pass
         if getattr(args, "report", None):
             try:
                 with open(args.report, "w") as fh:
@@ -570,7 +565,12 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # so the flush at interpreter exit writes nowhere, not to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ Lagrangian frames, integrability, gauge transformations and pullbacks.
 
 A frame's Lagrangian condition and its integrability are decided exactly:
 the Gram matrix and the Courant tensor <s_a, [[s_b, s_c]]> either are zero
-polynomials or are not, and the rank is taken at one rational point.
+polynomials or are not, and the rank is taken at one rational point.  So
+are the pointwise gauge and pullback: at a point read as rationals, one null
+space over Q each (`fields._kernel`) decides transversality and gives the result.
 
 Fiber vectors are written (v, mu) and stacked as 2n-vectors with the tangent
 part first.  The split-signature pairing is
@@ -20,12 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import (CriterionResult, PackedPolys, gauge_fiber, gauge_inverse,
-                       orthonormal_basis, pullback_fiber, worst)
+from ._numeric import CriterionResult, _svd, worst
 from .errors import (
     ChartMismatchError,
     DegreeError,
-    DomainEscapeError,
     PreconditionError,
     ShapeError,
     TransversalityError,
@@ -36,18 +36,18 @@ from .fields import (
     PolyKVector,
     PolyMap,
     PolyScalar,
+    _kernel,
     _lie_terms,
     _rank,
     _sum_buckets,
     coordinate_form,
     coordinate_vector,
-    evaluate_at,
     exterior_derivative,
     interior_product,
     sum_of_products,
     vector_bracket,
 )
-from .poisson import PoissonBivector, gauge_family, sharp_apply
+from .poisson import PoissonBivector, _full_matrix, gauge_family, sharp_apply
 
 
 class GeneralizedSection:
@@ -158,14 +158,11 @@ class GaugeTransform:
         if not exterior_derivative(self.omega).is_zero():
             raise PreconditionError("gauge 2-form must be closed (d omega = 0 exactly)")
 
-    def matrix_at(self, point) -> np.ndarray:
-        return evaluate_at(self.omega, point)
-
 
 class LagrangianFrame:
     """n spanning sections of a Lagrangian subbundle of TM + T*M."""
 
-    __slots__ = ("chart", "sections", "_compiled")
+    __slots__ = ("chart", "sections")
 
     def __init__(self, chart, sections):
         sections = tuple(sections)
@@ -175,23 +172,15 @@ class LagrangianFrame:
             raise ChartMismatchError("section on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LagrangianFrame is immutable")
 
-    def value_at(self, points) -> np.ndarray:
-        """The 2n x n matrix of fiber values, column a = (v, mu) of section a,
-        at a point (n,) or a batch (..., n), from one table compiled on first
-        use."""
+    def exact_at(self, x) -> list:
+        """The fiber at a rational point: column a is (v; mu) of section a."""
         n = self.chart.dim
-        if self._compiled is None:
-            rows = [[s.X.components.get((i,)) for s in self.sections] for i in range(n)]
-            rows += [[s.alpha.components.get((i,)) for s in self.sections] for i in range(n)]
-            object.__setattr__(self, "_compiled", PackedPolys(
-                [{} if p is None else {0: p} for row in rows for p in row], n))
-        out = self._compiled(points)
-        return out.reshape(out.shape[:-1] + (2 * n, n))
+        return [[p.evaluate_exact(x) if (p := part.components.get((i,))) else 0
+                 for part in (s.X, s.alpha) for i in range(n)] for s in self.sections]
 
     def gram_polynomials(self):
         return [[pairing(a, b) for b in self.sections] for a in self.sections]
@@ -202,11 +191,15 @@ class LagrangianFrame:
         as the exact rational value of each float coordinate."""
         if not all(p.is_zero() for row in self.gram_polynomials() for p in row):
             return False
-        pt = [Fraction(float(x)) for x in point]
-        n = self.chart.dim
-        columns = [[p.evaluate_exact(pt) if (p := part.components.get((i,))) else 0
-                    for part in (s.X, s.alpha) for i in range(n)] for s in self.sections]
-        return _rank(columns) == n
+        return _rank(self.exact_at([Fraction(float(v)) for v in point])) == self.chart.dim
+
+
+def _floats(rows) -> np.ndarray:
+    """A rational matrix as floats, refused past the float range."""
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        raise OverflowError("an exact value past the float range") from None
 
 
 def pairing_gram(V: np.ndarray) -> np.ndarray:
@@ -261,23 +254,30 @@ def integrability_tensor(E: LagrangianFrame, point) -> dict:
 
 
 def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> np.ndarray:
-    """Apply R_omega to the fiber of a frame at a point (pairing-preserving);
-    returns the 2n x n fiber matrix."""
-    V0 = E.value_at(point)
-    V = gauge_fiber(V0, gauge.matrix_at(point))
-    if np.abs(pairing_gram(V) - pairing_gram(V0)).max() > 1e-12 * max(1.0, np.abs(V).max() ** 2):
-        raise DomainEscapeError("gauge transform failed to preserve the pairing", point)
-    return V
+    """Apply R_omega to the fiber of a frame at a point read as rationals: the
+    2n x n fiber matrix (v; mu + W^T v), which keeps the pairing as W is skew."""
+    x = [Fraction(float(v)) for v in point]
+    W = [[p.evaluate_exact(x) for p in row] for row in _full_matrix(gauge.omega)]
+    n = len(W)
+    return _floats([s[:n] + [mu + sum(W[j][i] * s[j] for j in range(n) if s[j])
+                             for i, mu in enumerate(s[n:])] for s in E.exact_at(x)]).T
 
 
 def gauge_poisson(pi: PoissonBivector, gauge: GaugeTransform, point) -> np.ndarray:
-    """Pointwise component matrix of the gauged bivector, (I + Pi W)^{-1} Pi
-    skew-symmetrized; raises TransversalityError where the sheared graph meets
-    TM (`gauge_inverse`).  The range of the sharp map is preserved."""
-    P = pi.matrix_at(point)
-    A = np.eye(len(P)) + P @ gauge.matrix_at(point)
-    out = gauge_inverse(A, point, "gauge transform not transverse to the tangent bundle") @ P
-    return 0.5 * (out - out.T)
+    """Pointwise component matrix of the gauged bivector (I + Pi W)^{-1} Pi,
+    decided over Q at the point read as rationals: the null space of
+    [I + Pi W | -Pi] has free columns z_j iff rank(I + Pi W) = n, and then
+    column j solves for z = e_j.  Elsewhere the sheared graph meets TM:
+    TransversalityError.  The range of the sharp map is preserved."""
+    x = [Fraction(float(v)) for v in point]
+    P, W = ([[p.evaluate_exact(x) for p in row] for row in _full_matrix(T)]
+            for T in (pi.pi, gauge.omega))
+    n = len(P)
+    K = _kernel([[int(i == j) + sum(a * b for a, b in zip(P[i], col) if a and b)
+                  for j, col in enumerate(zip(*W))] + [-p for p in P[i]] for i in range(n)], 2 * n)
+    if min(K, default=n) < n:
+        raise TransversalityError("gauge transform not transverse to the tangent bundle", point)
+    return _floats([K[n + j][:n] for j in range(n)]).T
 
 
 def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> PoissonBivector:
@@ -307,25 +307,27 @@ def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> Poisso
 
 
 def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarray:
-    """Fiber of the pulled-back Dirac structure at a source point.
+    """Fiber of the pulled-back Dirac structure at a source point read as rationals.
 
-    Elements (w, nu) with d phi(w) = v and nu = d phi^T mu for some
-    (v, mu) in the fiber of E at phi(point).  Requires the anchor image of E
-    plus ran(d phi) to fill the target tangent space, decided by the scale-free
-    rank of `pullback_fiber`.  Returns an orthonormal 2k x k basis.
+    Elements (w, nu) with d phi(w) = v and nu = d phi^T mu for (v, mu) in the
+    fiber of E at phi(point): each (w; c) of the null space over Q of
+    [d phi | -vectors] gives (w; d phi^T forms c).  There are k, independent,
+    iff the anchor image of E plus ran(d phi) fill the target tangent space,
+    else TransversalityError.  Returns an orthonormal 2k x k basis (one SVD).
     """
-    m = phi.target.dim
-    target_pt, J = phi.compiled()(point)
-    V = E.value_at(target_pt)
-    fiber = pullback_fiber(J, V[:m], V[m:])
-    # the fiber has k + m - rank [J | vectors] columns: k iff the spans fill R^m
-    if fiber.shape[1] > phi.source.dim:
+    k, m = phi.source.dim, phi.target.dim
+    x = [Fraction(float(v)) for v in point]
+    J = [[p.evaluate_exact(x) for p in row] for row in phi.jacobian()]
+    V = E.exact_at(phi.evaluate_exact(x))  # columns (v; mu)
+    K = _kernel([J[i] + [-col[i] for col in V] for i in range(m)], k + m)
+    if len(K) > k:  # k + m - rank [d phi | vectors] solutions
         raise TransversalityError(
-            "anchor of the frame plus the map differential do not span the target",
-            point,
-        )
-    # then its k columns are independent: none is dropped for being small
-    return orthonormal_basis(fiber, tol=0.0)
+            "anchor of the frame plus the map differential do not span the target", point)
+    fiber = []
+    for s in K.values():
+        mu = [sum(c * col[m + i] for c, col in zip(s[k:], V) if c) for i in range(m)]
+        fiber.append(s[:k] + [sum(J[i][b] * mu[i] for i in range(m)) for b in range(k)])
+    return _svd(_floats(fiber).reshape(len(fiber), 2 * k).T, full_matrices=False)[0]
 
 
 def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points) -> CriterionResult:

@@ -127,34 +127,48 @@ def accumulate_signed(acc: dict, idx, value) -> None:
         accumulate(acc, sidx, value if sign == 1 else -value)
 
 
-def _rank(vectors) -> int:
-    """Rank of a list of rational vectors by fraction-free (Bareiss) elimination.
-
-    Each vector is scaled to integers by the lcm of its denominators; each
-    update divides exactly by the previous pivot, and zero columns are skipped.
-    """
+def _echelon(vectors, reduced: bool = False):
+    """Integer rows spanning the rational vectors, in echelon form by fraction-free
+    (Bareiss) elimination, and their pivot columns.  Each vector is scaled to
+    integers by the lcm of its denominators, each update divides exactly by the
+    previous pivot, and zero columns are skipped; reduced=True also clears each
+    pivot column above its pivot (fraction-free Gauss-Jordan)."""
     rows = []
     for v in vectors:
         m = math.lcm(*(x.denominator for x in v))
         row = [x.numerator * (m // x.denominator) for x in v]
         if any(row):
             rows.append(row)
-    rank, prev = 0, 1
+    pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        p = top[c]
-        for i in range(rank + 1, len(rows)):
+        top, p = rows[rank], rows[rank][c]
+        for i in (i for i in range(0 if reduced else rank + 1, len(rows)) if i != rank):
             a = rows[i][c]
             rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
         prev = p
-        rank += 1
-        if rank == len(rows):
+        pivots.append(c)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return rows[:len(pivots)], pivots
+
+
+def _rank(vectors) -> int:
+    """Rank of a list of rational vectors (see `_echelon`)."""
+    return len(_echelon(vectors)[1])
+
+
+def _kernel(rows, n: int) -> dict:
+    """{f: x} over the free (non-pivot) columns f of the rational matrix with
+    these rows and n columns: x solves M x = 0, x_f = 1 and every other free x_g = 0."""
+    R, pivots = _echelon(rows, reduced=True)
+    at = dict(zip(pivots, R))  # pivot column -> its row
+    return {f: [Fraction(-at[c][f], at[c][c]) if c in at else int(c == f) for c in range(n)]
+            for f in range(n) if f not in at}
 
 
 class Chart:

@@ -470,8 +470,8 @@ def homogeneous_space_check(triple: ManinTriple, k_basis, l_basis,
 
     k is a subalgebra of g; l is a Lagrangian subalgebra; l cap g = k, which
     for k in g and dim l = n holds iff k lies in l and dim(l cap g) =
-    n + rank(g) - rank(l + g) equals rank(k); and l is Ad-invariant under
-    exp X for each rational generator X, which holds iff [X, l] lies in l:
+    n + rank(g) - rank(l + g) equals rank(k); each rational generator X lies
+    in g; and l is Ad-invariant under exp X, which holds iff [X, l] lies in l:
     the eigenvalues of ad X are algebraic, so exp is injective on them and
     ad X is a polynomial in exp(ad X).  X in k always passes (k in l, [l, l]
     in l), so a connected K needs no generators.
@@ -491,6 +491,9 @@ def homogeneous_space_check(triple: ManinTriple, k_basis, l_basis,
     g_rank = _rank(triple.g_basis)
     if _rank(triple.g_basis + k_basis) != g_rank:
         return failed("k not contained in g")
+    for i, X in enumerate(gens):
+        if _rank(triple.g_basis + [X]) != g_rank:
+            return failed(f"generator {i} not in g")
     if k_basis and (pair := _bracket_escape(alg, k_basis)):
         return failed(f"k not a subalgebra at {pair}")
 

@@ -37,6 +37,13 @@ and triple checks, the homogeneous-space criteria (Ad_K-invariance included)
 and the CLI's borrowed-chart check read no `np` name and no `_numeric()`
 view, and the float paths they replaced (`GROUP_TOL`, `GroupChart.validate`,
 `HomogeneousSpaceData`) stay gone, as does the unused `realization_sample`.
+The pointwise gauge and pullback (`dirac.gauge_poisson`,
+`dirac.pullback_dirac_at_point`) decide transversality over Q with one
+rational null space: they call none of the float helpers that once decided it
+(`gauge_inverse`, `pullback_fiber`, the SVD rank helpers), the CLI imports no
+float self-check (`span_residual`, `gauge_fiber`), and the float frame
+evaluator `LagrangianFrame.value_at` and the single-matrix slicing `_selected`
+stay gone.
 """
 
 import ast
@@ -51,7 +58,7 @@ REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_c
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
             "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at",
             "_coefs_at", "GROUP_TOL", "HomogeneousSpaceData", "RealizationSample",
-            "realization_sample", "validate"}
+            "realization_sample", "validate", "value_at", "_selected"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -303,3 +310,22 @@ def test_manin_axioms_are_decided_without_floats(module, name):
               if isinstance(node, ast.FunctionDef) and node.name == name)
     found = _float_reads(fn)
     assert not found, f"{module}:{name} reads floats at lines {found}"
+
+
+FLOAT_DECIDERS = {"gauge_inverse", "pullback_fiber", "nullspace_basis", "orthonormal_basis",
+                  "span_residual"}
+
+
+@pytest.mark.parametrize("name", ["gauge_poisson", "pullback_dirac_at_point"])
+def test_pointwise_verdicts_call_no_float_decider(name):
+    fn = next(node for node in ast.walk(_tree(PACKAGE / "dirac.py"))
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    found = sorted({_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+                   & FLOAT_DECIDERS)
+    assert not found, f"dirac.py:{name} calls {found}"
+
+
+def test_cli_imports_no_float_self_check():
+    imported = {a.name for node in ast.walk(_tree(PACKAGE / "cli.py"))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"span_residual", "gauge_fiber"}

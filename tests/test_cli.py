@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -166,11 +167,11 @@ class TestDiracCommands:
             capsys, ["dirac", "gauge", "--poisson", str(pi), "--omega", str(p), "--point", "0,0"]
         )
         assert code == 0
-        assert rep["result"]["gauged_bivector_matrix"][0][1] == pytest.approx(2.0)
-        # Gr(pi_omega) against the sheared Gr(pi), judged at --tol
+        # (I + Pi W)^{-1} Pi = 2 Pi over Q, rounded once
+        assert rep["result"]["gauged_bivector_matrix"] == [[0.0, 2.0], [-2.0, 0.0]]
         (crit,) = rep["criteria"]
-        assert crit["name"] == "gauge-graph" and crit["tolerance"] == 1e-9
-        assert crit["max_residual"] < 1e-15
+        assert crit == {"name": "gauge-transversality", "status": "pass",
+                        "max_residual": "exact-zero", "worst_point": None, "tolerance": "exact"}
 
     def test_gauge_transversality_failure_is_strict_json(self, capsys, tmp_path):
         # omega = dx^dy makes I + Pi W = 0 for Pi = d_x ^ d_y
@@ -187,6 +188,233 @@ class TestDiracCommands:
         (crit,) = rep["criteria"]
         assert crit["name"] == "gauge-transversality"
         assert crit["status"] == "fail" and crit["max_residual"] is None
+
+
+def _poly_json(expr, xs) -> list:
+    """A sympy polynomial in xs as the JSON term list."""
+    sp = pytest.importorskip("sympy")
+    return [{"exp": list(e), "num": int(c.p), "den": int(c.q)}
+            for e, c in sp.Poly(expr, *xs).terms() if c != 0]
+
+
+def _skew_json(M, xs, kind) -> dict:
+    """The upper entries of an antisymmetric sympy matrix as a degree-2 tensor."""
+    n = len(xs)
+    return {"chart": n, "degree": 2, "kind": kind, "components": [
+        {"idx": [i + 1, j + 1], "poly": _poly_json(M[i, j], xs)}
+        for i in range(n) for j in range(i + 1, n) if M[i, j] != 0]}
+
+
+def _run_quiet(argv):
+    """cli.run in-process: (exit code, strict, schema-valid report)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    report = strict_loads(out.getvalue())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    return code, report
+
+
+def _write(directory, name, data) -> str:
+    path = directory / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestExactPointwiseVerdicts:
+    """`dirac gauge` and `dirac pullback` decide transversality over Q at the
+    point read as rationals, each as one exact criterion."""
+
+    @pytest.mark.parametrize("s", [10**9, 2 * 10**10, 10**11], ids=str)
+    def test_gauge_along_a_sheared_column(self, tmp_path, s):
+        # Pi = d1^d2 on R^3 and omega = s dx2^dx3: det(I + Pi W) = 1 and the gauged
+        # bivector is Pi for every s; floats once lost it to rounding (s = 1e9)
+        # and to the entry bound of the inverse (s = 2e10, 1e11)
+        chart = Chart(3)
+        one = PolyScalar.constant(chart, 1)
+        pi = _write(tmp_path, "pi.json", jsonio.tensor_to_json(
+            from_components(chart, {(0, 1): one}).pi))
+        om = _write(tmp_path, "om.json", jsonio.tensor_to_json(
+            PolyKForm(chart, 2, {(1, 2): one * s})))
+        code, rep = _run_quiet(["dirac", "gauge", "--poisson", pi, "--omega", om,
+                                "--point", "0,0,0"])
+        assert code == 0, rep
+        assert rep["criteria"][0]["name"] == "gauge-transversality"
+        assert rep["result"]["gauged_bivector_matrix"] == [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize("e", [11, 9])
+    def test_pullback_along_a_tiny_scale(self, tmp_path, e):
+        # (u, v) -> (u, 10^-e v) into (R^2, pi = 0) is a diffeomorphism, so the
+        # pullback of T*R^2 is T*R^2; floats once dropped the 1e-11 direction
+        pi = _write(tmp_path, "pi.json", {"chart": 2, "degree": 2, "components": []})
+        phi = _write(tmp_path, "phi.json", {"source": 2, "target": 2, "components": [
+            [{"exp": [1, 0], "num": 1, "den": 1}], [{"exp": [0, 1], "num": 1, "den": 10**e}]]})
+        code, rep = _run_quiet(["dirac", "pullback", "--map", phi, "--poisson", pi,
+                                "--point", "0.5,0.5"])
+        assert code == 0, rep
+        assert rep["criteria"][0]["name"] == "pullback-transversality"
+        B = np.array(rep["result"]["fiber_basis"])
+        assert B.shape == (4, 2) and not B[:2].any()
+        assert np.abs(B[2:] @ B[2:].T - np.eye(2)).max() < 1e-15
+
+    def test_gauge_where_i_plus_pi_w_vanishes_fails_at_the_point(self, tmp_path):
+        # omega = dx^dy makes I + Pi W = 0 for Pi = d_x ^ d_y
+        chart = Chart(2)
+        one = PolyScalar.constant(chart, 1)
+        pi = _write(tmp_path, "pi.json", jsonio.tensor_to_json(
+            from_components(chart, {(0, 1): one}).pi))
+        om = _write(tmp_path, "om.json", jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one})))
+        code, rep = _run_quiet(["dirac", "gauge", "--poisson", pi, "--omega", om,
+                                "--point", "0.5,0.25"])
+        assert code == 1 and "error" not in rep and "result" not in rep
+        assert rep["criteria"] == [{"name": "gauge-transversality", "status": "fail",
+                                    "max_residual": None, "worst_point": [0.5, 0.25],
+                                    "tolerance": "exact"}]
+
+    def test_non_transverse_pullback_is_a_failed_criterion(self, workdir, tmp_path):
+        # u -> (u, u^2) meets x d/dx ^ d/dy at the origin, where it vanishes:
+        # ran d phi + anchor = the x axis
+        phi = _write(tmp_path, "phi.json", {"source": 1, "target": 2, "components": [
+            [{"exp": [1], "num": 1, "den": 1}], [{"exp": [2], "num": 1, "den": 1}]]})
+        code, rep = _run_quiet(["dirac", "pullback", "--map", phi, "--poisson",
+                                workdir["xdxdy.json"], "--point", "0"])
+        assert code == 1 and "error" not in rep and "result" not in rep
+        assert rep["criteria"] == [{"name": "pullback-transversality", "status": "fail",
+                                    "max_residual": None, "worst_point": [0.0],
+                                    "tolerance": "exact"}]
+
+    def test_gauge_at_the_dimension_cap(self, tmp_path):
+        # the standard symplectic Pi of R^64 and a random constant omega in
+        # {-3..3}/7 at a random point: one 64 x 128 elimination
+        rng = random.Random(64)
+        pi = standard_symplectic_poisson(32)
+        chart = pi.chart
+        W = np.zeros((64, 64))
+        comps = {}
+        for i in range(64):
+            for j in range(i + 1, 64):
+                if v := rng.randint(-3, 3):
+                    comps[i, j] = PolyScalar.constant(chart, Fraction(v, 7))
+                    W[i, j], W[j, i] = v / 7, -v / 7
+        pi_file = _write(tmp_path, "pi.json", jsonio.tensor_to_json(pi.pi))
+        om = _write(tmp_path, "om.json", jsonio.tensor_to_json(PolyKForm(chart, 2, comps)))
+        point = ",".join(str(rng.uniform(-1, 1)) for _ in range(64))
+        code, rep = _run_quiet(["dirac", "gauge", "--poisson", pi_file, "--omega", om,
+                                f"--point={point}"])
+        assert code == 0, rep["criteria"]
+        P, Pi = np.array(rep["result"]["gauged_bivector_matrix"]), pi.matrix_at(np.zeros(64))
+        A = np.eye(64) + Pi @ W
+        assert np.abs(A @ P - Pi).max() <= 1e-9 * np.abs(A).max() * np.abs(P).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 3), linear=st.booleans(), singular=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_dirac_gauge_verdict_is_the_determinant(tmp_path_factory, n, linear, singular, seed):
+    """Exit 0 iff det(I + Pi W) != 0 at the point (sympy), and then the
+    reported P solves (I + Pi W) P = Pi; omega = d alpha is closed."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    xs = sp.symbols(f"x1:{n + 1}")
+    rat = lambda: sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+    point = [sp.Rational(rng.randint(-8, 8), 4) for _ in range(n)]
+    Pi, alpha = sp.zeros(n, n), [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        Pi[i, j] = rat() + (sum(rat() * x for x in xs) if linear else 0)
+        Pi[j, i] = -Pi[i, j]
+    for i in range(n):
+        alpha[i] = sum(rat() * xs[a] * xs[b] for a, b in
+                       itertools.combinations_with_replacement(range(n), 2)) + rat() * xs[i - 1]
+    if singular:
+        # Pi = c d1^d2 and omega_12(point) = 1/c: (I + Pi W) is singular there
+        c = sp.Rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        Pi = sp.zeros(n, n)
+        Pi[0, 1], Pi[1, 0] = c, -c
+        alpha[0] = 0
+        alpha[1] = xs[0] / c + rat() * (xs[0] - point[0]) ** 2
+    W = sp.Matrix(n, n, lambda i, j: sp.expand(sp.diff(alpha[j], xs[i])
+                                               - sp.diff(alpha[i], xs[j])))
+    at = dict(zip(xs, point))
+    A = sp.eye(n) + Pi.subs(at) * W.subs(at)
+    d = tmp_path_factory.mktemp("gauge")
+    argv = ["dirac", "gauge", "--poisson", _write(d, "pi.json", _skew_json(Pi, xs, "vector")),
+            "--omega", _write(d, "om.json", _skew_json(W, xs, "form")),
+            "--point=" + ",".join(str(float(v)) for v in point)]
+    code, rep = _run_quiet(argv)
+    assert code == (0 if A.det() != 0 else 1), (A, rep)
+    assert singular <= (code == 1)
+    (crit,) = rep["criteria"]
+    assert crit["name"] == "gauge-transversality" and crit["tolerance"] == "exact"
+    if code == 1:
+        assert crit["worst_point"] == [float(v) for v in point] and "result" not in rep
+        return
+    P = np.array(rep["result"]["gauged_bivector_matrix"])
+    Af, Pf = np.array(A, dtype=float), np.array(Pi.subs(at), dtype=float)
+    scale = np.abs(Af).max() * np.abs(P).max() + np.abs(Pf).max()
+    assert np.abs(Af @ P - Pf).max() <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.integers(1, 3), m=st.integers(2, 3), pi_kind=st.sampled_from(["zero", "constant",
+                                                                         "linear"]),
+       seed=st.integers(0, 2**32))
+def test_dirac_pullback_verdict_is_the_rank(tmp_path_factory, k, m, pi_kind, seed):
+    """Exit 0 iff rank [d phi | Pi^T] = m at the point (sympy), and then the
+    fiber basis spans the sympy fiber {(w, d phi^T c) : d phi w = Pi^T c}.
+    Every coefficient is a small rational and every point within 2 of the
+    origin, so the check holds to 1e-9."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    us, ys = sp.symbols(f"u1:{k + 1}"), sp.symbols(f"y1:{m + 1}")
+    rat = lambda: sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+    monomials = [1, *us, *(a * b for a, b in itertools.combinations_with_replacement(us, 2))]
+    phi = [sum(rat() * mono for mono in rng.sample(monomials, 3)) for _ in range(m)]
+    Pi = sp.zeros(m, m)
+    if pi_kind != "zero":
+        for i, j in itertools.combinations(range(m), 2):
+            Pi[i, j] = rat() + (sum(rat() * y for y in ys) if pi_kind == "linear" else 0)
+            Pi[j, i] = -Pi[i, j]
+    point = [sp.Rational(rng.randint(-8, 8), 4) for _ in range(k)]
+    at = dict(zip(us, point))
+    J = sp.Matrix(m, k, lambda i, a: sp.diff(phi[i], us[a])).subs(at)
+    V = Pi.subs(dict(zip(ys, [sp.sympify(f).subs(at) for f in phi]))).T
+    transverse = J.row_join(V).rank() == m
+    d = tmp_path_factory.mktemp("pullback")
+    phi_json = {"source": k, "target": m,
+                "components": [_poly_json(sp.sympify(f), us) for f in phi]}
+    argv = ["dirac", "pullback", "--map", _write(d, "phi.json", phi_json),
+            "--poisson", _write(d, "pi.json", _skew_json(Pi, ys, "vector")),
+            "--point=" + ",".join(str(float(v)) for v in point)]
+    code, rep = _run_quiet(argv)
+    assert code == (0 if transverse else 1), rep
+    (crit,) = rep["criteria"]
+    assert crit["name"] == "pullback-transversality" and crit["tolerance"] == "exact"
+    if not transverse:
+        return
+    fiber = [sp.Matrix.vstack(s[:k, :], J.T * s[k:, :]) for s in J.row_join(-V).nullspace()]
+    Q = np.linalg.qr(np.array(sp.Matrix.hstack(*fiber), dtype=float))[0]
+    B = np.array(rep["result"]["fiber_basis"])
+    assert B.shape == (2 * k, k)
+    assert np.linalg.norm(B @ B.T - Q @ Q.T, 2) <= 1e-9
+
+
+@pytest.mark.parametrize("name, code", [("so3", 0), ("nonpoisson3d", 1)])
+def test_closed_stdout_keeps_the_exit_code(workdir, tmp_path, name, code):
+    # the reader closes its end of the pipe before the CLI writes its report
+    path = (_write(tmp_path, "so3.json", jsonio.tensor_to_json(lie_poisson(so3_constants(), 3).pi))
+            if name == "so3" else workdir["nonpoisson3d.json"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(diraclab.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "diraclab.cli", "poisson", "check",
+                              "--file", path], stdout=write, stderr=subprocess.PIPE,
+                             env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (code, "")
 
 
 class TestNumericCommands:
@@ -431,8 +659,8 @@ def test_consecutive_runs_share_no_option_values(workdir, capsys):
 
 # the commands whose criteria, if any, are exact: --tol has nothing to set
 NO_NUMERIC_CRITERION = ["poisson check", "poisson jacobiator", "poisson bracket", "poisson leaf",
-                        "dirac check-integrability", "dirac poisson-map", "manin check",
-                        "manin dressing", "manin homspace"]
+                        "dirac check-integrability", "dirac gauge", "dirac pullback",
+                        "dirac poisson-map", "manin check", "manin dressing", "manin homspace"]
 
 
 class TestTolOverride:
@@ -445,6 +673,8 @@ class TestTolOverride:
 
     def test_tol_defaults_name_the_numeric_commands(self):
         assert set(cli.TOL_DEFAULTS) == set(FUZZ_COMMANDS) - set(NO_NUMERIC_CRITERION)
+        assert set(cli.TOL_DEFAULTS) == {"realize", "moser", "linearize", "manin bivector",
+                                         "manin multiplicativity"}
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     @pytest.mark.parametrize("command", NO_NUMERIC_CRITERION)
@@ -522,12 +752,11 @@ class TestExactIntegrability:
         from diraclab import _numeric, dirac
 
         calls = []
-        for cls, name in ((_numeric.PackedPolys, "__init__"), (_numeric.PackedPolys, "__call__"),
-                          (dirac.LagrangianFrame, "value_at")):
-            def counted(*args, _orig=getattr(cls, name), _name=name, **kwargs):
+        for name in ("__init__", "__call__", "at_state"):
+            def counted(*args, _orig=getattr(_numeric.PackedPolys, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _orig(*args, **kwargs)
-            monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(_numeric.PackedPolys, name, counted)
         path = workdir["nonpoisson3d.json"]
         if source == "--frame":
             pi = cli._load_bivector(path)
@@ -744,7 +973,8 @@ class TestMalformedInput:
         return {k: str(v) for k, v in files.items()}
 
     def test_a_matrix_past_the_float_range_in_an_svd(self, capsys, tmp_path):
-        # the pullback's SVD used to end in an uncaught LinAlgError
+        # the exact fiber has an entry past the float range (its SVD once ended
+        # in an uncaught LinAlgError)
         files = self.float_range_files(tmp_path)
         with warnings.catch_warnings():  # numpy's overflow warnings stay inside run
             warnings.simplefilter("error", RuntimeWarning)

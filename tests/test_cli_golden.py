@@ -76,9 +76,6 @@ def _inputs():
         "OMEGA_HALF": jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one * Fraction(1, 2)})),
         "PHI": {"source": 1, "target": 2, "components": [[{"exp": [1], "num": 1, "den": 1}],
                                                          [{"exp": [2], "num": 1, "den": 1}]]},
-        "PHI_SO3": {"source": 2, "target": 3, "components": [
-            [{"exp": [1, 0], "num": 1, "den": 1}], [{"exp": [0, 1], "num": 2, "den": 1}],
-            [{"exp": [1, 1], "num": 1, "den": 3}, {"exp": [0, 0], "num": 1, "den": 1}]]},
         "ID": {"source": 2, "target": 2, "components": [[{"exp": [1, 0], "num": 1, "den": 1}],
                                                         [{"exp": [0, 1], "num": 1, "den": 1}]]},
         "FRAME": {"chart": 2, "sections": [
@@ -136,8 +133,11 @@ CASES = {
                           "--point", "0,nan"],
     "dirac pullback/pass": ["dirac", "pullback", "--map", "{PHI}", "--poisson", "{PI}",
                             "--point", "0.5"],
-    "dirac pullback/fail": ["dirac", "pullback", "--map", "{PHI_SO3}", "--poisson", "{SO3}",
-                            "--point", "0.5,0.2", "--tol", "0"],
+    "dirac gauge/tol": ["dirac", "gauge", "--poisson", "{CONST}", "--omega", "{OMEGA_HALF}",
+                        "--point", "0,0", "--tol", "1e-3"],
+    # u -> (u, u^2) meets x d/dx ^ d/dy where it vanishes, along the x axis
+    "dirac pullback/fail": ["dirac", "pullback", "--map", "{PHI}", "--poisson", "{PI}",
+                            "--point", "0"],
     "dirac pullback/error": ["dirac", "pullback", "--map", "{PHI}", "--poisson", "{SO3}",
                              "--point", "0.5"],
     "dirac poisson-map/pass": ["dirac", "poisson-map", "--map", "{ID}", "--pi-source", "{PI}",

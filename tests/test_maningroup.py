@@ -351,6 +351,15 @@ class TestHomogeneousSpace:
         assert not rep.passed
         assert rep.witness["failure"] == "l not Ad_K-invariant: [generator 1, l vector 0] leaves l"
 
+    def test_generator_outside_g_is_named(self):
+        # v3 lies in h, so exp v3 is no element of G, let alone of K; [v3, l]
+        # stays in l, and the Ad-invariance test alone passed it
+        triple, _ = iwasawa_su2()
+        rep = homogeneous_space_check(triple, self.TORUS_K, self.TORUS_L,
+                                      [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
+        assert not rep.passed and rep.max_residual is None
+        assert rep.witness["failure"] == "generator 1 not in g"
+
     def test_generator_off_by_a_tiny_rational_fails(self):
         # a float test at 1e-9 passed u3 + 1e-12 u1; the exact test does not
         triple, _ = iwasawa_su2()

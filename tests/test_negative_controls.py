@@ -12,7 +12,7 @@ the compiled field of the so(3)* spray, leaving its Poisson structure alone:
   which closedness sees.
 
 The `dirac gauge` report is fed the sign-flipped gauge (I - Pi W)^{-1} Pi,
-whose graph is not the sheared graph of pi.  `dirac check-integrability` is
+which does not solve (I + Pi W) P = Pi.  `dirac check-integrability` is
 fed defects far below any float tolerance, a 1e-10 Jacobiator and a 1e-12
 d omega, which it must fail, and tangent frames whose sections differ in
 scale by up to 1e12, which it must pass.
@@ -30,7 +30,7 @@ from diraclab.fields import (Chart, PolyKForm, PolyKVector, PolyScalar, coordina
                              coordinate_vector)
 from diraclab.poisson import euler_linearize, lie_poisson, so3_constants
 
-from conftest import frame_file, stage_field
+from conftest import dense_exact, frame_file, stage_field
 
 POINT = np.array([0.3, -0.2, 0.5, 0.4, 0.1, -0.3])
 CONFIG = real_mod.RealizationConfig(step=1e-2)
@@ -114,9 +114,9 @@ def _run_cli(capsys, argv):
 
 
 @pytest.mark.parametrize("name, fails", [("true", False), ("sign-flipped", True)])
-def test_dirac_gauge_graph(monkeypatch, capsys, tmp_path, name, fails):
-    # (I - Pi W)^{-1} Pi in place of (I + Pi W)^{-1} Pi: a skew matrix of the
-    # right rank whose graph is not the sheared Gr(pi)
+def test_dirac_gauge_solves_the_gauge_equation(monkeypatch, capsys, tmp_path, name, fails):
+    # the reported P must solve (I + Pi W) P = Pi, with Pi and W evaluated
+    # here; (I - Pi W)^{-1} Pi is a skew matrix of the right rank that does not
     from diraclab import dirac, jsonio
 
     pi = lie_poisson(so3_constants(), 3)
@@ -131,12 +131,14 @@ def test_dirac_gauge_graph(monkeypatch, capsys, tmp_path, name, fails):
     for key, tensor in (("pi", pi.pi), ("omega", omega)):
         files[key] = tmp_path / f"{key}.json"
         files[key].write_text(json.dumps(jsonio.tensor_to_json(tensor)))
+    point = [0.3, -0.2, 0.5]
     code, rep = _run_cli(capsys, ["dirac", "gauge", "--poisson", str(files["pi"]),
                                   "--omega", str(files["omega"]), "--point", "0.3,-0.2,0.5"])
-    (crit,) = rep["criteria"]
-    assert crit["name"] == "gauge-graph" and crit["tolerance"] == 1e-9
-    assert (code, crit["status"]) == ((1, "fail") if fails else (0, "pass")), crit
-    assert (crit["max_residual"] > 1e-3) is fails, crit
+    assert code == 0 and rep["criteria"][0]["status"] == "pass"
+    P = np.array(rep["result"]["gauged_bivector_matrix"])
+    Pi, W = dense_exact(pi.pi, point), dense_exact(omega, point)
+    r = np.abs((np.eye(3) + Pi @ W) @ P - Pi).max() / np.abs(Pi).max()
+    assert bool(r > 1e-9) is fails, r
 
 
 def test_dirac_integrability_of_a_nearly_poisson_graph(capsys, tmp_path):

@@ -466,8 +466,8 @@ class TestStackedHelpers:
         got = helper(stack)
         for b, A in enumerate(stack):
             want = reference(A)
-            assert np.array_equal(helper(A), want)  # one matrix: selected columns
-            kept = np.any(got[b] != 0.0, axis=0)   # a stack: the rest are zero
+            assert np.array_equal(helper(A[None])[0], got[b])  # a stack of one
+            kept = np.any(got[b] != 0.0, axis=0)   # the unselected columns are zero
             assert np.array_equal(got[b][:, kept], want)
             assert not got[b][:, ~kept].any()
         assert [reference(A).shape[1] for A in stack] == [int(np.any(g != 0.0, axis=0).sum())
@@ -480,13 +480,13 @@ class TestStackedHelpers:
     def test_zero_columns(self):
         empty = np.zeros((3, 4, 0))
         assert _numeric.orthonormal_basis(empty).shape == (3, 4, 0)
-        assert _numeric.orthonormal_basis(empty[0]).shape == (4, 0)
+        assert _numeric.orthonormal_basis(empty[:1]).shape == (1, 4, 0)
         assert _numeric.nullspace_basis(np.zeros((3, 0, 4))).shape == (3, 4, 4)
         other = ragged_stack(np.random.default_rng(5))[:, :, :2]
         got = _numeric.span_residual(empty, other)
         for b in range(3):
             assert got[b] == reference_span_residual(empty[b], other[b])
-            assert _numeric.span_residual(empty[b], other[b]) == got[b]
+            assert _numeric.span_residual(empty[b:b + 1], other[b:b + 1])[0] == got[b]
 
     def test_span_residual(self):
         rng = np.random.default_rng(6)
@@ -496,7 +496,7 @@ class TestStackedHelpers:
         assert got.shape == (3,)
         for i in range(3):
             want = reference_span_residual(a[i], b[i])
-            assert _numeric.span_residual(a[i], b[i]) == want
+            assert _numeric.span_residual(a[i:i + 1], b[i:i + 1])[0] == want
             assert abs(got[i] - want) <= 1e-12
         assert got[0] == 0.0 and got[2] < 1e-12
 
@@ -509,8 +509,10 @@ class TestStackedHelpers:
         forms = rng.standard_normal((4, 3, 3))
         got = _numeric.pullback_fiber(J, vectors, forms)
         for b in range(4):
-            one = _numeric.pullback_fiber(J[b], vectors[b], forms[b])
+            one = _numeric.pullback_fiber(J[b:b + 1], vectors[b:b + 1], forms[b:b + 1])[0]
             kept = np.any(got[b] != 0.0, axis=0)
+            assert np.array_equal(np.any(one != 0.0, axis=0), kept)
+            one = one[:, kept]
             assert np.abs(got[b][:, kept] - one).max() <= 1e-14
             w, nu = one[:5], one[5:]
             # the null space is taken of the blocks over their scales j and a

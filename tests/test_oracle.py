@@ -4,7 +4,9 @@ exact gauge (I + Pi W)^{-1} Pi from sympy's matrix inverse, and the
 homogeneous-space criteria with l cap g built explicitly from a nullspace.
 The numeric layer against a closed form: the spray flow of a linear bivector,
 whose q-part is one matrix exponential and whose p-Jacobian is its Frechet
-derivative (scipy)."""
+derivative (scipy), and the realization form W(p), the integral of
+J_{-s}^T W_can J_{-s} over s in [0, 1], by a 32-node Gauss-Legendre rule of
+that closed form."""
 
 import itertools
 import random
@@ -21,8 +23,8 @@ from diraclab.fields import (Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar,
 from diraclab.maningroup import builtin_triples, homogeneous_space_check
 from diraclab.poisson import (PoissonBivector, jacobiator, lie_poisson, so3_constants,
                               standard_symplectic_poisson)
-from diraclab.realization import (RealizationConfig, default_spray, flow, sample_points,
-                                  source_target, verify_dual_pair)
+from diraclab.realization import (RealizationConfig, default_spray, flow, realization_form,
+                                  sample_points, source_target, verify_dual_pair)
 
 from conftest import random_form, random_poly, random_vector
 
@@ -280,11 +282,11 @@ def test_homogeneous_space_check_matches_explicit_intersection():
 # -- the spray flow of a linear bivector in closed form -----------------------------
 
 
-def linear_spray_flow(c, n, point):
-    """Phi_{-1}(q, p) = (expm(M(p)) q, p) and its Jacobian, for Pi^{ij}(q) =
+def linear_spray_flow(c, n, point, s=1.0):
+    """Phi_{-s}(q, p) = (expm(s M(p)) q, p) and its Jacobian, for Pi^{ij}(q) =
     sum_k c_ij^k q_k and the spray with no p-quadratic part: p is constant and
     dq/ds = M(p) q with M(p)_{jk} = sum_i c_ij^k p_i, over both orders of each
-    constant.  Column m of the p-Jacobian is L(M(p), M(e_m)) q, with L the
+    constant.  Column m of the p-Jacobian is L(s M(p), s M(e_m)) q, with L the
     Frechet derivative of expm.  No library flow is called."""
     linalg = pytest.importorskip("scipy.linalg")
     q, p = point[:n], point[n:]
@@ -297,9 +299,9 @@ def linear_spray_flow(c, n, point):
         return A
 
     J = np.eye(2 * n)
-    J[:n, :n] = linalg.expm(M(p))
+    J[:n, :n] = linalg.expm(s * M(p))
     for m in range(n):
-        J[:n, n + m] = linalg.expm_frechet(M(p), M(np.eye(n)[m]))[1] @ q
+        J[:n, n + m] = linalg.expm_frechet(s * M(p), s * M(np.eye(n)[m]))[1] @ q
     return np.concatenate([J[:n, :n] @ q, p]), J
 
 
@@ -329,6 +331,34 @@ def _oracle_errors(c, n, step):
 @pytest.mark.parametrize("name, c, n", list(_linear_cases()), ids=["so3", "random3", "random4"])
 def test_linear_spray_flow_matches_the_closed_form(name, c, n):
     assert _oracle_errors(c, n, 1e-3) < 1e-13
+
+
+def closed_form_realization_form(c, n, point, nodes=32):
+    """W(p) = int_0^1 J_{-s}^T W_can J_{-s} ds, W_can = [[0, I], [-I, 0]], by a
+    Gauss-Legendre rule (numpy's nodes on [-1, 1], moved to [0, 1]) of the
+    closed-form Jacobians; no library flow or quadrature is called."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    Wcan = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    out = np.zeros((2 * n, 2 * n))
+    for s, weight in zip((x + 1) / 2, w / 2):
+        J = linear_spray_flow(c, n, point, s)[1]
+        out += weight * J.T @ Wcan @ J
+    return out
+
+
+def _realization_form_error(c, n, step):
+    """Largest deviation of realization_form from the closed form over ten
+    seeded points with |p| <= 0.2."""
+    spray = default_spray(lie_poisson(c, n))
+    pts = sample_points(n, 10, 0.2, seed=3)
+    got = realization_form(spray, pts, RealizationConfig(step=step))
+    want = np.array([closed_form_realization_form(c, n, pt) for pt in pts])
+    return np.abs(got - want).max()
+
+
+@pytest.mark.parametrize("name, c, n", list(_linear_cases()), ids=["so3", "random3", "random4"])
+def test_realization_form_matches_the_closed_form(name, c, n):
+    assert _realization_form_error(c, n, 1e-3) < 1e-12
 
 
 def test_coarse_step_error_is_visible_to_the_oracle_only():
