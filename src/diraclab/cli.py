@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -26,7 +27,7 @@ import numpy as np
 from . import jsonio
 from ._numeric import CriterionResult, FlowConfig
 from .errors import DiraclabError, DomainEscapeError, TransversalityError
-from .fields import Chart, PolyKForm, PolyKVector, _rank
+from .fields import Chart, PolyKForm, PolyKVector, _integer_row, _span_test
 from .poisson import (
     PoissonBivector,
     TimePolyForm,
@@ -44,7 +45,7 @@ SCHEMA_VERSION = 2
 
 STEP_FLOOR = 1e-6   # with MAX_FLOW_STEPS = 1e7 this admits flows up to time 10
 COUNT_CAP = 10_000  # samples, pairs and grid points of one run
-# The built-in group charts have domain |x| < pi; --scale bounds each coordinate.
+# The built-in group charts have domain |x| < pi; --scale and --point bound each coordinate.
 SCALE_CAP = math.pi
 
 # The domain of each numeric option: a test and the phrase that states it.
@@ -107,7 +108,11 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as InputError, so that it gets a report too."""
+    """Raises a usage error as InputError, with a report, and reads -0.5,0.2 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d.*$")
 
     def error(self, message):
         raise InputError(message)
@@ -353,15 +358,16 @@ def _triple_axioms(triple) -> CriterionResult:
 def _check_borrowed_chart(triple, chart) -> None:
     """Refuse a `builtin_ad` chart unless g has the same structure constants in
     the triple's g-basis as in its built-in's: the chart's param and log_map
-    multiply in the built-in's group.  Exactly, each paired bracket
+    multiply in the built-in's group.  Exactly, in ints, each paired bracket
     ([g_i, g_j] | [g_i, g_j]') lies in the span of the paired basis (g_c | g_c')."""
     ref = manin_mod.builtin_triples()[chart.name][0]
-    g, g_ref, n = triple.g_basis, ref.g_basis, triple.half_dim
-    paired = [u + v for u, v in zip(g, g_ref)]
-    if ref.half_dim != n or any(
-            _rank(paired + [triple.algebra.bracket(g[i], g[j])
-                            + ref.algebra.bracket(g_ref[i], g_ref[j])]) != n
-            for i in range(n) for j in range(i + 1, n)):
+    alg, ref_alg, n, d = triple.algebra, ref.algebra, triple.half_dim, triple.algebra.dim
+    paired = [_integer_row(u + v) for u, v in zip(triple.g_basis, ref.g_basis)]  # one scale
+    inside = _span_test(paired)
+    if ref.half_dim != n or not all(  # each bracket half takes the other half's den
+            inside([ref_alg.den * c for c in alg.scaled_bracket(x[:d], y[:d])]
+                   + [alg.den * c for c in ref_alg.scaled_bracket(x[d:], y[d:])])
+            for i, x in enumerate(paired) for y in paired[i + 1:]):
         raise InputError(f"builtin_ad {chart.name!r}: the chart's g is not this triple's g")
 
 
@@ -377,15 +383,17 @@ def _cmd_manin(args):
             return [crit], {}
         if chart is not None:
             _check_borrowed_chart(triple, chart)
-    if args.manin_cmd == "bivector":
+    if args.manin_cmd in ("bivector", "dressing"):
         pt = np.array(_parse_point(args.point, chart.dim))
+        if np.abs(pt).max() > SCALE_CAP:
+            raise InputError(f"point {args.point!r} lies outside the chart domain |x_i| <= pi")
+    if args.manin_cmd == "bivector":
         P = manin_mod.drinfeld_bivector(triple, chart, pt)
         Pc = manin_mod.drinfeld_bivector_chart(triple, chart, pt)
         r = manin_mod.jacobiator_fd_residual(triple, chart, [pt])
         return ([CriterionResult("bivector-jacobi", r, pt, args.tol)],
                 {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()})
     if args.manin_cmd == "dressing":
-        pt = np.array(_parse_point(args.point, chart.dim))
         zeta = np.array(_parse_point(args.zeta, triple.algebra.dim))
         out = manin_mod.dressing_action(triple, chart, pt, zeta)
         return [], {"left_trivialized_value": out.tolist()}

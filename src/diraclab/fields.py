@@ -56,14 +56,6 @@ def _unpack(key: int, dim: int) -> tuple:
     return struct.unpack(f"<{dim}H", key.to_bytes(2 * dim, "little"))  # "H": _W = 16 bits
 
 
-def _derivative(num: dict, i: int) -> list:
-    """(key, numerator) pairs of d/dx_i of numerators over one denominator:
-    a shift and a subtract per term."""
-    shift = _W * i
-    one = 1 << shift
-    return [(k - one, v * e) for k, v in num.items() if (e := (k >> shift) & _FIELD)]
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -127,18 +119,19 @@ def accumulate_signed(acc: dict, idx, value) -> None:
         accumulate(acc, sidx, value if sign == 1 else -value)
 
 
+def _integer_row(v) -> list:
+    """A rational vector times the lcm of its denominators: integers, same span."""
+    m = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v]
+
+
 def _echelon(vectors, reduced: bool = False):
     """Integer rows spanning the rational vectors, in echelon form by fraction-free
     (Bareiss) elimination, and their pivot columns.  Each vector is scaled to
     integers by the lcm of its denominators, each update divides exactly by the
     previous pivot, and zero columns are skipped; reduced=True also clears each
     pivot column above its pivot (fraction-free Gauss-Jordan)."""
-    rows = []
-    for v in vectors:
-        m = math.lcm(*(x.denominator for x in v))
-        row = [x.numerator * (m // x.denominator) for x in v]
-        if any(row):
-            rows.append(row)
+    rows = [row for row in map(_integer_row, vectors) if any(row)]
     pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
         rank = len(pivots)
@@ -160,6 +153,15 @@ def _echelon(vectors, reduced: bool = False):
 def _rank(vectors) -> int:
     """Rank of a list of rational vectors (see `_echelon`)."""
     return len(_echelon(vectors)[1])
+
+
+def _span_test(basis):
+    """v -> whether v lies in the span of the rational basis: p v = sum_i v[c_i] R_i for the
+    rows R_i, pivot columns c_i and shared pivot p of its one reduced `_echelon`."""
+    R, pivots = _echelon(basis, reduced=True)
+    p = R[0][pivots[0]] if R else 1
+    return lambda v: all(p * x == sum(v[c] * row[j] for c, row in zip(pivots, R))
+                         for j, x in enumerate(v))
 
 
 def _kernel(rows, n: int) -> dict:
@@ -435,7 +437,7 @@ class PolyScalar:
     def partial(self, i: int) -> "PolyScalar":
         if not 0 <= i < self.chart.dim:
             raise ShapeError(f"partial index {i} out of range for dim {self.chart.dim}")
-        return PolyScalar._canonical(self.chart, dict(_derivative(self._num, i)), self._den)
+        return sum_of_products(self.chart, ((1, self._canonical(self.chart, {0: 1}), self, i),))
 
     def evaluate_exact(self, point: Sequence[Rat]) -> Fraction:
         if len(point) != self.chart.dim:
@@ -487,22 +489,24 @@ class PolyScalar:
 
 
 def sum_of_products(chart: Chart, products) -> PolyScalar:
-    """The sum of sign * a * b, or of sign * a * db/dx_d where d is not None,
-    over (sign, a, b, d) in `products` (sign +1 or -1, a and b on `chart`): the
-    one product loop of the exact layer.  Every product accumulates into one
-    numerator dict over the lcm of the denominators, normalized once."""
+    """The sum of sign * a * b, or of sign * a * db/dx_d where d is not None, over (sign,
+    a, b, d) in `products` (sign +1 or -1, a and b on `chart`): the one product loop of the
+    exact layer, into one numerator dict over the lcm of the denominators, normalized once.
+    A derivative slot walks b's terms first, folding each exponent e > 0 of x_d into b."""
     products = list(products)
     den = math.lcm(*(a._den * b._den for _, a, b, _ in products))
     acc: dict = {}
     get = acc.get
     for sign, a, b, d in products:
         scale = sign * (den // (a._den * b._den))
-        b_terms = b._num.items() if d is None else _derivative(b._num, d)
-        for ka, va in a._num.items():
-            va *= scale
-            for kb, vb in b_terms:
-                k = ka + kb
-                acc[k] = get(k, 0) + va * vb
+        outer, inner = (a._num, b._num.items()) if d is None else (b._num, a._num.items())
+        one = 0 if d is None else 1 << _W * d
+        for ko, vo in outer.items():
+            if e := (1 if d is None else (ko >> _W * d) & _FIELD):
+                ko, vo = ko - one, vo * e * scale
+                for ki, vi in inner:
+                    k = ko + ki
+                    acc[k] = get(k, 0) + vo * vi
     if any(map(chart._guard.__and__, acc)):
         raise DegreeError(f"a product exponent exceeds {MAX_EXPONENT}")
     return PolyScalar._canonical(chart, {k: v for k, v in acc.items() if v}, den)

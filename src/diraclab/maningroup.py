@@ -3,9 +3,9 @@ criteria they induce on group charts.
 
 Algebraic checks (Jacobi, ad-invariance of the metric, the Lagrangian
 subalgebras g, h and l, l cap g = k, Ad_K-invariance of l) run in exact
-rational arithmetic with no tolerance; every subspace axiom among them is a
-comparison of ranks from one fraction-free `fields._rank`, Ad_K-invariance
-included: a rational X has Ad_{exp X} l = l iff [X, l] lies in l.
+rational arithmetic with no tolerance: dimensions are `fields._rank`s, and a
+membership (a bracket in a subalgebra; Ad_K-invariance, as a rational X has
+Ad_{exp X} l = l iff [X, l] lies in l) is one `fields._span_test`, in ints.
 Group-level data is numeric and numpy-only.  Chart points are exponential
 coordinates in a basis of g.  One matrix exponential, `_expm`, serves
 every group quantity.  One `_PointJet` per point forms, from `chart.triple`,
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._numeric import CriterionResult, gauge_inverse, worst
 from .errors import DomainEscapeError, ShapeError
-from .fields import _rank, accumulate
+from .fields import _integer_row, _rank, _span_test, accumulate
 from .poisson import jacobi_violation, normalize_structure_constants, so3_constants
 
 
@@ -49,13 +49,15 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 class MetrizedLieAlgebra:
-    """Structure constants plus an invariant metric, all exact rationals."""
+    """Exact structure constants, also as int numerators over one `den`, and metric."""
 
-    __slots__ = ("dim", "C", "B", "_metric_rows", "_tensor", "_Bnum")
+    __slots__ = ("dim", "C", "B", "den", "_Cnum", "_metric_rows", "_tensor", "_Bnum")
 
     def __init__(self, dim: int, C: dict, B):
         self.dim = dim
         self.C = normalize_structure_constants(C, dim)
+        self.den = den = math.lcm(*(v.denominator for v in self.C.values()))
+        self._Cnum = [(*abk, v.numerator * (den // v.denominator)) for abk, v in self.C.items()]
         self.B = [[Fraction(x) for x in row] for row in B]
         if len(self.B) != dim or any(len(r) != dim for r in self.B):
             raise ShapeError("metric must be dim x dim")
@@ -64,10 +66,10 @@ class MetrizedLieAlgebra:
         self._tensor = None
         self._Bnum = None
 
-    def bracket(self, x, y):
-        """Exact bracket of coefficient vectors."""
-        out = [Fraction(0)] * self.dim
-        for (a, b, k), v in self.C.items():
+    def scaled_bracket(self, x, y) -> list:
+        """den [x, y]: ints on int coefficient vectors, spanning what [x, y] spans."""
+        out = [0] * self.dim
+        for a, b, k, v in self._Cnum:
             out[k] += v * (x[a] * y[b] - x[b] * y[a])
         return out
 
@@ -174,13 +176,14 @@ class ManinTriple:
 
 
 def _bracket_escape(algebra: MetrizedLieAlgebra, basis, acting=None) -> tuple | None:
-    """The first (i, j) with [acting_i, basis_j] outside the span of basis, None
-    if there is none; acting defaults to basis itself over i < j, so None
-    means a subalgebra."""
-    r = _rank(basis)
-    for i, x in enumerate(basis if acting is None else acting):
+    """The first (i, j) with [acting_i, basis_j] outside the span of basis, None if
+    there is none; acting defaults to basis itself over i < j, so None means a
+    subalgebra.  Scaling the vectors to ints moves no bracket across a span."""
+    basis = [_integer_row(v) for v in basis]
+    inside = _span_test(basis)
+    for i, x in enumerate(basis if acting is None else map(_integer_row, acting)):
         for j in range(i + 1 if acting is None else 0, len(basis)):
-            if _rank(basis + [algebra.bracket(x, basis[j])]) != r:
+            if not inside(algebra.scaled_bracket(x, basis[j])):
                 return i, j
     return None
 
@@ -488,11 +491,11 @@ def homogeneous_space_check(triple: ManinTriple, k_basis, l_basis,
 
     if any(len(v) != alg.dim for v in k_basis + l_basis + gens):
         raise ShapeError("k, l and generator vectors must have length dim d")
-    g_rank = _rank(triple.g_basis)
-    if _rank(triple.g_basis + k_basis) != g_rank:
+    in_g = _span_test(triple.g_basis)
+    if not all(map(in_g, k_basis)):
         return failed("k not contained in g")
     for i, X in enumerate(gens):
-        if _rank(triple.g_basis + [X]) != g_rank:
+        if not in_g(X):
             return failed(f"generator {i} not in g")
     if k_basis and (pair := _bracket_escape(alg, k_basis)):
         return failed(f"k not a subalgebra at {pair}")
@@ -505,7 +508,7 @@ def homogeneous_space_check(triple: ManinTriple, k_basis, l_basis,
                        "subalgebra": f"l not a subalgebra at {pair}"}[kind])
 
     if (_rank(l_basis + k_basis) != n
-            or n + g_rank - _rank(l_basis + triple.g_basis) != _rank(k_basis)):
+            or n + _rank(triple.g_basis) - _rank(l_basis + triple.g_basis) != _rank(k_basis)):
         return failed("l cap g != k")
     if pair := _bracket_escape(alg, l_basis, gens):
         return failed("l not Ad_K-invariant: [generator {}, l vector {}] leaves l".format(*pair))

@@ -6,10 +6,12 @@ module goes through `PolyScalar` operations (`embed`, `restrict`,
 one tensor compiler (`compile_tensors`), one float evaluator (`PackedPolys`,
 the only caller of `float_terms`) and one flow function (`flow_points`); the
 adapters, the interpreted float evaluators and the second flow function they
-replaced stay gone.  The Manin
-layer decides its subspace axioms with one exact `_rank`: the Fraction-matrix
+replaced stay gone.  The exact product loop differentiates in place, so the
+partial-term helper `_derivative` stays gone.  The Manin
+layer decides its subspace axioms with one exact elimination: the Fraction-matrix
 module `_rat` and its span helpers stay gone, as do the batch-only realization
-entry points.  Every verifier reduces its residuals with `_numeric.worst`: a
+entry points, and no module tests span membership as `_rank(basis + [v])`:
+each membership goes through the one reduced echelon of `fields._span_test`.  Every verifier reduces its residuals with `_numeric.worst`: a
 running `worst = max(worst, r)` or `if r > worst` drops a NaN residual, so no
 such reduction may come back.  Numeric ranks use the one relative rule of
 `_numeric` (singular values against the largest); `numpy.linalg.matrix_rank`
@@ -58,7 +60,7 @@ REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_c
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
             "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at",
             "_coefs_at", "GROUP_TOL", "HomogeneousSpaceData", "RealizationSample",
-            "realization_sample", "validate", "value_at", "_selected"}
+            "realization_sample", "validate", "value_at", "_selected", "_derivative"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -329,3 +331,25 @@ def test_cli_imports_no_float_self_check():
     imported = {a.name for node in ast.walk(_tree(PACKAGE / "cli.py"))
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert not imported & {"span_residual", "gauge_fiber"}
+
+
+def _rank_of_appended(tree) -> list:
+    """Lines that call `_rank(<vectors> + [...])`: a span membership decided by
+    comparing two ranks."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) == "_rank"
+            and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+                    and isinstance(arg.right, ast.List) for arg in node.args)]
+
+
+def test_membership_guard_sees_a_rank_comparison():
+    src = ("def f(basis, v, r):\n"
+           "    if _rank(basis + [v]) != r:\n"
+           "        return fields._rank(basis + [bracket(v, v)]) == r\n")
+    assert _rank_of_appended(ast.parse(src)) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_span_membership_goes_through_one_echelon(path):
+    found = _rank_of_appended(_tree(path))
+    assert not found, f"{path.name} tests span membership by two ranks at lines {found}"

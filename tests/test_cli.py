@@ -23,7 +23,7 @@ from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar
 from diraclab.dirac import graph_of_poisson, integrability_tensor
 from diraclab.poisson import (PoissonBivector, from_components, jacobiator, lie_poisson,
                               so3_constants, standard_symplectic_poisson)
-from diraclab.maningroup import builtin_triples, iwasawa_su2
+from diraclab.maningroup import builtin_triples, drinfeld_bivector_chart, iwasawa_su2
 
 from conftest import (FUZZ_COMMANDS, chart_bivector_oracle, frame_file, fuzz_argv,
                       fuzz_inputs, random_poly, random_vector)
@@ -485,26 +485,25 @@ class TestManinCommands:
         assert crit["name"] == "bivector-jacobi" and crit["tolerance"] == 1e-5
         assert crit["max_residual"] < 1e-14
 
-    def test_bivector_far_from_the_identity(self, capsys):
-        # --point is not capped: the chart bivector must hold to rounding there too
-        code, rep = run_and_parse(
-            capsys, ["manin", "bivector", "--builtin", "iwasawa-su2", "--point", "30,9,-6"])
-        assert code == 0
-        _, chart = iwasawa_su2()
+    def test_bivector_far_from_the_identity(self):
+        # the CLI refuses this point (each coordinate is capped at pi), but the
+        # library's chart bivector must hold to rounding there too
+        triple, chart = iwasawa_su2()
         ref = chart_bivector_oracle(chart, [30.0, 9.0, -6.0])
-        got = np.array(rep["result"]["bivector_chart"])
+        got = drinfeld_bivector_chart(triple, chart, np.array([30.0, 9.0, -6.0]))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @pytest.mark.parametrize("point", ["6.283185307179586,0,0",
                                        ",".join(["3.6275987284684357"] * 3)],
                              ids=["axis", "diagonal"])
-    def test_bivector_at_a_singular_frame_is_an_error(self, capsys, point):
-        # |x| = 2 pi: d exp is singular, and the Jacobiator used to read 41 and 1.3e29
+    def test_bivector_at_a_singular_frame_is_an_input_error(self, capsys, point):
+        # |x| = 2 pi: d exp is singular, and the Jacobiator used to read 41 and
+        # 1.3e29; such a point has a coordinate past pi, outside the chart domain
+        # (the library's own refusal is pinned in test_maningroup)
         code, rep = run_and_parse(capsys, ["manin", "bivector", "--builtin", "iwasawa-su2",
                                            "--point", point])
-        assert code == 1 and rep["criteria"] == [] and "result" not in rep
-        assert "chart frame singular" in rep["error"]
-        assert rep["error_point"] == [float(v) for v in point.split(",")]
+        assert code == 2 and rep["criteria"] == [] and "result" not in rep
+        assert "outside the chart domain" in rep["error"]
 
     def test_dressing(self, capsys):
         code, rep = run_and_parse(
@@ -634,6 +633,41 @@ class TestTripleJson:
         else:
             assert rep["criteria"][0]["max_residual"] < 1e-12
 
+    def test_a_borrowed_chart_reads_a_rescaled_d_basis(self, capsys, tmp_path):
+        # iwasawa-su2 in the basis (u1, u2, u3, v1/2, v2/2, v3/2): [v_i/2, v_j/2]
+        # = -eps u / 4 puts the denominator 4 into the constants while g keeps the
+        # built-in's, so the chart is this triple's g, and the two halves of each
+        # paired bracket must meet over one denominator
+        triple, _ = builtin_triples()["iwasawa-su2"]
+        s = [1, 1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)]
+        pair = lambda v: [[Fraction(x).numerator, Fraction(x).denominator] for x in v]
+        C = [{"a": a + 1, "b": b + 1, "c": c + 1, "value": pair([v * s[a] * s[b] / s[c]])[0]}
+             for (a, b, c), v in triple.algebra.C.items()]
+        assert max(c["value"][1] for c in C) == 4
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps({
+            "dim": 6, "builtin_ad": "iwasawa-su2", "C": C,
+            "B": [pair([x * si * sj for x, sj in zip(row, s)])
+                  for row, si in zip(triple.algebra.B, s)],
+            "g_basis": [pair([x / si for x, si in zip(v, s)]) for v in triple.g_basis],
+            "h_basis": [pair([x / si for x, si in zip(v, s)]) for v in triple.h_basis]}))
+        code, rep = run_and_parse(capsys, ["manin", "multiplicativity", "--triple", str(p),
+                                           "--pairs", "2"])
+        assert code == 0, rep.get("error")
+
+    def test_a_borrowed_chart_refuses_a_rescaled_g_basis(self, capsys, tmp_path):
+        # g spanned by u_i / 3: the same subalgebra, but [u_i/3, u_j/3] = eps (u_k/3) / 3,
+        # so g has other structure constants in this basis; each paired vector
+        # (u_i/3 | u_i) must take one integer scale for both halves
+        data = self.triple_json("iwasawa-su2")
+        data["g_basis"] = [[[n, 3 * d] for n, d in v] for v in data["g_basis"]]
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps(data))
+        code, rep = run_and_parse(capsys, ["manin", "multiplicativity", "--triple", str(p),
+                                           "--pairs", "2"])
+        assert code == 2
+        assert rep["error"] == "builtin_ad 'iwasawa-su2': the chart's g is not this triple's g"
+
     def test_missing_chart_rejected(self, capsys, tmp_path):
         data = self.triple_json()
         data["builtin_ad"] = None
@@ -655,6 +689,47 @@ def test_consecutive_runs_share_no_option_values(workdir, capsys):
     assert (args.seed, args.tol) == (None, None)
     _, rep = run_and_parse(capsys, argv)
     assert (rep["seed"], rep["criteria"][0]["tolerance"]) == (0, 1e-5)
+
+
+# (argv, option) per comma-list option: a value that starts with a minus sign
+# given after a space, as "--point -0.5,0.25"
+SPACED_NEGATIVE = {
+    "poisson leaf": (["poisson", "leaf", "--file", "{xdxdy}", "--point", "-0.5,0.25"], "--point"),
+    "dirac gauge": (["dirac", "gauge", "--poisson", "{xdxdy}", "--omega", "{omega}",
+                     "--point", "-0.5,0.25"], "--point"),
+    "dirac pullback": (["dirac", "pullback", "--map", "{identity}", "--poisson", "{xdxdy}",
+                        "--point", "-0.5,0.25"], "--point"),
+    "manin bivector": (["manin", "bivector", "--builtin", "semidirect-so3",
+                        "--point", "-0.5,0.2,0.1"], "--point"),
+    "manin dressing --point": (["manin", "dressing", "--builtin", "semidirect-so3", "--point",
+                                "-0.5,0.2,0.1", "--zeta", "1,0,0,0,0,0"], "--point"),
+    "manin dressing --zeta": (["manin", "dressing", "--builtin", "semidirect-so3", "--point",
+                               "0.5,0.2,0.1", "--zeta", "-1e-3,0,0,0,0,2"], "--zeta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACED_NEGATIVE))
+def test_a_spaced_negative_comma_list_is_a_value(workdir, capsys, tmp_path, case):
+    # argparse once read "-0.5,0.2,0.1" as an unknown option and exited 2 with
+    # "expected one argument"; the spaced form must report as the "=" form does
+    chart = Chart(2)
+    omega = PolyKForm(chart, 2, {(0, 1): PolyScalar.constant(chart, Fraction(1, 2))})
+    files = {"xdxdy": workdir["xdxdy.json"],
+             "omega": _write(tmp_path, "omega.json", jsonio.tensor_to_json(omega)),
+             "identity": _write(tmp_path, "identity.json", {
+                 "source": 2, "target": 2,
+                 "components": [[{"exp": [1, 0], "num": 1, "den": 1}],
+                                [{"exp": [0, 1], "num": 1, "den": 1}]]})}
+    argv, option = SPACED_NEGATIVE[case]
+    spaced = [a.format(**files) for a in argv]
+    at = spaced.index(option)
+    joined = spaced[:at] + [f"{option}={spaced[at + 1]}"] + spaced[at + 2:]
+    reports = []
+    for form in (spaced, joined):
+        code, rep = run_and_parse(capsys, form)
+        assert code == 0, rep.get("error")
+        reports.append({k: v for k, v in rep.items() if k not in ("command", "wall_time_s")})
+    assert reports[0] == reports[1]
 
 
 # the commands whose criteria, if any, are exact: --tol has nothing to set
@@ -970,6 +1045,18 @@ class TestMalformedInput:
             [{"exp": [1, 1], "num": 1, "den": 3}]]}))
         files["so3"].write_text(json.dumps(jsonio.tensor_to_json(
             lie_poisson(so3_constants(), 3).pi)))
+        # iwasawa-su2 with h spanned by 10^300 times its basis: the same triple,
+        # whose float views overflow
+        triple, _ = iwasawa_su2()
+        pair = lambda v: [[x.numerator, x.denominator] for x in v]
+        files["huge_h"] = tmp_path / "huge_h.json"
+        files["huge_h"].write_text(json.dumps({
+            "dim": 6, "C": [{"a": a + 1, "b": b + 1, "c": c + 1, "value": pair([v])[0]}
+                            for (a, b, c), v in triple.algebra.C.items()],
+            "B": [pair(row) for row in triple.algebra.B],
+            "g_basis": [pair(v) for v in triple.g_basis],
+            "h_basis": [pair([10**300 * x for x in v]) for v in triple.h_basis],
+            "builtin_ad": "iwasawa-su2"}))
         return {k: str(v) for k, v in files.items()}
 
     def test_a_matrix_past_the_float_range_in_an_svd(self, capsys, tmp_path):
@@ -992,10 +1079,11 @@ class TestMalformedInput:
                      "--step", "0.05"], 1, "trajectory diverged"),
         "linearize": (["linearize", "--field", "{euler}", "--radius", "1e200", "--step", "0.05"],
                       1, "trajectory diverged"),
-        "manin-bivector": (["manin", "bivector", "--builtin", "iwasawa-su2", "--point",
-                            "1e300,0,0"], 1, "non-finite number"),
+        "manin-bivector": (["manin", "bivector", "--triple", "{huge_h}", "--point",
+                            "0.1,0.2,0.3"], 1, "non-finite number"),
         "manin-dressing": (["manin", "dressing", "--builtin", "iwasawa-su2", "--point",
-                            "1e300,0,0", "--zeta", "1,0,0,0,0,0"], 1, "non-finite number"),
+                            "0.1,0.2,0.3", "--zeta", ",".join(["1e308"] * 6)], 1,
+                           "non-finite number"),
         "dirac-pullback": (["dirac", "pullback", "--map", "{phi}", "--poisson", "{so3}",
                             "--point", "1e10,0.2"], 2, "float range"),
     }
@@ -1014,18 +1102,30 @@ class TestMalformedInput:
         assert error in report["error"]
         assert all(c["status"] == "fail" for c in report["criteria"])
 
-    @pytest.mark.parametrize("point", ["1e5,1e5,1e5", "1e4,0,0"])
-    def test_lost_skewness_is_a_report(self, point):
-        # far out on the chart rounding breaks the induced bivector's skewness
+    @pytest.mark.parametrize("command, point", [
+        ("bivector", "1e5,1e5,1e5"), ("bivector", "1e4,0,0"), ("dressing", "1e4,0,0"),
+        ("bivector", "-3.2,0,0"), ("dressing", "0,0,3.1416")])
+    def test_chart_point_outside_the_domain_is_an_input_error(self, command, point):
+        # a built-in chart has domain |x| < pi, and each coordinate is capped at
+        # pi as for --scale; far out, rounding once broke the induced bivector's
+        # skewness, and the report read exit 1 "lost skewness"
+        zeta = ["--zeta", "1,0,0,0,0,0"] if command == "dressing" else []
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(diraclab.__file__)))
-        out = subprocess.run([sys.executable, "-m", "diraclab.cli", "manin", "bivector",
-                              "--builtin", "iwasawa-su2", "--point", point],
+        out = subprocess.run([sys.executable, "-m", "diraclab.cli", "manin", command,
+                              "--builtin", "iwasawa-su2", "--point", point, *zeta],
                              env=env, capture_output=True, text=True, timeout=60)
         report = strict_loads(out.stdout)
         jsonschema.validate(report, REPORT_SCHEMA)
-        assert (out.returncode, out.stderr) == (1, "")
-        assert "lost skewness" in report["error"]
-        assert report["error_point"] == [float(x) for x in point.split(",")]
+        assert (out.returncode, out.stderr) == (2, "")
+        assert "outside the chart domain" in report["error"] and point in report["error"]
+
+    @pytest.mark.parametrize("command", ["bivector", "dressing"])
+    def test_chart_point_at_the_domain_cap_is_accepted(self, capsys, command):
+        zeta = ["--zeta", "1,0,0,0,0,0"] if command == "dressing" else []
+        point = ",".join([repr(math.pi), repr(-math.pi), "0"])
+        code, rep = run_and_parse(capsys, ["manin", command, "--builtin", "iwasawa-su2",
+                                           "--point", point, *zeta])
+        assert code == 0 and "result" in rep
 
     def test_zero_denominator_through_the_entry_point(self, tmp_path):
         data = self.tensor()
@@ -1137,12 +1237,11 @@ class TestMalformedInput:
         assert "non-finite coordinate" in rep["error"]
 
     def test_non_finite_result_is_an_error_not_nan(self, capsys):
-        # a finite but huge point overflows the group exponential; its warnings
-        # stay inside run
+        # a finite but huge zeta overflows Ad_g zeta; its warnings stay inside run
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = run(["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "1e300,0,0",
-                        "--zeta", "1,0,0,0,0,0"])
+            code = run(["manin", "dressing", "--builtin", "iwasawa-su2", "--point", "0.1,0.2,0.3",
+                        "--zeta", ",".join(["1e308"] * 6)])
         report = strict_loads(capsys.readouterr().out)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert code == 1

@@ -169,8 +169,10 @@ CASES = {
                             "--point", "0.1,0.2,0.3"],
     "manin bivector/fail": ["manin", "bivector", "--triple", "{TRIPLE_BAD}",
                             "--point", "0.1,0.2,0.3"],
-    "manin bivector/lost-skewness": ["manin", "bivector", "--builtin", "iwasawa-su2",
-                                     "--point", "1e5,1e5,1e5"],
+    "manin bivector/outside-domain": ["manin", "bivector", "--builtin", "iwasawa-su2",
+                                      "--point", "1e5,1e5,1e5"],
+    "manin bivector/negative-point": ["manin", "bivector", "--builtin", "semidirect-so3",
+                                      "--point", "-0.5,0.2,0.1"],
     "manin bivector/error": ["manin", "bivector", "--builtin", "iwasawa-su2",
                              "--point", "0.1,0.2"],
     "manin dressing/pass": ["manin", "dressing", "--builtin", "semidirect-so3",

@@ -25,13 +25,16 @@ from diraclab.fields import (
     lie_derivative,
     pullback_form,
     pushforward_vector_at_point,
+    _echelon,
+    _span_test,
     sum_of_products,
     vector_bracket,
     wedge,
 )
 from diraclab import jsonio
 
-from conftest import exact_at, random_form, random_point, random_poly, random_vector
+from conftest import (exact_at, fraction_rank, random_form, random_point, random_poly,
+                      random_vector)
 
 
 R2 = Chart(2, ("x", "y"))
@@ -388,6 +391,65 @@ def test_kernel_matches_fraction_reference(data, dim):
         assert got.chart == src and got.terms == ref_compose(small, subs, src.dim)
     # equal polynomials are equal structurally, however they were built
     assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(1, 5))
+def test_sum_of_products_matches_fraction_reference(data, dim, count):
+    # several products per call, each with a sign, its own denominators and a
+    # derivative slot or none: the in-loop derivative folds e and the scale into b
+    chart = Chart(dim)
+    want: dict = {}
+    products = []
+    for _ in range(count):
+        a, b = data.draw(ref_polys(dim)), data.draw(ref_polys(dim))
+        sign = data.draw(st.sampled_from([1, -1]))
+        d = data.draw(st.one_of(st.none(), st.integers(0, dim - 1)))
+        products.append((sign, PolyScalar(chart, a), PolyScalar(chart, b), d))
+        term = ref_mul(a, b if d is None else ref_partial(b, d))
+        want = ref_add(want, {e: sign * v for e, v in term.items()})
+    assert sum_of_products(chart, products).terms == want
+
+
+def rational_bases(dim):
+    """Rational bases with zero rows, repeated rows and dependent rows (random
+    combinations of earlier rows), in a drawn order."""
+    vector = st.lists(rationals(), min_size=dim, max_size=dim)
+
+    @st.composite
+    def build(draw):
+        rows = draw(st.lists(vector, max_size=4))
+        for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combination"]),
+                                  max_size=4)):
+            if kind == "zero" or not rows:
+                rows.append([Fraction(0)] * dim)
+            elif kind == "repeat":
+                rows.append(list(draw(st.sampled_from(rows))))
+            else:
+                coefs = draw(st.lists(rationals(), min_size=len(rows), max_size=len(rows)))
+                rows.append([sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(dim)])
+        return draw(st.permutations(rows))
+
+    return build()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 6))
+def test_span_test_matches_fraction_rank(data, dim):
+    basis = data.draw(rational_bases(dim))
+    if basis and data.draw(st.booleans()):  # a vector inside the span
+        coefs = data.draw(st.lists(rationals(), min_size=len(basis), max_size=len(basis)))
+        v = [sum(c * r[j] for c, r in zip(coefs, basis)) for j in range(dim)]
+    else:
+        v = data.draw(st.lists(rationals(), min_size=dim, max_size=dim))
+    want = fraction_rank(basis + [v]) == fraction_rank(basis)
+    assert _span_test(basis)(v) is want
+    # the test reads one shared pivot off the reduced echelon
+    R, pivots = _echelon(basis, reduced=True)
+    assert len({row[c] for row, c in zip(R, pivots)}) <= 1
+    # a positive integer scale of the basis and of v moves nothing into or out of the span
+    scaled = [[x * 7 for x in row] for row in basis]
+    assert _span_test(scaled)([x * 3 for x in v]) is want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -136,6 +136,41 @@ class TestManinTriples:
         ok, witness = check_manin_triple(double_triple(base))
         assert ok, witness
 
+    # (ok, witness) as recorded before the membership tests moved to one
+    # echelon per basis: every built-in, and both broken kinds of the benchmark
+    # (h replaced by g; h missing its last vector)
+    BROKEN = {"h=g": lambda t: ManinTriple(t.algebra, t.g_basis, t.g_basis),
+              "h short": lambda t: ManinTriple(t.algebra, t.g_basis, t.h_basis[:-1])}
+    DIMENSIONS = {"borel-sl2": (4, 2), "double-semidirect-so3": (12, 6)}
+
+    @pytest.mark.parametrize("name", sorted(builtin_triples()))
+    def test_verdicts_and_witnesses_are_pinned(self, name):
+        triple = builtin_triples()[name][0]
+        d, n = self.DIMENSIONS.get(name, (6, 3))
+        assert check_manin_triple(triple) == (True, None)
+        assert check_manin_triple(self.BROKEN["h=g"](triple)) == (
+            False, {"kind": "transversality"})
+        assert check_manin_triple(self.BROKEN["h short"](triple)) == (
+            False, {"kind": "dimension", "detail": f"dim d = {d}, half bases {n}/{n - 1}"})
+
+    # n of the 2n basis vectors of g and h, by index into g_basis + h_basis,
+    # that span an isotropic subspace that is not a subalgebra; the pair is (0, 1)
+    NOT_SUBALGEBRAS = {"dual-iwasawa-su2": [(0, 3, 4), (1, 4, 5), (2, 3, 5)],
+                       "iwasawa-su2": [(0, 1, 3), (0, 2, 5), (1, 2, 4)],
+                       "semidirect-so3": [(0, 1, 5), (0, 2, 4), (1, 2, 3)],
+                       "standard-sl2": [(1, 2, 5)]}
+
+    @pytest.mark.parametrize("name", sorted(NOT_SUBALGEBRAS))
+    def test_subalgebra_witnesses_are_pinned(self, name):
+        triple = builtin_triples()[name][0]
+        vectors = triple.g_basis + triple.h_basis
+        for chosen in self.NOT_SUBALGEBRAS[name]:
+            basis = [vectors[k] for k in chosen]
+            for subspace, bad in (("h", ManinTriple(triple.algebra, triple.g_basis, basis)),
+                                  ("g", ManinTriple(triple.algebra, basis, triple.h_basis))):
+                assert check_manin_triple(bad) == (
+                    False, {"kind": "subalgebra", "subspace": subspace, "indices": (0, 1)})
+
 
 def ad_residuals(chart, points) -> list:
     """Ad(0) = I, then at each point Ad^T B Ad = B and Ad [z1, z2] = [Ad z1, Ad z2]
