@@ -308,7 +308,7 @@ def _rational_matrix_from_json(rows):
 @jsonio.decoder
 def _triple_from_json(data) -> tuple:
     dim = jsonio.dimension(data, "dim")
-    C = jsonio.constants_from_entries(data["C"], ("a", "b", "c"), dim)
+    C = jsonio.constants_from_entries(data["C"], dim)
     B = _rational_matrix_from_json(data["B"])
     alg = manin_mod.MetrizedLieAlgebra(dim, C, B)
     g_basis = _rational_matrix_from_json(data["g_basis"])

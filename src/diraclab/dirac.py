@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import CriterionResult, _svd, worst
+from ._numeric import _svd, worst
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -47,7 +47,7 @@ from .fields import (
     sum_of_products,
     vector_bracket,
 )
-from .poisson import PoissonBivector, _full_matrix, gauge_family, sharp_apply
+from .poisson import PoissonBivector, _full_matrix, sharp_apply
 
 
 class GeneralizedSection:
@@ -69,14 +69,6 @@ class GeneralizedSection:
     @property
     def chart(self) -> Chart:
         return self.X.chart
-
-    @staticmethod
-    def from_vector(X: PolyKVector) -> "GeneralizedSection":
-        return GeneralizedSection(X, PolyKForm(X.chart, 1, {}))
-
-    @staticmethod
-    def from_form(alpha: PolyKForm) -> "GeneralizedSection":
-        return GeneralizedSection(PolyKVector(alpha.chart, 1, {}), alpha)
 
     def __add__(self, other):
         return GeneralizedSection(self.X + other.X, self.alpha + other.alpha)
@@ -135,17 +127,6 @@ def one_form_bracket(pi: PoissonBivector, a: PolyKForm, b: PolyKForm) -> PolyKFo
                            GeneralizedSection(sharp_apply(pi, b), b)).alpha
 
 
-def gauge_section(omega: PolyKForm, s: GeneralizedSection) -> GeneralizedSection:
-    """R_omega on sections: X + alpha -> X + alpha + i_X omega.
-
-    Preserves the pairing for any omega; preserves the Courant bracket iff
-    omega is closed (no closedness check here; see GaugeTransform).
-    """
-    if omega.degree != 2:
-        raise DegreeError("gauge transformations use 2-forms")
-    return GeneralizedSection(s.X, s.alpha + interior_product(s.X, omega))
-
-
 @dataclass(frozen=True)
 class GaugeTransform:
     """A gauge transformation by an exactly closed 2-form."""
@@ -202,12 +183,6 @@ def _floats(rows) -> np.ndarray:
         raise OverflowError("an exact value past the float range") from None
 
 
-def pairing_gram(V: np.ndarray) -> np.ndarray:
-    """Split-pairing Gram matrix of stacked fiber columns (v; mu)."""
-    n = V.shape[0] // 2
-    return V[:n].T @ V[n:] + V[n:].T @ V[:n]
-
-
 def graph_of_poisson(pi: PoissonBivector) -> LagrangianFrame:
     """Frame (pi^#(dx_i) + dx_i); spans Gr(pi), transverse to TM."""
     chart = pi.chart
@@ -253,16 +228,6 @@ def integrability_tensor(E: LagrangianFrame, point) -> dict:
     return out
 
 
-def gauge_transform_fiber(E: LagrangianFrame, gauge: GaugeTransform, point) -> np.ndarray:
-    """Apply R_omega to the fiber of a frame at a point read as rationals: the
-    2n x n fiber matrix (v; mu + W^T v), which keeps the pairing as W is skew."""
-    x = [Fraction(float(v)) for v in point]
-    W = [[p.evaluate_exact(x) for p in row] for row in _full_matrix(gauge.omega)]
-    n = len(W)
-    return _floats([s[:n] + [mu + sum(W[j][i] * s[j] for j in range(n) if s[j])
-                             for i, mu in enumerate(s[n:])] for s in E.exact_at(x)]).T
-
-
 def gauge_poisson(pi: PoissonBivector, gauge: GaugeTransform, point) -> np.ndarray:
     """Pointwise component matrix of the gauged bivector (I + Pi W)^{-1} Pi,
     decided over Q at the point read as rationals: the null space of
@@ -278,32 +243,6 @@ def gauge_poisson(pi: PoissonBivector, gauge: GaugeTransform, point) -> np.ndarr
     if min(K, default=n) < n:
         raise TransversalityError("gauge transform not transverse to the tangent bundle", point)
     return _floats([K[n + j][:n] for j in range(n)]).T
-
-
-def gauge_poisson_symbolic(pi: PoissonBivector, gauge: GaugeTransform) -> PoissonBivector:
-    """Symbolic gauge transform, available when det(I + Pi W) is a nonzero
-    constant, so that the inverse stays polynomial.  One Faddeev-LeVerrier loop
-    over A = I + Pi W gives both: from M_0 = 0 and c = 1, M_k = A M_{k-1} + c I
-    and c = -tr(A M_k) / k; after n steps c = (-1)^n det A and A^{-1} = -M_n / c.
-    """
-    chart, n = pi.chart, pi.chart.dim
-    P = pi.component_matrix()
-    A = gauge_family(pi, {0: gauge.omega})[0]  # I + P W
-    one = PolyScalar.constant(chart, 1)
-    M, c = [[0] * n] * n, one  # M_0 = 0
-    for k in range(1, n + 1):
-        M = [[sum_of_products(chart, [(1, A[i][l], M[l][j], None) for l in range(n)
-                                      if A[i][l] and M[l][j]] + [(1, c, one, None)] * (i == j))
-              for j in range(n)] for i in range(n)]
-        c = sum_of_products(chart, [(1, A[i][l], M[l][i], None) for i in range(n)
-                                    for l in range(n) if A[i][l] and M[l][i]]) * Fraction(-1, k)
-    if c.is_zero() or c.total_degree() > 0:
-        raise TransversalityError("det(I + Pi W) is not a nonzero constant; "
-                                  "symbolic gauge unavailable")
-    scale = -1 / c.evaluate_exact([0] * n)  # c is constant
-    comps = {(i, j): sum_of_products(chart, [(1, M[i][k], P[k][j], None) for k in range(n)])
-             * scale for i in range(n) for j in range(i + 1, n)}
-    return PoissonBivector(PolyKVector(chart, 2, comps))
 
 
 def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarray:
@@ -328,33 +267,6 @@ def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarr
         mu = [sum(c * col[m + i] for c, col in zip(s[k:], V) if c) for i in range(m)]
         fiber.append(s[:k] + [sum(J[i][b] * mu[i] for i in range(m)) for b in range(k)])
     return _svd(_floats(fiber).reshape(len(fiber), 2 * k).T, full_matrices=False)[0]
-
-
-def cosymplectic_check(pi: PoissonBivector, vanishing: Sequence[int], points) -> CriterionResult:
-    """Check TM = TN + pi^#(ann TN) at each point of a coordinate subspace,
-    as the exact criterion "cosymplectic".
-
-    The submanifold is cut out by the listed vanishing coordinates (0-based).
-    sharp(dx_i) = Pi^T e_i is the i-th row of Pi and TN spans the tangent
-    coordinates, so the condition holds iff the block Pvv is nonsingular: its
-    exact rank is taken at each point, read as the exact rational value of
-    each float coordinate.  On success the witness carries, per point, the
-    fiber basis of pi^#(ann TN); on failure the worst point is the first
-    point where the condition fails.
-    """
-    n = pi.chart.dim
-    vanishing = sorted(set(int(i) for i in vanishing))
-    if any(not 0 <= i < n for i in vanishing):
-        raise ShapeError("vanishing coordinate out of range")
-    M = pi.component_matrix()
-    for pt in points:
-        x = [Fraction(float(v)) for v in pt]
-        if _rank([[M[i][j].evaluate_exact(x) for j in vanishing]
-                  for i in vanishing]) < len(vanishing):
-            return CriterionResult("cosymplectic", None, tuple(pt), "exact")
-    fibers = [P[vanishing, :].T for P in pi.matrix_at(np.reshape(points, (len(points), n)))]
-    return CriterionResult("cosymplectic", 0, None, "exact",
-                           {"fibers": fibers, "points": [tuple(map(float, p)) for p in points]})
 
 
 @dataclass(frozen=True)

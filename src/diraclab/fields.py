@@ -303,10 +303,6 @@ class PolyScalar:
         c = _frac(c)
         return PolyScalar._canonical(chart, {0: c.numerator} if c else {}, c.denominator)
 
-    @staticmethod
-    def monomial(chart: Chart, exp: Sequence[int], c: Rat = 1) -> "PolyScalar":
-        return PolyScalar(chart, {tuple(exp): _frac(c)})
-
     # -- ring structure ------------------------------------------------------
 
     def _check(self, other):
@@ -379,10 +375,6 @@ class PolyScalar:
 
     def __bool__(self):
         return bool(self._num)
-
-    def total_degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max((sum(_unpack(k, self.chart.dim)) for k in self._num), default=-1)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical listing)."""
@@ -776,10 +768,6 @@ class PolyMap:
             object.__setattr__(self, "_compiled", PackedPolys(
                 [{0: p} for p in self.components], self.source.dim, partials=True))
         return self._compiled
-
-    @staticmethod
-    def identity(chart: Chart) -> "PolyMap":
-        return PolyMap(chart, chart, chart.coordinates())
 
     def __call__(self, point) -> np.ndarray:
         return self.compiled()(point)[0]

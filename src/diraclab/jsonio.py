@@ -1,4 +1,4 @@
-"""JSON codecs for the shared tensor / map / structure-constant formats.
+"""JSON codecs for the shared tensor and map formats.
 
 Tensor format (shared by all modules and the CLI); indices are 1-based:
 
@@ -116,26 +116,16 @@ def rational_to_json(x: Fraction):
 
 
 @decoder
-def structure_constants_from_json(data) -> tuple[int, dict]:
-    """Format: {"n": k, "c": [{"i":1,"j":2,"k":3, "value": rational}]} (1-based).
-
-    Returns n and the canonical constants (see `constants_from_entries`).
-    """
-    n = dimension(data, "n")
-    return n, constants_from_entries(data["c"], ("i", "j", "k"), n)
-
-
-@decoder
-def constants_from_entries(entries, names, n: int) -> dict:
-    """Canonical constants from 1-based JSON entries {names[0]: i, names[1]: j,
-    names[2]: k, "value": rational}.
+def constants_from_entries(entries, n: int) -> dict:
+    """Canonical constants from 1-based JSON entries {"a": i, "b": j, "c": k,
+    "value": rational}.
 
     Each constant may be listed once; listing both (i, j, k) and (j, i, k)
     needs opposite values (`normalize_structure_constants`).
     """
     c: dict = {}
     for entry in entries:
-        key = tuple(int(entry[x]) - 1 for x in names)
+        key = tuple(int(entry[x]) - 1 for x in "abc")
         if key in c:
             raise ShapeError(f"structure constant {tuple(i + 1 for i in key)} listed twice")
         c[key] = rational_from_json(entry["value"])

@@ -24,7 +24,6 @@ from .errors import (
     DegreeError,
     PreconditionError,
     ShapeError,
-    TransversalityError,
 )
 from .fields import (
     Chart,
@@ -204,11 +203,6 @@ def jacobi_violation(cc: Mapping):
     return min(sums, default=None)
 
 
-def structure_jacobi_defect(c: Mapping, n: int):
-    """First violated Jacobi triple of antisymmetric constants, or None."""
-    return jacobi_violation(normalize_structure_constants(c, n))
-
-
 def lie_poisson(c: Mapping, n: int, chart: Chart | None = None) -> PoissonBivector:
     """The fiberwise-linear bivector sum_{i<j,k} c_{ij}^k mu_k d_i ^ d_j.
 
@@ -223,20 +217,6 @@ def lie_poisson(c: Mapping, n: int, chart: Chart | None = None) -> PoissonBivect
     for (i, j, k), v in cc.items():
         accumulate(comps, (i, j), chart.coordinate(k) * v)
     return from_components(chart, comps)
-
-
-def extract_structure_constants(pi: PoissonBivector) -> dict:
-    """Inverse of lie_poisson on fiberwise-linear bivectors (exact)."""
-    n = pi.chart.dim
-    units = [[int(t == k) for t in range(n)] for k in range(n)]
-    c: dict = {}
-    for (i, j), p in pi.pi.components.items():
-        if set(p.homogeneous_parts()) != {1}:
-            raise DegreeError(f"component ({i+1},{j+1}) is not linear: {p!r}")
-        for k in range(n):
-            if v := p.evaluate_exact(units[k]):  # a linear p takes c_{ij}^k at e_k
-                c[(i, j, k)] = v
-    return c
 
 
 def so3_constants() -> dict:

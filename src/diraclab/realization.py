@@ -137,15 +137,6 @@ def default_spray(pi: PoissonBivector) -> SprayField:
     return SprayField(pi, {})
 
 
-def canonical_symplectic_matrix(n: int) -> np.ndarray:
-    """Component matrix of omega_can = sum dq_i ^ dp_i on (q, p)."""
-    W = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        W[i, n + i] = 1.0
-        W[n + i, i] = -1.0
-    return W
-
-
 def flow(spray: SprayField, point, t: float, config: RealizationConfig = RealizationConfig()):
     """Endpoint and Jacobian of the spray flow Phi_t from a point of T*M."""
     return flow_points(spray.compiled().bind, np.asarray(point, dtype=float), t,

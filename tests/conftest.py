@@ -81,6 +81,11 @@ def dense_exact(T, x) -> np.ndarray:
     return out
 
 
+def omega_can(n: int) -> np.ndarray:
+    """W_can = [[0, I], [-I, 0]], the components of sum dq_i ^ dp_i on (q, p)."""
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+
+
 def stage_field(f):
     """A `flow_points` field from f(state, tau) -> (a, Da): the writer bound to
     (state, row) reads tau from state[:, -2] and fills row with [a | Da J] at

@@ -51,7 +51,7 @@ from diraclab.dirac import (
 from diraclab import realization as real_mod
 from diraclab import maningroup as manin_mod
 
-from conftest import random_form, random_poly, random_vector
+from conftest import omega_can, random_form, random_poly, random_vector
 
 
 RESULT_LINES = []
@@ -290,7 +290,7 @@ def test_criterion_7_zero_section_structure():
     (1e-10), the section is isotropic, and s o i = t o i = id exactly."""
     spray = real_mod.default_spray(xdxdy())
     config = real_mod.RealizationConfig(step=1e-3)
-    Wc = real_mod.canonical_symplectic_matrix(2)
+    Wc = omega_can(2)
     ok = True
     for q in [(-0.8, 0.5), (0.3, 0.9), (1.2, -0.4)]:
         pt = np.array([q[0], q[1], 0.0, 0.0])

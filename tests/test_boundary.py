@@ -45,10 +45,14 @@ rational null space: they call none of the float helpers that once decided it
 (`gauge_inverse`, `pullback_fiber`, the SVD rank helpers), the CLI imports no
 float self-check (`span_residual`, `gauge_fiber`), and the float frame
 evaluator `LagrangianFrame.value_at` and the single-matrix slicing `_selected`
-stay gone.
+stay gone.  Every top-level definition and public method is reached by name
+from the CLI, `__init__`'s exports or module-level code (the entry points only
+the benchmark reads are named in `BENCH_ONLY`), and no module but `__init__`
+imports a name it never uses.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -353,3 +357,119 @@ def test_membership_guard_sees_a_rank_comparison():
 def test_span_membership_goes_through_one_echelon(path):
     found = _rank_of_appended(_tree(path))
     assert not found, f"{path.name} tests span membership by two ranks at lines {found}"
+
+
+# Entry points that only the benchmark reads (perfbench/workloads.py).  The benchmark
+# lives outside the package and is edited only by its own changes, so the guard takes
+# these names as roots; `_stencil`, `one_form_bracket`, `bracket_num` and
+# `_PointJet.dressing` are reached through them.
+BENCH_ONLY = frozenset({"bracket_relations_residual", "closedness_residual",
+                        "e_map_residuals", "rational_to_json"})
+BENCH_WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentions(nodes) -> set:
+    """Every name and attribute that the nodes mention."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached(sources: dict, roots=frozenset()) -> list:
+    """"module:name" of each top-level definition and public method of `sources`
+    (file name -> module source) that no root reaches by name.
+
+    The roots are `__init__`'s imported names, every name that module-level code
+    outside a definition mentions (the CLI's handler table and its `main()` call),
+    and `roots`.  A reached definition reaches every name it mentions, decorators,
+    defaults and annotations included.  A reached class reaches its dunder methods,
+    which Python calls implicitly, and, if it derives from a class outside the package,
+    all its methods, which that class may call (`argparse.ArgumentParser.error`).
+    Names are matched without their module, so the guard errs toward passing.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    reached, edges, required = set(roots), {}, []  # required: ("module:qualname", name)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if module == "__init__.py" and isinstance(node, ast.ImportFrom):
+                reached |= {a.asname or a.name for a in node.names}
+                continue
+            if not isinstance(node, DEFINITIONS):
+                reached |= _mentions([node])
+                continue
+            required.append((f"{module}:{node.name}", node.name))
+            body = [node]
+            if isinstance(node, ast.ClassDef):
+                external = bool(_mentions(node.bases) - classes)
+                methods = [m for m in node.body if isinstance(m, DEFINITIONS)
+                           and not external and not m.name.endswith("__")]
+                body = [*node.bases, *node.decorator_list,
+                        *(m for m in node.body if m not in methods)]
+                for m in methods:
+                    edges.setdefault(m.name, set()).update(_mentions([m]))
+                    if not m.name.startswith("_"):
+                        required.append((f"{module}:{node.name}.{m.name}", m.name))
+            edges.setdefault(node.name, set()).update(_mentions(body))
+    todo = list(reached)
+    while todo:
+        for name in edges.get(todo.pop(), set()) - reached:
+            reached.add(name)
+            todo.append(name)
+    return [where for where, name in required if name not in reached]
+
+
+def test_reachability_guard_sees_an_orphan():
+    sources = {"__init__.py": "from .m import Box, used\n",
+               "m.py": ("import argparse\n"
+                        "def used():\n    return _helper()\n"
+                        "def _helper():\n    return Box().size\n"
+                        "def orphan():\n    return used()\n"
+                        "class Box:\n"
+                        "    def __init__(self):\n        self.size = 0\n"
+                        "    def unused(self):\n        return _only_from_unused()\n"
+                        "def _only_from_unused():\n    return 1\n"
+                        "class Parser(argparse.ArgumentParser):\n"
+                        "    def error(self, message):\n        raise SystemExit(2)\n")}
+    assert unreached(sources) == ["m.py:orphan", "m.py:Box.unused", "m.py:_only_from_unused",
+                                  "m.py:Parser"]
+    sources["m.py"] += "PARSER = Parser()\n"
+    assert unreached(sources, {"orphan", "unused"}) == []
+
+
+def test_every_definition_is_reached():
+    found = unreached({m.name: m.read_text() for m in MODULES}, BENCH_ONLY)
+    assert not found, f"reached from neither the CLI, the exports nor the benchmark: {found}"
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_ONLY))
+def test_bench_only_names_are_read_by_the_benchmark_alone(name):
+    assert re.search(rf"\.{name}\b", BENCH_WORKLOADS.read_text())
+    sources = {m.name: m.read_text() for m in MODULES}
+    assert any(where.endswith(f":{name}") for where in unreached(sources, BENCH_ONLY - {name}))
+
+
+def unused_imports(tree) -> list:
+    """(line, name) of each name a module imports and never mentions."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_guard_sees_an_unused_name():
+    src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+           "from .errors import DegreeError, ShapeError\nraise ShapeError(os.sep)\n")
+    assert unused_imports(ast.parse(src)) == [(3, "np"), (4, "DegreeError")]
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"],
+                         ids=lambda m: m.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    found = unused_imports(_tree(path))
+    assert not found, f"{path.name} imports unused names: {found}"

@@ -984,11 +984,10 @@ class TestMalformedInput:
         lambda n: jsonio.tensor_from_json({"chart": n, "degree": 1, "components": []}),
         lambda n: jsonio.map_from_json({"source": n, "target": 1, "components": []}),
         lambda n: jsonio.map_from_json({"source": 1, "target": n, "components": [[]]}),
-        lambda n: jsonio.structure_constants_from_json({"n": n, "c": []}),
         lambda n: cli._frame_from_json({"chart": n, "sections": []}),
         lambda n: cli._triple_from_json({"dim": n, "C": [], "B": [], "g_basis": [],
                                          "h_basis": []}),
-    ], ids=["chart", "source", "target", "n", "frame-chart", "triple-dim"])
+    ], ids=["chart", "source", "target", "frame-chart", "triple-dim"])
     def test_dimension_above_the_cap(self, decode, n):
         # 10**400 coordinates used to be allocated as chart names and guard bits
         with pytest.raises(ShapeError, match="dimension cap"):

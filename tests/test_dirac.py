@@ -37,17 +37,12 @@ from diraclab.dirac import (
     LagrangianFrame,
     check_poisson_map,
     courant_bracket,
-    cosymplectic_check,
     gauge_poisson,
-    gauge_poisson_symbolic,
-    gauge_section,
-    gauge_transform_fiber,
     graph_of_form,
     graph_of_poisson,
     integrability_tensor,
     one_form_bracket,
     pairing,
-    pairing_gram,
     pullback_dirac_at_point,
 )
 
@@ -66,11 +61,11 @@ def rand_section(rng, chart, max_degree=3):
 
 
 def vec(chart, i):
-    return GeneralizedSection.from_vector(coordinate_vector(chart, i))
+    return GeneralizedSection(coordinate_vector(chart, i), PolyKForm(chart, 1, {}))
 
 
 def form(chart, i):
-    return GeneralizedSection.from_form(coordinate_form(chart, i))
+    return GeneralizedSection(PolyKVector(chart, 1, {}), coordinate_form(chart, i))
 
 
 def nonpoisson_r3():
@@ -104,7 +99,7 @@ class TestCourantBracket:
 
     def test_cartan_example(self):
         y = R2.coordinate(1)
-        s = GeneralizedSection.from_form(PolyKForm(R2, 1, {(0,): y}))
+        s = GeneralizedSection(PolyKVector(R2, 1, {}), PolyKForm(R2, 1, {(0,): y}))
         out = courant_bracket(vec(R2, 1), s)
         assert out.X.is_zero()
         assert out.alpha == coordinate_form(R2, 0)
@@ -298,30 +293,15 @@ class TestGauge:
 
     def test_near_critical_value_in_dimension_6(self):
         # omega = 0.995 sum dq_i ^ dp_i gives I + Pi W = 0.005 I: condition
-        # number 1, although det = 1.6e-14; both gauges return 200 Pi
+        # number 1, although det = 1.6e-14; the gauge, exact over Q and
+        # rounded once, returns 200 Pi exactly
         pi = standard_symplectic_poisson(3)
         c = Fraction(199, 200)
         g = GaugeTransform(PolyKForm(pi.chart, 2, {(i, 3 + i): PolyScalar.constant(pi.chart, c)
                                                    for i in range(3)}))
         pt = (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)
         P = gauge_poisson(pi, g, pt)
-        assert np.abs(P - 200 * pi.matrix_at(pt)).max() <= 1e-12 * 200
-        assert gauge_poisson_symbolic(pi, g).pi == (pi.pi * 200)
-
-    def test_symbolic_when_det_constant(self):
-        pi = from_components(R2, {(0, 1): PolyScalar.constant(R2, 1)})
-        g = GaugeTransform(
-            PolyKForm(R2, 2, {(0, 1): PolyScalar.constant(R2, Fraction(1, 2))})
-        )
-        out = gauge_poisson_symbolic(pi, g)
-        assert out.pi.components[(0, 1)] == PolyScalar.constant(R2, 2)
-
-    def test_symbolic_unavailable_for_nonconstant_det(self):
-        x = R2.coordinate(0)
-        pi = from_components(R2, {(0, 1): PolyScalar.constant(R2, 1)})
-        g = GaugeTransform(PolyKForm(R2, 2, {(0, 1): x}))
-        with pytest.raises(TransversalityError):
-            gauge_poisson_symbolic(pi, g)
+        assert np.array_equal(P, 200 * pi.matrix_at(pt))
 
     def test_rank_preserved(self):
         pi = lie_poisson(so3_constants(), 3)
@@ -336,17 +316,6 @@ class TestGauge:
         joint = np.column_stack([P0, P1])
         assert np.linalg.matrix_rank(joint, tol=1e-10) == np.linalg.matrix_rank(P0, tol=1e-10)
 
-    def test_fiber_transform_preserves_pairing(self):
-        pi = lie_poisson(so3_constants(), 3)
-        g = GaugeTransform(
-            PolyKForm(pi.chart, 2, {(0, 2): PolyScalar.constant(pi.chart, 2)})
-        )
-        E = graph_of_poisson(pi)
-        pt = (0.5, 0.5, 0.5)
-        V = gauge_transform_fiber(E, g, pt)
-        assert V.shape == (6, 3)
-        assert np.abs(pairing_gram(V)).max() < 1e-12
-
     def test_section_gauge_bracket_preservation_iff_closed(self, rng):
         closed = PolyKForm(R3, 2, {(0, 1): PolyScalar.constant(R3, 1)})
         z = R3.coordinate(2)
@@ -354,11 +323,14 @@ class TestGauge:
         witnesses = [vec(R3, 0), vec(R3, 1), vec(R3, 2), form(R3, 0)]
 
         def defect(omega):
+            def gauge(s):  # R_omega: X + alpha -> X + alpha + i_X omega
+                return GeneralizedSection(s.X, s.alpha + interior_product(s.X, omega))
+
             worst = []
             for s in witnesses:
                 for t in witnesses:
-                    lhs = courant_bracket(gauge_section(omega, s), gauge_section(omega, t))
-                    rhs = gauge_section(omega, courant_bracket(s, t))
+                    lhs = courant_bracket(gauge(s), gauge(t))
+                    rhs = gauge(courant_bracket(s, t))
                     worst.append((lhs - rhs).X.is_zero() and (lhs - rhs).alpha.is_zero())
             return all(worst)
 
@@ -371,7 +343,7 @@ class TestPullback:
         pi = nonpoisson_r3()
         E = graph_of_poisson(pi)
         pt = (0.3, 0.4, 0.5)
-        B = pullback_dirac_at_point(PolyMap.identity(R3), E, pt)
+        B = pullback_dirac_at_point(PolyMap(R3, R3, R3.coordinates()), E, pt)
         V = np.array(E.exact_at([Fraction(x) for x in pt]), dtype=float).T
         assert span_residual(B[None], V[None])[0] < 1e-10
 
@@ -402,7 +374,8 @@ class TestPullback:
         E = graph_of_poisson(pib)
         pt = (0.3, -0.2)
         B = pullback_dirac_at_point(phi, E, pt)
-        assert np.abs(pairing_gram(B)).max() < 1e-10
+        w, nu = B[:2], B[2:]  # the split pairing of fiber columns (w; nu)
+        assert np.abs(w.T @ nu + nu.T @ w).max() < 1e-10
 
     def test_transversality_failure(self):
         # target direction never reached by anchor nor map differential
@@ -412,23 +385,6 @@ class TestPullback:
         pi = from_components(R2, {})  # zero Poisson: anchor image is 0
         with pytest.raises(TransversalityError):
             pullback_dirac_at_point(phi, graph_of_poisson(pi), (0.0,))
-
-
-class TestCosymplectic:
-    def test_point_in_symplectic(self):
-        pi = standard_symplectic_poisson(1)
-        rep = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
-        assert rep.passed
-        assert np.linalg.matrix_rank(rep.witness["fibers"][0]) == 2
-
-    def test_so3_axis(self):
-        pi = lie_poisson(so3_constants(), 3)
-        assert cosymplectic_check(pi, (0, 1), [(0.0, 0.0, 1.0)]).passed
-
-    def test_zero_poisson_fails(self):
-        pi = from_components(R2, {})
-        rep = cosymplectic_check(pi, (0,), [(0.0, 0.5)])
-        assert not rep.passed and rep.worst_point == (0.0, 0.5)
 
 
 class TestPoissonMap:
@@ -447,7 +403,7 @@ class TestPoissonMap:
 
     def test_identity_map(self):
         pi = lie_poisson(so3_constants(), 3)
-        rep = check_poisson_map(PolyMap.identity(pi.chart), pi, pi)
+        rep = check_poisson_map(PolyMap(pi.chart, pi.chart, pi.chart.coordinates()), pi, pi)
         assert rep.exact is True
 
     def test_closed_form_source_map_numeric_anti(self):
@@ -520,7 +476,8 @@ class TestScaleFreeRank:
     @pytest.mark.parametrize("c", SCALES, ids=str)
     def test_tangent_frame_is_lagrangian(self, c):
         E = LagrangianFrame(R2, sections=[
-            GeneralizedSection.from_vector(coordinate_vector(R2, i) * c) for i in range(2)])
+            GeneralizedSection(coordinate_vector(R2, i) * c, PolyKForm(R2, 1, {}))
+            for i in range(2)])
         assert E.check_lagrangian((0.3, 0.4))
         assert integrability_tensor(E, (0.3, 0.4)) == {}
 
@@ -528,18 +485,9 @@ class TestScaleFreeRank:
     def test_non_isotropic_frame_is_not(self, c):
         # <(c d/dx, 0), (c d/dy, c dx)> = c^2
         E = LagrangianFrame(R2, sections=[
-            GeneralizedSection.from_vector(coordinate_vector(R2, 0) * c),
+            GeneralizedSection(coordinate_vector(R2, 0) * c, PolyKForm(R2, 1, {})),
             GeneralizedSection(coordinate_vector(R2, 1) * c, coordinate_form(R2, 0) * c)])
         assert not E.check_lagrangian((0.3, 0.4))
-
-    @pytest.mark.parametrize("c", SCALES, ids=str)
-    def test_cosymplectic_point(self, c):
-        pi = from_components(R2, {(0, 1): PolyScalar.constant(R2, c)})
-        rep = cosymplectic_check(pi, (0, 1), [(0.0, 0.0)])
-        assert rep.passed
-        assert np.array_equal(rep.witness["fibers"][0], pi.matrix_at((0.0, 0.0)).T)
-        assert not cosymplectic_check(pi, (0,), [(0.0, 0.0)]).passed
-
 
     @pytest.mark.parametrize("c", SCALES, ids=str)
     def test_pullback_transversality(self, c):
@@ -553,17 +501,7 @@ class TestScaleFreeRank:
         assert span_residual(B, np.array([[0.0], [1.0]])) <= 1e-12
         # along the identity the pullback is Gr(c pi) itself: three directions,
         # the Casimir's (0, dC) among them
-        B = pullback_dirac_at_point(PolyMap.identity(pi.chart), graph_of_poisson(pi),
-                                    (0.3, -0.2, 0.5))
+        B = pullback_dirac_at_point(PolyMap(pi.chart, pi.chart, pi.chart.coordinates()),
+                                    graph_of_poisson(pi), (0.3, -0.2, 0.5))
         assert B.shape == (6, 3)
 
-
-class TestGaugeAdditivity:
-    def test_composition_adds_forms(self, rng):
-        for _ in range(10):
-            w1 = random_form(rng, R3, 2, max_degree=2)
-            w2 = random_form(rng, R3, 2, max_degree=2)
-            s = rand_section(rng, R3, 2)
-            lhs = gauge_section(w1, gauge_section(w2, s))
-            rhs = gauge_section(w1 + w2, s)
-            assert lhs.X == rhs.X and lhs.alpha == rhs.alpha

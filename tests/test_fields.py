@@ -243,7 +243,7 @@ class TestPolyMap:
         assert v == pytest.approx([6.0, 1.0])
 
     def test_pullback_wrong_chart(self):
-        phi = PolyMap.identity(R2)
+        phi = PolyMap(R2, R2, R2.coordinates())
         with pytest.raises(ChartMismatchError):
             pullback_form(phi, coordinate_form(R3, 0))
 

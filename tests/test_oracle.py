@@ -1,7 +1,6 @@
 """The exact layer against sympy: jacobiator, Courant bracket, Lie derivative
-and pullback of forms recomputed from their textbook coordinate formulas, the
-exact gauge (I + Pi W)^{-1} Pi from sympy's matrix inverse, and the
-homogeneous-space criteria with l cap g built explicitly from a nullspace.
+and pullback of forms recomputed from their textbook coordinate formulas, and
+the homogeneous-space criteria with l cap g built explicitly from a nullspace.
 The numeric layer against a closed form: the spray flow of a linear bivector,
 whose q-part is one matrix exponential and whose p-Jacobian is its Frechet
 derivative (scipy), and the realization form W(p), the integral of
@@ -15,18 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diraclab.dirac import (GaugeTransform, GeneralizedSection, courant_bracket,
-                            gauge_poisson_symbolic)
-from diraclab.errors import TransversalityError
-from diraclab.fields import (Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar, lie_derivative,
-                             pullback_form)
+from diraclab.dirac import GeneralizedSection, courant_bracket
+from diraclab.fields import Chart, PolyMap, lie_derivative, pullback_form
 from diraclab.maningroup import builtin_triples, homogeneous_space_check
-from diraclab.poisson import (PoissonBivector, jacobiator, lie_poisson, so3_constants,
-                              standard_symplectic_poisson)
+from diraclab.poisson import PoissonBivector, jacobiator, lie_poisson, so3_constants
 from diraclab.realization import (RealizationConfig, default_spray, flow, realization_form,
                                   sample_points, source_target, verify_dual_pair)
 
-from conftest import random_form, random_poly, random_vector
+from conftest import omega_can, random_form, random_poly, random_vector
 
 sp = pytest.importorskip("sympy")
 
@@ -131,60 +126,6 @@ def test_pullback_form_is_a_sum_of_jacobian_minors(seed):
                    * D.extract(list(J), list(I)).det()
                    for J in itertools.combinations(range(tgt.dim), degree))
         assert same(got.component(I), want, us)
-
-
-# -- the exact gauge: (I + Pi W)^{-1} Pi by sympy's inverse ------------------------
-
-
-def _gauge_cases(seed):
-    """(pi, omega) pairs with det(I + Pi W) constant: a constant omega on the
-    standard R^2, R^4 and R^6, and on R^4 with pi = d_0 ^ d_1 + x_0 d_2 ^ d_3 a
-    constant omega whose w_23 (w_01 - 1) = w_02 w_13 - w_03 w_12, which makes
-    det = (1 - w_01)^2; then that pi with w_23 drawn freely, whose det
-    (x_0 (w_01 w_23 - w_02 w_13 + w_03 w_12 - w_23) + 1 - w_01)^2 is not constant."""
-    rng = random.Random(400 + seed)
-
-    def rat():
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-    def form(chart, w):
-        return PolyKForm(chart, 2, {ij: PolyScalar.constant(chart, c) for ij, c in w.items()})
-
-    for k in (1, 2, 3):
-        pi = standard_symplectic_poisson(k)
-        yield pi, form(pi.chart, {ij: rat() for ij in itertools.combinations(range(2 * k), 2)})
-    chart = Chart(4)
-    one, x0 = PolyScalar.constant(chart, 1), chart.coordinate(0)
-    pi = PoissonBivector(PolyKVector(chart, 2, {(0, 1): one, (2, 3): x0}))
-    w = {ij: rat() for ij in itertools.combinations(range(4), 2)}
-    w[(0, 1)] = Fraction(1, 2) if w[(0, 1)] == 1 else w[(0, 1)]
-    free = dict(w)
-    w[(2, 3)] = (w[(0, 2)] * w[(1, 3)] - w[(0, 3)] * w[(1, 2)]) / (w[(0, 1)] - 1)
-    yield pi, form(chart, w)
-    if free[(2, 3)] != w[(2, 3)]:
-        yield pi, form(chart, free)
-
-
-def test_symbolic_gauge_is_the_inverse_times_pi():
-    constant = 0
-    for seed in range(6):
-        for pi, omega in _gauge_cases(seed):
-            n = pi.chart.dim
-            xs = sp.symbols(f"x0:{n}")
-            P = sp.Matrix(n, n, lambda i, j: comp(pi.pi, (i, j), xs))
-            W = sp.Matrix(n, n, lambda i, j: comp(omega, (i, j), xs))
-            A = sp.eye(n) + P * W
-            det = sp.expand(A.det())
-            if det == 0 or not det.is_constant():
-                with pytest.raises(TransversalityError, match="not a nonzero constant"):
-                    gauge_poisson_symbolic(pi, GaugeTransform(omega))
-                continue
-            constant += 1
-            want = A.inv() * P
-            got = gauge_poisson_symbolic(pi, GaugeTransform(omega)).pi
-            for i, j in itertools.combinations(range(n), 2):
-                assert same(got.component((i, j)), want[i, j], xs), (seed, n, i, j)
-    assert constant >= 20
 
 
 # -- homogeneous spaces: l cap g from a nullspace ---------------------------------
@@ -338,7 +279,7 @@ def closed_form_realization_form(c, n, point, nodes=32):
     Gauss-Legendre rule (numpy's nodes on [-1, 1], moved to [0, 1]) of the
     closed-form Jacobians; no library flow or quadrature is called."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    Wcan = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    Wcan = omega_can(n)
     out = np.zeros((2 * n, 2 * n))
     for s, weight in zip((x + 1) / 2, w / 2):
         J = linear_spray_flow(c, n, point, s)[1]

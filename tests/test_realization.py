@@ -14,7 +14,6 @@ from diraclab.realization import (
     RealizationConfig,
     SprayField,
     bracket_relations_residual,
-    canonical_symplectic_matrix,
     closedness_residual,
     default_spray,
     flow,
@@ -25,7 +24,7 @@ from diraclab.realization import (
     verify_dual_pair,
 )
 
-from conftest import exact_at, stage_field
+from conftest import exact_at, omega_can, stage_field
 
 
 def xdxdy():
@@ -148,12 +147,12 @@ class TestRealizationForm:
     def test_zero_spray_gives_canonical(self):
         spray = default_spray(from_components(Chart(2), {}))
         W = realization_form(spray, np.array([0.3, 0.1, 0.2, -0.5]), FAST)
-        assert np.abs(W - canonical_symplectic_matrix(2)).max() < 1e-12
+        assert np.abs(W - omega_can(2)).max() < 1e-12
 
     def test_zero_section_restriction(self):
         spray = default_spray(xdxdy())
         W = realization_form(spray, np.array([0.8, -0.2, 0.0, 0.0]), FAST)
-        Wc = canonical_symplectic_matrix(2)
+        Wc = omega_can(2)
         # omega(v, .) = omega_can(v, .) for v tangent to the base
         assert np.abs(W[:2, :] - Wc[:2, :]).max() < 1e-10
         # in particular the base is isotropic
