@@ -5,9 +5,10 @@ one reader of `PolyScalar.float_terms`: every float evaluation of the exact
 layer (an exact value rounded once aside) is one call into a table compiled
 once per object or call, which evaluates every column, and with partials=True
 every partial in a variable the column contains, from one monomial table and
-one matmul.  `compile_tensors` lays out tensors as its columns.  Time is a
-table variable like x: a column sum_d t^d p_d(x) has one row per term
-t^d x^e.  The table gathers from any array whose first n columns are x and
+one matmul; a partial's terms come from `float_terms(k)`, with no
+`PolyScalar.partial`.  `compile_tensors` lays out tensors as its columns.
+Time is a table variable like x: a column sum_d t^d p_d(x) has one row per
+term t^d x^e.  The table gathers from any array whose first n columns are x and
 whose last two columns are t and 1: `__call__` checks its points and builds
 [x | t | 1], `at_state` reads a flow state as it is, and `bind` serves a flow.
 
@@ -186,15 +187,15 @@ class PackedPolys:
     def __init__(self, columns, dim: int, partials: bool = False):
         w = self.width = len(columns)
         self.dim, self.partials = dim, partials
-        polys = []  # (time power, output column, polynomial)
+        terms = []  # (time power, output column, float terms)
         for c, col in enumerate(columns):
             for d, p in col.items():
-                polys.append((d, c, p))
+                terms.append((d, c, p.float_terms()))
                 if partials:
-                    polys += [(d, w + c * dim + k, p.partial(k)) for k in p.variables()]
+                    terms += [(d, w + c * dim + k, p.float_terms(k)) for k in p.variables()]
         rows: dict = {}  # (x-exponents..., time power) -> row
         entries = [(rows.setdefault(e + (d,), len(rows)), col, v)
-                   for d, col, p in polys for e, v in p.float_terms()]
+                   for d, col, ts in terms for e, v in ts]
         self.monomials = _MonomialTable(list(rows), dim)
         self.coefs = np.zeros((len(rows), w * (1 + dim) if partials else w))
         for r, col, v in entries:

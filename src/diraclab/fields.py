@@ -6,12 +6,16 @@ not.  A polynomial stores integer numerators over one positive denominator,
 keyed by packed exponents (see `PolyScalar`).  This is the only module that
 reads or writes exponents: other modules move polynomials between charts
 with ``embed``/``restrict``, split them by degree with ``homogeneous_parts``
-and hand them to the numeric layer through ``float_terms``.
+and hand them to the numeric layer through ``float_terms``.  A key becomes an
+exponent tuple through its chart's one unpacker, the ``struct.Struct``
+``Chart._exps`` built with the chart, which ``terms``, ``float_terms``,
+``homogeneous_parts``, ``evaluate_exact`` and ``compose`` share.
 ``PolyScalar.terms`` is the read-only ``{exponent tuple: fractions.Fraction}``
 view, kept for readers outside the package.  Floating point enters only
-through ``float_terms``, which `_numeric.PackedPolys` alone reads: every float
-value of a polynomial (``evaluate_at``, ``PolyMap.__call__``,
-``PolyMap.jacobian_at``) is one call into a compiled table.
+through ``float_terms``, which `_numeric.PackedPolys` alone reads, for a
+polynomial and for its partials: every float value of a polynomial
+(``evaluate_at``, ``PolyMap.__call__``, ``PolyMap.jacobian_at``) is one call
+into a compiled table.
 
 Conventions used throughout the package:
 
@@ -52,10 +56,6 @@ def _pack(exp) -> int:
     return sum(e << (_W * i) for i, e in enumerate(exp))
 
 
-def _unpack(key: int, dim: int) -> tuple:
-    return struct.unpack(f"<{dim}H", key.to_bytes(2 * dim, "little"))  # "H": _W = 16 bits
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -86,7 +86,7 @@ def sort_index(idx: Sequence[int]):
 def accumulate(acc: dict, key, value) -> None:
     """acc[key] += value, removing the key when the sum is zero.
 
-    Values are Fractions or PolyScalars (both are falsy exactly when zero).
+    Values are ints, Fractions or PolyScalars (all falsy exactly when zero).
     """
     cur = acc.get(key)
     s = value if cur is None else cur + value
@@ -96,12 +96,16 @@ def accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-def _collect_signed(buckets: dict, idx, sign: int, a, b, d=None) -> None:
+def _collect_signed(buckets: dict, idx: tuple, sign: int, a, b, d=None) -> None:
     """File the `sum_of_products` term (sign, a, b, d) under a sorted antisymmetric
-    index for `_sum_buckets`; an index with a repeat contributes nothing."""
-    sidx, s = sort_index(idx)
-    if sidx is not None:
-        buckets.setdefault(sidx, []).append((sign * s, a, b, d))
+    index for `_sum_buckets`; an index with a repeat contributes nothing.  A
+    one-index tuple is filed as it is: it is sorted and has no repeat."""
+    if len(idx) != 1:
+        idx, s = sort_index(idx)
+        if idx is None:
+            return
+        sign *= s
+    buckets.setdefault(idx, []).append((sign, a, b, d))
 
 
 def _sum_buckets(chart: Chart, buckets: dict) -> dict:
@@ -181,7 +185,7 @@ class Chart:
     the algebroid dictionary.
     """
 
-    __slots__ = ("dim", "names", "_guard")
+    __slots__ = ("dim", "names", "_guard", "_exps")
 
     def __init__(self, dim: int, names: Sequence[str] | None = None):
         if dim < 0:
@@ -197,6 +201,8 @@ class Chart:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_guard", sum(1 << (_W * i + _W - 1) for i in range(dim)))
+        # the exponent unpacker: the little-endian bytes of a packed key, one "H" per field
+        object.__setattr__(self, "_exps", struct.Struct(f"<{dim}H"))  # "H": _W = 16 bits
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -275,9 +281,9 @@ class PolyScalar:
                 num = {k: v // g for k, v in num.items()}
                 den //= g
         p = object.__new__(PolyScalar)
-        object.__setattr__(p, "chart", chart)
-        object.__setattr__(p, "_num", num)
-        object.__setattr__(p, "_den", den)
+        _set_chart(p, chart)
+        _set_num(p, num)
+        _set_den(p, den)
         return p
 
     def __setattr__(self, *a):
@@ -288,8 +294,11 @@ class PolyScalar:
         """The coefficients as a read-only ``{exponent tuple: Fraction}`` dict,
         built on first use."""
         if not hasattr(self, "_terms"):
-            object.__setattr__(self, "_terms", {_unpack(k, self.chart.dim): Fraction(v, self._den)
-                                                for k, v in self._num.items()})
+            exps, den = self.chart._exps, self._den
+            unpack, size = exps.unpack, exps.size
+            object.__setattr__(self, "_terms", {
+                unpack(k.to_bytes(size, "little")): Fraction(v) if den == 1 else Fraction(v, den)
+                for k, v in self._num.items()})
         return self._terms
 
     # -- constructors -------------------------------------------------------
@@ -313,9 +322,12 @@ class PolyScalar:
         if isinstance(other, (int, Fraction)):
             other = PolyScalar.constant(self.chart, other)
         self._check(other)
-        den = math.lcm(self._den, other._den)
-        f1, f2 = den // self._den, den // other._den
-        num = {k: v * f1 for k, v in self._num.items()}
+        if self._den == other._den:  # no rescaled copy of self
+            den, num, f2 = self._den, dict(self._num), 1
+        else:
+            den = math.lcm(self._den, other._den)
+            f1, f2 = den // self._den, den // other._den
+            num = {k: v * f1 for k, v in self._num.items()}
         for k, v in other._num.items():
             num[k] = num.get(k, 0) + v * f2
         return PolyScalar._canonical(self.chart, {k: v for k, v in num.items() if v}, den)
@@ -380,11 +392,19 @@ class PolyScalar:
         """Terms in descending graded-lex order (the canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def float_terms(self) -> list:
-        """(exponent tuple, coefficient) pairs with each coefficient correctly
-        rounded to a float, as float(Fraction) rounds it."""
-        dim, den = self.chart.dim, self._den
-        return [(_unpack(k, dim), v / den) for k, v in self._num.items()]
+    def float_terms(self, d: int | None = None) -> list:
+        """(exponent tuple, coefficient) pairs of the polynomial, or with d of its
+        partial in x_d as `partial(d).float_terms()` lists them, each coefficient
+        correctly rounded to a float, as float(Fraction) rounds it; the int
+        division e * v / den rounds the exact quotient, reduced or not."""
+        exps, den = self.chart._exps, self._den
+        unpack, size = exps.unpack, exps.size
+        if d is None:
+            return [(unpack(k.to_bytes(size, "little")), v / den) for k, v in self._num.items()]
+        shift = _W * d
+        one = 1 << shift
+        return [(unpack((k - one).to_bytes(size, "little")), e * v / den)
+                for k, v in self._num.items() if (e := (k >> shift) & _FIELD)]
 
     # -- charts and degrees ----------------------------------------------------
 
@@ -410,10 +430,11 @@ class PolyScalar:
         the parts sum to the polynomial, and the zero polynomial has none."""
         if not 0 <= first <= self.chart.dim:
             raise ShapeError(f"first coordinate {first} out of range for dim {self.chart.dim}")
-        shift, rest = _W * first, self.chart.dim - first
+        exps = self.chart._exps
+        unpack, size = exps.unpack, exps.size
         parts: dict = {}
         for k, v in self._num.items():
-            parts.setdefault(sum(_unpack(k >> shift, rest)), {})[k] = v
+            parts.setdefault(sum(unpack(k.to_bytes(size, "little"))[first:]), {})[k] = v
         return {d: PolyScalar._canonical(self.chart, num, self._den) for d, num in parts.items()}
 
     # -- calculus ------------------------------------------------------------
@@ -435,9 +456,10 @@ class PolyScalar:
         if len(point) != self.chart.dim:
             raise ShapeError("point/chart dimension mismatch")
         pt = [_frac(x) for x in point]
+        exps = self.chart._exps
         total = Fraction(0)
         for k, v in self._num.items():
-            for x, e in zip(pt, _unpack(k, self.chart.dim)):
+            for x, e in zip(pt, exps.unpack(k.to_bytes(exps.size, "little"))):
                 if e:
                     v *= x**e
             total += v
@@ -449,11 +471,11 @@ class PolyScalar:
             raise ShapeError("substitution list length != chart dim")
         if self.chart.dim == 0:
             raise ShapeError("cannot infer source chart for a dim-0 composition")
-        src = polys[0].chart
+        src, exps = polys[0].chart, self.chart._exps
         out = PolyScalar.zero(src)
         for k, v in self._num.items():
             term = PolyScalar._canonical(src, {0: v}, self._den)
-            for p, e in zip(polys, _unpack(k, self.chart.dim)):
+            for p, e in zip(polys, exps.unpack(k.to_bytes(exps.size, "little"))):
                 if e:
                     term = term * p**e
             out = out + term
@@ -480,12 +502,17 @@ class PolyScalar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def sum_of_products(chart: Chart, products) -> PolyScalar:
+# `_canonical` writes the slots through their descriptors, cheaper than object.__setattr__
+_set_chart, _set_num, _set_den = (PolyScalar.__dict__[name].__set__
+                                  for name in ("chart", "_num", "_den"))
+
+
+def sum_of_products(chart: Chart, products: Sequence) -> PolyScalar:
     """The sum of sign * a * b, or of sign * a * db/dx_d where d is not None, over (sign,
     a, b, d) in `products` (sign +1 or -1, a and b on `chart`): the one product loop of the
     exact layer, into one numerator dict over the lcm of the denominators, normalized once.
-    A derivative slot walks b's terms first, folding each exponent e > 0 of x_d into b."""
-    products = list(products)
+    A derivative slot walks b's terms first, folding each exponent e > 0 of x_d into b.
+    `products` is read twice, so it is a sequence (a list or tuple), not an iterator."""
     den = math.lcm(*(a._den * b._den for _, a, b, _ in products))
     acc: dict = {}
     get = acc.get

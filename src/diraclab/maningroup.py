@@ -6,6 +6,8 @@ subalgebras g, h and l, l cap g = k, Ad_K-invariance of l) run in exact
 rational arithmetic with no tolerance: dimensions are `fields._rank`s, and a
 membership (a bracket in a subalgebra; Ad_K-invariance, as a rational X has
 Ad_{exp X} l = l iff [X, l] lies in l) is one `fields._span_test`, in ints.
+Jacobi, ad-invariance and isotropy also sum ints: the numerators of the
+constants and of the metric, each over one positive denominator.
 Group-level data is numeric and numpy-only.  Chart points are exponential
 coordinates in a basis of g.  One matrix exponential, `_expm`, serves
 every group quantity.  One `_PointJet` per point forms, from `chart.triple`,
@@ -49,7 +51,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 class MetrizedLieAlgebra:
-    """Exact structure constants, also as int numerators over one `den`, and metric."""
+    """Exact structure constants and metric, both also as int numerators: the
+    constants over one `den`, the metric rows over the lcm of its denominators."""
 
     __slots__ = ("dim", "C", "B", "den", "_Cnum", "_metric_rows", "_tensor", "_Bnum")
 
@@ -57,25 +60,29 @@ class MetrizedLieAlgebra:
         self.dim = dim
         self.C = normalize_structure_constants(C, dim)
         self.den = den = math.lcm(*(v.denominator for v in self.C.values()))
-        self._Cnum = [(*abk, v.numerator * (den // v.denominator)) for abk, v in self.C.items()]
+        self._Cnum = {abk: v.numerator * (den // v.denominator) for abk, v in self.C.items()}
         self.B = [[Fraction(x) for x in row] for row in B]
         if len(self.B) != dim or any(len(r) != dim for r in self.B):
             raise ShapeError("metric must be dim x dim")
-        # row i lists the nonzero entries (j, B[i][j])
-        self._metric_rows = [[(j, w) for j, w in enumerate(row) if w] for row in self.B]
+        # row i lists the nonzero entries (j, m B[i][j]), m the lcm of the denominators of B
+        m = math.lcm(*(w.denominator for row in self.B for w in row))
+        self._metric_rows = [[(j, w.numerator * (m // w.denominator)) for j, w in enumerate(row)
+                              if w] for row in self.B]
         self._tensor = None
         self._Bnum = None
 
     def scaled_bracket(self, x, y) -> list:
         """den [x, y]: ints on int coefficient vectors, spanning what [x, y] spans."""
         out = [0] * self.dim
-        for a, b, k, v in self._Cnum:
+        for (a, b, k), v in self._Cnum.items():
             out[k] += v * (x[a] * y[b] - x[b] * y[a])
         return out
 
-    def pair(self, x, y) -> Fraction:
-        return sum((x[i] * w * y[j] for i, row in enumerate(self._metric_rows) if x[i]
-                    for j, w in row), Fraction(0))
+    def scaled_pair(self, x, y) -> int:
+        """m B(x, y), m > 0 as in `_metric_rows`: an int on int coefficient vectors,
+        zero exactly when B(x, y) is."""
+        return sum(x[i] * w * y[j] for i, row in enumerate(self._metric_rows) if x[i]
+                   for j, w in row)
 
     # numeric views ---------------------------------------------------------
 
@@ -103,12 +110,13 @@ class MetrizedLieAlgebra:
 def check_metrized(algebra: MetrizedLieAlgebra):
     """Exact Jacobi identity and ad-invariance; returns (ok, witness).
 
-    Both checks visit only nonzero data and report the lexicographically
-    first violated index tuple.
+    Both checks visit only nonzero data, sum the int numerators `_Cnum` and
+    `_metric_rows` (positive multiples of C and B, so no sum moves to or from
+    zero) and report the lexicographically first violated index tuple.
     """
     d = algebra.dim
     B = algebra.B
-    jac = jacobi_violation(algebra.C)
+    jac = jacobi_violation(algebra._Cnum)
     if jac is not None:
         return False, {"kind": "jacobi", "indices": jac}
     # symmetry and nondegeneracy of B
@@ -121,8 +129,8 @@ def check_metrized(algebra: MetrizedLieAlgebra):
     # S(a, b, c) = B([e_a, e_b], e_c) + B(e_b, [e_a, e_c])
     #            = sum_m c_{ab}^m B[m][c] + c_{ac}^m B[b][m] must vanish
     sums: dict = {}
-    for (p, q, m), v in algebra.C.items():
-        for r, w in algebra._metric_rows[m]:  # w = B[m][r] = B[r][m]: B is symmetric here
+    for (p, q, m), v in algebra._Cnum.items():
+        for r, w in algebra._metric_rows[m]:  # w ~ B[m][r] = B[r][m]: B is symmetric here
             accumulate(sums, (p, q, r), v * w)
             accumulate(sums, (q, p, r), -v * w)
             accumulate(sums, (p, r, q), v * w)
@@ -189,10 +197,12 @@ def _bracket_escape(algebra: MetrizedLieAlgebra, basis, acting=None) -> tuple | 
 
 
 def _nonzero_pairing(algebra: MetrizedLieAlgebra, basis) -> tuple | None:
-    """The first (i, j) with a nonzero pairing; None for an isotropic span."""
+    """The first (i, j) with a nonzero pairing; None for an isotropic span.  Scaling
+    the vectors to ints makes no pairing zero or nonzero."""
+    basis = [_integer_row(v) for v in basis]
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            if algebra.pair(basis[i], basis[j]) != 0:
+            if algebra.scaled_pair(basis[i], basis[j]):
                 return i, j
     return None
 

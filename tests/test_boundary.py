@@ -47,8 +47,8 @@ float self-check (`span_residual`, `gauge_fiber`), and the float frame
 evaluator `LagrangianFrame.value_at` and the single-matrix slicing `_selected`
 stay gone.  Every top-level definition and public method is reached by name
 from the CLI, `__init__`'s exports or module-level code (the entry points only
-the benchmark reads are named in `BENCH_ONLY`), and no module but `__init__`
-imports a name it never uses.
+the benchmark reads are named in `BENCH_ONLY`), and no module but `__init__`,
+nor any file under `tests/`, imports a name it never uses.
 """
 
 import ast
@@ -59,6 +59,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diraclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_columns",
             "rref", "nullspace", "in_span", "span_equal", "span_intersection",
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
@@ -468,8 +469,18 @@ def test_unused_import_guard_sees_an_unused_name():
     assert unused_imports(ast.parse(src)) == [(3, "np"), (4, "DegreeError")]
 
 
-@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"],
-                         ids=lambda m: m.name)
+def test_unused_import_guard_sees_an_unused_test_import():
+    src = ("import pytest\nfrom diraclab.fields import Chart, PolyScalar\n"
+           "from conftest import random_point, random_poly\n\n"
+           "@pytest.mark.parametrize('dim', [1, 2])\n"
+           "def test_chart(dim):\n    assert Chart(dim).dim == dim\n")
+    assert unused_imports(ast.parse(src)) == [(2, "PolyScalar"), (3, "random_point"),
+                                               (3, "random_poly")]
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"]
+                         + sorted(TESTS.glob("*.py")),
+                         ids=lambda m: m.name if m.parent == PACKAGE else f"tests/{m.name}")
 def test_no_module_imports_a_name_it_never_uses(path):
     found = unused_imports(_tree(path))
     assert not found, f"{path.name} imports unused names: {found}"

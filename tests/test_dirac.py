@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diraclab.errors import DegreeError, PreconditionError, TransversalityError
+from diraclab.errors import PreconditionError, TransversalityError
 from diraclab.fields import (
     Chart,
     PolyKForm,

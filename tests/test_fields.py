@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,16 +26,18 @@ from diraclab.fields import (
     lie_derivative,
     pullback_form,
     pushforward_vector_at_point,
+    _collect_signed,
     _echelon,
     _span_test,
+    _sum_buckets,
+    sort_index,
     sum_of_products,
     vector_bracket,
     wedge,
 )
 from diraclab import jsonio
 
-from conftest import (exact_at, fraction_rank, random_form, random_point, random_poly,
-                      random_vector)
+from conftest import exact_at, fraction_rank, random_form, random_poly, random_vector
 
 
 R2 = Chart(2, ("x", "y"))
@@ -513,6 +516,69 @@ def test_exponent_guard_raises_instead_of_carrying(data, dim):
         chart.coordinate(i) ** (MAX_EXPONENT + 1)
     assert (chart.coordinate(i) ** MAX_EXPONENT).terms == {
         tuple(MAX_EXPONENT if j == i else 0 for j in range(dim)): 1}
+
+
+# -- the kernel's fast paths against their general forms ----------------------------
+
+
+def polys_over(dim, den):
+    """{exponent tuple: Fraction} dicts over the denominator den: int numerators
+    over den, with one term 1/den, so the polynomial's `_den` is exactly den."""
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    nums = st.dictionaries(exps, st.integers(-30, 30).filter(bool), max_size=5)
+    return st.tuples(exps, nums).map(
+        lambda t: {**{e: Fraction(c, den) for e, c in t[1].items()}, t[0]: Fraction(1, den)})
+
+
+def lcm_add(p, q):
+    """`PolyScalar.__add__`'s general form: both numerator dicts over the lcm."""
+    den = math.lcm(p._den, q._den)
+    num = {k: v * (den // p._den) for k, v in p._num.items()}
+    for k, v in q._num.items():
+        num[k] = num.get(k, 0) + v * (den // q._den)
+    return PolyScalar._canonical(p.chart, {k: v for k, v in num.items() if v}, den)
+
+
+def collect_by_sort(buckets, idx, sign, a, b, d=None):
+    """`_collect_signed`'s general form: every index goes through `sort_index`."""
+    sidx, s = sort_index(idx)
+    if sidx is not None:
+        buckets.setdefault(sidx, []).append((sign * s, a, b, d))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(0, 5), den=st.sampled_from([1, 2, 6, 35]))
+def test_fast_paths_match_their_references(data, dim, den):
+    """`terms` (the chart's unpacker, Fraction(v) over den 1), `float_terms` with and
+    without a partial slot, `__add__` over equal denominators and the one-index
+    filing of `_collect_signed`, each against its reference; dimension 0 unpacks
+    with an empty Struct."""
+    chart = Chart(dim)
+    a, b = data.draw(polys_over(dim, den)), data.draw(polys_over(dim, den))
+    p, q = PolyScalar(chart, a), PolyScalar(chart, b)
+    assert p._den == q._den == den
+    assert p.terms == a and all(type(c) is Fraction for c in p.terms.values())
+    # term order is the constructor's, so the float lists compare as lists
+    assert p.float_terms() == [(e, float(c)) for e, c in a.items()]
+    for k in range(dim):
+        want = [(e, float(c)) for e, c in ref_partial(a, k).items()]
+        assert p.float_terms(k) == p.partial(k).float_terms() == want
+    total = p + q
+    assert total == lcm_add(p, q) and list(total._num) == list(lcm_add(p, q)._num)
+    assert total.terms == ref_add(a, b)
+    r = p * Fraction(1, 7)  # another denominator: the lcm path
+    assert p + r == lcm_add(p, r) and (p + r).terms == ref_add(a, r.terms)
+    # filing: indices of length 0 to 3 with repeats, under both signs and slots
+    fast, slow = {}, {}
+    for _ in range(data.draw(st.integers(0, 8))):
+        idx = tuple(data.draw(st.lists(st.integers(0, max(dim - 1, 0)),
+                                       max_size=3 if dim else 0)))
+        term = (data.draw(st.sampled_from([1, -1])), p, q,
+                data.draw(st.sampled_from([None, *range(dim)])))
+        _collect_signed(fast, idx, *term)
+        collect_by_sort(slow, idx, *term)
+    assert fast == slow and all(type(i) is tuple for i in fast)
+    assert _sum_buckets(chart, fast) == _sum_buckets(chart, slow)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

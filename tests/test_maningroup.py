@@ -27,7 +27,6 @@ from diraclab.maningroup import (
     homogeneous_space_check,
     iwasawa_su2,
     jacobiator_fd_residual,
-    semidirect_triple,
     sl2_borel,
     sl2_standard,
     so3_semidirect,
@@ -159,6 +158,16 @@ class TestManinTriples:
                        "iwasawa-su2": [(0, 1, 3), (0, 2, 5), (1, 2, 4)],
                        "semidirect-so3": [(0, 1, 5), (0, 2, 4), (1, 2, 3)],
                        "standard-sl2": [(1, 2, 5)]}
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(-1, 3), Fraction(-5, 2)])
+    def test_isotropy_fails_on_a_pairing_of_either_sign(self, scale):
+        # h_0 + s g_0 pairs with itself to 2 s B(g_0, h_0) = 2 s under the split metric
+        triple = builtin_triples()["semidirect-so3"][0]
+        h = [[x + scale * y for x, y in zip(triple.h_basis[0], triple.g_basis[0])],
+             *triple.h_basis[1:]]
+        assert triple.algebra.B[0][3] == 1 and triple.h_basis[0][3] == 1
+        assert check_manin_triple(ManinTriple(triple.algebra, triple.g_basis, h)) == (
+            False, {"kind": "isotropy", "subspace": "h", "indices": (0, 0)})
 
     @pytest.mark.parametrize("name", sorted(NOT_SUBALGEBRAS))
     def test_subalgebra_witnesses_are_pinned(self, name):

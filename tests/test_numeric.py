@@ -78,9 +78,19 @@ class TestPackedPolys:
             assert np.array_equal(D, np.zeros((5, len(cols), 2)))
 
 
+def assert_same_table(a: PackedPolys, b: PackedPolys) -> None:
+    """The two tables have the same monomial rows and byte-identical coefficients."""
+    assert len(a.monomials.columns) == len(b.monomials.columns)
+    for x, y in zip(a.monomials.columns, b.monomials.columns):
+        assert np.array_equal(x, y)
+    assert a.coefs.ndim == 2 and a.coefs.shape == b.coefs.shape
+    assert a.coefs.tobytes() == b.coefs.tobytes()
+
+
 class TestCompiledPartials:
-    """Only the partials in variables a polynomial contains are compiled; the
-    table is the one that compiling every partial gives."""
+    """Only the partials in variables a polynomial contains are compiled, read
+    from its numerators with no `PolyScalar.partial` call; the table is the
+    one that forming each partial gives, and the one compiling every partial gives."""
 
     @pytest.mark.parametrize("case", ["random", "moser"])
     def test_rows_and_coefficients_equal_compiling_every_partial(self, monkeypatch, case):
@@ -97,19 +107,20 @@ class TestCompiledPartials:
                           made.append((columns, dim)))
                 _moser_field(*so3_moser_family())
             (cols, dim), = made
-        calls, partial = [], Poly.partial
+        calls, partial, float_terms = [], Poly.partial, Poly.float_terms
         monkeypatch.setattr(Poly, "partial", lambda p, k: calls.append(k) or partial(p, k))
         sparse = PackedPolys(cols, dim, partials=True)
+        assert calls == []
+        # the reference: each partial formed by PolyScalar.partial, then listed
+        monkeypatch.setattr(Poly, "float_terms", lambda p, k=None:
+                            float_terms(p if k is None else p.partial(k)))
+        via_partial = PackedPolys(cols, dim, partials=True)
         assert len(calls) == sum(len(p.variables()) for col in cols for p in col.values())
         assert len(calls) < dim * sum(len(col) for col in cols)
+        assert_same_table(sparse, via_partial)
         # every variable, as if each could occur
         monkeypatch.setattr(Poly, "variables", lambda p: list(range(p.chart.dim)))
-        dense = PackedPolys(cols, dim, partials=True)
-        assert len(sparse.monomials.columns) == len(dense.monomials.columns)
-        for a, b in zip(sparse.monomials.columns, dense.monomials.columns):
-            assert np.array_equal(a, b)
-        assert sparse.coefs.ndim == 2 and sparse.coefs.shape == dense.coefs.shape
-        assert sparse.coefs.tobytes() == dense.coefs.tobytes()
+        assert_same_table(sparse, PackedPolys(cols, dim, partials=True))
 
 
 class TestCompileTensors:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diraclab.fields import Chart, PolyKForm, PolyScalar, coordinate_form, differential
+from diraclab.fields import Chart, PolyKForm, PolyScalar, coordinate_form
 from diraclab.poisson import (
     from_components,
     lie_poisson,
