@@ -8,12 +8,10 @@ from .fields import (
     PolyScalar,
     cotangent_chart,
     differential,
-    evaluate_at,
     exterior_derivative,
     interior_product,
     lie_derivative,
     pullback_form,
-    pushforward_vector_at_point,
     wedge,
 )
 from .poisson import (

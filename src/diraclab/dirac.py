@@ -47,7 +47,7 @@ from .fields import (
     sum_of_products,
     vector_bracket,
 )
-from .poisson import PoissonBivector, _full_matrix, sharp_apply
+from .poisson import PoissonBivector, _full_matrix, bracket, sharp_apply
 
 
 class GeneralizedSection:
@@ -286,7 +286,8 @@ def check_poisson_map(
 ) -> MapCheckReport:
     """Certify d phi . Pi_source . d phi^T = (+/-) Pi_target o phi.
 
-    A PolyMap is checked as an exact polynomial identity.  A callable map
+    A PolyMap is checked as an exact polynomial identity, entry by entry
+    (d phi . Pi_source . d phi^T)^{ij} = {phi^i, phi^j}_source.  A callable map
     (with `jacobian` supplied, for non-polynomial maps) is checked at the
     sample points and reported as a max residual.
     """
@@ -294,16 +295,10 @@ def check_poisson_map(
     if isinstance(phi, PolyMap):
         if phi.source != pi_source.chart or phi.target != pi_target.chart:
             raise ChartMismatchError("map charts do not match the bivectors")
-        J = phi.jacobian()
-        n, ncols = phi.target.dim, phi.source.dim
-        S = pi_source.component_matrix()
-
-        def pushed(i, j):  # (J S J^T)_ij
-            return sum_of_products(phi.source, [(1, J[i][a] * S[a][b], J[j][b], None)
-                                                for a in range(ncols) for b in range(ncols)
-                                                if S[a][b]])
-        ok = all(pushed(i, j) == sign * phi.compose_scalar(pi_target.pi.component((i, j)))
-                 for i in range(n) for j in range(i + 1, n))
+        f = phi.components
+        ok = all(bracket(pi_source, f[i], f[j])
+                 == sign * phi.compose_scalar(pi_target.pi.component((i, j)))
+                 for i in range(len(f)) for j in range(i + 1, len(f)))
         return MapCheckReport(exact=ok, max_residual=None, worst_point=None)
 
     if samples is None or jacobian is None:

@@ -11,11 +11,10 @@ exponent tuple through its chart's one unpacker, the ``struct.Struct``
 ``Chart._exps`` built with the chart, which ``terms``, ``float_terms``,
 ``homogeneous_parts``, ``evaluate_exact`` and ``compose`` share.
 ``PolyScalar.terms`` is the read-only ``{exponent tuple: fractions.Fraction}``
-view, kept for readers outside the package.  Floating point enters only
+view, kept for readers outside the package.  The module computes no float
+and imports neither numpy nor the numeric layer: floating point enters only
 through ``float_terms``, which `_numeric.PackedPolys` alone reads, for a
-polynomial and for its partials: every float value of a polynomial
-(``evaluate_at``, ``PolyMap.__call__``, ``PolyMap.jacobian_at``) is one call
-into a compiled table.
+polynomial and for its partials.
 
 Conventions used throughout the package:
 
@@ -36,9 +35,6 @@ import struct
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
-from ._numeric import PackedPolys, compile_tensors
 from .errors import ChartMismatchError, DegreeError, ShapeError
 
 Rat = Union[int, Fraction]
@@ -758,20 +754,10 @@ def wedge(a, b):
     return a.wedge(b)
 
 
-def evaluate_at(T, points) -> np.ndarray:
-    """Dense components of a degree-1 or degree-2 tensor at a point (n,) or a
-    batch (..., n): the vector (..., n) or the full antisymmetric matrix
-    (..., n, n), from one compiled table."""
-    if T.degree not in (1, 2):
-        raise DegreeError(f"float components are laid out for degrees 1 and 2, not {T.degree}")
-    out = compile_tensors([T])(points)
-    return out.reshape(out.shape[:-1] + (T.chart.dim,) * T.degree)
-
-
 class PolyMap:
     """A polynomial map between charts, given by target-component polynomials."""
 
-    __slots__ = ("source", "target", "components", "_compiled")
+    __slots__ = ("source", "target", "components")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence[PolyScalar]):
         components = tuple(components)
@@ -783,21 +769,9 @@ class PolyMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMap is immutable")
-
-    def compiled(self) -> PackedPolys:
-        """The components and their partials: points (..., k) -> (phi, d phi)
-        of shapes (..., m) and (..., m, k), compiled on first use."""
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", PackedPolys(
-                [{0: p} for p in self.components], self.source.dim, partials=True))
-        return self._compiled
-
-    def __call__(self, point) -> np.ndarray:
-        return self.compiled()(point)[0]
 
     def evaluate_exact(self, point):
         return tuple(p.evaluate_exact(point) for p in self.components)
@@ -816,9 +790,6 @@ class PolyMap:
             [p.partial(j) for j in range(self.source.dim)] for p in self.components
         ]
 
-    def jacobian_at(self, point) -> np.ndarray:
-        return self.compiled()(point)[1]
-
 
 def pullback_form(phi: PolyMap, alpha: PolyKForm) -> PolyKForm:
     """phi^* alpha; commutes with the exterior derivative."""
@@ -836,11 +807,3 @@ def pullback_form(phi: PolyMap, alpha: PolyKForm) -> PolyKForm:
             term = term.wedge(dphi[i])
         out = out + term
     return out
-
-
-def pushforward_vector_at_point(phi: PolyMap, point, v) -> np.ndarray:
-    """The image (T phi) v of a tangent vector at a point of the source."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (phi.source.dim,):
-        raise ShapeError("tangent vector has wrong dimension")
-    return phi.jacobian_at(point) @ v

@@ -1,11 +1,11 @@
 """Symplectic realization of a Poisson chart from a spray on T*M.
 
-Given a bivector pi on R^n, a spray is a vector field on the 2n-chart
-(q, p) of the form
+Given a bivector pi on R^n, the spray is the vector field on the 2n-chart
+(q, p)
 
-    X = sum_ij Pi^{ij}(q) p_i d/dq_j + 1/2 sum_ijk G^{ij}_k(q) p_i p_j d/dp_k
+    X = sum_ij Pi^{ij}(q) p_i d/dq_j,
 
-with G symmetric in (i, j).  With Phi_t the flow of X (trajectories solve
+so p is constant along its flow.  With Phi_t the flow of X (trajectories solve
 dx/dt = -a(x), as everywhere in this package), the 2-form
 
     omega = int_0^1 (Phi_s)_* omega_can ds,     omega_can = sum dq_i ^ dp_i
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,8 +51,7 @@ from ._numeric import (
 )
 from .dirac import one_form_bracket
 from .errors import ChartMismatchError, PreconditionError
-from .fields import (PolyKForm, PolyKVector, PolyScalar, accumulate, cotangent_chart,
-                     sum_of_products)
+from .fields import PolyKForm, PolyKVector, cotangent_chart, sum_of_products
 from .poisson import PoissonBivector
 
 
@@ -87,33 +85,19 @@ class RealizationConfig:
 
 
 class SprayField:
-    """Spray data: base bivector, symmetric p-quadratic coefficients, field."""
+    """The spray of a bivector: its base bivector, chart (q, p) and field."""
 
-    __slots__ = ("pi", "gamma", "chart", "field", "_compiled")
+    __slots__ = ("pi", "chart", "field", "_compiled")
 
-    def __init__(self, pi: PoissonBivector, gamma: dict | None = None):
+    def __init__(self, pi: PoissonBivector):
         n = pi.chart.dim
         chart = cotangent_chart(n)
-        gamma = dict(gamma or {})
-        # symmetrize keys (i, j), store i <= j
-        sym: dict = {}
-        for (i, j, k), g in gamma.items():
-            if not isinstance(g, PolyScalar):
-                g = PolyScalar.constant(pi.chart, g)
-            if g.chart != pi.chart:
-                raise ChartMismatchError("gamma coefficients live on the base chart")
-            accumulate(sym, (min(i, j), max(i, j), k), g)
-
         M, momenta = pi.component_matrix(), chart.coordinates()[n:]
         comps = {(j,): sum_of_products(chart, [(1, M[i][j].embed(chart), momenta[i], None)
                                                for i in range(n) if M[i][j]])
                  for j in range(n)}
-        for (i, j, k), g in sym.items():
-            weight = Fraction(1) if i != j else Fraction(1, 2)
-            accumulate(comps, (n + k,), g.embed(chart) * momenta[i] * momenta[j] * weight)
         X = PolyKVector(chart, 1, comps)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "gamma", sym)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "field", X)
         object.__setattr__(self, "_compiled", None)
@@ -133,14 +117,8 @@ class SprayField:
 
 
 def default_spray(pi: PoissonBivector) -> SprayField:
-    """The spray with vanishing p-quadratic part: X = sum Pi^{ij}(q) p_i d/dq_j."""
-    return SprayField(pi, {})
-
-
-def flow(spray: SprayField, point, t: float, config: RealizationConfig = RealizationConfig()):
-    """Endpoint and Jacobian of the spray flow Phi_t from a point of T*M."""
-    return flow_points(spray.compiled().bind, np.asarray(point, dtype=float), t,
-                       config.flow())
+    """The spray X = sum Pi^{ij}(q) p_i d/dq_j of pi."""
+    return SprayField(pi)
 
 
 def _realization_batch(spray: SprayField, points, config: RealizationConfig):

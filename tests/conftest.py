@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diraclab._numeric import flow_points
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyScalar, sort_index
 
 
@@ -84,6 +85,12 @@ def dense_exact(T, x) -> np.ndarray:
 def omega_can(n: int) -> np.ndarray:
     """W_can = [[0, I], [-I, 0]], the components of sum dq_i ^ dp_i on (q, p)."""
     return np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+
+
+def spray_flow(spray, x, t, config):
+    """Endpoint and Jacobian of the spray flow Phi_t from points of T*M, under
+    a `RealizationConfig`'s step and escape norm."""
+    return flow_points(spray.compiled().bind, np.asarray(x, dtype=float), t, config.flow())
 
 
 def stage_field(f):

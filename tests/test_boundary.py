@@ -2,11 +2,14 @@
 
 `fields.py` is the only module that reads the polynomial format: every other
 module goes through `PolyScalar` operations (`embed`, `restrict`,
-`homogeneous_parts`, `float_terms`, `evaluate_exact`).  The numeric layer has
-one tensor compiler (`compile_tensors`), one float evaluator (`PackedPolys`,
-the only caller of `float_terms`) and one flow function (`flow_points`); the
-adapters, the interpreted float evaluators and the second flow function they
-replaced stay gone.  The exact product loop differentiates in place, so the
+`homogeneous_parts`, `float_terms`, `evaluate_exact`).  It computes no float
+and imports neither numpy nor `_numeric`, so its float evaluators
+(`evaluate_at`, `PolyMap.jacobian_at`, `pushforward_vector_at_point`) stay
+gone.  The numeric layer has one tensor compiler (`compile_tensors`), one
+float evaluator (`PackedPolys`, the only caller of `float_terms`) and one flow
+function (`flow_points`); the adapters, the interpreted float evaluators and
+the second flow function they replaced stay gone.  There is one spray:
+`SprayField` takes its bivector alone, with no p-quadratic term.  The exact product loop differentiates in place, so the
 partial-term helper `_derivative` stays gone.  The Manin
 layer decides its subspace axioms with one exact elimination: the Fraction-matrix
 module `_rat` and its span helpers stay gone, as do the batch-only realization
@@ -45,13 +48,17 @@ rational null space: they call none of the float helpers that once decided it
 (`gauge_inverse`, `pullback_fiber`, the SVD rank helpers), the CLI imports no
 float self-check (`span_residual`, `gauge_fiber`), and the float frame
 evaluator `LagrangianFrame.value_at` and the single-matrix slicing `_selected`
-stay gone.  Every top-level definition and public method is reached by name
-from the CLI, `__init__`'s exports or module-level code (the entry points only
-the benchmark reads are named in `BENCH_ONLY`), and no module but `__init__`,
-nor any file under `tests/`, imports a name it never uses.
+stay gone.  Every top-level definition and public method is reached from the
+CLI, `__init__`'s exports or module-level code (the entry points only the
+benchmark reads are named in `BENCH_ONLY`): a name reaches a top-level
+definition, an attribute `x.name` a method, or a top-level definition through a
+package-module alias such as `real_mod`, so a method cannot keep a same-named
+function alive.  No module but `__init__`, nor any file under `tests/`, imports
+a name it never uses.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -65,7 +72,8 @@ REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_c
             "realization_form_batch", "source_target_batch", "_chart_bivector_jet",
             "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at",
             "_coefs_at", "GROUP_TOL", "HomogeneousSpaceData", "RealizationSample",
-            "realization_sample", "validate", "value_at", "_selected", "_derivative"}
+            "realization_sample", "validate", "value_at", "_selected", "_derivative",
+            "evaluate_at", "jacobian_at", "pushforward_vector_at_point"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -103,6 +111,33 @@ def test_replaced_names_stay_gone(path):
         elif isinstance(node, ast.alias):
             defined.add(node.asname or node.name)
     assert not defined & REPLACED, f"{path.name} defines {sorted(defined & REPLACED)}"
+
+
+def _imported_modules(tree) -> set:
+    """The last dotted part of every module a tree imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found |= {node.module.split(".")[-1]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+    return found
+
+
+def test_fields_imports_no_float_layer():
+    found = _imported_modules(_tree(PACKAGE / "fields.py")) & {"numpy", "_numeric"}
+    assert not found, f"fields.py imports {sorted(found)}"
+
+
+def test_float_layer_guard_sees_an_import():
+    src = "def f():\n    from ._numeric import PackedPolys\n    import numpy.linalg\n"
+    assert _imported_modules(ast.parse(src)) == {"_numeric", "numpy"}
+
+
+def test_spray_takes_its_bivector_alone():
+    from diraclab.realization import SprayField
+
+    assert list(inspect.signature(SprayField).parameters) == ["pi"]
 
 
 def test_rat_module_stays_gone():
@@ -370,37 +405,59 @@ BENCH_WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _mentions(nodes) -> set:
-    """Every name and attribute that the nodes mention."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _aliases(tree) -> set:
+    """The names that `from . import module [as name]` binds: package-module aliases."""
+    return {a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for a in node.names}
+
+
+def _mentions(nodes, aliases=frozenset()) -> set:
+    """The definitions that the nodes mention: a name `f` mentions the top-level `f`,
+    an attribute `x.f` the methods `f`, and the top-level `f` only when `x` is one of
+    the package-module `aliases`."""
+    found = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found.add(("def", n.id))
+            elif isinstance(n, ast.Attribute):
+                found.add(("method", n.attr))
+                if isinstance(n.value, ast.Name) and n.value.id in aliases:
+                    found.add(("def", n.attr))
+    return found
 
 
 def unreached(sources: dict, roots=frozenset()) -> list:
     """"module:name" of each top-level definition and public method of `sources`
-    (file name -> module source) that no root reaches by name.
+    (file name -> module source) that no root reaches.
 
-    The roots are `__init__`'s imported names, every name that module-level code
+    The roots are `__init__`'s imported names, every definition that module-level code
     outside a definition mentions (the CLI's handler table and its `main()` call),
-    and `roots`.  A reached definition reaches every name it mentions, decorators,
-    defaults and annotations included.  A reached class reaches its dunder methods,
-    which Python calls implicitly, and, if it derives from a class outside the package,
-    all its methods, which that class may call (`argparse.ArgumentParser.error`).
-    Names are matched without their module, so the guard errs toward passing.
+    and the names in `roots`.  A reached definition reaches every definition it
+    mentions, decorators, defaults and annotations included.  A name reaches a
+    top-level definition; an attribute `x.name` reaches methods, and a module's
+    top-level definition only through a package-module alias (`real_mod.flow`), so
+    a method does not keep a top-level function of the same name alive.  A reached
+    class reaches its dunder methods, which Python calls implicitly, and, if it
+    derives from a class outside the package, all its methods, which that class may
+    call (`argparse.ArgumentParser.error`).
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    classes = {node.name for tree in trees.values() for node in tree.body
+    classes = {("def", node.name) for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
-    reached, edges, required = set(roots), {}, []  # required: ("module:qualname", name)
+    reached = {(kind, name) for name in roots for kind in ("def", "method")}
+    edges, required = {}, []  # required: ("module:qualname", (kind, name))
     for module, tree in trees.items():
+        aliases = _aliases(tree)
         for node in tree.body:
             if module == "__init__.py" and isinstance(node, ast.ImportFrom):
-                reached |= {a.asname or a.name for a in node.names}
+                reached |= {("def", a.asname or a.name) for a in node.names}
                 continue
             if not isinstance(node, DEFINITIONS):
-                reached |= _mentions([node])
+                reached |= _mentions([node], aliases)
                 continue
-            required.append((f"{module}:{node.name}", node.name))
+            required.append((f"{module}:{node.name}", ("def", node.name)))
             body = [node]
             if isinstance(node, ast.ClassDef):
                 external = bool(_mentions(node.bases) - classes)
@@ -409,16 +466,16 @@ def unreached(sources: dict, roots=frozenset()) -> list:
                 body = [*node.bases, *node.decorator_list,
                         *(m for m in node.body if m not in methods)]
                 for m in methods:
-                    edges.setdefault(m.name, set()).update(_mentions([m]))
+                    edges.setdefault(("method", m.name), set()).update(_mentions([m], aliases))
                     if not m.name.startswith("_"):
-                        required.append((f"{module}:{node.name}.{m.name}", m.name))
-            edges.setdefault(node.name, set()).update(_mentions(body))
+                        required.append((f"{module}:{node.name}.{m.name}", ("method", m.name)))
+            edges.setdefault(("def", node.name), set()).update(_mentions(body, aliases))
     todo = list(reached)
     while todo:
-        for name in edges.get(todo.pop(), set()) - reached:
-            reached.add(name)
-            todo.append(name)
-    return [where for where, name in required if name not in reached]
+        for key in edges.get(todo.pop(), set()) - reached:
+            reached.add(key)
+            todo.append(key)
+    return [where for where, key in required if key not in reached]
 
 
 def test_reachability_guard_sees_an_orphan():
@@ -437,6 +494,13 @@ def test_reachability_guard_sees_an_orphan():
                                   "m.py:Parser"]
     sources["m.py"] += "PARSER = Parser()\n"
     assert unreached(sources, {"orphan", "unused"}) == []
+    # a method call reaches no top-level function of the same name; an alias does
+    sources["m.py"] += ("def flow():\n    return 0\n"
+                        "class Config:\n    def flow(self):\n        return 1\n"
+                        "def via_alias():\n    return 2\n"
+                        "def run(cfg: Config):\n    return cfg.flow()\n")
+    sources["cli.py"] = "from . import m as m_mod\nm_mod.run(m_mod.via_alias())\n"
+    assert unreached(sources, {"orphan", "unused"}) == ["m.py:flow"]
 
 
 def test_every_definition_is_reached():

@@ -565,7 +565,8 @@ class TestDeterminism:
 
 
 class TestTripleJson:
-    def triple_json(self, builtin="semidirect-so3", scale=1):
+    @staticmethod
+    def triple_json(builtin="semidirect-so3", scale=1):
         # a built-in triple, its structure constants times scale, in the user
         # file format (1-based indices), borrowing the built-in's chart
         triple, _ = builtin_triples()[builtin]
@@ -1058,9 +1059,9 @@ class TestMalformedInput:
             "builtin_ad": "iwasawa-su2"}))
         return {k: str(v) for k, v in files.items()}
 
-    def test_a_matrix_past_the_float_range_in_an_svd(self, capsys, tmp_path):
-        # the exact fiber has an entry past the float range (its SVD once ended
-        # in an uncaught LinAlgError)
+    def test_an_exact_fiber_past_the_float_range(self, capsys, tmp_path):
+        # the exact fiber has an entry past the float range, which rounding it to
+        # floats refuses (its SVD once ended in an uncaught LinAlgError)
         files = self.float_range_files(tmp_path)
         with warnings.catch_warnings():  # numpy's overflow warnings stay inside run
             warnings.simplefilter("error", RuntimeWarning)
@@ -1071,6 +1072,76 @@ class TestMalformedInput:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert code == 2 and "float range" in report["error"]
         assert captured.err == ""
+
+    @staticmethod
+    def input_error_files(tmp_path) -> dict:
+        """The files of `INPUT_ERRORS`, by name: tensors on R^3, a 2-form on R^2 and
+        the semidirect-so3 triple with one entry broken."""
+        chart, plane = Chart(3), Chart(2)
+        x, y, z = chart.coordinates()
+
+        def triple(edit):
+            data = TestTripleJson.triple_json()
+            edit(data)
+            return data
+
+        files = {
+            "form": jsonio.tensor_to_json(PolyKForm(chart, 1, {(0,): x})),
+            "so3": jsonio.tensor_to_json(lie_poisson(so3_constants(), 3).pi),
+            # the bivector Pi^ij = eps_ijk v_k of v = (-y, x, 1): v . curl v = 2
+            "helical": jsonio.tensor_to_json(PolyKVector(chart, 2, {
+                (0, 1): PolyScalar.constant(chart, 1), (0, 2): -x, (1, 2): -y})),
+            # at x = 1e200 the leaf's matrix is finite and its SVD does not converge
+            "squares": jsonio.tensor_to_json(PolyKVector(chart, 2, {
+                (0, 1): z * z, (1, 2): x * x, (0, 2): -y * y})),
+            "a_form": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(chart, 1, {(0,): x}))}},
+            "omega2": jsonio.tensor_to_json(PolyKForm(plane, 2, {(0, 1): plane.coordinate(0)})),
+            "unknown_ad": triple(lambda t: t.update(builtin_ad="nope")),
+            "chartless_ad": triple(lambda t: t.update(builtin_ad="standard-sl2")),
+            "short_metric": triple(lambda t: t["B"][0].pop()),
+            "short_basis": triple(lambda t: t["g_basis"][0].pop()),
+            "bool_value": triple(lambda t: t["C"][0].update(value=True)),
+            "string_value": triple(lambda t: t["C"][0].update(value="1/2")),
+        }
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        return {name: str(tmp_path / f"{name}.json") for name in files}
+
+    # name -> (argv, error): each input is refused with exit 2 and a report
+    INPUT_ERRORS = {
+        "poisson-check-on-a-form": (["poisson", "check", "--file", "{form}"],
+                                    "expected a degree-2 multivector"),
+        "unknown-builtin-ad": (["manin", "check", "--triple", "{unknown_ad}"],
+                               "unknown builtin_ad 'nope'"),
+        "chartless-builtin-ad": (["manin", "bivector", "--triple", "{chartless_ad}",
+                                  "--point", "0.1,0.2,0.3"],
+                                 "builtin 'standard-sl2' carries no chart"),
+        "manin-check-without-a-triple": (["manin", "check"], "need --builtin or --triple"),
+        "short-metric-row": (["manin", "check", "--triple", "{short_metric}"],
+                             "metric must be dim x dim"),
+        "short-basis-vector": (["manin", "check", "--triple", "{short_basis}"],
+                               "basis vector has wrong length"),
+        "boolean-constant": (["manin", "check", "--triple", "{bool_value}"],
+                             "boolean is not a rational"),
+        "string-constant": (["manin", "check", "--triple", "{string_value}"],
+                            "cannot parse rational from '1/2'"),
+        "omega-on-another-chart": (["dirac", "gauge", "--poisson", "{so3}", "--omega",
+                                    "{omega2}", "--point", "0.1,0.2,0.3"],
+                                   "tensor declares chart dim 2, expected 3"),
+        "moser-on-a-non-poisson-pi0": (["moser", "--poisson", "{helical}", "--a-form",
+                                        "{a_form}", "--grid-count", "2", "--step", "1e-2"],
+                                       "pi0 must be Poisson"),
+        "svd-past-the-float-range": (["poisson", "leaf", "--file", "{squares}",
+                                      "--point=1e200,0.3,0.2"],
+                                     "SVD did not converge: a matrix past the float range"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+    def test_input_error(self, capsys, tmp_path, case):
+        argv, error = self.INPUT_ERRORS[case]
+        files = self.input_error_files(tmp_path)
+        rep = self.check_exit_2(capsys, [a.format(**files) for a in argv])
+        assert error in rep["error"]
 
     # name -> (argv, exit code, error): each overflows or turns NaN inside numpy
     FLOAT_RANGE = {

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diraclab.errors import PreconditionError, TransversalityError
 from diraclab.fields import (
@@ -434,6 +435,63 @@ class TestPoissonMap:
         phi = PolyMap(pi_P.chart, chart_M, [q1, q2])
         rep = check_poisson_map(phi, pi_P, pi_M)
         assert rep.exact is False
+
+
+def pushed_reference(phi, pi_source, pi_target, anti) -> bool:
+    """d phi . Pi_source . d phi^T = (+/-) Pi_target o phi, every entry summed as
+    sum_ab J[i][a] S[a][b] J[j][b] from the symbolic Jacobian, in plain products and sums."""
+    J, S = phi.jacobian(), pi_source.component_matrix()
+    k, m = phi.source.dim, phi.target.dim
+    zero = PolyScalar.zero(phi.source)
+    return all(sum((J[i][a] * S[a][b] * J[j][b] for a in range(k) for b in range(k)), zero)
+               == (-1 if anti else 1) * phi.compose_scalar(pi_target.pi.component((i, j)))
+               for i in range(m) for j in range(m))
+
+
+RATIONALS = st.fractions(-3, 3, max_denominator=4)
+NONZERO = RATIONALS.filter(bool)
+
+
+def univariate(chart, k, coefficients) -> PolyScalar:
+    """sum_d coefficients[d] x_k^d on the chart."""
+    x = chart.coordinate(k)
+    return sum((c * x ** d for d, c in enumerate(coefficients)), PolyScalar.zero(chart))
+
+
+class TestPoissonMapAsBrackets:
+    """The exact verdict, {phi^i, phi^j} = (+/-) Pi_target^ij o phi, agrees with
+    d phi . Pi_source . d phi^T formed entry by entry, for both signs."""
+
+    SOURCES = [standard_symplectic_poisson(2), lie_poisson(so3_constants(), 3),
+               from_components(Chart(2), {(0, 1): Chart(2).coordinate(0)})]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(which=st.integers(0, 2), k=st.integers(0, 1), m=st.integers(1, 3), data=st.data())
+    def test_a_map_through_one_coordinate_into_zero(self, which, k, m, data):
+        # {f(x_k), g(x_k)} = f' g' {x_k, x_k} = 0
+        pi = self.SOURCES[which]
+        comps = [univariate(pi.chart, k, data.draw(st.lists(RATIONALS, max_size=4)))
+                 for _ in range(m)]
+        phi, zero = PolyMap(pi.chart, Chart(m), comps), from_components(Chart(m), {})
+        for anti in (False, True):
+            assert check_poisson_map(phi, pi, zero, anti=anti).exact is True
+            assert pushed_reference(phi, pi, zero, anti)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(c=NONZERO, lam=NONZERO, r=st.one_of(st.sampled_from([1, -1]), NONZERO),
+           g=st.lists(RATIONALS, max_size=4))
+    def test_the_realization_target_family(self, c, lam, r, g):
+        # phi = (c q1, lam (q2 + p1 q1) + g(q1)) onto lam' x d_x^d_y, lam' = r lam:
+        # {phi^1, phi^2} = c lam q1, so phi is Poisson iff r = 1 and anti-Poisson iff r = -1
+        source, M = standard_symplectic_poisson(2), Chart(2)
+        q1, q2, p1, _ = source.chart.coordinates()
+        phi = PolyMap(source.chart, M, [c * q1, lam * (q2 + p1 * q1)
+                                        + univariate(source.chart, 0, g)])
+        target = from_components(M, {(0, 1): r * lam * M.coordinate(0)})
+        for anti in (False, True):
+            verdict = check_poisson_map(phi, source, target, anti=anti).exact
+            assert verdict is pushed_reference(phi, source, target, anti)
+            assert verdict is (r == (-1 if anti else 1))
 
 
 def integrability_reference(E):

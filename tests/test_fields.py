@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,13 +18,10 @@ from diraclab.fields import (
     accumulate_signed,
     coordinate_form,
     coordinate_vector,
-    differential,
-    evaluate_at,
     exterior_derivative,
     interior_product,
     lie_derivative,
     pullback_form,
-    pushforward_vector_at_point,
     _collect_signed,
     _echelon,
     _span_test,
@@ -151,19 +147,6 @@ class TestAlternatingStructure:
         assert wedge(dx, dy) == -wedge(dy, dx)
         assert wedge(dx, dy).components[(0, 1)] == PolyScalar.constant(R2, 1)
 
-    def test_evaluate_at_dense(self):
-        x = R2.coordinate(0)
-        T = PolyKVector(R2, 2, {(0, 1): x})
-        M = evaluate_at(T, (2.0, 5.0))
-        assert M[0, 1] == 2.0 and M[1, 0] == -2.0
-        pts = np.array([(2.0, 5.0), (-1.5, 0.0), (0.25, 3.0)])
-        assert np.array_equal(evaluate_at(T, pts), [evaluate_at(T, x) for x in pts])
-        assert evaluate_at(differential(x * x), (3.0, 1.0)).tolist() == [6.0, 0.0]
-        with pytest.raises(DegreeError):
-            evaluate_at(PolyKVector(R2, 0, {(): x}), (2.0, 5.0))
-        with pytest.raises(ShapeError):  # a point does not broadcast across the chart
-            evaluate_at(T, (2.0,))
-
 
 class TestExteriorDerivative:
     def test_product_rule_example(self):
@@ -237,13 +220,6 @@ class TestPolyMap:
         phi = PolyMap(u_chart, Chart(1, ("x",)), [u * u])
         a = coordinate_form(phi.target, 0)
         assert pullback_form(phi, a) == PolyKForm(u_chart, 1, {(0,): 2 * u})
-
-    def test_pushforward_at_point(self):
-        u_chart = Chart(1, ("u",))
-        u = u_chart.coordinate(0)
-        phi = PolyMap(u_chart, R2, [u * u, u])
-        v = pushforward_vector_at_point(phi, (3.0,), (1.0,))
-        assert v == pytest.approx([6.0, 1.0])
 
     def test_pullback_wrong_chart(self):
         phi = PolyMap(R2, R2, R2.coordinates())

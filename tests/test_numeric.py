@@ -19,7 +19,7 @@ from diraclab.poisson import (
 )
 from diraclab.realization import RealizationConfig
 
-from conftest import dense_exact, exact_at, random_form, random_poly, random_vector
+from conftest import dense_exact, exact_at, random_form, random_poly, random_vector, spray_flow
 
 TIMES = (0.0, 0.3, -0.7)
 
@@ -601,7 +601,7 @@ class TestEscapeCheck:
         assert escape_verdict(_numeric._check_escape, y, 3, escape_norm) == want
 
     def test_the_full_check_never_runs_on_an_in_bounds_flow(self, monkeypatch):
-        from diraclab.realization import default_spray, flow
+        from diraclab.realization import default_spray
 
         # the row norms of the full check are the only einsum in a spray flow
         full = []
@@ -609,10 +609,10 @@ class TestEscapeCheck:
         monkeypatch.setattr(np, "einsum", lambda *a, **k: full.append(1) or real_einsum(*a, **k))
         spray = default_spray(lie_poisson(so3_constants(), 3))
         x0 = np.random.default_rng(1).uniform(-0.5, 0.5, size=(64, 6))
-        x, _ = flow(spray, x0, 1.0, RealizationConfig(step=0.01))
+        x, _ = spray_flow(spray, x0, 1.0, RealizationConfig(step=0.01))
         assert np.isfinite(x).all() and full == []
         with pytest.raises(DomainEscapeError, match="left the admissible region"):
-            flow(spray, x0, 1.0, RealizationConfig(step=0.01, escape_norm=0.5))
+            spray_flow(spray, x0, 1.0, RealizationConfig(step=0.01, escape_norm=0.5))
         assert full == [1]
 
 

@@ -18,10 +18,10 @@ from diraclab.dirac import GeneralizedSection, courant_bracket
 from diraclab.fields import Chart, PolyMap, lie_derivative, pullback_form
 from diraclab.maningroup import builtin_triples, homogeneous_space_check
 from diraclab.poisson import PoissonBivector, jacobiator, lie_poisson, so3_constants
-from diraclab.realization import (RealizationConfig, default_spray, flow, realization_form,
+from diraclab.realization import (RealizationConfig, default_spray, realization_form,
                                   sample_points, source_target, verify_dual_pair)
 
-from conftest import omega_can, random_form, random_poly, random_vector
+from conftest import omega_can, random_form, random_poly, random_vector, spray_flow
 
 sp = pytest.importorskip("sympy")
 
@@ -263,7 +263,7 @@ def _oracle_errors(c, n, step):
     spray, config = default_spray(lie_poisson(c, n)), RealizationConfig(step=step)
     pts = sample_points(n, 10, 0.2, seed=3)
     want, J = (np.array(a) for a in zip(*(linear_spray_flow(c, n, pt) for pt in pts)))
-    x1, J1 = flow(spray, pts, -1.0, config)
+    x1, J1 = spray_flow(spray, pts, -1.0, config)
     _, t, _, dt = source_target(spray, pts, config)
     return max(np.abs(x1 - want).max(), np.abs(J1 - J).max(),
                np.abs(t - want[:, :n]).max(), np.abs(dt - J[:, :n]).max())
