@@ -365,11 +365,11 @@ def _svd(A: np.ndarray, **kwargs):
         raise OverflowError("SVD did not converge: a matrix past the float range") from None
 
 
-def orthonormal_basis(columns: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal bases of a stack's column spans, via SVD with relative threshold."""
+def orthonormal_basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of a stack's column spans, via SVD with relative threshold RANK_TOL."""
     U, S, _ = _svd(columns, full_matrices=False)
     # S is sorted, so S_0 = 0 keeps nothing
-    return U * (S > tol * S[..., :1])[..., None, :]
+    return U * (S > RANK_TOL * S[..., :1])[..., None, :]
 
 
 def span_residual(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
@@ -396,18 +396,18 @@ def block_scale(A: np.ndarray) -> np.ndarray:
     return np.exp2(np.round(np.log2(np.where(m > 0, m, 1.0))))
 
 
-def pullback_fiber(J: np.ndarray, vectors: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """Columns spanning {(w, J^T forms c) : J w = vectors c} for a differential J.
+def pullback_fiber(J: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Columns spanning {(w, J^T c) : J w = vectors c} for a differential J.
 
-    This is the pullback along J of the Lagrangian fiber spanned by the
-    columns of (vectors, forms), per matrix of a stack.  The null space is
+    This is the pullback along J of the fiber {(Pi^T mu, mu)} of a graph
+    Gr(pi), with vectors = Pi^T, per matrix of a stack.  The null space is
     that of [J/j, -vectors/a] for the `block_scale`s j and a, so its rank
     does not depend on their ratio, and c = (j/a) c' for its c'.
     """
     j, a = block_scale(J), block_scale(vectors)
     K = nullspace_basis(np.concatenate([J / j, -vectors / a], axis=-1))
     k = J.shape[-1]
-    nu = np.swapaxes(J, -1, -2) @ (forms @ K[..., k:, :]) * (j / a)
+    nu = np.swapaxes(J, -1, -2) @ K[..., k:, :] * (j / a)
     return np.concatenate([K[..., :k, :], nu], axis=-2)
 
 

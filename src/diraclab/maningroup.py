@@ -8,13 +8,15 @@ membership (a bracket in a subalgebra; Ad_K-invariance, as a rational X has
 Ad_{exp X} l = l iff [X, l] lies in l) is one `fields._span_test`, in ints.
 Jacobi, ad-invariance and isotropy also sum ints: the numerators of the
 constants and of the metric, each over one positive denominator.
-Group-level data is numeric and numpy-only.  Chart points are exponential
-coordinates in a basis of g.  One matrix exponential, `_expm`, serves
-every group quantity.  One `_PointJet` per point forms, from `chart.triple`,
-Ad = expm(ad_Z), the left-trivialized frame Xi and its partials from one
-block exponential of (1 - e^{-ad_Z})/ad_Z and its derivative, the exact
-d_m Ad = Ad ad(theta_m), and K = Ad|_g; g is a subalgebra, so
-Ad^{-1}|_g = K^{-1}, a solve.  Every chart certificate reads these jets.
+The exact types hold no float: group-level data is numpy-only, and its one
+input is a chart's float record `GroupChart.floats`, formed on first use.
+Chart points are exponential coordinates in a basis of g.  One matrix
+exponential, `_expm`, serves every group quantity.  One `_PointJet` per point
+forms, from that record, Ad = expm(ad_Z), the left-trivialized frame Xi and
+its partials from one block exponential of (1 - e^{-ad_Z})/ad_Z and its
+derivative, the exact d_m Ad = Ad ad(theta_m), and K = Ad|_g; g is a
+subalgebra, so Ad^{-1}|_g = K^{-1}, a solve.  Every chart certificate reads
+these jets.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -54,7 +57,7 @@ class MetrizedLieAlgebra:
     """Exact structure constants and metric, both also as int numerators: the
     constants over one `den`, the metric rows over the lcm of its denominators."""
 
-    __slots__ = ("dim", "C", "B", "den", "_Cnum", "_metric_rows", "_tensor", "_Bnum")
+    __slots__ = ("dim", "C", "B", "den", "_Cnum", "_metric_rows")
 
     def __init__(self, dim: int, C: dict, B):
         self.dim = dim
@@ -68,8 +71,6 @@ class MetrizedLieAlgebra:
         m = math.lcm(*(w.denominator for row in self.B for w in row))
         self._metric_rows = [[(j, w.numerator * (m // w.denominator)) for j, w in enumerate(row)
                               if w] for row in self.B]
-        self._tensor = None
-        self._Bnum = None
 
     def scaled_bracket(self, x, y) -> list:
         """den [x, y]: ints on int coefficient vectors, spanning what [x, y] spans."""
@@ -83,28 +84,6 @@ class MetrizedLieAlgebra:
         zero exactly when B(x, y) is."""
         return sum(x[i] * w * y[j] for i, row in enumerate(self._metric_rows) if x[i]
                    for j, w in row)
-
-    # numeric views ---------------------------------------------------------
-
-    def bracket_tensor(self) -> np.ndarray:
-        if self._tensor is None:
-            T = np.zeros((self.dim, self.dim, self.dim))
-            for (a, b, k), v in self.C.items():
-                T[a, b, k] = float(v)
-                T[b, a, k] = -float(v)
-            self._tensor = T
-        return self._tensor
-
-    def bracket_num(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("abk,a,b->k", self.bracket_tensor(), x, y)
-
-    def ad_num(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("abk,a->kb", self.bracket_tensor(), x)
-
-    def metric_num(self) -> np.ndarray:
-        if self._Bnum is None:
-            self._Bnum = np.array([[float(v) for v in row] for row in self.B])
-        return self._Bnum
 
 
 def check_metrized(algebra: MetrizedLieAlgebra):
@@ -146,7 +125,7 @@ class ManinTriple:
     Basis vectors are stored as columns over the d-basis, exact rationals.
     """
 
-    __slots__ = ("algebra", "g_basis", "h_basis", "_num")
+    __slots__ = ("algebra", "g_basis", "h_basis")
 
     def __init__(self, algebra: MetrizedLieAlgebra, g_basis, h_basis):
         self.algebra = algebra
@@ -156,31 +135,10 @@ class ManinTriple:
         for v in self.g_basis + self.h_basis:
             if len(v) != d:
                 raise ShapeError("basis vector has wrong length")
-        self._num = None
 
     @property
     def half_dim(self) -> int:
         return len(self.g_basis)
-
-    # numeric caches ----------------------------------------------------------
-
-    def _numeric(self):
-        if self._num is None:
-            G = np.array([[float(x) for x in v] for v in self.g_basis]).T
-            H = np.array([[float(x) for x in v] for v in self.h_basis]).T
-            full = np.column_stack([G, H])
-            inv = np.linalg.inv(full)
-            n = self.half_dim
-            pr_g = G @ inv[:n, :]
-            pr_h = H @ inv[n:, :]
-            Bn = self.algebra.metric_num()
-            # ad_d[m] = ad(g_m) on d; ad_g[m] is its restriction to g, in the g-basis
-            ad_d = np.array([self.algebra.ad_num(G[:, m]) for m in range(n)])
-            self._num = {
-                "G": G, "H": H, "pr_g": pr_g, "pr_h": pr_h, "g_coords": inv[:n, :],
-                "B": Bn, "P0": H.T @ Bn @ G, "ad_d": ad_d, "ad_g": inv[:n, :] @ ad_d @ G,
-            }
-        return self._num
 
 
 def _bracket_escape(algebra: MetrizedLieAlgebra, basis, acting=None) -> tuple | None:
@@ -252,7 +210,7 @@ class GroupChart:
     `param` maps chart coordinates to a group matrix, `log_map` inverts it
     near the identity; both are only used to multiply group elements.  The
     adjoint action on d and the left-invariant coordinate frame are computed
-    from the structure constants.
+    from the structure constants, through `floats`.
     """
 
     name: str
@@ -264,9 +222,29 @@ class GroupChart:
     def dim(self) -> int:
         return self.triple.half_dim
 
+    @cached_property
+    def floats(self) -> dict:
+        """The triple's floats, formed on first use, so a user triple's axioms are
+        decided before [G | H] (singular if h = g) is inverted: the bracket tensor
+        T, G, H, pr_g, pr_h, the g-coordinates, B, P0 = H^T B G, ad_d[m] = ad(g_m)
+        on d and ad_g[m], its restriction to g in the g-basis."""
+        alg, n = self.triple.algebra, self.dim
+        T = np.zeros((alg.dim,) * 3)
+        for (a, b, k), v in alg.C.items():
+            T[a, b, k] = float(v)
+            T[b, a, k] = -float(v)
+        G = np.array([[float(x) for x in v] for v in self.triple.g_basis]).T
+        H = np.array([[float(x) for x in v] for v in self.triple.h_basis]).T
+        inv = np.linalg.inv(np.column_stack([G, H]))
+        Bn = np.array([[float(v) for v in row] for row in alg.B])
+        ad_d = np.array([np.einsum("abk,a->kb", T, G[:, m]) for m in range(n)])
+        return {"T": T, "G": G, "H": H, "pr_g": G @ inv[:n, :], "pr_h": H @ inv[n:, :],
+                "g_coords": inv[:n, :], "B": Bn, "P0": H.T @ Bn @ G, "ad_d": ad_d,
+                "ad_g": inv[:n, :] @ ad_d @ G}
+
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Ad_{g(x)} on d."""
-        return _expm(np.tensordot(np.asarray(x, dtype=float), self.triple._numeric()["ad_d"], 1))
+        return _expm(np.tensordot(np.asarray(x, dtype=float), self.floats["ad_d"], 1))
 
     def frame_jet(self, x: np.ndarray) -> tuple:
         """Left-trivialized coordinate frame Xi(x) and its partials dXi[m] = d Xi / dx_m.
@@ -280,7 +258,7 @@ class GroupChart:
         upper-right block of exp([[W, I], [0, 0]]) (Van Loan, IEEE TAC 1978).
         """
         n = self.dim
-        E = self.triple._numeric()["ad_g"]
+        E = self.floats["ad_g"]
         M = -np.tensordot(np.asarray(x, dtype=float), E, 1)
         w = n * (n + 1)
         A = np.zeros((2 * w, 2 * w))
@@ -311,10 +289,10 @@ def _h_bivector(num: dict, U: np.ndarray, x) -> np.ndarray:
 
 
 def _chart_numeric(triple: ManinTriple, chart: GroupChart) -> dict:
-    """The numeric data of `chart.triple`; any other `triple` is refused, not mixed in."""
+    """`chart.floats`; a `triple` other than `chart.triple` is refused, not mixed in."""
     if triple is not chart.triple:
         raise ShapeError(f"the chart {chart.name!r} belongs to another triple; pass chart.triple")
-    return triple._numeric()
+    return chart.floats
 
 
 def drinfeld_bivector(triple: ManinTriple, chart: GroupChart, x) -> np.ndarray:
@@ -337,7 +315,7 @@ class _PointJet:
 
     def __init__(self, chart: GroupChart, x):
         self.x = x
-        self.num = num = chart.triple._numeric()
+        self.num = num = chart.floats
         self.Xi, self.dXi = chart.frame_jet(x)
         self.Ad = chart.ad(x)
         self.dAd = self.Ad @ np.tensordot(self.Xi.T, num["ad_d"], 1)
@@ -404,10 +382,10 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
     error cancels from (1) (theta^L = G Xi meets v = (K Xi)^{-1} y); (2),
     (3) and the Jacobiator (`jacobiator_fd_residual`) certify the frame.
     """
-    alg, num = triple.algebra, _chart_numeric(triple, chart)
-    G, B, gc = num["G"], num["B"], num["g_coords"]
+    num = _chart_numeric(triple, chart)
+    G, B, gc, T = num["G"], num["B"], num["g_coords"], num["T"]
     z1, z2 = np.asarray(zeta1, dtype=float), np.asarray(zeta2, dtype=float)
-    z12 = alg.bracket_num(z1, z2)
+    z12 = np.einsum("abk,a,b->k", T, z1, z2)
     res = {"metric": [], "bracket": [], "coframe_derivative": []}
     for pt in points:
         jet = _PointJet(chart, pt)
@@ -419,7 +397,8 @@ def e_map_residuals(triple: ManinTriple, chart: GroupChart, points, zeta1, zeta2
         # (L_X theta)(d/dx_i) = X(theta(d/dx_i)) + sum_j dX^j/dx_i theta(d/dx_j)
         lhs = G @ np.tensordot(v1, jet.dXi, 1) + th @ J1
         # column i of [Ad theta_i, Ad zeta] = -ad(Ad zeta) Ad theta_i
-        rhs = G @ np.linalg.solve(jet.K, gc @ (-alg.ad_num(jet.Ad @ z1) @ (jet.Ad @ th)))
+        ad_z = np.einsum("abk,a->kb", T, jet.Ad @ z1)  # ad(Ad zeta) on d
+        rhs = G @ np.linalg.solve(jet.K, gc @ (-ad_z @ (jet.Ad @ th)))
         res["coframe_derivative"].append(np.abs(lhs - rhs).max())
     return {k: worst(v)[0] for k, v in res.items()}
 
@@ -454,7 +433,7 @@ def verify_multiplicativity(triple: ManinTriple, chart: GroupChart, pairs) -> di
         push = sum(Dk @ jk.bivector() @ Dk.T for Dk, jk in ((D[:, :n], j1), (D[:, n:], j2)))
         results.append(float(np.abs(push - jz.bivector()).max()))
     r, (x1, x2) = worst(results, pairs)
-    return {"max_residual": r, "worst_pair": (tuple(x1), tuple(x2)), "residuals": results}
+    return {"max_residual": r, "worst_pair": (tuple(x1), tuple(x2))}
 
 
 def jacobiator_fd_residual(triple: ManinTriple, chart: GroupChart, points) -> float:
@@ -548,8 +527,8 @@ def semidirect_triple(constants: dict, n: int) -> ManinTriple:
 
 def _so3_chart(triple: ManinTriple) -> GroupChart:
     def param(x):
-        # so(3) in its adjoint picture: the generators are the triple's ad_g
-        return _expm(np.tensordot(np.asarray(x, dtype=float), triple._numeric()["ad_g"], 1))
+        # so(3) in its adjoint picture, generated by this chart's ad_g, also when borrowed
+        return _expm(np.tensordot(np.asarray(x, dtype=float), chart.floats["ad_g"], 1))
 
     def log_map(R):
         # principal log: R - R^T = 2 sin(angle) [axis]_x, tr R = 1 + 2 cos(angle)
@@ -557,7 +536,8 @@ def _so3_chart(triple: ManinTriple) -> GroupChart:
         angle = math.atan2(np.linalg.norm(v), 0.5 * (np.trace(R) - 1.0))
         return v / np.sinc(angle / math.pi)
 
-    return GroupChart("so3-rotation", triple, param, log_map)
+    chart = GroupChart("so3-rotation", triple, param, log_map)
+    return chart
 
 
 def so3_semidirect() -> tuple:

@@ -201,9 +201,8 @@ def verify_dual_pair(
     kt, ks = nullspace_basis(dt), nullspace_basis(ds)
     r2 = np.abs(np.swapaxes(kt, 1, 2) @ W @ ks).max(axis=(1, 2))
     # the fibers of Gr(pi) are {(Pi^T mu, mu)}
-    eye = np.eye(Pt.shape[1])
-    gauged = gauge_fiber(pullback_fiber(dt, np.swapaxes(Pt, 1, 2), eye), W)
-    sgt = pullback_fiber(ds, np.swapaxes(Ps, 1, 2), eye)
+    gauged = gauge_fiber(pullback_fiber(dt, np.swapaxes(Pt, 1, 2)), W)
+    sgt = pullback_fiber(ds, np.swapaxes(Ps, 1, 2))
     res = np.column_stack([np.maximum(r1t, r1s), r2, span_residual(gauged, sgt)])
 
     def crit(name, col):

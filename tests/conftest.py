@@ -139,7 +139,7 @@ def frame_oracle(chart, x):
     derivative of exp there in the direction [[-E_m, 0], [0, 0]]."""
     linalg = pytest.importorskip("scipy.linalg")
     n = chart.dim
-    E = chart.triple._numeric()["ad_g"]
+    E = chart.floats["ad_g"]
     A = np.zeros((2 * n, 2 * n))
     A[:n, :n] = -np.tensordot(np.asarray(x, dtype=float), E, 1)
     A[:n, n:] = np.eye(n)
@@ -155,7 +155,7 @@ def chart_bivector_oracle(chart, x):
     """scipy reference for the chart bivector A^{-1} P A^{-T}: Ad = exp(ad_x) on
     d, P[a, b] = < pr_g Ad h_a, pr_h Ad h_b >, A = P0 Xi with the oracle frame."""
     linalg = pytest.importorskip("scipy.linalg")
-    num = chart.triple._numeric()
+    num = chart.floats
     U = linalg.expm(np.tensordot(np.asarray(x, dtype=float), num["ad_d"], 1)) @ num["H"]
     P = (num["pr_g"] @ U).T @ num["B"] @ (num["pr_h"] @ U)
     Ainv = np.linalg.inv(num["P0"] @ frame_oracle(chart, x)[0])

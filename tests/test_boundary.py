@@ -39,9 +39,13 @@ invariant is a `DomainEscapeError`, which the CLI reports as a failed check.
 writes a "status" key, and every CLI handler returns its criteria as records.
 The Manin axioms are decided over Q with no tolerance: the metrized-algebra
 and triple checks, the homogeneous-space criteria (Ad_K-invariance included)
-and the CLI's borrowed-chart check read no `np` name and no `_numeric()`
-view, and the float paths they replaced (`GROUP_TOL`, `GroupChart.validate`,
-`HomogeneousSpaceData`) stay gone, as does the unused `realization_sample`.
+and the CLI's borrowed-chart check name neither `np` nor `float` and read no
+chart's float record `floats`, and the float paths they replaced (`GROUP_TOL`,
+`GroupChart.validate`, `HomogeneousSpaceData`) stay gone, as does the unused
+`realization_sample`.  Nor do the class bodies of the exact types
+`MetrizedLieAlgebra` and `ManinTriple`: their float views (`bracket_tensor`,
+`bracket_num`, `ad_num`, `metric_num`) stay gone, and the one float record is
+the chart's.
 The pointwise gauge and pullback (`dirac.gauge_poisson`,
 `dirac.pullback_dirac_at_point`) decide transversality over Q with one
 rational null space: they call none of the float helpers that once decided it
@@ -73,7 +77,8 @@ REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_c
             "evaluate", "compiled_matrix", "gauss_legendre_01", "gauge_matrix_at",
             "_coefs_at", "GROUP_TOL", "HomogeneousSpaceData", "RealizationSample",
             "realization_sample", "validate", "value_at", "_selected", "_derivative",
-            "evaluate_at", "jacobian_at", "pushforward_vector_at_point"}
+            "evaluate_at", "jacobian_at", "pushforward_vector_at_point",
+            "bracket_tensor", "bracket_num", "ad_num", "metric_num"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -329,27 +334,32 @@ def test_cli_handlers_return_criterion_records(tmp_path, monkeypatch, capsys):
 
 EXACT_DECISIONS = {"maningroup.py": ["check_metrized", "check_manin_triple", "_bracket_escape",
                                     "_nonzero_pairing", "_lagrangian_failure",
-                                    "homogeneous_space_check"],
+                                    "homogeneous_space_check",
+                                    "MetrizedLieAlgebra", "ManinTriple"],
                    "cli.py": ["_check_borrowed_chart"]}
 
 
 def _float_reads(fn) -> list:
-    """Lines of a function that name `np` or read a `_numeric` view."""
+    """Lines of a function or class that name `np` or `float` or read a chart's
+    float record `floats`."""
     return sorted(node.lineno for node in ast.walk(fn)
-                  if isinstance(node, ast.Name) and node.id == "np"
-                  or isinstance(node, ast.Attribute) and node.attr == "_numeric")
+                  if isinstance(node, ast.Name) and node.id in ("np", "float")
+                  or isinstance(node, ast.Attribute) and node.attr == "floats")
 
 
 def test_float_guard_sees_a_float_comparison():
-    src = "def f(t, u):\n    return np.abs(t._numeric()['ad_g'] - u).max() < 1e-12\n"
-    assert _float_reads(ast.parse(src).body[0]) == [2, 2]
+    src = ("class Triple:\n    def f(t, u):\n"
+           "        return np.abs(t.chart.floats['ad_g'] - u).max() < 1e-12\n"
+           "    def metric(t):\n        return [[float(v) for v in row] for row in t.B]\n")
+    assert _float_reads(ast.parse(src).body[0]) == [3, 3, 5]
 
 
+# the exact decisions, and the exact types whose class bodies hold no float
 @pytest.mark.parametrize("module, name", [(m, f) for m, fs in EXACT_DECISIONS.items()
                                           for f in fs])
 def test_manin_axioms_are_decided_without_floats(module, name):
     fn = next(node for node in ast.walk(_tree(PACKAGE / module))
-              if isinstance(node, ast.FunctionDef) and node.name == name)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
     found = _float_reads(fn)
     assert not found, f"{module}:{name} reads floats at lines {found}"
 
@@ -397,8 +407,8 @@ def test_span_membership_goes_through_one_echelon(path):
 
 # Entry points that only the benchmark reads (perfbench/workloads.py).  The benchmark
 # lives outside the package and is edited only by its own changes, so the guard takes
-# these names as roots; `_stencil`, `one_form_bracket`, `bracket_num` and
-# `_PointJet.dressing` are reached through them.
+# these names as roots; `_stencil`, `one_form_bracket` and `_PointJet.dressing` are
+# reached through them.
 BENCH_ONLY = frozenset({"bracket_relations_residual", "closedness_residual",
                         "e_map_residuals", "rational_to_json"})
 BENCH_WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
