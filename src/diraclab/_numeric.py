@@ -16,7 +16,8 @@ One flow function, `flow_points(field, x0, t, config)`, with one field
 protocol: a binder field(state, row) -> write, whose write() fills row with
 [a | Da J] at the bound state.  `PackedPolys.bind` (one gather, one matmul
 into its own [a | Da], one copy of a, one matmul into the Da J slot) and the
-Moser binder take their views from `_stage_slots`.  A vector field with
+Moser binder (one gather and matmul, one `gauge_inverse`, matmuls into bound
+buffers) take their views from `_stage_slots`.  A vector field with
 coefficient functions a(x) generates the flow Phi_t whose trajectories solve
 dx/dt = -a(x).  For a time-dependent field the flow is defined through its
 action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_t is

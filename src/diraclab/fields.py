@@ -468,12 +468,14 @@ class PolyScalar:
         if self.chart.dim == 0:
             raise ShapeError("cannot infer source chart for a dim-0 composition")
         src, exps = polys[0].chart, self.chart._exps
-        out = PolyScalar.zero(src)
+        out, powers = PolyScalar.zero(src), {}  # (i, e) -> polys[i]**e, formed once
         for k, v in self._num.items():
             term = PolyScalar._canonical(src, {0: v}, self._den)
-            for p, e in zip(polys, exps.unpack(k.to_bytes(exps.size, "little"))):
+            for i, e in enumerate(exps.unpack(k.to_bytes(exps.size, "little"))):
                 if e:
-                    term = term * p**e
+                    if (i, e) not in powers:
+                        powers[i, e] = polys[i] ** e
+                    term = term * powers[i, e]
             out = out + term
         return out
 

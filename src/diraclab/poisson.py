@@ -431,7 +431,7 @@ def moser_verify(
     field is X = Pi^T u, with the exact Jacobian
     d_k X = d_k Pi^T u + Pi^T A^{-T}(d_k a - d_k A^T u).  A_t is formed exactly
     (`gauge_family`) and compiled with Pi and a_t, so one table evaluation
-    gives every partial, and a call does one inverse (`gauge_inverse`) and matmuls.
+    gives every partial, and a flow stage does one `gauge_inverse` and matmuls.
     """
     if not is_poisson(pi0):
         raise PreconditionError("pi0 must be Poisson")
@@ -439,13 +439,13 @@ def moser_verify(
         raise PreconditionError("a_t must be a family of 1-forms")
     if a_t.chart != pi0.chart:
         raise ChartMismatchError("a_t on the wrong chart")
-    gauge, _, field = _moser_field(pi0, a_t)
+    gauge, field = _moser_field(pi0, a_t)
     grid_arr = np.array([list(map(float, g)) for g in grid])
     res = []
     for T in map(float, times):
         x_end, J = flow_points(field, grid_arr, T, config)
-        P, Ainv, _, _ = gauge(grid_arr, T)
-        piT = Ainv @ P
+        P, A = gauge(grid_arr, T)
+        piT = gauge_inverse(A, grid_arr, _DEGENERATE, T) @ P
         pushed = np.einsum("bij,bjk,blk->bil", J, piT, J)
         target = gauge(x_end, 0.0)[0]  # Pi, which is pi0, at x_end
         res.append(np.abs(pushed - target).reshape(len(grid_arr), -1).max(axis=1))
@@ -453,14 +453,18 @@ def moser_verify(
     return CriterionResult("pushforward-invariance", r, tuple(x), tolerance)
 
 
-def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
-    """Evaluators of the gauge family and of X_t = pi_t^#(a_t).
+_DEGENERATE = "gauge family degenerate at t={}"
 
-    gauge(pts, t) -> (Pi, A_t^{-1}, a_t, partials) from one packed table
-    evaluation and `gauge_inverse`; velocity(Pi, A_t^{-1}, a_t, partials) ->
-    (X_t, DX_t) with the exact Jacobian of moser_verify; and
-    field(state, row), the `flow_points` field, whose writer reads x and t
-    and the same table from the flow state [x | J | t | 1].
+
+def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
+    """The gauge family and the flow field of X_t = pi_t^#(a_t).
+
+    gauge(pts, t) -> (Pi, A_t) from one packed table evaluation.
+    field(state, row), the `flow_points` binder, binds once everything its
+    writer reads: one table buffer [a | Pi, A | d a | d (Pi, A)] and u, M and
+    DX.  write() evaluates the table at x and t of the state, inverts A once
+    (`gauge_inverse`), and with u = A^{-T} a and M = Pi^T A^{-T} writes
+    X = Pi^T u into the row's a slot and DX J into its J slot.
     """
     n, P = pi0.chart.dim, pi0.component_matrix()
     A_t = gauge_family(pi0, a_t.exterior_derivative().time_integral().coeffs)
@@ -470,34 +474,37 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
         [{0: p} if p else {} for p in P[i]]
         + [{d: A[i][j] for d, A in A_t.items() if A[i][j]} for j in range(n)])]],
         partials=True)
-
-    def split(x, t, vals, parts):
-        P, A = vals[:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
-        return P, gauge_inverse(A, x, "gauge family degenerate at t={}", t), vals[:, :n], parts
+    w = n + 2 * n * n
 
     def gauge(pts, t):
-        return split(pts, t, *packed(pts, t))
-
-    def velocity(P, Ainv, a, parts):
-        PT, AiT = P.swapaxes(1, 2), Ainv.swapaxes(1, 2)
-        u = AiT @ a[..., None]
-        # [b, j, k] = (d_k Pi^T u)_j and (d_k A^T u)_j
-        dPu, dATu = (u.swapaxes(1, 2) @ parts[:, n:].reshape(len(a), n, -1)).reshape(
-            -1, 2, n, n).transpose(1, 0, 2, 3)
-        return (PT @ u)[..., 0], dPu + PT @ AiT @ (parts[:, :n] - dATu)
+        return packed(pts, t)[0][:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
 
     def field(state, row):
         ka, kJ, J = _stage_slots(state, row, n)
-        x, tau = state[:, :n], state[:, -2]
+        B, x, tau = len(state), state[:, :n], state[:, -2]
+        out = np.empty((B, w * (1 + n)))
+        a, (P, A) = out[:, :n, None], out[:, n:w].reshape(B, n, 2, n).transpose(2, 0, 1, 3)
+        da, dPA = out[:, w:w + n * n].reshape(B, n, n), out[:, w + n * n:].reshape(B, n, -1)
+        u, M, DX, uPA = (np.empty(s) for s in ((B, n, 1), (B, n, n), (B, n, n), (B, 1, 2 * n * n)))
+        PT, X, uT = P.swapaxes(1, 2), ka[..., None], u.swapaxes(1, 2)
+        # [b, j, k] = (d_k Pi^T u)_j and (d_k A^T u)_j
+        dPu, dATu = uPA.reshape(B, 2, n, n).transpose(1, 0, 2, 3)
 
         def write():
-            X, DX = velocity(*split(x, tau[0], *packed.at_state(state)))
-            ka[...] = X
+            np.matmul(packed.monomials(state), packed.coefs, out=out)
+            AiT = gauge_inverse(A, x, _DEGENERATE, tau[0]).swapaxes(1, 2)
+            np.matmul(AiT, a, out=u)
+            np.matmul(PT, u, out=X)
+            np.matmul(uT, dPA, out=uPA)
+            np.matmul(PT, AiT, out=M)
+            np.subtract(da, dATu, out=dATu)  # DX = d Pi^T u + M (d a - d A^T u)
+            np.matmul(M, dATu, out=DX)
+            np.add(DX, dPu, out=DX)
             np.matmul(DX, J, out=kJ)
 
         return write
 
-    return gauge, velocity, field
+    return gauge, field
 
 
 # -- Euler-like linearization ----------------------------------------------------

@@ -111,6 +111,22 @@ def stage_field(f):
     return bind
 
 
+def field_at_points(field):
+    """(pts, t) -> (a, Da) of a `flow_points` field: its writer bound to the
+    state [x | I | t | 1], whose row [a | Da I] holds Da itself."""
+
+    def at(pts, t):
+        B, n = pts.shape
+        m = n + n * n
+        state = np.empty((B, m + 2))
+        state[:, :n], state[:, n:m], state[:, m], state[:, m + 1] = pts, np.eye(n).ravel(), t, 1.0
+        row = np.empty_like(state)
+        field(state, row)()
+        return row[:, :n], row[:, n:m].reshape(B, n, n)
+
+    return at
+
+
 def random_point(rng, dim, numerators=9, denominator=4):
     return tuple(Fraction(rng.randint(-numerators, numerators), denominator) for _ in range(dim))
 

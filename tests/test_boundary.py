@@ -23,7 +23,9 @@ calls it.  Nor does any module call `numpy.linalg.det`: a determinant is a
 product of n singular values, so a threshold on it makes a transversality
 verdict depend on the dimension (0.005 I passes in dimension 2 and fails
 below 1e-12 in dimension 6); every numeric gauge goes through
-`_numeric.gauge_inverse`, which bounds the entries of the inverse instead.  `flow_points` has one field protocol, field(state, row) -> write, so it
+`_numeric.gauge_inverse`, which bounds the entries of the inverse instead;
+the Moser flow (`_moser_field`, `moser_verify`) calls no `numpy.linalg`
+function at all, so it has no raw-inverse path around that bound.  `flow_points` has one field protocol, field(state, row) -> write, so it
 branches on no type; and the Gauss-Legendre rule is tabulated once, in
 `realization`, so no flow (or import) solves its eigenproblem.  The exact
 calculus has one Lie-derivative pass, `fields._lie_terms`, behind
@@ -195,6 +197,33 @@ def test_no_module_calls_det(path):
              and "linalg" in (getattr(node.func.value, "attr", None),
                               getattr(node.func.value, "id", None))]
     assert not calls, f"{path.name} calls linalg.det at lines {calls}"
+
+
+def _linalg_calls(tree, name: str) -> list:
+    """Lines of the function `name` in a module tree that call a `numpy.linalg`
+    function, as `np.linalg.f`, `linalg.f` or a name imported from numpy.linalg."""
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                for a in node.names}
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return sorted(node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and ("linalg" in (getattr(getattr(node.func, "value", None), "attr", None),
+                                    getattr(getattr(node.func, "value", None), "id", None))
+                       or getattr(node.func, "id", None) in imported))
+
+
+def test_linalg_guard_sees_an_inverse():
+    src = ("from numpy.linalg import solve as sv\n"
+           "def _moser_field(A, b):\n    Ai = np.linalg.inv(A)\n"
+           "    return sv(A, b) @ linalg.det(Ai) @ gauge_inverse(A, b, '')\n")
+    assert _linalg_calls(ast.parse(src), "_moser_field") == [3, 4, 4]
+
+
+@pytest.mark.parametrize("name", ["moser_verify", "_moser_field"])
+def test_moser_inverts_through_gauge_inverse_alone(name):
+    found = _linalg_calls(_tree(PACKAGE / "poisson.py"), name)
+    assert not found, f"poisson.py:{name} calls numpy.linalg at lines {found}"
 
 
 def test_flow_points_has_one_field_protocol():

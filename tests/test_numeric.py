@@ -19,7 +19,8 @@ from diraclab.poisson import (
 )
 from diraclab.realization import RealizationConfig
 
-from conftest import dense_exact, exact_at, random_form, random_poly, random_vector, spray_flow
+from conftest import (dense_exact, exact_at, field_at_points, random_form, random_poly,
+                      random_vector, spray_flow)
 
 TIMES = (0.0, 0.3, -0.7)
 
@@ -268,7 +269,8 @@ def so3_moser_family():
 
 def flow_fields():
     """name -> (field, rhs): the flow_points field on the flow state, and the
-    same field at points through the public PackedPolys.__call__."""
+    same field at points through the public PackedPolys.__call__ (the Moser
+    field's writer on the state [x | I | t | 1])."""
     from diraclab.poisson import _moser_field
     from diraclab.realization import default_spray
 
@@ -284,8 +286,8 @@ def flow_fields():
         0: PolyKVector(chart, 1, {(0,): x * x, (1,): x * y}),
         1: PolyKVector(chart, 1, {(0,): x * y * y})})], partials=True)
     out["euler"] = (Z_t.bind, Z_t)
-    gauge, velocity, field = _moser_field(*so3_moser_family())
-    out["moser"] = (field, lambda pts, t: velocity(*gauge(pts, t)))
+    field = _moser_field(*so3_moser_family())[1]
+    out["moser"] = (field, field_at_points(field))
     return out
 
 

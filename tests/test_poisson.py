@@ -36,9 +36,10 @@ from diraclab.poisson import (
     so3_constants,
     standard_symplectic_poisson,
 )
+from diraclab import poisson
 from diraclab.poisson import _moser_field
 
-from conftest import dense_exact, random_poly, random_vector
+from conftest import dense_exact, field_at_points, random_poly, random_vector
 
 
 def jac_oracle(pi, f, g, h):
@@ -497,9 +498,66 @@ class TestMoserAnalyticField:
 
     @staticmethod
     def point_field(pi0, a_t):
-        """X_t and DX_t at points: the flow field's velocity on the gauge values."""
-        gauge, velocity, _ = _moser_field(pi0, a_t)
-        return lambda pts, t: velocity(*gauge(pts, t))
+        """X_t and DX_t at points: the flow field's writer on [x | I | t | 1]."""
+        return field_at_points(_moser_field(pi0, a_t)[1])
+
+    @staticmethod
+    def bound_writer(monkeypatch, pi0, a_t, pts, t, J):
+        """The writer of the flow field bound to the state [x | J | t | 1], its
+        row, and the field's table, caught as `_moser_field` compiles it."""
+        tables, compile_tensors = [], poisson.compile_tensors
+        with monkeypatch.context() as m:
+            m.setattr(poisson, "compile_tensors",
+                      lambda *a, **k: tables.append(compile_tensors(*a, **k)) or tables[0])
+            field = _moser_field(pi0, a_t)[1]
+        B, n = pts.shape
+        state = np.concatenate([pts, J.reshape(B, n * n), np.full((B, 1), t), np.ones((B, 1))],
+                               axis=1)
+        row = np.zeros_like(state)
+        return field(state, row), row, tables[0]
+
+    @pytest.mark.parametrize("name", ["so3", "dim6"])
+    def test_writer_matches_reference_bit_for_bit(self, monkeypatch, name):
+        # the reference splits the table's values at points and forms u = A^{-T} a,
+        # X = Pi^T u and DX = d Pi^T u + Pi^T A^{-T} (d a - d A^T u) as temporaries
+        pi0, a_t = self.family(name)
+        n = pi0.chart.dim
+        rng = np.random.default_rng(5)
+        pts, J = rng.uniform(-0.5, 0.5, size=(7, n)), rng.uniform(-1, 1, size=(7, n, n))
+        for t in (0.4, -0.3):
+            write, row, packed = self.bound_writer(monkeypatch, pi0, a_t, pts, t, J)
+            write()
+            vals, parts = packed(pts, t)
+            P, A = vals[:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
+            PT, AiT = P.swapaxes(1, 2), np.linalg.inv(A).swapaxes(1, 2)
+            u = AiT @ vals[:, :n, None]
+            dPu, dATu = (u.swapaxes(1, 2) @ parts[:, n:].reshape(len(pts), n, -1)).reshape(
+                -1, 2, n, n).transpose(1, 0, 2, 3)
+            DX = dPu + PT @ AiT @ (parts[:, :n] - dATu)
+            want = np.concatenate([(PT @ u)[..., 0], (DX @ J).reshape(-1, n * n)], axis=1)
+            assert row[:, :n + n * n].tobytes() == want.tobytes()
+
+    def test_nan_state_gives_nan_rows(self):
+        pi0, a_t = self.family("so3")
+        field = self.point_field(pi0, a_t)
+        pts = np.random.default_rng(2).uniform(-0.5, 0.5, size=(4, 3))
+        good = field(pts, 0.4)
+        pts[2] = np.nan
+        X, DX = field(pts, 0.4)
+        assert np.isnan(X[2]).all() and np.isnan(DX[2]).all()
+        rest = [0, 1, 3]
+        assert X[rest].tobytes() == good[0][rest].tobytes()
+        assert DX[rest].tobytes() == good[1][rest].tobytes()
+
+    def test_degenerate_state_names_time_and_point(self, monkeypatch):
+        from diraclab.errors import TransversalityError
+
+        pi0, a_t = self.family("r2")  # pi_t = (1-t)^{-1} pi_0 degenerates at t = 1
+        pts = np.array([(-0.1, 0.0), (0.2, 0.3)])
+        write, _, _ = self.bound_writer(monkeypatch, pi0, a_t, pts, 1.0, np.stack([np.eye(2)] * 2))
+        with pytest.raises(TransversalityError, match=r"gauge family degenerate at t=1\.0") as e:
+            write()
+        assert tuple(e.value.point) == (-0.1, 0.0)
 
     @staticmethod
     def pointwise_field(pi0, a_t, t, x):
@@ -548,6 +606,9 @@ class TestMoserAnalyticField:
         for t in (0.2, 0.2, -0.3):
             field(pts, t)
         assert calls == {"det": 0, "inv": 3, "solve": 0}
+        # four stages a step, one inverse per time for pi_T, none for Pi at x_end
+        moser_verify(pi0, a_t, [0.0, 0.2, -0.3], pts, FlowConfig(step=0.1))
+        assert calls == {"det": 0, "inv": 3 + 4 * (2 + 3) + 3, "solve": 0}
 
     def test_gauge_matrix_of_the_zero_family_is_the_identity(self):
         pi0, a_t = self.family("so3")
