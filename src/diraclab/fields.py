@@ -468,14 +468,12 @@ class PolyScalar:
         if self.chart.dim == 0:
             raise ShapeError("cannot infer source chart for a dim-0 composition")
         src, exps = polys[0].chart, self.chart._exps
-        out, powers = PolyScalar.zero(src), {}  # (i, e) -> polys[i]**e, formed once
+        out = PolyScalar.zero(src)
         for k, v in self._num.items():
             term = PolyScalar._canonical(src, {0: v}, self._den)
-            for i, e in enumerate(exps.unpack(k.to_bytes(exps.size, "little"))):
+            for p, e in zip(polys, exps.unpack(k.to_bytes(exps.size, "little"))):
                 if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = polys[i] ** e
-                    term = term * powers[i, e]
+                    term = term * p**e
             out = out + term
         return out
 

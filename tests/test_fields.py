@@ -128,24 +128,6 @@ class TestPolyScalar:
         p = x * y + y
         assert p.compose([u, u * u]) == u * u * u + u * u
 
-    def test_compose_forms_each_power_once(self, monkeypatch):
-        u, v = Chart(2, ("u", "v")).coordinates()
-        polys, src = [u + v, u * v - 1, 2 * v], u.chart
-        # x^2 and z^3 occur in two terms each
-        p = s(R3, {(2, 1, 0): 1, (2, 0, 3): -2, (0, 1, 3): 3, (1, 0, 0): 5, (0, 0, 0): 7})
-        # the expansion that forms polys[i]**e once per term
-        want = PolyScalar.zero(src)
-        for e, c in p.terms.items():
-            term = PolyScalar.constant(src, c)
-            for q, k in zip(polys, e):
-                term = term * q**k
-            want = want + term
-        calls, power = [], PolyScalar.__pow__
-        monkeypatch.setattr(PolyScalar, "__pow__", lambda q, k: calls.append(
-            (next(i for i, r in enumerate(polys) if r is q), k)) or power(q, k))
-        assert p.compose(polys) == want
-        assert sorted(calls) == [(0, 1), (0, 2), (1, 1), (2, 3)]
-
 
 class TestAlternatingStructure:
     def test_antisymmetric_normalization(self):
