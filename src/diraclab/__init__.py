@@ -9,10 +9,7 @@ from .fields import (
     cotangent_chart,
     differential,
     exterior_derivative,
-    interior_product,
     lie_derivative,
-    pullback_form,
-    wedge,
 )
 from .poisson import (
     LeafData,
@@ -20,7 +17,6 @@ from .poisson import (
     PoissonBivector,
     algebroid_to_linear_poisson,
     bracket,
-    hamiltonian_vf,
     is_poisson,
     jacobiator,
     leaf_data_at_point,
@@ -35,7 +31,6 @@ from .dirac import (
     check_poisson_map,
     courant_bracket,
     gauge_poisson,
-    graph_of_form,
     graph_of_poisson,
     integrability_tensor,
     pairing,

@@ -315,13 +315,11 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
 
     RK4 for dx/ds = -a(x, t - s) and dJ/ds = -Da(x, t - s) J from s = 0, J = I
     (see the module docstring); write() fills row[:, :n + n^2] with
-    [a | Da J] at the bound state [x | J | tau | 1].  x0 may be a single point
-    or a batch (B, n).  Returns (x, J) at time t, or, if record_times is given
-    (running monotonically away from 0), the list of (x, J) snapshots at those
-    times.
+    [a | Da J] at the bound state [x | J | tau | 1].  x0 is a batch (B, n).
+    Returns (x, J) at time t, or, if record_times is given (running
+    monotonically away from 0), the list of (x, J) snapshots at those times.
     """
-    single = np.ndim(x0) == 1
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
     B, n = x0.shape
     m = n + n * n
     # state rows [x | J | tau | 1] with J row-major, J(0) = I and tau = t - s;
@@ -354,7 +352,7 @@ def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
             _check_escape(y, n, config.escape_norm)
         s = target
         y[:, m] = t - s  # the updates carry tau to within rounding
-        snaps.append((x[0].copy(), J[0].copy()) if single else (x.copy(), J.copy()))
+        snaps.append((x.copy(), J.copy()))
     return snaps[0] if record_times is None else snaps
 
 

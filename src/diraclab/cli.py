@@ -26,7 +26,7 @@ import numpy as np
 
 from . import jsonio
 from ._numeric import CriterionResult, FlowConfig
-from .errors import DiraclabError, DomainEscapeError, TransversalityError
+from .errors import DiraclabError, PointError, TransversalityError
 from .fields import Chart, PolyKForm, PolyKVector, _integer_row, _span_test
 from .poisson import (
     PoissonBivector,
@@ -103,8 +103,8 @@ REPORT_SCHEMA = {
 }
 
 
-class InputError(Exception):
-    pass
+class InputError(DiraclabError):
+    """A malformed command line or input file: the report's error, exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -290,12 +290,15 @@ def _cmd_linearize(args):
     X = jsonio.tensor_from_json(data)
     if not isinstance(X, PolyKVector) or X.degree != 1:
         raise InputError("--field must hold a degree-1 vector field")
+    if (n := X.chart.dim) == 0:
+        raise InputError("--field must live on a chart of dimension at least 1")
+    # uniform in the ball with one draw per point: a uniform direction z/|z| at
+    # radius U^(1/n); rejection from the cube takes 2^n/V_n draws, 6e38 at n = 64.
+    # z is normalized before the radius scales it, so a huge radius cannot overflow |z|
     rng = np.random.default_rng(args.seed)
-    pts = []
-    while len(pts) < args.samples:
-        p = rng.uniform(-args.radius, args.radius, size=X.chart.dim)
-        if math.hypot(*p) <= args.radius:  # np.linalg.norm overflows for a huge radius
-            pts.append(p)
+    z = rng.standard_normal((args.samples, n))
+    u = rng.uniform(size=(args.samples, 1))
+    pts = args.radius * u ** (1 / n) * (z / np.linalg.norm(z, axis=1, keepdims=True))
     rep = euler_linearize(X, pts, FlowConfig(step=args.step))
     return ([CriterionResult("conjugation-residual", rep.max_residual, rep.worst_point, args.tol)],
             {"samples": rep.samples})
@@ -535,10 +538,7 @@ def run(argv) -> int:
             if result:
                 report["result"] = result
             code = 0 if all(c.passed for c in criteria) else 1
-        except InputError as e:
-            report["error"] = str(e)
-            code = 2
-        except (DomainEscapeError, TransversalityError) as e:
+        except PointError as e:
             report["error"] = str(e)
             if e.point is not None:
                 report["error_point"] = list(e.point)

@@ -17,25 +17,22 @@ class ShapeError(DiraclabError):
     """Inconsistent dimensions in user-supplied data."""
 
 
-class TransversalityError(DiraclabError):
-    """A pointwise transversality condition failed.
-
-    Carries the offending point so reports can name it.
-    """
+class PointError(DiraclabError):
+    """A failure at a point, which it carries so reports can name it."""
 
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = None if point is None else tuple(float(x) for x in point)
 
 
-class DomainEscapeError(DiraclabError):
+class TransversalityError(PointError):
+    """A pointwise transversality condition failed."""
+
+
+class DomainEscapeError(PointError):
     """A computation left the region where it stays accurate: a trajectory
     left its admissible neighborhood, or a structure that holds exactly was
     lost to rounding."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = None if point is None else tuple(float(x) for x in point)
 
 
 class PreconditionError(DiraclabError):

@@ -246,7 +246,7 @@ class PolyScalar:
     ``{exponent tuple: Fraction}`` view, built on demand.
     """
 
-    __slots__ = ("chart", "_num", "_den", "_terms")
+    __slots__ = ("chart", "_num", "_den")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Rat] | None = None):
         clean = {}
@@ -287,15 +287,12 @@ class PolyScalar:
 
     @property
     def terms(self) -> dict:
-        """The coefficients as a read-only ``{exponent tuple: Fraction}`` dict,
-        built on first use."""
-        if not hasattr(self, "_terms"):
-            exps, den = self.chart._exps, self._den
-            unpack, size = exps.unpack, exps.size
-            object.__setattr__(self, "_terms", {
-                unpack(k.to_bytes(size, "little")): Fraction(v) if den == 1 else Fraction(v, den)
-                for k, v in self._num.items()})
-        return self._terms
+        """The coefficients as a ``{exponent tuple: Fraction}`` dict, built on
+        each call."""
+        exps, den = self.chart._exps, self._den
+        unpack, size = exps.unpack, exps.size
+        return {unpack(k.to_bytes(size, "little")): Fraction(v) if den == 1 else Fraction(v, den)
+                for k, v in self._num.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -630,6 +627,7 @@ class _AlternatingTensor:
         return not self.components
 
     def wedge(self, other):
+        """The wedge product, a test oracle: no command calls it."""
         self._check(other)
         buckets: dict = {}
         for i1, p1 in self.components.items():
@@ -684,7 +682,8 @@ def exterior_derivative(alpha: PolyKForm) -> PolyKForm:
 
 
 def interior_product(X: PolyKVector, alpha: PolyKForm) -> PolyKForm:
-    """Contraction of a vector field into the first slot of a form."""
+    """Contraction of a vector field into the first slot of a form.  A test
+    oracle (Cartan's formula): `_lie_terms` computes L_X without it."""
     if X.degree != 1:
         raise DegreeError("interior product needs a vector field (degree 1)")
     if alpha.degree == 0:
@@ -749,11 +748,6 @@ def lie_derivative(X: PolyKVector, T):
     return T._trusted(T.chart, T.degree, _sum_buckets(T.chart, buckets))
 
 
-def wedge(a, b):
-    """Wedge product of two multivectors or two forms."""
-    return a.wedge(b)
-
-
 class PolyMap:
     """A polynomial map between charts, given by target-component polynomials."""
 
@@ -789,21 +783,3 @@ class PolyMap:
         return [
             [p.partial(j) for j in range(self.source.dim)] for p in self.components
         ]
-
-
-def pullback_form(phi: PolyMap, alpha: PolyKForm) -> PolyKForm:
-    """phi^* alpha; commutes with the exterior derivative."""
-    if alpha.chart != phi.target:
-        raise ChartMismatchError("form does not live on the map's target")
-    src = phi.source
-    if alpha.degree == 0:
-        p = alpha.components.get((), PolyScalar.zero(alpha.chart))
-        return PolyKForm(src, 0, {(): phi.compose_scalar(p)})
-    dphi = [differential(p) for p in phi.components]  # d(phi^i) on the source
-    out = PolyKForm(src, alpha.degree, {})
-    for idx, p in alpha.components.items():
-        term = PolyKForm(src, 0, {(): phi.compose_scalar(p)})
-        for i in idx:
-            term = term.wedge(dphi[i])
-        out = out + term
-    return out

@@ -34,7 +34,6 @@ from .fields import (
     accumulate,
     accumulate_signed,
     cotangent_chart,
-    differential,
     exterior_derivative,
     sort_index,
     sum_of_products,
@@ -119,11 +118,6 @@ def bracket(pi: PoissonBivector, f: PolyScalar, g: PolyScalar) -> PolyScalar:
                                       for s, a, b in ((1, i, j), (-1, j, i))])
 
 
-def hamiltonian_vf(pi: PoissonBivector, f: PolyScalar) -> PolyKVector:
-    """X_f = pi^#(df); satisfies X_f(g) = {f, g}."""
-    return sharp_apply(pi, differential(f))
-
-
 def jacobiator(pi: PoissonBivector) -> PolyKVector:
     """The 3-vector field whose (i,j,k) component is Jac(x_i, x_j, x_k).
 
@@ -203,16 +197,14 @@ def jacobi_violation(cc: Mapping):
     return min(sums, default=None)
 
 
-def lie_poisson(c: Mapping, n: int, chart: Chart | None = None) -> PoissonBivector:
-    """The fiberwise-linear bivector sum_{i<j,k} c_{ij}^k mu_k d_i ^ d_j.
+def lie_poisson(c: Mapping, n: int) -> PoissonBivector:
+    """The fiberwise-linear bivector sum_{i<j,k} c_{ij}^k mu_k d_i ^ d_j on the
+    chart (mu1, ..., mun).
 
     Its Jacobi identity holds exactly iff the constants do.
     """
     cc = normalize_structure_constants(c, n)
-    if chart is None:
-        chart = Chart(n, tuple(f"mu{i+1}" for i in range(n)))
-    elif chart.dim != n:
-        raise ShapeError("chart dimension does not match n")
+    chart = Chart(n, tuple(f"mu{i+1}" for i in range(n)))
     comps: dict = {}
     for (i, j, k), v in cc.items():
         accumulate(comps, (i, j), chart.coordinate(k) * v)
@@ -517,7 +509,6 @@ class EulerReport:
     samples: int
     points: np.ndarray
     images: np.ndarray
-    jacobians: np.ndarray
 
 
 def euler_linearize(
@@ -530,8 +521,8 @@ def euler_linearize(
     Requires X(0) = 0 with linear part exactly E = sum_i x_i d/dx_i (checked
     symbolically).  The time-1 flow of Z_t, where Z is the nonlinear part and
     Z_t(x) = Z(tx)/t^2 componentwise, conjugates X to E; the report carries
-    the sampled map phi_1 with Jacobians and the residual
-    |Dphi_1 X - E o phi_1| over the samples.
+    the sampled map phi_1 and the residual |Dphi_1 X - E o phi_1| over the
+    samples.
     """
     if X.degree != 1:
         raise DegreeError("euler_linearize needs a vector field")
@@ -558,4 +549,4 @@ def euler_linearize(
     Xvals = pts + Z_t(pts, 1.0)[0]  # X = E + Z and Z_1 = Z
     pushed = np.einsum("bij,bj->bi", J, Xvals)
     r, x = worst(np.abs(pushed - images).max(axis=1), pts)
-    return EulerReport(r, tuple(x), len(pts), pts, images, J)
+    return EulerReport(r, tuple(x), len(pts), pts, images)

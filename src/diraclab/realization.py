@@ -23,8 +23,8 @@ the backward flow; this sign is load-bearing and pinned by a regression test.
 All of this lives on one backward trajectory per point: every entry point
 makes a single batched pass of the flow that records the Gauss nodes -s of the
 quadrature and then t = -1, so omega, s, t and their differentials come from
-one integration per sample batch.  Like the flow itself, `realization_form`
-and `source_target` take a point (2n,) or a batch (B, 2n).  The certification
+one integration per sample batch.  `realization_form` and `source_target`
+take a point (2n,) or a batch (B, 2n).  The certification
 is batched as well: verify_dual_pair stacks the kernels, pullback fibers and
 projector distances of all points into a fixed number of SVD calls, whatever
 the batch size.
@@ -69,19 +69,21 @@ QUAD_WEIGHTS = (0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
 _RECORD_TIMES = tuple(-s for s in QUAD_NODES) + (-1.0,)
 
 
+SPRAY_ESCAPE_NORM = 1e3  # a spray flow raises DomainEscapeError once some |(q, p)| exceeds it
+
+
 @dataclass(frozen=True)
 class RealizationConfig:
-    """Integrator step, p-ball radius and escape norm of the spray flow."""
+    """Integrator step and p-ball radius of the spray flow."""
 
     step: float = 1e-3
     radius: float = 1.0
-    escape_norm: float = 1e3
 
     def __post_init__(self):
         self.flow()  # FlowConfig validates the step
 
     def flow(self) -> FlowConfig:
-        return FlowConfig(step=self.step, escape_norm=self.escape_norm)
+        return FlowConfig(step=self.step, escape_norm=SPRAY_ESCAPE_NORM)
 
 
 class SprayField:
@@ -256,7 +258,8 @@ def invariant_vector_fields(
     alpha: PolyKForm,
     point,
     config: RealizationConfig = RealizationConfig(),
-    beta: PolyKForm | None = None,
+    *,
+    beta: PolyKForm,
 ) -> InvariantFieldReport:
     """alpha^L, alpha^R at a point plus the five defining relation residuals.
 
@@ -264,8 +267,6 @@ def invariant_vector_fields(
     -pi^#(alpha); omega(alpha^L, beta^L) = -s^* pi(alpha, beta);
     omega(alpha^R, beta^R) = t^* pi(alpha, beta); omega(alpha^L, beta^R) = 0.
     """
-    if beta is None:
-        beta = alpha
     alpha_at, beta_at = _covector_field(spray, alpha), _covector_field(spray, beta)
     batch = _realization_batch(spray, np.asarray(point, dtype=float)[None, :], config)
     aL, aR = (v[0] for v in _lr_fields(alpha_at, *batch))

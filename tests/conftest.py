@@ -88,8 +88,8 @@ def omega_can(n: int) -> np.ndarray:
 
 
 def spray_flow(spray, x, t, config):
-    """Endpoint and Jacobian of the spray flow Phi_t from points of T*M, under
-    a `RealizationConfig`'s step and escape norm."""
+    """Endpoints and Jacobians of the spray flow Phi_t from a batch of points
+    of T*M, under a `RealizationConfig`'s flow."""
     return flow_points(spray.compiled().bind, np.asarray(x, dtype=float), t, config.flow())
 
 

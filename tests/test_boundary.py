@@ -55,17 +55,17 @@ rational null space: they call none of the float helpers that once decided it
 float self-check (`span_residual`, `gauge_fiber`), and the float frame
 evaluator `LagrangianFrame.value_at` and the single-matrix slicing `_selected`
 stay gone.  Every top-level definition and public method is reached from the
-CLI, `__init__`'s exports or module-level code (the entry points only the
-benchmark reads are named in `BENCH_ONLY`): a name reaches a top-level
-definition, an attribute `x.name` a method, or a top-level definition through a
-package-module alias such as `real_mod`, so a method cannot keep a same-named
-function alive.  No module but `__init__`, nor any file under `tests/`, imports
-a name it never uses.
+CLI and other module-level code, from a name that the benchmark
+(`perfbench/workloads.py`) or the acceptance criteria (`tests/test_acceptance.py`)
+use, or from one of the `TEST_ORACLES`; an export in `__init__` keeps nothing
+alive.  A name reaches a top-level definition, an attribute `x.name` a method,
+or a top-level definition through a package-module alias such as `real_mod`, so
+a method cannot keep a same-named function alive.  No module but `__init__`,
+nor any file under `tests/`, imports a name it never uses.
 """
 
 import ast
 import inspect
-import re
 from pathlib import Path
 
 import pytest
@@ -80,7 +80,8 @@ REPLACED = {"flow_points_td", "CompiledVectorField", "compile_bivector", "skew_c
             "_coefs_at", "GROUP_TOL", "HomogeneousSpaceData", "RealizationSample",
             "realization_sample", "validate", "value_at", "_selected", "_derivative",
             "evaluate_at", "jacobian_at", "pushforward_vector_at_point",
-            "bracket_tensor", "bracket_num", "ad_num", "metric_num"}
+            "bracket_tensor", "bracket_num", "ad_num", "metric_num", "pullback_form",
+            "hamiltonian_vf"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -145,6 +146,29 @@ def test_spray_takes_its_bivector_alone():
     from diraclab.realization import SprayField
 
     assert list(inspect.signature(SprayField).parameters) == ["pi"]
+
+
+# (module, callable, parameter or field) options that only tests set, removed
+REMOVED_OPTIONS = [("poisson", "lie_poisson", "chart"),
+                   ("realization", "RealizationConfig", "escape_norm"),
+                   ("dirac", "MapCheckReport", "worst_point"),
+                   ("poisson", "EulerReport", "jacobians")]
+
+
+@pytest.mark.parametrize("module, name, option", REMOVED_OPTIONS,
+                         ids=[f"{n}.{o}" for _, n, o in REMOVED_OPTIONS])
+def test_removed_options_stay_gone(module, name, option):
+    import importlib
+
+    fn = getattr(importlib.import_module(f"diraclab.{module}"), name)
+    assert option not in inspect.signature(fn).parameters
+
+
+def test_invariant_fields_take_beta_by_keyword_alone():
+    from diraclab.realization import invariant_vector_fields
+
+    beta = inspect.signature(invariant_vector_fields).parameters["beta"]
+    assert (beta.kind, beta.default) == (beta.KEYWORD_ONLY, beta.empty)
 
 
 def test_rat_module_stays_gone():
@@ -434,14 +458,15 @@ def test_span_membership_goes_through_one_echelon(path):
     assert not found, f"{path.name} tests span membership by two ranks at lines {found}"
 
 
-# Entry points that only the benchmark reads (perfbench/workloads.py).  The benchmark
-# lives outside the package and is edited only by its own changes, so the guard takes
-# these names as roots; `_stencil`, `one_form_bracket` and `_PointJet.dressing` are
-# reached through them.
-BENCH_ONLY = frozenset({"bracket_relations_residual", "closedness_residual",
-                        "e_map_residuals", "rational_to_json"})
-BENCH_WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the files whose every name is a root: the benchmark and the acceptance criteria,
+# which live outside the package, so a name they use stays defined
+BENCH_WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+ACCEPTANCE = TESTS / "test_acceptance.py"
+# The references the tests compare against, which no other root reaches: the
+# contraction of Cartan's formula and the derivation checks, Gr(omega) as a frame,
+# and the wedge product of forms and multivectors.
+TEST_ORACLES = frozenset({"interior_product", "graph_of_form", "wedge"})
 
 
 def _aliases(tree) -> set:
@@ -467,13 +492,19 @@ def _mentions(nodes, aliases=frozenset()) -> set:
     return found
 
 
+def _used_names(path: Path) -> set:
+    """Every name that a file mentions, as `_mentions` reads it."""
+    return {name for _, name in _mentions([_tree(path)])}
+
+
 def unreached(sources: dict, roots=frozenset()) -> list:
     """"module:name" of each top-level definition and public method of `sources`
     (file name -> module source) that no root reaches.
 
-    The roots are `__init__`'s imported names, every definition that module-level code
-    outside a definition mentions (the CLI's handler table and its `main()` call),
-    and the names in `roots`.  A reached definition reaches every definition it
+    The roots are every definition that module-level code outside a definition
+    mentions (the CLI's handler table and its `main()` call) and the names in
+    `roots`; an import mentions nothing, so `__init__`'s exports are no roots.
+    A reached definition reaches every definition it
     mentions, decorators, defaults and annotations included.  A name reaches a
     top-level definition; an attribute `x.name` reaches methods, and a module's
     top-level definition only through a package-module alias (`real_mod.flow`), so
@@ -490,9 +521,6 @@ def unreached(sources: dict, roots=frozenset()) -> list:
     for module, tree in trees.items():
         aliases = _aliases(tree)
         for node in tree.body:
-            if module == "__init__.py" and isinstance(node, ast.ImportFrom):
-                reached |= {("def", a.asname or a.name) for a in node.names}
-                continue
             if not isinstance(node, DEFINITIONS):
                 reached |= _mentions([node], aliases)
                 continue
@@ -518,8 +546,7 @@ def unreached(sources: dict, roots=frozenset()) -> list:
 
 
 def test_reachability_guard_sees_an_orphan():
-    sources = {"__init__.py": "from .m import Box, used\n",
-               "m.py": ("import argparse\n"
+    sources = {"m.py": ("import argparse\n"
                         "def used():\n    return _helper()\n"
                         "def _helper():\n    return Box().size\n"
                         "def orphan():\n    return used()\n"
@@ -529,29 +556,52 @@ def test_reachability_guard_sees_an_orphan():
                         "def _only_from_unused():\n    return 1\n"
                         "class Parser(argparse.ArgumentParser):\n"
                         "    def error(self, message):\n        raise SystemExit(2)\n")}
-    assert unreached(sources) == ["m.py:orphan", "m.py:Box.unused", "m.py:_only_from_unused",
-                                  "m.py:Parser"]
+    assert unreached(sources, {"used", "Box"}) == ["m.py:orphan", "m.py:Box.unused",
+                                                   "m.py:_only_from_unused", "m.py:Parser"]
     sources["m.py"] += "PARSER = Parser()\n"
-    assert unreached(sources, {"orphan", "unused"}) == []
+    assert unreached(sources, {"used", "Box", "orphan", "unused"}) == []
     # a method call reaches no top-level function of the same name; an alias does
     sources["m.py"] += ("def flow():\n    return 0\n"
                         "class Config:\n    def flow(self):\n        return 1\n"
                         "def via_alias():\n    return 2\n"
                         "def run(cfg: Config):\n    return cfg.flow()\n")
     sources["cli.py"] = "from . import m as m_mod\nm_mod.run(m_mod.via_alias())\n"
-    assert unreached(sources, {"orphan", "unused"}) == ["m.py:flow"]
+    assert unreached(sources, {"used", "Box", "orphan", "unused"}) == ["m.py:flow"]
+
+
+def test_an_export_keeps_nothing_alive(tmp_path):
+    # exported, tested, but used by neither the benchmark nor the acceptance criteria
+    sources = {"__init__.py": "from .m import benched, accepted, tested\n",
+               "m.py": ("def benched():\n    return 1\n"
+                        "def accepted():\n    return 2\n"
+                        "def tested():\n    return 3\n")}
+    files = {"workloads.py": "from diraclab import m as mod\nmod.benched()\n",
+             "test_acceptance.py": "from diraclab.m import accepted\nassert accepted()\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    roots = set().union(*(_used_names(tmp_path / name) for name in files))
+    assert unreached(sources, roots) == ["m.py:tested"]
+    assert unreached(sources) == ["m.py:benched", "m.py:accepted", "m.py:tested"]
+
+
+LIBRARY_ROOTS = _used_names(BENCH_WORKLOADS) | _used_names(ACCEPTANCE)
 
 
 def test_every_definition_is_reached():
-    found = unreached({m.name: m.read_text() for m in MODULES}, BENCH_ONLY)
-    assert not found, f"reached from neither the CLI, the exports nor the benchmark: {found}"
+    found = unreached({m.name: m.read_text() for m in MODULES}, LIBRARY_ROOTS | TEST_ORACLES)
+    assert not found, ("reached from neither the CLI, the benchmark, the acceptance "
+                       f"criteria nor a test oracle: {found}")
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_ONLY))
-def test_bench_only_names_are_read_by_the_benchmark_alone(name):
-    assert re.search(rf"\.{name}\b", BENCH_WORKLOADS.read_text())
-    sources = {m.name: m.read_text() for m in MODULES}
-    assert any(where.endswith(f":{name}") for where in unreached(sources, BENCH_ONLY - {name}))
+def test_the_oracles_are_what_only_the_tests_reach():
+    found = unreached({m.name: m.read_text() for m in MODULES}, LIBRARY_ROOTS)
+    assert {where.split(":")[1].split(".")[-1] for where in found} == TEST_ORACLES
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ORACLES))
+def test_each_oracle_is_used_by_a_test(name):
+    assert any(name in _used_names(path) for path in TESTS.glob("test_*.py")
+               if path.name not in ("test_boundary.py", ACCEPTANCE.name))
 
 
 def unused_imports(tree) -> list:

@@ -327,13 +327,6 @@ class TestFlowKernel:
         for x, _ in _numeric.flow_points(field, x0, t, FlowConfig(step=0.01), record):
             assert np.abs(x[1] - x0[1]).max() == 0.0
 
-    def test_single_point(self):
-        field, _, x0, t, _ = flow_cases()["euler"]
-        x, J = _numeric.flow_points(field, x0[0], t, FlowConfig(step=0.05))
-        xb, Jb = _numeric.flow_points(field, x0[:1], t, FlowConfig(step=0.05))
-        assert x.shape == (2,) and J.shape == (2, 2)
-        assert np.array_equal(x, xb[0]) and np.array_equal(J, Jb[0])
-
 
 class TestStageBinding:
     """flow_points binds its field once per stage and call: stage 0 to the
@@ -379,7 +372,7 @@ class TestStageBinding:
             packed.bind(np.ones((1, 7)), np.zeros((1, 7)))
         # refused before any step: a flow over t = 0 takes none
         with pytest.raises(ShapeError, match="flow field"):
-            _numeric.flow_points(packed.bind, np.zeros(2), 0.0, FlowConfig())
+            _numeric.flow_points(packed.bind, np.zeros((1, 2)), 0.0, FlowConfig())
 
 
 # name -> (start points drawn uniformly from [-r, r]^n, t, record times)
@@ -613,7 +606,8 @@ class TestEscapeCheck:
         x, _ = spray_flow(spray, x0, 1.0, RealizationConfig(step=0.01))
         assert np.isfinite(x).all() and full == []
         with pytest.raises(DomainEscapeError, match="left the admissible region"):
-            spray_flow(spray, x0, 1.0, RealizationConfig(step=0.01, escape_norm=0.5))
+            _numeric.flow_points(spray.compiled().bind, x0, 1.0,
+                                 FlowConfig(step=0.01, escape_norm=0.5))
         assert full == [1]
 
 
@@ -631,7 +625,7 @@ def test_a_step_that_is_not_finite_and_positive_is_rejected(step):
 def test_a_flow_over_the_step_cap_is_refused(t):
     field = compile_tensors([PolyKVector(Chart(1), 1, {})], partials=True)
     with pytest.raises(ShapeError, match="steps"):
-        _numeric.flow_points(field.bind, np.zeros(1), t, FlowConfig())
+        _numeric.flow_points(field.bind, np.zeros((1, 1)), t, FlowConfig())
 
 
 class TestGaugeInverse:

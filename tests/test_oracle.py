@@ -1,5 +1,5 @@
-"""The exact layer against sympy: jacobiator, Courant bracket, Lie derivative
-and pullback of forms recomputed from their textbook coordinate formulas, and
+"""The exact layer against sympy: jacobiator, Courant bracket and Lie derivative
+recomputed from their textbook coordinate formulas, and
 the homogeneous-space criteria with l cap g built explicitly from a nullspace.
 The numeric layer against a closed form: the spray flow of a linear bivector,
 whose q-part is one matrix exponential and whose p-Jacobian is its Frechet
@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from diraclab.dirac import GeneralizedSection, courant_bracket
-from diraclab.fields import Chart, PolyMap, lie_derivative, pullback_form
+from diraclab.fields import Chart, lie_derivative
 from diraclab.maningroup import builtin_triples, homogeneous_space_check
 from diraclab.poisson import PoissonBivector, jacobiator, lie_poisson, so3_constants
 from diraclab.realization import (RealizationConfig, default_spray, realization_form,
                                   sample_points, source_target, verify_dual_pair)
 
-from conftest import omega_can, random_form, random_poly, random_vector, spray_flow
+from conftest import omega_can, random_form, random_vector, spray_flow
 
 sp = pytest.importorskip("sympy")
 
@@ -107,25 +107,6 @@ def test_lie_derivative_in_coordinates(kind, seed):
                     want += (moved * sp.diff(Xs[j], xs[i]) if kind == "form"
                              else -moved * sp.diff(Xs[i], xs[j]))
             assert same(got.component(I), want, xs)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_pullback_form_is_a_sum_of_jacobian_minors(seed):
-    rng = random.Random(200 + seed)
-    src, tgt = Chart(2 + seed % 2), Chart(3)
-    degree = 1 + seed % 2
-    us = sp.symbols(f"u0:{src.dim}")
-    ys = sp.symbols(f"y0:{tgt.dim}")
-    phi = PolyMap(src, tgt, [random_poly(rng, src, 2) for _ in range(tgt.dim)])
-    alpha = random_form(rng, tgt, degree, max_degree=2)
-    images = [sym(p, us) for p in phi.components]
-    D = sp.Matrix([[sp.diff(f, u) for u in us] for f in images])
-    got = pullback_form(phi, alpha)
-    for I in itertools.combinations(range(src.dim), degree):
-        want = sum(comp(alpha, J, ys).subs(dict(zip(ys, images)), simultaneous=True)
-                   * D.extract(list(J), list(I)).det()
-                   for J in itertools.combinations(range(tgt.dim), degree))
-        assert same(got.component(I), want, us)
 
 
 # -- homogeneous spaces: l cap g from a nullspace ---------------------------------

@@ -24,7 +24,6 @@ from diraclab.poisson import (
     euler_linearize,
     from_components,
     gauge_family,
-    hamiltonian_vf,
     is_poisson,
     jacobi_violation,
     jacobiator,
@@ -33,6 +32,7 @@ from diraclab.poisson import (
     linear_poisson_to_algebroid,
     moser_verify,
     normalize_structure_constants,
+    sharp_apply,
     so3_constants,
     standard_symplectic_poisson,
 )
@@ -123,11 +123,13 @@ class TestJacobiator:
 
 
 class TestHamiltonian:
+    """X_f = pi^#(df), the Hamiltonian vector field of f."""
+
     def test_standard(self):
         pi = standard_symplectic_poisson(1)
         q, p = pi.chart.coordinates()
         # oracle: bracket with coordinates
-        Xq = hamiltonian_vf(pi, q)
+        Xq = sharp_apply(pi, differential(q))
         assert Xq == coordinate_vector(pi.chart, 1)
         assert bracket(pi, q, q) == PolyScalar.zero(pi.chart)
         assert bracket(pi, q, p) == PolyScalar.constant(pi.chart, 1)
@@ -135,16 +137,15 @@ class TestHamiltonian:
     def test_constant_hamiltonian(self):
         pi = standard_symplectic_poisson(2)
         f = PolyScalar.constant(pi.chart, 7)
-        assert hamiltonian_vf(pi, f).is_zero()
+        assert sharp_apply(pi, differential(f)).is_zero()
 
     def test_bracket_homomorphism(self, rng):
         pi = lie_poisson(so3_constants(), 3)
         for _ in range(8):
             f = random_poly(rng, pi.chart, 2)
             g = random_poly(rng, pi.chart, 2)
-            lhs = vector_bracket(hamiltonian_vf(pi, f), hamiltonian_vf(pi, g))
-            rhs = hamiltonian_vf(pi, bracket(pi, f, g))
-            assert lhs == rhs
+            Xf, Xg = (sharp_apply(pi, differential(h)) for h in (f, g))
+            assert vector_bracket(Xf, Xg) == sharp_apply(pi, differential(bracket(pi, f, g)))
 
     def test_xf_applies_as_bracket(self, rng):
         pi = standard_symplectic_poisson(2)
@@ -152,7 +153,7 @@ class TestHamiltonian:
 
         f = random_poly(rng, pi.chart, 2)
         g = random_poly(rng, pi.chart, 2)
-        assert apply_vector(hamiltonian_vf(pi, f), g) == bracket(pi, f, g)
+        assert apply_vector(sharp_apply(pi, differential(f)), g) == bracket(pi, f, g)
 
 
 class TestLiePoisson:
@@ -194,6 +195,8 @@ class TestAlgebroidDictionary:
         assert is_poisson(pi)
 
     def test_zero_anchor_reduces_to_lie_poisson(self):
+        from diraclab import jsonio
+
         base = Chart(0, ())
         zero = PolyKVector(base, 1, {})
         A = LieAlgebroidData(
@@ -201,8 +204,9 @@ class TestAlgebroidDictionary:
             {k: PolyScalar.constant(base, v) for k, v in so3_constants().items()},
         )
         pi = algebroid_to_linear_poisson(A)
-        ref = lie_poisson(so3_constants(), 3, chart=pi.chart)
-        assert pi.pi == ref.pi
+        # the same components on the fiber chart (y1, y2, y3) as on (mu1, mu2, mu3)
+        ref = lie_poisson(so3_constants(), 3)
+        assert jsonio.tensor_to_json(pi.pi) == jsonio.tensor_to_json(ref.pi)
 
     def test_round_trip_random(self, rng):
         base = Chart(2)
@@ -650,8 +654,7 @@ class TestStructureConstantJSON:
             {"a": 3, "b": 1, "c": 2, "value": {"num": 1, "den": 1}},
         ]
         pi = lie_poisson(jsonio.constants_from_entries(entries, 3), 3)
-        ref = lie_poisson(so3_constants(), 3, chart=pi.chart)
-        assert pi.pi == ref.pi
+        assert pi.pi == lie_poisson(so3_constants(), 3).pi
 
     @pytest.mark.parametrize("entries", [
         [{"a": 1, "b": 2, "c": 3, "value": 1}, {"a": 1, "b": 2, "c": 3, "value": 1}],

@@ -75,28 +75,28 @@ class TestSprayConstruction:
 class TestFlow:
     def test_zero_section_fixed(self):
         spray = default_spray(xdxdy())
-        pt = np.array([0.7, -0.3, 0.0, 0.0])
+        pt = np.array([[0.7, -0.3, 0.0, 0.0]])
         end, J = spray_flow(spray, pt, 1.0, FAST)
         assert np.abs(end - pt).max() < 1e-12
         # tangent-to-base block acts as the identity
-        assert np.abs(J[:, :2] - np.eye(4)[:, :2]).max() < 1e-9
+        assert np.abs(J[0, :, :2] - np.eye(4)[:, :2]).max() < 1e-9
 
     def test_time_zero_identity(self):
         spray = default_spray(xdxdy())
-        pt = np.array([0.5, 0.2, 0.1, -0.1])
+        pt = np.array([[0.5, 0.2, 0.1, -0.1]])
         end, J = spray_flow(spray, pt, 0.0, FAST)
         assert np.abs(end - pt).max() == 0.0
         assert np.abs(J - np.eye(4)).max() == 0.0
 
     def test_zero_spray_identity(self):
         spray = default_spray(from_components(Chart(2), {}))
-        pt = np.array([0.5, 0.2, 0.3, -0.4])
+        pt = np.array([[0.5, 0.2, 0.3, -0.4]])
         end, J = spray_flow(spray, pt, 0.8, FAST)
         assert np.abs(end - pt).max() == 0.0
 
     def test_semigroup(self):
         spray = default_spray(xdxdy())
-        pt = np.array([0.9, 0.4, 0.15, 0.1])
+        pt = np.array([[0.9, 0.4, 0.15, 0.1]])
         a, _ = spray_flow(spray, pt, 0.3, FAST)
         b, _ = spray_flow(spray, a, 0.45, FAST)
         c, _ = spray_flow(spray, pt, 0.75, FAST)
@@ -110,7 +110,7 @@ class TestFlow:
         spray = default_spray(pi)
         x0 = np.array([0.3, -0.2, 0.5, 0.4])
         t = 0.7
-        end, J = spray_flow(spray, x0, t, RealizationConfig(step=1e-3))
+        (end,), (J,) = spray_flow(spray, x0[None], t, RealizationConfig(step=1e-3))
         expect = np.array([x0[0] + t * x0[3], x0[1] - t * x0[2], x0[2], x0[3]])
         assert np.abs(end - expect).max() < 1e-12
         Jexp = np.array(
@@ -243,7 +243,8 @@ class TestInvariantFields:
     def test_zero_form(self):
         spray = default_spray(xdxdy())
         alpha = PolyKForm(spray.pi.chart, 1, {})
-        rep = invariant_vector_fields(spray, alpha, np.array([0.9, 0.2, 0.1, 0.0]), FAST)
+        rep = invariant_vector_fields(spray, alpha, np.array([0.9, 0.2, 0.1, 0.0]), FAST,
+                                      beta=alpha)
         assert np.abs(rep.alpha_L).max() == 0.0 and np.abs(rep.alpha_R).max() == 0.0
 
     def test_xdxdy_five_relations(self):
@@ -285,9 +286,9 @@ class TestDomainEscape:
         # quadratic growth: the spray flow of pi = x^2 dx^dy blows up in x
         pi = from_components(chart, {(0, 1): x * x})
         spray = default_spray(pi)
-        bad = np.array([3.0, 0.0, 2.0, 2.0])
+        bad = np.array([[3.0, 0.0, 2.0, 2.0]])
         with pytest.raises(DomainEscapeError) as e:
-            spray_flow(spray, bad, 8.0, RealizationConfig(step=1e-2, escape_norm=50.0))
+            flow_points(spray.compiled().bind, bad, 8.0, FlowConfig(step=1e-2, escape_norm=50.0))
         assert e.value.point is not None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
