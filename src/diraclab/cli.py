@@ -7,7 +7,8 @@ identical inputs and seed reproduce the report byte for byte (the
 wall_time_s field is the one excluded, timing is not reproducible).
 Every numeric option is checked against its domain in `OPTION_DOMAINS`
 before a command runs, and a usage error is an input error with a report.
---tol and --seed are input errors on a command that reads neither.
+Each command is one row of `COMMANDS`: its handler, its options and its --tol
+and --seed defaults; either is an input error on a command that reads neither.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 import sys
 import time
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,14 +63,6 @@ OPTION_DOMAINS = {
     **{name: (lambda v: 1 <= v <= COUNT_CAP, f"at least 1 and at most {COUNT_CAP}")
        for name in ("samples", "pairs", "grid_count")},
 }
-# The tolerance of each command's numeric criteria when --tol is not given;
-# a command not listed has none, and --tol on it is an input error.
-TOL_DEFAULTS = {"realize": 1e-6, "moser": 1e-6, "linearize": 1e-5, "manin bivector": 1e-5,
-                "manin multiplicativity": 1e-5}
-# The seed of each command that draws points at random when --seed is not
-# given; --seed on a command not listed is an input error.
-SEED_DEFAULTS = dict.fromkeys(("dirac check-integrability", "realize", "moser", "linearize",
-                               "manin multiplicativity"), 0)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -119,20 +113,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_options(args) -> None:
-    """Check each option's domain, then fill in --tol and --seed, or refuse
-    each where nothing reads it."""
+    """Check each option's domain, then fill in --tol and --seed from the
+    command's row, or refuse each where nothing reads it."""
     for name, (inside, phrase) in OPTION_DOMAINS.items():
         value = getattr(args, name, None)
         if value is not None and not inside(value):
             raise InputError(f"--{name.replace('_', '-')} must be {phrase}, got {value}")
-    command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
-    for name, defaults, unread in (("tol", TOL_DEFAULTS, "has no numeric criterion"),
-                                   ("seed", SEED_DEFAULTS, "draws nothing at random")):
-        if command not in defaults:
+    command, row = args.command, COMMANDS[args.command]
+    for name, default, unread in (("tol", row.tol, "has no numeric criterion"),
+                                  ("seed", row.seed, "draws nothing at random")):
+        if default is None:
             if getattr(args, name) is not None:
                 raise InputError(f"--{name}: {command} {unread}")
         elif getattr(args, name) is None:
-            setattr(args, name, defaults[command])
+            setattr(args, name, default)
 
 
 def _load_json(path: str):
@@ -162,8 +156,7 @@ def _parse_point(text: str, dim: int | None = None):
 
 
 def _load_bivector(path: str) -> PoissonBivector:
-    data = _load_json(path)
-    T = jsonio.tensor_from_json(data)
+    T = jsonio.tensor_from_json(_load_json(path))
     if not isinstance(T, PolyKVector) or T.degree != 2:
         raise InputError(f"{path}: expected a degree-2 multivector (kind=vector)")
     return PoissonBivector(T)
@@ -193,27 +186,28 @@ def _components_json(components):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_poisson(args):
+def _poisson_check(args):
+    J = jacobiator(_load_bivector(args.file)).components
+    crit = CriterionResult("jacobi-identity", len(J), None, "exact")
+    return [crit], {"jacobiator_components": _components_json(J)} if J else {}
+
+
+def _poisson_jacobiator(args):
+    J = jacobiator(_load_bivector(args.file))
+    return [], {"jacobiator": jsonio.tensor_to_json(J), "is_zero": J.is_zero()}
+
+
+def _poisson_bracket(args):
     pi = _load_bivector(args.file)
-    if args.poisson_cmd == "check":
-        J = jacobiator(pi).components
-        crit = CriterionResult("jacobi-identity", len(J), None, "exact")
-        return [crit], {"jacobiator_components": _components_json(J)} if J else {}
-    if args.poisson_cmd == "jacobiator":
-        J = jacobiator(pi)
-        return [], {"jacobiator": jsonio.tensor_to_json(J), "is_zero": J.is_zero()}
-    if args.poisson_cmd == "bracket":
-        f = jsonio.poly_from_json(pi.chart, _load_json(args.f))
-        g = jsonio.poly_from_json(pi.chart, _load_json(args.g))
-        return [], {"bracket": jsonio.poly_to_json(poisson_bracket(pi, f, g))}
-    # leaf: the parser admits no other subcommand
-    leaf = leaf_data_at_point(pi, _parse_point(args.point))
-    return [], {
-        "rank": leaf.rank,
-        "basis": leaf.basis.tolist(),
-        "leaf_symplectic_matrix": leaf.omega.tolist(),
-        "basis_dependent": True,
-    }
+    f = jsonio.poly_from_json(pi.chart, _load_json(args.f))
+    g = jsonio.poly_from_json(pi.chart, _load_json(args.g))
+    return [], {"bracket": jsonio.poly_to_json(poisson_bracket(pi, f, g))}
+
+
+def _poisson_leaf(args):
+    leaf = leaf_data_at_point(_load_bivector(args.file), _parse_point(args.point))
+    return [], {"rank": leaf.rank, "basis": leaf.basis.tolist(),
+                "leaf_symplectic_matrix": leaf.omega.tolist(), "basis_dependent": True}
 
 
 @jsonio.decoder
@@ -227,38 +221,47 @@ def _frame_from_json(data) -> dirac_mod.LagrangianFrame:
     return dirac_mod.LagrangianFrame(chart, sections=sections)
 
 
-def _cmd_dirac(args):
-    if args.dirac_cmd == "check-integrability":
-        if args.poisson:
-            pi = _load_bivector(args.poisson)
-            E = dirac_mod.graph_of_poisson(pi)
-        else:
-            if not args.frame:
-                raise InputError("need --poisson or --frame")
-            E = _frame_from_json(_load_json(args.frame))
-        # the seeded point where the frame's rank is taken
-        pt = np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=E.chart.dim)
-        T = dirac_mod.integrability_tensor(E, pt)
-        return [CriterionResult("courant-integrability", len(T), None, "exact",
-                                _components_json(T) or None)], {}
-    if args.dirac_cmd in ("gauge", "pullback"):  # exact transversality at the point
-        name = f"{args.dirac_cmd}-transversality"
+def _dirac_check_integrability(args):
+    if args.poisson:
+        E = dirac_mod.graph_of_poisson(_load_bivector(args.poisson))
+    elif args.frame:
+        E = _frame_from_json(_load_json(args.frame))
+    else:
+        raise InputError("need --poisson or --frame")
+    # the seeded point where the frame's rank is taken
+    pt = np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=E.chart.dim)
+    T = dirac_mod.integrability_tensor(E, pt)
+    return [CriterionResult("courant-integrability", len(T), None, "exact",
+                            _components_json(T) or None)], {}
+
+
+def _transversality(name, fn):
+    """A handler whose one exact criterion is that fn(args), which returns the
+    result, meets no TransversalityError at the point."""
+    def handler(args):
         try:
-            if args.dirac_cmd == "gauge":
-                pi = _load_bivector(args.poisson)
-                omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
-                P = dirac_mod.gauge_poisson(pi, dirac_mod.GaugeTransform(omega),
-                                            _parse_point(args.point))
-                result = {"gauged_bivector_matrix": P.tolist()}
-            else:
-                phi = jsonio.map_from_json(_load_json(args.map))
-                E = dirac_mod.graph_of_poisson(_load_bivector(args.poisson))
-                B = dirac_mod.pullback_dirac_at_point(phi, E, _parse_point(args.point))
-                result = {"fiber_basis": B.tolist(), "basis_dependent": True}
+            result = fn(args)
         except TransversalityError as e:
             return [CriterionResult(name, None, e.point, "exact")], {}
         return [CriterionResult(name, 0, None, "exact")], result
-    # poisson-map: the parser admits no other subcommand
+    return handler
+
+
+def _dirac_gauge(args):
+    pi = _load_bivector(args.poisson)
+    omega = jsonio.tensor_from_json(_load_json(args.omega), pi.chart)
+    P = dirac_mod.gauge_poisson(pi, dirac_mod.GaugeTransform(omega), _parse_point(args.point))
+    return {"gauged_bivector_matrix": P.tolist()}
+
+
+def _dirac_pullback(args):
+    phi = jsonio.map_from_json(_load_json(args.map))
+    E = dirac_mod.graph_of_poisson(_load_bivector(args.poisson))
+    B = dirac_mod.pullback_dirac_at_point(phi, E, _parse_point(args.point))
+    return {"fiber_basis": B.tolist(), "basis_dependent": True}
+
+
+def _dirac_poisson_map(args):
     phi = jsonio.map_from_json(_load_json(args.map))
     pi_src = _load_bivector(args.pi_source)
     pi_tgt = PoissonBivector(jsonio.tensor_from_json(_load_json(args.pi_target), phi.target))
@@ -266,7 +269,7 @@ def _cmd_dirac(args):
     return [CriterionResult("poisson-map-identity", 0 if rep.exact else None, None, "exact")], {}
 
 
-def _cmd_realize(args):
+def _realize(args):
     pi = _load_bivector(args.poisson)
     config = real_mod.RealizationConfig(step=args.step)
     spray = real_mod.default_spray(pi)
@@ -275,7 +278,7 @@ def _cmd_realize(args):
     return list(rep.criteria), {"samples": rep.samples}
 
 
-def _cmd_moser(args):
+def _moser(args):
     pi = _load_bivector(args.poisson)
     a_t = _load_oneform_family(args.a_form)
     rng = np.random.default_rng(args.seed)
@@ -285,9 +288,8 @@ def _cmd_moser(args):
     return [crit], {"samples": len(grid), "time": args.time}
 
 
-def _cmd_linearize(args):
-    data = _load_json(args.field)
-    X = jsonio.tensor_from_json(data)
+def _linearize(args):
+    X = jsonio.tensor_from_json(_load_json(args.field))
     if not isinstance(X, PolyKVector) or X.degree != 1:
         raise InputError("--field must hold a degree-1 vector field")
     if (n := X.chart.dim) == 0:
@@ -310,6 +312,8 @@ def _rational_matrix_from_json(rows):
 
 @jsonio.decoder
 def _triple_from_json(data) -> tuple:
+    """(triple, chart, ref): a user triple, the chart it borrows with `builtin_ad`
+    and the built-in triple whose chart that is, or (triple, None, None)."""
     dim = jsonio.dimension(data, "dim")
     C = jsonio.constants_from_entries(data["C"], dim)
     B = _rational_matrix_from_json(data["B"])
@@ -317,17 +321,16 @@ def _triple_from_json(data) -> tuple:
     g_basis = _rational_matrix_from_json(data["g_basis"])
     h_basis = _rational_matrix_from_json(data["h_basis"])
     triple = manin_mod.ManinTriple(alg, g_basis, h_basis)
-    chart = None
     builtin_ad = data.get("builtin_ad")
-    if builtin_ad:
-        catalog = manin_mod.builtin_triples()
-        if builtin_ad not in catalog:
-            raise InputError(f"unknown builtin_ad {builtin_ad!r}")
-        ref_chart = catalog[builtin_ad][1]
-        if ref_chart is None:
-            raise InputError(f"builtin {builtin_ad!r} carries no chart")
-        chart = manin_mod.GroupChart(builtin_ad, triple, ref_chart.param, ref_chart.log_map)
-    return triple, chart
+    if not builtin_ad:
+        return triple, None, None
+    catalog = manin_mod.builtin_triples()
+    if builtin_ad not in catalog:
+        raise InputError(f"unknown builtin_ad {builtin_ad!r}")
+    ref, chart = catalog[builtin_ad]
+    if chart is None:
+        raise InputError(f"builtin {builtin_ad!r} carries no chart")
+    return triple, manin_mod.GroupChart(builtin_ad, triple, chart.param, chart.log_map), ref
 
 
 @jsonio.decoder
@@ -340,30 +343,16 @@ def _homspace_from_json(data) -> tuple:
             _rational_matrix_from_json(data.get("k_generators", [])))
 
 
-def _resolve_triple(args):
-    if getattr(args, "builtin", None):
-        catalog = manin_mod.builtin_triples()
-        if args.builtin not in catalog:
-            raise InputError(
-                f"unknown builtin {args.builtin!r}; have {sorted(catalog)}"
-            )
-        return catalog[args.builtin]
-    if getattr(args, "triple", None):
-        return _triple_from_json(_load_json(args.triple))
-    raise InputError("need --builtin or --triple")
-
-
 def _triple_axioms(triple) -> CriterionResult:
     ok, witness = manin_mod.check_manin_triple(triple)
     return CriterionResult("manin-triple-axioms", 0 if ok else None, None, "exact", witness)
 
 
-def _check_borrowed_chart(triple, chart) -> None:
+def _check_borrowed_chart(triple, chart, ref) -> None:
     """Refuse a `builtin_ad` chart unless g has the same structure constants in
-    the triple's g-basis as in its built-in's: the chart's param and log_map
-    multiply in the built-in's group.  Exactly, in ints, each paired bracket
+    the triple's g-basis as in its built-in triple ref's: the chart's param and
+    log_map multiply in ref's group.  Exactly, in ints, each paired bracket
     ([g_i, g_j] | [g_i, g_j]') lies in the span of the paired basis (g_c | g_c')."""
-    ref = manin_mod.builtin_triples()[chart.name][0]
     alg, ref_alg, n, d = triple.algebra, ref.algebra, triple.half_dim, triple.algebra.dim
     paired = [_integer_row(u + v) for u, v in zip(triple.g_basis, ref.g_basis)]  # one scale
     inside = _span_test(paired)
@@ -374,57 +363,137 @@ def _check_borrowed_chart(triple, chart) -> None:
         raise InputError(f"builtin_ad {chart.name!r}: the chart's g is not this triple's g")
 
 
-def _cmd_manin(args):
-    triple, chart = _resolve_triple(args)
-    if args.manin_cmd == "check":
-        return [_triple_axioms(triple)], {}
-    if chart is None and args.manin_cmd != "homspace":
-        raise InputError("this subcommand needs a triple with a group chart")
-    if not args.builtin:  # a user triple is decided before its chart is used
-        crit = _triple_axioms(triple)
-        if not crit.passed:
-            return [crit], {}
-        if chart is not None:
-            _check_borrowed_chart(triple, chart)
-    if args.manin_cmd in ("bivector", "dressing"):
-        pt = np.array(_parse_point(args.point, chart.dim))
-        if np.abs(pt).max() > SCALE_CAP:
-            raise InputError(f"point {args.point!r} lies outside the chart domain |x_i| <= pi")
-    if args.manin_cmd == "bivector":
-        P = manin_mod.drinfeld_bivector(triple, chart, pt)
-        Pc = manin_mod.drinfeld_bivector_chart(triple, chart, pt)
-        r = manin_mod.jacobiator_fd_residual(triple, chart, [pt])
-        return ([CriterionResult("bivector-jacobi", r, pt, args.tol)],
-                {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()})
-    if args.manin_cmd == "dressing":
-        zeta = np.array(_parse_point(args.zeta, triple.algebra.dim))
-        out = manin_mod.dressing_action(triple, chart, pt, zeta)
-        return [], {"left_trivialized_value": out.tolist()}
-    if args.manin_cmd == "multiplicativity":
-        rng = np.random.default_rng(args.seed)
-        pairs = [
-            (args.scale * rng.uniform(-1, 1, chart.dim),
-             args.scale * rng.uniform(-1, 1, chart.dim))
-            for _ in range(args.pairs)
-        ]
-        rep = manin_mod.verify_multiplicativity(triple, chart, pairs)
-        crit = CriterionResult("multiplicativity", rep["max_residual"], rep["worst_pair"][0],
-                               args.tol)
-        return [crit], {"pairs": args.pairs}
-    # homspace: the parser admits no other subcommand
+def _manin_triple(args) -> tuple:
+    """(triple, chart, ref) of --builtin or --triple, as `_triple_from_json` reads
+    a user triple.  One run builds `builtin_triples()` at most once."""
+    if args.builtin:
+        catalog = manin_mod.builtin_triples()
+        if args.builtin not in catalog:
+            raise InputError(f"unknown builtin {args.builtin!r}; have {sorted(catalog)}")
+        return (*catalog[args.builtin], None)
+    if args.triple:
+        return _triple_from_json(_load_json(args.triple))
+    raise InputError("need --builtin or --triple")
+
+
+def _on_a_chart(fn, chart_needed=True):
+    """The handler that runs fn(args, triple, chart) after these decisions, in order:
+    the triple is known, it has a chart (where chart_needed), a user's triple passes
+    its axioms (their failed criterion is the report otherwise), and its borrowed
+    chart's g is its own g."""
+    def handler(args):
+        triple, chart, ref = _manin_triple(args)
+        if chart is None and chart_needed:
+            raise InputError("this subcommand needs a triple with a group chart")
+        if not args.builtin:  # a user triple is decided before its chart is used
+            if not (crit := _triple_axioms(triple)).passed:
+                return [crit], {}
+            if ref is not None:
+                _check_borrowed_chart(triple, chart, ref)
+        return fn(args, triple, chart)
+    return handler
+
+
+def _chart_point(text, chart):
+    pt = np.array(_parse_point(text, chart.dim))
+    if np.abs(pt).max() > SCALE_CAP:
+        raise InputError(f"point {text!r} lies outside the chart domain |x_i| <= pi")
+    return pt
+
+
+def _manin_check(args):  # the axioms alone: no chart is needed, used or checked
+    return [_triple_axioms(_manin_triple(args)[0])], {}
+
+
+def _manin_bivector(args, triple, chart):
+    pt = _chart_point(args.point, chart)
+    P = manin_mod.drinfeld_bivector(triple, chart, pt)
+    Pc = manin_mod.drinfeld_bivector_chart(triple, chart, pt)
+    r = manin_mod.jacobiator_fd_residual(triple, chart, [pt])
+    return ([CriterionResult("bivector-jacobi", r, pt, args.tol)],
+            {"bivector_h_basis": P.tolist(), "bivector_chart": Pc.tolist()})
+
+
+def _manin_dressing(args, triple, chart):
+    pt = _chart_point(args.point, chart)
+    zeta = np.array(_parse_point(args.zeta, triple.algebra.dim))
+    out = manin_mod.dressing_action(triple, chart, pt, zeta)
+    return [], {"left_trivialized_value": out.tolist()}
+
+
+def _manin_multiplicativity(args, triple, chart):
+    rng = np.random.default_rng(args.seed)
+    draw = lambda: args.scale * rng.uniform(-1, 1, chart.dim)
+    pairs = [(draw(), draw()) for _ in range(args.pairs)]
+    rep = manin_mod.verify_multiplicativity(triple, chart, pairs)
+    crit = CriterionResult("multiplicativity", rep["max_residual"], rep["worst_pair"][0],
+                           args.tol)
+    return [crit], {"pairs": args.pairs}
+
+
+def _manin_homspace(args, triple, chart):
     k_basis, l_basis, gens = _homspace_from_json(_load_json(args.data))
     return [manin_mod.homogeneous_space_check(triple, k_basis, l_basis, gens)], {}
 
 
-# -- parser -------------------------------------------------------------------
+class Command(NamedTuple):
+    """A handler, its options ({flag: argparse keywords}, in parser order) and its
+    --tol and --seed defaults: None where it reads neither, so either is an input error."""
+
+    handler: Callable
+    options: dict
+    tol: float | None = None
+    seed: int | None = None
+
+
+_REQUIRED = {"required": True}
+_STEP = {"type": float, "default": 1e-3}
+_TRIPLE = {"--builtin": {}, "--triple": {}}
+
+# One row per command, in parser order; "group name" is a subcommand of group.
+COMMANDS = {
+    "poisson check": Command(_poisson_check, {"--file": _REQUIRED}),
+    "poisson jacobiator": Command(_poisson_jacobiator, {"--file": _REQUIRED}),
+    "poisson bracket": Command(_poisson_bracket, {"--file": _REQUIRED, "--f": _REQUIRED,
+                                                  "--g": _REQUIRED}),
+    "poisson leaf": Command(_poisson_leaf, {"--file": _REQUIRED, "--point": _REQUIRED}),
+    "dirac check-integrability": Command(_dirac_check_integrability,
+                                         {"--poisson": {}, "--frame": {}}, seed=0),
+    "dirac gauge": Command(_transversality("gauge-transversality", _dirac_gauge),
+                           {"--poisson": _REQUIRED, "--omega": _REQUIRED, "--point": _REQUIRED}),
+    "dirac pullback": Command(_transversality("pullback-transversality", _dirac_pullback),
+                             {"--map": _REQUIRED, "--poisson": _REQUIRED, "--point": _REQUIRED}),
+    "dirac poisson-map": Command(_dirac_poisson_map, {
+        "--map": _REQUIRED, "--pi-source": _REQUIRED, "--pi-target": _REQUIRED,
+        "--anti": {"action": "store_true"}}),
+    "realize": Command(_realize, {
+        "--poisson": _REQUIRED, "--samples": {"type": int, "default": 20},
+        "--radius": {"type": float, "default": 0.2}, "--step": _STEP, "--report": {}},
+        tol=1e-6, seed=0),
+    "moser": Command(_moser, {
+        "--poisson": _REQUIRED, "--a-form": _REQUIRED, "--time": {"type": float, "default": 0.5},
+        "--grid-radius": {"type": float, "default": 0.5},
+        "--grid-count": {"type": int, "default": 9}, "--step": _STEP}, tol=1e-6, seed=0),
+    "linearize": Command(_linearize, {
+        "--field": _REQUIRED, "--radius": {"type": float, "default": 0.3},
+        "--samples": {"type": int, "default": 10}, "--step": _STEP}, tol=1e-5, seed=0),
+    "manin check": Command(_manin_check, _TRIPLE),
+    "manin bivector": Command(_on_a_chart(_manin_bivector), {**_TRIPLE, "--point": _REQUIRED},
+                              tol=1e-5),
+    "manin dressing": Command(_on_a_chart(_manin_dressing),
+                              {**_TRIPLE, "--point": _REQUIRED, "--zeta": _REQUIRED}),
+    "manin multiplicativity": Command(_on_a_chart(_manin_multiplicativity), {
+        **_TRIPLE, "--pairs": {"type": int, "default": 10},
+        "--scale": {"type": float, "default": 0.5}}, tol=1e-5, seed=0),
+    "manin homspace": Command(_on_a_chart(_manin_homspace, chart_needed=False),
+                              {**_TRIPLE, "--data": _REQUIRED}),
+}
 
 
 @functools.cache  # parse_args returns a fresh namespace, so one parser serves every run
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="diraclab",
-        description="Exact and numeric certification of Poisson/Dirac constructions",
-    )
+    ap = _Parser(prog="diraclab",
+                 description="Exact and numeric certification of Poisson/Dirac constructions")
     ap.add_argument("--seed", type=int, default=None, help="seed for all sampled points")
     ap.add_argument("--tol", type=float, default=None, help="override the command tolerance")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
@@ -432,88 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("poisson")
-    ps = p.add_subparsers(dest="poisson_cmd", required=True)
-    for name in ("check", "jacobiator"):
-        q = ps.add_parser(name, parents=[common])
-        q.add_argument("--file", required=True)
-    q = ps.add_parser("bracket", parents=[common])
-    q.add_argument("--file", required=True)
-    q.add_argument("--f", required=True)
-    q.add_argument("--g", required=True)
-    q = ps.add_parser("leaf", parents=[common])
-    q.add_argument("--file", required=True)
-    q.add_argument("--point", required=True)
-
-    d = sub.add_parser("dirac")
-    ds = d.add_subparsers(dest="dirac_cmd", required=True)
-    q = ds.add_parser("check-integrability", parents=[common])
-    q.add_argument("--poisson")
-    q.add_argument("--frame")
-    q = ds.add_parser("gauge", parents=[common])
-    q.add_argument("--poisson", required=True)
-    q.add_argument("--omega", required=True)
-    q.add_argument("--point", required=True)
-    q = ds.add_parser("pullback", parents=[common])
-    q.add_argument("--map", required=True)
-    q.add_argument("--poisson", required=True)
-    q.add_argument("--point", required=True)
-    q = ds.add_parser("poisson-map", parents=[common])
-    q.add_argument("--map", required=True)
-    q.add_argument("--pi-source", dest="pi_source", required=True)
-    q.add_argument("--pi-target", dest="pi_target", required=True)
-    q.add_argument("--anti", action="store_true")
-
-    r = sub.add_parser("realize", parents=[common])
-    r.add_argument("--poisson", required=True)
-    r.add_argument("--samples", type=int, default=20)
-    r.add_argument("--radius", type=float, default=0.2)
-    r.add_argument("--step", type=float, default=1e-3)
-    r.add_argument("--report")
-
-    m = sub.add_parser("moser", parents=[common])
-    m.add_argument("--poisson", required=True)
-    m.add_argument("--a-form", dest="a_form", required=True)
-    m.add_argument("--time", type=float, default=0.5)
-    m.add_argument("--grid-radius", dest="grid_radius", type=float, default=0.5)
-    m.add_argument("--grid-count", dest="grid_count", type=int, default=9)
-    m.add_argument("--step", type=float, default=1e-3)
-
-    l = sub.add_parser("linearize", parents=[common])
-    l.add_argument("--field", required=True)
-    l.add_argument("--radius", type=float, default=0.3)
-    l.add_argument("--samples", type=int, default=10)
-    l.add_argument("--step", type=float, default=1e-3)
-
-    mn = sub.add_parser("manin")
-    ms = mn.add_subparsers(dest="manin_cmd", required=True)
-    for name in ("check", "bivector", "dressing", "multiplicativity", "homspace"):
-        q = ms.add_parser(name, parents=[common])
-        q.add_argument("--builtin")
-        q.add_argument("--triple")
-        if name == "bivector":
-            q.add_argument("--point", required=True)
-        if name == "dressing":
-            q.add_argument("--point", required=True)
-            q.add_argument("--zeta", required=True)
-        if name == "multiplicativity":
-            q.add_argument("--pairs", type=int, default=10)
-            q.add_argument("--scale", type=float, default=0.5)
-        if name == "homspace":
-            q.add_argument("--data", required=True)
+    groups = {"": ap.add_subparsers(dest="cmd", required=True)}
+    for command, row in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group not in groups:  # its subcommand is args.<group>_cmd
+            groups[group] = groups[""].add_parser(group).add_subparsers(
+                dest=f"{group}_cmd", required=True)
+        q = groups[group].add_parser(name, parents=[common])
+        q.set_defaults(command=command)
+        for flag, keywords in row.options.items():
+            q.add_argument(flag, **keywords)
     return ap
-
-
-_HANDLERS = {
-    "poisson": _cmd_poisson,
-    "dirac": _cmd_dirac,
-    "realize": _cmd_realize,
-    "moser": _cmd_moser,
-    "linearize": _cmd_linearize,
-    "manin": _cmd_manin,
-}
 
 
 def run(argv) -> int:
@@ -533,7 +531,7 @@ def run(argv) -> int:
             if args.seed is not None:
                 report["seed"] = args.seed
             _check_options(args)
-            criteria, result = _HANDLERS[args.cmd](args)
+            criteria, result = COMMANDS[args.command].handler(args)
             report["criteria"] = [c.as_dict() for c in criteria]
             if result:
                 report["result"] = result

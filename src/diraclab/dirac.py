@@ -163,14 +163,12 @@ class LagrangianFrame:
         return [[p.evaluate_exact(x) if (p := part.components.get((i,))) else 0
                  for part in (s.X, s.alpha) for i in range(n)] for s in self.sections]
 
-    def gram_polynomials(self):
-        return [[pairing(a, b) for b in self.sections] for a in self.sections]
-
     def check_lagrangian(self, point):
-        """Exact Lagrangian check: every entry of `gram_polynomials` is the
-        zero polynomial, and the n sections have rank n at the point, taken
-        as the exact rational value of each float coordinate."""
-        if not all(p.is_zero() for row in self.gram_polynomials() for p in row):
+        """Exact Lagrangian check: the pairing <s_a, s_b> is the zero polynomial for
+        each a <= b (it is symmetric), and the n sections have rank n at the point,
+        taken as the exact rational value of each float coordinate."""
+        S = self.sections
+        if not all(pairing(a, b).is_zero() for i, a in enumerate(S) for b in S[i:]):
             return False
         return _rank(self.exact_at([Fraction(float(v)) for v in point])) == self.chart.dim
 

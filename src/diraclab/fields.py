@@ -110,15 +110,6 @@ def _sum_buckets(chart: Chart, buckets: dict) -> dict:
     return {idx: p for idx, p in sums.items() if p}
 
 
-def accumulate_signed(acc: dict, idx, value) -> None:
-    """Add a value at an antisymmetric index: the index is sorted by
-    `sort_index`, the value takes the permutation sign, and an index with a
-    repeat contributes nothing."""
-    sidx, sign = sort_index(idx)
-    if sidx is not None:
-        accumulate(acc, sidx, value if sign == 1 else -value)
-
-
 def _integer_row(v) -> list:
     """A rational vector times the lcm of its denominators: integers, same span."""
     m = math.lcm(*(x.denominator for x in v))
@@ -551,8 +542,10 @@ class _AlternatingTensor:
                     p = PolyScalar.constant(chart, p)
                 if p.chart != chart:
                     raise ChartMismatchError("component polynomial on wrong chart")
-                if p:
-                    accumulate_signed(clean, idx, p)
+                if p:  # sign-normalized: a repeated index contributes nothing
+                    idx, sign = sort_index(idx)
+                    if idx is not None:
+                        accumulate(clean, idx, p if sign == 1 else -p)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)

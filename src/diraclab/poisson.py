@@ -32,7 +32,6 @@ from .fields import (
     PolyScalar,
     _rank,
     accumulate,
-    accumulate_signed,
     cotangent_chart,
     exterior_derivative,
     sort_index,
@@ -41,16 +40,15 @@ from .fields import (
 
 
 class PoissonBivector:
-    """A bivector field; `is_poisson` is decided exactly and cached."""
+    """A bivector field; its `jacobiator`, which `is_poisson` reads, is exact and cached."""
 
-    __slots__ = ("pi", "_jacobiator", "_poisson", "_compiled")
+    __slots__ = ("pi", "_jacobiator", "_compiled")
 
     def __init__(self, pi: PolyKVector):
         if pi.degree != 2:
             raise DegreeError("PoissonBivector needs a degree-2 multivector")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_jacobiator", None)
-        object.__setattr__(self, "_poisson", None)
         object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
@@ -140,9 +138,7 @@ def jacobiator(pi: PoissonBivector) -> PolyKVector:
 
 
 def is_poisson(pi: PoissonBivector) -> bool:
-    if pi._poisson is None:
-        object.__setattr__(pi, "_poisson", jacobiator(pi).is_zero())
-    return pi._poisson
+    return jacobiator(pi).is_zero()
 
 
 # -- Lie-Poisson / structure constants ---------------------------------------
@@ -269,11 +265,11 @@ def algebroid_to_linear_poisson(A: LieAlgebroidData) -> PoissonBivector:
     chart = total_chart(A.base, n)
     comps: dict = {}
     for (i, j, k), c in A.constants.items():
-        accumulate_signed(comps, (m + i, m + j), c.embed(chart) * chart.coordinate(m + k))
+        accumulate(comps, (m + i, m + j), c.embed(chart) * chart.coordinate(m + k))
     for i, a in enumerate(A.anchors):
         for (j,), aj in a.components.items():
             # d/dy_i ^ a_i^j d/dx_j = -a_i^j d/dx_j ^ d/dy_i
-            accumulate_signed(comps, (j, m + i), -aj.embed(chart))
+            accumulate(comps, (j, m + i), -aj.embed(chart))
     return from_components(chart, comps)
 
 

@@ -372,12 +372,12 @@ def test_cli_handlers_return_criterion_records(tmp_path, monkeypatch, capsys):
     from diraclab._numeric import CriterionResult
 
     seen = []
-    for name, handler in cli._HANDLERS.items():
-        def recorded(args, _handler=handler):
+    for name, row in cli.COMMANDS.items():
+        def recorded(args, _handler=row.handler):
             criteria, result = _handler(args)
             seen.extend(criteria)
             return criteria, result
-        monkeypatch.setitem(cli._HANDLERS, name, recorded)
+        monkeypatch.setitem(cli.COMMANDS, name, row._replace(handler=recorded))
     for command in FUZZ_COMMANDS:
         cli.run(fuzz_argv(tmp_path, command))
     capsys.readouterr()

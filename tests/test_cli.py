@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -707,6 +708,43 @@ class TestTripleJson:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, builtin_ad, builds", [
+        (["multiplicativity", "--pairs", "2"], "iwasawa-su2", 1),
+        (["check"], "iwasawa-su2", 1),
+        (["check"], None, 0),
+        (["homspace", "--data", "HS"], None, 0),
+    ], ids=["borrowed", "borrowed-check", "chartless-check", "chartless-homspace"])
+    def test_a_run_builds_the_catalog_at_most_once(self, capsys, tmp_path, monkeypatch, argv,
+                                                   builtin_ad, builds):
+        # a borrowed chart is looked up and its g checked from one catalog
+        calls = []
+        monkeypatch.setattr(cli.manin_mod, "builtin_triples",
+                            lambda f=builtin_triples: calls.append(f) or f())
+        data = self.triple_json("iwasawa-su2")
+        data["builtin_ad"] = builtin_ad
+        (tmp_path / "HS").write_text(json.dumps(fuzz_inputs()["HS"]))
+        (tmp_path / "triple.json").write_text(json.dumps(data))
+        argv = [str(tmp_path / a) if a == "HS" else a for a in argv]
+        code, rep = run_and_parse(capsys, ["manin", *argv, "--triple",
+                                           str(tmp_path / "triple.json")])
+        assert code == 0, rep.get("error")
+        assert len(calls) == builds
+
+
+def test_parser_commands_are_the_table_rows():
+    # walk the parser's subcommand tree: each leaf is one row, with the row's options
+    def leaves(parser, prefix=()):
+        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not sub:
+            yield " ".join(prefix), [a.option_strings[-1] for a in parser._actions]
+        for name, child in (sub[0].choices.items() if sub else ()):
+            yield from leaves(child, (*prefix, name))
+
+    tree = dict(leaves(cli.build_parser()))
+    assert list(tree) == list(cli.COMMANDS) == list(FUZZ_COMMANDS)
+    for command, row in cli.COMMANDS.items():
+        assert tree[command] == ["--help", "--seed", "--tol", *row.options]
+
 
 def test_consecutive_runs_share_no_option_values(workdir, capsys):
     # one parser serves every run in a process
@@ -776,9 +814,10 @@ class TestTolOverride:
         assert code == 1
 
     def test_tol_defaults_name_the_numeric_commands(self):
-        assert set(cli.TOL_DEFAULTS) == set(FUZZ_COMMANDS) - set(NO_NUMERIC_CRITERION)
-        assert set(cli.TOL_DEFAULTS) == {"realize", "moser", "linearize", "manin bivector",
-                                         "manin multiplicativity"}
+        tol = {command: row.tol for command, row in cli.COMMANDS.items() if row.tol is not None}
+        assert set(tol) == set(FUZZ_COMMANDS) - set(NO_NUMERIC_CRITERION)
+        assert tol == {"realize": 1e-6, "moser": 1e-6, "linearize": 1e-5, "manin bivector": 1e-5,
+                       "manin multiplicativity": 1e-5}
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     @pytest.mark.parametrize("command", NO_NUMERIC_CRITERION)
@@ -801,7 +840,9 @@ NOT_SEEDED = ["poisson check", "poisson jacobiator", "poisson bracket", "poisson
 
 class TestSeedOverride:
     def test_seed_defaults_name_the_seeded_commands(self):
-        assert set(cli.SEED_DEFAULTS) == set(FUZZ_COMMANDS) - set(NOT_SEEDED)
+        seed = {command: row.seed for command, row in cli.COMMANDS.items()
+                if row.seed is not None}
+        assert seed == dict.fromkeys(set(FUZZ_COMMANDS) - set(NOT_SEEDED), 0)
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     @pytest.mark.parametrize("command", NOT_SEEDED)

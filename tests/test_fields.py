@@ -14,7 +14,6 @@ from diraclab.fields import (
     PolyKVector,
     PolyScalar,
     accumulate,
-    accumulate_signed,
     coordinate_form,
     coordinate_vector,
     exterior_derivative,
@@ -53,14 +52,13 @@ class TestAccumulate:
         assert acc == {}
 
     def test_signed_index(self):
-        x, y = R2.coordinates()
-        acc = {}
-        accumulate_signed(acc, (2, 0, 1), x)   # even permutation of (0, 1, 2)
-        accumulate_signed(acc, (1, 0, 2), y)   # odd
-        accumulate_signed(acc, (0, 0, 1), x)   # repeated index: no contribution
-        assert acc == {(0, 1, 2): x - y}
-        accumulate_signed(acc, (0, 2, 1), x - y)
-        assert acc == {}
+        x, y, _ = R3.coordinates()
+        T = PolyKVector(R3, 3, {(2, 0, 1): x,    # even permutation of (0, 1, 2)
+                                (1, 0, 2): y,    # odd
+                                (0, 0, 1): x})   # repeated index: no contribution
+        assert T.components == {(0, 1, 2): x - y}
+        T = PolyKVector(R3, 3, {(2, 0, 1): x, (1, 0, 2): y, (0, 2, 1): x - y})
+        assert T.components == {}
 
 
 class TestPolyScalar:
