@@ -7,8 +7,9 @@ identical inputs and seed reproduce the report byte for byte (the
 wall_time_s field is the one excluded, timing is not reproducible).
 Every numeric option is checked against its domain in `OPTION_DOMAINS`
 before a command runs, and a usage error is an input error with a report.
-Each command is one row of `COMMANDS`: its handler, its options and its --tol
-and --seed defaults; either is an input error on a command that reads neither.
+Each command is one row of `COMMANDS`: its handler, its options, its --tol
+and --seed defaults (either is an input error on a command that reads neither)
+and the pair of alternative inputs it needs exactly one of.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import jsonio
 from ._numeric import CriterionResult, FlowConfig
 from .errors import DiraclabError, PointError, TransversalityError
-from .fields import Chart, PolyKForm, PolyKVector, _integer_row, _span_test
+from .fields import Chart, PolyKForm, _integer_row, _span_test, expect
 from .poisson import (
     PoissonBivector,
     TimePolyForm,
@@ -114,7 +115,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_options(args) -> None:
     """Check each option's domain, then fill in --tol and --seed from the
-    command's row, or refuse each where nothing reads it."""
+    command's row, or refuse each where nothing reads it, and refuse both or
+    neither of the row's alternative inputs."""
     for name, (inside, phrase) in OPTION_DOMAINS.items():
         value = getattr(args, name, None)
         if value is not None and not inside(value):
@@ -127,6 +129,11 @@ def _check_options(args) -> None:
                 raise InputError(f"--{name}: {command} {unread}")
         elif getattr(args, name) is None:
             setattr(args, name, default)
+    if row.one_of:
+        given = [flag for flag in row.one_of if getattr(args, flag[2:].replace("-", "_"))]
+        if len(given) != 1:
+            raise InputError(" and ".join(given) + " exclude each other" if given
+                             else "need " + " or ".join(row.one_of))
 
 
 def _load_json(path: str):
@@ -156,10 +163,7 @@ def _parse_point(text: str, dim: int | None = None):
 
 
 def _load_bivector(path: str) -> PoissonBivector:
-    T = jsonio.tensor_from_json(_load_json(path))
-    if not isinstance(T, PolyKVector) or T.degree != 2:
-        raise InputError(f"{path}: expected a degree-2 multivector (kind=vector)")
-    return PoissonBivector(T)
+    return PoissonBivector(jsonio.tensor_from_json(_load_json(path)))
 
 
 @jsonio.decoder
@@ -171,8 +175,8 @@ def _load_oneform_family(path: str) -> TimePolyForm:
     coeffs = {}
     for d, tens in powers.items():
         T = jsonio.tensor_from_json(tens)
-        if not isinstance(T, PolyKForm) or T.degree != 1:
-            raise InputError(f"{path}: powers[{d}] must be a 1-form")
+        # checked per power, so that the message names the file and the power
+        expect(T, PolyKForm, 1, f"{path}: powers[{d}]")
         coeffs[int(d)] = T
     return TimePolyForm(coeffs)
 
@@ -224,10 +228,8 @@ def _frame_from_json(data) -> dirac_mod.LagrangianFrame:
 def _dirac_check_integrability(args):
     if args.poisson:
         E = dirac_mod.graph_of_poisson(_load_bivector(args.poisson))
-    elif args.frame:
-        E = _frame_from_json(_load_json(args.frame))
     else:
-        raise InputError("need --poisson or --frame")
+        E = _frame_from_json(_load_json(args.frame))
     # the seeded point where the frame's rank is taken
     pt = np.random.default_rng(args.seed).uniform(-1.0, 1.0, size=E.chart.dim)
     T = dirac_mod.integrability_tensor(E, pt)
@@ -290,8 +292,6 @@ def _moser(args):
 
 def _linearize(args):
     X = jsonio.tensor_from_json(_load_json(args.field))
-    if not isinstance(X, PolyKVector) or X.degree != 1:
-        raise InputError("--field must hold a degree-1 vector field")
     if (n := X.chart.dim) == 0:
         raise InputError("--field must live on a chart of dimension at least 1")
     # uniform in the ball with one draw per point: a uniform direction z/|z| at
@@ -371,9 +371,7 @@ def _manin_triple(args) -> tuple:
         if args.builtin not in catalog:
             raise InputError(f"unknown builtin {args.builtin!r}; have {sorted(catalog)}")
         return (*catalog[args.builtin], None)
-    if args.triple:
-        return _triple_from_json(_load_json(args.triple))
-    raise InputError("need --builtin or --triple")
+    return _triple_from_json(_load_json(args.triple))
 
 
 def _on_a_chart(fn, chart_needed=True):
@@ -437,18 +435,21 @@ def _manin_homspace(args, triple, chart):
 
 
 class Command(NamedTuple):
-    """A handler, its options ({flag: argparse keywords}, in parser order) and its
-    --tol and --seed defaults: None where it reads neither, so either is an input error."""
+    """A handler, its options ({flag: argparse keywords}, in parser order), its
+    --tol and --seed defaults (None where it reads neither, so either is an input
+    error) and its alternative inputs: two flags, parsed first, of which a run
+    gives exactly one."""
 
     handler: Callable
     options: dict
     tol: float | None = None
     seed: int | None = None
+    one_of: tuple = ()
 
 
 _REQUIRED = {"required": True}
 _STEP = {"type": float, "default": 1e-3}
-_TRIPLE = {"--builtin": {}, "--triple": {}}
+_TRIPLE = ("--builtin", "--triple")
 
 # One row per command, in parser order; "group name" is a subcommand of group.
 COMMANDS = {
@@ -457,8 +458,8 @@ COMMANDS = {
     "poisson bracket": Command(_poisson_bracket, {"--file": _REQUIRED, "--f": _REQUIRED,
                                                   "--g": _REQUIRED}),
     "poisson leaf": Command(_poisson_leaf, {"--file": _REQUIRED, "--point": _REQUIRED}),
-    "dirac check-integrability": Command(_dirac_check_integrability,
-                                         {"--poisson": {}, "--frame": {}}, seed=0),
+    "dirac check-integrability": Command(_dirac_check_integrability, {}, seed=0,
+                                         one_of=("--poisson", "--frame")),
     "dirac gauge": Command(_transversality("gauge-transversality", _dirac_gauge),
                            {"--poisson": _REQUIRED, "--omega": _REQUIRED, "--point": _REQUIRED}),
     "dirac pullback": Command(_transversality("pullback-transversality", _dirac_pullback),
@@ -477,16 +478,16 @@ COMMANDS = {
     "linearize": Command(_linearize, {
         "--field": _REQUIRED, "--radius": {"type": float, "default": 0.3},
         "--samples": {"type": int, "default": 10}, "--step": _STEP}, tol=1e-5, seed=0),
-    "manin check": Command(_manin_check, _TRIPLE),
-    "manin bivector": Command(_on_a_chart(_manin_bivector), {**_TRIPLE, "--point": _REQUIRED},
-                              tol=1e-5),
+    "manin check": Command(_manin_check, {}, one_of=_TRIPLE),
+    "manin bivector": Command(_on_a_chart(_manin_bivector), {"--point": _REQUIRED},
+                              tol=1e-5, one_of=_TRIPLE),
     "manin dressing": Command(_on_a_chart(_manin_dressing),
-                              {**_TRIPLE, "--point": _REQUIRED, "--zeta": _REQUIRED}),
+                              {"--point": _REQUIRED, "--zeta": _REQUIRED}, one_of=_TRIPLE),
     "manin multiplicativity": Command(_on_a_chart(_manin_multiplicativity), {
-        **_TRIPLE, "--pairs": {"type": int, "default": 10},
-        "--scale": {"type": float, "default": 0.5}}, tol=1e-5, seed=0),
+        "--pairs": {"type": int, "default": 10},
+        "--scale": {"type": float, "default": 0.5}}, tol=1e-5, seed=0, one_of=_TRIPLE),
     "manin homspace": Command(_on_a_chart(_manin_homspace, chart_needed=False),
-                              {**_TRIPLE, "--data": _REQUIRED}),
+                              {"--data": _REQUIRED}, one_of=_TRIPLE),
 }
 
 
@@ -509,6 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
                 dest=f"{group}_cmd", required=True)
         q = groups[group].add_parser(name, parents=[common])
         q.set_defaults(command=command)
+        for flag in row.one_of:
+            q.add_argument(flag)
         for flag, keywords in row.options.items():
             q.add_argument(flag, **keywords)
     return ap

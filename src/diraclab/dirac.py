@@ -25,7 +25,6 @@ import numpy as np
 from ._numeric import _svd, worst
 from .errors import (
     ChartMismatchError,
-    DegreeError,
     PreconditionError,
     ShapeError,
     TransversalityError,
@@ -42,6 +41,7 @@ from .fields import (
     _sum_buckets,
     coordinate_form,
     coordinate_vector,
+    expect,
     exterior_derivative,
     interior_product,
     sum_of_products,
@@ -56,8 +56,8 @@ class GeneralizedSection:
     __slots__ = ("X", "alpha")
 
     def __init__(self, X: PolyKVector, alpha: PolyKForm):
-        if X.degree != 1 or alpha.degree != 1:
-            raise DegreeError("generalized sections pair a vector field with a 1-form")
+        expect(X, PolyKVector, 1, "GeneralizedSection X")
+        expect(alpha, PolyKForm, 1, "GeneralizedSection alpha")
         if X.chart != alpha.chart:
             raise ChartMismatchError("vector and form parts on different charts")
         object.__setattr__(self, "X", X)
@@ -134,8 +134,7 @@ class GaugeTransform:
     omega: PolyKForm
 
     def __post_init__(self):
-        if self.omega.degree != 2:
-            raise DegreeError("gauge transformations use 2-forms")
+        expect(self.omega, PolyKForm, 2, "GaugeTransform")
         if not exterior_derivative(self.omega).is_zero():
             raise PreconditionError("gauge 2-form must be closed (d omega = 0 exactly)")
 
@@ -194,8 +193,7 @@ def graph_of_poisson(pi: PoissonBivector) -> LagrangianFrame:
 def graph_of_form(omega: PolyKForm) -> LagrangianFrame:
     """Frame (d/dx_i + i_{d/dx_i} omega); spans Gr(omega).  A test oracle: no
     command calls it."""
-    if omega.degree != 2:
-        raise DegreeError("graph_of_form needs a 2-form")
+    expect(omega, PolyKForm, 2, "graph_of_form")
     chart = omega.chart
     sections = []
     for i in range(chart.dim):

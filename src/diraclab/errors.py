@@ -10,7 +10,7 @@ class ChartMismatchError(DiraclabError):
 
 
 class DegreeError(DiraclabError):
-    """Operation not defined for the given tensor degree(s)."""
+    """Operation not defined for the given tensor kind or degree(s)."""
 
 
 class ShapeError(DiraclabError):

@@ -525,6 +525,8 @@ class _AlternatingTensor:
 
     __slots__ = ("chart", "degree", "components")
 
+    kind = property(type)  # PolyKVector or PolyKForm, as `expect` reads it
+
     def __init__(self, chart: Chart, degree: int, components=None):
         if degree < 0:
             raise DegreeError("tensor degree must be >= 0")
@@ -581,9 +583,8 @@ class _AlternatingTensor:
         return p if sign == 1 else -p
 
     def __add__(self, other):
+        expect(other, type(self), self.degree, "tensor sum")
         self._check(other)
-        if self.degree != other.degree:
-            raise DegreeError("cannot add tensors of different degree")
         comp = dict(self.components)
         for idx, p in other.components.items():
             accumulate(comp, idx, p)
@@ -648,6 +649,23 @@ class PolyKForm(_AlternatingTensor):
     """Differential form with polynomial components."""
 
 
+def _described(kind, degree: int) -> str:
+    if kind is PolyKForm:
+        return f"a {degree}-form (kind=form)"
+    return f"a degree-{degree} multivector (kind=vector)"
+
+
+def expect(T, cls, degree: int, who: str) -> None:
+    """The one kind-and-degree check of a tensor argument: T is a `cls`, PolyKVector
+    or PolyKForm, of this degree, or a time family of them with this `kind` (see
+    `poisson.TimePolyForm`); else DegreeError says who wanted what, and what it got."""
+    kind = getattr(T, "kind", None)
+    if kind is not cls or T.degree != degree:
+        got = _described(kind, T.degree) if kind in (PolyKVector, PolyKForm) else (
+            f"a {type(T).__name__}")
+        raise DegreeError(f"{who}: expected {_described(cls, degree)}, got {got}")
+
+
 def coordinate_vector(chart: Chart, i: int) -> PolyKVector:
     """The coordinate vector field d/dx_i."""
     return PolyKVector(chart, 1, {(i,): PolyScalar.constant(chart, 1)})
@@ -676,11 +694,9 @@ def exterior_derivative(alpha: PolyKForm) -> PolyKForm:
 
 def interior_product(X: PolyKVector, alpha: PolyKForm) -> PolyKForm:
     """Contraction of a vector field into the first slot of a form.  A test
-    oracle (Cartan's formula): `_lie_terms` computes L_X without it."""
-    if X.degree != 1:
-        raise DegreeError("interior product needs a vector field (degree 1)")
-    if alpha.degree == 0:
-        raise DegreeError("cannot contract into a 0-form")
+    oracle (Cartan's formula): `_lie_terms` computes L_X without it.  A 0-form
+    has no slot: the constructor refuses its degree -1."""
+    expect(X, PolyKVector, 1, "interior_product")
     if X.chart != alpha.chart:
         raise ChartMismatchError("interior product across charts")
     buckets: dict = {}
@@ -690,13 +706,12 @@ def interior_product(X: PolyKVector, alpha: PolyKForm) -> PolyKForm:
             if xi is not None:
                 buckets.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
                     (-1 if pos % 2 else 1, xi, p, None))
-    return PolyKForm._trusted(alpha.chart, alpha.degree - 1, _sum_buckets(alpha.chart, buckets))
+    return PolyKForm(alpha.chart, alpha.degree - 1, _sum_buckets(alpha.chart, buckets))
 
 
 def apply_vector(X: PolyKVector, f: PolyScalar) -> PolyScalar:
     """X(f) = sum_i X^i df/dx_i."""
-    if X.degree != 1:
-        raise DegreeError("apply_vector needs a degree-1 field")
+    expect(X, PolyKVector, 1, "apply_vector")
     if X.chart != f.chart:
         raise ChartMismatchError("apply_vector across charts")
     return sum_of_products(f.chart, [(1, xi, f, i) for (i,), xi in X.components.items()])
@@ -720,16 +735,15 @@ def _lie_terms(buckets: dict, X: PolyKVector, T) -> None:
 
 def vector_bracket(X: PolyKVector, Y: PolyKVector) -> PolyKVector:
     """Lie bracket [X, Y] = L_X Y of vector fields."""
-    if X.degree != 1 or Y.degree != 1:
-        raise DegreeError("vector bracket needs degree-1 fields")
+    expect(X, PolyKVector, 1, "vector_bracket")
+    expect(Y, PolyKVector, 1, "vector_bracket")
     return lie_derivative(X, Y)
 
 
 def lie_derivative(X: PolyKVector, T):
     """Lie derivative along a vector field: X(f) for a scalar, and one
     `_lie_terms` pass for a form or a multivector of any degree."""
-    if X.degree != 1:
-        raise DegreeError("lie_derivative needs a degree-1 field")
+    expect(X, PolyKVector, 1, "lie_derivative")
     if isinstance(T, PolyScalar):
         return apply_vector(X, T)
     if not isinstance(T, (PolyKForm, PolyKVector)):

@@ -598,30 +598,28 @@ def iwasawa_su2() -> tuple:
     return triple, chart
 
 
+def _double(C: dict, B, h_basis) -> ManinTriple:
+    """(d + dbar, diagonal, h): the algebra d of constants C and metric B taken twice,
+    with metric B + (-B), g its diagonal and h the given basis of d + dbar."""
+    d = len(B)
+    Cd: dict = {}
+    for (a, b, k), v in C.items():
+        Cd[(a, b, k)] = Cd[(d + a, d + b, d + k)] = v
+    Bd = [list(row) + [0] * d for row in B] + [[0] * d + [-x for x in row] for row in B]
+    diag = [[int(i == j or i == d + j) for i in range(2 * d)] for j in range(d)]
+    return ManinTriple(MetrizedLieAlgebra(2 * d, Cd, Bd), diag, h_basis)
+
+
 def sl2_standard() -> ManinTriple:
     """(sl2 + sl2bar, diagonal, u) over the rationals, trace-form metric."""
     # basis (H, E, F) per copy: [H,E]=2E, [H,F]=-2F, [E,F]=H
     C1 = {(0, 1, 1): Fraction(2), (0, 2, 2): Fraction(-2), (1, 2, 0): Fraction(1)}
-    Cd: dict = {}
-    for (a, b, k), v in C1.items():
-        Cd[(a, b, k)] = v
-        Cd[(3 + a, 3 + b, 3 + k)] = v
-    B = [[0] * 6 for _ in range(6)]
-    for (i, j, v) in [(0, 0, 2), (1, 2, 1), (2, 1, 1)]:
-        B[i][j] = v
-        B[3 + i][3 + j] = -v
-    alg = MetrizedLieAlgebra(6, Cd, B)
-    g_basis = [
-        [1, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 1],
-    ]
-    h_basis = [
+    B1 = [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
+    return _double(C1, B1, [
         [0, 1, 0, 0, 0, 0],       # (E, 0)
         [0, 0, 0, 0, 0, 1],       # (0, F)
         [1, 0, 0, -1, 0, 0],      # (H, -H)
-    ]
-    return ManinTriple(alg, g_basis, h_basis)
+    ])
 
 
 def sl2_borel() -> ManinTriple:
@@ -646,22 +644,8 @@ def sl2_borel() -> ManinTriple:
 def double_triple(triple: ManinTriple) -> ManinTriple:
     """(d + dbar, diagonal, g + h) built from any Manin triple."""
     d = triple.algebra.dim
-    Cd: dict = {}
-    for (a, b, k), v in triple.algebra.C.items():
-        Cd[(a, b, k)] = v
-        Cd[(d + a, d + b, d + k)] = v
-    B = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        for j in range(d):
-            B[i][j] = triple.algebra.B[i][j]
-            B[d + i][d + j] = -triple.algebra.B[i][j]
-    alg = MetrizedLieAlgebra(2 * d, Cd, B)
-    diag = [[Fraction(1) if (i == j or i == d + j) else Fraction(0) for i in range(2 * d)]
-            for j in range(d)]
-    gh = [list(v) + [Fraction(0)] * d for v in triple.g_basis] + [
-        [Fraction(0)] * d + list(v) for v in triple.h_basis
-    ]
-    return ManinTriple(alg, diag, gh)
+    return _double(triple.algebra.C, triple.algebra.B,
+                   [v + [0] * d for v in triple.g_basis] + [[0] * d + v for v in triple.h_basis])
 
 
 def builtin_triples() -> dict:

@@ -33,6 +33,7 @@ from .fields import (
     _rank,
     accumulate,
     cotangent_chart,
+    expect,
     exterior_derivative,
     sort_index,
     sum_of_products,
@@ -45,8 +46,7 @@ class PoissonBivector:
     __slots__ = ("pi", "_jacobiator", "_compiled")
 
     def __init__(self, pi: PolyKVector):
-        if pi.degree != 2:
-            raise DegreeError("PoissonBivector needs a degree-2 multivector")
+        expect(pi, PolyKVector, 2, "PoissonBivector")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_jacobiator", None)
         object.__setattr__(self, "_compiled", None)
@@ -97,8 +97,7 @@ def standard_symplectic_poisson(n: int) -> PoissonBivector:
 
 def sharp_apply(pi: PoissonBivector, alpha: PolyKForm) -> PolyKVector:
     """pi^#(alpha) for a 1-form: components (Pi^T alpha)_j = sum_i Pi^{ij} alpha_i."""
-    if alpha.degree != 1:
-        raise DegreeError("sharp_apply needs a 1-form")
+    expect(alpha, PolyKForm, 1, "sharp_apply")
     if alpha.chart != pi.chart:
         raise ChartMismatchError("form on the wrong chart")
     chart = pi.chart
@@ -235,8 +234,7 @@ class LieAlgebroidData:
         if len(self.anchors) != self.rank:
             raise ShapeError("need one anchor field per frame section")
         for a in self.anchors:
-            if not isinstance(a, PolyKVector) or a.degree != 1:
-                raise ShapeError("anchors must be degree-1 fields")
+            expect(a, PolyKVector, 1, "LieAlgebroidData anchor")
             if a.chart != self.base:
                 raise ChartMismatchError("anchor not on the base chart")
         constants = {
@@ -353,22 +351,22 @@ def leaf_data_at_point(pi: PoissonBivector, point) -> LeafData:
 
 class TimePolyForm:
     """A family sum_d t^d alpha_d polynomial in a time parameter, of k-forms
-    or (for the Euler flow) of vector fields."""
+    or (for the Euler flow) of vector fields: `kind` is the class of every
+    coefficient, zero ones included, as `fields.expect` reads it."""
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "kind", "degree", "coeffs")
 
     def __init__(self, coeffs: Mapping[int, PolyKForm]):
         items = {int(d): a for d, a in coeffs.items()}
         if not items:
             raise ShapeError("need at least one coefficient form to fix chart/degree")
-        charts = {a.chart for a in items.values()}
-        degrees = {a.degree for a in items.values()}
-        if len(charts) != 1 or len(degrees) != 1:
-            raise ShapeError("coefficients must share chart and degree")
+        shapes = {(a.chart, a.kind, a.degree) for a in items.values()}
+        if len(shapes) != 1:
+            raise ShapeError("coefficients must share chart, kind and degree")
         if min(items) < 0:
             raise ShapeError("time powers must be >= 0")
-        object.__setattr__(self, "chart", charts.pop())
-        object.__setattr__(self, "degree", degrees.pop())
+        for name, value in zip(("chart", "kind", "degree"), shapes.pop()):
+            object.__setattr__(self, name, value)
         object.__setattr__(
             self, "coeffs", {d: a for d, a in items.items() if not a.is_zero()}
         )
@@ -423,8 +421,7 @@ def moser_verify(
     """
     if not is_poisson(pi0):
         raise PreconditionError("pi0 must be Poisson")
-    if a_t.degree != 1:
-        raise PreconditionError("a_t must be a family of 1-forms")
+    expect(a_t, PolyKForm, 1, "moser_verify a_t")
     if a_t.chart != pi0.chart:
         raise ChartMismatchError("a_t on the wrong chart")
     gauge, field = _moser_field(pi0, a_t)
@@ -520,8 +517,7 @@ def euler_linearize(
     the sampled map phi_1 and the residual |Dphi_1 X - E o phi_1| over the
     samples.
     """
-    if X.degree != 1:
-        raise DegreeError("euler_linearize needs a vector field")
+    expect(X, PolyKVector, 1, "euler_linearize")
     chart = X.chart
     n = chart.dim
     # split X = linear part + Z; demand linear part == Euler field, Z >= quadratic.

@@ -50,8 +50,8 @@ from ._numeric import (
     worst,
 )
 from .dirac import one_form_bracket
-from .errors import ChartMismatchError, PreconditionError
-from .fields import PolyKForm, PolyKVector, cotangent_chart, sum_of_products
+from .errors import ChartMismatchError
+from .fields import PolyKForm, PolyKVector, cotangent_chart, expect, sum_of_products
 from .poisson import PoissonBivector
 
 
@@ -226,8 +226,7 @@ def verify_dual_pair(
 
 def _covector_field(spray, alpha: PolyKForm):
     """Compiled evaluator of a base 1-form: base points (B, n) -> (B, n)."""
-    if alpha.degree != 1:
-        raise PreconditionError("invariant fields are built from 1-forms")
+    expect(alpha, PolyKForm, 1, "invariant fields")
     if alpha.chart != spray.pi.chart:
         raise ChartMismatchError("1-form must live on the base chart")
     return compile_tensors([alpha])

@@ -37,6 +37,8 @@ other function of `maningroup.py` has a `for` loop that divides by its loop
 variable, the shape of a hand-summed series such as a dexp loop cut after a
 fixed number of terms.  No module raises `AssertionError`: a lost
 invariant is a `DomainEscapeError`, which the CLI reports as a failed check.
+Every kind-and-degree check of a tensor argument is one call of
+`fields.expect`: no other `if` compares a `.degree` and raises.
 `_numeric.CriterionResult` is the one criterion record: no other module
 writes a "status" key, and every CLI handler returns its criteria as records.
 The Manin axioms are decided over Q with no tolerance: the metrized-algebra
@@ -330,6 +332,35 @@ def test_no_module_raises_assertion_error(path):
               and node.exc is not None and "AssertionError" in {
                   getattr(n, "id", None) for n in ast.walk(node.exc)}]
     assert not raises, f"{path.name} raises AssertionError at lines {raises}"
+
+
+def _degree_checks(tree) -> list:
+    """Lines of each `if` that compares a `.degree` and raises in its body, outside
+    the one kind-and-degree check `expect`."""
+    inside = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name == "expect" for n in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and id(node) not in inside
+                  and any(isinstance(c, ast.Compare) and any(
+                      isinstance(a, ast.Attribute) and a.attr == "degree" for a in ast.walk(c))
+                      for c in ast.walk(node.test))
+                  and any(isinstance(r, ast.Raise) for stmt in node.body for r in ast.walk(stmt)))
+
+
+def test_tensor_check_guard_sees_a_hand_written_check():
+    src = ("def f(X, a):\n    if X.degree != 1:\n        raise DegreeError('f')\n"
+           "    if not isinstance(a, PolyKForm) or a.degree != 1:\n        raise ShapeError('a')\n"
+           "    if X.degree == 2:\n        return X\n"
+           "def expect(T, cls, degree, who):\n    if T.degree != degree:\n"
+           "        raise DegreeError(who)\n")
+    assert _degree_checks(ast.parse(src)) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_one_tensor_check(path):
+    # every kind-and-degree check of a tensor argument is a call of fields.expect
+    found = _degree_checks(_tree(path))
+    assert not found, f"{path.name} checks a tensor degree by hand at lines {found}"
 
 
 def _status_writers(tree) -> list:

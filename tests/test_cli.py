@@ -732,7 +732,8 @@ class TestTripleJson:
 
 
 def test_parser_commands_are_the_table_rows():
-    # walk the parser's subcommand tree: each leaf is one row, with the row's options
+    # walk the parser's subcommand tree: each leaf is one row, with the row's
+    # alternative inputs first and then its options
     def leaves(parser, prefix=()):
         sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not sub:
@@ -743,7 +744,7 @@ def test_parser_commands_are_the_table_rows():
     tree = dict(leaves(cli.build_parser()))
     assert list(tree) == list(cli.COMMANDS) == list(FUZZ_COMMANDS)
     for command, row in cli.COMMANDS.items():
-        assert tree[command] == ["--help", "--seed", "--tol", *row.options]
+        assert tree[command] == ["--help", "--seed", "--tol", *row.one_of, *row.options]
 
 
 def test_consecutive_runs_share_no_option_values(workdir, capsys):
@@ -1144,10 +1145,12 @@ class TestMalformedInput:
 
     @staticmethod
     def input_error_files(tmp_path) -> dict:
-        """The files of `INPUT_ERRORS`, by name: tensors on R^3, a 2-form on R^2 and
-        the semidirect-so3 triple with one entry broken."""
+        """The files of `INPUT_ERRORS`, by name: tensors, a map and a frame on R^3, a
+        2-form on R^2, the semidirect-so3 triple with one entry broken, and a path
+        that names no file."""
         chart, plane = Chart(3), Chart(2)
         x, y, z = chart.coordinates()
+        so3 = lie_poisson(so3_constants(), 3)
 
         def triple(edit):
             data = TestTripleJson.triple_json()
@@ -1156,7 +1159,7 @@ class TestMalformedInput:
 
         files = {
             "form": jsonio.tensor_to_json(PolyKForm(chart, 1, {(0,): x})),
-            "so3": jsonio.tensor_to_json(lie_poisson(so3_constants(), 3).pi),
+            "so3": jsonio.tensor_to_json(so3.pi),
             # the bivector Pi^ij = eps_ijk v_k of v = (-y, x, 1): v . curl v = 2
             "helical": jsonio.tensor_to_json(PolyKVector(chart, 2, {
                 (0, 1): PolyScalar.constant(chart, 1), (0, 2): -x, (1, 2): -y})),
@@ -1171,10 +1174,24 @@ class TestMalformedInput:
             "short_basis": triple(lambda t: t["g_basis"][0].pop()),
             "bool_value": triple(lambda t: t["C"][0].update(value=True)),
             "string_value": triple(lambda t: t["C"][0].update(value="1/2")),
+            # d/dx ^ d/dy, whose components read as the closed 2-form dx ^ dy
+            "bivector": jsonio.tensor_to_json(PolyKVector(chart, 2, {
+                (0, 1): PolyScalar.constant(chart, 1)})),
+            # the so(3)* bivector's components as a 2-form
+            "so3_form": dict(jsonio.tensor_to_json(so3.pi), kind="form"),
+            "identity": {"source": 3, "target": 3, "components": [
+                [{"exp": [int(i == j) for i in range(3)], "num": 1, "den": 1}]
+                for j in range(3)]},
+            # the Gr(pi) frame of so(3)* with X written as a form and alpha as a vector
+            "swapped_frame": {"chart": 3, "sections": [
+                {"X": dict(jsonio.tensor_to_json(s.X), kind="form"),
+                 "alpha": dict(jsonio.tensor_to_json(s.alpha), kind="vector")}
+                for s in graph_of_poisson(so3).sections]},
         }
         for name, data in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(data))
-        return {name: str(tmp_path / f"{name}.json") for name in files}
+        return {name: str(tmp_path / f"{name}.json") for name in files} | {
+            "missing": str(tmp_path / "missing.json")}
 
     # name -> (argv, error): each input is refused with exit 2 and a report
     INPUT_ERRORS = {
@@ -1203,6 +1220,22 @@ class TestMalformedInput:
         "svd-past-the-float-range": (["poisson", "leaf", "--file", "{squares}",
                                       "--point=1e200,0.3,0.2"],
                                      "SVD did not converge: a matrix past the float range"),
+        # each kind is read by the type that takes it: a bivector is no 2-form
+        "omega-given-a-bivector": (["dirac", "gauge", "--poisson", "{so3}", "--omega",
+                                    "{bivector}", "--point", "0.1,0.2,0.3"],
+                                   "GaugeTransform: expected a 2-form (kind=form), "
+                                   "got a degree-2 multivector (kind=vector)"),
+        "pi-target-given-a-2-form": (["dirac", "poisson-map", "--map", "{identity}",
+                                      "--pi-source", "{so3}", "--pi-target", "{so3_form}"],
+                                     "PoissonBivector: expected a degree-2 multivector"),
+        "frame-with-swapped-kinds": (["dirac", "check-integrability", "--frame",
+                                      "{swapped_frame}"],
+                                     "GeneralizedSection X: expected a degree-1 multivector"),
+        # alternative inputs exclude each other: the second is never ignored
+        "builtin-and-triple": (["manin", "check", "--builtin", "iwasawa-su2", "--triple",
+                                "{missing}"], "--builtin and --triple exclude each other"),
+        "poisson-and-frame": (["dirac", "check-integrability", "--poisson", "{so3}", "--frame",
+                               "{missing}"], "--poisson and --frame exclude each other"),
     }
 
     @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -110,6 +111,26 @@ class TestManinTriples:
         for name, (triple, _) in builtin_triples().items():
             ok, witness = check_manin_triple(triple)
             assert ok, (name, witness)
+
+    # sha256 prefixes of repr((dim, C items in order, B, g_basis, h_basis)), recorded
+    # when `sl2_standard` and `double_triple` each built d + dbar by hand
+    BUILTIN_DIGESTS = {
+        "borel-sl2": "7072ed1945f52398",
+        "double-semidirect-so3": "2c9f9bbdf9a9d8f2",
+        "dual-iwasawa-su2": "620c5deb278abeed",
+        "iwasawa-su2": "0d2b1682e793931e",
+        "semidirect-so3": "8237cf65ee172d6c",
+        "standard-sl2": "940bb0cc4ef8dc14",
+    }
+
+    def test_builtins_keep_their_constants_metrics_and_bases(self):
+        # the doubles share one construction, which must rebuild them entry for entry
+        got = {}
+        for name, (triple, _) in builtin_triples().items():
+            alg = triple.algebra
+            text = repr((alg.dim, list(alg.C.items()), alg.B, triple.g_basis, triple.h_basis))
+            got[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert got == self.BUILTIN_DIGESTS
 
     def test_dual_triple_passes(self):
         triple, _ = so3_semidirect()
