@@ -315,7 +315,7 @@ def _triple_from_json(data) -> tuple:
     """(triple, chart, ref): a user triple, the chart it borrows with `builtin_ad`
     and the built-in triple whose chart that is, or (triple, None, None)."""
     dim = jsonio.dimension(data, "dim")
-    C = jsonio.constants_from_entries(data["C"], dim)
+    C = jsonio.constants_from_entries(data["C"])
     B = _rational_matrix_from_json(data["B"])
     alg = manin_mod.MetrizedLieAlgebra(dim, C, B)
     g_basis = _rational_matrix_from_json(data["g_basis"])

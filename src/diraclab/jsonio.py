@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import ShapeError
 from .fields import Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar, accumulate
-from .poisson import normalize_structure_constants
 
 MAX_DIM = 64  # the largest dimension an input may declare: a chart builds per-coordinate data
 
@@ -116,17 +115,14 @@ def rational_to_json(x: Fraction):
 
 
 @decoder
-def constants_from_entries(entries, n: int) -> dict:
-    """Canonical constants from 1-based JSON entries {"a": i, "b": j, "c": k,
-    "value": rational}.
-
-    Each constant may be listed once; listing both (i, j, k) and (j, i, k)
-    needs opposite values (`normalize_structure_constants`).
-    """
+def constants_from_entries(entries) -> dict:
+    """Structure constants {(i, j, k): value}, 0-based, from 1-based JSON entries
+    {"a": i, "b": j, "c": k, "value": rational}, each listed once.  The caller
+    normalizes them (`poisson.normalize_structure_constants`)."""
     c: dict = {}
     for entry in entries:
         key = tuple(int(entry[x]) - 1 for x in "abc")
         if key in c:
             raise ShapeError(f"structure constant {tuple(i + 1 for i in key)} listed twice")
         c[key] = rational_from_json(entry["value"])
-    return normalize_structure_constants(c, n)
+    return c

@@ -235,7 +235,11 @@ class GroupChart:
             T[b, a, k] = -float(v)
         G = np.array([[float(x) for x in v] for v in self.triple.g_basis]).T
         H = np.array([[float(x) for x in v] for v in self.triple.h_basis]).T
-        inv = np.linalg.inv(np.column_stack([G, H]))
+        try:
+            inv = np.linalg.inv(np.column_stack([G, H]))
+        except np.linalg.LinAlgError:  # g + h = d over Q, but not once G and H are rounded
+            raise OverflowError(f"chart {self.name!r}: [G | H] is singular in floats, "
+                                "an input past the float range") from None
         Bn = np.array([[float(v) for v in row] for row in alg.B])
         ad_d = np.array([np.einsum("abk,a->kb", T, G[:, m]) for m in range(n)])
         return {"T": T, "G": G, "H": H, "pr_g": G @ inv[:n, :], "pr_h": H @ inv[n:, :],

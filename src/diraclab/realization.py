@@ -324,13 +324,13 @@ def bracket_relations_residual(
 
 def closedness_residual(spray, point, config: RealizationConfig = RealizationConfig()) -> float:
     """Max FD residual of d omega = 0 at a point (central differences of step 1e-3)."""
-    pt = np.asarray(point, dtype=float)
     n2 = 2 * spray.base_dim
+    if n2 < 3:  # a 3-form in dimension 2 vanishes
+        return 0.0
+    pt = np.asarray(point, dtype=float)
     h = 1e-3
     W = realization_form(spray, _stencil(pt, h), config)
     dW = (W[0::2] - W[1::2]) / (2 * h)
-    if n2 < 3:  # a 3-form in dimension 2 vanishes
-        return 0.0
     # the cyclic sums dW[i][j, k] + dW[j][k, i] + dW[k][i, j] over i < j < k
     i, j, k = np.array(list(itertools.combinations(range(n2), 3))).T
     return worst(np.abs(dW[i, j, k] + dW[j, k, i] + dW[k, i, j]))[0]

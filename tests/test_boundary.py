@@ -59,15 +59,20 @@ evaluator `LagrangianFrame.value_at` and the single-matrix slicing `_selected`
 stay gone.  Every top-level definition and public method is reached from the
 CLI and other module-level code, from a name that the benchmark
 (`perfbench/workloads.py`) or the acceptance criteria (`tests/test_acceptance.py`)
-use, or from one of the `TEST_ORACLES`; an export in `__init__` keeps nothing
-alive.  A name reaches a top-level definition, an attribute `x.name` a method,
-or a top-level definition through a package-module alias such as `real_mod`, so
-a method cannot keep a same-named function alive.  No module but `__init__`,
-nor any file under `tests/`, imports a name it never uses.
+use, or from one of the `TEST_ORACLES`.  A name reaches a top-level
+definition, an attribute `x.name` a method, or a top-level definition through a
+package-module alias such as `real_mod`, so a method cannot keep a same-named
+function alive.  No module, nor any file under `tests/`, imports a name it
+never uses.  The package root `__init__` is its docstring alone: each name has
+one import path, its module, and importing `fields`, `errors` or `jsonio` loads
+neither numpy nor `_numeric`.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +147,31 @@ def test_fields_imports_no_float_layer():
 def test_float_layer_guard_sees_an_import():
     src = "def f():\n    from ._numeric import PackedPolys\n    import numpy.linalg\n"
     assert _imported_modules(ast.parse(src)) == {"_numeric", "numpy"}
+
+
+def test_exact_modules_import_without_numpy():
+    code = ("import sys, diraclab.fields, diraclab.errors, diraclab.jsonio\n"
+            "print(sorted({'numpy', 'diraclab._numeric'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+def _after_docstring(tree) -> list:
+    """(line, statement type) of each statement of a module but its docstring."""
+    body = tree.body[1:] if ast.get_docstring(tree, clean=False) is not None else tree.body
+    return [(node.lineno, type(node).__name__) for node in body]
+
+
+def test_root_guard_sees_an_export():
+    src = '"""The package."""\n\nfrom .fields import Chart\n__version__ = "0.1.0"\n'
+    assert _after_docstring(ast.parse(src)) == [(3, "ImportFrom"), (4, "Assign")]
+
+
+def test_the_package_root_is_its_docstring_alone():
+    tree = _tree(PACKAGE / "__init__.py")
+    assert ast.get_docstring(tree) and _after_docstring(tree) == []
 
 
 def test_spray_takes_its_bivector_alone():
@@ -534,7 +564,7 @@ def unreached(sources: dict, roots=frozenset()) -> list:
 
     The roots are every definition that module-level code outside a definition
     mentions (the CLI's handler table and its `main()` call) and the names in
-    `roots`; an import mentions nothing, so `__init__`'s exports are no roots.
+    `roots`; an import mentions nothing.
     A reached definition reaches every definition it
     mentions, decorators, defaults and annotations included.  A name reaches a
     top-level definition; an attribute `x.name` reaches methods, and a module's
@@ -662,8 +692,7 @@ def test_unused_import_guard_sees_an_unused_test_import():
                                                (3, "random_poly")]
 
 
-@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"]
-                         + sorted(TESTS.glob("*.py")),
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
                          ids=lambda m: m.name if m.parent == PACKAGE else f"tests/{m.name}")
 def test_no_module_imports_a_name_it_never_uses(path):
     found = unused_imports(_tree(path))

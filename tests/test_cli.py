@@ -1127,6 +1127,12 @@ class TestMalformedInput:
             "g_basis": [pair(v) for v in triple.g_basis],
             "h_basis": [pair([10**300 * x for x in v]) for v in triple.h_basis],
             "builtin_ad": "iwasawa-su2"}))
+        # semidirect-so3 with h spanned by f1 + f2, f1 + (1 + 1e-20) f2, f3: g + h = d
+        # over Q, but [G | H] is singular once rounded
+        near = TestTripleJson.triple_json()
+        near["h_basis"][:2] = [[0, 0, 0, 1, 1, 0], [0, 0, 0, 1, [10**20 + 1, 10**20], 0]]
+        files["near_h"] = tmp_path / "near_h.json"
+        files["near_h"].write_text(json.dumps(near))
         return {k: str(v) for k, v in files.items()}
 
     def test_an_exact_fiber_past_the_float_range(self, capsys, tmp_path):
@@ -1146,11 +1152,12 @@ class TestMalformedInput:
     @staticmethod
     def input_error_files(tmp_path) -> dict:
         """The files of `INPUT_ERRORS`, by name: tensors, a map and a frame on R^3, a
-        2-form on R^2, the semidirect-so3 triple with one entry broken, and a path
-        that names no file."""
+        2-form, a bivector and a one-section frame on R^2, the semidirect-so3 triple
+        with one entry broken, and a path that names no file."""
         chart, plane = Chart(3), Chart(2)
         x, y, z = chart.coordinates()
         so3 = lie_poisson(so3_constants(), 3)
+        plane_pi = standard_symplectic_poisson(1)
 
         def triple(edit):
             data = TestTripleJson.triple_json()
@@ -1182,6 +1189,11 @@ class TestMalformedInput:
             "identity": {"source": 3, "target": 3, "components": [
                 [{"exp": [int(i == j) for i in range(3)], "num": 1, "den": 1}]
                 for j in range(3)]},
+            "plane_pi": jsonio.tensor_to_json(plane_pi.pi),
+            # one of the two sections of Gr(dx ^ dy) on the plane
+            "one_section": {"chart": 2, "sections": [
+                {"X": jsonio.tensor_to_json(s.X), "alpha": jsonio.tensor_to_json(s.alpha)}
+                for s in graph_of_poisson(plane_pi).sections[:1]]},
             # the Gr(pi) frame of so(3)* with X written as a form and alpha as a vector
             "swapped_frame": {"chart": 3, "sections": [
                 {"X": dict(jsonio.tensor_to_json(s.X), kind="form"),
@@ -1231,6 +1243,11 @@ class TestMalformedInput:
         "frame-with-swapped-kinds": (["dirac", "check-integrability", "--frame",
                                       "{swapped_frame}"],
                                      "GeneralizedSection X: expected a degree-1 multivector"),
+        "frame-with-one-section": (["dirac", "check-integrability", "--frame", "{one_section}"],
+                                   "need dim-many spanning sections"),
+        "map-from-r3-on-a-plane-bivector": (["dirac", "poisson-map", "--map", "{identity}",
+                                             "--pi-source", "{plane_pi}", "--pi-target", "{so3}"],
+                                            "map charts do not match the bivectors"),
         # alternative inputs exclude each other: the second is never ignored
         "builtin-and-triple": (["manin", "check", "--builtin", "iwasawa-su2", "--triple",
                                 "{missing}"], "--builtin and --triple exclude each other"),
@@ -1258,6 +1275,14 @@ class TestMalformedInput:
                            "non-finite number"),
         "dirac-pullback": (["dirac", "pullback", "--map", "{phi}", "--poisson", "{so3}",
                             "--point", "1e10,0.2"], 2, "float range"),
+        # a triple that passes `manin check`, whose chart cannot invert [G | H]
+        "manin-bivector-near-h": (["manin", "bivector", "--triple", "{near_h}", "--point",
+                                   "0.1,0.2,0.3"], 2, "'semidirect-so3': [G | H] is singular"),
+        "manin-dressing-near-h": (["manin", "dressing", "--triple", "{near_h}", "--point",
+                                   "0.1,0.2,0.3", "--zeta", "1,0,0,0,0,0"], 2,
+                                  "'semidirect-so3': [G | H] is singular"),
+        "manin-multiplicativity-near-h": (["manin", "multiplicativity", "--triple", "{near_h}"],
+                                          2, "'semidirect-so3': [G | H] is singular"),
     }
 
     @pytest.mark.parametrize("case", sorted(FLOAT_RANGE))

@@ -653,7 +653,7 @@ class TestStructureConstantJSON:
             {"a": 2, "b": 3, "c": 1, "value": [1, 1]},
             {"a": 3, "b": 1, "c": 2, "value": {"num": 1, "den": 1}},
         ]
-        pi = lie_poisson(jsonio.constants_from_entries(entries, 3), 3)
+        pi = lie_poisson(jsonio.constants_from_entries(entries), 3)
         assert pi.pi == lie_poisson(so3_constants(), 3).pi
 
     @pytest.mark.parametrize("entries", [
@@ -663,10 +663,11 @@ class TestStructureConstantJSON:
         [{"a": 1, "b": 2, "c": 3, "value": [1, 0]}],
     ])
     def test_malformed_entries_rejected(self, entries):
+        # the decoder refuses a repeat; lie_poisson refuses (1,2,3) and (2,1,3) alike
         from diraclab import jsonio
 
         with pytest.raises(ShapeError):
-            jsonio.constants_from_entries(entries, 3)
+            lie_poisson(jsonio.constants_from_entries(entries), 3)
 
 
 class TestTimeDependentFlowConvention:

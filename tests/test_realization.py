@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diraclab import realization as real_mod
 from diraclab._numeric import FlowConfig, flow_points
 from diraclab.fields import Chart, PolyKForm, PolyScalar, coordinate_form
 from diraclab.poisson import (
@@ -121,8 +122,6 @@ class TestFlow:
 
 class TestRealizationForm:
     def test_tabulated_rule_is_leggauss_on_the_unit_interval(self):
-        import diraclab.realization as real_mod
-
         x, w = np.polynomial.legendre.leggauss(real_mod.QUAD_ORDER)
         assert np.array(real_mod.QUAD_NODES).tobytes() == (0.5 * (x + 1.0)).tobytes()
         assert np.array(real_mod.QUAD_WEIGHTS).tobytes() == (0.5 * w).tobytes()
@@ -174,6 +173,15 @@ class TestRealizationForm:
         spray = default_spray(xdxdy())
         res = closedness_residual(spray, np.array([1.0, 0.0, 0.1, 0.1]), FAST)
         assert res < 1e-6
+
+    def test_closedness_on_a_line_flows_nothing(self, monkeypatch):
+        # every 3-form on the 2-dimensional T*R vanishes, so no stencil is flowed
+        calls = []
+        monkeypatch.setattr(real_mod, "flow_points",
+                            lambda *a, **k: calls.append(1) or flow_points(*a, **k))
+        spray = default_spray(from_components(Chart(1), {}))
+        assert closedness_residual(spray, np.array([0.3, 0.2]), FAST) == 0.0
+        assert calls == []
 
 
 class TestSourceTarget:
