@@ -14,12 +14,12 @@ whose last two columns are t and 1: `__call__` checks its points and builds
 
 One flow function, `flow_points(field, x0, t, config)`, with one field
 protocol: a binder field(state, row) -> write, whose write() fills row with
-[a | Da J] at the bound state.  `PackedPolys.bind` (one gather, one matmul
-into its own [a | Da], one copy of a, one matmul into the Da J slot) and the
-Moser binder (one gather and matmul, one `gauge_inverse`, matmuls into bound
-buffers) take their views from `_stage_slots`.  A vector field with
-coefficient functions a(x) generates the flow Phi_t whose trajectories solve
-dx/dt = -a(x).  For a time-dependent field the flow is defined through its
+[a | Da J] at the bound state.  `PackedPolys.bind` (one gather by flat
+indices, one np.dot into its own [a | Da], then a and Da J into rows [:w] of the
+slots, w its width) and the Moser binder (that gather and dot, one
+`gauge_inverse`, matmuls into bound buffers) take their views from
+`_stage_slots`.  A vector field with coefficient functions a(x) generates the
+flow Phi_t whose trajectories solve dx/dt = -a(x).  For a time-dependent field the flow is defined through its
 action on functions, d/dt (Phi_t)_* = (Phi_t)_* L_{X_t}; concretely Phi_t is
 the inverse of the forward solution map of dx/dtau = +a(tau, x), computed by
 integrating dz/ds = -a(z, t - s) from s = 0 to s = t.  A field that does not
@@ -54,12 +54,13 @@ matrix) raises OverflowError.
 The flows' gauge families and the Manin chart frame (not the pointwise gauge,
 decided over Q) form their inverses in `gauge_inverse`, which bounds its
 entries: A = I + Pi W is dimensionless, so s I passes in every dimension,
-where a bound on det A would depend on n.  The largest entry decides first;
-a per-matrix mask names the refused point.
+where a bound on det A would depend on n.  The entries' sum of squares
+decides first; a per-matrix mask names the refused point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,10 +167,21 @@ class _MonomialTable:
 
     def __call__(self, ext: np.ndarray) -> np.ndarray:
         """(..., m) -> (..., T) for ext[..., :n] = x, ext[..., -2] = t, ext[..., -1] = 1."""
-        out = ext.take(self.columns[0], axis=-1)
-        for col in self.columns[1:]:
-            out *= ext.take(col, axis=-1)
-        return out
+        return _product(lambda col: ext.take(col, axis=-1), self.columns)
+
+    def bind(self, state: np.ndarray):
+        """() -> self(state) for a C-contiguous (B, m) state, by flat indices formed here."""
+        flat, m = state.reshape(-1, copy=False), state.shape[1]
+        idx = tuple(np.arange(0, flat.size, m)[:, None] + col % m for col in self.columns)
+        return functools.partial(_product, flat.take, idx)
+
+
+def _product(take, columns) -> np.ndarray:
+    """The product of take(col) over the columns, taken left to right."""
+    out = take(columns[0])
+    for col in columns[1:]:
+        out *= take(col)
+    return out
 
 
 class PackedPolys:
@@ -221,18 +233,18 @@ class PackedPolys:
         return out[..., :w], out[..., w:].reshape(state.shape[:-1] + (w, self.dim))
 
     def bind(self, state: np.ndarray, row: np.ndarray):
-        """The `flow_points` field of a vector field's table (partials, width
-        dim): write() fills row with [a | Da J] at the bound state."""
-        n = self.dim
-        if not self.partials or self.width != n:
-            raise ShapeError(f"a flow field needs {n} columns with partials, not {self.width} "
-                             f"{'with' if self.partials else 'without'} partials")
-        ka, kJ, J = _stage_slots(state, row, n)
-        out = np.empty((len(state), n + n * n))  # [a | Da], Da row-major
-        a, Da = out[:, :n], out[:, n:].reshape(-1, n, n)
+        """The `flow_points` field of a table of w <= dim columns with partials: write()
+        fills rows [:w] of row's a and Da J slots at the bound state, and no other entry."""
+        n, w, B = self.dim, self.width, len(state)
+        if not self.partials or w > n:
+            raise ShapeError(f"a flow field needs partials and at most {n} columns, not {w}")
+        ka, kJ, J = _stage_slots(state, row, n, w)
+        out = np.empty((B, w + w * n))  # [a | Da], Da row-major
+        a, Da = out[:, :w], out[:, w:].reshape(B, w, n)
+        table, coefs = self.monomials.bind(state), self.coefs
 
         def write():
-            np.matmul(self.monomials(state), self.coefs, out=out)
+            np.dot(table(), coefs, out=out)
             ka[...] = a
             np.matmul(Da, J, out=kJ)
 
@@ -304,10 +316,10 @@ def _check_escape(y: np.ndarray, n: int, escape_norm: float) -> None:
         raise DomainEscapeError("trajectory left the admissible region", x[int(sq.argmax())])
 
 
-def _stage_slots(state: np.ndarray, row: np.ndarray, n: int):
-    """A stage writer's views: row's a and Da J slots and the state's J."""
+def _stage_slots(state: np.ndarray, row: np.ndarray, n: int, w: int):
+    """A stage writer's views: rows [:w] of row's a and Da J slots, and the state's J."""
     m, B = n + n * n, len(state)
-    return row[:, :n], row[:, n:m].reshape(B, n, n), state[:, n:m].reshape(B, n, n)
+    return row[:, :w], row[:, n:m].reshape(B, n, n)[:, :w], state[:, n:m].reshape(B, n, n)
 
 
 def flow_points(field, x0, t: float, config: FlowConfig, record_times=None):
@@ -373,7 +385,10 @@ def orthonormal_basis(columns: np.ndarray) -> np.ndarray:
 
 def span_residual(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
     """Operator-norm distances of the orthogonal projectors of two stacks of spans."""
-    Qa, Qb = orthonormal_basis(cols_a), orthonormal_basis(cols_b)
+    if cols_a.shape == cols_b.shape:  # one call: LAPACK still factors one matrix at a time
+        Qa, Qb = orthonormal_basis(np.stack([cols_a, cols_b]))
+    else:
+        Qa, Qb = orthonormal_basis(cols_a), orthonormal_basis(cols_b)
     D = Qa @ np.swapaxes(Qa, -1, -2) - Qb @ np.swapaxes(Qb, -1, -2)
     return _svd(D, compute_uv=False)[..., 0]
 
@@ -422,11 +437,8 @@ def gauge_inverse(A: np.ndarray, points, message: str, *args) -> np.ndarray:
         if A.ndim == 2:
             raise TransversalityError(message.format(*args), points) from None
         return np.stack([gauge_inverse(a, x, message, *args) for a, x in zip(A, points)])
-    mag = np.abs(inv)
-    if mag.max(initial=0.0) <= 1 / RANK_TOL:  # false for a NaN entry: the mask decides
-        return inv
-    big = mag > 1 / RANK_TOL
-    if big.any():
+    # a sum of squares bounds every entry; a NaN, inf or overflowed sum fails, and the mask decides
+    if not np.vdot(inv, inv) <= RANK_TOL ** -2 and (big := np.abs(inv) > 1 / RANK_TOL).any():
         raise TransversalityError(message.format(*args), points if A.ndim == 2
                                   else points[int(big.any(axis=(1, 2)).argmax())])
     return inv

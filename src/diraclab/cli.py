@@ -166,6 +166,13 @@ def _load_bivector(path: str) -> PoissonBivector:
     return PoissonBivector(jsonio.tensor_from_json(_load_json(path)))
 
 
+def _of_positive_dim(T, option: str):
+    """T, refused on a 0-dimensional chart, where a flow has no point to move."""
+    if T.chart.dim == 0:
+        raise InputError(f"{option} must live on a chart of dimension at least 1")
+    return T
+
+
 @jsonio.decoder
 def _load_oneform_family(path: str) -> TimePolyForm:
     data = _load_json(path)
@@ -272,7 +279,7 @@ def _dirac_poisson_map(args):
 
 
 def _realize(args):
-    pi = _load_bivector(args.poisson)
+    pi = _of_positive_dim(_load_bivector(args.poisson), "--poisson")
     config = real_mod.RealizationConfig(step=args.step)
     spray = real_mod.default_spray(pi)
     pts = real_mod.sample_points(pi.chart.dim, args.samples, args.radius, seed=args.seed)
@@ -281,7 +288,7 @@ def _realize(args):
 
 
 def _moser(args):
-    pi = _load_bivector(args.poisson)
+    pi = _of_positive_dim(_load_bivector(args.poisson), "--poisson")
     a_t = _load_oneform_family(args.a_form)
     rng = np.random.default_rng(args.seed)
     grid = [rng.uniform(-args.grid_radius, args.grid_radius, size=pi.chart.dim)
@@ -291,9 +298,8 @@ def _moser(args):
 
 
 def _linearize(args):
-    X = jsonio.tensor_from_json(_load_json(args.field))
-    if (n := X.chart.dim) == 0:
-        raise InputError("--field must live on a chart of dimension at least 1")
+    X = _of_positive_dim(jsonio.tensor_from_json(_load_json(args.field)), "--field")
+    n = X.chart.dim
     # uniform in the ball with one draw per point: a uniform direction z/|z| at
     # radius U^(1/n); rejection from the cube takes 2^n/V_n draws, 6e38 at n = 64.
     # z is normalized before the radius scales it, so a huge radius cannot overflow |z|

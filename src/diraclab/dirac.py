@@ -252,6 +252,8 @@ def pullback_dirac_at_point(phi: PolyMap, E: LagrangianFrame, point) -> np.ndarr
     else TransversalityError.  Returns an orthonormal 2k x k basis (one SVD).
     """
     k, m = phi.source.dim, phi.target.dim
+    if E.chart.dim != m:  # phi(point) is a point of E's chart, also where E has no sections
+        raise ShapeError("point/chart dimension mismatch")
     x = [Fraction(float(v)) for v in point]
     J = [[p.evaluate_exact(x) for p in row] for row in phi.jacobian()]
     V = E.exact_at(phi.evaluate_exact(x))  # columns (v; mu)

@@ -7,8 +7,8 @@ Tensor format (shared by all modules and the CLI); indices are 1-based:
                      "poly": [{"exp": [e1,...,en], "num": int, "den": int}]}]}
 
 Every decoder reports malformed input (a missing key, a value of the wrong
-type, a zero denominator, an infinite or overflowing number, a dimension
-above MAX_DIM) as ShapeError, which the CLI maps to exit code 2.
+type, such as 2.5 or "2" for an integer, a zero denominator, an infinite or
+overflowing number, a dimension above MAX_DIM) as ShapeError, exit code 2 in the CLI.
 """
 
 from __future__ import annotations
@@ -35,9 +35,16 @@ def decoder(fn):
     return wrapped
 
 
+def integer(value, key: str) -> int:
+    """A JSON integer, the value of `key`; a bool, float or string is refused."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ShapeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def dimension(data, key: str) -> int:
     """data[key] as a dimension, refused above MAX_DIM before anything is built."""
-    if (n := int(data[key])) > MAX_DIM:
+    if (n := integer(data[key], key)) > MAX_DIM:
         raise ShapeError(f"{key} {n} exceeds the dimension cap {MAX_DIM}")
     return n
 
@@ -53,8 +60,8 @@ def poly_to_json(p: PolyScalar) -> list:
 def poly_from_json(chart: Chart, data) -> PolyScalar:
     terms = {}
     for t in data:
-        exp = tuple(int(e) for e in t["exp"])
-        accumulate(terms, exp, Fraction(int(t["num"]), int(t.get("den", 1))))
+        exp = tuple(integer(e, "exp") for e in t["exp"])
+        accumulate(terms, exp, Fraction(integer(t["num"], "num"), integer(t.get("den", 1), "den")))
     return PolyScalar(chart, terms)
 
 
@@ -75,14 +82,14 @@ def tensor_from_json(data, chart: Chart | None = None):
         chart = Chart(n)
     elif chart.dim != n:
         raise ShapeError(f"tensor declares chart dim {n}, expected {chart.dim}")
-    k = int(data["degree"])
+    k = integer(data["degree"], "degree")
     kind = data.get("kind", "vector")
     if kind not in ("vector", "form"):
         raise ShapeError(f"tensor kind must be 'vector' or 'form', got {kind!r}")
     cls = PolyKVector if kind == "vector" else PolyKForm
     comps = {}
     for c in data.get("components", []):
-        idx = tuple(int(i) - 1 for i in c["idx"])
+        idx = tuple(integer(i, "idx") - 1 for i in c["idx"])
         comps[idx] = poly_from_json(chart, c["poly"])
     return cls(chart, k, comps)
 
@@ -103,9 +110,9 @@ def rational_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return Fraction(int(v[0]), int(v[1]))
+        return Fraction(integer(v[0], "num"), integer(v[1], "den"))
     if isinstance(v, dict):
-        return Fraction(int(v["num"]), int(v.get("den", 1)))
+        return Fraction(integer(v["num"], "num"), integer(v.get("den", 1), "den"))
     raise ShapeError(f"cannot parse rational from {v!r}")
 
 
@@ -121,7 +128,7 @@ def constants_from_entries(entries) -> dict:
     normalizes them (`poisson.normalize_structure_constants`)."""
     c: dict = {}
     for entry in entries:
-        key = tuple(int(entry[x]) - 1 for x in "abc")
+        key = tuple(integer(entry[x], x) - 1 for x in "abc")
         if key in c:
             raise ShapeError(f"structure constant {tuple(i + 1 for i in key)} listed twice")
         c[key] = rational_from_json(entry["value"])

@@ -446,8 +446,8 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
 
     gauge(pts, t) -> (Pi, A_t) from one packed table evaluation.
     field(state, row), the `flow_points` binder, binds once everything its
-    writer reads: one table buffer [a | Pi, A | d a | d (Pi, A)] and u, M and
-    DX.  write() evaluates the table at x and t of the state, inverts A once
+    writer reads: the table's gather, one table buffer [a | Pi, A | d a |
+    d (Pi, A)] and u, M and DX.  write() evaluates the table at the state, inverts A once
     (`gauge_inverse`), and with u = A^{-T} a and M = Pi^T A^{-T} writes
     X = Pi^T u into the row's a slot and DX J into its J slot.
     """
@@ -465,7 +465,7 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
         return packed(pts, t)[0][:, n:].reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
 
     def field(state, row):
-        ka, kJ, J = _stage_slots(state, row, n)
+        ka, kJ, J = _stage_slots(state, row, n, n)
         B, x, tau = len(state), state[:, :n], state[:, -2]
         out = np.empty((B, w * (1 + n)))
         a, (P, A) = out[:, :n, None], out[:, n:w].reshape(B, n, 2, n).transpose(2, 0, 1, 3)
@@ -474,9 +474,10 @@ def _moser_field(pi0: PoissonBivector, a_t: TimePolyForm):
         PT, X, uT = P.swapaxes(1, 2), ka[..., None], u.swapaxes(1, 2)
         # [b, j, k] = (d_k Pi^T u)_j and (d_k A^T u)_j
         dPu, dATu = uPA.reshape(B, 2, n, n).transpose(1, 0, 2, 3)
+        table, coefs = packed.monomials.bind(state), packed.coefs
 
         def write():
-            np.matmul(packed.monomials(state), packed.coefs, out=out)
+            np.dot(table(), coefs, out=out)
             AiT = gauge_inverse(A, x, _DEGENERATE, tau[0]).swapaxes(1, 2)
             np.matmul(AiT, a, out=u)
             np.matmul(PT, u, out=X)

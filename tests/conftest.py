@@ -94,17 +94,18 @@ def spray_flow(spray, x, t, config):
 
 
 def stage_field(f):
-    """A `flow_points` field from f(state, tau) -> (a, Da): the writer bound to
-    (state, row) reads tau from state[:, -2] and fills row with [a | Da J] at
-    the state [x | J | tau | 1], J its (B, n, n) part."""
+    """A `flow_points` field from f(state, tau) -> (a, Da) of widths w <= n:
+    the writer bound to (state, row) reads tau from state[:, -2] and fills rows
+    [:w] of row's [a | Da J] at the state [x | J | tau | 1], J its (B, n, n) part,
+    as `PackedPolys.bind` does."""
 
     def bind(state, row):
         def write():
             a, Da = f(state, state[:, -2])
-            B, n = a.shape
+            B, w, n = Da.shape
             J = state[:, n:n + n * n].reshape(B, n, n)
-            row[:, :n] = a
-            row[:, n:n + n * n] = (Da @ J).reshape(B, n * n)
+            row[:, :w] = a
+            row[:, n:n + n * n].reshape(B, n, n)[:, :w] = Da @ J
 
         return write
 

@@ -1035,7 +1035,7 @@ class TestMalformedInput:
         data = self.tensor()
         data["components"][0]["poly"][0]["exp"] = ["one", 0]
         rep = self.check_exit_2(capsys, self.bivector_file(tmp_path, data))
-        assert "ValueError" in rep["error"]
+        assert "exp must be an integer, got 'one'" in rep["error"]
 
     def test_wrong_container_type(self, capsys, tmp_path):
         data = self.tensor(components=[{"idx": [1, 2], "poly": [3]}])
@@ -1190,6 +1190,17 @@ class TestMalformedInput:
                 [{"exp": [int(i == j) for i in range(3)], "num": 1, "den": 1}]
                 for j in range(3)]},
             "plane_pi": jsonio.tensor_to_json(plane_pi.pi),
+            # a bivector and an a-form family on the 0-dimensional chart
+            "zero_pi": {"chart": 0, "degree": 2, "kind": "vector", "components": []},
+            "zero_a_form": {"powers": {"0": {"chart": 0, "degree": 1, "kind": "form",
+                                             "components": []}}},
+            # integer fields given as other JSON values, which are never coerced
+            "num_float": [{"exp": [1, 0], "num": 2.5}],
+            "g": [{"exp": [0, 1], "num": 1}],
+            "exp_float": dict(jsonio.tensor_to_json(plane_pi.pi), components=[
+                {"idx": [1, 2], "poly": [{"exp": [1.9, 0], "num": 1}]}]),
+            **{f"chart_{name}": {"chart": value, "degree": 2, "kind": "vector", "components": []}
+               for name, value in (("true", True), ("string", "2"), ("float", 2.9))},
             # one of the two sections of Gr(dx ^ dy) on the plane
             "one_section": {"chart": 2, "sections": [
                 {"X": jsonio.tensor_to_json(s.X), "alpha": jsonio.tensor_to_json(s.alpha)}
@@ -1248,6 +1259,25 @@ class TestMalformedInput:
         "map-from-r3-on-a-plane-bivector": (["dirac", "poisson-map", "--map", "{identity}",
                                              "--pi-source", "{plane_pi}", "--pi-target", "{so3}"],
                                             "map charts do not match the bivectors"),
+        # a flow needs a point to move: the 0-dimensional chart is refused at the reader
+        "realize-on-a-0-chart": (["realize", "--poisson", "{zero_pi}"],
+                                 "--poisson must live on a chart of dimension at least 1"),
+        "moser-on-a-0-chart": (["moser", "--poisson", "{zero_pi}", "--a-form", "{zero_a_form}"],
+                               "--poisson must live on a chart of dimension at least 1"),
+        "pullback-to-a-0-chart-bivector": (["dirac", "pullback", "--map", "{identity}",
+                                            "--poisson", "{zero_pi}", "--point", "0.1,0.2,0.3"],
+                                           "point/chart dimension mismatch"),
+        # an integer field is read as written: 2.5 is not 2, and "2" is no dimension
+        "num-given-a-float": (["poisson", "bracket", "--file", "{plane_pi}", "--f", "{num_float}",
+                               "--g", "{g}"], "num must be an integer, got 2.5"),
+        "exp-given-a-float": (["poisson", "check", "--file", "{exp_float}"],
+                              "exp must be an integer, got 1.9"),
+        "chart-given-a-bool": (["poisson", "check", "--file", "{chart_true}"],
+                               "chart must be an integer, got True"),
+        "chart-given-a-string": (["poisson", "check", "--file", "{chart_string}"],
+                                 "chart must be an integer, got '2'"),
+        "chart-given-a-float": (["poisson", "check", "--file", "{chart_float}"],
+                                "chart must be an integer, got 2.9"),
         # alternative inputs exclude each other: the second is never ignored
         "builtin-and-triple": (["manin", "check", "--builtin", "iwasawa-su2", "--triple",
                                 "{missing}"], "--builtin and --triple exclude each other"),

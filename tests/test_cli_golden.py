@@ -83,6 +83,9 @@ def _inputs():
             for i in range(2)]},
         "AFORM": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(chart, 1, {(1,): -x}))}},
         "AFORM2": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(chart, 2, {(0, 1): one}))}},
+        # the zero bivector and an a-form family on the 0-dimensional chart
+        "PI0": jsonio.tensor_to_json(from_components(Chart(0), {}).pi),
+        "AFORM0": {"powers": {"0": jsonio.tensor_to_json(PolyKForm(Chart(0), 1, {}))}},
         "FIELD": jsonio.tensor_to_json(PolyKVector(chart, 1, {(0,): x + x * x, (1,): y})),
         "HS": {"k_basis": [[0, 0, 1, 0, 0, 0]], "l_basis": hs_l,
                "k_generators": [[0, 0, 1, 0, 0, 0]]},
@@ -140,6 +143,8 @@ CASES = {
                             "--point", "0"],
     "dirac pullback/error": ["dirac", "pullback", "--map", "{PHI}", "--poisson", "{SO3}",
                              "--point", "0.5"],
+    "dirac pullback/zero-chart": ["dirac", "pullback", "--map", "{PHI}", "--poisson", "{PI0}",
+                                  "--point", "0.5"],
     "dirac poisson-map/pass": ["dirac", "poisson-map", "--map", "{ID}", "--pi-source", "{PI}",
                                "--pi-target", "{PI}"],
     "dirac poisson-map/fail": ["dirac", "poisson-map", "--map", "{ID}", "--pi-source", "{PI}",
@@ -152,11 +157,13 @@ CASES = {
     "realize/fail": ["realize", "--poisson", "{PI}", "--samples", "2", "--step", "1e-2",
                      "--tol", "1e-30"],
     "realize/error": ["realize", "--poisson", "{PI}", "--samples", "0"],
+    "realize/zero-chart": ["realize", "--poisson", "{PI0}"],
     "moser/pass": ["moser", "--poisson", "{CONST}", "--a-form", "{AFORM}", "--grid-count", "2",
                    "--step", "1e-2"],
     "moser/fail": ["--tol", "1e-30", "moser", "--poisson", "{CONST}", "--a-form", "{AFORM}",
                    "--grid-count", "2", "--step", "1e-2"],
     "moser/error": ["moser", "--poisson", "{CONST}", "--a-form", "{AFORM2}"],
+    "moser/zero-chart": ["moser", "--poisson", "{PI0}", "--a-form", "{AFORM0}"],
     "linearize/pass": ["linearize", "--field", "{FIELD}", "--samples", "2", "--step", "1e-2"],
     "linearize/fail": ["linearize", "--field", "{FIELD}", "--samples", "2", "--step", "1e-2",
                        "--tol", "1e-30"],

@@ -152,17 +152,18 @@ class TestCompileTensors:
 
 
 class CountingTable:
-    """Counts monomial-table evaluations through _MonomialTable.__call__."""
+    """Counts monomial-table evaluations through `_product`, which a table's
+    call and the gather it binds to a flow buffer each run once."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        original = _numeric._MonomialTable.__call__
+        original = _numeric._product
 
-        def counted(table, pts):
+        def counted(take, columns):
             self.calls += 1
-            return original(table, pts)
+            return original(take, columns)
 
-        monkeypatch.setattr(_numeric._MonomialTable, "__call__", counted)
+        monkeypatch.setattr(_numeric, "_product", counted)
 
 
 def rk4_steps(T, step):
@@ -267,21 +268,40 @@ def so3_moser_family():
                               1: PolyKForm(pi0.chart, 1, {(1,): q * m3 * m3})})
 
 
+def spray_bases():
+    """name -> base bivector of the sprays under test: so(3)* and x dx ^ dy."""
+    chart = Chart(2, ("x", "y"))
+    return {"so3-spray": lie_poisson(so3_constants(), 3),
+            "xdxdy-spray": from_components(chart, {(0, 1): chart.coordinate(0)})}
+
+
+def full_width(packed):
+    """(pts, t) -> (a, Da) of a width-w table on a dim-n chart, through the public
+    PackedPolys.__call__, with the rows past w, which `bind` never writes, 0."""
+
+    def at(pts, t):
+        a, Da = packed(pts, t)
+        B, w, n = Da.shape
+        return (np.concatenate([a, np.zeros((B, n - w))], axis=1),
+                np.concatenate([Da, np.zeros((B, n - w, n))], axis=1))
+
+    return at
+
+
 def flow_fields():
     """name -> (field, rhs): the flow_points field on the flow state, and the
-    same field at points through the public PackedPolys.__call__ (the Moser
-    field's writer on the state [x | I | t | 1])."""
+    same field at points through the public PackedPolys.__call__ (a spray's
+    q-components padded with its vanishing p-components; the Moser field's
+    writer on the state [x | I | t | 1])."""
     from diraclab.poisson import _moser_field
     from diraclab.realization import default_spray
 
     chart = Chart(2, ("x", "y"))
     x, y = chart.coordinates()
-    sprays = {"so3-spray": lie_poisson(so3_constants(), 3),
-              "xdxdy-spray": from_components(chart, {(0, 1): x})}
     out = {}
-    for name, pi in sprays.items():
+    for name, pi in spray_bases().items():
         packed = default_spray(pi).compiled()
-        out[name] = (packed.bind, packed)
+        out[name] = (packed.bind, full_width(packed))
     Z_t = compile_tensors([TimePolyForm({
         0: PolyKVector(chart, 1, {(0,): x * x, (1,): x * y}),
         1: PolyKVector(chart, 1, {(0,): x * y * y})})], partials=True)
@@ -358,13 +378,13 @@ class TestStageBinding:
         rows = [row for _, row in binds]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1:])
 
-    @pytest.mark.parametrize("case", ["values-only", "one-column", "bivector"])
+    @pytest.mark.parametrize("case", ["values-only", "three-columns", "bivector"])
     def test_a_table_that_is_not_a_vector_field_is_refused_at_bind_time(self, case):
         chart = Chart(2)
         x, y = chart.coordinates()
         packed = {
             "values-only": lambda: compile_tensors([PolyKVector(chart, 1, {(0,): x * y})]),
-            "one-column": lambda: PackedPolys([{0: x * y}], 2, partials=True),
+            "three-columns": lambda: PackedPolys([{0: x * y}] * 3, 2, partials=True),
             "bivector": lambda: compile_tensors([from_components(chart, {(0, 1): x}).pi],
                                                 partials=True),
         }[case]()
@@ -373,6 +393,28 @@ class TestStageBinding:
         # refused before any step: a flow over t = 0 takes none
         with pytest.raises(ShapeError, match="flow field"):
             _numeric.flow_points(packed.bind, np.zeros((1, 2)), 0.0, FlowConfig())
+
+
+class TestNarrowSprayTable:
+    """A spray's table holds its n q-components alone; bound to the
+    2n-dimensional flow, it gives the snapshots of the full-width table, whose
+    p-components are identically 0, to the last bit."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("name", ["xdxdy-spray", "so3-spray"])
+    def test_snapshots_equal_the_full_width_tables(self, name, batch):
+        from diraclab.realization import _RECORD_TIMES, default_spray, sample_points
+
+        spray = default_spray(spray_bases()[name])
+        narrow, full = spray.compiled(), compile_tensors([spray.field], partials=True)
+        assert (narrow.width, full.width) == (spray.base_dim, spray.chart.dim)
+        x0 = sample_points(spray.base_dim, batch, 0.5, seed=batch)
+        config = FlowConfig(step=1e-2)
+        got, want = (_numeric.flow_points(table.bind, x0, -1.0, config, _RECORD_TIMES)
+                     for table in (narrow, full))
+        assert len(got) == len(want) == len(_RECORD_TIMES)
+        for (x, J), (xf, Jf) in zip(got, want):
+            assert np.array_equal(x, xf) and np.array_equal(J, Jf)
 
 
 # name -> (start points drawn uniformly from [-r, r]^n, t, record times)
@@ -662,6 +704,37 @@ class TestGaugeInverse:
         with pytest.raises(TransversalityError) as e:
             _numeric.gauge_inverse(A, np.arange(4.0).reshape(2, 2), "m")
         assert e.value.point == (2.0, 3.0)
+
+    @staticmethod
+    def stack(case):
+        """A (9, 3, 3) stack of invertible matrices, matrix 2 edited by case."""
+        A = np.stack([np.eye(3) + 0.1 * k * np.eye(3, k=1) for k in range(9)])
+        if case == "entry-past-the-bound":  # its inverse holds -2e10
+            A[2, 0, 1] = 2e10
+        elif case == "entries-within-the-bound":  # a sum of squares 2.4e20 and no entry past 1e10
+            A[2] = np.diag([1.0, 1.0, 1.0 / 9e9])
+            A[2, 0, 2] = A[2, 1, 2] = -1.0
+        elif case == "overflow":  # its inverse holds 1e600, read as inf
+            A[2, 0, 1] = A[2, 1, 2] = 1e300
+        else:  # the inverse is NaN
+            A[2, 1, 2] = {"nan": np.nan, "inf": np.inf}[case]
+        return A
+
+    @pytest.mark.parametrize("case", ["entry-past-the-bound", "entries-within-the-bound",
+                                      "nan", "inf", "overflow"])
+    def test_the_sum_of_squares_decides_as_the_largest_entry_did(self, case):
+        # the rule the one-dot test stands in front of: a mask of the entries past 1/RANK_TOL
+        A, pts = self.stack(case), np.arange(27.0).reshape(9, 3)
+        inv = np.linalg.inv(A)
+        big = (np.abs(inv) > 1 / _numeric.RANK_TOL).any(axis=(1, 2))
+        if big.any():
+            with pytest.raises(TransversalityError) as e:
+                _numeric.gauge_inverse(A, pts, "m")
+            assert e.value.point == tuple(pts[int(big.argmax())]) == (6.0, 7.0, 8.0)
+        else:  # the one-dot test fails, and the mask returns the inverse
+            assert not np.vdot(inv, inv) <= _numeric.RANK_TOL ** -2
+            assert np.array_equal(_numeric.gauge_inverse(A, pts, "m"), inv, equal_nan=True)
+        assert big.any() == (case in ("entry-past-the-bound", "overflow"))
 
     @pytest.mark.parametrize("A, formats", [(np.eye(2), 0), (np.zeros((2, 2)), 1),
                                             (1e-11 * np.eye(2), 1)],

@@ -415,13 +415,15 @@ class TestFusedEvaluator:
     def test_value_and_jacobian(self, which):
         spray = self.sprays()[which]
         f = spray.compiled()
-        m = spray.chart.dim
+        n, m = spray.base_dim, spray.chart.dim
         pts = np.random.default_rng(which).uniform(-1.0, 1.0, size=(7, m))
         v, A = f(pts)
-        assert v.shape == (7, m) and A.shape == (7, m, m)
+        # the table holds the q-components alone: the p-components vanish
+        assert v.shape == (7, n) and A.shape == (7, n, m)
+        assert all(i < n for i, in spray.field.components)
         zero = PolyScalar.zero(spray.chart)
         for b, x in enumerate(pts):
-            for i in range(m):
+            for i in range(n):
                 comp = spray.field.components.get((i,), zero)
                 assert abs(v[b, i] - exact_at(comp, x)) < 1e-13
                 for j in range(m):
@@ -503,4 +505,30 @@ class TestBatchedCertification:
             verify_dual_pair(spray, sample_points(n, batch, 0.2, seed=3),
                              RealizationConfig(step=0.05))
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        # the kernels, the pullback fibers, their bases and the projector distances
+        assert counts[0] == counts[1] == 4
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("name", ["xdxdy", "so3"])
+    def test_criteria_equal_the_per_side_calls(self, name, batch):
+        """Each t-side/s-side helper pair is one call on the stack [t, s]; the
+        criteria equal those of one call per side, formed here, to the last bit."""
+        from diraclab._numeric import (gauge_fiber, nullspace_basis, orthonormal_basis,
+                                       pullback_fiber, worst)
+
+        spray, n = _builtin_sprays()[name]
+        pts = sample_points(n, batch, 0.2, seed=batch)
+        config = RealizationConfig(step=1e-2)
+        W, s_val, t_val, ds, dt = real_mod._realization_batch(spray, pts, config)
+        piP, T = -np.linalg.inv(W), lambda A: np.swapaxes(A, -1, -2)
+        Pt, Ps = spray.pi.matrix_at(t_val), spray.pi.matrix_at(s_val)
+        r1 = np.maximum(np.abs(dt @ piP @ T(dt) - Pt).max(axis=(1, 2)),
+                        np.abs(ds @ piP @ T(ds) + Ps).max(axis=(1, 2)))
+        r2 = np.abs(T(nullspace_basis(dt)) @ W @ nullspace_basis(ds)).max(axis=(1, 2))
+        Qa = orthonormal_basis(gauge_fiber(pullback_fiber(dt, T(Pt)), W))
+        Qb = orthonormal_basis(pullback_fiber(ds, T(Ps)))
+        r3 = np.linalg.svd(Qa @ T(Qa) - Qb @ T(Qb), compute_uv=False)[:, 0]
+        got = verify_dual_pair(spray, pts, config).criteria
+        for crit, r in zip(got, (r1, r2, r3), strict=True):
+            value, point = worst(r, pts)
+            assert crit.max_residual == value and crit.worst_point == tuple(point)

@@ -1,4 +1,5 @@
-"""Every refusal of the library's own argument checks, one row each.
+"""Every refusal of the library's own argument checks, one row each, and the
+CLI's refusal of a flow on a 0-dimensional chart, which no library call makes.
 
 A check that no test reaches can be deleted with every test still green, so
 each row calls one function with the one wrong argument it refuses and pins
@@ -10,7 +11,7 @@ builds because it reads every tensor of a command on one chart.
 import numpy as np
 import pytest
 
-from diraclab import dirac, fields, poisson, realization
+from diraclab import cli, dirac, fields, poisson, realization
 from diraclab._numeric import FlowConfig, compile_tensors
 from diraclab.errors import ChartMismatchError, DegreeError, ShapeError
 from diraclab.fields import Chart, PolyKForm, PolyKVector, PolyMap, PolyScalar
@@ -22,6 +23,7 @@ X2, X3 = PolyKVector(PLANE, 1, {(0,): y}), PolyKVector(SPACE, 1, {(0,): u})
 A2, A3 = PolyKForm(PLANE, 1, {(1,): x}), PolyKForm(SPACE, 1, {(0,): u})
 PI2 = poisson.standard_symplectic_poisson(1)  # dx ^ dy on the plane
 PI3 = poisson.lie_poisson(poisson.so3_constants(), 3)
+PI0 = poisson.from_components(Chart(0), {})  # the zero bivector on a point
 S2, S3 = dirac.GeneralizedSection(X2, A2), dirac.GeneralizedSection(X3, A3)
 
 
@@ -108,12 +110,20 @@ REFUSALS = {
     "check_poisson_map-charts": (
         lambda: dirac.check_poisson_map(PolyMap(SPACE, SPACE, SPACE.coordinates()), PI2, PI3),
         ChartMismatchError, "map charts do not match the bivectors"),
+    "pullback_dirac_at_point-charts": (
+        lambda: dirac.pullback_dirac_at_point(PolyMap(PLANE, PLANE, [x, y]),
+                                              dirac.graph_of_poisson(PI0), (0.1, 0.2)),
+        ShapeError, "point/chart dimension mismatch"),
     "check_poisson_map-callable": (lambda: dirac.check_poisson_map(lambda p: p, PI3, PI3),
                                    ShapeError, "callable maps need sample points"),
     "invariant_vector_fields": (
         lambda: realization.invariant_vector_fields(realization.default_spray(PI2), A3,
                                                     [0.0] * 4, beta=A2),
         ChartMismatchError, "1-form must live on the base chart"),
+    # the CLI's reader of the flows' charts: realize and moser read --poisson through it
+    "cli-flow-chart-of-dim-0": (lambda: cli._of_positive_dim(PI0.pi, "--poisson"),
+                                cli.InputError,
+                                "--poisson must live on a chart of dimension at least 1"),
     "PackedPolys-points": (lambda: compile_tensors([X2])(np.zeros(3)), ShapeError,
                            "points of shape (3,) on a chart of dim 2"),
 }
